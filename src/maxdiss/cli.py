@@ -9,8 +9,9 @@ Subcommands map to pipeline stages over a shared scenario config:
     maxdiss report   --out run/
 
 Exit codes: 0 success, 2 certificate failure, 3 solver blow-up,
-4 configuration error.  --threads (or MAXDISS_THREADS) caps the BLAS/FFT
-thread pools; --seed overrides the config seed.
+4 configuration error.  --threads (or MAXDISS_THREADS) caps the BLAS
+thread pools (numpy.fft is single-threaded and ignores it); --seed
+overrides the config seed.
 """
 
 from __future__ import annotations

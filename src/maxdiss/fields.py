@@ -4,11 +4,20 @@ Fields are stored as Fourier amplitudes u(x) = sum_k uhat(k) exp(i k.x)
 with integer wavevectors in numpy fft ordering.  Hermitian symmetry is
 enforced so physical samples are real; the Nyquist row/column (k = -n/2)
 is always zeroed to keep the retained band symmetric under k -> -k.
+
+Array kernels (the time stepper) work on the rfft2 half spectrum instead:
+an array of shape (components, n, n//2 + 1) holding the modes ky >= 0,
+where real-valuedness holds by construction.  ``half_spectrum`` and
+``from_half_spectrum`` convert at the SpectralField edge.
+
+Wavenumber tables (k, |k|^2, 1/|k|^2, Nyquist and 2/3-rule dealias masks)
+are built once per grid size by ``spectral_tables`` and shared read-only
+by every caller, in both the full and the half layout.
 """
 
 from __future__ import annotations
 
-import io
+import functools
 import json
 import struct
 from dataclasses import dataclass, field
@@ -50,15 +59,44 @@ class Grid:
         return np.meshgrid(x, x, indexing="ij")
 
     def wavenumbers(self):
-        """Integer wavevector components (KX, KY) in fft ordering."""
-        k = np.fft.fftfreq(self.n, d=1.0 / self.n)
-        return np.meshgrid(k, k, indexing="ij")
+        """Integer wavevector components (KX, KY) in fft ordering (read-only)."""
+        tab = spectral_tables(self.n)
+        shape = (self.n, self.n)
+        return np.broadcast_to(tab.kx, shape), np.broadcast_to(tab.ky, shape)
 
 
-def _nyquist_mask(n: int) -> np.ndarray:
-    k = np.fft.fftfreq(n, d=1.0 / n)
-    kx, ky = np.meshgrid(k, k, indexing="ij")
-    return (kx != -n // 2) & (ky != -n // 2)
+@dataclass(frozen=True)
+class Tables:
+    """Read-only wavenumber tables of one spectrum layout of an n x n grid.
+
+    ``kx`` has shape (n, 1) and ``ky`` (1, m); both broadcast against the
+    (n, m) arrays, m = n (fft2 layout) or n//2 + 1 (rfft2 layout).
+    """
+
+    kx: np.ndarray
+    ky: np.ndarray
+    k2: np.ndarray       # |k|^2
+    inv_k2: np.ndarray   # 1/|k|^2, 0 at k = 0
+    nyquist: np.ndarray  # False on the |kx| = n/2 or |ky| = n/2 modes
+    dealias: np.ndarray  # 2/3 rule: |kx|, |ky| <= (n - 1) // 3
+
+
+@functools.lru_cache(maxsize=32)
+def spectral_tables(n: int, half: bool = False) -> Tables:
+    """Tables of the fft2 layout, or with ``half`` of the rfft2 half spectrum."""
+    kx = np.fft.fftfreq(n, d=1.0 / n)[:, None]
+    ky = (np.fft.rfftfreq if half else np.fft.fftfreq)(n, d=1.0 / n)[None, :]
+    k2 = kx * kx + ky * ky
+    inv_k2 = np.divide(1.0, k2, out=np.zeros_like(k2), where=k2 != 0)
+    # strict cut: at n divisible by 3 the modes |k| = n/3 would alias
+    # onto the retained band in a quadratic product
+    cut = (n - 1) // 3
+    arrays = dict(kx=kx, ky=ky, k2=k2, inv_k2=inv_k2,
+                  nyquist=(np.abs(kx) != n // 2) & (np.abs(ky) != n // 2),
+                  dealias=(np.abs(kx) <= cut) & (np.abs(ky) <= cut))
+    for a in arrays.values():
+        a.flags.writeable = False
+    return Tables(**arrays)
 
 
 def _hermitianize(coeffs: np.ndarray) -> np.ndarray:
@@ -66,6 +104,16 @@ def _hermitianize(coeffs: np.ndarray) -> np.ndarray:
     flipped = coeffs[..., ::-1, ::-1]
     flipped = np.roll(flipped, shift=(1, 1), axis=(-2, -1))
     return 0.5 * (coeffs + np.conj(flipped))
+
+
+def _check_solenoidal(c: np.ndarray, tab: Tables) -> None:
+    """Raise FieldError unless max |k.c| is roundoff next to max |c|."""
+    div = np.abs(tab.kx * c[0] + tab.ky * c[1]).max()
+    scale = np.abs(c).max()
+    # absolute floor keeps cancellation roundoff in near-zero
+    # differences of solenoidal fields from tripping the check
+    if div > max(SOLENOIDAL_RTOL * scale * tab.kx.shape[0], 1e-13):
+        raise FieldError(f"field tagged solenoidal but max |k.uhat| = {div:g}")
 
 
 @dataclass(frozen=True)
@@ -82,16 +130,12 @@ class SpectralField:
             raise FieldError(f"bad coefficient shape {c.shape} for n={self.grid.n}")
         if c.shape[0] not in (1, 2):
             raise FieldError(f"expected 1 or 2 components, got {c.shape[0]}")
-        c = _hermitianize(c * _nyquist_mask(self.grid.n))
+        full = spectral_tables(self.grid.n)
+        c = _hermitianize(c * full.nyquist)
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
         if self.solenoidal and self.components == 2:
-            div = divergence_linf(self)
-            scale = np.abs(c).max()
-            # absolute floor keeps cancellation roundoff in near-zero
-            # differences of solenoidal fields from tripping the check
-            if div > max(SOLENOIDAL_RTOL * scale * self.grid.n, 1e-13):
-                raise FieldError(f"field tagged solenoidal but max |k.uhat| = {div:g}")
+            _check_solenoidal(c, full)
 
     @property
     def components(self) -> int:
@@ -224,8 +268,7 @@ def gradient_tensor(u: SpectralField) -> np.ndarray:
 
 
 def laplacian(u: SpectralField) -> SpectralField:
-    kx, ky = u.grid.wavenumbers()
-    return SpectralField(u.grid, -(kx * kx + ky * ky) * u.coeffs,
+    return SpectralField(u.grid, -spectral_tables(u.grid.n).k2 * u.coeffs,
                          solenoidal=u.solenoidal)
 
 
@@ -233,13 +276,14 @@ def leray_project(u: SpectralField) -> SpectralField:
     """Leray projection uhat -> (I - k k^T/|k|^2) uhat, identity at k=0."""
     if not u.is_vector:
         raise FieldError("Leray projection requires a vector field")
-    kx, ky = u.grid.wavenumbers()
-    k2 = kx * kx + ky * ky
-    k2safe = np.where(k2 == 0, 1.0, k2)
-    kdotu = (kx * u.coeffs[0] + ky * u.coeffs[1]) / k2safe
-    px = u.coeffs[0] - kx * kdotu
-    py = u.coeffs[1] - ky * kdotu
-    return SpectralField(u.grid, np.stack([px, py]), solenoidal=True)
+    return SpectralField(u.grid, project(u.coeffs, spectral_tables(u.grid.n)),
+                         solenoidal=True)
+
+
+def project(c: np.ndarray, tab: Tables) -> np.ndarray:
+    """Leray projection of vector coefficients in the layout of ``tab``."""
+    kdotu = (tab.kx * c[0] + tab.ky * c[1]) * tab.inv_k2
+    return np.stack([c[0] - tab.kx * kdotu, c[1] - tab.ky * kdotu])
 
 
 # -- norms and pairings -----------------------------------------------------
@@ -256,9 +300,7 @@ def l2_norm(u: SpectralField) -> float:
 
 
 def h1_seminorm(u: SpectralField) -> float:
-    kx, ky = u.grid.wavenumbers()
-    k2 = kx * kx + ky * ky
-    val = np.sum(k2 * np.abs(u.coeffs) ** 2)
+    val = np.sum(spectral_tables(u.grid.n).k2 * np.abs(u.coeffs) ** 2)
     return TWO_PI * np.sqrt(val)
 
 
@@ -271,10 +313,7 @@ def h_minus1_norm(u: SpectralField) -> float:
     scale = np.abs(u.coeffs).max()
     if mean > 1e-13 * max(scale, 1.0):
         raise FieldError(f"H^-1 norm needs mean-free input, mean amplitude {mean:g}")
-    kx, ky = u.grid.wavenumbers()
-    k2 = kx * kx + ky * ky
-    k2safe = np.where(k2 == 0, 1.0, k2)
-    val = np.sum(np.abs(u.coeffs) ** 2 / k2safe) - np.sum(np.abs(u.coeffs[:, 0, 0]) ** 2)
+    val = np.sum(np.abs(u.coeffs) ** 2 * spectral_tables(u.grid.n).inv_k2)
     return TWO_PI * np.sqrt(max(val, 0.0))
 
 
@@ -310,6 +349,23 @@ def norm_report(u: SpectralField, exponents=(4,)) -> NormReport:
         l_inf=lp_norm(u, np.inf),
         h_minus1=h_minus1_norm(u) if mean_free else 0.0,
     )
+
+
+# -- half spectrum ----------------------------------------------------------
+
+def half_spectrum(coeffs: np.ndarray) -> np.ndarray:
+    """The ky >= 0 half (..., n, n//2 + 1) of fft2-layout coefficients (a view)."""
+    return coeffs[..., : coeffs.shape[-1] // 2 + 1]
+
+
+def from_half_spectrum(grid: Grid, half: np.ndarray, solenoidal: bool = False) -> SpectralField:
+    """Field from rfft2-layout coefficients, extended by Hermitian symmetry."""
+    n = grid.n
+    full = np.empty(half.shape[:-1] + (n,), dtype=np.complex128)
+    full[..., : n // 2 + 1] = half
+    # uhat(kx, -ky) = conj(uhat(-kx, ky)) for the columns ky = n/2 - 1 ... 1
+    full[..., n // 2 + 1:] = np.conj(half[..., -np.arange(n) % n, n // 2 - 1:0:-1])
+    return SpectralField(grid, full, solenoidal=solenoidal)
 
 
 # -- mode embedding ---------------------------------------------------------

@@ -5,10 +5,20 @@ the divergence-free truncation spaces are spanned by solenoidal Fourier
 modes and the Galerkin projection is spectral truncation.  Time stepping
 is an integrating-factor RK4: the Stokes part is integrated exactly via
 exp(-nu |k|^2 dt), the convection explicitly.
+
+The time loop runs on rfft2 half-spectrum arrays of shape (2, n, n//2 + 1)
+with the read-only wavenumber tables of ``fields.spectral_tables`` and
+integrating factors cached per (n, nu, dt).  The nonlinear term is taken
+in rotational form, P[omega (v_y, -v_x)]: three inverse and two forward
+real transforms per evaluation, 2/3-rule masked before and after the
+product.  It equals P[-(v.grad)v] because the two differ by the gradient
+of |v|^2/2, which the Leray projection removes.  A SpectralField is built
+only at sample times and at the edges of ``advance`` and ``nse_rhs``.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -17,18 +27,22 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .fields import (
-    FieldError,
+    TWO_PI,
     Grid,
     SpectralField,
+    _check_solenoidal,
     from_function,
+    from_half_spectrum,
     gradient_tensor,
+    half_spectrum,
     inner,
-    l2_norm,
     leray_project,
     load_field,
     pad_to,
+    project,
     restrict_to,
     save_field,
+    spectral_tables,
     zero_field,
 )
 
@@ -84,11 +98,14 @@ class Forcing:
                 raise SolverError(f"unknown analytic forcing {self.name!r}") from None
             return fn(t, grid, self.params)
         if self.kind == "file":
-            f = load_field(self.path)
-            return _fit_to_grid(f, grid)
+            return _fit_to_grid(self._file_field, grid)
         if self.kind == "static":
             return _fit_to_grid(self.static, grid)
         raise SolverError(f"unknown forcing kind {self.kind!r}")
+
+    @functools.cached_property
+    def _file_field(self) -> SpectralField:
+        return load_field(self.path)
 
     def is_zero(self) -> bool:
         return self.kind == "zero"
@@ -153,19 +170,13 @@ class SystemSpec:
 
 # -- right-hand side --------------------------------------------------------
 
-def _dealias_mask(n: int) -> np.ndarray:
-    k = np.fft.fftfreq(n, d=1.0 / n)
-    kx, ky = np.meshgrid(k, k, indexing="ij")
-    cut = n // 3
-    return (np.abs(kx) <= cut) & (np.abs(ky) <= cut)
-
-
 def convection(v: SpectralField, dealias: bool = True) -> SpectralField:
     """Pseudospectral (v.grad)v with optional 2/3-rule dealiasing."""
     n = v.grid.n
+    mask = spectral_tables(n).dealias
     coeffs = v.coeffs
     if dealias:
-        coeffs = coeffs * _dealias_mask(n)
+        coeffs = coeffs * mask
     vv = np.fft.ifft2(coeffs * n * n, axes=(-2, -1)).real
     grads = np.fft.ifft2(gradient_tensor(SpectralField(v.grid, coeffs)) * n * n,
                          axes=(-2, -1)).real
@@ -173,51 +184,93 @@ def convection(v: SpectralField, dealias: bool = True) -> SpectralField:
     conv = vv[0] * grads[:, 0] + vv[1] * grads[:, 1]
     chat = np.fft.fft2(conv, axes=(-2, -1)) / (n * n)
     if dealias:
-        chat = chat * _dealias_mask(n)
+        chat = chat * mask
     return SpectralField(v.grid, chat)
+
+
+def _forcing_half(spec: SystemSpec, t: float):
+    """Half-spectrum forcing coefficients at time t; None for zero forcing."""
+    if spec.forcing.is_zero():
+        return None
+    return half_spectrum(spec.forcing(t, spec.grid).coeffs)
+
+
+def _rhs(u: np.ndarray, spec: SystemSpec, f) -> np.ndarray:
+    """P[omega (v_y, -v_x) + f] on half-spectrum coefficients, shape (2, n, n//2+1)."""
+    n = spec.grid.n
+    tab = spectral_tables(n, half=True)
+    if spec.dealias:
+        u = u * tab.dealias
+    omega = 1j * (tab.kx * u[1] - tab.ky * u[0])
+    vx, vy, w = np.fft.irfft2(np.concatenate([u, omega[None]]), s=(n, n),
+                              norm="forward")
+    nl = np.fft.rfft2(np.stack([w * vy, -w * vx]), norm="forward")
+    nl *= tab.dealias if spec.dealias else tab.nyquist
+    if f is not None:
+        nl += f
+    return project(nl, tab)
 
 
 def nse_rhs(v: SpectralField, spec: SystemSpec, t: float) -> SpectralField:
     """P[-(v.grad)v + f(t)] + nu*Lap v; solenoidal output."""
     if not v.solenoidal:
         raise SolverError("nse_rhs expects a solenoidal velocity field")
-    rhs = -1.0 * convection(v, spec.dealias)
-    f = spec.forcing(t, spec.grid)
-    rhs = leray_project(rhs + f)
-    if spec.nu > 0:
-        kx, ky = spec.grid.wavenumbers()
-        visc = -spec.nu * (kx * kx + ky * ky) * v.coeffs
-        rhs = SpectralField(spec.grid, rhs.coeffs + visc, solenoidal=True)
-    return rhs
+    u = half_spectrum(v.coeffs)
+    rhs = _rhs(u, spec, _forcing_half(spec, t))
+    rhs -= spec.nu * spectral_tables(spec.grid.n, half=True).k2 * u
+    return from_half_spectrum(spec.grid, rhs, solenoidal=True)
 
 
-def _nonlinear(coeffs: np.ndarray, spec: SystemSpec, t: float) -> np.ndarray:
-    v = SpectralField(spec.grid, coeffs)
-    rhs = -1.0 * convection(v, spec.dealias)
-    if not spec.forcing.is_zero():
-        rhs = rhs + spec.forcing(t, spec.grid)
-    return leray_project(rhs).coeffs
+@functools.lru_cache(maxsize=32)
+def _integrating_factors(n: int, nu: float, dt: float):
+    """Read-only half-spectrum exp(-nu |k|^2 dt/2) and exp(-nu |k|^2 dt)."""
+    k2 = spectral_tables(n, half=True).k2
+    e_half = np.exp(-nu * k2 * (dt / 2))
+    e_full = np.exp(-nu * k2 * dt)
+    e_half.flags.writeable = e_full.flags.writeable = False
+    return e_half, e_full
 
 
-def advance(v: SpectralField, spec: SystemSpec, t: float, dt: float | None = None) -> SpectralField:
-    """One integrating-factor RK4 step; diffusion exact, convection explicit."""
-    if dt is None:
-        dt = spec.dt
-    kx, ky = spec.grid.wavenumbers()
-    k2 = kx * kx + ky * ky
-    e_full = np.exp(-spec.nu * k2 * dt)
-    e_half = np.exp(-spec.nu * k2 * (dt / 2))
-
-    u = v.coeffs
-    a = _nonlinear(u, spec, t)
-    b = _nonlinear(e_half * (u + 0.5 * dt * a), spec, t + 0.5 * dt)
-    c = _nonlinear(e_half * u + 0.5 * dt * b, spec, t + 0.5 * dt)
-    d = _nonlinear(e_full * u + dt * e_half * c, spec, t + dt)
+def _step(u: np.ndarray, spec: SystemSpec, t: float, dt: float) -> np.ndarray:
+    """IF-RK4 step of half-spectrum coefficients, checked finite and solenoidal."""
+    n = spec.grid.n
+    e_half, e_full = _integrating_factors(n, spec.nu, dt)
+    f0, f_mid, f1 = (_forcing_half(spec, s) for s in (t, t + 0.5 * dt, t + dt))
+    a = _rhs(u, spec, f0)
+    b = _rhs(e_half * (u + 0.5 * dt * a), spec, f_mid)
+    c = _rhs(e_half * u + 0.5 * dt * b, spec, f_mid)
+    d = _rhs(e_full * u + dt * e_half * c, spec, f1)
     new = e_full * u + (dt / 6.0) * (e_full * a + 2.0 * e_half * (b + c) + d)
 
     if not np.all(np.isfinite(new)):
         raise BlowUpError(f"non-finite coefficients after step at t={t:g}")
-    return SpectralField(spec.grid, new, solenoidal=True)
+    _check_solenoidal(new, spectral_tables(n, half=True))
+    return new
+
+
+def advance(v, spec: SystemSpec, t: float, dt: float | None = None):
+    """One integrating-factor RK4 step; diffusion exact, convection explicit.
+
+    ``v`` is a SpectralField, or the half-spectrum coefficient array
+    (2, n, n//2 + 1) that ``solve`` carries between steps; the result is
+    of the same kind.
+    """
+    if dt is None:
+        dt = spec.dt
+    if isinstance(v, SpectralField):
+        new = _step(half_spectrum(v.coeffs), spec, t, dt)
+        return from_half_spectrum(spec.grid, new, solenoidal=True)
+    return _step(v, spec, t, dt)
+
+
+def _energy(u: np.ndarray) -> float:
+    """1/2 ||v||^2 from half-spectrum coefficients.
+
+    Columns 0 < ky < n/2 stand for themselves and their mirror modes.
+    """
+    a = u.real ** 2 + u.imag ** 2
+    total = 2.0 * a.sum() - a[..., 0].sum() - a[..., -1].sum()
+    return 0.5 * TWO_PI ** 2 * total
 
 
 # -- trajectories -----------------------------------------------------------
@@ -295,18 +348,18 @@ def solve(spec: SystemSpec, v0: SpectralField, sample_stride: int = 1,
     if abs(n_steps * spec.dt - spec.t_end) > 1e-9 * spec.t_end:
         raise SolverError("t_end must be an integer multiple of dt")
 
-    e0 = 0.5 * inner(v, v)
+    u = half_spectrum(v.coeffs)
+    e0 = _energy(u)
     times = [0.0]
     states = [v]
     for step in range(n_steps):
         t = step * spec.dt
-        v = advance(v, spec, t)
-        e = 0.5 * inner(v, v)
-        if e > 1e8 * max(e0, 1.0):
+        u = advance(u, spec, t)
+        if _energy(u) > 1e8 * max(e0, 1.0):
             raise BlowUpError(f"energy blow-up at t={t + spec.dt:g}")
         if (step + 1) % sample_stride == 0 or step == n_steps - 1:
             times.append((step + 1) * spec.dt)
-            states.append(v)
+            states.append(from_half_spectrum(spec.grid, u, solenoidal=True))
     return Trajectory(spec=spec, times=np.array(times), states=states,
                       provenance=provenance or f"ifrk4 n={spec.grid.n} dt={spec.dt}")
 

@@ -9,8 +9,10 @@ from maxdiss.fields import (
     SpectralField,
     divergence_linf,
     from_function,
+    from_half_spectrum,
     gradient,
     h1_seminorm,
+    half_spectrum,
     h_minus1_norm,
     inner,
     l2_norm,
@@ -23,6 +25,7 @@ from maxdiss.fields import (
     restrict_to,
     save_field,
     save_samples,
+    spectral_tables,
     zero_field,
 )
 from maxdiss.solver import taylor_green
@@ -34,6 +37,39 @@ def test_grid_validation():
     with pytest.raises(FieldError):
         Grid(2)
     assert Grid(4).h == pytest.approx(2 * np.pi / 4)
+
+
+# -- wavenumber tables and half spectrum ------------------------------------
+
+def test_spectral_tables_cached_and_read_only():
+    assert spectral_tables(16) is spectral_tables(16)
+    for tab in (spectral_tables(16), spectral_tables(16, half=True)):
+        for name in ("kx", "ky", "k2", "inv_k2", "nyquist", "dealias"):
+            with pytest.raises(ValueError):
+                getattr(tab, name)[0, 0] = 0
+    kx, _ = Grid(16).wavenumbers()
+    with pytest.raises(ValueError):
+        kx[1, 1] = 0.0
+
+
+def test_spectral_tables_values():
+    full, half = spectral_tables(12), spectral_tables(12, half=True)
+    assert half.k2.shape == (12, 7) and full.k2.shape == (12, 12)
+    assert np.array_equal(half.ky[0], np.arange(7))
+    assert full.inv_k2[0, 0] == 0.0 and full.inv_k2[1, 2] == pytest.approx(1 / 5)
+    # strict 2/3 cut at n = 12: |k| <= 3, never the aliasing modes |k| = 4
+    assert np.abs(Grid(12).wavenumbers()[0][full.dealias]).max() == 3
+    assert not full.nyquist[6].any() and not half.nyquist[:, 6].any()
+
+
+def test_half_spectrum_roundtrip(rng):
+    grid = Grid(16)
+    u = random_field(grid, rng, kmax=7)
+    half = half_spectrum(u.coeffs)
+    assert half.shape == (2, 16, 9)
+    assert np.abs(half - np.fft.rfft2(u.physical()) / 256).max() <= 1e-15
+    back = from_half_spectrum(grid, half, solenoidal=True)
+    assert np.array_equal(back.coeffs, u.coeffs)
 
 
 # -- Leray projection --------------------------------------------------------

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from maxdiss.fields import (Grid, SpectralField, divergence_linf, from_function,
-                            inner, l2_norm, pad_to, random_field, restrict_to,
-                            zero_field)
+from maxdiss import solver
+from maxdiss.fields import (FieldError, Grid, SpectralField, divergence_linf,
+                            from_function, half_spectrum, inner, l2_norm,
+                            leray_project, pad_to, random_field, restrict_to,
+                            save_field, spectral_tables, zero_field)
 from maxdiss.solver import (
     BlowUpError,
     Forcing,
@@ -15,6 +17,7 @@ from maxdiss.solver import (
     Trajectory,
     advance,
     canonical_modes,
+    convection,
     nse_rhs,
     recover_pressure,
     solve,
@@ -49,6 +52,19 @@ def test_rhs_viscous_taylor_green_is_stokes_mode():
     v = taylor_green(0.0, 0.1, spec.grid)
     r = nse_rhs(v, spec, 0.0)
     assert l2_norm(r - (-2 * spec.nu) * v) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [16, 24, 32, 48, 96])
+def test_dealiased_convection_matches_padded_product(n):
+    # data band-limited at the 2/3 cut: the dealiased product must equal the
+    # exact product (2x padded, alias-free) truncated to the cut band
+    grid = Grid(n)
+    mask = spectral_tables(n).dealias
+    cut = int(np.abs(grid.wavenumbers()[0][mask]).max())
+    v = random_field(grid, np.random.default_rng(n), kmax=cut)
+    exact = restrict_to(convection(pad_to(v, 2 * n), dealias=False), n)
+    exact = SpectralField(grid, exact.coeffs * mask)
+    assert l2_norm(convection(v, dealias=True) - exact) <= 1e-13 * l2_norm(exact)
 
 
 # -- time stepping -----------------------------------------------------------
@@ -104,6 +120,73 @@ def test_advance_detects_blowup():
             v = advance(v, spec, 0.0)
 
 
+def _convective_advance(v, spec, t):
+    """Reference IF-RK4 step with the convective form P[-(v.grad)v + f]."""
+    def nonlinear(c, s):
+        rhs = -1.0 * convection(SpectralField(spec.grid, c), spec.dealias)
+        if not spec.forcing.is_zero():
+            rhs = rhs + spec.forcing(s, spec.grid)
+        return leray_project(rhs).coeffs
+
+    dt = spec.dt
+    kx, ky = spec.grid.wavenumbers()
+    k2 = kx * kx + ky * ky
+    e_full = np.exp(-spec.nu * k2 * dt)
+    e_half = np.exp(-spec.nu * k2 * (dt / 2))
+    u = v.coeffs
+    a = nonlinear(u, t)
+    b = nonlinear(e_half * (u + 0.5 * dt * a), t + 0.5 * dt)
+    c = nonlinear(e_half * u + 0.5 * dt * b, t + 0.5 * dt)
+    d = nonlinear(e_full * u + dt * e_half * c, t + dt)
+    new = e_full * u + (dt / 6.0) * (e_full * a + 2.0 * e_half * (b + c) + d)
+    return SpectralField(spec.grid, new, solenoidal=True)
+
+
+@pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.parametrize("dealias", [True, False])
+@pytest.mark.parametrize("n", [32, 64, 128])
+def test_advance_matches_convective_form(n, dealias, forced):
+    # without dealiasing the two forms alias differently, so the data stays
+    # far enough below n/2 that aliased content remains at roundoff
+    kmax = (n - 1) // 3 if dealias else n // 16
+    v = random_field(Grid(n), np.random.default_rng(n), kmax=kmax)
+    v = (1.0 / l2_norm(v)) * v
+    forcing = Forcing("analytic", "kolmogorov",
+                      {"amplitude": 1.0, "wavenumber": 2}) if forced else None
+    spec = SystemSpec(nu=0.05, grid=Grid(n), t_end=0.1, dt=1e-2,
+                      forcing=forcing or Forcing("zero"), dealias=dealias)
+    got = advance(v, spec, 0.3)
+    want = _convective_advance(v, spec, 0.3)
+    assert l2_norm(got - want) <= 1e-13 * l2_norm(want)
+
+
+def test_advance_on_half_spectrum_array():
+    spec = _spec(nu=0.05, n=16, dt=1e-2)
+    v = random_field(spec.grid, np.random.default_rng(6), kmax=5)
+    new = advance(half_spectrum(v.coeffs), spec, 0.0)
+    assert isinstance(new, np.ndarray) and new.shape == (2, 16, 9)
+    # the SpectralField edge only adds Hermitian symmetrization of column 0
+    field = half_spectrum(advance(v, spec, 0.0).coeffs)
+    assert np.abs(new - field).max() <= 1e-15
+
+
+def test_advance_rejects_state_leaving_solenoidal_space():
+    spec = _spec(nu=0.05, n=16, dt=1e-2)
+    grad = from_function(spec.grid, lambda x, y: np.cos(x) * np.sin(y),
+                         lambda x, y: np.sin(x) * np.cos(y))
+    with pytest.raises(FieldError):
+        advance(half_spectrum(grad.coeffs), spec, 0.0)
+
+
+def test_integrating_factors_cached_and_read_only():
+    e_half, e_full = solver._integrating_factors(16, 0.1, 1e-2)
+    assert solver._integrating_factors(16, 0.1, 1e-2)[0] is e_half
+    assert e_half.shape == (16, 9)
+    for e in (e_half, e_full):
+        with pytest.raises(ValueError):
+            e[0, 0] = 0.0
+
+
 # -- full solves -------------------------------------------------------------
 
 def test_solve_zero_data_stays_zero():
@@ -133,6 +216,42 @@ def test_viscous_energy_monotone():
     traj = solve(spec, taylor_green(0.0, 0.05, spec.grid), sample_stride=10)
     e = traj.energies()
     assert np.all(np.diff(e) <= 10 * spec.dt ** 4)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_solve_detects_nonfinite_state_partway(monkeypatch):
+    # a forcing that turns NaN after t = 0.047 poisons the state in the step
+    # from t = 0.04; the energy check cannot see NaN, the finiteness check must
+    def poisoned(t, grid, params):
+        a = np.nan if t > 0.047 else 0.0
+        return from_function(grid, lambda X, Y: a * np.sin(Y),
+                             lambda X, Y: np.zeros_like(X))
+
+    monkeypatch.setitem(solver.ANALYTIC_FORCINGS, "poisoned", poisoned)
+    spec = _spec(nu=0.1, n=16, t_end=0.1, dt=1e-2,
+                 forcing=Forcing("analytic", "poisoned"))
+    with pytest.raises(BlowUpError, match="non-finite .* t=0.04$"):
+        solve(spec, taylor_green(0.0, 0.1, spec.grid))
+
+
+def test_file_forcing_read_once(tmp_path, monkeypatch):
+    grid = Grid(16)
+    path = tmp_path / "forcing.fld"
+    save_field(from_function(grid, lambda X, Y: np.sin(2 * Y),
+                             lambda X, Y: np.zeros_like(X)), path)
+    reads = []
+    load = solver.load_field
+    monkeypatch.setattr(solver, "load_field",
+                        lambda p: reads.append(p) or load(p))
+    from_file = solve(_spec(nu=0.1, n=16, t_end=0.05, dt=1e-2,
+                            forcing=Forcing("file", path=str(path))),
+                      taylor_green(0.0, 0.1, grid))
+    assert len(reads) == 1
+    analytic = solve(_spec(nu=0.1, n=16, t_end=0.05, dt=1e-2,
+                           forcing=Forcing("analytic", "kolmogorov",
+                                           {"amplitude": 1.0, "wavenumber": 2})),
+                     taylor_green(0.0, 0.1, grid))
+    assert l2_norm(from_file.states[-1] - analytic.states[-1]) <= 1e-13
 
 
 def test_solenoidality_preserved():
