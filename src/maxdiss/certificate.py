@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, simpson
+from scipy.integrate import simpson
 
 from .fields import SpectralField, h_minus1_norm, inner, l2_norm, leray_project
 from .relenergy import (
@@ -43,6 +43,7 @@ class ToleranceModel:
     stepper's discrete energy identity, the Simpson quadrature error of the
     time integrals, and the conservatism of the calibrated
     Gagliardo-Nirenberg constant.  Calibrated on the Taylor-Green scenario.
+    ``certify`` scales tau(t) by exp(-I(t)), the damping of the margins.
     """
 
     step_coeff: float = 10.0
@@ -65,6 +66,8 @@ class ToleranceModel:
 
 @dataclass(frozen=True)
 class CertificateEntry:
+    """One sample time of one test; margin and tol = tau(t) exp(-I(t)) are damped."""
+
     test_id: str
     t: float
     lhs: float
@@ -134,8 +137,8 @@ class _MarginSeries:
     times: np.ndarray
     rel_energies: np.ndarray     # R(u(t)|v(t)), unscaled
     weight_integral: np.ndarray  # I(t) = int_0^t K
-    dissipation_term: np.ndarray  # C(t) = int_0^t (W + <A, u-v>) e^{-I(s)} ds
-    correction_term: np.ndarray
+    dissipation_integrand: np.ndarray  # (W + <A, u-v>) e^{-I(t)}
+    correction_integrand: np.ndarray   # divergence correction times e^{-I(t)}
     margins: np.ndarray
     lhs: np.ndarray
     rhs: np.ndarray
@@ -178,15 +181,12 @@ def margin_series(u: Trajectory, vt: TestTrajectory, w: WeightSpec,
             corr[i] = nonsolenoidal_correction(vt, t, u.states[i])
 
     damp = np.exp(-I)
-    C = cumulative_simpson(g * damp, x=times, initial=0.0) if times.size > 1 \
-        else np.zeros(1)
-    Corr = cumulative_simpson(corr * damp, x=times, initial=0.0) if times.size > 1 \
-        else np.zeros(1)
-
-    lhs = damp * R + C
-    rhs = R[0] + Corr
+    g *= damp
+    corr *= damp
+    lhs = damp * R + cumulative_weight_integral(g, times)
+    rhs = R[0] + cumulative_weight_integral(corr, times)
     return _MarginSeries(times=times, rel_energies=R, weight_integral=I,
-                         dissipation_term=C, correction_term=Corr,
+                         dissipation_integrand=g, correction_integrand=corr,
                          margins=rhs - lhs, lhs=lhs, rhs=rhs)
 
 
@@ -202,9 +202,10 @@ def certify(u: Trajectory, family, w: WeightSpec,
             tol_model: ToleranceModel = ToleranceModel()) -> CertificateReport:
     """Certify a trajectory against a family of test trajectories.
 
-    Failures of single family members are isolated: their error string is
-    recorded and the remaining members are still evaluated (an errored
-    member fails the overall verdict).
+    Domain errors (ValueError) of single family members are isolated: their
+    error string is recorded and the remaining members are still evaluated
+    (an errored member fails the overall verdict).  Margins and tolerances
+    are both in the damped units of ``margin_series``.
     """
     family = list(family)
     if not family:
@@ -216,15 +217,16 @@ def certify(u: Trajectory, family, w: WeightSpec,
         test_id = vt.label or f"test_{idx}"
         try:
             series = margin_series(u, vt, w, opts)
-        except Exception as exc:  # noqa: BLE001 - per-entry isolation
+        except ValueError as exc:  # domain errors only; bugs propagate
             errors[test_id] = f"{type(exc).__name__}: {exc}"
             continue
-        for t, lhs, rhs, m in zip(series.times, series.lhs, series.rhs,
-                                  series.margins):
+        damp = np.exp(-series.weight_integral)
+        for t, lhs, rhs, m, d in zip(series.times, series.lhs, series.rhs,
+                                     series.margins, damp):
+            tol = tol_model.tau(float(t), dt) * float(d)
             entries.append(CertificateEntry(test_id=test_id, t=float(t),
                                             lhs=float(lhs), rhs=float(rhs),
-                                            margin=float(m),
-                                            tol=tol_model.tau(float(t), dt)))
+                                            margin=float(m), tol=tol))
     stride = float(u.times[1] - u.times[0]) if u.times.size > 1 else 0.0
     return CertificateReport(entries=tuple(entries), errors=errors, weight=w,
                              options=opts, tolerance=tol_model, stride=stride)
@@ -287,34 +289,11 @@ def phi_form_value(u: Trajectory, vt: TestTrajectory, w: WeightSpec,
     p = np.array([phi.value(t) for t in times])
     dp = np.array([phi.deriv(t) for t in times])
     damp = np.exp(-series.weight_integral)
-    g_damped = _sampled_integrand(u, vt, w, opts, series)
     term1 = -simpson(dp * series.rel_energies * damp, x=times)
     term2 = -phi.value(0.0) * series.rel_energies[0]
-    term3 = simpson(p * g_damped, x=times)
-    corr = simpson(p * _sampled_correction(series, times), x=times)
+    term3 = simpson(p * series.dissipation_integrand, x=times)
+    corr = simpson(p * series.correction_integrand, x=times)
     return float(term1 + term2 + term3 - corr)
-
-
-def _sampled_integrand(u, vt, w, opts, series) -> np.ndarray:
-    nu = u.spec.nu
-    use_correction = opts.nonsolenoidal_correction and not vt.solenoidal
-    test = _projected_view(vt) if use_correction else vt
-    damp = np.exp(-series.weight_integral)
-    g = np.empty(series.times.size)
-    for i, t in enumerate(series.times):
-        v = test.value(t)
-        a = residual_A(test, t, u.spec, opts)
-        diff = u.states[i] - v
-        g[i] = rel_dissipation(u.states[i], v, nu) + inner(a, diff)
-    return g * damp
-
-
-def _sampled_correction(series, times) -> np.ndarray:
-    # derivative of the cumulative correction integral is its damped integrand;
-    # recover it from the stored cumulative values only when nonzero
-    if not np.any(series.correction_term):
-        return np.zeros_like(times)
-    return np.gradient(series.correction_term, times)
 
 
 def phi_form_check(u: Trajectory, vt: TestTrajectory, w: WeightSpec,
@@ -432,10 +411,8 @@ def weak_strong_gap(u1: Trajectory, v_strong: TestTrajectory, f1: Forcing,
 
     # damped form, as in margin_series: both sides scaled by exp(-I(t))
     damp = np.exp(-I)
-    diss = cumulative_simpson(W * damp, x=times, initial=0.0) \
-        if times.size > 1 else np.zeros(1)
-    inflow = cumulative_simpson(force * damp, x=times, initial=0.0) \
-        if times.size > 1 else np.zeros(1)
+    diss = cumulative_weight_integral(W * damp, times)
+    inflow = cumulative_weight_integral(force * damp, times)
 
     lhs = damp * R + 0.5 * diss
     rhs = R[0] + inflow

@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -181,17 +181,6 @@ class SpectralField:
         return self * (-1.0)
 
 
-@dataclass(frozen=True)
-class NormReport:
-    """Bundle of the norms used by the relative-energy machinery."""
-
-    l2: float
-    h1_semi: float
-    lp: dict = field(default_factory=dict)
-    l_inf: float = 0.0
-    h_minus1: float = 0.0
-
-
 # -- constructors -----------------------------------------------------------
 
 def from_physical(grid: Grid, samples: np.ndarray, solenoidal: bool = False) -> SpectralField:
@@ -245,20 +234,6 @@ def divergence(u: SpectralField) -> SpectralField:
 def divergence_linf(u: SpectralField) -> float:
     kx, ky = u.grid.wavenumbers()
     return np.abs(kx * u.coeffs[0] + ky * u.coeffs[1]).max()
-
-
-def gradient(u: SpectralField) -> np.ndarray:
-    """Exact spectral gradient, returned as scalar SpectralFields.
-
-    For a scalar field returns [d/dx u, d/dy u]; for a vector field a flat
-    list [d/dx u1, d/dy u1, d/dx u2, d/dy u2].
-    """
-    kx, ky = u.grid.wavenumbers()
-    out = []
-    for c in range(u.components):
-        out.append(SpectralField(u.grid, (1j * kx * u.coeffs[c])[None]))
-        out.append(SpectralField(u.grid, (1j * ky * u.coeffs[c])[None]))
-    return out
 
 
 def gradient_tensor(u: SpectralField) -> np.ndarray:
@@ -319,10 +294,10 @@ def h_minus1_norm(u: SpectralField) -> float:
 
 def _oversampled_magnitude(u: SpectralField) -> tuple[np.ndarray, float]:
     """Pointwise Euclidean magnitude on a 2x oversampled grid and its cell area."""
-    fine = pad_to(u, 2 * u.grid.n)
-    phys = fine.physical()
+    m = 2 * u.grid.n
+    phys = samples(u, m)
     mag = np.sqrt(np.sum(phys * phys, axis=0))
-    h = TWO_PI / fine.grid.n
+    h = TWO_PI / m
     return mag, h * h
 
 
@@ -338,17 +313,6 @@ def lp_norm(u: SpectralField, p) -> float:
         raise FieldError(f"invalid exponent p={p}")
     mag, w = _oversampled_magnitude(u)
     return float((np.sum(mag ** p) * w) ** (1.0 / p))
-
-
-def norm_report(u: SpectralField, exponents=(4,)) -> NormReport:
-    mean_free = np.abs(u.coeffs[:, 0, 0]).max() <= 1e-13 * max(np.abs(u.coeffs).max(), 1.0)
-    return NormReport(
-        l2=l2_norm(u),
-        h1_semi=h1_seminorm(u),
-        lp={p: lp_norm(u, p) for p in exponents},
-        l_inf=lp_norm(u, np.inf),
-        h_minus1=h_minus1_norm(u) if mean_free else 0.0,
-    )
 
 
 # -- half spectrum ----------------------------------------------------------
@@ -368,10 +332,10 @@ def from_half_spectrum(grid: Grid, half: np.ndarray, solenoidal: bool = False) -
     return SpectralField(grid, full, solenoidal=solenoidal)
 
 
-# -- mode embedding ---------------------------------------------------------
+# -- resampling and fine-grid samples ------------------------------------------------------
 
 def _embed(coeffs: np.ndarray, n_from: int, n_to: int) -> np.ndarray:
-    """Copy fft-ordered modes |k| < n_from/2 into an n_to-sized spectrum."""
+    """Copy the fft-ordered modes shared by both sizes into an n_to-sized spectrum."""
     out = np.zeros(coeffs.shape[:-2] + (n_to, n_to), dtype=np.complex128)
     half = min(n_from, n_to) // 2
     idx_from = np.r_[0:half, n_from - half:n_from]
@@ -380,22 +344,27 @@ def _embed(coeffs: np.ndarray, n_from: int, n_to: int) -> np.ndarray:
     return out
 
 
-def pad_to(u: SpectralField, m: int) -> SpectralField:
-    """Zero-pad the spectrum to a finer grid of m >= n modes per dimension."""
-    if m < u.grid.n:
-        raise FieldError(f"pad_to target {m} smaller than n={u.grid.n}")
+def resample(u: SpectralField, m: int) -> SpectralField:
+    """The spectrum of u on an m x m grid: zero-padded for m > n, truncated for m < n."""
     if m == u.grid.n:
         return u
     return SpectralField(Grid(m), _embed(u.coeffs, u.grid.n, m), solenoidal=u.solenoidal)
 
 
-def restrict_to(u: SpectralField, m: int) -> SpectralField:
-    """Spectral truncation onto a coarser grid of m <= n modes; left inverse of pad_to."""
-    if m > u.grid.n:
-        raise FieldError(f"restrict_to target {m} larger than n={u.grid.n}")
-    if m == u.grid.n:
-        return u
-    return SpectralField(Grid(m), _embed(u.coeffs, u.grid.n, m), solenoidal=u.solenoidal)
+def samples(u: SpectralField, m: int) -> np.ndarray:
+    """Physical samples of u on an m x m grid, shape (components, m, m)."""
+    return resample(u, m).physical()
+
+
+def grad_samples(u: SpectralField, m: int) -> np.ndarray:
+    """Gradient d_j u_i sampled on an m x m grid, shape (components, 2, m, m)."""
+    return np.fft.ifft2(gradient_tensor(resample(u, m)) * m * m, axes=(-2, -1)).real
+
+
+def tensor_samples(v: SpectralField, m: int) -> np.ndarray:
+    """v (x) v sampled on an m x m grid, components (11, 12, 22)."""
+    p = samples(v, m)
+    return np.stack([p[0] * p[0], p[0] * p[1], p[1] * p[1]])
 
 
 # -- persistence ------------------------------------------------------------

@@ -18,10 +18,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, simpson
+from scipy.integrate import simpson
 
-from .fields import (Grid, SpectralField, inner, l2_norm, load_samples,
-                     pad_to, restrict_to, save_samples)
+from .fields import (Grid, SpectralField, _embed, grad_samples, inner, l2_norm,
+                     load_samples, resample, save_samples, tensor_samples)
+from .relenergy import cumulative_weight_integral
 from .solver import TestTrajectory, Trajectory
 
 DEFECT_COMPONENTS = ("m11", "m12", "m22")
@@ -29,6 +30,16 @@ DEFECT_COMPONENTS = ("m11", "m12", "m22")
 
 class MVError(ValueError):
     pass
+
+
+def _sym_eigenvalues(density: np.ndarray):
+    """Eigenvalues (larger, smaller) of 2x2-symmetric samples (..., 3, n, n)."""
+    a = density[..., 0, :, :]
+    b = density[..., 1, :, :]
+    c = density[..., 2, :, :]
+    mean = 0.5 * (a + c)
+    rad = np.sqrt((0.5 * (a - c)) ** 2 + b * b)
+    return mean + rad, mean - rad
 
 
 def psd_clip(density: np.ndarray):
@@ -40,10 +51,7 @@ def psd_clip(density: np.ndarray):
     a = density[..., 0, :, :]
     b = density[..., 1, :, :]
     c = density[..., 2, :, :]
-    mean = 0.5 * (a + c)
-    rad = np.sqrt((0.5 * (a - c)) ** 2 + b * b)
-    lam1 = mean + rad
-    lam2 = mean - rad
+    lam1, lam2 = _sym_eigenvalues(density)
     magnitude = float(max(np.max(-lam2, initial=0.0), np.max(-lam1, initial=0.0), 0.0))
     if magnitude == 0.0:
         return density.copy(), 0.0
@@ -68,12 +76,7 @@ def psd_clip(density: np.ndarray):
 
 
 def min_eigenvalue(density: np.ndarray) -> float:
-    a = density[..., 0, :, :]
-    b = density[..., 1, :, :]
-    c = density[..., 2, :, :]
-    mean = 0.5 * (a + c)
-    rad = np.sqrt((0.5 * (a - c)) ** 2 + b * b)
-    return float(np.min(mean - rad))
+    return float(np.min(_sym_eigenvalues(density)[1]))
 
 
 @dataclass(frozen=True)
@@ -161,12 +164,6 @@ class DefectField:
 
 # -- construction from a resolution gap -------------------------------------
 
-def _velocity_tensor(v: SpectralField, m: int) -> np.ndarray:
-    """(v (x) v) sampled on an m x m grid, components (11, 12, 22)."""
-    p = pad_to(v, m).physical()
-    return np.stack([p[0] * p[0], p[0] * p[1], p[1] * p[1]])
-
-
 def _lowpass_restrict(samples: np.ndarray, m: int, n: int, kmax: int) -> np.ndarray:
     """Gaussian spectral low-pass at scale kmax, restricted to n samples.
 
@@ -208,7 +205,7 @@ def defect_from_pair(fine: Trajectory, coarse: Trajectory,
     # member is allowed to miss exactly the content the defect absorbs
     kx, ky = fine.grid.wavenumbers()
     low = (np.abs(kx) <= mollifier_kmax) & (np.abs(ky) <= mollifier_kmax)
-    cpad = pad_to(coarse.states[0], n)
+    cpad = resample(coarse.states[0], n)
     gap0 = np.sqrt(np.sum(np.abs((fine.states[0].coeffs - cpad.coeffs)
                                  * low) ** 2))
     scale = max(np.sqrt(np.sum(np.abs(fine.states[0].coeffs) ** 2)), 1.0)
@@ -219,8 +216,8 @@ def defect_from_pair(fine: Trajectory, coarse: Trajectory,
     T = fine.times.size
     density = np.empty((T, 3, n, n))
     for k in range(T):
-        raw = _velocity_tensor(fine.states[k], m2) \
-            - _velocity_tensor(coarse.states[k], m2)
+        raw = tensor_samples(fine.states[k], m2) \
+            - tensor_samples(coarse.states[k], m2)
         density[k] = _lowpass_restrict(raw, m2, n, mollifier_kmax)
     clipped, magnitude = psd_clip(density)
     trace_scale = float(np.mean(np.abs(clipped[:, 0] + clipped[:, 2])))
@@ -272,17 +269,7 @@ def _density_on(m_k: np.ndarray, n_src: int, n_dst: int) -> np.ndarray:
     if n_dst == n_src:
         return m_k
     hat = np.fft.fft2(m_k, axes=(-2, -1)) / (n_src * n_src)
-    big = np.zeros(m_k.shape[:-2] + (n_dst, n_dst), dtype=complex)
-    idx = np.fft.fftfreq(n_src, d=1.0 / n_src).astype(int)
-    big[..., idx[:, None], idx[None, :]] = hat
-    return np.fft.ifft2(big * (n_dst * n_dst), axes=(-2, -1)).real
-
-
-def _grad_samples(u: SpectralField, m: int) -> np.ndarray:
-    """Gradient (d_j u_i) sampled on an m x m grid, shape (2, 2, m, m)."""
-    from .fields import gradient_tensor
-    g = gradient_tensor(pad_to(u, m))
-    return np.fft.ifft2(g * (m * m), axes=(-2, -1)).real
+    return np.fft.ifft2(_embed(hat, n_src, n_dst) * (n_dst * n_dst), axes=(-2, -1)).real
 
 
 def mv_equation_residual(v: Trajectory, m: DefectField | None, f,
@@ -309,10 +296,9 @@ def mv_equation_residual(v: Trajectory, m: DefectField | None, f,
             u = v.states[k]
             ph = phi.value(t)
             nc = max(u.grid.n, ph.grid.n)
-            dval = inner(pad_to(u, nc), pad_to(phi.deriv(t), nc))
-            vp = pad_to(u, n_q).physical()
-            gphi = _grad_samples(ph, n_q)
-            tens = np.stack([vp[0] * vp[0], vp[0] * vp[1], vp[1] * vp[1]])
+            dval = inner(resample(u, nc), resample(phi.deriv(t), nc))
+            gphi = grad_samples(ph, n_q)
+            tens = tensor_samples(u, n_q)
             if m is not None:
                 tens = tens + _density_on(m.density[k], m.grid.n, n_q)
             pairing = np.sum(tens[0] * gphi[0, 0] +
@@ -326,7 +312,7 @@ def mv_equation_residual(v: Trajectory, m: DefectField | None, f,
         u0 = v.states[0]
         ph0 = phi.value(0.0)
         nc = max(u0.grid.n, ph0.grid.n)
-        results[label] = float(integral - inner(pad_to(u0, nc), pad_to(ph0, nc)))
+        results[label] = float(integral - inner(resample(u0, nc), resample(ph0, nc)))
     return results
 
 
@@ -343,8 +329,7 @@ def mv_energy_margin(v: Trajectory, m: DefectField | None, f,
     if f is not None and not f.is_zero():
         fv = np.array([inner(f(tk, v.grid), v.states[k])
                        for k, tk in enumerate(times)])
-        work = cumulative_simpson(fv, x=times, initial=0.0) \
-            if times.size > 1 else np.zeros(1)
+        work = cumulative_weight_integral(fv, times)
     else:
         work = np.zeros(times.size)
     traces = m.trace_integrals() if m is not None else np.zeros(times.size)
@@ -385,7 +370,7 @@ def mv_convex_combine(v1: Trajectory, m1: DefectField,
             solenoidal=True))
         d = v1.states[k] - v2.states[k]
         density[k] = lam * m1.density[k] + (1 - lam) * m2.density[k] \
-            + lam * (1 - lam) * _velocity_tensor(d, n_m)
+            + lam * (1 - lam) * tensor_samples(d, n_m)
     v = Trajectory(spec=v1.spec, times=v1.times, states=states,
                    provenance=f"mv mixture lam={lam}")
     m = DefectField(grid=m1.grid, times=m1.times, density=density,
@@ -428,7 +413,7 @@ def mv_select(pairs, member_ids=None, kkt_tol: float = 1e-8):
             if lam[i] == 0.0:
                 continue
             d = fam.states[i][k] - sel.states[k]
-            density[k] += lam[i] * (mi.density[k] + _velocity_tensor(d, n_m))
+            density[k] += lam[i] * (mi.density[k] + tensor_samples(d, n_m))
     combined = DefectField(grid=defects[0].grid, times=defects[0].times,
                            density=density,
                            mollifier_kmax=min(m.mollifier_kmax for m in defects),

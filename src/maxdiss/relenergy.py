@@ -15,16 +15,19 @@ import numpy as np
 from scipy.integrate import cumulative_simpson
 
 from .fields import (
+    TWO_PI,
     Grid,
     SpectralField,
-    gradient_tensor,
+    grad_samples,
+    h1_seminorm,
     inner,
     l2_norm,
     laplacian,
     leray_project,
     lp_norm,
-    pad_to,
     random_field,
+    samples,
+    spectral_tables,
 )
 from .solver import SystemSpec, TestTrajectory, convection
 
@@ -124,10 +127,8 @@ def rel_dissipation(u: SpectralField, v: SpectralField, nu: float) -> float:
     if nu == 0:
         return 0.0
     d = u - v
-    kx, ky = d.grid.wavenumbers()
-    k2 = kx * kx + ky * ky
-    val = np.sum(k2 * np.abs(d.coeffs) ** 2)
-    return 0.5 * nu * (2 * np.pi) ** 2 * val
+    val = np.sum(spectral_tables(d.grid.n).k2 * np.abs(d.coeffs) ** 2)
+    return 0.5 * nu * TWO_PI ** 2 * val
 
 
 # -- regularity weights -----------------------------------------------------
@@ -148,9 +149,7 @@ def euler_negsym_weight(v: SpectralField, kappa: float = 2.0) -> float:
     (-sin y, sin x) carry zero weight while compressive strain fields
     like eps*(sin x, -sin y) yield kappa*eps.
     """
-    fine = pad_to(v, 2 * v.grid.n)
-    m = fine.grid.n
-    g = np.fft.ifft2(gradient_tensor(fine) * m * m, axes=(-2, -1)).real
+    g = grad_samples(v, 2 * v.grid.n)
     # normal strains: eigenvalues of -diag(a, c) are (-a, -c)
     a = g[0, 0]
     c = g[1, 1]
@@ -188,12 +187,12 @@ def trilinear(a: SpectralField, b: SpectralField, c: SpectralField) -> float:
     """
     n = a.grid.n
     m = 2 * n
-    af = pad_to(a, m).physical()
-    cf = pad_to(c, m).physical()
-    gb = np.fft.ifft2(gradient_tensor(pad_to(b, m)) * m * m, axes=(-2, -1)).real
+    af = samples(a, m)
+    cf = samples(c, m)
+    gb = grad_samples(b, m)
     # (a.grad)b_i = a_x d_x b_i + a_y d_y b_i
     integrand = np.sum((af[0] * gb[:, 0] + af[1] * gb[:, 1]) * cf, axis=0)
-    h = 2 * np.pi / m
+    h = TWO_PI / m
     return float(np.sum(integrand) * h * h)
 
 
@@ -208,33 +207,12 @@ def nonsolenoidal_correction(vt: TestTrajectory, t: float, u: SpectralField) -> 
 
 # -- Gronwall machinery -----------------------------------------------------
 
-def weight_series(vt: TestTrajectory, w: WeightSpec, nu: float,
-                  times: np.ndarray) -> np.ndarray:
-    """K(vt(t)) sampled on a time grid."""
-    return np.array([weight_value(vt.value(t), w, nu) for t in times])
-
-
 def cumulative_weight_integral(values: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """I(t_k) = int_0^{t_k} K ds by composite Simpson; I(0) = 0."""
+    """I(t_k) = int_0^{t_k} K ds by composite Simpson; I(0) = 0, also for one sample."""
     times = np.asarray(times, dtype=float)
     if times.size == 1:
         return np.zeros(1)
     return cumulative_simpson(np.asarray(values, dtype=float), x=times, initial=0.0)
-
-
-def gronwall_factor(vt: TestTrajectory, w: WeightSpec, s: float, t: float,
-                    nu: float, times: np.ndarray) -> float:
-    """exp(int_s^t K(vt) dtau) on the sample grid; multiplicative over intervals."""
-    if s > t:
-        raise WeightError(f"gronwall_factor needs s <= t, got s={s}, t={t}")
-    times = np.asarray(times, dtype=float)
-    cum = cumulative_weight_integral(weight_series(vt, w, nu, times), times)
-    def at(x):
-        i = int(np.argmin(np.abs(times - x)))
-        if abs(times[i] - x) > 1e-10 * max(1.0, abs(x)):
-            raise WeightError(f"time {x:g} not on the sample grid")
-        return cum[i]
-    return float(np.exp(at(t) - at(s)))
 
 
 # -- Gagliardo-Nirenberg calibration ----------------------------------------
@@ -242,9 +220,7 @@ def gronwall_factor(vt: TestTrajectory, w: WeightSpec, s: float, t: float,
 def gn_ratio(v: SpectralField) -> float:
     """||v||_L4 / (||v||_L2^{1/2} ||grad v||_L2^{1/2}) for a mean-free field."""
     l2 = l2_norm(v)
-    kx, ky = v.grid.wavenumbers()
-    k2 = kx * kx + ky * ky
-    h1 = 2 * np.pi * np.sqrt(np.sum(k2 * np.abs(v.coeffs) ** 2))
+    h1 = h1_seminorm(v)
     if l2 == 0 or h1 == 0:
         return 0.0
     return lp_norm(v, 4) / np.sqrt(l2 * h1)

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .certificate import CertificateReport, ToleranceModel, certify
-from .fields import Grid, SpectralField, from_function, l2_norm, random_field, restrict_to
+from .fields import Grid, SpectralField, from_function, l2_norm, random_field, resample
 from .mv_euler import DefectField, defect_from_pair, trace_energy_gap
 from .relenergy import ResidualOptions, WeightSpec
 from .selector import assemble_family, select
@@ -31,6 +31,31 @@ SCENARIO_IDS = ("taylor_green", "perturbed_tg", "two_vortex", "euler_tg",
 
 class ConfigError(ValueError):
     """Schema violation; the message carries a JSON-pointer location."""
+
+
+#: the keys each config section may hold, by JSON pointer
+CONFIG_KEYS = {
+    "": "scenario system weight residual tolerance family tests selector mv "
+        "out_dir seed",
+    "/system": "nu n t_end dt forcing dealias",
+    "/system/forcing": "kind name params path",
+    "/weight": "kind p c gn_constant kappa",
+    "/residual": "projected nonsolenoidal_correction",
+    "/tolerance": "step_coeff quadrature gn_slack",
+    "/family": "resolutions sample_stride amplitude kmax delta dt_by_resolution",
+    "/selector": "max_iter kkt_tol",
+    "/mv": "nus mollifier_kmax clip_fail_ratio",
+}
+
+
+def _reject_unknown_keys(cfg: dict) -> None:
+    for pointer, allowed in CONFIG_KEYS.items():
+        section = cfg
+        for part in pointer.split("/")[1:]:
+            section = section.get(part) if isinstance(section, dict) else None
+        for key in section if isinstance(section, dict) else ():
+            if key not in allowed.split():
+                raise ConfigError(f"{pointer}/{key}: unknown key")
 
 
 def _require(cfg: dict, pointer: str, key: str, types, default=None,
@@ -67,6 +92,7 @@ class ScenarioConfig:
                   seed: int | None = None) -> "ScenarioConfig":
         if not isinstance(cfg, dict):
             raise ConfigError("/: config must be a JSON object")
+        _reject_unknown_keys(cfg)
         scenario = _require(cfg, "", "scenario", str, required=True)
         if scenario not in SCENARIO_IDS:
             raise ConfigError(f"/scenario: unknown id {scenario!r}, "
@@ -200,8 +226,7 @@ def stage_simulate(config: ScenarioConfig) -> dict:
     v0_fine = initial_condition(config, Grid(n_max))
     members = {}
     for mid, spec in _member_specs(config):
-        v0 = restrict_to(v0_fine, spec.grid.n) if spec.grid.n < n_max else v0_fine
-        traj = solve(spec, v0, sample_stride=stride,
+        traj = solve(spec, resample(v0_fine, spec.grid.n), sample_stride=stride,
                      provenance=f"{config.scenario}/{mid} seed={config.seed}")
         mdir = out / mid
         traj.save(mdir)

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.integrate import simpson
 from scipy.interpolate import CubicSpline
 
-from .fields import Grid, SpectralField, inner, l2_norm, pad_to, restrict_to
+from .fields import Grid, SpectralField, inner, l2_norm, resample
 from .solver import SystemSpec, Trajectory
 
 
@@ -91,8 +91,7 @@ class CandidateFamily:
 
 
 def _resample_states(traj: Trajectory, common_n: int, times: np.ndarray):
-    states = [pad_to(s, common_n) if s.grid.n < common_n else restrict_to(s, common_n)
-              for s in traj.states]
+    states = [resample(s, common_n) for s in traj.states]
     if times.size == traj.times.size and np.allclose(times, traj.times, atol=1e-12):
         return states
     if times[-1] > traj.times[-1] + 1e-12:
@@ -123,10 +122,10 @@ def assemble_family(trajs, common_n: int | None = None,
         if tr.spec.forcing.to_dict() != f_desc:
             raise SelectorError("forcing mismatch between members")
     n_min = min(tr.grid.n for tr in trajs)
-    u0_ref = restrict_to(trajs[0].states[0], n_min)
+    u0_ref = resample(trajs[0].states[0], n_min)
     scale = max(l2_norm(u0_ref), 1.0)
     for tr in trajs[1:]:
-        gap = l2_norm(restrict_to(tr.states[0], n_min) - u0_ref)
+        gap = l2_norm(resample(tr.states[0], n_min) - u0_ref)
         if gap > data_rtol * scale:
             raise SelectorError(f"initial data mismatch ({gap:g}) after truncation")
 
@@ -289,7 +288,7 @@ class ScalingReport:
 
 
 def _lowpass_distance(a: Trajectory, b: Trajectory, n_low: int = 8) -> float:
-    vals = [l2_norm(restrict_to(sa, n_low) - restrict_to(sb, n_low)) ** 2
+    vals = [l2_norm(resample(sa, n_low) - resample(sb, n_low)) ** 2
             for sa, sb in zip(a.states, b.states)]
     return float(np.sqrt(simpson(np.array(vals), x=a.times)))
 

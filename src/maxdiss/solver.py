@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -38,11 +38,11 @@ from .fields import (
     inner,
     leray_project,
     load_field,
-    pad_to,
     project,
-    restrict_to,
+    resample,
     save_field,
     spectral_tables,
+    tensor_samples,
     zero_field,
 )
 
@@ -57,14 +57,14 @@ class SolverError(ValueError):
 
 # -- forcing ----------------------------------------------------------------
 
-def _forcing_gradient_potential(t, grid, params):
+def _forcing_gradient_potential(grid, params):
     a = params.get("amplitude", 1.0)
     return from_function(grid,
                          lambda X, Y: a * np.cos(X) * np.sin(Y),
                          lambda X, Y: a * np.sin(X) * np.cos(Y))
 
 
-def _forcing_kolmogorov(t, grid, params):
+def _forcing_kolmogorov(grid, params):
     a = params.get("amplitude", 1.0)
     k = params.get("wavenumber", 1)
     return from_function(grid,
@@ -80,27 +80,33 @@ ANALYTIC_FORCINGS = {
 
 @dataclass(frozen=True)
 class Forcing:
-    """Right-hand side descriptor: zero, analytic registry entry, file, or static field."""
+    """Time-independent right-hand side: zero, analytic registry entry, or file.
+
+    The field is built once per grid size and reused by later calls.
+    """
 
     kind: str = "zero"
     name: str = ""
     params: dict = field(default_factory=dict)
     path: str = ""
-    static: SpectralField | None = None
+    _on_grid: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __call__(self, t: float, grid: Grid) -> SpectralField:
         if self.kind == "zero":
             return zero_field(grid, 2, solenoidal=False)
+        if grid.n not in self._on_grid:
+            self._on_grid[grid.n] = self._build(grid)
+        return self._on_grid[grid.n]
+
+    def _build(self, grid: Grid) -> SpectralField:
         if self.kind == "analytic":
             try:
                 fn = ANALYTIC_FORCINGS[self.name]
             except KeyError:
                 raise SolverError(f"unknown analytic forcing {self.name!r}") from None
-            return fn(t, grid, self.params)
+            return fn(grid, self.params)
         if self.kind == "file":
-            return _fit_to_grid(self._file_field, grid)
-        if self.kind == "static":
-            return _fit_to_grid(self.static, grid)
+            return resample(self._file_field, grid.n)
         raise SolverError(f"unknown forcing kind {self.kind!r}")
 
     @functools.cached_property
@@ -117,24 +123,12 @@ class Forcing:
             d["params"] = dict(self.params)
         elif self.kind == "file":
             d["path"] = str(self.path)
-        elif self.kind == "static":
-            d["note"] = "in-memory field"
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "Forcing":
         return cls(kind=d.get("kind", "zero"), name=d.get("name", ""),
                    params=d.get("params", {}), path=d.get("path", ""))
-
-    @classmethod
-    def static_field(cls, u: SpectralField) -> "Forcing":
-        return cls(kind="static", static=u)
-
-
-def _fit_to_grid(u: SpectralField, grid: Grid) -> SpectralField:
-    if u.grid.n == grid.n:
-        return u
-    return pad_to(u, grid.n) if u.grid.n < grid.n else restrict_to(u, grid.n)
 
 
 # -- system specification ---------------------------------------------------
@@ -343,7 +337,7 @@ def solve(spec: SystemSpec, v0: SpectralField, sample_stride: int = 1,
     """Integrate from P_n v0 to t_end, sampling every `sample_stride` steps."""
     if sample_stride < 1:
         raise SolverError("sample_stride must be >= 1")
-    v = leray_project(_fit_to_grid(v0, spec.grid))
+    v = leray_project(resample(v0, spec.grid.n))
     n_steps = int(round(spec.t_end / spec.dt))
     if abs(n_steps * spec.dt - spec.t_end) > 1e-9 * spec.t_end:
         raise SolverError("t_end must be an integer multiple of dt")
@@ -419,20 +413,16 @@ def recover_pressure(v: SpectralField, f: SpectralField | None = None) -> Spectr
     if not v.is_vector:
         raise SolverError("pressure recovery needs a velocity field")
     n = v.grid.n
-    fine = pad_to(v, 2 * n)
-    phys = fine.physical()
-    m = fine.grid.n
-    tensor = np.stack([phys[0] * phys[0], phys[0] * phys[1], phys[1] * phys[1]])
-    that = np.fft.fft2(tensor, axes=(-2, -1)) / (m * m)
-    kx, ky = fine.grid.wavenumbers()
-    k2 = kx * kx + ky * ky
+    m = 2 * n
+    that = np.fft.fft2(tensor_samples(v, m), axes=(-2, -1)) / (m * m)
+    kx, ky = Grid(m).wavenumbers()
+    k2 = spectral_tables(m).k2
     rhs = -(kx * kx * that[0] + 2 * kx * ky * that[1] + ky * ky * that[2])
     if f is not None:
-        ff = pad_to(_fit_to_grid(f, v.grid), m)
+        ff = resample(resample(f, n), m)
         rhs = rhs - 1j * (kx * ff.coeffs[0] + ky * ff.coeffs[1])
     phat = np.where(k2 == 0, 0.0, rhs / np.where(k2 == 0, 1.0, k2))
-    p_fine = SpectralField(fine.grid, phat[None])
-    return restrict_to(p_fine, n)
+    return resample(SpectralField(Grid(m), phat[None]), n)
 
 
 # -- test trajectories ------------------------------------------------------

@@ -17,7 +17,7 @@ from maxdiss.certificate import (
     phi_form_value,
     recover_weak_residual,
 )
-from maxdiss.fields import Grid, from_function, l2_norm, random_field, restrict_to
+from maxdiss.fields import Grid, from_function, l2_norm, random_field, resample
 from maxdiss.mv_euler import (
     DefectField,
     defect_from_pair,
@@ -25,7 +25,6 @@ from maxdiss.mv_euler import (
     mv_equation_residual,
     trace_energy_gap,
     trace_leakage_bound,
-    _velocity_tensor,
 )
 from maxdiss.relenergy import (
     ResidualOptions,
@@ -162,7 +161,7 @@ def test_acceptance_06_continuous_dependence(capsys):
         for n in (16, n_max):
             spec = SystemSpec(nu=nu, grid=Grid(n), t_end=0.25, dt=2.5e-3,
                               forcing=Forcing("zero"))
-            members.append(solve(spec, restrict_to(v0, n) if n < n_max else v0,
+            members.append(solve(spec, resample(v0, n),
                                  sample_stride=10))
         return assemble_family(members)
 

@@ -93,6 +93,37 @@ def test_non_dissipative_trajectory_fails(tg_reference):
     assert report.worst_margin() < -1e-2
 
 
+def test_growing_taylor_green_fails_exact_test():
+    # (1+t) TG gains energy; its damped violation against the exact test is
+    # ~1e-12 at t = 0.025, where exp(-I) is already ~1e-10, so it is only
+    # seen when the tolerance is damped like the margin
+    nu, grid, dt = 0.1, Grid(32), 2.5e-3
+    spec = SystemSpec(nu=nu, grid=grid, t_end=0.5, dt=dt)
+    times = np.arange(0, 201, 10) * dt
+    bad = Trajectory(spec=spec, times=times,
+                     states=[(1.0 + t) * taylor_green(t, nu, grid) for t in times])
+    exact = TestTrajectory.taylor_green(nu, grid, label="exact")
+    report = certify(bad, [exact, TestTrajectory.zero(grid)], SERRIN)
+    for tid in ("exact", "zero"):
+        assert not all(e.passed for e in report.entries if e.test_id == tid)
+    series = margin_series(bad, exact, SERRIN)
+    tol = [e.tol for e in report.entries if e.test_id == "exact"]
+    assert np.allclose(tol, [ToleranceModel().tau(t, dt) for t in times]
+                       * np.exp(-series.weight_integral), rtol=1e-14, atol=0.0)
+
+
+def test_certify_propagates_programming_errors(tg_reference):
+    traj, _, _ = tg_reference
+    grid = traj.grid
+
+    def broken(t):
+        raise TypeError("not a domain error")
+
+    vt = TestTrajectory.analytic(broken, broken, grid, label="broken")
+    with pytest.raises(TypeError):
+        certify(traj, [vt, TestTrajectory.zero(grid)], SERRIN)
+
+
 def test_certify_error_isolation(tg_reference):
     traj, _, _ = tg_reference
     grid = traj.grid

@@ -15,7 +15,7 @@ from maxdiss.cli import (
     _apply_threads,
     main,
 )
-from maxdiss.fields import Grid, divergence_linf, l2_norm, restrict_to
+from maxdiss.fields import Grid, divergence_linf, l2_norm, resample
 from maxdiss.scenarios import (
     ConfigError,
     ScenarioConfig,
@@ -80,6 +80,52 @@ def test_config_bad_test_id():
 def test_config_not_an_object():
     with pytest.raises(ConfigError, match="must be a JSON object"):
         ScenarioConfig.from_dict([1, 2, 3])
+
+
+@pytest.mark.parametrize("pointer, typo", [
+    ("", "sede"),
+    ("/system", "nuu"),
+    ("/system/forcing", "kinds"),
+    ("/weight", "kapa"),
+    ("/residual", "projectd"),
+    ("/tolerance", "step_coef"),
+    ("/family", "sample_strid"),
+    ("/selector", "maxiter"),
+    ("/mv", "nu"),
+])
+def test_cli_rejects_unknown_config_key(tmp_path, capsys, pointer, typo):
+    cfg = _base_cfg(scenario="mv_ladder", mv={"nus": [0.1, 0.05]},
+                    selector={}, weight={}, residual={}, tolerance={})
+    cfg["system"]["forcing"] = {"kind": "zero"}
+    section = cfg
+    for part in pointer.split("/")[1:]:
+        section = section[part]
+    section[typo] = 1
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert f"{pointer}/{typo}: unknown key" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _readme_config_sketch():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    return json.loads(readme.split("### Config sketch")[1].split("```")[1][len("json"):])
+
+
+def _perfbench_configs():
+    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    namespace = {}
+    exec(compile(path.read_text(), str(path), "exec"), namespace)
+    return [w["config"] for w in namespace["WORKLOADS"].values()]
+
+
+def test_documented_and_benchmark_configs_parse():
+    configs = [_readme_config_sketch()] + _perfbench_configs()
+    assert len(configs) == 4
+    for cfg in configs:
+        ScenarioConfig.from_dict(cfg)
 
 
 def test_config_malformed_json(tmp_path):
@@ -281,7 +327,7 @@ def test_cli_mv_subcommand(tmp_path, capsys):
     fine = solve(spec, taylor_green(0.0, nu, grid) + (1 / l2_norm(r)) * r,
                  sample_stride=10)
     coarse = Trajectory(spec=replace(spec, grid=Grid(16)), times=fine.times,
-                        states=[restrict_to(s, 16) for s in fine.states])
+                        states=[resample(s, 16) for s in fine.states])
     fine.save(tmp_path / "fine")
     coarse.save(tmp_path / "coarse")
     out = tmp_path / "defect"

@@ -9,7 +9,8 @@ from maxdiss.fields import (
     inner,
     l2_norm,
     random_field,
-    restrict_to,
+    resample,
+    tensor_samples,
     zero_field,
 )
 from maxdiss.mv_euler import (
@@ -24,7 +25,6 @@ from maxdiss.mv_euler import (
     psd_clip,
     trace_energy_gap,
     trace_leakage_bound,
-    _velocity_tensor,
 )
 from maxdiss.solver import (
     Forcing,
@@ -63,7 +63,7 @@ def resolution_pair():
                             forcing=Forcing("zero")), v0, sample_stride=25)
     coarse = Trajectory(spec=replace(fine.spec, grid=Grid(16)),
                         times=fine.times,
-                        states=[restrict_to(s, 16) for s in fine.states],
+                        states=[resample(s, 16) for s in fine.states],
                         provenance="restriction of fine")
     return fine, coarse
 
@@ -326,7 +326,7 @@ def test_combine_opposite_velocities_closed_form():
     v2, m2 = _constant_pair(grid, -1.0 * tg, times)
     v, m = mv_convex_combine(v1, m1, v2, m2, 0.5)
     assert max(l2_norm(s) for s in v.states) <= 1e-14
-    expect = _velocity_tensor(tg, grid.n)
+    expect = tensor_samples(tg, grid.n)
     for k in range(times.size):
         assert np.abs(m.density[k] - expect).max() <= 1e-12
 
@@ -407,7 +407,7 @@ def test_mv_select_symmetric_pair():
     assert np.abs(result.weights.lam - 0.5).max() <= 1e-8
     assert max(l2_norm(s) for s in result.trajectory.states) <= 1e-8
     for k, t in enumerate(times):
-        expect = _velocity_tensor(t * w, grid.n)
+        expect = tensor_samples(t * w, grid.n)
         assert np.abs(m.density[k] - expect).max() <= 1e-8
 
 

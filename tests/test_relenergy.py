@@ -14,7 +14,6 @@ from maxdiss.relenergy import (
     cumulative_weight_integral,
     euler_negsym_weight,
     gn_ratio,
-    gronwall_factor,
     nonsolenoidal_correction,
     rel_dissipation,
     rel_energy,
@@ -23,7 +22,8 @@ from maxdiss.relenergy import (
     trilinear,
     weight_value,
 )
-from maxdiss.solver import Forcing, SystemSpec, TestTrajectory, taylor_green
+from maxdiss.certificate import margin_series
+from maxdiss.solver import Forcing, SystemSpec, TestTrajectory, Trajectory, taylor_green
 
 
 def _spec(nu=0.1, n=32):
@@ -209,33 +209,22 @@ def test_correction_first_order_in_divergence(rng):
     assert abs(nonsolenoidal_correction(vt, 0.0, leray_project(v))) <= 1e-10
 
 
-# -- Gronwall factors --------------------------------------------------------
+# -- Gronwall weight integral ------------------------------------------------
 
-def test_gronwall_zero_weight():
+def test_margin_series_constant_weight_integral():
     grid = Grid(16)
-    vt = TestTrajectory.zero(grid)
-    w = WeightSpec(kind="serrin", p=4.0)
-    times = np.linspace(0, 1, 11)
-    assert gronwall_factor(vt, w, 0.0, 1.0, 0.1, times) == pytest.approx(1.0)
-
-
-def test_gronwall_constant_weight():
-    grid = Grid(16)
-    # constant field in time -> constant weight
+    # constant field in time -> constant weight, I(t) = K t
     v = taylor_green(0.0, 0.0, grid)
     vt = TestTrajectory.analytic(lambda t: v, lambda t: 0.0 * v, grid)
     w = WeightSpec(kind="serrin", p=4.0, constant_c=1.0)
     nu = 0.1
     k0 = serrin_weight(v, w, nu)
     times = np.linspace(0, 1, 21)
-    got = gronwall_factor(vt, w, 0.0, 1.0, nu, times)
-    assert got == pytest.approx(np.exp(k0), rel=1e-10)
-    # multiplicativity over adjacent intervals
-    a = gronwall_factor(vt, w, 0.0, 0.5, nu, times)
-    b = gronwall_factor(vt, w, 0.5, 1.0, nu, times)
-    assert a * b == pytest.approx(got, rel=1e-12)
-    with pytest.raises(WeightError):
-        gronwall_factor(vt, w, 1.0, 0.5, nu, times)
+    u = Trajectory(spec=SystemSpec(nu=nu, grid=grid, t_end=1.0, dt=0.05),
+                   times=times, states=[v] * times.size)
+    integral = margin_series(u, vt, w).weight_integral
+    assert integral[-1] == pytest.approx(k0, rel=1e-10)
+    assert np.allclose(integral, k0 * times, rtol=1e-12, atol=0.0)
 
 
 def test_cumulative_weight_integral():

@@ -6,8 +6,8 @@ import pytest
 from maxdiss import solver
 from maxdiss.fields import (FieldError, Grid, SpectralField, divergence_linf,
                             from_function, half_spectrum, inner, l2_norm,
-                            leray_project, pad_to, random_field, restrict_to,
-                            save_field, spectral_tables, zero_field)
+                            leray_project, random_field, resample, save_field,
+                            spectral_tables, zero_field)
 from maxdiss.solver import (
     BlowUpError,
     Forcing,
@@ -62,7 +62,7 @@ def test_dealiased_convection_matches_padded_product(n):
     mask = spectral_tables(n).dealias
     cut = int(np.abs(grid.wavenumbers()[0][mask]).max())
     v = random_field(grid, np.random.default_rng(n), kmax=cut)
-    exact = restrict_to(convection(pad_to(v, 2 * n), dealias=False), n)
+    exact = resample(convection(resample(v, 2 * n), dealias=False), n)
     exact = SpectralField(grid, exact.coeffs * mask)
     assert l2_norm(convection(v, dealias=True) - exact) <= 1e-13 * l2_norm(exact)
 
@@ -222,14 +222,15 @@ def test_viscous_energy_monotone():
 def test_solve_detects_nonfinite_state_partway(monkeypatch):
     # a forcing that turns NaN after t = 0.047 poisons the state in the step
     # from t = 0.04; the energy check cannot see NaN, the finiteness check must
-    def poisoned(t, grid, params):
-        a = np.nan if t > 0.047 else 0.0
-        return from_function(grid, lambda X, Y: a * np.sin(Y),
-                             lambda X, Y: np.zeros_like(X))
+    forcing_half = solver._forcing_half
 
-    monkeypatch.setitem(solver.ANALYTIC_FORCINGS, "poisoned", poisoned)
+    def poisoned(spec, t):
+        f = forcing_half(spec, t)
+        return f * np.nan if t > 0.047 else f
+
+    monkeypatch.setattr(solver, "_forcing_half", poisoned)
     spec = _spec(nu=0.1, n=16, t_end=0.1, dt=1e-2,
-                 forcing=Forcing("analytic", "poisoned"))
+                 forcing=Forcing("analytic", "kolmogorov", {"amplitude": 0.0}))
     with pytest.raises(BlowUpError, match="non-finite .* t=0.04$"):
         solve(spec, taylor_green(0.0, 0.1, spec.grid))
 
@@ -254,6 +255,20 @@ def test_file_forcing_read_once(tmp_path, monkeypatch):
     assert l2_norm(from_file.states[-1] - analytic.states[-1]) <= 1e-13
 
 
+def test_analytic_forcing_built_once_per_grid(monkeypatch):
+    builds = []
+    kolmogorov = solver.ANALYTIC_FORCINGS["kolmogorov"]
+    monkeypatch.setitem(solver.ANALYTIC_FORCINGS, "kolmogorov",
+                        lambda grid, params: builds.append(grid.n)
+                        or kolmogorov(grid, params))
+    forcing = Forcing("analytic", "kolmogorov", {"amplitude": 1.0})
+    spec = _spec(nu=0.1, n=16, t_end=0.05, dt=1e-2, forcing=forcing)
+    solve(spec, taylor_green(0.0, 0.1, spec.grid))
+    assert builds == [16]
+    assert forcing(0.3, Grid(32)) is forcing(0.0, Grid(32))
+    assert builds == [16, 32]
+
+
 def test_solenoidality_preserved():
     spec = _spec(nu=0.01, n=32, t_end=0.5, dt=1e-3,
                  forcing=Forcing("analytic", "kolmogorov",
@@ -274,14 +289,14 @@ def test_galerkin_consistency_pad_vs_fine():
     lo = solve(SystemSpec(nu=nu, grid=Grid(32), t_end=t_end, dt=dt), v0,
                sample_stride=100)
     hi = solve(SystemSpec(nu=nu, grid=Grid(64), t_end=t_end, dt=dt),
-               pad_to(v0, 64), sample_stride=100)
+               resample(v0, 64), sample_stride=100)
     # the runs differ only by the coarse grid's dealias cutoff: the gap is
     # the spectral tail and is far smaller than the solution itself
-    gap = l2_norm(pad_to(lo.states[-1], 64) - hi.states[-1])
+    gap = l2_norm(resample(lo.states[-1], 64) - hi.states[-1])
     assert gap <= 1e-3 * l2_norm(hi.states[-1])
     # retained low modes agree much more closely than the full fields
-    low_gap = l2_norm(restrict_to(lo.states[-1], 16)
-                      - restrict_to(hi.states[-1], 16))
+    low_gap = l2_norm(resample(lo.states[-1], 16)
+                      - resample(hi.states[-1], 16))
     assert low_gap <= gap
 
 
