@@ -14,7 +14,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .fields import SpectralField, h_minus1_norm, inner, l2_norm, leray_project
 from .relenergy import (
@@ -26,6 +25,7 @@ from .relenergy import (
     rel_dissipation,
     rel_energy,
     residual_A,
+    simpson,
     weight_value,
 )
 from .solver import Forcing, TestTrajectory, Trajectory
@@ -280,20 +280,23 @@ def linear_ramp(T: float) -> PhiWeight:
     return PhiWeight(lambda t: 1.0 - t / T, lambda t: -1.0 / T, f"ramp(T={T:g})")
 
 
-def phi_form_value(u: Trajectory, vt: TestTrajectory, w: WeightSpec,
-                   opts: ResidualOptions, phi: PhiWeight) -> float:
-    """Value of the phi-weighted inequality form; <= 0 for dissipative u."""
-    phi.validate(u.times)
-    series = margin_series(u, vt, w, opts)
+def _phi_form(series: _MarginSeries, phi: PhiWeight) -> float:
     times = series.times
+    phi.validate(times)
     p = np.array([phi.value(t) for t in times])
     dp = np.array([phi.deriv(t) for t in times])
     damp = np.exp(-series.weight_integral)
-    term1 = -simpson(dp * series.rel_energies * damp, x=times)
+    term1 = -simpson(dp * series.rel_energies * damp, times)
     term2 = -phi.value(0.0) * series.rel_energies[0]
-    term3 = simpson(p * series.dissipation_integrand, x=times)
-    corr = simpson(p * series.correction_integrand, x=times)
+    term3 = simpson(p * series.dissipation_integrand, times)
+    corr = simpson(p * series.correction_integrand, times)
     return float(term1 + term2 + term3 - corr)
+
+
+def phi_form_value(u: Trajectory, vt: TestTrajectory, w: WeightSpec,
+                   opts: ResidualOptions, phi: PhiWeight) -> float:
+    """Value of the phi-weighted inequality form; <= 0 for dissipative u."""
+    return _phi_form(margin_series(u, vt, w, opts), phi)
 
 
 def phi_form_check(u: Trajectory, vt: TestTrajectory, w: WeightSpec,
@@ -302,7 +305,8 @@ def phi_form_check(u: Trajectory, vt: TestTrajectory, w: WeightSpec,
     phis = list(phis)
     if not phis:
         raise CertificateError("need at least one multiplier")
-    return max(phi_form_value(u, vt, w, opts, phi) for phi in phis)
+    series = margin_series(u, vt, w, opts)  # independent of phi
+    return max(_phi_form(series, phi) for phi in phis)
 
 
 # -- weak residual recovery -------------------------------------------------
@@ -354,7 +358,7 @@ def recover_weak_residual(u: Trajectory, r: SpectralField, alphas,
     K = np.array([weight_value(base.value(s), w, u.spec.nu) for s in times])
     I = cumulative_weight_integral(K, times)
     pair = np.array([inner(residual_A(base, s, u.spec, opts), r) for s in times])
-    direct = float(simpson(pair * np.exp(-I), x=times)) if times.size > 1 else 0.0
+    direct = float(simpson(pair * np.exp(-I), times))
 
     return ResidualRecovery(alphas=tuple(alphas), margins=tuple(margins),
                             linear_coefficient=float(sol[1]),

@@ -18,11 +18,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .fields import (Grid, SpectralField, _embed, grad_samples, inner, l2_norm,
                      load_samples, resample, save_samples, tensor_samples)
-from .relenergy import cumulative_weight_integral
+from .relenergy import cumulative_weight_integral, simpson
 from .solver import TestTrajectory, Trajectory
 
 DEFECT_COMPONENTS = ("m11", "m12", "m22")
@@ -308,7 +307,7 @@ def mv_equation_residual(v: Trajectory, m: DefectField | None, f,
             if f is not None and not f.is_zero():
                 fval = inner(f(t, ph.grid), ph)
             vals[k] = -dval - pairing - fval
-        integral = simpson(vals, x=times) if times.size > 1 else 0.0
+        integral = simpson(vals, times)
         u0 = v.states[0]
         ph0 = phi.value(0.0)
         nc = max(u0.grid.n, ph0.grid.n)

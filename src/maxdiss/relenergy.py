@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from .fields import (
     TWO_PI,
@@ -207,12 +206,53 @@ def nonsolenoidal_correction(vt: TestTrajectory, t: float, u: SpectralField) -> 
 
 # -- Gronwall machinery -----------------------------------------------------
 
-def cumulative_weight_integral(values: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """I(t_k) = int_0^{t_k} K ds by composite Simpson; I(0) = 0, also for one sample."""
-    times = np.asarray(times, dtype=float)
-    if times.size == 1:
-        return np.zeros(1)
-    return cumulative_simpson(np.asarray(values, dtype=float), x=times, initial=0.0)
+def simpson(y, times) -> np.ndarray:
+    """int y dt along axis 0, bit for bit as scipy.integrate.simpson (1.17).
+
+    Uneven-spacing composite Simpson; for an even sample count Cartwright's
+    (2017) correction on the last interval; the trapezoid for two samples, 0 for one.
+    """
+    y = np.asarray(y, dtype=float)
+    h = np.diff(np.asarray(times, dtype=float)).reshape((-1,) + (1,) * (y.ndim - 1))
+    if y.shape[0] == 2:
+        return 0.5 * h[0] * (y[1] + y[0])
+    stop = y.shape[0] - 3 + y.shape[0] % 2
+    h0, h1 = h[0:stop:2], h[1:stop + 1:2]
+    hsum, ratio = h0 + h1, h0 / h1
+    result = np.sum(hsum / 6.0 * (y[0:stop:2] * (2.0 - 1.0 / ratio)
+                                  + y[1:stop + 1:2] * (hsum * (hsum / (h0 * h1)))
+                                  + y[2:stop + 2:2] * (2.0 - ratio)), axis=0)
+    if y.shape[0] % 2 == 0:
+        a, b = np.asarray(h[-2]), np.asarray(h[-1])  # 0-d: scalar ** rounds otherwise
+        result += ((2 * b ** 2 + 3 * a * b) / (6 * (b + a)) * y[-1]
+                   + (b ** 2 + 3.0 * a * b) / (6 * a) * y[-2]
+                   - b ** 3 / (6 * a * (a + b)) * y[-3])
+    return result
+
+
+def _simpson_pieces(y: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Integral over [t_k, t_k+1] of the parabola through t_k, t_k+1, t_k+2."""
+    x21, x32 = h[:-1], h[1:]
+    x21_x31 = x21 / (x21 + x32)
+    x21x21_x31x32 = x21_x31 * (x21 / x32)
+    return x21 / 6 * ((3 - x21_x31) * y[:-2] + (3 + x21x21_x31x32 + x21_x31) * y[1:-1]
+                      + -x21x21_x31x32 * y[2:])
+
+
+def cumulative_weight_integral(values, times) -> np.ndarray:
+    """I(t_k) = int_0^{t_k} K ds along axis 0, I(0) = 0; bit for bit as scipy 1.17's
+    cumulative_simpson(..., initial=0.0): Cartwright's (2017) rule per interval."""
+    y = np.asarray(values, dtype=float)
+    h = np.diff(np.asarray(times, dtype=float)).reshape((-1,) + (1,) * (y.ndim - 1))
+    pieces = np.zeros(y.shape)
+    if y.shape[0] == 2:
+        pieces[1] = h[0] * (y[1] + y[0]) / 2.0
+    elif y.shape[0] > 2:
+        backward = _simpson_pieces(y[::-1], h[::-1])[::-1]
+        pieces[1:-1:2] = _simpson_pieces(y, h)[::2]
+        pieces[2::2] = backward[::2]
+        pieces[-1] = backward[-1]
+    return np.cumsum(pieces, axis=0)
 
 
 # -- Gagliardo-Nirenberg calibration ----------------------------------------

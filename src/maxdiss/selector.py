@@ -15,11 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.interpolate import CubicSpline
 
 from .fields import Grid, SpectralField, inner, l2_norm, resample
-from .solver import SystemSpec, Trajectory
+from .relenergy import rel_energy, simpson
+from .solver import SystemSpec, Trajectory, state_spline
 
 
 class SelectorError(ValueError):
@@ -75,7 +74,7 @@ class CandidateFamily:
     def gram_time_integral(self) -> np.ndarray:
         if self.times.size == 1:
             return self.gram[0]
-        return simpson(self.gram, x=self.times, axis=0)
+        return simpson(self.gram, self.times)
 
     def mix(self, weights: SimplexWeights, provenance: str = "") -> Trajectory:
         """The convex combination sum_i lambda_i u_i as a Trajectory."""
@@ -96,8 +95,7 @@ def _resample_states(traj: Trajectory, common_n: int, times: np.ndarray):
         return states
     if times[-1] > traj.times[-1] + 1e-12:
         raise SelectorError("common times exceed a member's range")
-    data = np.stack([s.coeffs for s in states])
-    spline = CubicSpline(traj.times, data, axis=0, bc_type="not-a-knot")
+    spline = state_spline(traj.times, states)
     grid = Grid(common_n)
     return [SpectralField(grid, spline(t), solenoidal=True) for t in times]
 
@@ -290,7 +288,7 @@ class ScalingReport:
 def _lowpass_distance(a: Trajectory, b: Trajectory, n_low: int = 8) -> float:
     vals = [l2_norm(resample(sa, n_low) - resample(sb, n_low)) ** 2
             for sa, sb in zip(a.states, b.states)]
-    return float(np.sqrt(simpson(np.array(vals), x=a.times)))
+    return float(np.sqrt(simpson(np.array(vals), a.times)))
 
 
 def continuous_dependence_study(family_builder, deltas) -> ScalingReport:
@@ -304,7 +302,6 @@ def continuous_dependence_study(family_builder, deltas) -> ScalingReport:
     deltas = list(deltas)
     base = select(family_builder(0.0)).trajectory
     rel, low = [], []
-    from .relenergy import rel_energy
     for d in deltas:
         sel = select(family_builder(d)).trajectory
         rel.append(max(rel_energy(sa, sb)

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .fields import (
     TWO_PI,
@@ -427,6 +426,13 @@ def recover_pressure(v: SpectralField, f: SpectralField | None = None) -> Spectr
 
 # -- test trajectories ------------------------------------------------------
 
+def state_spline(times: np.ndarray, states):
+    """Not-a-knot cubic spline through the states' coefficients in time."""
+    from scipy.interpolate import CubicSpline  # slow to import; only splines need it
+    return CubicSpline(times, np.stack([s.coeffs for s in states]), axis=0,
+                       bc_type="not-a-knot")
+
+
 class TestTrajectory:
     """C^1-in-time trajectory used as a test function for certification.
 
@@ -477,8 +483,7 @@ class TestTrajectory:
     def from_trajectory(cls, traj: Trajectory, label: str = "") -> "TestTrajectory":
         if len(traj.states) < 4:
             raise SolverError("spline test trajectory needs >= 4 samples")
-        data = np.stack([s.coeffs for s in traj.states])
-        spline = CubicSpline(traj.times, data, axis=0, bc_type="not-a-knot")
+        spline = state_spline(traj.times, traj.states)
         dspline = spline.derivative()
         grid = traj.grid
 

@@ -209,6 +209,26 @@ def test_phi_form_check_worst_case(tg_reference):
         phi_form_check(traj, vt, SERRIN, OPTS, [])
 
 
+def test_phi_form_check_computes_one_series(tg_reference, monkeypatch):
+    import maxdiss.certificate as certificate
+
+    traj, _, _ = tg_reference
+    vt = TestTrajectory.zero(traj.grid)
+    phis = [linear_ramp(1.0), mollified_indicator(0.25, 0.25),
+            mollified_indicator(0.5, 0.25), mollified_indicator(0.5, 0.5)]
+    expected = max(phi_form_value(traj, vt, SERRIN, OPTS, p) for p in phis)
+    calls = []
+    real = certificate.margin_series
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(certificate, "margin_series", counted)
+    assert phi_form_check(traj, vt, SERRIN, OPTS, phis) == expected
+    assert len(calls) == 1
+
+
 def test_phi_admissibility_enforced(tg_reference):
     traj, _, _ = tg_reference
     vt = TestTrajectory.zero(traj.grid)

@@ -2,11 +2,14 @@
 
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import maxdiss
 from maxdiss.cli import (
     EXIT_BLOWUP,
     EXIT_CERT_FAIL,
@@ -250,6 +253,28 @@ def test_run_scenario_deterministic(tmp_path):
 
 
 # -- CLI entry point ----------------------------------------------------------
+
+def test_cli_run_imports_no_scipy(tmp_path):
+    # scipy costs most of a run's start-up; only spline paths may load it
+    cfg = _write_cfg(tmp_path, scenario="perturbed_tg",
+                     system={"nu": 0.1, "n": 16, "t_end": 0.05, "dt": 5e-3},
+                     family={"resolutions": [12, 16], "sample_stride": 2})
+    out = str(tmp_path / "out")
+    script = (
+        "import json, sys\n"
+        "from maxdiss.cli import main\n"
+        f"code = main(['run', '--config', {cfg!r}, '--out', {out!r}])\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules\n"
+        "                            if m == 'scipy' or m.startswith('scipy.'))]))\n")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(maxdiss.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    code, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert code == EXIT_OK
+    assert (tmp_path / "out" / "selection.json").exists()
+    assert loaded == []
+
 
 def test_cli_run_ok(tmp_path, capsys):
     cfg = _write_cfg(tmp_path)

@@ -19,6 +19,7 @@ from maxdiss.relenergy import (
     rel_energy,
     residual_A,
     serrin_weight,
+    simpson,
     trilinear,
     weight_value,
 )
@@ -233,6 +234,35 @@ def test_cumulative_weight_integral():
     cum = cumulative_weight_integral(vals, times)
     assert cum[0] == 0.0
     assert cum[-1] == pytest.approx(6.0, rel=1e-12)
+
+
+def _quadrature_cases():
+    rng = np.random.default_rng(17)
+    for n in range(1, 41):
+        uniform = np.linspace(0.0, 0.75, n)
+        jittered = np.cumsum(rng.uniform(0.2, 1.0, n)) * 0.03
+        for times in (uniform, jittered):
+            for shape in ((n,), (n, 3, 3)):
+                yield times, rng.standard_normal(shape)
+
+
+def test_simpson_matches_scipy_bitwise():
+    from scipy.integrate import simpson as scipy_simpson
+
+    for times, y in _quadrature_cases():
+        ours = simpson(y, times)
+        assert np.shape(ours) == y.shape[1:]
+        np.testing.assert_array_equal(ours, scipy_simpson(y, x=times, axis=0))
+
+
+def test_cumulative_weight_integral_matches_scipy_bitwise():
+    from scipy.integrate import cumulative_simpson
+
+    for times, y in _quadrature_cases():
+        ours = cumulative_weight_integral(y, times)
+        assert ours.shape == y.shape
+        np.testing.assert_array_equal(
+            ours, cumulative_simpson(y, x=times, axis=0, initial=0.0))
 
 
 # -- the closure estimate ----------------------------------------------------
