@@ -9,16 +9,14 @@ Subcommands map to pipeline stages over a shared scenario config:
     maxdiss report   --out run/
 
 Exit codes: 0 success, 2 certificate failure, 3 solver blow-up,
-4 configuration error.  --threads (or MAXDISS_THREADS) caps the BLAS
-thread pools (numpy.fft is single-threaded and ignores it); --seed
-overrides the config seed.
+4 configuration error (including a run tree whose files do not match its
+manifest hashes).  --seed overrides the config seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -26,14 +24,6 @@ EXIT_OK = 0
 EXIT_CERT_FAIL = 2
 EXIT_BLOWUP = 3
 EXIT_CONFIG = 4
-
-
-def _apply_threads(threads: int | None) -> None:
-    value = threads if threads is not None else os.environ.get("MAXDISS_THREADS")
-    if value is None:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = str(value)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -44,8 +34,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="scenario config JSON")
     common.add_argument("--out", help="output directory")
-    common.add_argument("--threads", type=int, default=None,
-                        help="thread-pool cap (env: MAXDISS_THREADS)")
     common.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -90,7 +78,6 @@ def _load_members(config) -> dict:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _apply_threads(getattr(args, "threads", None))
     from .scenarios import (ConfigError, report, run_scenario, stage_certify,
                             stage_select, stage_simulate)
     from .solver import BlowUpError

@@ -1,18 +1,17 @@
 """Spectral vector/scalar fields on the periodic square torus [0, 2*pi)^2.
 
 Fields are stored as Fourier amplitudes u(x) = sum_k uhat(k) exp(i k.x)
-with integer wavevectors in numpy fft ordering.  Hermitian symmetry is
-enforced so physical samples are real; the Nyquist row/column (k = -n/2)
-is always zeroed to keep the retained band symmetric under k -> -k.
-
-Array kernels (the time stepper) work on the rfft2 half spectrum instead:
-an array of shape (components, n, n//2 + 1) holding the modes ky >= 0,
-where real-valuedness holds by construction.  ``half_spectrum`` and
-``from_half_spectrum`` convert at the SpectralField edge.
+on the rfft2 half spectrum: shape (components, n, n//2 + 1), rows kx in
+numpy fft ordering, columns ky = 0 ... n/2.  The modes ky < 0 are the
+conjugates of their mirrors, so physical samples are real by construction;
+only the column ky = 0, whose mirror modes are stored too, is projected
+onto Hermitian symmetry.  The Nyquist row and column (|k| = n/2) are
+always zeroed to keep the retained band symmetric under k -> -k.  Parseval
+sums count the columns 0 < ky < n/2 twice, for themselves and their mirrors.
 
 Wavenumber tables (k, |k|^2, 1/|k|^2, Nyquist and 2/3-rule dealias masks)
 are built once per grid size by ``spectral_tables`` and shared read-only
-by every caller, in both the full and the half layout.
+by every caller.
 """
 
 from __future__ import annotations
@@ -59,18 +58,18 @@ class Grid:
         return np.meshgrid(x, x, indexing="ij")
 
     def wavenumbers(self):
-        """Integer wavevector components (KX, KY) in fft ordering (read-only)."""
+        """Integer wavevector components (KX, KY) of the half spectrum (read-only)."""
         tab = spectral_tables(self.n)
-        shape = (self.n, self.n)
+        shape = (self.n, self.n // 2 + 1)
         return np.broadcast_to(tab.kx, shape), np.broadcast_to(tab.ky, shape)
 
 
 @dataclass(frozen=True)
 class Tables:
-    """Read-only wavenumber tables of one spectrum layout of an n x n grid.
+    """Read-only wavenumber tables of the half spectrum of an n x n grid.
 
-    ``kx`` has shape (n, 1) and ``ky`` (1, m); both broadcast against the
-    (n, m) arrays, m = n (fft2 layout) or n//2 + 1 (rfft2 layout).
+    ``kx`` has shape (n, 1) and ``ky`` (1, n//2 + 1); both broadcast
+    against the (n, n//2 + 1) arrays.
     """
 
     kx: np.ndarray
@@ -82,10 +81,10 @@ class Tables:
 
 
 @functools.lru_cache(maxsize=32)
-def spectral_tables(n: int, half: bool = False) -> Tables:
-    """Tables of the fft2 layout, or with ``half`` of the rfft2 half spectrum."""
+def spectral_tables(n: int) -> Tables:
+    """The half-spectrum tables of an n x n grid, built once per n."""
     kx = np.fft.fftfreq(n, d=1.0 / n)[:, None]
-    ky = (np.fft.rfftfreq if half else np.fft.fftfreq)(n, d=1.0 / n)[None, :]
+    ky = np.fft.rfftfreq(n, d=1.0 / n)[None, :]
     k2 = kx * kx + ky * ky
     inv_k2 = np.divide(1.0, k2, out=np.zeros_like(k2), where=k2 != 0)
     # strict cut: at n divisible by 3 the modes |k| = n/3 would alias
@@ -99,21 +98,26 @@ def spectral_tables(n: int, half: bool = False) -> Tables:
     return Tables(**arrays)
 
 
-def _hermitianize(coeffs: np.ndarray) -> np.ndarray:
-    # average with the reflected conjugate; exact projection onto real fields
-    flipped = coeffs[..., ::-1, ::-1]
-    flipped = np.roll(flipped, shift=(1, 1), axis=(-2, -1))
-    return 0.5 * (coeffs + np.conj(flipped))
+def _mode_sum(a: np.ndarray) -> float:
+    """Full-spectrum sum of a mode density even in k, given on the half spectrum.
+
+    Columns 0 < ky < n/2 stand for themselves and their mirror modes.
+    """
+    return 2.0 * a.sum() - a[..., 0].sum() - a[..., -1].sum()
 
 
-def _check_solenoidal(c: np.ndarray, tab: Tables) -> None:
-    """Raise FieldError unless max |k.c| is roundoff next to max |c|."""
-    div = np.abs(tab.kx * c[0] + tab.ky * c[1]).max()
-    scale = np.abs(c).max()
-    # absolute floor keeps cancellation roundoff in near-zero
-    # differences of solenoidal fields from tripping the check
-    if div > max(SOLENOIDAL_RTOL * scale * tab.kx.shape[0], 1e-13):
-        raise FieldError(f"field tagged solenoidal but max |k.uhat| = {div:g}")
+def _sym_eigenvalues(m: np.ndarray):
+    """Eigenvalues (larger, smaller) of symmetric 2x2 matrices sampled on a grid.
+
+    ``m`` holds the components (11, 12, 22) on its third-last axis,
+    shape (..., 3, n, n).
+    """
+    a = m[..., 0, :, :]
+    b = m[..., 1, :, :]
+    c = m[..., 2, :, :]
+    mean = 0.5 * (a + c)
+    rad = np.sqrt((0.5 * (a - c)) ** 2 + b * b)
+    return mean + rad, mean - rad
 
 
 @dataclass(frozen=True)
@@ -121,21 +125,29 @@ class SpectralField:
     """Immutable scalar (1 component) or vector (2 components) spectral field."""
 
     grid: Grid
-    coeffs: np.ndarray  # complex128, shape (components, n, n)
+    coeffs: np.ndarray  # complex128, shape (components, n, n//2 + 1)
     solenoidal: bool = False
 
     def __post_init__(self):
+        n = self.grid.n
         c = np.asarray(self.coeffs, dtype=np.complex128)
-        if c.ndim != 3 or c.shape[1:] != (self.grid.n, self.grid.n):
-            raise FieldError(f"bad coefficient shape {c.shape} for n={self.grid.n}")
+        if c.ndim != 3 or c.shape[1:] != (n, n // 2 + 1):
+            raise FieldError(f"bad coefficient shape {c.shape} for n={n}")
         if c.shape[0] not in (1, 2):
             raise FieldError(f"expected 1 or 2 components, got {c.shape[0]}")
-        full = spectral_tables(self.grid.n)
-        c = _hermitianize(c * full.nyquist)
+        tab = spectral_tables(n)
+        c = c * tab.nyquist
+        # column ky = 0 holds both uhat(kx, 0) and its mirror uhat(-kx, 0)
+        col = c[..., 0]
+        c[..., 0] = 0.5 * (col + np.conj(np.roll(col[..., ::-1], 1, axis=-1)))
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
         if self.solenoidal and self.components == 2:
-            _check_solenoidal(c, full)
+            div = np.abs(tab.kx * c[0] + tab.ky * c[1]).max()
+            # absolute floor keeps cancellation roundoff in near-zero
+            # differences of solenoidal fields from tripping the check
+            if div > max(SOLENOIDAL_RTOL * np.abs(c).max() * n, 1e-13):
+                raise FieldError(f"field tagged solenoidal but max |k.uhat| = {div:g}")
 
     @property
     def components(self) -> int:
@@ -148,7 +160,7 @@ class SpectralField:
     def physical(self) -> np.ndarray:
         """Real collocation samples, shape (components, n, n)."""
         n = self.grid.n
-        return np.fft.ifft2(self.coeffs * n * n, axes=(-2, -1)).real
+        return np.fft.irfft2(self.coeffs, s=(n, n), norm="forward")
 
     def mean(self) -> np.ndarray:
         return self.coeffs[:, 0, 0].real.copy()
@@ -188,9 +200,7 @@ def from_physical(grid: Grid, samples: np.ndarray, solenoidal: bool = False) -> 
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim == 2:
         samples = samples[None]
-    n = grid.n
-    coeffs = np.fft.fft2(samples, axes=(-2, -1)) / (n * n)
-    return SpectralField(grid, coeffs, solenoidal=solenoidal)
+    return SpectralField(grid, np.fft.rfft2(samples, norm="forward"), solenoidal=solenoidal)
 
 
 def from_function(grid: Grid, *funcs, solenoidal: bool = False) -> SpectralField:
@@ -202,20 +212,25 @@ def from_function(grid: Grid, *funcs, solenoidal: bool = False) -> SpectralField
 
 
 def zero_field(grid: Grid, components: int = 2, solenoidal: bool = True) -> SpectralField:
-    coeffs = np.zeros((components, grid.n, grid.n), dtype=np.complex128)
+    coeffs = np.zeros((components, grid.n, grid.n // 2 + 1), dtype=np.complex128)
     return SpectralField(grid, coeffs, solenoidal=solenoidal and components == 2)
 
 
 def random_field(grid: Grid, rng: np.random.Generator, kmax: int,
                  components: int = 2, solenoidal: bool = True,
                  amplitude: float = 1.0) -> SpectralField:
-    """Random mean-free band-limited field with |k|_inf <= kmax."""
+    """Random mean-free band-limited field with |k|_inf <= kmax.
+
+    Complex normal amplitudes are drawn on the full (n, n) spectrum; the
+    field is their Hermitian projection, the real part of the synthesis.
+    """
     n = grid.n
-    kx, ky = grid.wavenumbers()
-    band = (np.abs(kx) <= kmax) & (np.abs(ky) <= kmax) & ((kx != 0) | (ky != 0))
+    k = np.abs(np.fft.fftfreq(n, d=1.0 / n))
+    band = (k[:, None] <= kmax) & (k[None, :] <= kmax)
+    band[0, 0] = False
     coeffs = (rng.standard_normal((components, n, n))
               + 1j * rng.standard_normal((components, n, n))) * band
-    f = SpectralField(grid, coeffs * amplitude)
+    f = from_physical(grid, np.fft.ifft2(coeffs * amplitude, norm="forward").real)
     if solenoidal and components == 2:
         f = leray_project(f)
     return f
@@ -237,7 +252,7 @@ def divergence_linf(u: SpectralField) -> float:
 
 
 def gradient_tensor(u: SpectralField) -> np.ndarray:
-    """Spectral coefficients of grad u, shape (components, 2, n, n)."""
+    """Spectral coefficients of grad u, shape (components, 2, n, n//2 + 1)."""
     kx, ky = u.grid.wavenumbers()
     return np.stack([1j * kx * u.coeffs, 1j * ky * u.coeffs], axis=1)
 
@@ -266,8 +281,7 @@ def project(c: np.ndarray, tab: Tables) -> np.ndarray:
 def inner(u: SpectralField, w: SpectralField) -> float:
     """L2 inner product over the torus, computed by Parseval."""
     u._check_compatible(w)
-    val = np.sum(u.coeffs * np.conj(w.coeffs)).real
-    return TWO_PI ** 2 * val
+    return TWO_PI ** 2 * _mode_sum((u.coeffs * np.conj(w.coeffs)).real)
 
 
 def l2_norm(u: SpectralField) -> float:
@@ -275,8 +289,7 @@ def l2_norm(u: SpectralField) -> float:
 
 
 def h1_seminorm(u: SpectralField) -> float:
-    val = np.sum(spectral_tables(u.grid.n).k2 * np.abs(u.coeffs) ** 2)
-    return TWO_PI * np.sqrt(val)
+    return TWO_PI * np.sqrt(_mode_sum(spectral_tables(u.grid.n).k2 * np.abs(u.coeffs) ** 2))
 
 
 def h_minus1_norm(u: SpectralField) -> float:
@@ -288,7 +301,7 @@ def h_minus1_norm(u: SpectralField) -> float:
     scale = np.abs(u.coeffs).max()
     if mean > 1e-13 * max(scale, 1.0):
         raise FieldError(f"H^-1 norm needs mean-free input, mean amplitude {mean:g}")
-    val = np.sum(np.abs(u.coeffs) ** 2 * spectral_tables(u.grid.n).inv_k2)
+    val = _mode_sum(np.abs(u.coeffs) ** 2 * spectral_tables(u.grid.n).inv_k2)
     return TWO_PI * np.sqrt(max(val, 0.0))
 
 
@@ -315,32 +328,24 @@ def lp_norm(u: SpectralField, p) -> float:
     return float((np.sum(mag ** p) * w) ** (1.0 / p))
 
 
-# -- half spectrum ----------------------------------------------------------
-
-def half_spectrum(coeffs: np.ndarray) -> np.ndarray:
-    """The ky >= 0 half (..., n, n//2 + 1) of fft2-layout coefficients (a view)."""
-    return coeffs[..., : coeffs.shape[-1] // 2 + 1]
-
-
-def from_half_spectrum(grid: Grid, half: np.ndarray, solenoidal: bool = False) -> SpectralField:
-    """Field from rfft2-layout coefficients, extended by Hermitian symmetry."""
-    n = grid.n
-    full = np.empty(half.shape[:-1] + (n,), dtype=np.complex128)
-    full[..., : n // 2 + 1] = half
-    # uhat(kx, -ky) = conj(uhat(-kx, ky)) for the columns ky = n/2 - 1 ... 1
-    full[..., n // 2 + 1:] = np.conj(half[..., -np.arange(n) % n, n // 2 - 1:0:-1])
-    return SpectralField(grid, full, solenoidal=solenoidal)
-
-
 # -- resampling and fine-grid samples ------------------------------------------------------
 
 def _embed(coeffs: np.ndarray, n_from: int, n_to: int) -> np.ndarray:
-    """Copy the fft-ordered modes shared by both sizes into an n_to-sized spectrum."""
-    out = np.zeros(coeffs.shape[:-2] + (n_to, n_to), dtype=np.complex128)
-    half = min(n_from, n_to) // 2
-    idx_from = np.r_[0:half, n_from - half:n_from]
-    idx_to = np.r_[0:half, n_to - half:n_to]
-    out[..., idx_to[:, None], idx_to[None, :]] = coeffs[..., idx_from[:, None], idx_from[None, :]]
+    """Copy the half-spectrum modes shared by both sizes into an n_to-sized one.
+
+    Modes |kx|, |ky| < h = min(n_from, n_to)/2 are copied; those at |k| = h
+    are split evenly between +h and -h, as in trigonometric interpolation.
+    The stored column ky = h stands for +-h: irfft2 takes its Hermitian part.
+    """
+    out = np.zeros(coeffs.shape[:-2] + (n_to, n_to // 2 + 1), dtype=np.complex128)
+    h = min(n_from, n_to) // 2
+    out[..., :h, :h + 1] = coeffs[..., :h, :h + 1]
+    out[..., n_to - h + 1:, :h + 1] = coeffs[..., n_from - h + 1:, :h + 1]
+    if n_to <= n_from:  # fold the source rows +h and -h onto the Nyquist row
+        out[..., h, :h + 1] = 0.5 * (coeffs[..., h, :h + 1] + coeffs[..., n_from - h, :h + 1])
+    else:  # split the source's Nyquist row and column
+        out[..., h, :h + 1] = out[..., n_to - h, :h + 1] = 0.5 * coeffs[..., h, :h + 1]
+        out[..., h] *= 0.5
     return out
 
 
@@ -358,7 +363,7 @@ def samples(u: SpectralField, m: int) -> np.ndarray:
 
 def grad_samples(u: SpectralField, m: int) -> np.ndarray:
     """Gradient d_j u_i sampled on an m x m grid, shape (components, 2, m, m)."""
-    return np.fft.ifft2(gradient_tensor(resample(u, m)) * m * m, axes=(-2, -1)).real
+    return np.fft.irfft2(gradient_tensor(resample(u, m)), s=(m, m), norm="forward")
 
 
 def tensor_samples(v: SpectralField, m: int) -> np.ndarray:

@@ -19,8 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import (Grid, SpectralField, _embed, grad_samples, inner, l2_norm,
-                     load_samples, resample, save_samples, tensor_samples)
+from .fields import (Grid, SpectralField, _embed, _mode_sum, _sym_eigenvalues,
+                     grad_samples, inner, l2_norm, load_samples, resample,
+                     save_samples, spectral_tables, tensor_samples)
 from .relenergy import cumulative_weight_integral, simpson
 from .solver import TestTrajectory, Trajectory
 
@@ -29,16 +30,6 @@ DEFECT_COMPONENTS = ("m11", "m12", "m22")
 
 class MVError(ValueError):
     pass
-
-
-def _sym_eigenvalues(density: np.ndarray):
-    """Eigenvalues (larger, smaller) of 2x2-symmetric samples (..., 3, n, n)."""
-    a = density[..., 0, :, :]
-    b = density[..., 1, :, :]
-    c = density[..., 2, :, :]
-    mean = 0.5 * (a + c)
-    rad = np.sqrt((0.5 * (a - c)) ** 2 + b * b)
-    return mean + rad, mean - rad
 
 
 def psd_clip(density: np.ndarray):
@@ -171,13 +162,9 @@ def _lowpass_restrict(samples: np.ndarray, m: int, n: int, kmax: int) -> np.ndar
     is preserved (a sharp cutoff is not and rings negative); the k = 0
     mode, hence the trace integral, passes through unchanged.
     """
-    hat = np.fft.fft2(samples, axes=(-2, -1)) / (m * m)
-    k = np.fft.fftfreq(m, d=1.0 / m).astype(int)
-    k2 = (k * k)[:, None] + (k * k)[None, :]
-    hat = hat * np.exp(-2.0 * k2 / (kmax * kmax))
-    idx = np.fft.fftfreq(n, d=1.0 / n).astype(int)
-    out = hat[..., idx[:, None], idx[None, :]]
-    return np.fft.ifft2(out * (n * n), axes=(-2, -1)).real
+    hat = np.fft.rfft2(samples, norm="forward")
+    hat = hat * np.exp(-2.0 * spectral_tables(m).k2 / (kmax * kmax))
+    return np.fft.irfft2(_embed(hat, m, n), s=(n, n), norm="forward")
 
 
 def defect_from_pair(fine: Trajectory, coarse: Trajectory,
@@ -205,9 +192,9 @@ def defect_from_pair(fine: Trajectory, coarse: Trajectory,
     kx, ky = fine.grid.wavenumbers()
     low = (np.abs(kx) <= mollifier_kmax) & (np.abs(ky) <= mollifier_kmax)
     cpad = resample(coarse.states[0], n)
-    gap0 = np.sqrt(np.sum(np.abs((fine.states[0].coeffs - cpad.coeffs)
-                                 * low) ** 2))
-    scale = max(np.sqrt(np.sum(np.abs(fine.states[0].coeffs) ** 2)), 1.0)
+    gap0 = np.sqrt(_mode_sum(np.abs((fine.states[0].coeffs - cpad.coeffs)
+                                    * low) ** 2))
+    scale = max(np.sqrt(_mode_sum(np.abs(fine.states[0].coeffs) ** 2)), 1.0)
     if gap0 > 1e-8 * scale:
         raise MVError(f"fine/coarse initial data differ ({gap0:g}) "
                       f"below the mollifier scale")
@@ -267,8 +254,8 @@ def _density_on(m_k: np.ndarray, n_src: int, n_dst: int) -> np.ndarray:
     """Trigonometric interpolation of defect samples onto a finer grid."""
     if n_dst == n_src:
         return m_k
-    hat = np.fft.fft2(m_k, axes=(-2, -1)) / (n_src * n_src)
-    return np.fft.ifft2(_embed(hat, n_src, n_dst) * (n_dst * n_dst), axes=(-2, -1)).real
+    hat = np.fft.rfft2(m_k, norm="forward")
+    return np.fft.irfft2(_embed(hat, n_src, n_dst), s=(n_dst, n_dst), norm="forward")
 
 
 def mv_equation_residual(v: Trajectory, m: DefectField | None, f,

@@ -17,6 +17,7 @@ from .fields import (
     TWO_PI,
     Grid,
     SpectralField,
+    _sym_eigenvalues,
     grad_samples,
     h1_seminorm,
     inner,
@@ -26,7 +27,6 @@ from .fields import (
     lp_norm,
     random_field,
     samples,
-    spectral_tables,
 )
 from .solver import SystemSpec, TestTrajectory, convection
 
@@ -125,9 +125,7 @@ def rel_dissipation(u: SpectralField, v: SpectralField, nu: float) -> float:
     """W(u|v) = nu/2 ||grad u - grad v||_L2^2; identically zero for Euler."""
     if nu == 0:
         return 0.0
-    d = u - v
-    val = np.sum(spectral_tables(d.grid.n).k2 * np.abs(d.coeffs) ** 2)
-    return 0.5 * nu * TWO_PI ** 2 * val
+    return 0.5 * nu * h1_seminorm(u - v) ** 2
 
 
 # -- regularity weights -----------------------------------------------------
@@ -141,19 +139,17 @@ def serrin_weight(v: SpectralField, w: WeightSpec, nu: float) -> float:
 
 
 def euler_negsym_weight(v: SpectralField, kappa: float = 2.0) -> float:
-    """kappa * sup_x of the largest negative normal strain, clipped at 0.
+    """kappa * sup_x max(-lambda_min(S), 0) of the strain S = (grad v)_sym.
 
-    Uses the diagonal (normal-strain) part diag(dx v1, dy v2) of the
-    velocity gradient, so shear-free rotational fields such as
-    (-sin y, sin x) carry zero weight while compressive strain fields
-    like eps*(sin x, -sin y) yield kappa*eps.
+    -b(w, v, w) = -int w.S w <= sup_x max(-lambda_min(S), 0) ||w||^2, so
+    with kappa >= 2 the weight times R(u|v) bounds -b(u - v, v, u - v).
+    Shears such as (sin y, 0) and cellular flows such as (-sin y, sin x)
+    carry weight through their off-diagonal strain; pure strain
+    eps*(sin x, -sin y) yields kappa*eps.  Sampled on the 2x grid.
     """
     g = grad_samples(v, 2 * v.grid.n)
-    # normal strains: eigenvalues of -diag(a, c) are (-a, -c)
-    a = g[0, 0]
-    c = g[1, 1]
-    lam_max_neg = max(np.max(-a), np.max(-c))
-    return kappa * max(lam_max_neg, 0.0)
+    strain = np.stack([g[0, 0], 0.5 * (g[0, 1] + g[1, 0]), g[1, 1]])
+    return kappa * max(0.0, float(np.max(-_sym_eigenvalues(strain)[1])))
 
 
 def weight_value(v: SpectralField, w: WeightSpec, nu: float) -> float:

@@ -4,8 +4,9 @@ A scenario ties the flow solver, certifier, selector and the
 measure-valued machinery into one reproducible experiment: given a JSON
 config and a seed, ``run_scenario`` produces a deterministic artifact tree
 (simulations, certificates, selection, optional defect fields) closed by a
-manifest of content hashes.  ``report`` reads the stored artifacts only --
-it never recomputes -- and emits flat CSV/JSON summaries.
+manifest of content hashes.  ``report`` checks the tree against those
+hashes, reads the stored artifacts only -- it never recomputes -- and
+emits flat CSV/JSON summaries.
 """
 
 from __future__ import annotations
@@ -285,13 +286,13 @@ def stage_mv(config: ScenarioConfig, members: dict) -> dict:
     return info
 
 
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def _hash_tree(root: Path) -> dict:
-    hashes = {}
-    for p in sorted(root.rglob("*")):
-        if p.is_file() and p.name != "manifest.json":
-            hashes[str(p.relative_to(root))] = hashlib.sha256(
-                p.read_bytes()).hexdigest()
-    return hashes
+    return {str(p.relative_to(root)): _sha256(p) for p in sorted(root.rglob("*"))
+            if p.is_file() and p.name != "manifest.json"}
 
 
 def run_scenario(config: ScenarioConfig) -> int:
@@ -328,15 +329,23 @@ def run_scenario(config: ScenarioConfig) -> int:
 def report(run_dir) -> dict:
     """Emit flat summaries from a completed artifact tree.
 
-    Writes margins.csv (test id, time, lhs, rhs, margin, tol per member),
-    energy.csv (time, one column per member) and report.json; reads stored
-    values only, and repeated invocations produce identical bytes.
+    First checks every file the manifest hashes: a missing or altered one
+    raises ConfigError naming it.  Writes margins.csv (test id, time, lhs,
+    rhs, margin, tol per member), energy.csv (time, one column per member)
+    and report.json; reads stored values only, and repeated invocations
+    produce identical bytes.
     """
     root = Path(run_dir)
     manifest_path = root / "manifest.json"
     if not manifest_path.exists():
         raise ConfigError(f"{run_dir}: no manifest.json (incomplete tree)")
     manifest = json.loads(manifest_path.read_text())
+    for rel, digest in manifest["hashes"].items():
+        path = root / rel
+        if not path.is_file():
+            raise ConfigError(f"{path}: listed in the manifest but missing")
+        if _sha256(path) != digest:
+            raise ConfigError(f"{path}: sha256 differs from the manifest")
     members = manifest["members"]
 
     energy_rows = {}

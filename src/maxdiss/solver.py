@@ -6,14 +6,14 @@ modes and the Galerkin projection is spectral truncation.  Time stepping
 is an integrating-factor RK4: the Stokes part is integrated exactly via
 exp(-nu |k|^2 dt), the convection explicitly.
 
-The time loop runs on rfft2 half-spectrum arrays of shape (2, n, n//2 + 1)
-with the read-only wavenumber tables of ``fields.spectral_tables`` and
-integrating factors cached per (n, nu, dt).  The nonlinear term is taken
-in rotational form, P[omega (v_y, -v_x)]: three inverse and two forward
-real transforms per evaluation, 2/3-rule masked before and after the
-product.  It equals P[-(v.grad)v] because the two differ by the gradient
-of |v|^2/2, which the Leray projection removes.  A SpectralField is built
-only at sample times and at the edges of ``advance`` and ``nse_rhs``.
+``advance`` steps a SpectralField; inside a step the stages are plain
+rfft2 half-spectrum arrays of shape (2, n, n//2 + 1), the layout of
+SpectralField itself, read with the read-only wavenumber tables of
+``fields.spectral_tables`` and integrating factors cached per (n, nu, dt).
+The nonlinear term is taken in rotational form, P[omega (v_y, -v_x)]:
+three inverse and two forward real transforms per evaluation, 2/3-rule
+masked before and after the product.  It equals P[-(v.grad)v] because the
+two differ by the gradient of |v|^2/2, which the Leray projection removes.
 """
 
 from __future__ import annotations
@@ -26,14 +26,10 @@ from pathlib import Path
 import numpy as np
 
 from .fields import (
-    TWO_PI,
     Grid,
     SpectralField,
-    _check_solenoidal,
     from_function,
-    from_half_spectrum,
-    gradient_tensor,
-    half_spectrum,
+    grad_samples,
     inner,
     leray_project,
     load_field,
@@ -165,33 +161,30 @@ class SystemSpec:
 
 def convection(v: SpectralField, dealias: bool = True) -> SpectralField:
     """Pseudospectral (v.grad)v with optional 2/3-rule dealiasing."""
-    n = v.grid.n
-    mask = spectral_tables(n).dealias
-    coeffs = v.coeffs
+    mask = spectral_tables(v.grid.n).dealias
     if dealias:
-        coeffs = coeffs * mask
-    vv = np.fft.ifft2(coeffs * n * n, axes=(-2, -1)).real
-    grads = np.fft.ifft2(gradient_tensor(SpectralField(v.grid, coeffs)) * n * n,
-                         axes=(-2, -1)).real
+        v = SpectralField(v.grid, v.coeffs * mask)
+    vv = v.physical()
+    grads = grad_samples(v, v.grid.n)
     # (v.grad)v_i = v_x d_x v_i + v_y d_y v_i
     conv = vv[0] * grads[:, 0] + vv[1] * grads[:, 1]
-    chat = np.fft.fft2(conv, axes=(-2, -1)) / (n * n)
+    chat = np.fft.rfft2(conv, norm="forward")
     if dealias:
         chat = chat * mask
     return SpectralField(v.grid, chat)
 
 
-def _forcing_half(spec: SystemSpec, t: float):
-    """Half-spectrum forcing coefficients at time t; None for zero forcing."""
+def _forcing_coeffs(spec: SystemSpec, t: float):
+    """Forcing coefficients at time t; None for zero forcing."""
     if spec.forcing.is_zero():
         return None
-    return half_spectrum(spec.forcing(t, spec.grid).coeffs)
+    return spec.forcing(t, spec.grid).coeffs
 
 
 def _rhs(u: np.ndarray, spec: SystemSpec, f) -> np.ndarray:
-    """P[omega (v_y, -v_x) + f] on half-spectrum coefficients, shape (2, n, n//2+1)."""
+    """P[omega (v_y, -v_x) + f] on coefficients of shape (2, n, n//2+1)."""
     n = spec.grid.n
-    tab = spectral_tables(n, half=True)
+    tab = spectral_tables(n)
     if spec.dealias:
         u = u * tab.dealias
     omega = 1j * (tab.kx * u[1] - tab.ky * u[0])
@@ -208,27 +201,32 @@ def nse_rhs(v: SpectralField, spec: SystemSpec, t: float) -> SpectralField:
     """P[-(v.grad)v + f(t)] + nu*Lap v; solenoidal output."""
     if not v.solenoidal:
         raise SolverError("nse_rhs expects a solenoidal velocity field")
-    u = half_spectrum(v.coeffs)
-    rhs = _rhs(u, spec, _forcing_half(spec, t))
-    rhs -= spec.nu * spectral_tables(spec.grid.n, half=True).k2 * u
-    return from_half_spectrum(spec.grid, rhs, solenoidal=True)
+    rhs = _rhs(v.coeffs, spec, _forcing_coeffs(spec, t))
+    rhs -= spec.nu * spectral_tables(spec.grid.n).k2 * v.coeffs
+    return SpectralField(spec.grid, rhs, solenoidal=True)
 
 
 @functools.lru_cache(maxsize=32)
 def _integrating_factors(n: int, nu: float, dt: float):
-    """Read-only half-spectrum exp(-nu |k|^2 dt/2) and exp(-nu |k|^2 dt)."""
-    k2 = spectral_tables(n, half=True).k2
+    """Read-only exp(-nu |k|^2 dt/2) and exp(-nu |k|^2 dt)."""
+    k2 = spectral_tables(n).k2
     e_half = np.exp(-nu * k2 * (dt / 2))
     e_full = np.exp(-nu * k2 * dt)
     e_half.flags.writeable = e_full.flags.writeable = False
     return e_half, e_full
 
 
-def _step(u: np.ndarray, spec: SystemSpec, t: float, dt: float) -> np.ndarray:
-    """IF-RK4 step of half-spectrum coefficients, checked finite and solenoidal."""
-    n = spec.grid.n
-    e_half, e_full = _integrating_factors(n, spec.nu, dt)
-    f0, f_mid, f1 = (_forcing_half(spec, s) for s in (t, t + 0.5 * dt, t + dt))
+def advance(v: SpectralField, spec: SystemSpec, t: float,
+            dt: float | None = None) -> SpectralField:
+    """One integrating-factor RK4 step; diffusion exact, convection explicit.
+
+    The result is checked finite, and solenoidal by its constructor.
+    """
+    if dt is None:
+        dt = spec.dt
+    e_half, e_full = _integrating_factors(spec.grid.n, spec.nu, dt)
+    f0, f_mid, f1 = (_forcing_coeffs(spec, s) for s in (t, t + 0.5 * dt, t + dt))
+    u = v.coeffs
     a = _rhs(u, spec, f0)
     b = _rhs(e_half * (u + 0.5 * dt * a), spec, f_mid)
     c = _rhs(e_half * u + 0.5 * dt * b, spec, f_mid)
@@ -237,33 +235,7 @@ def _step(u: np.ndarray, spec: SystemSpec, t: float, dt: float) -> np.ndarray:
 
     if not np.all(np.isfinite(new)):
         raise BlowUpError(f"non-finite coefficients after step at t={t:g}")
-    _check_solenoidal(new, spectral_tables(n, half=True))
-    return new
-
-
-def advance(v, spec: SystemSpec, t: float, dt: float | None = None):
-    """One integrating-factor RK4 step; diffusion exact, convection explicit.
-
-    ``v`` is a SpectralField, or the half-spectrum coefficient array
-    (2, n, n//2 + 1) that ``solve`` carries between steps; the result is
-    of the same kind.
-    """
-    if dt is None:
-        dt = spec.dt
-    if isinstance(v, SpectralField):
-        new = _step(half_spectrum(v.coeffs), spec, t, dt)
-        return from_half_spectrum(spec.grid, new, solenoidal=True)
-    return _step(v, spec, t, dt)
-
-
-def _energy(u: np.ndarray) -> float:
-    """1/2 ||v||^2 from half-spectrum coefficients.
-
-    Columns 0 < ky < n/2 stand for themselves and their mirror modes.
-    """
-    a = u.real ** 2 + u.imag ** 2
-    total = 2.0 * a.sum() - a[..., 0].sum() - a[..., -1].sum()
-    return 0.5 * TWO_PI ** 2 * total
+    return SpectralField(spec.grid, new, solenoidal=True)
 
 
 # -- trajectories -----------------------------------------------------------
@@ -323,10 +295,7 @@ class Trajectory:
         src = Path(in_dir)
         manifest = json.loads((src / "manifest.json").read_text())
         spec = SystemSpec.from_dict(manifest["spec"])
-        states = []
-        for name in manifest["fields"]:
-            f = load_field(src / name)
-            states.append(leray_project(f))
+        states = [load_field(src / name) for name in manifest["fields"]]
         return cls(spec=spec, times=np.array(manifest["times"]), states=states,
                    provenance=manifest.get("provenance", ""))
 
@@ -341,18 +310,17 @@ def solve(spec: SystemSpec, v0: SpectralField, sample_stride: int = 1,
     if abs(n_steps * spec.dt - spec.t_end) > 1e-9 * spec.t_end:
         raise SolverError("t_end must be an integer multiple of dt")
 
-    u = half_spectrum(v.coeffs)
-    e0 = _energy(u)
+    e0 = 0.5 * inner(v, v)
     times = [0.0]
     states = [v]
     for step in range(n_steps):
         t = step * spec.dt
-        u = advance(u, spec, t)
-        if _energy(u) > 1e8 * max(e0, 1.0):
+        v = advance(v, spec, t)
+        if 0.5 * inner(v, v) > 1e8 * max(e0, 1.0):
             raise BlowUpError(f"energy blow-up at t={t + spec.dt:g}")
         if (step + 1) % sample_stride == 0 or step == n_steps - 1:
             times.append((step + 1) * spec.dt)
-            states.append(from_half_spectrum(spec.grid, u, solenoidal=True))
+            states.append(v)
     return Trajectory(spec=spec, times=np.array(times), states=states,
                       provenance=provenance or f"ifrk4 n={spec.grid.n} dt={spec.dt}")
 
@@ -371,7 +339,7 @@ def truncate_modes(u: SpectralField, n_keep: int) -> SpectralField:
     """Zero all modes beyond the first n_keep in canonical order.
 
     The kept set is closed under k -> -k so the projection is real-valued,
-    self-adjoint, and idempotent.
+    self-adjoint, and idempotent; the half-spectrum mask holds its ky >= 0 part.
     """
     modes = canonical_modes(u.grid)
     if n_keep >= len(modes):
@@ -379,9 +347,10 @@ def truncate_modes(u: SpectralField, n_keep: int) -> SpectralField:
     kept = set(modes[:n_keep])
     kept |= {(-kx, -ky) for kx, ky in kept}
     n = u.grid.n
-    mask = np.zeros((n, n), dtype=bool)
+    mask = np.zeros((n, n // 2 + 1), dtype=bool)
     for kx, ky in kept:
-        mask[kx % n, ky % n] = True
+        if ky >= 0:
+            mask[kx % n, ky] = True
     return SpectralField(u.grid, u.coeffs * mask, solenoidal=u.solenoidal)
 
 
@@ -413,15 +382,14 @@ def recover_pressure(v: SpectralField, f: SpectralField | None = None) -> Spectr
         raise SolverError("pressure recovery needs a velocity field")
     n = v.grid.n
     m = 2 * n
-    that = np.fft.fft2(tensor_samples(v, m), axes=(-2, -1)) / (m * m)
-    kx, ky = Grid(m).wavenumbers()
-    k2 = spectral_tables(m).k2
+    that = np.fft.rfft2(tensor_samples(v, m), norm="forward")
+    tab = spectral_tables(m)
+    kx, ky = tab.kx, tab.ky
     rhs = -(kx * kx * that[0] + 2 * kx * ky * that[1] + ky * ky * that[2])
     if f is not None:
         ff = resample(resample(f, n), m)
         rhs = rhs - 1j * (kx * ff.coeffs[0] + ky * ff.coeffs[1])
-    phat = np.where(k2 == 0, 0.0, rhs / np.where(k2 == 0, 1.0, k2))
-    return resample(SpectralField(Grid(m), phat[None]), n)
+    return resample(SpectralField(Grid(m), (rhs * tab.inv_k2)[None]), n)
 
 
 # -- test trajectories ------------------------------------------------------

@@ -15,7 +15,6 @@ from maxdiss.cli import (
     EXIT_CERT_FAIL,
     EXIT_CONFIG,
     EXIT_OK,
-    _apply_threads,
     main,
 )
 from maxdiss.fields import Grid, divergence_linf, l2_norm, resample
@@ -240,6 +239,24 @@ def test_report_idempotent(completed_run):
         assert p.read_bytes() == first[p.name]
 
 
+def test_cli_report_rejects_tampered_tree(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["run", "--config", _write_cfg(tmp_path),
+                 "--out", str(out)]) == EXIT_OK
+    cert = out / "certificates" / "n_16.csv"
+    header, row, rest = cert.read_text().split("\n", 2)
+    i = next(i for i, ch in enumerate(row) if ch.isdigit())
+    row = row[:i] + str((int(row[i]) + 1) % 10) + row[i + 1:]
+    cert.write_text("\n".join([header, row, rest]))
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == EXIT_CONFIG
+    assert str(cert) in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+    cert.unlink()
+    assert main(["report", "--out", str(out)]) == EXIT_CONFIG
+    assert str(cert) in capsys.readouterr().err
+
+
 def test_run_scenario_deterministic(tmp_path):
     codes, manifests = [], []
     for sub in ("a", "b"):
@@ -390,12 +407,3 @@ def test_seed_irrelevant_for_noise_free_scenario(tmp_path):
         outs[name] = (out / "sim" / "n_16" / "energies.csv").read_bytes()
     assert outs["s0"] == outs["s7"]
 
-
-def test_apply_threads_sets_env(monkeypatch):
-    monkeypatch.delenv("MAXDISS_THREADS", raising=False)
-    _apply_threads(3)
-    assert os.environ["OMP_NUM_THREADS"] == "3"
-    assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
-    monkeypatch.setenv("MAXDISS_THREADS", "2")
-    _apply_threads(None)
-    assert os.environ["MKL_NUM_THREADS"] == "2"

@@ -9,11 +9,10 @@ from maxdiss.fields import (
     SpectralField,
     divergence_linf,
     from_function,
-    from_half_spectrum,
+    from_physical,
     grad_samples,
     gradient_tensor,
     h1_seminorm,
-    half_spectrum,
     h_minus1_norm,
     inner,
     l2_norm,
@@ -43,33 +42,32 @@ def test_grid_validation():
 
 def test_spectral_tables_cached_and_read_only():
     assert spectral_tables(16) is spectral_tables(16)
-    for tab in (spectral_tables(16), spectral_tables(16, half=True)):
-        for name in ("kx", "ky", "k2", "inv_k2", "nyquist", "dealias"):
-            with pytest.raises(ValueError):
-                getattr(tab, name)[0, 0] = 0
+    tab = spectral_tables(16)
+    for name in ("kx", "ky", "k2", "inv_k2", "nyquist", "dealias"):
+        with pytest.raises(ValueError):
+            getattr(tab, name)[0, 0] = 0
     kx, _ = Grid(16).wavenumbers()
     with pytest.raises(ValueError):
         kx[1, 1] = 0.0
 
 
 def test_spectral_tables_values():
-    full, half = spectral_tables(12), spectral_tables(12, half=True)
-    assert half.k2.shape == (12, 7) and full.k2.shape == (12, 12)
-    assert np.array_equal(half.ky[0], np.arange(7))
-    assert full.inv_k2[0, 0] == 0.0 and full.inv_k2[1, 2] == pytest.approx(1 / 5)
+    tab = spectral_tables(12)
+    assert tab.k2.shape == (12, 7)
+    assert np.array_equal(tab.ky[0], np.arange(7))
+    assert tab.inv_k2[0, 0] == 0.0 and tab.inv_k2[1, 2] == pytest.approx(1 / 5)
     # strict 2/3 cut at n = 12: |k| <= 3, never the aliasing modes |k| = 4
-    assert np.abs(Grid(12).wavenumbers()[0][full.dealias]).max() == 3
-    assert not full.nyquist[6].any() and not half.nyquist[:, 6].any()
+    assert np.abs(Grid(12).wavenumbers()[0][tab.dealias]).max() == 3
+    assert not tab.nyquist[6].any() and not tab.nyquist[:, 6].any()
 
 
 def test_half_spectrum_roundtrip(rng):
     grid = Grid(16)
     u = random_field(grid, rng, kmax=7)
-    half = half_spectrum(u.coeffs)
-    assert half.shape == (2, 16, 9)
-    assert np.abs(half - np.fft.rfft2(u.physical()) / 256).max() <= 1e-15
-    back = from_half_spectrum(grid, half, solenoidal=True)
-    assert np.array_equal(back.coeffs, u.coeffs)
+    assert u.coeffs.shape == (2, 16, 9)
+    assert np.abs(u.coeffs - np.fft.rfft2(u.physical()) / 256).max() <= 1e-15
+    back = from_physical(grid, u.physical(), solenoidal=True)
+    assert np.abs(back.coeffs - u.coeffs).max() <= 1e-15
 
 
 # -- Leray projection --------------------------------------------------------
@@ -165,6 +163,26 @@ def test_l4_taylor_green_against_fine_reference():
     mag2 = (np.sin(X) * np.cos(Y)) ** 2 + (np.cos(X) * np.sin(Y)) ** 2
     ref = np.sum(mag2 ** 2) * (2 * np.pi / n) ** 2
     assert abs(val - ref) <= 1e-10 * max(ref, 1.0)
+
+
+@pytest.mark.parametrize("components", [1, 2])
+@pytest.mark.parametrize("n", [8, 12, 16])
+def test_half_spectrum_sums_match_grid_quadrature(n, components):
+    # discrete Parseval is exact on the grid; the raw pair has a non-Hermitian
+    # ky = 0 column and nonzero Nyquist modes for the constructor to project
+    grid = Grid(n)
+    rng = np.random.default_rng(10 * n + components)
+    shape = (components, n, n // 2 + 1)
+    raw = [SpectralField(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+           for _ in range(2)]
+    drawn = [random_field(grid, rng, kmax=n // 2, components=components, solenoidal=False)
+             for _ in range(2)]
+    h2 = (2 * np.pi / n) ** 2
+    for u, w in (raw, drawn):
+        quad = h2 * np.sum(u.physical() * w.physical())
+        assert abs(inner(u, w) - quad) <= 1e-13 * l2_norm(u) * l2_norm(w)
+        grad_quad = h2 * np.sum(grad_samples(u, n) ** 2)
+        assert h1_seminorm(u) ** 2 == pytest.approx(grad_quad, rel=1e-13)
 
 
 def test_parseval_matches_physical_quadrature(rng):

@@ -16,6 +16,7 @@ from maxdiss.fields import (
 from maxdiss.mv_euler import (
     DefectField,
     MVError,
+    _density_on,
     defect_from_pair,
     min_eigenvalue,
     mv_convex_combine,
@@ -121,6 +122,14 @@ def test_defect_field_validation():
     assert z.min_eigenvalue() == 0.0
     with pytest.raises(MVError):
         z.index_of(0.25)
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_density_interpolation_reproduces_samples(rng, n):
+    # the Nyquist modes of the samples are split between +-n/2, not dropped
+    m = rng.standard_normal((3, n, n))
+    fine = _density_on(m, n, 2 * n)
+    assert np.abs(fine[:, ::2, ::2] - m).max() <= 1e-14
 
 
 def test_defect_trace_integral_constant_density():

@@ -5,7 +5,7 @@ import pytest
 
 from maxdiss import solver
 from maxdiss.fields import (FieldError, Grid, SpectralField, divergence_linf,
-                            from_function, half_spectrum, inner, l2_norm,
+                            from_function, inner, l2_norm,
                             leray_project, random_field, resample, save_field,
                             spectral_tables, zero_field)
 from maxdiss.solver import (
@@ -160,22 +160,12 @@ def test_advance_matches_convective_form(n, dealias, forced):
     assert l2_norm(got - want) <= 1e-13 * l2_norm(want)
 
 
-def test_advance_on_half_spectrum_array():
-    spec = _spec(nu=0.05, n=16, dt=1e-2)
-    v = random_field(spec.grid, np.random.default_rng(6), kmax=5)
-    new = advance(half_spectrum(v.coeffs), spec, 0.0)
-    assert isinstance(new, np.ndarray) and new.shape == (2, 16, 9)
-    # the SpectralField edge only adds Hermitian symmetrization of column 0
-    field = half_spectrum(advance(v, spec, 0.0).coeffs)
-    assert np.abs(new - field).max() <= 1e-15
-
-
 def test_advance_rejects_state_leaving_solenoidal_space():
     spec = _spec(nu=0.05, n=16, dt=1e-2)
     grad = from_function(spec.grid, lambda x, y: np.cos(x) * np.sin(y),
                          lambda x, y: np.sin(x) * np.cos(y))
     with pytest.raises(FieldError):
-        advance(half_spectrum(grad.coeffs), spec, 0.0)
+        advance(grad, spec, 0.0)
 
 
 def test_integrating_factors_cached_and_read_only():
@@ -222,13 +212,13 @@ def test_viscous_energy_monotone():
 def test_solve_detects_nonfinite_state_partway(monkeypatch):
     # a forcing that turns NaN after t = 0.047 poisons the state in the step
     # from t = 0.04; the energy check cannot see NaN, the finiteness check must
-    forcing_half = solver._forcing_half
+    forcing_coeffs = solver._forcing_coeffs
 
     def poisoned(spec, t):
-        f = forcing_half(spec, t)
+        f = forcing_coeffs(spec, t)
         return f * np.nan if t > 0.047 else f
 
-    monkeypatch.setattr(solver, "_forcing_half", poisoned)
+    monkeypatch.setattr(solver, "_forcing_coeffs", poisoned)
     spec = _spec(nu=0.1, n=16, t_end=0.1, dt=1e-2,
                  forcing=Forcing("analytic", "kolmogorov", {"amplitude": 0.0}))
     with pytest.raises(BlowUpError, match="non-finite .* t=0.04$"):
@@ -343,13 +333,13 @@ def test_taylor_green_momentum_residual():
     dv = -2 * nu * taylor_green(t, nu, grid)  # d_t of the closed form
     vp = v.physical()
     from maxdiss.fields import gradient_tensor
-    g = np.fft.ifft2(gradient_tensor(v) * n * n, axes=(-2, -1)).real
+    g = np.fft.irfft2(gradient_tensor(v), s=(n, n), norm="forward")
     conv = np.stack([vp[0] * g[0, 0] + vp[1] * g[0, 1],
                      vp[0] * g[1, 0] + vp[1] * g[1, 1]])
-    gp = np.fft.ifft2(np.stack(
+    gp = np.fft.irfft2(np.stack(
         [1j * grid.wavenumbers()[0] * p.coeffs[0],
-         1j * grid.wavenumbers()[1] * p.coeffs[0]]) * n * n,
-        axes=(-2, -1)).real
+         1j * grid.wavenumbers()[1] * p.coeffs[0]]),
+        s=(n, n), norm="forward")
     lap = -2 * v.physical()
     residual = dv.physical() + conv - nu * lap + gp
     assert np.abs(residual).max() <= 1e-12
