@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import SpectralField, h_minus1_norm, inner, l2_norm, leray_project
+from .fields import SpectralField, inner, leray_project
 from .relenergy import (
     ResidualOptions,
-    WeightError,
     WeightSpec,
     cumulative_weight_integral,
     nonsolenoidal_correction,
@@ -28,7 +27,7 @@ from .relenergy import (
     simpson,
     weight_value,
 )
-from .solver import Forcing, TestTrajectory, Trajectory
+from .solver import TestTrajectory, Trajectory
 
 
 class CertificateError(ValueError):
@@ -276,10 +275,6 @@ def mollified_indicator(t_star: float, width: float, label: str = "") -> PhiWeig
     return PhiWeight(value, deriv, label or f"indicator[0,{t_star:g}]+{width:g}")
 
 
-def linear_ramp(T: float) -> PhiWeight:
-    return PhiWeight(lambda t: 1.0 - t / T, lambda t: -1.0 / T, f"ramp(T={T:g})")
-
-
 def _phi_form(series: _MarginSeries, phi: PhiWeight) -> float:
     times = series.times
     phi.validate(times)
@@ -297,16 +292,6 @@ def phi_form_value(u: Trajectory, vt: TestTrajectory, w: WeightSpec,
                    opts: ResidualOptions, phi: PhiWeight) -> float:
     """Value of the phi-weighted inequality form; <= 0 for dissipative u."""
     return _phi_form(margin_series(u, vt, w, opts), phi)
-
-
-def phi_form_check(u: Trajectory, vt: TestTrajectory, w: WeightSpec,
-                   opts: ResidualOptions, phis) -> float:
-    """Worst (largest) phi-form value over a list of admissible multipliers."""
-    phis = list(phis)
-    if not phis:
-        raise CertificateError("need at least one multiplier")
-    series = margin_series(u, vt, w, opts)  # independent of phi
-    return max(_phi_form(series, phi) for phi in phis)
 
 
 # -- weak residual recovery -------------------------------------------------
@@ -364,60 +349,3 @@ def recover_weak_residual(u: Trajectory, r: SpectralField, alphas,
                             linear_coefficient=float(sol[1]),
                             direct_pairing=direct,
                             quadratic_coefficient=float(sol[2]))
-
-
-# -- weak-strong stability bound --------------------------------------------
-
-@dataclass(frozen=True)
-class WeakStrongReport:
-    times: np.ndarray
-    lhs: np.ndarray
-    rhs: np.ndarray
-    variant: str
-    tol: float
-
-    @property
-    def holds(self) -> bool:
-        return bool(np.all(self.lhs <= self.rhs + self.tol))
-
-
-def weak_strong_gap(u1: Trajectory, v_strong: TestTrajectory, f1: Forcing,
-                    f: Forcing, w: WeightSpec, tol: float = 1e-8) -> WeakStrongReport:
-    """Stability bound of a dissipative trajectory against a strong solution.
-
-    Navier-Stokes (nu > 0): R + 1/2 int W e^K <= R0 e^K + (1/nu) int
-    ||f - f1||_{H^-1}^2 e^K.  Euler (nu = 0): weight K + 1 and an L2
-    forcing difference with prefactor 1/2.
-    """
-    nu = u1.spec.nu
-    times = u1.times
-    grid = u1.grid
-    values = [v_strong.value(t) for t in times]
-    K = np.array([weight_value(v, w, nu) for v in values])
-    if nu == 0:
-        K = K + 1.0
-        variant = "euler"
-    else:
-        variant = "navier-stokes"
-    I = cumulative_weight_integral(K, times)
-    R = np.array([rel_energy(s, v) for s, v in zip(u1.states, values)])
-
-    df = [f(t, grid) - f1(t, grid) for t in times]
-    if variant == "navier-stokes":
-        if w.kind != "serrin":
-            raise WeightError("Navier-Stokes weak-strong gap expects the Serrin weight")
-        force = np.array([h_minus1_norm(d) ** 2 for d in df]) / nu
-        W = np.array([rel_dissipation(s, v, nu)
-                      for s, v in zip(u1.states, values)])
-    else:
-        force = 0.5 * np.array([l2_norm(d) ** 2 for d in df])
-        W = np.zeros_like(times)
-
-    # damped form, as in margin_series: both sides scaled by exp(-I(t))
-    damp = np.exp(-I)
-    diss = cumulative_weight_integral(W * damp, times)
-    inflow = cumulative_weight_integral(force * damp, times)
-
-    lhs = damp * R + 0.5 * diss
-    rhs = R[0] + inflow
-    return WeakStrongReport(times=times, lhs=lhs, rhs=rhs, variant=variant, tol=tol)

@@ -10,7 +10,8 @@ Subcommands map to pipeline stages over a shared scenario config:
 
 Exit codes: 0 success, 2 certificate failure, 3 solver blow-up,
 4 configuration error (including a run tree whose files do not match its
-manifest hashes).  --seed overrides the config seed.
+manifest hashes, and a forcing or sample file that cannot be read).
+--seed overrides the config seed.
 """
 
 from __future__ import annotations
@@ -78,6 +79,7 @@ def _load_members(config) -> dict:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    from .fields import FieldError
     from .scenarios import (ConfigError, report, run_scenario, stage_certify,
                             stage_select, stage_simulate)
     from .solver import BlowUpError
@@ -128,10 +130,7 @@ def main(argv=None) -> int:
             summary = report(args.out)
             print(json.dumps(summary))
             return EXIT_OK
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
+    except (ConfigError, FieldError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except BlowUpError as exc:

@@ -238,19 +238,6 @@ def random_field(grid: Grid, rng: np.random.Generator, kmax: int,
 
 # -- differential calculus --------------------------------------------------
 
-def divergence(u: SpectralField) -> SpectralField:
-    if not u.is_vector:
-        raise FieldError("divergence requires a vector field")
-    kx, ky = u.grid.wavenumbers()
-    c = 1j * (kx * u.coeffs[0] + ky * u.coeffs[1])
-    return SpectralField(u.grid, c[None])
-
-
-def divergence_linf(u: SpectralField) -> float:
-    kx, ky = u.grid.wavenumbers()
-    return np.abs(kx * u.coeffs[0] + ky * u.coeffs[1]).max()
-
-
 def gradient_tensor(u: SpectralField) -> np.ndarray:
     """Spectral coefficients of grad u, shape (components, 2, n, n//2 + 1)."""
     kx, ky = u.grid.wavenumbers()
@@ -290,19 +277,6 @@ def l2_norm(u: SpectralField) -> float:
 
 def h1_seminorm(u: SpectralField) -> float:
     return TWO_PI * np.sqrt(_mode_sum(spectral_tables(u.grid.n).k2 * np.abs(u.coeffs) ** 2))
-
-
-def h_minus1_norm(u: SpectralField) -> float:
-    """Dual-norm sqrt(sum_{k!=0} |uhat|^2 / |k|^2), L2-consistent scaling.
-
-    Requires every component to be mean-free.
-    """
-    mean = np.abs(u.coeffs[:, 0, 0]).max()
-    scale = np.abs(u.coeffs).max()
-    if mean > 1e-13 * max(scale, 1.0):
-        raise FieldError(f"H^-1 norm needs mean-free input, mean amplitude {mean:g}")
-    val = _mode_sum(np.abs(u.coeffs) ** 2 * spectral_tables(u.grid.n).inv_k2)
-    return TWO_PI * np.sqrt(max(val, 0.0))
 
 
 def _oversampled_magnitude(u: SpectralField) -> tuple[np.ndarray, float]:
@@ -377,14 +351,15 @@ def tensor_samples(v: SpectralField, m: int) -> np.ndarray:
 def save_samples(path, samples: np.ndarray, extra: dict | None = None) -> None:
     """Binary container: 16-byte magic, padded JSON header, f64 samples.
 
-    ``samples`` has shape (components, n, n); the same container serves
-    velocity fields (2 components) and symmetric defect densities (3).
+    ``samples`` has shape (..., c, n, n): one field (c, n, n) or a time
+    series (T, c, n, n), of velocities (c = 2) or of symmetric defect
+    densities (c = 3).  The header key ``shape`` holds the full shape; the
+    payload is little-endian float64 in C order.
     """
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 3 or samples.shape[1] != samples.shape[2]:
-        raise FieldError(f"samples must be (c, n, n), got {samples.shape}")
-    meta = {"n": samples.shape[1], "components": samples.shape[0],
-            "endianness": "little", "dtype": "f64"}
+    samples = np.ascontiguousarray(samples, dtype="<f8")
+    if samples.ndim < 3 or samples.shape[-1] != samples.shape[-2]:
+        raise FieldError(f"samples must be (..., c, n, n), got {samples.shape}")
+    meta = {"shape": list(samples.shape), "endianness": "little", "dtype": "f64"}
     if extra:
         meta.update(extra)
     header = json.dumps(meta).encode()
@@ -394,30 +369,39 @@ def save_samples(path, samples: np.ndarray, extra: dict | None = None) -> None:
         fh.write(HEADER_MAGIC)
         fh.write(struct.pack("<I", len(header)))
         fh.write(header)
-        fh.write(samples.astype("<f8").tobytes())
+        fh.write(samples)
 
 
 def load_samples(path):
-    """Read a sample container; returns (samples, header dict)."""
+    """Read a sample container; returns (samples of the header's shape, header dict).
+
+    A bad magic, an unreadable header or a payload whose size differs from
+    the header's shape raises FieldError naming ``path``.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(16)
-        if magic != HEADER_MAGIC:
-            raise FieldError(f"bad magic in {path}")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode())
-        n = header["n"]
-        comps = header["components"]
-        data = np.frombuffer(fh.read(comps * n * n * 8), dtype="<f8")
-    return data.reshape(comps, n, n).copy(), header
+        if fh.read(16) != HEADER_MAGIC:
+            raise FieldError(f"{path}: bad magic")
+        try:
+            (hlen,) = struct.unpack("<I", fh.read(4))
+            header = json.loads(fh.read(hlen))
+            shape = tuple(int(s) for s in header["shape"])
+        except (struct.error, ValueError, TypeError, KeyError) as exc:
+            raise FieldError(f"{path}: unreadable header ({exc!r})") from None
+        data = np.fromfile(fh, dtype="<f8")
+    if len(shape) < 3 or min(shape) < 0 or data.size != np.prod(shape):
+        raise FieldError(f"{path}: {data.size} samples, header shape {list(shape)}")
+    return data.reshape(shape), header
 
 
 def save_field(u: SpectralField, path) -> None:
-    """Save a velocity/scalar field in the binary sample container."""
+    """Save one velocity/scalar field, (c, n, n), in the sample container."""
     save_samples(path, u.physical(), extra={"solenoidal": u.solenoidal})
 
 
 def load_field(path) -> SpectralField:
-    """Load a field container; spectra are recomputed from the stored samples."""
+    """Load one field container; spectra are recomputed from the stored samples."""
     samples, header = load_samples(path)
-    return from_physical(Grid(header["n"]), samples,
+    if samples.ndim != 3:
+        raise FieldError(f"{path}: one field is (c, n, n), got shape {list(samples.shape)}")
+    return from_physical(Grid(samples.shape[-1]), samples,
                          solenoidal=header.get("solenoidal", False))

@@ -22,7 +22,7 @@ import numpy as np
 from .fields import (Grid, SpectralField, _embed, _mode_sum, _sym_eigenvalues,
                      grad_samples, inner, l2_norm, load_samples, resample,
                      save_samples, spectral_tables, tensor_samples)
-from .relenergy import cumulative_weight_integral, simpson
+from .relenergy import simpson
 from .solver import TestTrajectory, Trajectory
 
 DEFECT_COMPONENTS = ("m11", "m12", "m22")
@@ -98,18 +98,6 @@ class DefectField:
                    density=np.zeros((times.size, 3, grid.n, grid.n)),
                    mollifier_kmax=grid.n // 2, provenance=provenance)
 
-    def index_of(self, t: float) -> int:
-        i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > 1e-10 * max(1.0, abs(t)):
-            raise MVError(f"time {t:g} is not a defect sample time")
-        return i
-
-    def trace_integral(self, t: float) -> float:
-        """<m(t), I> = integral of tr m over the torus."""
-        k = self.index_of(t)
-        h = 2 * np.pi / self.grid.n
-        return float(np.sum(self.density[k, 0] + self.density[k, 2]) * h * h)
-
     def trace_integrals(self) -> np.ndarray:
         h = 2 * np.pi / self.grid.n
         return np.sum(self.density[:, 0] + self.density[:, 2],
@@ -119,12 +107,12 @@ class DefectField:
         return min_eigenvalue(self.density)
 
     def save(self, out_dir) -> None:
+        """Write manifest.json and density.fld, the (T, 3, n, n) samples."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        for k, t in enumerate(self.times):
-            save_samples(out / f"defect_{k:06d}.fld", self.density[k],
-                         extra={"kind": "defect", "t": float(t),
-                                "components_order": list(DEFECT_COMPONENTS)})
+        save_samples(out / "density.fld", self.density,
+                     extra={"kind": "defect",
+                            "components_order": list(DEFECT_COMPONENTS)})
         manifest = {"format": "maxdiss-defect", "n": self.grid.n,
                     "times": self.times.tolist(),
                     "mollifier_kmax": self.mollifier_kmax,
@@ -138,15 +126,9 @@ class DefectField:
         manifest = json.loads((src / "manifest.json").read_text())
         if manifest.get("format") != "maxdiss-defect":
             raise MVError(f"{in_dir} is not a defect directory")
-        times = np.asarray(manifest["times"], dtype=float)
-        n = manifest["n"]
-        density = np.empty((times.size, 3, n, n))
-        for k in range(times.size):
-            samples, header = load_samples(src / f"defect_{k:06d}.fld")
-            if header["components"] != 3 or header["n"] != n:
-                raise MVError(f"bad defect sample {k}")
-            density[k] = samples
-        return cls(grid=Grid(n), times=times, density=density,
+        density, _ = load_samples(src / "density.fld")
+        return cls(grid=Grid(manifest["n"]), times=manifest["times"],
+                   density=density,
                    mollifier_kmax=manifest["mollifier_kmax"],
                    clip_magnitude=manifest.get("clip_magnitude", 0.0),
                    provenance=manifest.get("provenance", ""))
@@ -302,29 +284,6 @@ def mv_equation_residual(v: Trajectory, m: DefectField | None, f,
     return results
 
 
-def mv_energy_margin(v: Trajectory, m: DefectField | None, f,
-                     t: float | None = None):
-    """Energy-inequality margin with the defect's trace carrying energy.
-
-    margin(t) = 1/2 ||v0||^2 + int_0^t (f, v) - 1/2 ||v(t)||^2
-                - 1/2 <m(t), I>;  nonnegative for admissible pairs.
-    Returns the full series when t is None.
-    """
-    times = v.times
-    energies = v.energies()
-    if f is not None and not f.is_zero():
-        fv = np.array([inner(f(tk, v.grid), v.states[k])
-                       for k, tk in enumerate(times)])
-        work = cumulative_weight_integral(fv, times)
-    else:
-        work = np.zeros(times.size)
-    traces = m.trace_integrals() if m is not None else np.zeros(times.size)
-    margins = energies[0] + work - energies - 0.5 * traces
-    if t is None:
-        return margins
-    return float(margins[v.index_of(t)])
-
-
 # -- convexity ---------------------------------------------------------------
 
 def mv_convex_combine(v1: Trajectory, m1: DefectField,
@@ -364,45 +323,3 @@ def mv_convex_combine(v1: Trajectory, m1: DefectField,
                     clip_magnitude=max(m1.clip_magnitude, m2.clip_magnitude),
                     provenance=f"mv mixture lam={lam}")
     return v, m
-
-
-def mv_select(pairs, member_ids=None, kkt_tol: float = 1e-8):
-    """Minimal time-integrated energy over simplex mixtures of (v, m) pairs.
-
-    The objective depends on the velocities only; the defects are combined
-    afterwards with the affine-preserving formula
-    m = sum_i lam_i m_i + sum_i lam_i (v_i - v) (x) (v_i - v).
-    Returns (SelectionResult, DefectField).
-    """
-    from .selector import assemble_family, select
-
-    pairs = list(pairs)
-    if not pairs:
-        raise MVError("mv_select needs at least one pair")
-    if len(pairs) == 1:
-        v, m = pairs[0]
-        fam = assemble_family([v], member_ids=member_ids)
-        return select(fam, kkt_tol=kkt_tol), m
-    defects = [m for _, m in pairs]
-    n_m = defects[0].grid.n
-    for m in defects[1:]:
-        if m.grid.n != n_m or not np.allclose(m.times, defects[0].times,
-                                              atol=1e-12):
-            raise MVError("defects must share grid and sample times")
-    fam = assemble_family([v for v, _ in pairs], member_ids=member_ids)
-    result = select(fam, kkt_tol=kkt_tol)
-    lam = result.weights.lam
-    sel = result.trajectory
-    density = np.zeros_like(defects[0].density)
-    for k in range(sel.times.size):
-        for i, (vi, mi) in enumerate(pairs):
-            if lam[i] == 0.0:
-                continue
-            d = fam.states[i][k] - sel.states[k]
-            density[k] += lam[i] * (mi.density[k] + tensor_samples(d, n_m))
-    combined = DefectField(grid=defects[0].grid, times=defects[0].times,
-                           density=density,
-                           mollifier_kmax=min(m.mollifier_kmax for m in defects),
-                           clip_magnitude=max(m.clip_magnitude for m in defects),
-                           provenance="mv selection mixture")
-    return result, combined

@@ -15,25 +15,25 @@ import numpy as np
 
 from .fields import (
     TWO_PI,
-    Grid,
     SpectralField,
     _sym_eigenvalues,
     grad_samples,
     h1_seminorm,
     inner,
-    l2_norm,
     laplacian,
     leray_project,
     lp_norm,
-    random_field,
     samples,
 )
 from .solver import SystemSpec, TestTrajectory, convection
 
-#: Gagliardo-Nirenberg constant for ||w||_L4 <= C ||w||_L2^{1/2} ||grad w||_L2^{1/2}
-#: on mean-free torus fields.  Frozen from calibrate_gn_constant(trials=20000,
-#: n=64, seed=0), i.e. the empirical maximum of the ratio over random
-#: band-limited fields times a 1.1 safety factor.
+#: Gagliardo-Nirenberg (Ladyzhenskaya) constant C in
+#: ||w||_L4 <= C ||w||_L2^{1/2} ||grad w||_L2^{1/2} on mean-free torus fields.
+#: An empirical maximum, not a proven bound: 1.1 times the largest ratio
+#: ||v||_L4 / (||v||_L2 ||grad v||_L2)^{1/2} over 20,000 random band-limited
+#: fields: ``random_field`` on Grid(64) drawn from default_rng(0), trial i
+#: with kmax = (1, 2, 3, 5, 8, 13, 21)[i % 7], a solenoidal vector field for
+#: even i and a scalar field for odd i.
 DEFAULT_GN_CONSTANT = 0.5444330952113287
 
 
@@ -249,30 +249,3 @@ def cumulative_weight_integral(values, times) -> np.ndarray:
         pieces[2::2] = backward[::2]
         pieces[-1] = backward[-1]
     return np.cumsum(pieces, axis=0)
-
-
-# -- Gagliardo-Nirenberg calibration ----------------------------------------
-
-def gn_ratio(v: SpectralField) -> float:
-    """||v||_L4 / (||v||_L2^{1/2} ||grad v||_L2^{1/2}) for a mean-free field."""
-    l2 = l2_norm(v)
-    h1 = h1_seminorm(v)
-    if l2 == 0 or h1 == 0:
-        return 0.0
-    return lp_norm(v, 4) / np.sqrt(l2 * h1)
-
-
-def calibrate_gn_constant(trials: int = 2000, n: int = 64, seed: int = 0,
-                          safety: float = 1.1) -> float:
-    """Brute-force maximization of the GN ratio over random band-limited fields."""
-    rng = np.random.default_rng(seed)
-    grid = Grid(n)
-    best = 0.0
-    kmaxes = [1, 2, 3, 5, 8, 13, 21]
-    for i in range(trials):
-        kmax = kmaxes[i % len(kmaxes)]
-        comps = 2 if i % 2 == 0 else 1
-        v = random_field(grid, rng, kmax=min(kmax, n // 3), components=comps,
-                         solenoidal=(comps == 2))
-        best = max(best, gn_ratio(v))
-    return best * safety

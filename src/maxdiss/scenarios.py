@@ -18,9 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .certificate import CertificateReport, ToleranceModel, certify
+from .certificate import ToleranceModel, certify
 from .fields import Grid, SpectralField, from_function, l2_norm, random_field, resample
-from .mv_euler import DefectField, defect_from_pair, trace_energy_gap
+from .mv_euler import defect_from_pair, trace_energy_gap
 from .relenergy import ResidualOptions, WeightSpec
 from .selector import assemble_family, select
 from .solver import (BlowUpError, SystemSpec, TestTrajectory, Trajectory,

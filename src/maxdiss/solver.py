@@ -26,16 +26,19 @@ from pathlib import Path
 import numpy as np
 
 from .fields import (
+    FieldError,
     Grid,
     SpectralField,
     from_function,
+    from_physical,
     grad_samples,
     inner,
     leray_project,
     load_field,
+    load_samples,
     project,
     resample,
-    save_field,
+    save_samples,
     spectral_tables,
     tensor_samples,
     zero_field,
@@ -197,15 +200,6 @@ def _rhs(u: np.ndarray, spec: SystemSpec, f) -> np.ndarray:
     return project(nl, tab)
 
 
-def nse_rhs(v: SpectralField, spec: SystemSpec, t: float) -> SpectralField:
-    """P[-(v.grad)v + f(t)] + nu*Lap v; solenoidal output."""
-    if not v.solenoidal:
-        raise SolverError("nse_rhs expects a solenoidal velocity field")
-    rhs = _rhs(v.coeffs, spec, _forcing_coeffs(spec, t))
-    rhs -= spec.nu * spectral_tables(spec.grid.n).k2 * v.coeffs
-    return SpectralField(spec.grid, rhs, solenoidal=True)
-
-
 @functools.lru_cache(maxsize=32)
 def _integrating_factors(n: int, nu: float, dt: float):
     """Read-only exp(-nu |k|^2 dt/2) and exp(-nu |k|^2 dt)."""
@@ -274,29 +268,40 @@ class Trajectory:
             raise SolverError(f"time {t:g} is not a sample time")
         return i
 
-    def state_at(self, t: float) -> SpectralField:
-        return self.states[self.index_of(t)]
-
     def save(self, out_dir) -> None:
+        """Write manifest.json (spec, times, provenance) and states.fld.
+
+        states.fld holds the physical samples of every state, (T, 2, n, n).
+        """
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         manifest = {
             "spec": self.spec.to_dict(),
             "times": self.times.tolist(),
             "provenance": self.provenance,
-            "fields": [f"field_{i:06d}.fld" for i in range(len(self.states))],
         }
         (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
-        for name, state in zip(manifest["fields"], self.states):
-            save_field(state, out / name)
+        n = self.grid.n
+        # filled state by state: a stacked batch transform holds a second copy
+        phys = np.empty((len(self.states), 2, n, n))
+        for i, state in enumerate(self.states):
+            phys[i] = state.physical()
+        save_samples(out / "states.fld", phys)
 
     @classmethod
     def load(cls, in_dir) -> "Trajectory":
         src = Path(in_dir)
         manifest = json.loads((src / "manifest.json").read_text())
         spec = SystemSpec.from_dict(manifest["spec"])
-        states = [load_field(src / name) for name in manifest["fields"]]
-        return cls(spec=spec, times=np.array(manifest["times"]), states=states,
+        times = np.array(manifest["times"])
+        path = src / "states.fld"
+        phys, _ = load_samples(path)
+        n = spec.grid.n
+        if phys.shape != (times.size, 2, n, n):
+            raise FieldError(f"{path}: shape {list(phys.shape)}, the manifest "
+                             f"needs {[times.size, 2, n, n]}")
+        states = [from_physical(spec.grid, p, solenoidal=True) for p in phys]
+        return cls(spec=spec, times=times, states=states,
                    provenance=manifest.get("provenance", ""))
 
 
@@ -323,35 +328,6 @@ def solve(spec: SystemSpec, v0: SpectralField, sample_stride: int = 1,
             states.append(v)
     return Trajectory(spec=spec, times=np.array(times), states=states,
                       provenance=provenance or f"ifrk4 n={spec.grid.n} dt={spec.dt}")
-
-
-# -- Galerkin truncation ----------------------------------------------------
-
-def canonical_modes(grid: Grid) -> list[tuple[int, int]]:
-    """All retained wavevectors sorted by |k|^2, then lexicographically."""
-    half = grid.n // 2
-    ks = [(kx, ky) for kx in range(-half + 1, half) for ky in range(-half + 1, half)]
-    ks.sort(key=lambda k: (k[0] * k[0] + k[1] * k[1], k))
-    return ks
-
-
-def truncate_modes(u: SpectralField, n_keep: int) -> SpectralField:
-    """Zero all modes beyond the first n_keep in canonical order.
-
-    The kept set is closed under k -> -k so the projection is real-valued,
-    self-adjoint, and idempotent; the half-spectrum mask holds its ky >= 0 part.
-    """
-    modes = canonical_modes(u.grid)
-    if n_keep >= len(modes):
-        return u
-    kept = set(modes[:n_keep])
-    kept |= {(-kx, -ky) for kx, ky in kept}
-    n = u.grid.n
-    mask = np.zeros((n, n // 2 + 1), dtype=bool)
-    for kx, ky in kept:
-        if ky >= 0:
-            mask[kx % n, ky] = True
-    return SpectralField(u.grid, u.coeffs * mask, solenoidal=u.solenoidal)
 
 
 # -- exact Taylor-Green oracle ----------------------------------------------

@@ -1,4 +1,4 @@
-"""Shared fixtures: expensive reference runs computed once per session."""
+"""Shared fixtures (expensive reference runs computed once per session) and helpers."""
 
 import time
 
@@ -7,6 +7,12 @@ import pytest
 
 from maxdiss.fields import Grid
 from maxdiss.solver import Forcing, SystemSpec, solve, taylor_green
+
+
+def divergence_linf(u) -> float:
+    """max |k . uhat| over the modes of a vector field."""
+    kx, ky = u.grid.wavenumbers()
+    return np.abs(kx * u.coeffs[0] + ky * u.coeffs[1]).max()
 
 
 @pytest.fixture(scope="session")

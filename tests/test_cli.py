@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import divergence_linf
 
 import maxdiss
 from maxdiss.cli import (
@@ -17,7 +18,7 @@ from maxdiss.cli import (
     EXIT_OK,
     main,
 )
-from maxdiss.fields import Grid, divergence_linf, l2_norm, resample
+from maxdiss.fields import Grid, l2_norm, resample
 from maxdiss.scenarios import (
     ConfigError,
     ScenarioConfig,
@@ -199,8 +200,8 @@ def completed_run(tmp_path_factory):
 def test_run_scenario_artifacts(completed_run):
     out, code = completed_run
     assert code == 0
-    assert (out / "sim" / "n_16" / "manifest.json").exists()
-    assert (out / "sim" / "n_16" / "energies.csv").exists()
+    assert {p.name for p in (out / "sim" / "n_16").iterdir()} == {
+        "manifest.json", "energies.csv", "states.fld"}
     cert = json.loads((out / "certificates" / "n_16.json").read_text())
     assert cert["verdict"] == "pass"
     sel = json.loads((out / "selection.json").read_text())
@@ -322,6 +323,16 @@ def test_cli_certify_before_simulate(tmp_path, capsys):
     assert main(["certify", "--config", cfg,
                  "--out", str(tmp_path / "nosim")]) == EXIT_CONFIG
     assert "no simulated members" in capsys.readouterr().err
+
+
+def test_cli_truncated_states_file(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path)
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    states = out / "sim" / "n_16" / "states.fld"
+    states.write_bytes(states.read_bytes()[:-8])
+    assert main(["certify", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert str(states) in capsys.readouterr().err
 
 
 def test_cli_certificate_failure_exit_code(tmp_path, capsys):

@@ -1,19 +1,20 @@
 """Spectral field calculus: projections, norms, padding, persistence."""
 
+import re
+
 import numpy as np
 import pytest
+from conftest import divergence_linf
 
 from maxdiss.fields import (
     FieldError,
     Grid,
     SpectralField,
-    divergence_linf,
     from_function,
     from_physical,
     grad_samples,
     gradient_tensor,
     h1_seminorm,
-    h_minus1_norm,
     inner,
     l2_norm,
     leray_project,
@@ -194,22 +195,6 @@ def test_parseval_matches_physical_quadrature(rng):
     assert abs(quad - l2_norm(u)) <= 1e-12 * l2_norm(u)
 
 
-def test_h_minus1_single_modes():
-    grid = Grid(32)
-    u1 = from_function(grid, lambda x, y: np.sin(x))
-    u4 = from_function(grid, lambda x, y: np.sin(4 * x))
-    assert h_minus1_norm(u1) == pytest.approx(l2_norm(u1), rel=1e-13)
-    assert h_minus1_norm(u4) == pytest.approx(l2_norm(u4) / 4, rel=1e-13)
-    assert h_minus1_norm(zero_field(grid, components=1, solenoidal=False)) == 0.0
-
-
-def test_h_minus1_rejects_nonzero_mean():
-    grid = Grid(16)
-    u = from_function(grid, lambda x, y: 1.0 + 0 * x)
-    with pytest.raises(FieldError):
-        h_minus1_norm(u)
-
-
 def test_poincare_consistency(rng):
     grid = Grid(32)
     u = random_field(grid, rng, kmax=8, components=2, solenoidal=True)
@@ -291,12 +276,22 @@ def test_sample_container_three_components(tmp_path, rng):
     path = tmp_path / "tensor.fld"
     save_samples(path, data, extra={"kind": "defect"})
     back, header = load_samples(path)
-    assert header["components"] == 3 and header["kind"] == "defect"
+    assert header["shape"] == [3, 8, 8] and header["kind"] == "defect"
     assert np.abs(back - data).max() == 0.0
 
 
-def test_bad_magic_rejected(tmp_path):
+CORRUPTIONS = {
+    "magic": lambda raw: b"not a field file at all........",
+    "json": lambda raw: raw[:20] + b"x" + raw[21:],
+    "shape": lambda raw: raw.replace(b'"shape"', b'"shapX"', 1),
+    "payload": lambda raw: raw[:-8],
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+def test_bad_magic_rejected(tmp_path, corruption):
     path = tmp_path / "junk.fld"
-    path.write_bytes(b"not a field file at all........")
-    with pytest.raises(FieldError):
+    save_field(zero_field(Grid(8)), path)
+    path.write_bytes(CORRUPTIONS[corruption](path.read_bytes()))
+    with pytest.raises(FieldError, match=re.escape(str(path))):
         load_field(path)

@@ -1,10 +1,13 @@
 """Flow solver: right-hand side, stepping, oracles, pressure, persistence."""
 
+import json
+
 import numpy as np
 import pytest
+from conftest import divergence_linf
 
 from maxdiss import solver
-from maxdiss.fields import (FieldError, Grid, SpectralField, divergence_linf,
+from maxdiss.fields import (FieldError, Grid, SpectralField,
                             from_function, inner, l2_norm,
                             leray_project, random_field, resample, save_field,
                             spectral_tables, zero_field)
@@ -16,14 +19,11 @@ from maxdiss.solver import (
     TestTrajectory,
     Trajectory,
     advance,
-    canonical_modes,
     convection,
-    nse_rhs,
     recover_pressure,
     solve,
     taylor_green,
     taylor_green_pressure,
-    truncate_modes,
 )
 
 
@@ -36,22 +36,15 @@ def _spec(nu=0.1, n=32, t_end=1.0, dt=1e-3, forcing=None):
 
 def test_rhs_zero_state():
     spec = _spec()
-    assert l2_norm(nse_rhs(zero_field(spec.grid), spec, 0.0)) == 0.0
+    rhs = solver._rhs(zero_field(spec.grid).coeffs, spec, None)
+    assert l2_norm(SpectralField(spec.grid, rhs)) == 0.0
 
 
 def test_rhs_euler_taylor_green_vanishes():
     # TG convection is a pure gradient, annihilated by the projection
     spec = _spec(nu=0.0)
     v = taylor_green(0.0, 0.0, spec.grid)
-    assert l2_norm(nse_rhs(v, spec, 0.0)) <= 1e-12
-
-
-def test_rhs_viscous_taylor_green_is_stokes_mode():
-    # TG lives on the |k|^2 = 2 shell: rhs = nu Lap v = -2 nu v
-    spec = _spec(nu=0.1)
-    v = taylor_green(0.0, 0.1, spec.grid)
-    r = nse_rhs(v, spec, 0.0)
-    assert l2_norm(r - (-2 * spec.nu) * v) <= 1e-12
+    assert l2_norm(SpectralField(spec.grid, solver._rhs(v.coeffs, spec, None))) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [16, 24, 32, 48, 96])
@@ -290,30 +283,6 @@ def test_galerkin_consistency_pad_vs_fine():
     assert low_gap <= gap
 
 
-# -- mode bookkeeping --------------------------------------------------------
-
-def test_truncate_identity_and_projection(rng):
-    grid = Grid(16)
-    u = random_field(grid, rng, kmax=7, components=2, solenoidal=True)
-    total = len(canonical_modes(grid))
-    assert np.abs(truncate_modes(u, total).coeffs - u.coeffs).max() <= 1e-15
-    w = random_field(grid, rng, kmax=7, components=2, solenoidal=True)
-    pu, pw = truncate_modes(u, 20), truncate_modes(w, 20)
-    assert inner(pu, w) == pytest.approx(inner(u, pw), abs=1e-12)
-    assert np.abs(truncate_modes(pu, 20).coeffs - pu.coeffs).max() <= 1e-15
-
-
-def test_truncation_spectral_convergence():
-    grid = Grid(32)
-    v = taylor_green(0.0, 0.1, grid) + 0.1 * random_field(
-        grid, np.random.default_rng(4), kmax=6)
-    total = len(canonical_modes(grid))
-    errs = [l2_norm(truncate_modes(v, m) - v)
-            for m in (8, 40, 160, total)]
-    assert errs[-1] <= 1e-14
-    assert all(a >= b - 1e-15 for a, b in zip(errs, errs[1:]))
-
-
 # -- oracles -----------------------------------------------------------------
 
 def test_taylor_green_energy_and_divergence():
@@ -387,6 +356,12 @@ def test_trajectory_roundtrip(tmp_path):
     assert back.spec.nu == spec.nu and back.grid.n == 16
     for a, b in zip(back.states, traj.states):
         assert np.abs(a.coeffs - b.coeffs).max() <= 1e-14
+    # states.fld must match the manifest's sample count
+    manifest = tmp_path / "run" / "manifest.json"
+    meta = json.loads(manifest.read_text())
+    manifest.write_text(json.dumps(dict(meta, times=meta["times"][:-1])))
+    with pytest.raises(FieldError, match="states.fld"):
+        Trajectory.load(tmp_path / "run")
 
 
 def test_forcing_registry_and_serialization():
