@@ -15,16 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import SpectralField, inner, leray_project
+from .fields import SpectralField, pairing, project, spectral_tables
 from .relenergy import (
     ResidualOptions,
     WeightSpec,
     cumulative_weight_integral,
     nonsolenoidal_correction,
-    rel_dissipation,
-    rel_energy,
+    rel_terms,
     residual_A,
     simpson,
+    weight_norms,
     weight_value,
 )
 from .solver import TestTrajectory, Trajectory
@@ -32,6 +32,11 @@ from .solver import TestTrajectory, Trajectory
 
 class CertificateError(ValueError):
     pass
+
+
+#: e^{-I(t)} below which a sample tests nothing: its damped terms fall
+#: under the float64 rounding of the undamped R(0) on the right-hand side
+VACUOUS_DAMPING = 1e-16
 
 
 @dataclass(frozen=True)
@@ -58,9 +63,7 @@ class ToleranceModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ToleranceModel":
-        return cls(step_coeff=d.get("step_coeff", 10.0),
-                   quadrature=d.get("quadrature", 1e-9),
-                   gn_slack=d.get("gn_slack", 1e-9))
+        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -83,6 +86,7 @@ class CertificateEntry:
 class CertificateReport:
     entries: tuple
     errors: dict
+    tests: dict  # test id -> {"weight_integral": I(T), "horizon": first t with e^{-I} < 1e-16}
     weight: WeightSpec
     options: ResidualOptions
     tolerance: ToleranceModel
@@ -102,6 +106,7 @@ class CertificateReport:
                          "rhs": e.rhs, "margin": e.margin, "tol": e.tol}
                         for e in self.entries],
             "errors": dict(self.errors),
+            "tests": dict(self.tests),
             "config": {"weight": self.weight.to_dict(),
                        "residual": self.options.to_dict(),
                        "tolerance": self.tolerance.to_dict(),
@@ -143,16 +148,17 @@ class _MarginSeries:
     rhs: np.ndarray
 
 
-def _projected_view(vt: TestTrajectory) -> TestTrajectory:
-    return TestTrajectory(vt.kind,
-                          lambda t: leray_project(vt.value(t)),
-                          lambda t: leray_project(vt.deriv(t)),
-                          vt.grid, solenoidal=True, label=vt.label + "|P")
+def _blocks(size: int, n: int) -> list:
+    """Sample slices holding at most 1 MiB of the largest per-sample array, the
+    2x-oversampled velocity gradient (2 x 2 float64 on 2n x 2n, 128 n^2 bytes)."""
+    step = max(1, (1 << 20) // (128 * n * n))
+    return [slice(s, s + step) for s in range(0, size, step)]
 
 
 def margin_series(u: Trajectory, vt: TestTrajectory, w: WeightSpec,
                   opts: ResidualOptions = ResidualOptions()) -> _MarginSeries:
-    """Both sides of the relative energy inequality at every sample time."""
+    """Both sides of the relative energy inequality at every sample time, one
+    stacked computation per block; the nu-free weight goes to ``vt.weight_norms``."""
     if vt.grid.n != u.grid.n:
         raise CertificateError(
             f"grid mismatch: trajectory n={u.grid.n}, test n={vt.grid.n}")
@@ -163,21 +169,23 @@ def margin_series(u: Trajectory, vt: TestTrajectory, w: WeightSpec,
         raise CertificateError(
             f"test trajectory {vt.label!r} is not solenoidal; enable the "
             "divergence correction to certify against it")
-    test = _projected_view(vt) if use_correction else vt
-
-    values = [test.value(t) for t in times]
-    K = np.array([weight_value(v, w, nu) for v in values])
-    I = cumulative_weight_integral(K, times)
-
-    R = np.array([rel_energy(s, v) for s, v in zip(u.states, values)])
-    g = np.empty(times.size)
-    corr = np.zeros(times.size)
-    for i, t in enumerate(times):
-        a = residual_A(test, t, u.spec, opts)
-        diff = u.states[i] - values[i]
-        g[i] = rel_dissipation(u.states[i], values[i], nu) + inner(a, diff)
+    key = (w.kind, w.p, use_correction, times.tobytes())
+    cached = vt.weight_norms.get(key)
+    norms = np.empty(times.size) if cached is None else cached
+    R, g, corr = np.empty(times.size), np.empty(times.size), np.zeros(times.size)
+    for sl in _blocks(times.size, u.grid.n):
+        values, derivs = vt.values(times[sl]), vt.derivs(times[sl])
+        states = np.stack([s.coeffs for s in u.states[sl]])
         if use_correction:
-            corr[i] = nonsolenoidal_correction(vt, t, u.states[i])
+            corr[sl] = nonsolenoidal_correction(values, states)
+            values, derivs = (project(x, spectral_tables(u.grid.n)) for x in (values, derivs))
+        if cached is None:
+            norms[sl] = weight_norms(values, w)
+        diff = states - values
+        R[sl], W = rel_terms(diff, nu)
+        g[sl] = W + pairing(residual_A(values, derivs, u.spec, opts), diff)
+    vt.weight_norms[key] = norms
+    I = cumulative_weight_integral(weight_value(norms, w, nu), times)
 
     damp = np.exp(-I)
     g *= damp
@@ -212,6 +220,7 @@ def certify(u: Trajectory, family, w: WeightSpec,
     dt = u.spec.dt
     entries = []
     errors = {}
+    tests = {}
     for idx, vt in enumerate(family):
         test_id = vt.label or f"test_{idx}"
         try:
@@ -220,6 +229,9 @@ def certify(u: Trajectory, family, w: WeightSpec,
             errors[test_id] = f"{type(exc).__name__}: {exc}"
             continue
         damp = np.exp(-series.weight_integral)
+        vacuous = series.times[damp < VACUOUS_DAMPING]
+        tests[test_id] = {"weight_integral": float(series.weight_integral[-1]),
+                          "horizon": float(vacuous[0]) if vacuous.size else None}
         for t, lhs, rhs, m, d in zip(series.times, series.lhs, series.rhs,
                                      series.margins, damp):
             tol = tol_model.tau(float(t), dt) * float(d)
@@ -227,8 +239,7 @@ def certify(u: Trajectory, family, w: WeightSpec,
                                             lhs=float(lhs), rhs=float(rhs),
                                             margin=float(m), tol=tol))
     stride = float(u.times[1] - u.times[0]) if u.times.size > 1 else 0.0
-    return CertificateReport(entries=tuple(entries), errors=errors, weight=w,
-                             options=opts, tolerance=tol_model, stride=stride)
+    return CertificateReport(tuple(entries), errors, tests, w, opts, tol_model, stride)
 
 
 # -- Lagrange-multiplier (phi) form -----------------------------------------
@@ -340,9 +351,13 @@ def recover_weak_residual(u: Trajectory, r: SpectralField, alphas,
 
     # direct quadrature of the same weighted pairing along the spline
     times = u.times[:i_t + 1]
-    K = np.array([weight_value(base.value(s), w, u.spec.nu) for s in times])
+    K, pair = np.empty(times.size), np.empty(times.size)
+    for sl in _blocks(times.size, u.grid.n):
+        values = base.values(times[sl])
+        K[sl] = weight_value(weight_norms(values, w), w, u.spec.nu)
+        residual = residual_A(values, base.derivs(times[sl]), u.spec, opts)
+        pair[sl] = pairing(residual, r.coeffs)
     I = cumulative_weight_integral(K, times)
-    pair = np.array([inner(residual_A(base, s, u.spec, opts), r) for s in times])
     direct = float(simpson(pair * np.exp(-I), times))
 
     return ResidualRecovery(alphas=tuple(alphas), margins=tuple(margins),

@@ -98,12 +98,14 @@ def spectral_tables(n: int) -> Tables:
     return Tables(**arrays)
 
 
-def _mode_sum(a: np.ndarray) -> float:
-    """Full-spectrum sum of a mode density even in k, given on the half spectrum.
+def _mode_sum(a: np.ndarray):
+    """Full-spectrum sum over the last three axes (components, kx, ky) of a mode
+    density even in k, given on the half spectrum; one value per leading index.
 
     Columns 0 < ky < n/2 stand for themselves and their mirror modes.
     """
-    return 2.0 * a.sum() - a[..., 0].sum() - a[..., -1].sum()
+    return (2.0 * a.sum(axis=(-3, -2, -1)) - a[..., 0].sum(axis=(-2, -1))
+            - a[..., -1].sum(axis=(-2, -1)))
 
 
 def _sym_eigenvalues(m: np.ndarray):
@@ -238,15 +240,10 @@ def random_field(grid: Grid, rng: np.random.Generator, kmax: int,
 
 # -- differential calculus --------------------------------------------------
 
-def gradient_tensor(u: SpectralField) -> np.ndarray:
-    """Spectral coefficients of grad u, shape (components, 2, n, n//2 + 1)."""
-    kx, ky = u.grid.wavenumbers()
-    return np.stack([1j * kx * u.coeffs, 1j * ky * u.coeffs], axis=1)
-
-
-def laplacian(u: SpectralField) -> SpectralField:
-    return SpectralField(u.grid, -spectral_tables(u.grid.n).k2 * u.coeffs,
-                         solenoidal=u.solenoidal)
+def gradients(c: np.ndarray) -> np.ndarray:
+    """Coefficients of d_j u_i from those of u, (..., components, 2, n, n//2 + 1)."""
+    tab = spectral_tables(c.shape[-2])
+    return np.stack([1j * tab.kx * c, 1j * tab.ky * c], axis=-3)
 
 
 def leray_project(u: SpectralField) -> SpectralField:
@@ -258,48 +255,40 @@ def leray_project(u: SpectralField) -> SpectralField:
 
 
 def project(c: np.ndarray, tab: Tables) -> np.ndarray:
-    """Leray projection of vector coefficients in the layout of ``tab``."""
-    kdotu = (tab.kx * c[0] + tab.ky * c[1]) * tab.inv_k2
-    return np.stack([c[0] - tab.kx * kdotu, c[1] - tab.ky * kdotu])
+    """Leray projection of vector coefficients (..., 2, n, n//2 + 1) in the layout of ``tab``."""
+    cx, cy = c[..., 0, :, :], c[..., 1, :, :]
+    kdotu = (tab.kx * cx + tab.ky * cy) * tab.inv_k2
+    return np.stack([cx - tab.kx * kdotu, cy - tab.ky * kdotu], axis=-3)
 
 
 # -- norms and pairings -----------------------------------------------------
 
+def pairing(a: np.ndarray, b: np.ndarray):
+    """L2 inner products by Parseval of coefficients (..., components, n, n//2 + 1)."""
+    return TWO_PI ** 2 * _mode_sum((a * np.conj(b)).real)
+
+
 def inner(u: SpectralField, w: SpectralField) -> float:
     """L2 inner product over the torus, computed by Parseval."""
     u._check_compatible(w)
-    return TWO_PI ** 2 * _mode_sum((u.coeffs * np.conj(w.coeffs)).real)
+    return pairing(u.coeffs, w.coeffs)
 
 
 def l2_norm(u: SpectralField) -> float:
     return np.sqrt(max(inner(u, u), 0.0))
 
 
-def h1_seminorm(u: SpectralField) -> float:
-    return TWO_PI * np.sqrt(_mode_sum(spectral_tables(u.grid.n).k2 * np.abs(u.coeffs) ** 2))
+def h1_squared(c: np.ndarray):
+    """||grad u||_L2^2 of coefficients (..., components, n, n//2 + 1)."""
+    return TWO_PI ** 2 * _mode_sum(spectral_tables(c.shape[-2]).k2 * np.abs(c) ** 2)
 
 
-def _oversampled_magnitude(u: SpectralField) -> tuple[np.ndarray, float]:
-    """Pointwise Euclidean magnitude on a 2x oversampled grid and its cell area."""
-    m = 2 * u.grid.n
-    phys = samples(u, m)
-    mag = np.sqrt(np.sum(phys * phys, axis=0))
-    h = TWO_PI / m
-    return mag, h * h
-
-
-def lp_norm(u: SpectralField, p) -> float:
-    """L^p norm; p=2 spectrally, p=inf and general p >= 1 by oversampled quadrature."""
-    if p == 2:
-        return l2_norm(u)
-    if p == np.inf or p == "inf":
-        mag, _ = _oversampled_magnitude(u)
-        return float(mag.max())
-    p = float(p)
-    if p < 1:
-        raise FieldError(f"invalid exponent p={p}")
-    mag, w = _oversampled_magnitude(u)
-    return float((np.sum(mag ** p) * w) ** (1.0 / p))
+def lp_norms(c: np.ndarray, p: float):
+    """L^p norms, 1 <= p < inf, of coefficients (..., components, n, n//2 + 1)
+    by quadrature of the Euclidean magnitude on the 2x oversampled grid."""
+    phys = samples(c, 2 * c.shape[-2])
+    mag = np.sqrt(np.sum(phys * phys, axis=-3))
+    return (np.sum(mag ** p, axis=(-2, -1)) * (TWO_PI / phys.shape[-1]) ** 2) ** (1.0 / p)
 
 
 # -- resampling and fine-grid samples ------------------------------------------------------
@@ -330,19 +319,19 @@ def resample(u: SpectralField, m: int) -> SpectralField:
     return SpectralField(Grid(m), _embed(u.coeffs, u.grid.n, m), solenoidal=u.solenoidal)
 
 
-def samples(u: SpectralField, m: int) -> np.ndarray:
-    """Physical samples of u on an m x m grid, shape (components, m, m)."""
-    return resample(u, m).physical()
+def samples(c: np.ndarray, m: int) -> np.ndarray:
+    """Physical samples on an m x m grid, m >= n, of coefficients (..., n, n//2 + 1)."""
+    return np.fft.irfft2(_embed(c, c.shape[-2], m), s=(m, m), norm="forward")
 
 
 def grad_samples(u: SpectralField, m: int) -> np.ndarray:
-    """Gradient d_j u_i sampled on an m x m grid, shape (components, 2, m, m)."""
-    return np.fft.irfft2(gradient_tensor(resample(u, m)), s=(m, m), norm="forward")
+    """Gradient d_j u_i sampled on an m x m grid, m >= n, shape (components, 2, m, m)."""
+    return samples(gradients(u.coeffs), m)
 
 
 def tensor_samples(v: SpectralField, m: int) -> np.ndarray:
-    """v (x) v sampled on an m x m grid, components (11, 12, 22)."""
-    p = samples(v, m)
+    """v (x) v sampled on an m x m grid, m >= n, components (11, 12, 22)."""
+    p = samples(v.coeffs, m)
     return np.stack([p[0] * p[0], p[0] * p[1], p[1] * p[1]])
 
 

@@ -4,7 +4,9 @@ The quantities here make up both sides of the Gronwall-weighted relative
 energy inequality: R measures the squared L2 distance to a test
 trajectory, W the viscous dissipation of the difference, K the Serrin-type
 (or, for Euler, negative-strain) regularity weight entering the Gronwall
-factor, and A the PDE residual of the test trajectory.
+factor, and A the PDE residual of the test trajectory.  The kernels take
+coefficients stacked over leading axes, (..., 2, n, n//2 + 1), and return
+one value or field per leading index; the per-field functions call them.
 """
 
 from __future__ import annotations
@@ -17,15 +19,15 @@ from .fields import (
     TWO_PI,
     SpectralField,
     _sym_eigenvalues,
-    grad_samples,
-    h1_seminorm,
-    inner,
-    laplacian,
-    leray_project,
-    lp_norm,
+    gradients,
+    h1_squared,
+    lp_norms,
+    pairing,
+    project,
     samples,
+    spectral_tables,
 )
-from .solver import SystemSpec, TestTrajectory, convection
+from .solver import SystemSpec, convection
 
 #: Gagliardo-Nirenberg (Ladyzhenskaya) constant C in
 #: ||w||_L4 <= C ||w||_L2^{1/2} ||grad w||_L2^{1/2} on mean-free torus fields.
@@ -90,10 +92,7 @@ class WeightSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "WeightSpec":
-        return cls(kind=d.get("kind", "serrin"), p=d.get("p", 4.0),
-                   constant_c=d.get("c", "auto"),
-                   gn_constant=d.get("gn_constant", DEFAULT_GN_CONSTANT),
-                   kappa=d.get("kappa", 2.0))
+        return cls(**{"constant_c" if k == "c" else k: v for k, v in d.items()})
 
 
 @dataclass(frozen=True)
@@ -109,33 +108,52 @@ class ResidualOptions:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ResidualOptions":
-        return cls(projected=d.get("projected", True),
-                   nonsolenoidal_correction=d.get("nonsolenoidal_correction", False))
+        return cls(**d)
 
 
 # -- quadratic functionals --------------------------------------------------
 
+def rel_terms(d: np.ndarray, nu: float):
+    """R = 1/2 ||d||^2 and W = nu/2 ||grad d||^2 of stacked differences d = u - v."""
+    R = 0.5 * pairing(d, d)
+    return R, (0.5 * nu * h1_squared(d) if nu else np.zeros_like(R))
+
+
 def rel_energy(u: SpectralField, v: SpectralField) -> float:
     """R(u|v) = 1/2 ||u - v||_L2^2."""
-    d = u - v
-    return 0.5 * inner(d, d)
+    return float(rel_terms((u - v).coeffs, 0.0)[0])
 
 
 def rel_dissipation(u: SpectralField, v: SpectralField, nu: float) -> float:
     """W(u|v) = nu/2 ||grad u - grad v||_L2^2; identically zero for Euler."""
-    if nu == 0:
-        return 0.0
-    return 0.5 * nu * h1_seminorm(u - v) ** 2
+    return float(rel_terms((u - v).coeffs, nu)[1])
 
 
 # -- regularity weights -----------------------------------------------------
+
+def weight_norms(values: np.ndarray, w: WeightSpec) -> np.ndarray:
+    """The nu-free factor of K for stacked test states, on the 2x grid: ||v||_{L^r}
+    (Serrin) or sup_x max(-lambda_min(S), 0) of the strain S = (grad v)_sym."""
+    if w.kind == "serrin":
+        return lp_norms(values, w.lp_exponent)
+    g = samples(gradients(values), 2 * values.shape[-2])
+    strain = np.stack([g[..., 0, 0, :, :], 0.5 * (g[..., 0, 1, :, :] + g[..., 1, 0, :, :]),
+                       g[..., 1, 1, :, :]], axis=-3)
+    return np.maximum(np.max(-_sym_eigenvalues(strain)[1], axis=(-2, -1)), 0.0)
+
+
+def weight_value(norms: np.ndarray, w: WeightSpec, nu: float) -> np.ndarray:
+    """K from ``weight_norms``: c ||v||_r^{2/(1-alpha)} or kappa times the strain bound."""
+    if w.kind == "serrin":
+        return w.constant(nu) * norms ** w.time_exponent
+    return w.kappa * norms
+
 
 def serrin_weight(v: SpectralField, w: WeightSpec, nu: float) -> float:
     """K(v) = c ||v||_{L^{2p/(p-2)}}^{2/(1-alpha)} from the Young closure."""
     if w.kind != "serrin":
         raise WeightError("serrin_weight called with non-Serrin spec")
-    c = w.constant(nu)
-    return c * lp_norm(v, w.lp_exponent) ** w.time_exponent
+    return float(weight_value(weight_norms(v.coeffs, w), w, nu))
 
 
 def euler_negsym_weight(v: SpectralField, kappa: float = 2.0) -> float:
@@ -147,31 +165,31 @@ def euler_negsym_weight(v: SpectralField, kappa: float = 2.0) -> float:
     carry weight through their off-diagonal strain; pure strain
     eps*(sin x, -sin y) yields kappa*eps.  Sampled on the 2x grid.
     """
-    g = grad_samples(v, 2 * v.grid.n)
-    strain = np.stack([g[0, 0], 0.5 * (g[0, 1] + g[1, 0]), g[1, 1]])
-    return kappa * max(0.0, float(np.max(-_sym_eigenvalues(strain)[1])))
-
-
-def weight_value(v: SpectralField, w: WeightSpec, nu: float) -> float:
-    if w.kind == "serrin":
-        return serrin_weight(v, w, nu)
-    return euler_negsym_weight(v, w.kappa)
+    return kappa * float(weight_norms(v.coeffs, WeightSpec(kind="euler_negsym")))
 
 
 # -- residual and trilinear form --------------------------------------------
 
-def residual_A(vt: TestTrajectory, t: float, spec: SystemSpec,
-               opts: ResidualOptions = ResidualOptions()) -> SpectralField:
-    """A(vt) = d/dt vt + (vt.grad)vt - nu Lap vt - f, Leray-projected by default."""
-    v = vt.value(t)
-    res = vt.deriv(t) + convection(v, dealias=True)
+def residual_A(values: np.ndarray, derivs: np.ndarray, spec: SystemSpec,
+               opts: ResidualOptions = ResidualOptions()) -> np.ndarray:
+    """A = d/dt v + (v.grad)v - nu Lap v - f, Leray-projected by default."""
+    tab = spectral_tables(spec.grid.n)
+    res = derivs + convection(values)
     if spec.nu > 0:
-        res = res - spec.nu * laplacian(v)
-    if not spec.forcing.is_zero():
-        res = res - spec.forcing(t, spec.grid)
-    if opts.projected:
-        res = leray_project(res)
-    return res
+        res = res + spec.nu * tab.k2 * values
+    if not spec.forcing.is_zero():  # time-independent
+        res = res - spec.forcing(0.0, spec.grid).coeffs
+    return project(res, tab) if opts.projected else res
+
+
+def _trilinears(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """int (a.grad)b . c of stacked coefficients on the 2x oversampled grid."""
+    m = 2 * a.shape[-2]
+    af, cf, gb = samples(a, m), samples(c, m), samples(gradients(b), m)
+    # (a.grad)b_i = a_x d_x b_i + a_y d_y b_i
+    integrand = np.sum((af[..., :1, :, :] * gb[..., 0, :, :]
+                        + af[..., 1:, :, :] * gb[..., 1, :, :]) * cf, axis=-3)
+    return np.sum(integrand, axis=(-2, -1)) * (TWO_PI / m) ** 2
 
 
 def trilinear(a: SpectralField, b: SpectralField, c: SpectralField) -> float:
@@ -180,24 +198,16 @@ def trilinear(a: SpectralField, b: SpectralField, c: SpectralField) -> float:
     Skew-symmetric in (b, c) when a is solenoidal; no solenoidality is
     assumed, so the same quadrature serves the divergence corrections.
     """
-    n = a.grid.n
-    m = 2 * n
-    af = samples(a, m)
-    cf = samples(c, m)
-    gb = grad_samples(b, m)
-    # (a.grad)b_i = a_x d_x b_i + a_y d_y b_i
-    integrand = np.sum((af[0] * gb[:, 0] + af[1] * gb[:, 1]) * cf, axis=0)
-    h = TWO_PI / m
-    return float(np.sum(integrand) * h * h)
+    return float(_trilinears(a.coeffs, b.coeffs, c.coeffs))
 
 
-def nonsolenoidal_correction(vt: TestTrajectory, t: float, u: SpectralField) -> float:
-    """Divergence correction term; vanishes when vt is solenoidal."""
-    v = vt.value(t)
-    pv = leray_project(v)
-    q = v - pv
-    d = u - pv
-    return trilinear(q, v, d) + trilinear(pv, q, d)
+def nonsolenoidal_correction(values: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """b(q, v, u - Pv) + b(Pv, q, u - Pv), q = v - Pv, of raw test states v
+    and states u: the divergence correction, zero for solenoidal v."""
+    pv = project(values, spectral_tables(values.shape[-2]))
+    q = values - pv
+    d = states - pv
+    return _trilinears(q, values, d) + _trilinears(pv, q, d)
 
 
 # -- Gronwall machinery -----------------------------------------------------

@@ -59,6 +59,33 @@ def _reject_unknown_keys(cfg: dict) -> None:
                 raise ConfigError(f"{pointer}/{key}: unknown key")
 
 
+def _number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+#: checks on scalar config values by JSON pointer ("*": every key of the section)
+CONFIG_VALUES = {
+    "/tolerance/*": (lambda v: _number(v) and v >= 0, "a non-negative number"),
+    "/residual/*": (lambda v: isinstance(v, bool), "a boolean"),
+    "/selector/max_iter": (lambda v: _number(v) and isinstance(v, int) and v >= 1,
+                           "an int >= 1"),
+    "/selector/kkt_tol": (lambda v: _number(v) and v > 0, "a positive number"),
+    "/family/sample_stride": (lambda v: _number(v) and isinstance(v, int) and v >= 1,
+                              "an int >= 1"),
+    **{f"/weight/{k}": (_number, "a number") for k in ("p", "gn_constant", "kappa")},
+    "/weight/c": (lambda v: v == "auto" or _number(v), 'a number or "auto"'),
+}
+
+
+def _reject_bad_values(cfg: dict) -> None:
+    for pointer, (ok, expected) in CONFIG_VALUES.items():
+        _, name, key = pointer.split("/")
+        section = cfg.get(name) if isinstance(cfg.get(name), dict) else {}
+        for k in section if key == "*" else [key] if key in section else []:
+            if not ok(section[k]):
+                raise ConfigError(f"/{name}/{k}: expected {expected}, got {section[k]!r}")
+
+
 def _require(cfg: dict, pointer: str, key: str, types, default=None,
              required: bool = False):
     if key not in cfg:
@@ -94,6 +121,7 @@ class ScenarioConfig:
         if not isinstance(cfg, dict):
             raise ConfigError("/: config must be a JSON object")
         _reject_unknown_keys(cfg)
+        _reject_bad_values(cfg)
         scenario = _require(cfg, "", "scenario", str, required=True)
         if scenario not in SCENARIO_IDS:
             raise ConfigError(f"/scenario: unknown id {scenario!r}, "
@@ -244,10 +272,12 @@ def stage_certify(config: ScenarioConfig, members: dict) -> bool:
     out = Path(config.out_dir) / "certificates"
     out.mkdir(parents=True, exist_ok=True)
     all_pass = True
+    families = {}  # one test family per grid size, shared by its members
     for mid, mdir in members.items():
         traj = Trajectory.load(mdir)
-        tests = build_tests(config, traj.grid)
-        report = certify(traj, tests, config.weight, config.residual,
+        if traj.grid.n not in families:
+            families[traj.grid.n] = build_tests(config, traj.grid)
+        report = certify(traj, families[traj.grid.n], config.weight, config.residual,
                          config.tolerance)
         report.save_json(out / f"{mid}.json")
         report.save_csv(out / f"{mid}.csv")

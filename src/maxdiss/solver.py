@@ -31,7 +31,7 @@ from .fields import (
     SpectralField,
     from_function,
     from_physical,
-    grad_samples,
+    gradients,
     inner,
     leray_project,
     load_field,
@@ -162,19 +162,19 @@ class SystemSpec:
 
 # -- right-hand side --------------------------------------------------------
 
-def convection(v: SpectralField, dealias: bool = True) -> SpectralField:
-    """Pseudospectral (v.grad)v with optional 2/3-rule dealiasing."""
-    mask = spectral_tables(v.grid.n).dealias
+def convection(c: np.ndarray, dealias: bool = True) -> np.ndarray:
+    """Pseudospectral (v.grad)v of velocity coefficients (..., 2, n, n//2 + 1),
+    optionally 2/3-rule dealiased; one inverse and one forward transform."""
+    n = c.shape[-2]
+    tab = spectral_tables(n)
     if dealias:
-        v = SpectralField(v.grid, v.coeffs * mask)
-    vv = v.physical()
-    grads = grad_samples(v, v.grid.n)
-    # (v.grad)v_i = v_x d_x v_i + v_y d_y v_i
-    conv = vv[0] * grads[:, 0] + vv[1] * grads[:, 1]
-    chat = np.fft.rfft2(conv, norm="forward")
-    if dealias:
-        chat = chat * mask
-    return SpectralField(v.grid, chat)
+        c = c * tab.dealias
+    grads = gradients(c).reshape(c.shape[:-3] + (4,) + c.shape[-2:])
+    phys = np.fft.irfft2(np.concatenate([c, grads], axis=-3), s=(n, n), norm="forward")
+    v, g = phys[..., :2, :, :], phys[..., 2:, :, :]
+    # (v.grad)v_i = v_x d_x v_i + v_y d_y v_i; g holds d_j v_i at 2 i + j
+    conv = v[..., :1, :, :] * g[..., 0::2, :, :] + v[..., 1:, :, :] * g[..., 1::2, :, :]
+    return np.fft.rfft2(conv, norm="forward") * (tab.dealias if dealias else tab.nyquist)
 
 
 def _forcing_coeffs(spec: SystemSpec, t: float):
@@ -332,13 +332,16 @@ def solve(spec: SystemSpec, v0: SpectralField, sample_stride: int = 1,
 
 # -- exact Taylor-Green oracle ----------------------------------------------
 
+@functools.lru_cache(maxsize=32)
+def _unit_taylor_green(n: int) -> SpectralField:
+    """(sin x cos y, -cos x sin y) on the n x n grid, built once per n."""
+    return from_function(Grid(n), lambda X, Y: np.sin(X) * np.cos(Y),
+                         lambda X, Y: -np.cos(X) * np.sin(Y), solenoidal=True)
+
+
 def taylor_green(t: float, nu: float, grid: Grid, amplitude: float = 1.0) -> SpectralField:
     """v = A e^{-2 nu t} (sin x cos y, -cos x sin y); exact NSE solution for f=0."""
-    a = amplitude * np.exp(-2.0 * nu * t)
-    return from_function(grid,
-                         lambda X, Y: a * np.sin(X) * np.cos(Y),
-                         lambda X, Y: -a * np.cos(X) * np.sin(Y),
-                         solenoidal=True)
+    return (amplitude * np.exp(-2.0 * nu * t)) * _unit_taylor_green(grid.n)
 
 
 def taylor_green_pressure(t: float, nu: float, grid: Grid, amplitude: float = 1.0) -> SpectralField:
@@ -382,72 +385,65 @@ class TestTrajectory:
 
     Either analytic (closed-form value and time derivative) or a cubic
     spline through the samples of a Trajectory (not-a-knot ends).
+    ``values`` and ``derivs`` map an array of times to stacked coefficients
+    (len(times), 2, n, n//2 + 1).  ``weight_norms`` keeps the nu-free weight
+    series of ``certificate.margin_series`` for reuse by members on one grid.
     """
 
     __test__ = False  # not a pytest test class
 
-    def __init__(self, kind: str, value_fn, deriv_fn, grid: Grid,
-                 solenoidal: bool = True, label: str = ""):
-        self.kind = kind
-        self._value = value_fn
-        self._deriv = deriv_fn
+    def __init__(self, values, derivs, grid: Grid, solenoidal: bool, label: str):
+        self.values = values
+        self.derivs = derivs
         self.grid = grid
         self.solenoidal = solenoidal
-        self.label = label or kind
+        self.label = label
+        self.weight_norms = {}
 
     def value(self, t: float) -> SpectralField:
-        return self._value(t)
+        return SpectralField(self.grid, self.values([t])[0], solenoidal=self.solenoidal)
 
     def deriv(self, t: float) -> SpectralField:
-        return self._deriv(t)
+        return SpectralField(self.grid, self.derivs([t])[0])
 
     @classmethod
     def analytic(cls, value_fn, deriv_fn, grid: Grid, solenoidal: bool = True,
                  label: str = "analytic") -> "TestTrajectory":
-        return cls("analytic", value_fn, deriv_fn, grid, solenoidal, label)
+        """From callables t -> SpectralField."""
+        return cls(lambda times: np.stack([value_fn(t).coeffs for t in times]),
+                   lambda times: np.stack([deriv_fn(t).coeffs for t in times]),
+                   grid, solenoidal, label)
 
     @classmethod
     def taylor_green(cls, nu: float, grid: Grid, amplitude: float = 1.0,
                      label: str = "") -> "TestTrajectory":
-        def val(t):
-            return taylor_green(t, nu, grid, amplitude)
+        unit = _unit_taylor_green(grid.n).coeffs
 
-        def der(t):
-            return -2.0 * nu * taylor_green(t, nu, grid, amplitude)
+        def values(times):
+            a = amplitude * np.exp(-2.0 * nu * np.asarray(times))
+            return a[:, None, None, None] * unit
 
-        return cls("analytic", val, der, grid, True,
+        return cls(values, lambda times: -2.0 * nu * values(times), grid, True,
                    label or f"taylor_green(nu={nu:g}, a={amplitude:g})")
 
     @classmethod
     def zero(cls, grid: Grid, label: str = "zero") -> "TestTrajectory":
-        z = zero_field(grid)
-        return cls("analytic", lambda t: z, lambda t: z, grid, True, label)
+        def zeros(times):
+            return np.zeros((len(times), 2, grid.n, grid.n // 2 + 1), dtype=np.complex128)
+
+        return cls(zeros, zeros, grid, True, label)
 
     @classmethod
     def from_trajectory(cls, traj: Trajectory, label: str = "") -> "TestTrajectory":
         if len(traj.states) < 4:
             raise SolverError("spline test trajectory needs >= 4 samples")
         spline = state_spline(traj.times, traj.states)
-        dspline = spline.derivative()
-        grid = traj.grid
-
-        def val(t):
-            return SpectralField(grid, spline(t), solenoidal=True)
-
-        def der(t):
-            return SpectralField(grid, dspline(t))
-
-        return cls("spline", val, der, grid, True, label or "spline")
+        return cls(spline, spline.derivative(), traj.grid, True, label or "spline")
 
     @classmethod
     def perturbed(cls, base: "TestTrajectory", r: SpectralField, alpha: float,
                   label: str = "") -> "TestTrajectory":
         """base + alpha * r with r constant in time."""
-        def val(t):
-            return base.value(t) + alpha * r
-
-        def der(t):
-            return base.deriv(t)
-
-        sol = base.solenoidal and r.solenoidal
-        return cls(base.kind, val, der, base.grid, sol, label or f"{base.label}+{alpha:g}r")
+        return cls(lambda times: base.values(times) + alpha * r.coeffs, base.derivs,
+                   base.grid, base.solenoidal and r.solenoidal,
+                   label or f"{base.label}+{alpha:g}r")

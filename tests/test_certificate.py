@@ -6,8 +6,10 @@ import json
 import numpy as np
 import pytest
 
-from maxdiss.fields import Grid, from_function, random_field, zero_field
-from maxdiss.relenergy import ResidualOptions, WeightSpec
+from maxdiss.fields import (Grid, SpectralField, from_function, grad_samples, h1_squared,
+                            inner, leray_project, lp_norms, random_field, samples,
+                            spectral_tables, zero_field)
+from maxdiss.relenergy import ResidualOptions, WeightSpec, cumulative_weight_integral
 from maxdiss.certificate import (
     CertificateError,
     ToleranceModel,
@@ -24,6 +26,8 @@ from maxdiss.solver import (
     SystemSpec,
     TestTrajectory,
     Trajectory,
+    convection,
+    solve,
     taylor_green,
 )
 
@@ -245,3 +249,91 @@ def test_recover_weak_residual_validation(tg_reference, rng):
     with pytest.raises(CertificateError):
         recover_weak_residual(traj, nonsol, [1e-3, 2e-3], SERRIN)
 
+
+
+# -- blocked kernels against a per-sample oracle -----------------------------
+
+def _trilinear_oracle(a, b, c):
+    m = 2 * a.grid.n
+    af, cf, gb = samples(a.coeffs, m), samples(c.coeffs, m), grad_samples(b, m)
+    return np.sum((af[0] * gb[:, 0] + af[1] * gb[:, 1]) * cf) * (2 * np.pi / m) ** 2
+
+
+def _series_oracle(u, vt, w, opts):
+    """R, I, the damped dissipation integrand and the margins, sample by sample."""
+    spec, nu, times, grid = u.spec, u.spec.nu, u.times, u.grid
+    k2 = spectral_tables(grid.n).k2
+    correct = opts.nonsolenoidal_correction and not vt.solenoidal
+    R, K, g, corr = (np.zeros(times.size) for _ in range(4))
+    for i, t in enumerate(times):
+        raw = vt.value(t)
+        v, dv = (leray_project(raw), leray_project(vt.deriv(t))) if correct \
+            else (raw, vt.deriv(t))
+        d = u.states[i] - v
+        R[i] = 0.5 * inner(d, d)
+        a = dv + SpectralField(grid, convection(v.coeffs)) \
+            - nu * SpectralField(grid, -k2 * v.coeffs)
+        if not spec.forcing.is_zero():
+            a = a - spec.forcing(t, grid)
+        if opts.projected:
+            a = leray_project(a)
+        g[i] = 0.5 * nu * h1_squared(d.coeffs) + inner(a, d)
+        if w.kind == "serrin":
+            K[i] = w.constant(nu) * lp_norms(v.coeffs, w.lp_exponent) ** w.time_exponent
+        else:
+            gv = grad_samples(v, 2 * grid.n)
+            s11, s12, s22 = gv[0, 0], 0.5 * (gv[0, 1] + gv[1, 0]), gv[1, 1]
+            lam_min = 0.5 * (s11 + s22) - np.sqrt((0.5 * (s11 - s22)) ** 2 + s12 ** 2)
+            K[i] = w.kappa * max(0.0, np.max(-lam_min))
+        if correct:
+            q = raw - v
+            corr[i] = _trilinear_oracle(q, raw, d) + _trilinear_oracle(v, q, d)
+    I = cumulative_weight_integral(K, times)
+    damp = np.exp(-I)
+    lhs = damp * R + cumulative_weight_integral(g * damp, times)
+    rhs = R[0] + cumulative_weight_integral(corr * damp, times)
+    return R, I, g * damp, rhs - lhs
+
+
+def _oracle_case(case):
+    nu = {"n128": 0.02, "euler": 0.0, "kolmogorov": 0.05}.get(case, 0.1)
+    n = {"n128": 128, "euler": 32, "spline": 24}.get(case, 16)
+    dt = 2e-3 if case == "n128" else 2.5e-3
+    t_end = {"n128": 0.008, "euler": 0.05, "kolmogorov": 0.05}.get(case, 0.075)
+    forcing = Forcing("analytic", "kolmogorov", {"amplitude": 1.0}) \
+        if case == "kolmogorov" else Forcing("zero")
+    spec = SystemSpec(nu=nu, grid=Grid(n), t_end=t_end, dt=dt, forcing=forcing)
+    pert = random_field(spec.grid, np.random.default_rng(n), kmax=3)
+    u = solve(spec, taylor_green(0.0, nu, spec.grid) + 0.05 * pert,
+              sample_stride=2 if case == "n128" else 1)
+    w, opts = SERRIN, OPTS
+    vt = TestTrajectory.taylor_green(nu, spec.grid, amplitude=1.05)
+    if case in ("euler", "spline"):
+        w = WeightSpec(kind="euler_negsym")
+    if case == "spline":
+        vt = TestTrajectory.from_trajectory(u)
+    if case == "nonsolenoidal":
+        grad = from_function(spec.grid, lambda x, y: np.cos(x) * np.sin(y),
+                             lambda x, y: np.sin(x) * np.cos(y))
+        vt = TestTrajectory.analytic(lambda t: taylor_green(t, nu, spec.grid) + 0.1 * grad,
+                                     lambda t: -2 * nu * taylor_green(t, nu, spec.grid),
+                                     spec.grid, solenoidal=False)
+        opts = ResidualOptions(nonsolenoidal_correction=True)
+    return u, vt, w, opts
+
+
+@pytest.mark.parametrize("case", ["n16", "n128", "euler", "kolmogorov", "spline",
+                                  "nonsolenoidal"])
+def test_margin_series_matches_per_sample_oracle(case):
+    # n16: 31 samples in one block; n128: one sample per block; euler (nu = 0,
+    # n = 32) and spline (n = 24): sample counts 21 and 31 are no multiple of
+    # the block lengths 8 and 14
+    u, vt, w, opts = _oracle_case(case)
+    series = margin_series(u, vt, w, opts)
+    got = (series.rel_energies, series.weight_integral,
+           series.dissipation_integrand, series.margins)
+    for name, a, b in zip(("R", "I", "g", "margin"), got, _series_oracle(u, vt, w, opts)):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14, err_msg=name)
+    # a second member on the grid reuses the test's weight series
+    assert len(vt.weight_norms) == 1
+    np.testing.assert_array_equal(margin_series(u, vt, w, opts).margins, series.margins)

@@ -112,6 +112,35 @@ def test_cli_rejects_unknown_config_key(tmp_path, capsys, pointer, typo):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("pointer, value", [
+    ("/tolerance/quadrature", "x"),
+    ("/tolerance/step_coeff", -1),
+    ("/residual/projected", "no"),
+    ("/residual/nonsolenoidal_correction", 1),
+    ("/selector/max_iter", "5"),
+    ("/selector/max_iter", 0),
+    ("/selector/kkt_tol", 0.0),
+    ("/family/sample_stride", 0),
+    ("/family/sample_stride", "2"),
+    ("/family/sample_stride", 2.0),
+    ("/weight/p", "4"),
+    ("/weight/c", "x"),
+    ("/weight/gn_constant", True),
+    ("/weight/kappa", None),
+])
+def test_cli_rejects_mistyped_config_value(tmp_path, capsys, pointer, value):
+    # caught when the config is parsed: exit 4 naming the value, no output tree
+    _, section, key = pointer.split("/")
+    cfg = _base_cfg()
+    cfg.setdefault(section, {})[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert f"config error: {pointer}: expected" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _readme_config_sketch():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     return json.loads(readme.split("### Config sketch")[1].split("```")[1][len("json"):])
@@ -210,6 +239,22 @@ def test_run_scenario_artifacts(completed_run):
     assert manifest["certified"] is True
     assert manifest["members"] == ["n_16"]
     assert manifest["hashes"]  # content-hash closure over the tree
+
+
+def test_certificate_records_weight_integral_and_horizon(tmp_path):
+    # the auto Serrin weight at nu = 0.1 damps every margin below 1e-16 by
+    # t = 0.05; the zero test has K = 0 and so no horizon
+    cfg = _base_cfg(system={"nu": 0.1, "n": 32, "t_end": 0.1, "dt": 2.5e-3},
+                    family={"resolutions": [32], "sample_stride": 1},
+                    out_dir=str(tmp_path / "run"))
+    assert run_scenario(ScenarioConfig.from_dict(cfg)) == 0
+    cert = json.loads((tmp_path / "run" / "certificates" / "n_32.json").read_text())
+    assert cert["tests"]["zero"] == {"weight_integral": 0.0, "horizon": None}
+    exact = cert["tests"]["exact"]
+    assert exact["horizon"] <= 0.05
+    assert exact["weight_integral"] > 16 * np.log(10)
+    times = [e["t"] for e in cert["entries"] if e["test_id"] == "exact"]
+    assert exact["horizon"] in times
 
 
 def test_report_reads_stored_artifacts(completed_run):

@@ -55,9 +55,11 @@ def test_dealiased_convection_matches_padded_product(n):
     mask = spectral_tables(n).dealias
     cut = int(np.abs(grid.wavenumbers()[0][mask]).max())
     v = random_field(grid, np.random.default_rng(n), kmax=cut)
-    exact = resample(convection(resample(v, 2 * n), dealias=False), n)
+    fine = resample(v, 2 * n)
+    exact = resample(SpectralField(fine.grid, convection(fine.coeffs, dealias=False)), n)
     exact = SpectralField(grid, exact.coeffs * mask)
-    assert l2_norm(convection(v, dealias=True) - exact) <= 1e-13 * l2_norm(exact)
+    got = SpectralField(grid, convection(v.coeffs, dealias=True))
+    assert l2_norm(got - exact) <= 1e-13 * l2_norm(exact)
 
 
 # -- time stepping -----------------------------------------------------------
@@ -116,7 +118,7 @@ def test_advance_detects_blowup():
 def _convective_advance(v, spec, t):
     """Reference IF-RK4 step with the convective form P[-(v.grad)v + f]."""
     def nonlinear(c, s):
-        rhs = -1.0 * convection(SpectralField(spec.grid, c), spec.dealias)
+        rhs = -1.0 * SpectralField(spec.grid, convection(c, spec.dealias))
         if not spec.forcing.is_zero():
             rhs = rhs + spec.forcing(s, spec.grid)
         return leray_project(rhs).coeffs
@@ -252,6 +254,34 @@ def test_analytic_forcing_built_once_per_grid(monkeypatch):
     assert builds == [16, 32]
 
 
+def test_taylor_green_built_once_per_grid(monkeypatch):
+    from maxdiss.certificate import certify
+    from maxdiss.relenergy import WeightSpec
+
+    builds = []
+    monkeypatch.setattr(solver, "from_function", lambda grid, *fns, **kw:
+                        builds.append(grid.n) or from_function(grid, *fns, **kw))
+    solver._unit_taylor_green.cache_clear()
+    nu = 0.1
+    for n in (16, 24):
+        spec = _spec(nu=nu, n=n, t_end=0.075, dt=2.5e-3)
+        times = np.arange(31) * spec.dt
+        u = Trajectory(spec=spec, times=times,
+                       states=[taylor_green(t, nu, spec.grid) for t in times])
+        family = [TestTrajectory.taylor_green(nu, spec.grid, label="exact"),
+                  TestTrajectory.taylor_green(nu, spec.grid, amplitude=1.05)]
+        assert len(certify(u, family, WeightSpec()).entries) == 62
+    assert builds == [16, 24]
+    # the scaled unit field matches sampling the scaled closed form
+    for t in (0.0, 0.0375, 0.075):
+        a = 1.05 * np.exp(-2.0 * nu * t)
+        sampled = from_function(spec.grid, lambda X, Y: a * np.sin(X) * np.cos(Y),
+                                lambda X, Y: -a * np.cos(X) * np.sin(Y), solenoidal=True)
+        value = family[1].value(t)
+        assert np.abs(value.coeffs - sampled.coeffs).max() <= 1e-15
+        assert np.array_equal(family[1].deriv(t).coeffs, (-2.0 * nu * value).coeffs)
+
+
 def test_solenoidality_preserved():
     spec = _spec(nu=0.01, n=32, t_end=0.5, dt=1e-3,
                  forcing=Forcing("analytic", "kolmogorov",
@@ -301,8 +331,8 @@ def test_taylor_green_momentum_residual():
     p = taylor_green_pressure(t, nu, grid)
     dv = -2 * nu * taylor_green(t, nu, grid)  # d_t of the closed form
     vp = v.physical()
-    from maxdiss.fields import gradient_tensor
-    g = np.fft.irfft2(gradient_tensor(v), s=(n, n), norm="forward")
+    from maxdiss.fields import gradients
+    g = np.fft.irfft2(gradients(v.coeffs), s=(n, n), norm="forward")
     conv = np.stack([vp[0] * g[0, 0] + vp[1] * g[0, 1],
                      vp[0] * g[1, 0] + vp[1] * g[1, 1]])
     gp = np.fft.irfft2(np.stack(
