@@ -17,7 +17,6 @@ import numpy as np
 
 from .fields import SpectralField, pairing, project, spectral_tables
 from .relenergy import (
-    ResidualOptions,
     WeightSpec,
     cumulative_weight_integral,
     nonsolenoidal_correction,
@@ -88,7 +87,6 @@ class CertificateReport:
     errors: dict
     tests: dict  # test id -> {"weight_integral": I(T), "horizon": first t with e^{-I} < 1e-16}
     weight: WeightSpec
-    options: ResidualOptions
     tolerance: ToleranceModel
     stride: float
 
@@ -97,7 +95,8 @@ class CertificateReport:
         return not self.errors and all(e.passed for e in self.entries)
 
     def worst_margin(self) -> float:
-        return min((e.margin for e in self.entries), default=np.inf)
+        """The least margin after t = 0, where every margin is 0 by construction."""
+        return min((e.margin for e in self.entries if e.t > 0), default=np.inf)
 
     def to_dict(self) -> dict:
         return {
@@ -108,7 +107,6 @@ class CertificateReport:
             "errors": dict(self.errors),
             "tests": dict(self.tests),
             "config": {"weight": self.weight.to_dict(),
-                       "residual": self.options.to_dict(),
                        "tolerance": self.tolerance.to_dict(),
                        "quadrature_stride": self.stride},
         }
@@ -155,35 +153,30 @@ def _blocks(size: int, n: int) -> list:
     return [slice(s, s + step) for s in range(0, size, step)]
 
 
-def margin_series(u: Trajectory, vt: TestTrajectory, w: WeightSpec,
-                  opts: ResidualOptions = ResidualOptions()) -> _MarginSeries:
+def margin_series(u: Trajectory, vt: TestTrajectory, w: WeightSpec) -> _MarginSeries:
     """Both sides of the relative energy inequality at every sample time, one
-    stacked computation per block; the nu-free weight goes to ``vt.weight_norms``."""
+    stacked computation per block; the nu-free weight goes to ``vt.weight_norms``.
+    A non-solenoidal test is Leray-projected and pays the divergence correction."""
     if vt.grid.n != u.grid.n:
         raise CertificateError(
             f"grid mismatch: trajectory n={u.grid.n}, test n={vt.grid.n}")
     nu = u.spec.nu
     times = u.times
-    use_correction = opts.nonsolenoidal_correction and not vt.solenoidal
-    if not use_correction and not vt.solenoidal:
-        raise CertificateError(
-            f"test trajectory {vt.label!r} is not solenoidal; enable the "
-            "divergence correction to certify against it")
-    key = (w.kind, w.p, use_correction, times.tobytes())
+    key = (w.kind, w.p, times.tobytes())
     cached = vt.weight_norms.get(key)
     norms = np.empty(times.size) if cached is None else cached
     R, g, corr = np.empty(times.size), np.empty(times.size), np.zeros(times.size)
     for sl in _blocks(times.size, u.grid.n):
         values, derivs = vt.values(times[sl]), vt.derivs(times[sl])
         states = np.stack([s.coeffs for s in u.states[sl]])
-        if use_correction:
+        if not vt.solenoidal:
             corr[sl] = nonsolenoidal_correction(values, states)
             values, derivs = (project(x, spectral_tables(u.grid.n)) for x in (values, derivs))
         if cached is None:
             norms[sl] = weight_norms(values, w)
         diff = states - values
         R[sl], W = rel_terms(diff, nu)
-        g[sl] = W + pairing(residual_A(values, derivs, u.spec, opts), diff)
+        g[sl] = W + pairing(residual_A(values, derivs, u.spec), diff)
     vt.weight_norms[key] = norms
     I = cumulative_weight_integral(weight_value(norms, w, nu), times)
 
@@ -197,15 +190,13 @@ def margin_series(u: Trajectory, vt: TestTrajectory, w: WeightSpec,
                          margins=rhs - lhs, lhs=lhs, rhs=rhs)
 
 
-def margin(u: Trajectory, vt: TestTrajectory, t: float, w: WeightSpec,
-           opts: ResidualOptions = ResidualOptions()) -> float:
+def margin(u: Trajectory, vt: TestTrajectory, t: float, w: WeightSpec) -> float:
     """rhs - lhs of the damped relative energy inequality at sample time t."""
-    series = margin_series(u, vt, w, opts)
+    series = margin_series(u, vt, w)
     return float(series.margins[u.index_of(t)])
 
 
 def certify(u: Trajectory, family, w: WeightSpec,
-            opts: ResidualOptions = ResidualOptions(),
             tol_model: ToleranceModel = ToleranceModel()) -> CertificateReport:
     """Certify a trajectory against a family of test trajectories.
 
@@ -224,7 +215,7 @@ def certify(u: Trajectory, family, w: WeightSpec,
     for idx, vt in enumerate(family):
         test_id = vt.label or f"test_{idx}"
         try:
-            series = margin_series(u, vt, w, opts)
+            series = margin_series(u, vt, w)
         except ValueError as exc:  # domain errors only; bugs propagate
             errors[test_id] = f"{type(exc).__name__}: {exc}"
             continue
@@ -239,7 +230,7 @@ def certify(u: Trajectory, family, w: WeightSpec,
                                             lhs=float(lhs), rhs=float(rhs),
                                             margin=float(m), tol=tol))
     stride = float(u.times[1] - u.times[0]) if u.times.size > 1 else 0.0
-    return CertificateReport(tuple(entries), errors, tests, w, opts, tol_model, stride)
+    return CertificateReport(tuple(entries), errors, tests, w, tol_model, stride)
 
 
 # -- Lagrange-multiplier (phi) form -----------------------------------------
@@ -300,9 +291,9 @@ def _phi_form(series: _MarginSeries, phi: PhiWeight) -> float:
 
 
 def phi_form_value(u: Trajectory, vt: TestTrajectory, w: WeightSpec,
-                   opts: ResidualOptions, phi: PhiWeight) -> float:
+                   phi: PhiWeight) -> float:
     """Value of the phi-weighted inequality form; <= 0 for dissipative u."""
-    return _phi_form(margin_series(u, vt, w, opts), phi)
+    return _phi_form(margin_series(u, vt, w), phi)
 
 
 # -- weak residual recovery -------------------------------------------------
@@ -317,9 +308,7 @@ class ResidualRecovery:
 
 
 def recover_weak_residual(u: Trajectory, r: SpectralField, alphas,
-                          w: WeightSpec,
-                          opts: ResidualOptions = ResidualOptions(),
-                          t: float | None = None) -> ResidualRecovery:
+                          w: WeightSpec, t: float | None = None) -> ResidualRecovery:
     """Extract the weighted residual pairing from finite-alpha margins.
 
     Splines u into its own test trajectory, perturbs it by alpha*r, and
@@ -339,7 +328,7 @@ def recover_weak_residual(u: Trajectory, r: SpectralField, alphas,
     margins = []
     for a in alphas:
         vt = TestTrajectory.perturbed(base, r, a)
-        series = margin_series(u, vt, w, opts)
+        series = margin_series(u, vt, w)
         margins.append(float(series.margins[i_t]))
     margins = np.array(margins)
 
@@ -355,7 +344,7 @@ def recover_weak_residual(u: Trajectory, r: SpectralField, alphas,
     for sl in _blocks(times.size, u.grid.n):
         values = base.values(times[sl])
         K[sl] = weight_value(weight_norms(values, w), w, u.spec.nu)
-        residual = residual_A(values, base.derivs(times[sl]), u.spec, opts)
+        residual = residual_A(values, base.derivs(times[sl]), u.spec)
         pair[sl] = pairing(residual, r.coeffs)
     I = cumulative_weight_integral(K, times)
     direct = float(simpson(pair * np.exp(-I), times))

@@ -68,13 +68,14 @@ def _load_config(args):
 
 
 def _load_members(config) -> dict:
+    """{member id: Trajectory} of every simulated member under the run tree."""
+    from .solver import Trajectory
     sim = Path(config.out_dir) / "sim"
-    members = {p.name: str(p) for p in sorted(sim.iterdir()) if p.is_dir()} \
-        if sim.is_dir() else {}
-    if not members:
+    dirs = sorted(p for p in sim.iterdir() if p.is_dir()) if sim.is_dir() else []
+    if not dirs:
         from .scenarios import ConfigError
         raise ConfigError(f"{sim}: no simulated members (run simulate first)")
-    return members
+    return {p.name: Trajectory.load(p) for p in dirs}
 
 
 def main(argv=None) -> int:

@@ -27,7 +27,7 @@ from .fields import (
     samples,
     spectral_tables,
 )
-from .solver import SystemSpec, convection
+from .solver import SystemSpec, _forcing_coeffs, _rhs
 
 #: Gagliardo-Nirenberg (Ladyzhenskaya) constant C in
 #: ||w||_L4 <= C ||w||_L2^{1/2} ||grad w||_L2^{1/2} on mean-free torus fields.
@@ -95,22 +95,6 @@ class WeightSpec:
         return cls(**{"constant_c" if k == "c" else k: v for k, v in d.items()})
 
 
-@dataclass(frozen=True)
-class ResidualOptions:
-    """How the test-trajectory residual A is evaluated."""
-
-    projected: bool = True
-    nonsolenoidal_correction: bool = False
-
-    def to_dict(self) -> dict:
-        return {"projected": self.projected,
-                "nonsolenoidal_correction": self.nonsolenoidal_correction}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ResidualOptions":
-        return cls(**d)
-
-
 # -- quadratic functionals --------------------------------------------------
 
 def rel_terms(d: np.ndarray, nu: float):
@@ -170,16 +154,12 @@ def euler_negsym_weight(v: SpectralField, kappa: float = 2.0) -> float:
 
 # -- residual and trilinear form --------------------------------------------
 
-def residual_A(values: np.ndarray, derivs: np.ndarray, spec: SystemSpec,
-               opts: ResidualOptions = ResidualOptions()) -> np.ndarray:
-    """A = d/dt v + (v.grad)v - nu Lap v - f, Leray-projected by default."""
+def residual_A(values: np.ndarray, derivs: np.ndarray, spec: SystemSpec) -> np.ndarray:
+    """A = P[d/dt v + (v.grad)v - nu Lap v - f] of stacked test states, through
+    the stepper's nonlinear kernel: P[d/dt v + nu |k|^2 v] - solver._rhs(v)."""
     tab = spectral_tables(spec.grid.n)
-    res = derivs + convection(values)
-    if spec.nu > 0:
-        res = res + spec.nu * tab.k2 * values
-    if not spec.forcing.is_zero():  # time-independent
-        res = res - spec.forcing(0.0, spec.grid).coeffs
-    return project(res, tab) if opts.projected else res
+    res = project(derivs + spec.nu * tab.k2 * values, tab)
+    return res - _rhs(values, spec, _forcing_coeffs(spec, 0.0))
 
 
 def _trilinears(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:

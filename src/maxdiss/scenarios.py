@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,10 +21,9 @@ import numpy as np
 from .certificate import ToleranceModel, certify
 from .fields import Grid, SpectralField, from_function, l2_norm, random_field, resample
 from .mv_euler import defect_from_pair, trace_energy_gap
-from .relenergy import ResidualOptions, WeightSpec
+from .relenergy import WeightSpec
 from .selector import assemble_family, select
-from .solver import (BlowUpError, SystemSpec, TestTrajectory, Trajectory,
-                     solve, taylor_green)
+from .solver import BlowUpError, SystemSpec, TestTrajectory, solve, taylor_green
 
 SCENARIO_IDS = ("taylor_green", "perturbed_tg", "two_vortex", "euler_tg",
                 "mv_ladder")
@@ -36,14 +35,12 @@ class ConfigError(ValueError):
 
 #: the keys each config section may hold, by JSON pointer
 CONFIG_KEYS = {
-    "": "scenario system weight residual tolerance family tests selector mv "
-        "out_dir seed",
-    "/system": "nu n t_end dt forcing dealias",
+    "": "scenario system weight tolerance family tests selector mv out_dir seed",
+    "/system": "nu n t_end dt forcing",
     "/system/forcing": "kind name params path",
     "/weight": "kind p c gn_constant kappa",
-    "/residual": "projected nonsolenoidal_correction",
     "/tolerance": "step_coeff quadrature gn_slack",
-    "/family": "resolutions sample_stride amplitude kmax delta dt_by_resolution",
+    "/family": "resolutions sample_stride amplitude kmax delta",
     "/selector": "max_iter kkt_tol",
     "/mv": "nus mollifier_kmax clip_fail_ratio",
 }
@@ -63,17 +60,25 @@ def _number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-#: checks on scalar config values by JSON pointer ("*": every key of the section)
+def _count(v) -> bool:
+    return _number(v) and isinstance(v, int) and v >= 1
+
+
+#: checks on config values by JSON pointer ("*": every key of the section)
 CONFIG_VALUES = {
     "/tolerance/*": (lambda v: _number(v) and v >= 0, "a non-negative number"),
-    "/residual/*": (lambda v: isinstance(v, bool), "a boolean"),
-    "/selector/max_iter": (lambda v: _number(v) and isinstance(v, int) and v >= 1,
-                           "an int >= 1"),
+    "/selector/max_iter": (_count, "an int >= 1"),
     "/selector/kkt_tol": (lambda v: _number(v) and v > 0, "a positive number"),
-    "/family/sample_stride": (lambda v: _number(v) and isinstance(v, int) and v >= 1,
-                              "an int >= 1"),
+    "/family/sample_stride": (_count, "an int >= 1"),
+    "/family/kmax": (_count, "an int >= 1"),
+    **{f"/family/{k}": (_number, "a number") for k in ("amplitude", "delta")},
     **{f"/weight/{k}": (_number, "a number") for k in ("p", "gn_constant", "kappa")},
     "/weight/c": (lambda v: v == "auto" or _number(v), 'a number or "auto"'),
+    "/mv/nus": (lambda v: isinstance(v, list) and v != []
+                and all(_number(x) and x > 0 for x in v),
+                "a non-empty list of numbers > 0"),
+    "/mv/mollifier_kmax": (lambda v: v is None or _count(v), "an int >= 1 or null"),
+    "/mv/clip_fail_ratio": (lambda v: _number(v) and v >= 0, "a non-negative number"),
 }
 
 
@@ -93,7 +98,7 @@ def _require(cfg: dict, pointer: str, key: str, types, default=None,
             raise ConfigError(f"{pointer}/{key}: missing required key")
         return default
     val = cfg[key]
-    if not isinstance(val, types):
+    if not isinstance(val, types) or isinstance(val, bool):  # bool is an int
         raise ConfigError(f"{pointer}/{key}: expected {types}, got "
                           f"{type(val).__name__}")
     return val
@@ -106,7 +111,6 @@ class ScenarioConfig:
     scenario: str
     system: SystemSpec
     weight: WeightSpec
-    residual: ResidualOptions
     tolerance: ToleranceModel
     family: dict = field(default_factory=dict)
     tests: tuple = ("exact", "zero")
@@ -139,8 +143,6 @@ class ScenarioConfig:
                                                    default={}))
         except Exception as exc:
             raise ConfigError(f"/weight: {exc}") from exc
-        residual = ResidualOptions.from_dict(
-            _require(cfg, "", "residual", dict, default={}))
         tolerance = ToleranceModel.from_dict(
             _require(cfg, "", "tolerance", dict, default={}))
         family = _require(cfg, "", "family", dict, default={})
@@ -155,7 +157,7 @@ class ScenarioConfig:
             if not isinstance(t, str):
                 raise ConfigError(f"/tests/{i}: expected string")
         return cls(scenario=scenario, system=system, weight=weight,
-                   residual=residual, tolerance=tolerance,
+                   tolerance=tolerance,
                    family=dict(family, resolutions=list(resolutions)),
                    tests=tuple(tests),
                    selector=_require(cfg, "", "selector", dict, default={}),
@@ -232,22 +234,13 @@ def _member_specs(config: ScenarioConfig):
     base = config.system
     if config.scenario == "mv_ladder":
         nus = config.mv.get("nus", [1e-2, 5e-3, 2.5e-3])
-        return [(f"nu_{nu:g}",
-                 SystemSpec(nu=nu, grid=base.grid, t_end=base.t_end,
-                            dt=base.dt, forcing=base.forcing,
-                            dealias=base.dealias))
-                for nu in nus]
-    specs = []
-    for n in config.family["resolutions"]:
-        dt = config.family.get("dt_by_resolution", {}).get(str(n), base.dt)
-        specs.append((f"n_{n}",
-                      SystemSpec(nu=base.nu, grid=Grid(n), t_end=base.t_end,
-                                 dt=dt, forcing=base.forcing,
-                                 dealias=base.dealias)))
-    return specs
+        return [(f"nu_{nu:g}", replace(base, nu=nu)) for nu in nus]
+    return [(f"n_{n}", replace(base, grid=Grid(n)))
+            for n in config.family["resolutions"]]
 
 
 def stage_simulate(config: ScenarioConfig) -> dict:
+    """Solve and save every member; returns {member id: Trajectory}."""
     out = Path(config.out_dir) / "sim"
     stride = config.family.get("sample_stride", 1)
     n_max = max(config.family["resolutions"]) if config.scenario != "mv_ladder" \
@@ -264,7 +257,7 @@ def stage_simulate(config: ScenarioConfig) -> dict:
         lines += [f"{float(t)!r} {float(e)!r}"
                   for t, e in zip(traj.times, energies)]
         (mdir / "energies.csv").write_text("\n".join(lines) + "\n")
-        members[mid] = str(mdir)
+        members[mid] = traj
     return members
 
 
@@ -273,12 +266,10 @@ def stage_certify(config: ScenarioConfig, members: dict) -> bool:
     out.mkdir(parents=True, exist_ok=True)
     all_pass = True
     families = {}  # one test family per grid size, shared by its members
-    for mid, mdir in members.items():
-        traj = Trajectory.load(mdir)
+    for mid, traj in members.items():
         if traj.grid.n not in families:
             families[traj.grid.n] = build_tests(config, traj.grid)
-        report = certify(traj, families[traj.grid.n], config.weight, config.residual,
-                         config.tolerance)
+        report = certify(traj, families[traj.grid.n], config.weight, config.tolerance)
         report.save_json(out / f"{mid}.json")
         report.save_csv(out / f"{mid}.csv")
         all_pass = all_pass and report.verdict
@@ -286,8 +277,7 @@ def stage_certify(config: ScenarioConfig, members: dict) -> bool:
 
 
 def stage_select(config: ScenarioConfig, members: dict) -> dict:
-    trajs = [Trajectory.load(d) for d in members.values()]
-    fam = assemble_family(trajs, member_ids=tuple(members.keys()))
+    fam = assemble_family(list(members.values()), member_ids=tuple(members.keys()))
     result = select(fam,
                     max_iter=config.selector.get("max_iter", 10000),
                     kkt_tol=config.selector.get("kkt_tol", 1e-8))
@@ -300,8 +290,7 @@ def stage_select(config: ScenarioConfig, members: dict) -> dict:
 
 def stage_mv(config: ScenarioConfig, members: dict) -> dict:
     ids = list(members.keys())
-    fine = Trajectory.load(members[ids[-1]])
-    coarse = Trajectory.load(members[ids[0]])
+    fine, coarse = members[ids[-1]], members[ids[0]]
     kmax = config.mv.get("mollifier_kmax")
     m = defect_from_pair(fine, coarse, mollifier_kmax=kmax,
                          clip_fail_ratio=config.mv.get("clip_fail_ratio", 2.0))
@@ -345,7 +334,6 @@ def run_scenario(config: ScenarioConfig) -> int:
     manifest = {"scenario": config.scenario, "seed": config.seed,
                 "system": config.system.to_dict(),
                 "weight": config.weight.to_dict(),
-                "residual": config.residual.to_dict(),
                 "tolerance": config.tolerance.to_dict(),
                 "members": sorted(members.keys()),
                 "certified": certified,
@@ -362,8 +350,9 @@ def report(run_dir) -> dict:
     First checks every file the manifest hashes: a missing or altered one
     raises ConfigError naming it.  Writes margins.csv (test id, time, lhs,
     rhs, margin, tol per member), energy.csv (time, one column per member)
-    and report.json; reads stored values only, and repeated invocations
-    produce identical bytes.
+    and report.json, whose worst_margin is the least margin after t = 0
+    (null without such a row); reads stored values only, and repeated
+    invocations produce identical bytes.
     """
     root = Path(run_dir)
     manifest_path = root / "manifest.json"
@@ -403,8 +392,9 @@ def report(run_dir) -> dict:
         for line in path.read_text().splitlines()[1:]:
             parts = line.split(",")
             margin_lines.append(mid + " " + " ".join(parts))
-            m = float(parts[4])
-            worst = m if worst is None else min(worst, m)
+            if float(parts[1]) > 0:  # every margin at t = 0 is 0
+                m = float(parts[4])
+                worst = m if worst is None else min(worst, m)
     (root / "margins.csv").write_text("\n".join(margin_lines) + "\n")
 
     selection = None

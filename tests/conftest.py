@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from maxdiss.fields import Grid
+from maxdiss.fields import Grid, gradients, spectral_tables
 from maxdiss.solver import Forcing, SystemSpec, solve, taylor_green
 
 
@@ -13,6 +13,22 @@ def divergence_linf(u) -> float:
     """max |k . uhat| over the modes of a vector field."""
     kx, ky = u.grid.wavenumbers()
     return np.abs(kx * u.coeffs[0] + ky * u.coeffs[1]).max()
+
+
+def convection(c: np.ndarray, dealias: bool = True) -> np.ndarray:
+    """Convective-form reference (v.grad)v of velocity coefficients
+    (..., 2, n, n//2 + 1), optionally 2/3-rule dealiased, that the solver's
+    rotational kernel is checked against."""
+    n = c.shape[-2]
+    tab = spectral_tables(n)
+    if dealias:
+        c = c * tab.dealias
+    grads = gradients(c).reshape(c.shape[:-3] + (4,) + c.shape[-2:])
+    phys = np.fft.irfft2(np.concatenate([c, grads], axis=-3), s=(n, n), norm="forward")
+    v, g = phys[..., :2, :, :], phys[..., 2:, :, :]
+    # (v.grad)v_i = v_x d_x v_i + v_y d_y v_i; g holds d_j v_i at 2 i + j
+    conv = v[..., :1, :, :] * g[..., 0::2, :, :] + v[..., 1:, :, :] * g[..., 1::2, :, :]
+    return np.fft.rfft2(conv, norm="forward") * (tab.dealias if dealias else tab.nyquist)
 
 
 @pytest.fixture(scope="session")

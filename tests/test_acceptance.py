@@ -28,7 +28,6 @@ from maxdiss.mv_euler import (
     trace_leakage_bound,
 )
 from maxdiss.relenergy import (
-    ResidualOptions,
     WeightSpec,
     euler_negsym_weight,
     rel_dissipation,
@@ -311,7 +310,7 @@ def test_acceptance_11_multiplier_form_convergence(tg_reference, capsys):
     vt = TestTrajectory.zero(traj.grid)
     t_star = 0.5
     limit = -margin(traj, vt, t_star, SERRIN)
-    gaps = [abs(phi_form_value(traj, vt, SERRIN, ResidualOptions(),
+    gaps = [abs(phi_form_value(traj, vt, SERRIN,
                                mollified_indicator(t_star, width)) - limit)
             for width in (0.2, 0.1)]
     ratio = gaps[0] / gaps[1]

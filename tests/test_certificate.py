@@ -5,11 +5,12 @@ import json
 
 import numpy as np
 import pytest
+from conftest import convection
 
 from maxdiss.fields import (Grid, SpectralField, from_function, grad_samples, h1_squared,
                             inner, leray_project, lp_norms, random_field, samples,
                             spectral_tables, zero_field)
-from maxdiss.relenergy import ResidualOptions, WeightSpec, cumulative_weight_integral
+from maxdiss.relenergy import WeightSpec, cumulative_weight_integral
 from maxdiss.certificate import (
     CertificateError,
     ToleranceModel,
@@ -26,13 +27,11 @@ from maxdiss.solver import (
     SystemSpec,
     TestTrajectory,
     Trajectory,
-    convection,
     solve,
     taylor_green,
 )
 
 SERRIN = WeightSpec(kind="serrin", p=4.0)
-OPTS = ResidualOptions()
 
 
 def test_tolerance_model_formula():
@@ -127,9 +126,7 @@ def test_certify_propagates_programming_errors(tg_reference):
 def test_certify_error_isolation(tg_reference):
     traj, _, _ = tg_reference
     grid = traj.grid
-    nonsol = from_function(grid, lambda x, y: np.sin(x), lambda x, y: 0.0 * x)
-    bad = TestTrajectory.analytic(lambda t: nonsol, lambda t: zero_field(grid),
-                                  grid, solenoidal=False, label="bad")
+    bad = TestTrajectory.zero(Grid(grid.n // 2), label="bad")  # grid mismatch
     report = certify(traj, [bad, TestTrajectory.zero(grid)], SERRIN)
     assert "bad" in report.errors
     assert not report.verdict  # an errored member fails the verdict
@@ -150,17 +147,17 @@ def test_margin_grid_mismatch(tg_reference):
 
 
 def test_nonsolenoidal_test_needs_correction(tg_reference):
+    # a non-solenoidal test is certified through its Leray projection plus
+    # the divergence correction; the oracle's nonsolenoidal case checks values
     traj, _, _ = tg_reference
     grid = traj.grid
     nonsol = from_function(grid, lambda x, y: np.sin(x), lambda x, y: 0.0 * x)
     vt = TestTrajectory.analytic(lambda t: nonsol, lambda t: zero_field(grid),
                                  grid, solenoidal=False, label="nonsol")
-    with pytest.raises(CertificateError):
-        margin_series(traj, vt, SERRIN, ResidualOptions())
-    series = margin_series(
-        traj, vt, SERRIN,
-        ResidualOptions(nonsolenoidal_correction=True))
-    assert np.all(np.isfinite(series.margins))
+    report = certify(traj, [vt], SERRIN)
+    assert report.errors == {}
+    assert {e.test_id for e in report.entries} == {"nonsol"}
+    assert np.all(np.isfinite([e.margin for e in report.entries]))
 
 
 # -- report persistence ------------------------------------------------------
@@ -173,8 +170,20 @@ def test_report_csv_layout(tg_reference, tmp_path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["test_id", "t", "lhs", "rhs", "margin", "tol"]
-    margins = np.array([float(r[4]) for r in rows[1:]])
+    margins = np.array([float(r[4]) for r in rows[1:] if float(r[1]) > 0])
     assert margins.min() == pytest.approx(report.worst_margin(), rel=1e-12)
+
+
+def test_worst_margin_skips_initial_time(tg_reference):
+    # every margin at t = 0 is 0 by construction and tests nothing
+    traj, _, _ = tg_reference
+    vt = TestTrajectory.taylor_green(0.1, traj.grid, amplitude=1.05)
+    report = certify(traj, [vt], SERRIN)
+    assert all(e.margin == 0.0 for e in report.entries if e.t == 0.0)
+    assert report.worst_margin() == min(e.margin for e in report.entries if e.t > 0)
+    assert report.worst_margin() > 0
+    first = Trajectory(spec=traj.spec, times=traj.times[:1], states=traj.states[:1])
+    assert certify(first, [vt], SERRIN).worst_margin() == np.inf
 
 
 def test_report_json_roundtrip(tg_reference, tmp_path):
@@ -195,7 +204,7 @@ def test_phi_linear_ramp_nonpositive(tg_reference):
     traj, _, _ = tg_reference
     vt = TestTrajectory.taylor_green(0.1, traj.grid)
     ramp = PhiWeight(lambda t: 1 - t, lambda t: -1.0)
-    val = phi_form_value(traj, vt, SERRIN, OPTS, ramp)
+    val = phi_form_value(traj, vt, SERRIN, ramp)
     assert val <= 1e-8
 
 
@@ -204,10 +213,10 @@ def test_phi_admissibility_enforced(tg_reference):
     vt = TestTrajectory.zero(traj.grid)
     flat = PhiWeight(lambda t: 1.0, lambda t: 0.0, "flat")
     with pytest.raises(CertificateError):  # phi(T) != 0
-        phi_form_value(traj, vt, SERRIN, OPTS, flat)
+        phi_form_value(traj, vt, SERRIN, flat)
     rising = PhiWeight(lambda t: t, lambda t: 1.0, "rising")
     with pytest.raises(CertificateError):  # phi(0) != 1, phi' > 0
-        phi_form_value(traj, vt, SERRIN, OPTS, rising)
+        phi_form_value(traj, vt, SERRIN, rising)
     with pytest.raises(CertificateError):
         mollified_indicator(0.5, 0.0)
 
@@ -220,8 +229,7 @@ def test_phi_width_halving_halves_gap(tg_reference):
     limit = -margin(traj, vt, t_star, SERRIN)
     gaps = []
     for width in (0.2, 0.1):
-        val = phi_form_value(traj, vt, SERRIN, OPTS,
-                             mollified_indicator(t_star, width))
+        val = phi_form_value(traj, vt, SERRIN, mollified_indicator(t_star, width))
         gaps.append(abs(val - limit))
     ratio = gaps[0] / gaps[1]
     assert 1.0 <= ratio <= 4.0  # halving the width halves the gap +- factor 2
@@ -259,11 +267,11 @@ def _trilinear_oracle(a, b, c):
     return np.sum((af[0] * gb[:, 0] + af[1] * gb[:, 1]) * cf) * (2 * np.pi / m) ** 2
 
 
-def _series_oracle(u, vt, w, opts):
+def _series_oracle(u, vt, w):
     """R, I, the damped dissipation integrand and the margins, sample by sample."""
     spec, nu, times, grid = u.spec, u.spec.nu, u.times, u.grid
     k2 = spectral_tables(grid.n).k2
-    correct = opts.nonsolenoidal_correction and not vt.solenoidal
+    correct = not vt.solenoidal
     R, K, g, corr = (np.zeros(times.size) for _ in range(4))
     for i, t in enumerate(times):
         raw = vt.value(t)
@@ -275,8 +283,7 @@ def _series_oracle(u, vt, w, opts):
             - nu * SpectralField(grid, -k2 * v.coeffs)
         if not spec.forcing.is_zero():
             a = a - spec.forcing(t, grid)
-        if opts.projected:
-            a = leray_project(a)
+        a = leray_project(a)
         g[i] = 0.5 * nu * h1_squared(d.coeffs) + inner(a, d)
         if w.kind == "serrin":
             K[i] = w.constant(nu) * lp_norms(v.coeffs, w.lp_exponent) ** w.time_exponent
@@ -306,7 +313,7 @@ def _oracle_case(case):
     pert = random_field(spec.grid, np.random.default_rng(n), kmax=3)
     u = solve(spec, taylor_green(0.0, nu, spec.grid) + 0.05 * pert,
               sample_stride=2 if case == "n128" else 1)
-    w, opts = SERRIN, OPTS
+    w = SERRIN
     vt = TestTrajectory.taylor_green(nu, spec.grid, amplitude=1.05)
     if case in ("euler", "spline"):
         w = WeightSpec(kind="euler_negsym")
@@ -318,8 +325,7 @@ def _oracle_case(case):
         vt = TestTrajectory.analytic(lambda t: taylor_green(t, nu, spec.grid) + 0.1 * grad,
                                      lambda t: -2 * nu * taylor_green(t, nu, spec.grid),
                                      spec.grid, solenoidal=False)
-        opts = ResidualOptions(nonsolenoidal_correction=True)
-    return u, vt, w, opts
+    return u, vt, w
 
 
 @pytest.mark.parametrize("case", ["n16", "n128", "euler", "kolmogorov", "spline",
@@ -328,12 +334,12 @@ def test_margin_series_matches_per_sample_oracle(case):
     # n16: 31 samples in one block; n128: one sample per block; euler (nu = 0,
     # n = 32) and spline (n = 24): sample counts 21 and 31 are no multiple of
     # the block lengths 8 and 14
-    u, vt, w, opts = _oracle_case(case)
-    series = margin_series(u, vt, w, opts)
+    u, vt, w = _oracle_case(case)
+    series = margin_series(u, vt, w)
     got = (series.rel_energies, series.weight_integral,
            series.dissipation_integrand, series.margins)
-    for name, a, b in zip(("R", "I", "g", "margin"), got, _series_oracle(u, vt, w, opts)):
+    for name, a, b in zip(("R", "I", "g", "margin"), got, _series_oracle(u, vt, w)):
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14, err_msg=name)
     # a second member on the grid reuses the test's weight series
     assert len(vt.weight_norms) == 1
-    np.testing.assert_array_equal(margin_series(u, vt, w, opts).margins, series.margins)
+    np.testing.assert_array_equal(margin_series(u, vt, w).margins, series.margins)

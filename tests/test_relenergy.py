@@ -8,7 +8,6 @@ from maxdiss.fields import (Grid, SpectralField, from_function, h1_squared, inne
                             zero_field)
 from maxdiss.relenergy import (
     DEFAULT_GN_CONSTANT,
-    ResidualOptions,
     WeightError,
     WeightSpec,
     cumulative_weight_integral,
@@ -310,8 +309,6 @@ def test_weight_serialization():
     w = WeightSpec(kind="euler_negsym", kappa=3.0)
     back = WeightSpec.from_dict(w.to_dict())
     assert back.kind == "euler_negsym" and back.kappa == 3.0
-    opts = ResidualOptions(projected=True, nonsolenoidal_correction=True)
-    assert ResidualOptions.from_dict(opts.to_dict()) == opts
 
 
 def test_weight_value_dispatch(rng):

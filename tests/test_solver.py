@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from conftest import divergence_linf
+from conftest import convection, divergence_linf
 
 from maxdiss import solver
 from maxdiss.fields import (FieldError, Grid, SpectralField,
@@ -19,7 +19,6 @@ from maxdiss.solver import (
     TestTrajectory,
     Trajectory,
     advance,
-    convection,
     recover_pressure,
     solve,
     taylor_green,
@@ -49,17 +48,30 @@ def test_rhs_euler_taylor_green_vanishes():
 
 @pytest.mark.parametrize("n", [16, 24, 32, 48, 96])
 def test_dealiased_convection_matches_padded_product(n):
-    # data band-limited at the 2/3 cut: the dealiased product must equal the
-    # exact product (2x padded, alias-free) truncated to the cut band
+    # data band-limited at the 2/3 cut: the dealiased rotational term must
+    # equal -P of the exact convective product (2x padded, alias-free)
+    # truncated to the cut band
     grid = Grid(n)
     mask = spectral_tables(n).dealias
     cut = int(np.abs(grid.wavenumbers()[0][mask]).max())
     v = random_field(grid, np.random.default_rng(n), kmax=cut)
     fine = resample(v, 2 * n)
     exact = resample(SpectralField(fine.grid, convection(fine.coeffs, dealias=False)), n)
-    exact = SpectralField(grid, exact.coeffs * mask)
-    got = SpectralField(grid, convection(v.coeffs, dealias=True))
+    exact = -1.0 * leray_project(SpectralField(grid, exact.coeffs * mask))
+    got = SpectralField(grid, solver._rhs(v.coeffs, _spec(n=n), None))
     assert l2_norm(got - exact) <= 1e-13 * l2_norm(exact)
+
+
+def test_rhs_stacked_matches_single_calls():
+    spec = _spec(n=24, forcing=Forcing("analytic", "kolmogorov", {"wavenumber": 2}))
+    rng = np.random.default_rng(5)
+    block = np.stack([random_field(spec.grid, rng, kmax=7).coeffs for _ in range(3)])
+    f = solver._forcing_coeffs(spec, 0.0)
+    got = solver._rhs(block, spec, f)
+    assert got.shape == block.shape
+    for b, g in zip(block, got):
+        want = solver._rhs(b, spec, f)
+        assert np.abs(g - want).max() <= 1e-15 * np.abs(want).max()
 
 
 # -- time stepping -----------------------------------------------------------
@@ -115,10 +127,10 @@ def test_advance_detects_blowup():
             v = advance(v, spec, 0.0)
 
 
-def _convective_advance(v, spec, t):
+def _convective_advance(v, spec, t, dealias):
     """Reference IF-RK4 step with the convective form P[-(v.grad)v + f]."""
     def nonlinear(c, s):
-        rhs = -1.0 * SpectralField(spec.grid, convection(c, spec.dealias))
+        rhs = -1.0 * SpectralField(spec.grid, convection(c, dealias))
         if not spec.forcing.is_zero():
             rhs = rhs + spec.forcing(s, spec.grid)
         return leray_project(rhs).coeffs
@@ -138,20 +150,19 @@ def _convective_advance(v, spec, t):
 
 
 @pytest.mark.parametrize("forced", [False, True])
-@pytest.mark.parametrize("dealias", [True, False])
+@pytest.mark.parametrize("dealias", [True])  # the stepper always applies the 2/3 rule
 @pytest.mark.parametrize("n", [32, 64, 128])
 def test_advance_matches_convective_form(n, dealias, forced):
-    # without dealiasing the two forms alias differently, so the data stays
-    # far enough below n/2 that aliased content remains at roundoff
-    kmax = (n - 1) // 3 if dealias else n // 16
-    v = random_field(Grid(n), np.random.default_rng(n), kmax=kmax)
+    # data band-limited at the 2/3 cut, stepped against a reference that
+    # dealiases the convective form the same way
+    v = random_field(Grid(n), np.random.default_rng(n), kmax=(n - 1) // 3)
     v = (1.0 / l2_norm(v)) * v
     forcing = Forcing("analytic", "kolmogorov",
                       {"amplitude": 1.0, "wavenumber": 2}) if forced else None
     spec = SystemSpec(nu=0.05, grid=Grid(n), t_end=0.1, dt=1e-2,
-                      forcing=forcing or Forcing("zero"), dealias=dealias)
+                      forcing=forcing or Forcing("zero"))
     got = advance(v, spec, 0.3)
-    want = _convective_advance(v, spec, 0.3)
+    want = _convective_advance(v, spec, 0.3, dealias)
     assert l2_norm(got - want) <= 1e-13 * l2_norm(want)
 
 
