@@ -168,7 +168,7 @@ def margin_series(u: Trajectory, vt: TestTrajectory, w: WeightSpec) -> _MarginSe
     R, g, corr = np.empty(times.size), np.empty(times.size), np.zeros(times.size)
     for sl in _blocks(times.size, u.grid.n):
         values, derivs = vt.values(times[sl]), vt.derivs(times[sl])
-        states = np.stack([s.coeffs for s in u.states[sl]])
+        states = u.coeffs[sl]
         if not vt.solenoidal:
             corr[sl] = nonsolenoidal_correction(values, states)
             values, derivs = (project(x, spectral_tables(u.grid.n)) for x in (values, derivs))

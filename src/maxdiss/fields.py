@@ -40,11 +40,8 @@ class Grid:
     """Uniform n x n collocation grid on the 2*pi-periodic square torus."""
 
     n: int
-    d: int = 2
 
     def __post_init__(self):
-        if self.d != 2:
-            raise FieldError(f"only d=2 is supported, got d={self.d}")
         if self.n < 4 or self.n % 2 != 0:
             raise FieldError(f"grid size must be even and >= 4, got n={self.n}")
 
@@ -122,6 +119,30 @@ def _sym_eigenvalues(m: np.ndarray):
     return mean + rad, mean - rad
 
 
+def normalized(c, n: int, solenoidal: bool) -> np.ndarray:
+    """Read-only copy of coefficients (..., components, n, n//2 + 1) with Nyquist
+    modes zeroed and column ky = 0 Hermitian; ``solenoidal`` vector coefficients
+    must be divergence-free, checked for each leading index separately."""
+    c = np.asarray(c, dtype=np.complex128)
+    if c.shape[-2:] != (n, n // 2 + 1):
+        raise FieldError(f"bad coefficient shape {c.shape} for n={n}")
+    tab = spectral_tables(n)
+    c = c * tab.nyquist
+    # column ky = 0 holds both uhat(kx, 0) and its mirror uhat(-kx, 0)
+    col = c[..., 0]
+    c[..., 0] = 0.5 * (col + np.conj(np.roll(col[..., ::-1], 1, axis=-1)))
+    c.flags.writeable = False
+    if solenoidal and c.shape[-3] == 2:
+        div = np.abs(tab.kx * c[..., 0, :, :] + tab.ky * c[..., 1, :, :]).max(axis=(-2, -1))
+        # the absolute floor keeps cancellation roundoff in near-zero differences
+        # of solenoidal fields passing; below it, the pass over |c| is skipped
+        over = div > 1e-13
+        if over.any() and np.any(
+                over & (div > SOLENOIDAL_RTOL * np.abs(c).max(axis=(-3, -2, -1)) * n)):
+            raise FieldError(f"field tagged solenoidal but max |k.uhat| = {div.max():g}")
+    return c
+
+
 @dataclass(frozen=True)
 class SpectralField:
     """Immutable scalar (1 component) or vector (2 components) spectral field."""
@@ -131,25 +152,10 @@ class SpectralField:
     solenoidal: bool = False
 
     def __post_init__(self):
-        n = self.grid.n
-        c = np.asarray(self.coeffs, dtype=np.complex128)
-        if c.ndim != 3 or c.shape[1:] != (n, n // 2 + 1):
-            raise FieldError(f"bad coefficient shape {c.shape} for n={n}")
-        if c.shape[0] not in (1, 2):
-            raise FieldError(f"expected 1 or 2 components, got {c.shape[0]}")
-        tab = spectral_tables(n)
-        c = c * tab.nyquist
-        # column ky = 0 holds both uhat(kx, 0) and its mirror uhat(-kx, 0)
-        col = c[..., 0]
-        c[..., 0] = 0.5 * (col + np.conj(np.roll(col[..., ::-1], 1, axis=-1)))
-        c.flags.writeable = False
-        object.__setattr__(self, "coeffs", c)
-        if self.solenoidal and self.components == 2:
-            div = np.abs(tab.kx * c[0] + tab.ky * c[1]).max()
-            # absolute floor keeps cancellation roundoff in near-zero
-            # differences of solenoidal fields from tripping the check
-            if div > max(SOLENOIDAL_RTOL * np.abs(c).max() * n, 1e-13):
-                raise FieldError(f"field tagged solenoidal but max |k.uhat| = {div:g}")
+        c = np.asarray(self.coeffs)
+        if c.ndim != 3 or c.shape[0] not in (1, 2):
+            raise FieldError(f"expected (1 or 2 components, n, n//2 + 1), got shape {c.shape}")
+        object.__setattr__(self, "coeffs", normalized(c, self.grid.n, self.solenoidal))
 
     @property
     def components(self) -> int:
@@ -163,9 +169,6 @@ class SpectralField:
         """Real collocation samples, shape (components, n, n)."""
         n = self.grid.n
         return np.fft.irfft2(self.coeffs, s=(n, n), norm="forward")
-
-    def mean(self) -> np.ndarray:
-        return self.coeffs[:, 0, 0].real.copy()
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -190,9 +193,6 @@ class SpectralField:
         return SpectralField(self.grid, self.coeffs * s, solenoidal=self.solenoidal)
 
     __rmul__ = __mul__
-
-    def __neg__(self) -> "SpectralField":
-        return self * (-1.0)
 
 
 # -- constructors -----------------------------------------------------------
@@ -329,10 +329,12 @@ def grad_samples(u: SpectralField, m: int) -> np.ndarray:
     return samples(gradients(u.coeffs), m)
 
 
-def tensor_samples(v: SpectralField, m: int) -> np.ndarray:
-    """v (x) v sampled on an m x m grid, m >= n, components (11, 12, 22)."""
-    p = samples(v.coeffs, m)
-    return np.stack([p[0] * p[0], p[0] * p[1], p[1] * p[1]])
+def tensor_samples(c: np.ndarray, m: int) -> np.ndarray:
+    """v (x) v sampled on an m x m grid, m >= n, of vector coefficients
+    (..., 2, n, n//2 + 1); components (11, 12, 22) on axis -3."""
+    p = samples(c, m)
+    vx, vy = p[..., 0, :, :], p[..., 1, :, :]
+    return np.stack([vx * vx, vx * vy, vy * vy], axis=-3)
 
 
 # -- persistence ------------------------------------------------------------

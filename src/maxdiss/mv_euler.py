@@ -19,9 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import (Grid, SpectralField, _embed, _mode_sum, _sym_eigenvalues,
-                     grad_samples, inner, l2_norm, load_samples, resample,
-                     save_samples, spectral_tables, tensor_samples)
+from .fields import (Grid, _embed, _mode_sum, _sym_eigenvalues, grad_samples, inner,
+                     l2_norm, load_samples, pairing, resample, save_samples,
+                     spectral_tables, tensor_samples)
 from .relenergy import simpson
 from .solver import TestTrajectory, Trajectory
 
@@ -173,25 +173,24 @@ def defect_from_pair(fine: Trajectory, coarse: Trajectory,
     # member is allowed to miss exactly the content the defect absorbs
     kx, ky = fine.grid.wavenumbers()
     low = (np.abs(kx) <= mollifier_kmax) & (np.abs(ky) <= mollifier_kmax)
-    cpad = resample(coarse.states[0], n)
-    gap0 = np.sqrt(_mode_sum(np.abs((fine.states[0].coeffs - cpad.coeffs)
-                                    * low) ** 2))
-    scale = max(np.sqrt(_mode_sum(np.abs(fine.states[0].coeffs) ** 2)), 1.0)
+    cpad = _embed(coarse.coeffs[0], coarse.grid.n, n)
+    gap0 = np.sqrt(_mode_sum(np.abs((fine.coeffs[0] - cpad) * low) ** 2))
+    scale = max(np.sqrt(_mode_sum(np.abs(fine.coeffs[0]) ** 2)), 1.0)
     if gap0 > 1e-8 * scale:
         raise MVError(f"fine/coarse initial data differ ({gap0:g}) "
                       f"below the mollifier scale")
     m2 = 2 * n
     T = fine.times.size
     density = np.empty((T, 3, n, n))
+    # sample by sample: the 2n-grid tensors of a whole series are large
     for k in range(T):
-        raw = tensor_samples(fine.states[k], m2) \
-            - tensor_samples(coarse.states[k], m2)
+        raw = tensor_samples(fine.coeffs[k], m2) - tensor_samples(coarse.coeffs[k], m2)
         density[k] = _lowpass_restrict(raw, m2, n, mollifier_kmax)
     clipped, magnitude = psd_clip(density)
     trace_scale = float(np.mean(np.abs(clipped[:, 0] + clipped[:, 2])))
     # roundoff floor: a vanishing defect produces eigenvalues at machine
     # precision relative to the velocity energy density, not the trace scale
-    energy_density = max(inner(s, s) for s in fine.states) / (2 * np.pi) ** 2
+    energy_density = pairing(fine.coeffs, fine.coeffs).max() / (2 * np.pi) ** 2
     floor = 1e-12 * max(energy_density, 1.0)
     if magnitude > max(clip_fail_ratio * trace_scale, floor):
         raise MVError(f"PSD projection too large: clip {magnitude:g} "
@@ -261,23 +260,23 @@ def mv_equation_residual(v: Trajectory, m: DefectField | None, f,
         label = phi.label or f"phi_{idx}"
         vals = np.empty(times.size)
         for k, t in enumerate(times):
-            u = v.states[k]
+            u = v.state(k)
             ph = phi.value(t)
             nc = max(u.grid.n, ph.grid.n)
             dval = inner(resample(u, nc), resample(phi.deriv(t), nc))
             gphi = grad_samples(ph, n_q)
-            tens = tensor_samples(u, n_q)
+            tens = tensor_samples(u.coeffs, n_q)
             if m is not None:
                 tens = tens + _density_on(m.density[k], m.grid.n, n_q)
-            pairing = np.sum(tens[0] * gphi[0, 0] +
-                             tens[1] * (gphi[0, 1] + gphi[1, 0]) +
-                             tens[2] * gphi[1, 1]) * h * h
+            stress = np.sum(tens[0] * gphi[0, 0] +
+                            tens[1] * (gphi[0, 1] + gphi[1, 0]) +
+                            tens[2] * gphi[1, 1]) * h * h
             fval = 0.0
             if f is not None and not f.is_zero():
                 fval = inner(f(t, ph.grid), ph)
-            vals[k] = -dval - pairing - fval
+            vals[k] = -dval - stress - fval
         integral = simpson(vals, times)
-        u0 = v.states[0]
+        u0 = v.state(0)
         ph0 = phi.value(0.0)
         nc = max(u0.grid.n, ph0.grid.n)
         results[label] = float(integral - inner(resample(u0, nc), resample(ph0, nc)))
@@ -306,17 +305,10 @@ def mv_convex_combine(v1: Trajectory, m1: DefectField,
     if not (np.allclose(v1.times, v2.times, atol=1e-12)
             and np.allclose(m1.times, m2.times, atol=1e-12)):
         raise MVError("combination requires aligned sample times")
-    n_m = m1.grid.n
-    states = []
-    density = np.empty_like(m1.density)
-    for k in range(v1.times.size):
-        states.append(SpectralField(
-            v1.grid, lam * v1.states[k].coeffs + (1 - lam) * v2.states[k].coeffs,
-            solenoidal=True))
-        d = v1.states[k] - v2.states[k]
-        density[k] = lam * m1.density[k] + (1 - lam) * m2.density[k] \
-            + lam * (1 - lam) * tensor_samples(d, n_m)
-    v = Trajectory(spec=v1.spec, times=v1.times, states=states,
+    density = lam * m1.density + (1 - lam) * m2.density \
+        + lam * (1 - lam) * tensor_samples(v1.coeffs - v2.coeffs, m1.grid.n)
+    v = Trajectory(spec=v1.spec, times=v1.times,
+                   coeffs=lam * v1.coeffs + (1 - lam) * v2.coeffs,
                    provenance=f"mv mixture lam={lam}")
     m = DefectField(grid=m1.grid, times=m1.times, density=density,
                     mollifier_kmax=min(m1.mollifier_kmax, m2.mollifier_kmax),

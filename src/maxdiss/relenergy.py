@@ -50,7 +50,6 @@ class WeightSpec:
     kind: str = "serrin"  # "serrin" | "euler_negsym"
     p: float = 4.0
     constant_c: object = "auto"
-    d: int = 2
     gn_constant: float = DEFAULT_GN_CONSTANT
     kappa: float = 2.0  # prefactor of the Euler negative-strain weight
 
@@ -60,16 +59,14 @@ class WeightSpec:
         if self.kind == "serrin":
             if self.p <= 2:
                 raise WeightError(f"Serrin weight needs p > 2, got p={self.p}")
-            if self.d > 2 * self.p / (self.p - 2):
-                raise WeightError(f"dimension d={self.d} violates d <= 2p/(p-2)")
 
     @property
     def alpha(self) -> float:
-        return self.d * (self.p - 2) / (2 * self.p)
+        return (self.p - 2) / self.p  # d (p - 2) / (2 p) at d = 2
 
     @property
     def lp_exponent(self) -> float:
-        # r = 2p/(p-2); together with s = 2/(1-alpha) this attains 2/s + d/r <= 1
+        # r = 2p/(p-2); together with s = 2/(1-alpha) this attains 2/s + 2/r <= 1
         return 2 * self.p / (self.p - 2)
 
     @property

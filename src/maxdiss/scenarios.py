@@ -91,6 +91,11 @@ def _reject_bad_values(cfg: dict) -> None:
                 raise ConfigError(f"/{name}/{k}: expected {expected}, got {section[k]!r}")
 
 
+#: how ``_require`` names the types it asks for
+TYPE_NAMES = {str: "a string", dict: "an object", list: "a list", int: "an int",
+              (int, float): "a number"}
+
+
 def _require(cfg: dict, pointer: str, key: str, types, default=None,
              required: bool = False):
     if key not in cfg:
@@ -99,8 +104,7 @@ def _require(cfg: dict, pointer: str, key: str, types, default=None,
         return default
     val = cfg[key]
     if not isinstance(val, types) or isinstance(val, bool):  # bool is an int
-        raise ConfigError(f"{pointer}/{key}: expected {types}, got "
-                          f"{type(val).__name__}")
+        raise ConfigError(f"{pointer}/{key}: expected {TYPE_NAMES[types]}, got {val!r}")
     return val
 
 
@@ -291,9 +295,8 @@ def stage_select(config: ScenarioConfig, members: dict) -> dict:
 def stage_mv(config: ScenarioConfig, members: dict) -> dict:
     ids = list(members.keys())
     fine, coarse = members[ids[-1]], members[ids[0]]
-    kmax = config.mv.get("mollifier_kmax")
-    m = defect_from_pair(fine, coarse, mollifier_kmax=kmax,
-                         clip_fail_ratio=config.mv.get("clip_fail_ratio", 2.0))
+    keys = ("mollifier_kmax", "clip_fail_ratio")  # else defect_from_pair's defaults
+    m = defect_from_pair(fine, coarse, **{k: config.mv[k] for k in keys if k in config.mv})
     out = Path(config.out_dir) / "defect"
     m.save(out)
     info = {"fine": ids[-1], "coarse": ids[0],

@@ -16,9 +16,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fields import Grid, SpectralField, inner, l2_norm, resample
-from .relenergy import rel_energy, simpson
-from .solver import SystemSpec, Trajectory, state_spline
+from .fields import Grid, _embed, l2_norm, normalized, pairing, resample
+from .relenergy import rel_terms, simpson
+from .solver import SystemSpec, Trajectory
 
 
 class SelectorError(ValueError):
@@ -60,16 +60,15 @@ def simplex_project(y: np.ndarray) -> np.ndarray:
 class CandidateFamily:
     """Candidate trajectories sharing data, on a common grid and time axis."""
 
-    members: tuple
     member_ids: tuple
     times: np.ndarray
-    states: tuple        # states[i][k]: member i at time t_k, common grid
+    coeffs: tuple        # coeffs[i]: member i on the common grid, (T, 2, n, n//2 + 1)
     gram: np.ndarray     # (T, m, m) with G_ij(t_k) = <u_i(t_k), u_j(t_k)>
     spec: SystemSpec
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return len(self.member_ids)
 
     def gram_time_integral(self) -> np.ndarray:
         if self.times.size == 1:
@@ -81,72 +80,54 @@ class CandidateFamily:
         lam = weights.lam
         if lam.size != self.size:
             raise SelectorError("weight/member count mismatch")
-        mixed = []
-        for k in range(self.times.size):
-            coeffs = sum(lam[i] * self.states[i][k].coeffs for i in range(self.size))
-            mixed.append(SpectralField(self.spec.grid, coeffs, solenoidal=True))
-        return Trajectory(spec=self.spec, times=self.times, states=mixed,
+        return Trajectory(spec=self.spec, times=self.times,
+                          coeffs=sum(w * c for w, c in zip(lam, self.coeffs)),
                           provenance=provenance or f"mixture lambda={lam.tolist()}")
 
 
-def _resample_states(traj: Trajectory, common_n: int, times: np.ndarray):
-    states = [resample(s, common_n) for s in traj.states]
-    if times.size == traj.times.size and np.allclose(times, traj.times, atol=1e-12):
-        return states
-    if times[-1] > traj.times[-1] + 1e-12:
-        raise SelectorError("common times exceed a member's range")
-    spline = state_spline(traj.times, states)
-    grid = Grid(common_n)
-    return [SpectralField(grid, spline(t), solenoidal=True) for t in times]
+def assemble_family(trajs, member_ids=None, data_rtol: float = 1e-8) -> CandidateFamily:
+    """Hold compatible trajectories on the finest grid and precompute Grams.
 
-
-def assemble_family(trajs, common_n: int | None = None,
-                    common_times: np.ndarray | None = None,
-                    member_ids=None, data_rtol: float = 1e-8) -> CandidateFamily:
-    """Resample compatible trajectories to a common grid and precompute Grams.
-
-    Members must share viscosity and forcing, and their initial data must
-    agree after truncation to the smallest resolution: the dissipative
-    solution set is specific to one (nu, f, u0) datum.
+    Members must share viscosity, forcing and sample times, and their
+    initial data must agree after truncation to the smallest resolution:
+    the dissipative solution set is specific to one (nu, f, u0) datum.
     """
     trajs = list(trajs)
     if not trajs:
         raise SelectorError("family must not be empty")
     nu = trajs[0].spec.nu
     f_desc = trajs[0].spec.forcing.to_dict()
+    times = trajs[0].times
     for tr in trajs[1:]:
         if tr.spec.nu != nu:
             raise SelectorError(f"viscosity mismatch: {tr.spec.nu} vs {nu}")
         if tr.spec.forcing.to_dict() != f_desc:
             raise SelectorError("forcing mismatch between members")
+        if tr.times.shape != times.shape or not np.allclose(tr.times, times, atol=1e-12):
+            raise SelectorError("sample times differ between members")
     n_min = min(tr.grid.n for tr in trajs)
-    u0_ref = resample(trajs[0].states[0], n_min)
+    u0_ref = resample(trajs[0].state(0), n_min)
     scale = max(l2_norm(u0_ref), 1.0)
     for tr in trajs[1:]:
-        gap = l2_norm(resample(tr.states[0], n_min) - u0_ref)
+        gap = l2_norm(resample(tr.state(0), n_min) - u0_ref)
         if gap > data_rtol * scale:
             raise SelectorError(f"initial data mismatch ({gap:g}) after truncation")
 
-    if common_n is None:
-        common_n = max(tr.grid.n for tr in trajs)
-    if common_times is None:
-        common_times = min((tr.times for tr in trajs), key=len)
-    common_times = np.asarray(common_times, dtype=float)
-
-    states = tuple(_resample_states(tr, common_n, common_times) for tr in trajs)
+    n = max(tr.grid.n for tr in trajs)
+    # zero-padding a normalized spectrum leaves it normalized
+    coeffs = tuple(tr.coeffs if tr.grid.n == n else _embed(tr.coeffs, tr.grid.n, n)
+                   for tr in trajs)
     m = len(trajs)
-    gram = np.empty((common_times.size, m, m))
-    for k in range(common_times.size):
-        for i in range(m):
-            for j in range(i, m):
-                gram[k, i, j] = gram[k, j, i] = inner(states[i][k], states[j][k])
+    gram = np.empty((times.size, m, m))
+    for i in range(m):
+        for j in range(i, m):
+            gram[:, i, j] = gram[:, j, i] = pairing(coeffs[i], coeffs[j])
 
     if member_ids is None:
         member_ids = tuple(f"member_{i}" for i in range(m))
-    spec = replace(trajs[0].spec, grid=Grid(common_n),
-                   dt=min(tr.spec.dt for tr in trajs))
-    return CandidateFamily(members=tuple(trajs), member_ids=tuple(member_ids),
-                           times=common_times, states=states, gram=gram, spec=spec)
+    spec = replace(trajs[0].spec, grid=Grid(n), dt=min(tr.spec.dt for tr in trajs))
+    return CandidateFamily(member_ids=tuple(member_ids), times=times, coeffs=coeffs,
+                           gram=gram, spec=spec)
 
 
 # -- optimization -----------------------------------------------------------
@@ -286,9 +267,9 @@ class ScalingReport:
 
 
 def _lowpass_distance(a: Trajectory, b: Trajectory, n_low: int = 8) -> float:
-    vals = [l2_norm(resample(sa, n_low) - resample(sb, n_low)) ** 2
-            for sa, sb in zip(a.states, b.states)]
-    return float(np.sqrt(simpson(np.array(vals), a.times)))
+    d = normalized(_embed(a.coeffs, a.grid.n, n_low) - _embed(b.coeffs, b.grid.n, n_low),
+                   n_low, solenoidal=False)
+    return float(np.sqrt(simpson(pairing(d, d), a.times)))
 
 
 def continuous_dependence_study(family_builder, deltas) -> ScalingReport:
@@ -304,8 +285,7 @@ def continuous_dependence_study(family_builder, deltas) -> ScalingReport:
     rel, low = [], []
     for d in deltas:
         sel = select(family_builder(d)).trajectory
-        rel.append(max(rel_energy(sa, sb)
-                       for sa, sb in zip(sel.states, base.states)))
+        rel.append(float(rel_terms(sel.coeffs - base.coeffs, 0.0)[0].max()))
         low.append(_lowpass_distance(sel, base))
     ratios = tuple(b / a if a > 0 else 0.0 for a, b in zip(rel, rel[1:]))
     return ScalingReport(deltas=tuple(deltas), rel_energies=tuple(rel),

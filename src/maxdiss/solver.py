@@ -32,11 +32,12 @@ from .fields import (
     Grid,
     SpectralField,
     from_function,
-    from_physical,
     inner,
     leray_project,
     load_field,
     load_samples,
+    normalized,
+    pairing,
     project,
     resample,
     save_samples,
@@ -90,6 +91,17 @@ class Forcing:
     path: str = ""
     _on_grid: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
+    def __post_init__(self):
+        if self.kind not in ("zero", "analytic", "file"):
+            raise SolverError(f"unknown forcing kind {self.kind!r}")
+        if self.kind == "analytic" and self.name not in ANALYTIC_FORCINGS:
+            raise SolverError(f"unknown analytic forcing {self.name!r}, "
+                              f"expected one of {tuple(ANALYTIC_FORCINGS)}")
+        if not isinstance(self.params, dict) or not all(
+                isinstance(v, (int, float)) and not isinstance(v, bool)
+                for v in self.params.values()):
+            raise SolverError(f"forcing params must map names to numbers, got {self.params!r}")
+
     def __call__(self, t: float, grid: Grid) -> SpectralField:
         if self.kind == "zero":
             return zero_field(grid, 2, solenoidal=False)
@@ -99,14 +111,8 @@ class Forcing:
 
     def _build(self, grid: Grid) -> SpectralField:
         if self.kind == "analytic":
-            try:
-                fn = ANALYTIC_FORCINGS[self.name]
-            except KeyError:
-                raise SolverError(f"unknown analytic forcing {self.name!r}") from None
-            return fn(grid, self.params)
-        if self.kind == "file":
-            return resample(self._file_field, grid.n)
-        raise SolverError(f"unknown forcing kind {self.kind!r}")
+            return ANALYTIC_FORCINGS[self.name](grid, self.params)
+        return resample(self._file_field, grid.n)
 
     @functools.cached_property
     def _file_field(self) -> SpectralField:
@@ -147,6 +153,12 @@ class SystemSpec:
             raise SolverError(f"viscosity must be >= 0, got {self.nu}")
         if not (0 < self.dt <= self.t_end):
             raise SolverError(f"need 0 < dt <= t_end, got dt={self.dt}, t_end={self.t_end}")
+        if abs(self.n_steps * self.dt - self.t_end) > 1e-9 * self.t_end:
+            raise SolverError(f"t_end={self.t_end} must be an integer multiple of dt={self.dt}")
+
+    @property
+    def n_steps(self) -> int:
+        return int(round(self.t_end / self.dt))
 
     def to_dict(self) -> dict:
         return {"nu": self.nu, "n": self.grid.n, "t_end": self.t_end,
@@ -219,11 +231,12 @@ def advance(v: SpectralField, spec: SystemSpec, t: float,
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-sampled solenoidal states of one Galerkin run."""
+    """Time-sampled solenoidal states of one Galerkin run, stacked: ``coeffs``
+    has shape (T, 2, n, n//2 + 1) and coeffs[k] is the state at times[k]."""
 
     spec: SystemSpec
     times: np.ndarray
-    states: tuple
+    coeffs: np.ndarray
     provenance: str = ""
 
     def __post_init__(self):
@@ -232,18 +245,22 @@ class Trajectory:
             raise SolverError("trajectory needs at least one sample time")
         if t[0] != 0.0 or np.any(np.diff(t) <= 0):
             raise SolverError("sample times must start at 0 and increase strictly")
-        if len(self.states) != t.size:
-            raise SolverError("times/states length mismatch")
+        shape = (t.size, 2, self.grid.n, self.grid.n // 2 + 1)
+        if np.shape(self.coeffs) != shape:
+            raise SolverError(f"coefficient shape {np.shape(self.coeffs)}, need {shape}")
         t.flags.writeable = False
         object.__setattr__(self, "times", t)
-        object.__setattr__(self, "states", tuple(self.states))
+        object.__setattr__(self, "coeffs", normalized(self.coeffs, self.grid.n, solenoidal=True))
 
     @property
     def grid(self) -> Grid:
         return self.spec.grid
 
+    def state(self, k: int) -> SpectralField:
+        return SpectralField(self.grid, self.coeffs[k], solenoidal=True)
+
     def energies(self) -> np.ndarray:
-        return np.array([0.5 * inner(s, s) for s in self.states])
+        return 0.5 * pairing(self.coeffs, self.coeffs)
 
     def index_of(self, t: float) -> int:
         i = int(np.argmin(np.abs(self.times - t)))
@@ -266,9 +283,9 @@ class Trajectory:
         (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
         n = self.grid.n
         # filled state by state: a stacked batch transform holds a second copy
-        phys = np.empty((len(self.states), 2, n, n))
-        for i, state in enumerate(self.states):
-            phys[i] = state.physical()
+        phys = np.empty((self.times.size, 2, n, n))
+        for i, c in enumerate(self.coeffs):
+            phys[i] = np.fft.irfft2(c, s=(n, n), norm="forward")
         save_samples(out / "states.fld", phys)
 
     @classmethod
@@ -283,8 +300,7 @@ class Trajectory:
         if phys.shape != (times.size, 2, n, n):
             raise FieldError(f"{path}: shape {list(phys.shape)}, the manifest "
                              f"needs {[times.size, 2, n, n]}")
-        states = [from_physical(spec.grid, p, solenoidal=True) for p in phys]
-        return cls(spec=spec, times=times, states=states,
+        return cls(spec=spec, times=times, coeffs=np.fft.rfft2(phys, norm="forward"),
                    provenance=manifest.get("provenance", ""))
 
 
@@ -294,22 +310,22 @@ def solve(spec: SystemSpec, v0: SpectralField, sample_stride: int = 1,
     if sample_stride < 1:
         raise SolverError("sample_stride must be >= 1")
     v = leray_project(resample(v0, spec.grid.n))
-    n_steps = int(round(spec.t_end / spec.dt))
-    if abs(n_steps * spec.dt - spec.t_end) > 1e-9 * spec.t_end:
-        raise SolverError("t_end must be an integer multiple of dt")
 
     e0 = 0.5 * inner(v, v)
     times = [0.0]
-    states = [v]
-    for step in range(n_steps):
+    # t = 0, then every sample_stride steps and the last step
+    coeffs = np.empty((1 + (spec.n_steps + sample_stride - 1) // sample_stride,) + v.coeffs.shape,
+                      dtype=np.complex128)
+    coeffs[0] = v.coeffs
+    for step in range(spec.n_steps):
         t = step * spec.dt
         v = advance(v, spec, t)
         if 0.5 * inner(v, v) > 1e8 * max(e0, 1.0):
             raise BlowUpError(f"energy blow-up at t={t + spec.dt:g}")
-        if (step + 1) % sample_stride == 0 or step == n_steps - 1:
+        if (step + 1) % sample_stride == 0 or step == spec.n_steps - 1:
+            coeffs[len(times)] = v.coeffs
             times.append((step + 1) * spec.dt)
-            states.append(v)
-    return Trajectory(spec=spec, times=np.array(times), states=states,
+    return Trajectory(spec=spec, times=np.array(times), coeffs=coeffs,
                       provenance=provenance or f"ifrk4 n={spec.grid.n} dt={spec.dt}")
 
 
@@ -344,7 +360,7 @@ def recover_pressure(v: SpectralField, f: SpectralField | None = None) -> Spectr
         raise SolverError("pressure recovery needs a velocity field")
     n = v.grid.n
     m = 2 * n
-    that = np.fft.rfft2(tensor_samples(v, m), norm="forward")
+    that = np.fft.rfft2(tensor_samples(v.coeffs, m), norm="forward")
     tab = spectral_tables(m)
     kx, ky = tab.kx, tab.ky
     rhs = -(kx * kx * that[0] + 2 * kx * ky * that[1] + ky * ky * that[2])
@@ -355,13 +371,6 @@ def recover_pressure(v: SpectralField, f: SpectralField | None = None) -> Spectr
 
 
 # -- test trajectories ------------------------------------------------------
-
-def state_spline(times: np.ndarray, states):
-    """Not-a-knot cubic spline through the states' coefficients in time."""
-    from scipy.interpolate import CubicSpline  # slow to import; only splines need it
-    return CubicSpline(times, np.stack([s.coeffs for s in states]), axis=0,
-                       bc_type="not-a-knot")
-
 
 class TestTrajectory:
     """C^1-in-time trajectory used as a test function for certification.
@@ -418,9 +427,10 @@ class TestTrajectory:
 
     @classmethod
     def from_trajectory(cls, traj: Trajectory, label: str = "") -> "TestTrajectory":
-        if len(traj.states) < 4:
+        if traj.times.size < 4:
             raise SolverError("spline test trajectory needs >= 4 samples")
-        spline = state_spline(traj.times, traj.states)
+        from scipy.interpolate import CubicSpline  # slow to import; only splines need it
+        spline = CubicSpline(traj.times, traj.coeffs, axis=0, bc_type="not-a-knot")
         return cls(spline, spline.derivative(), traj.grid, True, label or "spline")
 
     @classmethod

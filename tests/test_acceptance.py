@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.integrate import simpson
+from conftest import stacked, states
 
 from maxdiss.certificate import (
     ToleranceModel,
@@ -157,7 +158,7 @@ def test_acceptance_05_selection_well_posed(tg_ladder, capsys):
     sols = [select(fam, start=rng.dirichlet(np.ones(3))).trajectory
             for _ in range(2)]
     dist2 = [l2_norm(a - b) ** 2
-             for a, b in zip(sols[0].states, sols[1].states)]
+             for a, b in zip(states(sols[0]), states(sols[1]))]
     dist = float(np.sqrt(simpson(np.array(dist2), x=fam.times)))
     ok = res.kkt_residual <= 1e-6 and vertex_ok and dist <= 1e-8
     _emit(capsys, 5, "3-member ladder selection: KKT "
@@ -235,7 +236,7 @@ def test_acceptance_08_residual_recovery(tg_reference, capsys):
     kol = Forcing("analytic", "kolmogorov",
                   {"amplitude": 0.3, "wavenumber": 2})
     mismatched = Trajectory(spec=replace(traj.spec, forcing=kol),
-                            times=traj.times, states=traj.states,
+                            times=traj.times, coeffs=traj.coeffs,
                             provenance="forcing mismatch")
     rng = np.random.default_rng(0)
     r = random_field(traj.grid, rng, kmax=3, components=2, solenoidal=True)
@@ -258,8 +259,8 @@ def test_acceptance_09_measure_valued_identities(capsys):
     rng = np.random.default_rng(9)
     w = random_field(grid, rng, kmax=3, components=2, solenoidal=True)
     v1 = Trajectory(spec=spec, times=times,
-                    states=[taylor_green(0.0, 0.0, grid)] * 5)
-    v2 = Trajectory(spec=spec, times=times, states=[w] * 5)
+                    coeffs=stacked([taylor_green(0.0, 0.0, grid)] * 5))
+    v2 = Trajectory(spec=spec, times=times, coeffs=stacked([w] * 5))
     z = DefectField.zero(grid, times)
     psi = taylor_green(0.0, 0.0, grid)
     phi = TestTrajectory.analytic(lambda t: (1 - t) * psi,

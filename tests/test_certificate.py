@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 import pytest
-from conftest import convection
+from conftest import convection, stacked
 
 from maxdiss.fields import (Grid, SpectralField, from_function, grad_samples, h1_squared,
                             inner, leray_project, lp_norms, random_field, samples,
@@ -85,7 +85,7 @@ def test_non_dissipative_trajectory_fails(tg_reference):
     w = taylor_green(0.0, 0.1, grid)
     times = np.linspace(0.0, 0.5, 21)
     states = [(1.0 + t) * w for t in times]
-    bad = Trajectory(spec=spec, times=times, states=states,
+    bad = Trajectory(spec=spec, times=times, coeffs=stacked(states),
                      provenance="manufactured")
     report = certify(bad, [TestTrajectory.zero(grid)], SERRIN)
     assert not report.verdict
@@ -100,7 +100,7 @@ def test_growing_taylor_green_fails_exact_test():
     spec = SystemSpec(nu=nu, grid=grid, t_end=0.5, dt=dt)
     times = np.arange(0, 201, 10) * dt
     bad = Trajectory(spec=spec, times=times,
-                     states=[(1.0 + t) * taylor_green(t, nu, grid) for t in times])
+                     coeffs=stacked([(1.0 + t) * taylor_green(t, nu, grid) for t in times]))
     exact = TestTrajectory.taylor_green(nu, grid, label="exact")
     report = certify(bad, [exact, TestTrajectory.zero(grid)], SERRIN)
     for tid in ("exact", "zero"):
@@ -182,7 +182,7 @@ def test_worst_margin_skips_initial_time(tg_reference):
     assert all(e.margin == 0.0 for e in report.entries if e.t == 0.0)
     assert report.worst_margin() == min(e.margin for e in report.entries if e.t > 0)
     assert report.worst_margin() > 0
-    first = Trajectory(spec=traj.spec, times=traj.times[:1], states=traj.states[:1])
+    first = Trajectory(spec=traj.spec, times=traj.times[:1], coeffs=traj.coeffs[:1])
     assert certify(first, [vt], SERRIN).worst_margin() == np.inf
 
 
@@ -277,7 +277,7 @@ def _series_oracle(u, vt, w):
         raw = vt.value(t)
         v, dv = (leray_project(raw), leray_project(vt.deriv(t))) if correct \
             else (raw, vt.deriv(t))
-        d = u.states[i] - v
+        d = u.state(i) - v
         R[i] = 0.5 * inner(d, d)
         a = dv + SpectralField(grid, convection(v.coeffs)) \
             - nu * SpectralField(grid, -k2 * v.coeffs)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import divergence_linf
+from conftest import divergence_linf, stacked, states
 
 import maxdiss
 from maxdiss.cli import (
@@ -148,7 +148,29 @@ def test_cli_rejects_mistyped_config_value(tmp_path, capsys, pointer, value):
     path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
     assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
-    assert f"config error: {pointer}: expected" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"config error: {pointer}: expected " in err
+    assert f", got {value!r}" in err  # e.g. "expected a number, got True"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("system, message", [
+    ({"forcing": {"kind": "analytic", "name": "kolmogorv"}},
+     "unknown analytic forcing 'kolmogorv'"),
+    ({"forcing": {"kind": "analytic", "name": "kolmogorov", "params": {"amplitude": "x"}}},
+     "forcing params must map names to numbers"),
+    ({"forcing": {"kind": "static"}}, "unknown forcing kind 'static'"),
+    ({"t_end": 0.1, "dt": 0.03}, "must be an integer multiple of dt"),
+])
+def test_cli_rejects_system_fault_at_parse(tmp_path, capsys, system, message):
+    # a forcing or horizon that cannot be run is a config error before any output
+    cfg = _base_cfg()
+    cfg["system"].update(system)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -328,6 +350,64 @@ def test_run_scenario_deterministic(tmp_path):
     assert report(tmp_path / "a")["worst_margin"] > 0
 
 
+def test_stage_subcommands_match_run(tmp_path, capsys):
+    # simulate, certify and select, each reading the run tree the one before
+    # wrote, give the selection and certificates of one `maxdiss run`.  They
+    # agree to rounding, not bit for bit: `maxdiss run` hands the spectra on
+    # in memory, the subcommands rebuild them from the stored samples.
+    cfg = _write_cfg(tmp_path, scenario="perturbed_tg",
+                     family={"resolutions": [12, 16], "sample_stride": 5})
+    run, staged = tmp_path / "run", tmp_path / "staged"
+    assert main(["run", "--config", cfg, "--out", str(run)]) == EXIT_OK
+    for command in ("simulate", "certify", "select"):
+        assert main([command, "--config", cfg, "--out", str(staged)]) == EXIT_OK
+    capsys.readouterr()
+    assert sorted(p.name for p in (staged / "certificates").iterdir()) == \
+        sorted(p.name for p in (run / "certificates").iterdir())
+    for mid in ("n_12", "n_16"):
+        a, b = (json.loads((root / "certificates" / f"{mid}.json").read_text())
+                for root in (run, staged))
+        assert (b["verdict"], b["config"]) == (a["verdict"], a["config"])
+        assert [(e["test_id"], e["t"]) for e in b["entries"]] == \
+            [(e["test_id"], e["t"]) for e in a["entries"]]
+        for key in ("lhs", "rhs", "margin", "tol"):
+            assert np.allclose([e[key] for e in b["entries"]],
+                               [e[key] for e in a["entries"]], rtol=0.0, atol=1e-13)
+    a, b = (json.loads((root / "selection.json").read_text()) for root in (run, staged))
+    assert (b["member_ids"], b["converged"]) == (a["member_ids"], a["converged"])
+    assert np.allclose(b["lambda"], a["lambda"], rtol=0.0, atol=1e-12)
+    assert b["objective"] == pytest.approx(a["objective"], rel=1e-12)
+
+
+def test_stage_mv_uses_the_pair_default_clip_ratio(tmp_path):
+    # coarse (sin 6y, 0) against fine (0, sin 6x): the raw defect is about
+    # diag(-1/2, 1/2), so the PSD clip equals the trace scale, which
+    # defect_from_pair's default clip_fail_ratio of 0.5 rejects
+    from maxdiss.fields import from_function
+    from maxdiss.mv_euler import MVError, defect_from_pair
+    from maxdiss.scenarios import stage_mv
+
+    grid = Grid(16)
+    spec = SystemSpec(nu=0.0, grid=grid, t_end=1.0, dt=0.5)
+    times = np.array([0.0, 0.5, 1.0])
+
+    def zero(x, y):
+        return 0.0 * x
+
+    fields = {"coarse": from_function(grid, lambda x, y: np.sin(6 * y), zero, solenoidal=True),
+              "fine": from_function(grid, zero, lambda x, y: np.sin(6 * x), solenoidal=True)}
+    members = {mid: Trajectory(spec=spec, times=times, coeffs=stacked([f] * 3))
+               for mid, f in fields.items()}
+    with pytest.raises(MVError, match="PSD projection too large"):
+        defect_from_pair(members["fine"], members["coarse"])
+    cfg = _base_cfg(scenario="mv_ladder")
+    with pytest.raises(MVError, match="PSD projection too large"):
+        stage_mv(ScenarioConfig.from_dict(cfg, out_dir=str(tmp_path / "a")), members)
+    cfg["mv"] = {"clip_fail_ratio": 2.0}  # the config still overrides it
+    info = stage_mv(ScenarioConfig.from_dict(cfg, out_dir=str(tmp_path / "b")), members)
+    assert info["clip_magnitude"] == pytest.approx(0.5, rel=1e-3)
+
+
 def test_run_scenario_loads_no_trajectory(tmp_path, monkeypatch):
     # the stages hand their trajectories on in memory
     def refuse(*args, **kwargs):
@@ -416,7 +496,7 @@ def test_cli_certificate_failure_exit_code(tmp_path, capsys):
     w = taylor_green(0.0, 0.1, grid)
     times = np.linspace(0.0, 0.25, 11)
     bad = Trajectory(spec=spec, times=times,
-                     states=[(1.0 + t) * w for t in times],
+                     coeffs=stacked([(1.0 + t) * w for t in times]),
                      provenance="manufactured growth")
     bad.save(out / "sim" / "n_16")
     assert main(["certify", "--config", cfg,
@@ -451,7 +531,7 @@ def test_cli_mv_subcommand(tmp_path, capsys):
     fine = solve(spec, taylor_green(0.0, nu, grid) + (1 / l2_norm(r)) * r,
                  sample_stride=10)
     coarse = Trajectory(spec=replace(spec, grid=Grid(16)), times=fine.times,
-                        states=[resample(s, 16) for s in fine.states])
+                        coeffs=stacked([resample(s, 16) for s in states(fine)]))
     fine.save(tmp_path / "fine")
     coarse.save(tmp_path / "coarse")
     out = tmp_path / "defect"

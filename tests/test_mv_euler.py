@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import stacked, states
 
 from maxdiss.fields import (
     Grid,
@@ -61,7 +62,7 @@ def resolution_pair():
                             forcing=Forcing("zero")), v0, sample_stride=25)
     coarse = Trajectory(spec=replace(fine.spec, grid=Grid(16)),
                         times=fine.times,
-                        states=[resample(s, 16) for s in fine.states],
+                        coeffs=stacked([resample(s, 16) for s in states(fine)]),
                         provenance="restriction of fine")
     return fine, coarse
 
@@ -187,9 +188,9 @@ def test_orthogonal_fluctuation_defect():
     w = from_function(grid, lambda x, y: 0.0 * x,
                       lambda x, y: np.sin(2 * x), solenoidal=True)
     times = np.linspace(0.0, 1.0, 3)
-    fine = Trajectory(spec=spec, times=times, states=[w] * 3)
+    fine = Trajectory(spec=spec, times=times, coeffs=stacked([w] * 3))
     coarse = Trajectory(spec=spec, times=times,
-                        states=[zero_field(grid)] * 3)
+                        coeffs=stacked([zero_field(grid)] * 3))
     m = defect_from_pair(fine, coarse, mollifier_kmax=1)
     # w (x) w = diag(0, sin^2 2x): the k=0 part of m22 is 1/2 everywhere
     assert np.abs(m.density[:, 0]).max() <= 1e-10
@@ -203,11 +204,11 @@ def test_pair_validation_errors(resolution_pair):
     with pytest.raises(MVError):  # coarse finer than fine
         defect_from_pair(coarse, fine)
     shifted = Trajectory(spec=coarse.spec, times=coarse.times * 0.5,
-                         states=coarse.states)
+                         coeffs=coarse.coeffs)
     with pytest.raises(MVError):  # misaligned sample times
         defect_from_pair(fine, shifted)
     other = Trajectory(spec=coarse.spec, times=coarse.times,
-                       states=[1.5 * s for s in coarse.states])
+                       coeffs=1.5 * coarse.coeffs)
     with pytest.raises(MVError):  # initial data differ below mollifier scale
         defect_from_pair(fine, other)
 
@@ -230,7 +231,7 @@ def test_residual_zero_everything():
                       forcing=Forcing("zero"))
     times = np.linspace(0.0, 1.0, 5)
     traj = Trajectory(spec=spec, times=times,
-                      states=[zero_field(grid)] * 5)
+                      coeffs=stacked([zero_field(grid)] * 5))
     res = mv_equation_residual(traj, None, Forcing("zero"),
                                [_phi_ramp(grid, 1.0)])
     assert res["ramp-phi"] == 0.0
@@ -272,7 +273,7 @@ def _constant_pair(grid, field, times):
     spec = SystemSpec(nu=0.0, grid=grid, t_end=float(times[-1]), dt=0.1,
                       forcing=Forcing("zero"))
     traj = Trajectory(spec=spec, times=times,
-                      states=[field] * times.size)
+                      coeffs=stacked([field] * times.size))
     return traj, DefectField.zero(grid, times)
 
 
@@ -295,8 +296,8 @@ def test_combine_opposite_velocities_closed_form():
     v1, m1 = _constant_pair(grid, tg, times)
     v2, m2 = _constant_pair(grid, -1.0 * tg, times)
     v, m = mv_convex_combine(v1, m1, v2, m2, 0.5)
-    assert max(l2_norm(s) for s in v.states) <= 1e-14
-    expect = tensor_samples(tg, grid.n)
+    assert max(l2_norm(s) for s in states(v)) <= 1e-14
+    expect = tensor_samples(tg.coeffs, grid.n)
     for k in range(times.size):
         assert np.abs(m.density[k] - expect).max() <= 1e-12
 
@@ -335,8 +336,8 @@ def test_combine_preserves_psd(rng):
     w2 = random_field(grid, rng, kmax=2, components=2, solenoidal=True)
     spec = SystemSpec(nu=0.0, grid=grid, t_end=1.0, dt=0.1,
                       forcing=Forcing("zero"))
-    v1 = Trajectory(spec=spec, times=times, states=[w1] * 2)
-    v2 = Trajectory(spec=spec, times=times, states=[w2] * 2)
+    v1 = Trajectory(spec=spec, times=times, coeffs=stacked([w1] * 2))
+    v2 = Trajectory(spec=spec, times=times, coeffs=stacked([w2] * 2))
     _, m = mv_convex_combine(v1, random_psd(), v2, random_psd(), 0.4)
     assert m.min_eigenvalue() >= -1e-12
 

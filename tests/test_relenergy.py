@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import stacked
 
 from maxdiss.fields import (Grid, SpectralField, from_function, h1_squared, inner,
                             l2_norm, leray_project, lp_norms, random_field,
@@ -72,12 +73,12 @@ def test_rel_dissipation():
 # -- weights -----------------------------------------------------------------
 
 def test_weightspec_exponents():
-    w = WeightSpec(kind="serrin", p=4.0, d=2)
+    w = WeightSpec(kind="serrin", p=4.0)
     assert w.alpha == pytest.approx(0.5)
     assert w.lp_exponent == pytest.approx(4.0)
     assert w.time_exponent == pytest.approx(4.0)
-    # admissibility 2/s + d/r <= 1 attained with equality at s = r = 4
-    assert 2 / w.time_exponent + w.d / w.lp_exponent == pytest.approx(1.0)
+    # admissibility 2/s + 2/r <= 1 (d = 2) attained with equality at s = r = 4
+    assert 2 / w.time_exponent + 2 / w.lp_exponent == pytest.approx(1.0)
     with pytest.raises(WeightError):
         WeightSpec(kind="serrin", p=2.0)
     with pytest.raises(WeightError):
@@ -238,7 +239,7 @@ def test_margin_series_constant_weight_integral():
     k0 = serrin_weight(v, w, nu)
     times = np.linspace(0, 1, 21)
     u = Trajectory(spec=SystemSpec(nu=nu, grid=grid, t_end=1.0, dt=0.05),
-                   times=times, states=[v] * times.size)
+                   times=times, coeffs=stacked([v] * times.size))
     integral = margin_series(u, vt, w).weight_integral
     assert integral[-1] == pytest.approx(k0, rel=1e-10)
     assert np.allclose(integral, k0 * times, rtol=1e-12, atol=0.0)

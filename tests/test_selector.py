@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import simpson
+from conftest import stacked, states
 
 from maxdiss.certificate import ToleranceModel, certify
 from maxdiss.fields import Grid, from_function, l2_norm
@@ -109,6 +110,16 @@ def test_family_rejects_mismatched_initial_data(tg_ladder):
     assert fam.size == 2
 
 
+def test_family_rejects_mismatched_sample_times(tg_ladder):
+    # members are compared sample by sample: there is no resampling in time
+    base = tg_ladder[0]
+    fewer = Trajectory(spec=base.spec, times=base.times[::2], coeffs=base.coeffs[::2])
+    shifted = Trajectory(spec=base.spec, times=0.9 * base.times, coeffs=base.coeffs)
+    for other in (fewer, shifted):
+        with pytest.raises(SelectorError, match="sample times"):
+            assemble_family([base, other])
+
+
 def test_family_must_not_be_empty():
     with pytest.raises(SelectorError):
         assemble_family([])
@@ -130,7 +141,7 @@ def test_select_duplicate_members(tg_ladder):
     assert res.objective == pytest.approx(
         objective(single, np.array([1.0])), rel=1e-12)
     gap = max(l2_norm(a - b) for a, b in
-              zip(res.trajectory.states, tg_ladder[2].states))
+              zip(states(res.trajectory), states(tg_ladder[2])))
     assert gap <= 1e-10
 
 
@@ -160,8 +171,8 @@ def _orthogonal_fluctuation_family():
     w2 = from_function(grid, lambda x, y: -3 * np.sin(3 * y),
                        lambda x, y: 0.0 * x, solenoidal=True)
     times = np.linspace(0.0, 1.0, 5)
-    t1 = Trajectory(spec=spec, times=times, states=[b + 0.5 * w1] * 5)
-    t2 = Trajectory(spec=spec, times=times, states=[b + 1.0 * w2] * 5)
+    t1 = Trajectory(spec=spec, times=times, coeffs=stacked([b + 0.5 * w1] * 5))
+    t2 = Trajectory(spec=spec, times=times, coeffs=stacked([b + 1.0 * w2] * 5))
     return assemble_family([t1, t2], data_rtol=10.0)
 
 
@@ -215,7 +226,7 @@ def test_selected_trajectory_unique_across_restarts(tg_ladder, rng):
     sols = [select(fam, start=rng.dirichlet(np.ones(3))).trajectory
             for _ in range(2)]
     dist2 = [l2_norm(a - b) ** 2
-             for a, b in zip(sols[0].states, sols[1].states)]
+             for a, b in zip(states(sols[0]), states(sols[1]))]
     dist = np.sqrt(simpson(np.array(dist2), x=fam.times))
     assert dist <= 1e-8
 

@@ -4,13 +4,13 @@ import json
 
 import numpy as np
 import pytest
-from conftest import convection, divergence_linf
+from conftest import convection, divergence_linf, stacked, states
 
 from maxdiss import solver
 from maxdiss.fields import (FieldError, Grid, SpectralField,
                             from_function, inner, l2_norm,
-                            leray_project, random_field, resample, save_field,
-                            spectral_tables, zero_field)
+                            leray_project, project, random_field, resample,
+                            save_field, spectral_tables, zero_field)
 from maxdiss.solver import (
     BlowUpError,
     Forcing,
@@ -188,7 +188,7 @@ def test_integrating_factors_cached_and_read_only():
 def test_solve_zero_data_stays_zero():
     spec = _spec(t_end=0.05, dt=5e-3)
     traj = solve(spec, zero_field(spec.grid))
-    assert all(l2_norm(s) == 0.0 for s in traj.states)
+    assert all(l2_norm(s) == 0.0 for s in states(traj))
 
 
 def test_solve_taylor_green_short_horizon():
@@ -196,7 +196,7 @@ def test_solve_taylor_green_short_horizon():
     spec = _spec(nu=nu, t_end=0.2, dt=1e-3)
     traj = solve(spec, taylor_green(0.0, nu, spec.grid), sample_stride=20)
     err = max(l2_norm(s - taylor_green(t, nu, spec.grid))
-              for t, s in zip(traj.times, traj.states))
+              for t, s in zip(traj.times, states(traj)))
     assert err <= 1e-6
 
 
@@ -248,7 +248,7 @@ def test_file_forcing_read_once(tmp_path, monkeypatch):
                            forcing=Forcing("analytic", "kolmogorov",
                                            {"amplitude": 1.0, "wavenumber": 2})),
                      taylor_green(0.0, 0.1, grid))
-    assert l2_norm(from_file.states[-1] - analytic.states[-1]) <= 1e-13
+    assert l2_norm(from_file.state(-1) - analytic.state(-1)) <= 1e-13
 
 
 def test_analytic_forcing_built_once_per_grid(monkeypatch):
@@ -278,7 +278,7 @@ def test_taylor_green_built_once_per_grid(monkeypatch):
         spec = _spec(nu=nu, n=n, t_end=0.075, dt=2.5e-3)
         times = np.arange(31) * spec.dt
         u = Trajectory(spec=spec, times=times,
-                       states=[taylor_green(t, nu, spec.grid) for t in times])
+                       coeffs=stacked([taylor_green(t, nu, spec.grid) for t in times]))
         family = [TestTrajectory.taylor_green(nu, spec.grid, label="exact"),
                   TestTrajectory.taylor_green(nu, spec.grid, amplitude=1.05)]
         assert len(certify(u, family, WeightSpec()).entries) == 62
@@ -299,7 +299,7 @@ def test_solenoidality_preserved():
                                  {"amplitude": 1.0, "wavenumber": 2}))
     rng = np.random.default_rng(2)
     traj = solve(spec, random_field(spec.grid, rng, kmax=8), sample_stride=100)
-    for s in traj.states:
+    for s in states(traj):
         assert divergence_linf(s) <= 1e-12
 
 
@@ -316,11 +316,11 @@ def test_galerkin_consistency_pad_vs_fine():
                resample(v0, 64), sample_stride=100)
     # the runs differ only by the coarse grid's dealias cutoff: the gap is
     # the spectral tail and is far smaller than the solution itself
-    gap = l2_norm(resample(lo.states[-1], 64) - hi.states[-1])
-    assert gap <= 1e-3 * l2_norm(hi.states[-1])
+    gap = l2_norm(resample(lo.state(-1), 64) - hi.state(-1))
+    assert gap <= 1e-3 * l2_norm(hi.state(-1))
     # retained low modes agree much more closely than the full fields
-    low_gap = l2_norm(resample(lo.states[-1], 16)
-                      - resample(hi.states[-1], 16))
+    low_gap = l2_norm(resample(lo.state(-1), 16)
+                      - resample(hi.state(-1), 16))
     assert low_gap <= gap
 
 
@@ -381,11 +381,35 @@ def test_trajectory_validation():
     spec = _spec(t_end=0.01, dt=0.01)
     z = zero_field(spec.grid)
     with pytest.raises(SolverError):
-        Trajectory(spec=spec, times=np.array([0.1, 0.2]), states=[z, z])
+        Trajectory(spec=spec, times=np.array([0.1, 0.2]), coeffs=stacked([z, z]))
     with pytest.raises(SolverError):
-        Trajectory(spec=spec, times=np.array([0.0, 0.0]), states=[z, z])
+        Trajectory(spec=spec, times=np.array([0.0, 0.0]), coeffs=stacked([z, z]))
     with pytest.raises(SolverError):
-        Trajectory(spec=spec, times=np.array([]), states=[])
+        Trajectory(spec=spec, times=np.array([]), coeffs=[])
+
+
+def test_trajectory_invariants_match_per_sample_fields():
+    # one invariant pass over the stack gives each sample's field invariants;
+    # the divergence check is per sample, so a weakly divergent sample beside
+    # a large solenoidal one still fails (a stack-wide scale would pass it)
+    spec = _spec(n=16, t_end=0.02, dt=1e-2)
+    times = np.array([0.0, 0.01, 0.02])
+    rng = np.random.default_rng(3)
+    raw = rng.standard_normal((3, 2, 16, 9)) + 1j * rng.standard_normal((3, 2, 16, 9))
+    sol = project(raw, spectral_tables(16))
+    traj = Trajectory(spec=spec, times=times, coeffs=sol)
+    assert not traj.coeffs.flags.writeable
+    for k in range(times.size):
+        field = SpectralField(spec.grid, sol[k], solenoidal=True)
+        assert np.array_equal(traj.coeffs[k], field.coeffs)
+        assert np.array_equal(traj.state(k).coeffs, field.coeffs)
+    bad = sol.copy()
+    bad[0] *= 1e7
+    bad[2] += 1e-6 * raw[2]
+    with pytest.raises(FieldError, match="tagged solenoidal"):
+        Trajectory(spec=spec, times=times, coeffs=bad)
+    with pytest.raises(SolverError, match="coefficient shape"):
+        Trajectory(spec=spec, times=times, coeffs=sol[:2])
 
 
 def test_trajectory_roundtrip(tmp_path):
@@ -395,8 +419,7 @@ def test_trajectory_roundtrip(tmp_path):
     back = Trajectory.load(tmp_path / "run")
     assert np.allclose(back.times, traj.times)
     assert back.spec.nu == spec.nu and back.grid.n == 16
-    for a, b in zip(back.states, traj.states):
-        assert np.abs(a.coeffs - b.coeffs).max() <= 1e-14
+    assert np.abs(back.coeffs - traj.coeffs).max() <= 1e-14
     # states.fld must match the manifest's sample count
     manifest = tmp_path / "run" / "manifest.json"
     meta = json.loads(manifest.read_text())
