@@ -10,7 +10,8 @@ Subcommands map to pipeline stages over a shared scenario config:
 
 Exit codes: 0 success, 2 certificate failure, 3 solver blow-up,
 4 configuration error (including a run tree whose files do not match its
-manifest hashes, and a forcing or sample file that cannot be read).
+manifest hashes or name a forcing file that cannot be read, and a sample
+file that cannot be read).
 --seed overrides the config seed.
 """
 
@@ -83,7 +84,7 @@ def main(argv=None) -> int:
     from .fields import FieldError
     from .scenarios import (ConfigError, report, run_scenario, stage_certify,
                             stage_select, stage_simulate)
-    from .solver import BlowUpError
+    from .solver import BlowUpError, SolverError
 
     try:
         if args.command == "simulate":
@@ -131,7 +132,7 @@ def main(argv=None) -> int:
             summary = report(args.out)
             print(json.dumps(summary))
             return EXIT_OK
-    except (ConfigError, FieldError, FileNotFoundError) as exc:
+    except (ConfigError, FieldError, SolverError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except BlowUpError as exc:

@@ -23,7 +23,7 @@ from .fields import Grid, SpectralField, from_function, l2_norm, random_field, r
 from .mv_euler import defect_from_pair, trace_energy_gap
 from .relenergy import WeightSpec
 from .selector import assemble_family, select
-from .solver import BlowUpError, SystemSpec, TestTrajectory, solve, taylor_green
+from .solver import BlowUpError, SolverError, SystemSpec, TestTrajectory, solve, taylor_green
 
 SCENARIO_IDS = ("taylor_green", "perturbed_tg", "two_vortex", "euler_tg",
                 "mv_ladder")
@@ -140,6 +140,8 @@ class ScenarioConfig:
         _require(system_d, "/system", "n", int, required=True)
         try:
             system = SystemSpec.from_dict(system_d)
+        except SolverError as exc:  # its message starts with the key under /system
+            raise ConfigError(f"/system/{exc}") from exc
         except Exception as exc:
             raise ConfigError(f"/system: {exc}") from exc
         try:

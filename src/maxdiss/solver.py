@@ -6,16 +6,16 @@ modes and the Galerkin projection is spectral truncation.  Time stepping
 is an integrating-factor RK4: the Stokes part is integrated exactly via
 exp(-nu |k|^2 dt), the convection explicitly.
 
-``advance`` steps a SpectralField; inside a step the stages are plain
-rfft2 half-spectrum arrays of shape (2, n, n//2 + 1), the layout of
-SpectralField itself, read with the read-only wavenumber tables of
-``fields.spectral_tables`` and integrating factors cached per (n, nu, dt).
-The nonlinear term is taken in rotational form, P[omega (v_y, -v_x)]:
-three inverse and two forward real transforms per evaluation, 2/3-rule
-masked before and after the product.  It equals P[-(v.grad)v] because the
-two differ by the gradient of |v|^2/2, which the Leray projection removes.
-The certificate's residual ``relenergy.residual_A`` evaluates the same
-kernel on stacked test states.
+``advance`` steps a SpectralField.  Its stages, rfft2 half spectra
+(2, n, n//2 + 1), are written with ``out=`` into one ``_Workspace`` that
+``solve`` reuses on every step: a step allocates only its checks and the
+new state, copied out by ``SpectralField``.  Wavenumber tables and the
+integrating factors are cached per grid and per (n, nu, dt).  The nonlinear
+term is taken in rotational form, P[omega (v_y, -v_x)]: three inverse and
+two forward real transforms per evaluation, 2/3-rule masked before and
+after the product.  It equals P[-(v.grad)v] because the two differ by the
+gradient of |v|^2/2, which the Leray projection removes.  The certificate's
+residual ``relenergy.residual_A`` evaluates the same kernel on stacked states.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .fields import (
     load_samples,
     normalized,
     pairing,
-    project,
     resample,
     save_samples,
     spectral_tables,
@@ -52,7 +51,7 @@ class BlowUpError(RuntimeError):
 
 
 class SolverError(ValueError):
-    pass
+    """Bad solver input; a SystemSpec or Forcing message starts with the offending key."""
 
 
 # -- forcing ----------------------------------------------------------------
@@ -76,13 +75,15 @@ ANALYTIC_FORCINGS = {
     "gradient_potential": _forcing_gradient_potential,  # grad(sin x sin y)
     "kolmogorov": _forcing_kolmogorov,
 }
+_ANALYTIC_PARAMS = {"gradient_potential": ("amplitude",), "kolmogorov": ("amplitude", "wavenumber")}
 
 
 @dataclass(frozen=True)
 class Forcing:
     """Time-independent right-hand side: zero, analytic registry entry, or file.
 
-    The field is built once per grid size and reused by later calls.
+    The field is built once per grid size and reused by later calls; a
+    file forcing is read and checked when the Forcing is made.
     """
 
     kind: str = "zero"
@@ -90,33 +91,44 @@ class Forcing:
     params: dict = field(default_factory=dict)
     path: str = ""
     _on_grid: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _file_field: SpectralField | None = field(default=None, init=False, repr=False,
+                                              compare=False)
 
     def __post_init__(self):
         if self.kind not in ("zero", "analytic", "file"):
-            raise SolverError(f"unknown forcing kind {self.kind!r}")
+            raise SolverError(f"forcing/kind: unknown forcing kind {self.kind!r}")
         if self.kind == "analytic" and self.name not in ANALYTIC_FORCINGS:
-            raise SolverError(f"unknown analytic forcing {self.name!r}, "
+            raise SolverError(f"forcing/name: unknown analytic forcing {self.name!r}, "
                               f"expected one of {tuple(ANALYTIC_FORCINGS)}")
         if not isinstance(self.params, dict) or not all(
                 isinstance(v, (int, float)) and not isinstance(v, bool)
                 for v in self.params.values()):
-            raise SolverError(f"forcing params must map names to numbers, got {self.params!r}")
+            raise SolverError(f"forcing/params: forcing params must map names to numbers, "
+                              f"got {self.params!r}")
+        reads = _ANALYTIC_PARAMS.get(self.name, ()) if self.kind == "analytic" else ()
+        if unread := [key for key in self.params if key not in reads]:
+            raise SolverError(f"forcing/params/{unread[0]}: not read by forcing "
+                              f"{self.name or self.kind!r}, which reads {reads}")
+        k = self.params.get("wavenumber", 1)
+        if not (isinstance(k, int) and k >= 1):  # sin(k y) is periodic for integer k only
+            raise SolverError(f"forcing/params/wavenumber: expected an int >= 1, got {k!r}")
+        if self.kind == "file":  # read and checked once, here
+            try:
+                f = load_field(Path(self.path))
+            except (OSError, TypeError, FieldError) as exc:
+                raise SolverError(f"forcing/path: {exc}") from None
+            if not f.is_vector:
+                raise SolverError(f"forcing/path: {self.path}: one component, need two")
+            object.__setattr__(self, "_file_field", f)
 
     def __call__(self, t: float, grid: Grid) -> SpectralField:
         if self.kind == "zero":
             return zero_field(grid, 2, solenoidal=False)
         if grid.n not in self._on_grid:
-            self._on_grid[grid.n] = self._build(grid)
+            self._on_grid[grid.n] = (ANALYTIC_FORCINGS[self.name](grid, self.params)
+                                     if self.kind == "analytic"
+                                     else resample(self._file_field, grid.n))
         return self._on_grid[grid.n]
-
-    def _build(self, grid: Grid) -> SpectralField:
-        if self.kind == "analytic":
-            return ANALYTIC_FORCINGS[self.name](grid, self.params)
-        return resample(self._file_field, grid.n)
-
-    @functools.cached_property
-    def _file_field(self) -> SpectralField:
-        return load_field(self.path)
 
     def is_zero(self) -> bool:
         return self.kind == "zero"
@@ -150,11 +162,11 @@ class SystemSpec:
 
     def __post_init__(self):
         if self.nu < 0:
-            raise SolverError(f"viscosity must be >= 0, got {self.nu}")
+            raise SolverError(f"nu: viscosity must be >= 0, got {self.nu}")
         if not (0 < self.dt <= self.t_end):
-            raise SolverError(f"need 0 < dt <= t_end, got dt={self.dt}, t_end={self.t_end}")
+            raise SolverError(f"dt: need 0 < dt <= t_end, got dt={self.dt}, t_end={self.t_end}")
         if abs(self.n_steps * self.dt - self.t_end) > 1e-9 * self.t_end:
-            raise SolverError(f"t_end={self.t_end} must be an integer multiple of dt={self.dt}")
+            raise SolverError(f"t_end: {self.t_end} must be an integer multiple of dt={self.dt}")
 
     @property
     def n_steps(self) -> int:
@@ -179,20 +191,48 @@ def _forcing_coeffs(spec: SystemSpec, t: float):
     return spec.forcing(t, spec.grid).coeffs
 
 
-def _rhs(u: np.ndarray, spec: SystemSpec, f) -> np.ndarray:
-    """P[omega (v_y, -v_x) + f] on coefficients of shape (..., 2, n, n//2 + 1)."""
+class _Workspace:
+    """Scratch arrays of ``_rhs`` and ``advance`` for coefficients (..., 2, n, n//2 + 1)."""
+
+    def __init__(self, shape):
+        *lead, _, n, h = shape
+        self.spec = np.empty((*lead, 3, n, h), dtype=np.complex128)  # u, omega
+        self.phys = np.empty((*lead, 3, n, n))  # v_x, v_y, omega, then the products
+        self.stages = np.empty((6, *lead, 2, n, h), dtype=np.complex128)  # a, b, c, d, 2 sums
+        self.real = np.empty((n, h))  # dt e_half, 2 e_half
+
+
+def _rhs(u: np.ndarray, spec: SystemSpec, f, ws: _Workspace | None = None,
+         out: np.ndarray | None = None) -> np.ndarray:
+    """P[omega (v_y, -v_x) + f] on coefficients of shape (..., 2, n, n//2 + 1), into
+    ``out`` with the arrays of ``ws`` (of a new workspace without them), in the
+    operation order of 1j * (kx u_y - ky u_x), w * v_y, (-w) * v_x and ``fields.project``."""
     n = spec.grid.n
     tab = spectral_tables(n)
-    u = u * tab.dealias
-    omega = 1j * (tab.kx * u[..., 1, :, :] - tab.ky * u[..., 0, :, :])
-    phys = np.fft.irfft2(np.concatenate([u, omega[..., None, :, :]], axis=-3),
-                         s=(n, n), norm="forward")
-    vx, vy, w = phys[..., 0, :, :], phys[..., 1, :, :], phys[..., 2, :, :]
-    nl = np.fft.rfft2(np.stack([w * vy, -w * vx], axis=-3), norm="forward")
-    nl *= tab.dealias
+    ws = ws or _Workspace(u.shape)
+    out = ws.stages[0] if out is None else out
+    s = ws.spec
+    p, q = out[..., 0, :, :], out[..., 1, :, :]  # scratch until rfft2 fills out
+    np.multiply(u, tab.dealias, out=s[..., :2, :, :])
+    np.multiply(tab.kx, s[..., 1, :, :], out=p)
+    np.multiply(tab.ky, s[..., 0, :, :], out=q)
+    np.multiply(1j, np.subtract(p, q, out=p), out=s[..., 2, :, :])
+    # irfftn, not irfft2: numpy 2.4's irfft2 drops its out argument
+    np.fft.irfftn(s, s=(n, n), axes=(-2, -1), norm="forward", out=ws.phys)
+    vx, vy, w = np.moveaxis(ws.phys, -3, 0)
+    np.multiply(w, vy, out=vy)
+    np.multiply(np.negative(w, out=w), vx, out=w)
+    np.fft.rfft2(ws.phys[..., 1:, :, :], norm="forward", out=out)  # (w v_y, -w v_x)
+    out *= tab.dealias
     if f is not None:
-        nl += f
-    return project(nl, tab)
+        out += f
+    cx, cy = out[..., 0, :, :], out[..., 1, :, :]
+    p, q = s[..., 0, :, :], s[..., 1, :, :]  # scratch: irfftn has read s
+    np.multiply(tab.kx, cx, out=p)
+    np.multiply(np.add(p, np.multiply(tab.ky, cy, out=q), out=p), tab.inv_k2, out=p)
+    np.subtract(cx, np.multiply(tab.kx, p, out=q), out=cx)
+    np.subtract(cy, np.multiply(tab.ky, p, out=q), out=cy)
+    return out
 
 
 @functools.lru_cache(maxsize=32)
@@ -206,21 +246,31 @@ def _integrating_factors(n: int, nu: float, dt: float):
 
 
 def advance(v: SpectralField, spec: SystemSpec, t: float,
-            dt: float | None = None) -> SpectralField:
+            dt: float | None = None, _ws: _Workspace | None = None) -> SpectralField:
     """One integrating-factor RK4 step; diffusion exact, convection explicit.
 
-    The result is checked finite, and solenoidal by its constructor.
-    """
-    if dt is None:
-        dt = spec.dt
+    The stages run in the arrays of ``_ws`` (a new workspace without it), in
+    the operation order of a = N(u), b = N(e_half (u + (dt/2) a)),
+    c = N(e_half u + (dt/2) b), d = N(e_full u + (dt e_half) c) and
+    e_full u + (dt/6) (e_full a + (2 e_half) (b + c) + d).  The result is
+    checked finite, and solenoidal by its constructor."""
+    dt = spec.dt if dt is None else dt
+    ws = _ws or _Workspace(v.coeffs.shape)
     e_half, e_full = _integrating_factors(spec.grid.n, spec.nu, dt)
     f0, f_mid, f1 = (_forcing_coeffs(spec, s) for s in (t, t + 0.5 * dt, t + dt))
     u = v.coeffs
-    a = _rhs(u, spec, f0)
-    b = _rhs(e_half * (u + 0.5 * dt * a), spec, f_mid)
-    c = _rhs(e_half * u + 0.5 * dt * b, spec, f_mid)
-    d = _rhs(e_full * u + dt * e_half * c, spec, f1)
-    new = e_full * u + (dt / 6.0) * (e_full * a + 2.0 * e_half * (b + c) + d)
+    (a, b, c, d, x, y), r = ws.stages, ws.real
+    _rhs(u, spec, f0, ws, a)
+    np.multiply(e_half, np.add(u, np.multiply(0.5 * dt, a, out=x), out=x), out=x)
+    _rhs(x, spec, f_mid, ws, b)
+    np.add(np.multiply(e_half, u, out=x), np.multiply(0.5 * dt, b, out=y), out=x)
+    _rhs(x, spec, f_mid, ws, c)
+    np.multiply(np.multiply(dt, e_half, out=r), c, out=y)
+    np.add(np.multiply(e_full, u, out=x), y, out=x)
+    _rhs(x, spec, f1, ws, d)
+    np.multiply(np.multiply(2.0, e_half, out=r), np.add(b, c, out=y), out=y)
+    np.add(np.add(np.multiply(e_full, a, out=x), y, out=x), d, out=x)
+    new = np.add(np.multiply(e_full, u, out=y), np.multiply(dt / 6.0, x, out=x), out=y)
 
     if not np.all(np.isfinite(new)):
         raise BlowUpError(f"non-finite coefficients after step at t={t:g}")
@@ -317,9 +367,10 @@ def solve(spec: SystemSpec, v0: SpectralField, sample_stride: int = 1,
     coeffs = np.empty((1 + (spec.n_steps + sample_stride - 1) // sample_stride,) + v.coeffs.shape,
                       dtype=np.complex128)
     coeffs[0] = v.coeffs
+    ws = _Workspace(v.coeffs.shape)
     for step in range(spec.n_steps):
         t = step * spec.dt
-        v = advance(v, spec, t)
+        v = advance(v, spec, t, _ws=ws)
         if 0.5 * inner(v, v) > 1e8 * max(e0, 1.0):
             raise BlowUpError(f"energy blow-up at t={t + spec.dt:g}")
         if (step + 1) % sample_stride == 0 or step == spec.n_steps - 1:

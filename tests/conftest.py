@@ -5,7 +5,8 @@ import time
 import numpy as np
 import pytest
 
-from maxdiss.fields import Grid, gradients, spectral_tables
+from maxdiss import solver
+from maxdiss.fields import Grid, SpectralField, gradients, project, spectral_tables
 from maxdiss.solver import Forcing, SystemSpec, solve, taylor_green
 
 
@@ -39,6 +40,39 @@ def convection(c: np.ndarray, dealias: bool = True) -> np.ndarray:
     # (v.grad)v_i = v_x d_x v_i + v_y d_y v_i; g holds d_j v_i at 2 i + j
     conv = v[..., :1, :, :] * g[..., 0::2, :, :] + v[..., 1:, :, :] * g[..., 1::2, :, :]
     return np.fft.rfft2(conv, norm="forward") * (tab.dealias if dealias else tab.nyquist)
+
+
+def reference_rhs(u: np.ndarray, spec, f) -> np.ndarray:
+    """Expression form of the solver's kernel P[omega (v_y, -v_x) + f] on
+    coefficients (..., 2, n, n//2 + 1), one new array per operation; the
+    in-place ``solver._rhs`` must match it bit for bit."""
+    n = spec.grid.n
+    tab = spectral_tables(n)
+    u = u * tab.dealias
+    omega = 1j * (tab.kx * u[..., 1, :, :] - tab.ky * u[..., 0, :, :])
+    phys = np.fft.irfft2(np.concatenate([u, omega[..., None, :, :]], axis=-3),
+                         s=(n, n), norm="forward")
+    vx, vy, w = phys[..., 0, :, :], phys[..., 1, :, :], phys[..., 2, :, :]
+    nl = np.fft.rfft2(np.stack([w * vy, -w * vx], axis=-3), norm="forward")
+    nl *= tab.dealias
+    if f is not None:
+        nl += f
+    return project(nl, tab)
+
+
+def reference_advance(v, spec, t: float):
+    """Expression form of one IF-RK4 step of ``solver.advance``, allocating
+    every stage; the in-place step must match it bit for bit."""
+    dt = spec.dt
+    e_half, e_full = solver._integrating_factors(spec.grid.n, spec.nu, dt)
+    f0, f_mid, f1 = (solver._forcing_coeffs(spec, s) for s in (t, t + 0.5 * dt, t + dt))
+    u = v.coeffs
+    a = reference_rhs(u, spec, f0)
+    b = reference_rhs(e_half * (u + 0.5 * dt * a), spec, f_mid)
+    c = reference_rhs(e_half * u + 0.5 * dt * b, spec, f_mid)
+    d = reference_rhs(e_full * u + dt * e_half * c, spec, f1)
+    new = e_full * u + (dt / 6.0) * (e_full * a + 2.0 * e_half * (b + c) + d)
+    return SpectralField(spec.grid, new, solenoidal=True)
 
 
 @pytest.fixture(scope="session")

@@ -18,7 +18,7 @@ from maxdiss.cli import (
     EXIT_OK,
     main,
 )
-from maxdiss.fields import Grid, l2_norm, resample
+from maxdiss.fields import Grid, from_function, l2_norm, resample, save_field
 from maxdiss.scenarios import (
     ConfigError,
     ScenarioConfig,
@@ -161,6 +161,15 @@ def test_cli_rejects_mistyped_config_value(tmp_path, capsys, pointer, value):
      "forcing params must map names to numbers"),
     ({"forcing": {"kind": "static"}}, "unknown forcing kind 'static'"),
     ({"t_end": 0.1, "dt": 0.03}, "must be an integer multiple of dt"),
+    ({"forcing": {"kind": "analytic", "name": "kolmogorov", "params": {"amplitud": 0.5}}},
+     "/system/forcing/params/amplitud: not read by forcing 'kolmogorov'"),
+    ({"forcing": {"kind": "analytic", "name": "kolmogorov", "params": {"wavenumber": 1.5}}},
+     "/system/forcing/params/wavenumber: expected an int >= 1, got 1.5"),
+    ({"forcing": {"kind": "analytic", "name": "kolmogorov", "params": {"wavenumber": 0}}},
+     "/system/forcing/params/wavenumber: expected an int >= 1, got 0"),
+    ({"forcing": {"kind": "analytic", "name": "gradient_potential",
+                  "params": {"wavenumber": 2}}},
+     "/system/forcing/params/wavenumber: not read by forcing 'gradient_potential'"),
 ])
 def test_cli_rejects_system_fault_at_parse(tmp_path, capsys, system, message):
     # a forcing or horizon that cannot be run is a config error before any output
@@ -172,6 +181,38 @@ def test_cli_rejects_system_fault_at_parse(tmp_path, capsys, system, message):
     assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("content", ["missing", "garbage", "scalar"])
+def test_cli_rejects_unreadable_forcing_file_at_parse(tmp_path, capsys, content):
+    # the forcing file is read and checked with the config, before any output
+    path = tmp_path / "forcing.fld"
+    if content == "garbage":
+        path.write_bytes(b"not a sample container")
+    elif content == "scalar":
+        save_field(from_function(Grid(16), lambda X, Y: np.sin(Y)), path)
+    cfg = _base_cfg()
+    cfg["system"]["forcing"] = {"kind": "file", "path": str(path)}
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: /system/forcing/path: ")
+    assert str(path) in err
+    assert not out.exists()
+
+
+def test_config_parses_readable_forcing_file(tmp_path):
+    path = tmp_path / "forcing.fld"
+    field = from_function(Grid(16), lambda X, Y: np.sin(2 * Y), lambda X, Y: np.zeros_like(X))
+    save_field(field, path)
+    cfg = _base_cfg()
+    cfg["system"]["forcing"] = {"kind": "file", "path": str(path)}
+    forcing = ScenarioConfig.from_dict(cfg).system.forcing
+    path.unlink()  # read at parse time, not when a step needs it
+    assert np.abs(forcing(0.0, Grid(16)).coeffs - field.coeffs).max() <= 1e-15
+    assert forcing(0.0, Grid(24)).grid.n == 24
 
 
 def _readme_config_sketch():
@@ -484,6 +525,23 @@ def test_cli_truncated_states_file(tmp_path, capsys):
     states.write_bytes(states.read_bytes()[:-8])
     assert main(["certify", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
     assert str(states) in capsys.readouterr().err
+
+
+def test_cli_mv_with_missing_forcing_file(tmp_path, capsys):
+    # a member manifest naming a forcing file that is gone is a config error
+    grid = Grid(16)
+    path = tmp_path / "forcing.fld"
+    save_field(from_function(grid, lambda X, Y: np.sin(Y), lambda X, Y: np.zeros_like(X)), path)
+    spec = SystemSpec(nu=0.1, grid=grid, t_end=0.25, dt=2.5e-3,
+                      forcing=Forcing("file", path=str(path)))
+    times = np.linspace(0.0, 0.25, 11)
+    w = taylor_green(0.0, 0.1, grid)
+    Trajectory(spec=spec, times=times, coeffs=stacked([w] * 11)).save(tmp_path / "member")
+    path.unlink()
+    member = str(tmp_path / "member")
+    assert main(["mv", "--fine", member, "--coarse", member,
+                 "--out", str(tmp_path / "defect")]) == EXIT_CONFIG
+    assert "config error: forcing/path: " in capsys.readouterr().err
 
 
 def test_cli_certificate_failure_exit_code(tmp_path, capsys):

@@ -1,10 +1,12 @@
 """Flow solver: right-hand side, stepping, oracles, pressure, persistence."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import convection, divergence_linf, stacked, states
+from conftest import (convection, divergence_linf, reference_advance, reference_rhs,
+                      stacked, states)
 
 from maxdiss import solver
 from maxdiss.fields import (FieldError, Grid, SpectralField,
@@ -74,7 +76,61 @@ def test_rhs_stacked_matches_single_calls():
         assert np.abs(g - want).max() <= 1e-15 * np.abs(want).max()
 
 
+def test_rhs_matches_expression_form_bit_for_bit():
+    # stacked and single states, forced and unforced, with and without a workspace
+    spec = _spec(n=24, forcing=Forcing("analytic", "kolmogorov", {"wavenumber": 3}))
+    rng = np.random.default_rng(8)
+    block = np.stack([random_field(spec.grid, rng, kmax=7).coeffs for _ in range(3)])
+    ws = solver._Workspace(block[0].shape)
+    for f in (None, solver._forcing_coeffs(spec, 0.0)):
+        assert np.array_equal(solver._rhs(block, spec, f), reference_rhs(block, spec, f))
+        for b in block:
+            assert np.array_equal(solver._rhs(b, spec, f, ws, ws.stages[2]),
+                                  reference_rhs(b, spec, f))
+
+
 # -- time stepping -----------------------------------------------------------
+
+@pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.parametrize("n", [16, 24, 32, 64, 128])
+def test_solve_matches_expression_form_bit_for_bit(n, forced):
+    # the in-place steps of one reused workspace against the expression-form
+    # step, sampled every step and every 20th (with the last step)
+    forcing = Forcing("analytic", "kolmogorov", {"amplitude": 1.0, "wavenumber": 2})
+    spec = SystemSpec(nu=0.02, grid=Grid(n), t_end=21 * 2e-3, dt=2e-3,
+                      forcing=forcing if forced else Forcing("zero"))
+    v0 = random_field(spec.grid, np.random.default_rng(n), kmax=(n - 1) // 3)
+    v0 = (1.0 / l2_norm(v0)) * v0
+    v = leray_project(v0)
+    want = [v.coeffs]
+    for step in range(spec.n_steps):
+        v = reference_advance(v, spec, step * spec.dt)
+        want.append(v.coeffs)
+    assert np.array_equal(advance(leray_project(v0), spec, 0.0).coeffs, want[1])
+    for stride, keep in ((1, range(22)), (20, (0, 20, 21))):
+        traj = solve(spec, v0, sample_stride=stride)
+        assert np.array_equal(traj.coeffs, np.stack([want[k] for k in keep]))
+
+
+def test_advance_allocates_little_beyond_the_new_state():
+    # stage, transform and product arrays live in the solve's workspace: one
+    # step at n = 128 peaks near 2.5x the state's bytes, the inverse
+    # transform's intermediate half spectra and the new state; a fresh
+    # (3, n, n) transform output per call (numpy's irfft2 drops out=) reads
+    # 3.0x, and the expression form 9.5x
+    spec = _spec(nu=0.02, n=128, dt=2e-3)
+    v = random_field(spec.grid, np.random.default_rng(3), kmax=42)
+    v = (1.0 / l2_norm(v)) * v
+    ws = solver._Workspace(v.coeffs.shape)
+    v = advance(v, spec, 0.0, _ws=ws)  # warm-up: caches, FFT plans
+    tracemalloc.start()
+    try:
+        advance(v, spec, spec.dt, _ws=ws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.75 * v.coeffs.nbytes
+
 
 def test_advance_exact_on_stokes_mode():
     # single-mode linear data: the integrating factor is exact
