@@ -8,10 +8,11 @@ Subcommands map to pipeline stages over a shared scenario config:
     maxdiss mv       --fine <traj dir> --coarse <traj dir> --out <dir>
     maxdiss report   --out run/
 
-Exit codes: 0 success, 2 certificate failure, 3 solver blow-up,
+Exit codes: 0 success, 2 certificate failure (for select: some member
+failed, and the selection mixes the others), 3 solver blow-up,
 4 configuration error (including a run tree whose files do not match its
 manifest hashes or name a forcing file that cannot be read, and a sample
-file that cannot be read).
+or certificate file that cannot be read).
 --seed overrides the config seed.
 """
 
@@ -95,14 +96,21 @@ def main(argv=None) -> int:
             return EXIT_OK
         if args.command == "certify":
             config = _load_config(args)
-            ok = stage_certify(config, _load_members(config))
+            ok = all(stage_certify(config, _load_members(config)).values())
             print(f"certificate {'PASS' if ok else 'FAIL'}")
             return EXIT_OK if ok else EXIT_CERT_FAIL
         if args.command == "select":
             config = _load_config(args)
-            summary = stage_select(config, _load_members(config))
-            print(json.dumps(summary))
-            return EXIT_OK
+            members, verdicts = _load_members(config), {}
+            for mid in members:  # each member's stored certificate verdict
+                path = Path(config.out_dir) / "certificates" / f"{mid}.json"
+                try:
+                    verdicts[mid] = json.loads(path.read_text())["verdict"] == "pass"
+                except (OSError, ValueError, KeyError, TypeError) as exc:
+                    raise ConfigError(f"{path}: no certificate verdict ({exc})") from exc
+            summary = stage_select(config, members, verdicts)
+            print(json.dumps(summary) if summary else "no member passed: no selection")
+            return EXIT_OK if all(verdicts.values()) else EXIT_CERT_FAIL
         if args.command == "run":
             config = _load_config(args)
             code = run_scenario(config)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from .certificate import ToleranceModel, certify
 from .fields import Grid, SpectralField, from_function, l2_norm, random_field, resample
 from .mv_euler import defect_from_pair, trace_energy_gap
 from .relenergy import WeightSpec
-from .selector import assemble_family, select
+from .selector import MAX_MEMBERS, assemble_family, select
 from .solver import BlowUpError, SolverError, SystemSpec, TestTrajectory, solve, taylor_green
 
 SCENARIO_IDS = ("taylor_green", "perturbed_tg", "two_vortex", "euler_tg",
@@ -35,13 +36,12 @@ class ConfigError(ValueError):
 
 #: the keys each config section may hold, by JSON pointer
 CONFIG_KEYS = {
-    "": "scenario system weight tolerance family tests selector mv out_dir seed",
+    "": "scenario system weight tolerance family tests mv out_dir seed",
     "/system": "nu n t_end dt forcing",
     "/system/forcing": "kind name params path",
     "/weight": "kind p c gn_constant kappa",
     "/tolerance": "step_coeff quadrature gn_slack",
     "/family": "resolutions sample_stride amplitude kmax delta",
-    "/selector": "max_iter kkt_tol",
     "/mv": "nus mollifier_kmax clip_fail_ratio",
 }
 
@@ -67,8 +67,8 @@ def _count(v) -> bool:
 #: checks on config values by JSON pointer ("*": every key of the section)
 CONFIG_VALUES = {
     "/tolerance/*": (lambda v: _number(v) and v >= 0, "a non-negative number"),
-    "/selector/max_iter": (_count, "an int >= 1"),
-    "/selector/kkt_tol": (lambda v: _number(v) and v > 0, "a positive number"),
+    "/family/resolutions": (lambda v: isinstance(v, list) and 1 <= len(v) <= MAX_MEMBERS,
+                            f"a list of 1 to {MAX_MEMBERS} resolutions"),
     "/family/sample_stride": (_count, "an int >= 1"),
     "/family/kmax": (_count, "an int >= 1"),
     **{f"/family/{k}": (_number, "a number") for k in ("amplitude", "delta")},
@@ -118,7 +118,6 @@ class ScenarioConfig:
     tolerance: ToleranceModel
     family: dict = field(default_factory=dict)
     tests: tuple = ("exact", "zero")
-    selector: dict = field(default_factory=dict)
     mv: dict = field(default_factory=dict)
     out_dir: str = "out"
     seed: int = 0
@@ -152,21 +151,20 @@ class ScenarioConfig:
         tolerance = ToleranceModel.from_dict(
             _require(cfg, "", "tolerance", dict, default={}))
         family = _require(cfg, "", "family", dict, default={})
-        resolutions = _require(family, "/family", "resolutions", list,
-                               default=[system.grid.n])
+        resolutions = family.get("resolutions", [system.grid.n])
         for i, r in enumerate(resolutions):
             if not isinstance(r, int) or r < 4 or r % 2:
                 raise ConfigError(f"/family/resolutions/{i}: need even int "
                                   f">= 4, got {r!r}")
         tests = _require(cfg, "", "tests", list, default=["exact", "zero"])
         for i, t in enumerate(tests):
-            if not isinstance(t, str):
-                raise ConfigError(f"/tests/{i}: expected string")
+            if t not in ("zero", "exact") and _amplitude(t) is None:
+                raise ConfigError(f'/tests/{i}: expected "zero", "exact" or '
+                                  f'"amplitude:<finite number>", got {t!r}')
         return cls(scenario=scenario, system=system, weight=weight,
                    tolerance=tolerance,
                    family=dict(family, resolutions=list(resolutions)),
                    tests=tuple(tests),
-                   selector=_require(cfg, "", "selector", dict, default={}),
                    mv=_require(cfg, "", "mv", dict, default={}),
                    out_dir=out_dir or _require(cfg, "", "out_dir", str,
                                                default="out"),
@@ -211,12 +209,23 @@ def initial_condition(config: ScenarioConfig, grid: Grid) -> SpectralField:
     raise ConfigError(f"/scenario: unknown id {sc!r}")
 
 
+def _amplitude(tid):
+    """The finite a of a test id "amplitude:<a>"; None for any other id."""
+    if not (isinstance(tid, str) and tid.startswith("amplitude:")):
+        return None
+    try:
+        a = float(tid.removeprefix("amplitude:"))
+    except ValueError:
+        return None
+    return a if math.isfinite(a) else None
+
+
 def build_tests(config: ScenarioConfig, grid: Grid) -> list:
     """Certificate test family from the config's test id strings.
 
-    Supported ids: "exact" (closed-form decaying vortex matching the
-    scenario data where available), "zero", "amplitude:<a>" (rescaled
-    vortex).
+    The ids, checked by ``ScenarioConfig.from_dict``: "exact" (closed-form
+    decaying vortex matching the scenario data where available), "zero",
+    "amplitude:<a>" (rescaled vortex).
     """
     nu = config.system.nu
     tests = []
@@ -225,12 +234,10 @@ def build_tests(config: ScenarioConfig, grid: Grid) -> list:
             tests.append(TestTrajectory.zero(grid))
         elif tid == "exact":
             tests.append(TestTrajectory.taylor_green(nu, grid, label="exact"))
-        elif tid.startswith("amplitude:"):
-            a = float(tid.split(":", 1)[1])
+        else:
+            a = _amplitude(tid)
             tests.append(TestTrajectory.taylor_green(
                 nu, grid, amplitude=a, label=f"amplitude_{a:g}"))
-        else:
-            raise ConfigError(f"/tests: unknown test id {tid!r}")
     return tests
 
 
@@ -267,10 +274,11 @@ def stage_simulate(config: ScenarioConfig) -> dict:
     return members
 
 
-def stage_certify(config: ScenarioConfig, members: dict) -> bool:
+def stage_certify(config: ScenarioConfig, members: dict) -> dict:
+    """Certify and save every member; returns {member id: passed}."""
     out = Path(config.out_dir) / "certificates"
     out.mkdir(parents=True, exist_ok=True)
-    all_pass = True
+    verdicts = {}
     families = {}  # one test family per grid size, shared by its members
     for mid, traj in members.items():
         if traj.grid.n not in families:
@@ -278,16 +286,19 @@ def stage_certify(config: ScenarioConfig, members: dict) -> bool:
         report = certify(traj, families[traj.grid.n], config.weight, config.tolerance)
         report.save_json(out / f"{mid}.json")
         report.save_csv(out / f"{mid}.csv")
-        all_pass = all_pass and report.verdict
-    return all_pass
+        verdicts[mid] = report.verdict
+    return verdicts
 
 
-def stage_select(config: ScenarioConfig, members: dict) -> dict:
-    fam = assemble_family(list(members.values()), member_ids=tuple(members.keys()))
-    result = select(fam,
-                    max_iter=config.selector.get("max_iter", 10000),
-                    kkt_tol=config.selector.get("kkt_tol", 1e-8))
-    summary = result.to_dict(fam)
+def stage_select(config: ScenarioConfig, members: dict, verdicts: dict) -> dict | None:
+    """Select among the members that passed; writes nothing when none did."""
+    passed = [mid for mid in members if verdicts[mid]]
+    if not passed:
+        return None
+    fam = assemble_family([members[mid] for mid in passed], member_ids=tuple(passed))
+    result = select(fam)
+    summary = dict(result.to_dict(fam),
+                   excluded=[mid for mid in members if not verdicts[mid]])
     out = Path(config.out_dir)
     result.trajectory.save(out / "selected")
     (out / "selection.json").write_text(json.dumps(summary, indent=2) + "\n")
@@ -328,14 +339,15 @@ def run_scenario(config: ScenarioConfig) -> int:
         members = stage_simulate(config)
     except BlowUpError as exc:
         raise BlowUpError(f"[simulate] {exc}") from exc
-    certified = stage_certify(config, members)
+    verdicts = stage_certify(config, members)
+    certified = all(verdicts.values())
     if config.scenario == "mv_ladder":
         # the viscosity-ladder members do not share nu, so the convex
         # selection does not apply; the deliverable is the defect pair
         if len(members) >= 2:
             stage_mv(config, members)
     else:
-        stage_select(config, members)
+        stage_select(config, members, verdicts)
     manifest = {"scenario": config.scenario, "seed": config.seed,
                 "system": config.system.to_dict(),
                 "weight": config.weight.to_dict(),

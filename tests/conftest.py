@@ -7,7 +7,7 @@ import pytest
 
 from maxdiss import solver
 from maxdiss.fields import Grid, SpectralField, gradients, project, spectral_tables
-from maxdiss.solver import Forcing, SystemSpec, solve, taylor_green
+from maxdiss.solver import Forcing, SystemSpec, Trajectory, solve, taylor_green
 
 
 def stacked(fields) -> np.ndarray:
@@ -109,6 +109,22 @@ def tg_ladder():
         members.append(solve(spec, taylor_green(0.0, nu, grid),
                              sample_stride=10))
     return members
+
+
+@pytest.fixture(scope="session")
+def tg_impostors():
+    """Taylor-Green at n = 32, nu = 0.1 (dt 2.5e-3 to T = 0.5, a sample every
+    10 steps) and two manufactured trajectories with its data: "growing",
+    (1 + t) TG, and "decaying", e^{-t/2} TG, which loses energy faster than
+    the flow can."""
+    nu, grid = 0.1, Grid(32)
+    spec = SystemSpec(nu=nu, grid=grid, t_end=0.5, dt=2.5e-3, forcing=Forcing("zero"))
+    tg = solve(spec, taylor_green(0.0, nu, grid), sample_stride=10)
+    factors = {"growing": 1.0 + tg.times, "decaying": np.exp(-tg.times / 2)}
+    return dict(tg=tg, **{name: Trajectory(spec=spec, times=tg.times,
+                                           coeffs=tg.coeffs * f[:, None, None, None],
+                                           provenance=f"manufactured {name}")
+                          for name, f in factors.items()})
 
 
 @pytest.fixture()

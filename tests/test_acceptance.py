@@ -1,4 +1,4 @@
-"""Acceptance gate: the eleven end-to-end properties of the toolkit.
+"""Acceptance gate: the twelve end-to-end properties of the toolkit.
 
 Every test prints one PASS/FAIL line; all tolerances are stated inline.
 """
@@ -154,9 +154,9 @@ def test_acceptance_05_selection_well_posed(tg_ladder, capsys):
     vertex_ok = all(
         res.objective <= objective(fam, np.eye(3)[i]) + 1e-12
         for i in range(3))
-    rng = np.random.default_rng(11)
-    sols = [select(fam, start=rng.dirichlet(np.ones(3))).trajectory
-            for _ in range(2)]
+    # the exact solve has no start point: restart it on permuted member orders
+    sols = [select(assemble_family([tg_ladder[i] for i in order])).trajectory
+            for order in ((1, 2, 0), (2, 0, 1))]
     dist2 = [l2_norm(a - b) ** 2
              for a, b in zip(states(sols[0]), states(sols[1]))]
     dist = float(np.sqrt(simpson(np.array(dist2), x=fam.times)))
@@ -318,4 +318,29 @@ def test_acceptance_11_multiplier_form_convergence(tg_reference, capsys):
     ok = 1.0 <= ratio <= 4.0
     _emit(capsys, 11, "mollified-indicator form: width halving shrinks the "
           f"gap by {ratio:.2f}x (required 2x +- factor 2)", ok)
+    assert ok
+
+
+def test_acceptance_12_selection_mixes_only_certified_members(tg_impostors, tmp_path,
+                                                              capsys):
+    # e^{-t/2} TG fails `exact` under the strain weight; it has less energy
+    # than TG, so a selection over both members would return it
+    from maxdiss.scenarios import ScenarioConfig, stage_certify, stage_select
+
+    cfg = ScenarioConfig.from_dict({
+        "scenario": "taylor_green",
+        "system": {"nu": 0.1, "n": 32, "t_end": 0.5, "dt": 2.5e-3},
+        "family": {"resolutions": [32], "sample_stride": 10},
+        "weight": {"kind": "euler_negsym"}, "tests": ["exact", "zero"]},
+        out_dir=str(tmp_path))
+    members = {mid: tg_impostors[mid] for mid in ("tg", "decaying")}
+    verdicts = stage_certify(cfg, members)
+    summary = stage_select(cfg, members, verdicts)
+    gap = np.abs(Trajectory.load(tmp_path / "selected").coeffs - members["tg"].coeffs).max()
+    ok = (verdicts == {"tg": True, "decaying": False} and summary["member_ids"] == ["tg"]
+          and summary["excluded"] == ["decaying"] and summary["lambda"] == [1.0]
+          and gap <= 1e-12)
+    _emit(capsys, 12, f"selection over {{TG, e^(-t/2) TG}}: verdicts {verdicts}, "
+          f"selected {summary['member_ids']}, excluded {summary['excluded']}, "
+          f"distance to TG {gap:.1e} <= 1e-12", ok)
     assert ok

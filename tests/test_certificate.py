@@ -111,6 +111,26 @@ def test_growing_taylor_green_fails_exact_test():
                        * np.exp(-series.weight_integral), rtol=1e-14, atol=0.0)
 
 
+def test_strain_weight_fails_manufactured_impostors(tg_impostors):
+    # the nu-free strain weight keeps I(T) near 1, so the damped margins still
+    # test something: both impostors fail `exact` and `amplitude:1.05`, which
+    # the Serrin weight leaves vacuous, and the true flow passes all three
+    grid = Grid(32)
+    tests = [TestTrajectory.zero(grid), TestTrajectory.taylor_green(0.1, grid, label="exact"),
+             TestTrajectory.taylor_green(0.1, grid, amplitude=1.05, label="amplitude_1.05")]
+
+    def worst(name):  # least margin + tol after t = 0, per test
+        report = certify(tg_impostors[name], tests, WeightSpec(kind="euler_negsym"))
+        return {tid: min(e.margin + e.tol for e in report.entries
+                         if e.test_id == tid and e.t > 0)
+                for tid in ("zero", "exact", "amplitude_1.05")}
+
+    assert min(worst("tg").values()) >= 0.0
+    for name, measured in (("growing", (-0.82, -0.60)), ("decaying", (-0.16, -0.21))):
+        got = worst(name)
+        assert (got["exact"], got["amplitude_1.05"]) == pytest.approx(measured, abs=0.01)
+
+
 def test_certify_propagates_programming_errors(tg_reference):
     traj, _, _ = tg_reference
     grid = traj.grid

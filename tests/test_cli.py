@@ -92,7 +92,7 @@ def test_config_not_an_object():
     ("/weight", "kapa"),
     ("/tolerance", "step_coef"),
     ("/family", "sample_strid"),
-    ("/selector", "maxiter"),
+    ("", "selector"),
     ("/mv", "nu"),
     ("", "residual"),
     ("/system", "dealias"),
@@ -100,7 +100,7 @@ def test_config_not_an_object():
 ])
 def test_cli_rejects_unknown_config_key(tmp_path, capsys, pointer, typo):
     cfg = _base_cfg(scenario="mv_ladder", mv={"nus": [0.1, 0.05]},
-                    selector={}, weight={}, tolerance={})
+                    weight={}, tolerance={})
     cfg["system"]["forcing"] = {"kind": "zero"}
     section = cfg
     for part in pointer.split("/")[1:]:
@@ -117,9 +117,9 @@ def test_cli_rejects_unknown_config_key(tmp_path, capsys, pointer, typo):
 @pytest.mark.parametrize("pointer, value", [
     ("/tolerance/quadrature", "x"),
     ("/tolerance/step_coeff", -1),
-    ("/selector/max_iter", "5"),
-    ("/selector/max_iter", 0),
-    ("/selector/kkt_tol", 0.0),
+    ("/tests/1", "amplitude:abc"),
+    ("/tests/1", "amplitud:1.1"),
+    ("/tests/1", "amplitude:nan"),
     ("/family/sample_stride", 0),
     ("/family/sample_stride", "2"),
     ("/family/sample_stride", 2.0),
@@ -138,12 +138,16 @@ def test_cli_rejects_unknown_config_key(tmp_path, capsys, pointer, typo):
     ("/mv/mollifier_kmax", 0),
     ("/mv/clip_fail_ratio", "2"),
     ("/mv/clip_fail_ratio", -1),
+    ("/family/resolutions", list(range(4, 22, 2))),  # 9 members
 ])
 def test_cli_rejects_mistyped_config_value(tmp_path, capsys, pointer, value):
     # caught when the config is parsed: exit 4 naming the value, no output tree
     _, section, key = pointer.split("/")
     cfg = _base_cfg()
-    cfg.setdefault(section, {})[key] = value
+    if isinstance(cfg.get(section), list):
+        cfg[section][int(key)] = value
+    else:
+        cfg.setdefault(section, {})[key] = value
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
@@ -285,9 +289,8 @@ def test_build_tests_ids():
         _base_cfg(tests=["exact", "zero", "amplitude:1.1"]))
     tests = build_tests(cfg, Grid(16))
     assert [t.label for t in tests] == ["exact", "zero", "amplitude_1.1"]
-    bad = ScenarioConfig.from_dict(_base_cfg(tests=["nope"]))
-    with pytest.raises(ConfigError, match="/tests"):
-        build_tests(bad, Grid(16))
+    with pytest.raises(ConfigError, match="/tests/0"):
+        ScenarioConfig.from_dict(_base_cfg(tests=["nope"]))
 
 
 # -- full pipeline -----------------------------------------------------------
@@ -415,9 +418,15 @@ def test_stage_subcommands_match_run(tmp_path, capsys):
             assert np.allclose([e[key] for e in b["entries"]],
                                [e[key] for e in a["entries"]], rtol=0.0, atol=1e-13)
     a, b = (json.loads((root / "selection.json").read_text()) for root in (run, staged))
-    assert (b["member_ids"], b["converged"]) == (a["member_ids"], a["converged"])
-    assert np.allclose(b["lambda"], a["lambda"], rtol=0.0, atol=1e-12)
+    for key in ("member_ids", "rank", "unique", "excluded"):
+        assert b[key] == a[key]
     assert b["objective"] == pytest.approx(a["objective"], rel=1e-12)
+    # H has eigenvalues 3.1e-7 and 9.4 here, so the exact solve moves lambda by
+    # about |dH| / 3.1e-7 = 1.4e-8 for the 4.4e-15 that the stored samples
+    # change in H; the mixed trajectory, the deliverable, still agrees to 1e-12
+    assert np.allclose(b["lambda"], a["lambda"], rtol=0.0, atol=2e-8)
+    mixed = [Trajectory.load(root / "selected").coeffs for root in (run, staged)]
+    assert np.abs(mixed[0] - mixed[1]).max() <= 1e-12
 
 
 def test_stage_mv_uses_the_pair_default_clip_ratio(tmp_path):
@@ -562,6 +571,31 @@ def test_cli_certificate_failure_exit_code(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
     cert = json.loads((out / "certificates" / "n_16.json").read_text())
     assert cert["verdict"] == "fail"
+
+
+def test_cli_select_mixes_only_certified_members(tmp_path, capsys, tg_impostors):
+    # select reads each member's verdict from its certificate: the impostor
+    # is excluded, and the exit code still says that a member failed
+    cfg = _write_cfg(tmp_path, system={"nu": 0.1, "n": 32, "t_end": 0.5, "dt": 2.5e-3},
+                     family={"resolutions": [32], "sample_stride": 10},
+                     weight={"kind": "euler_negsym"}, tests=["exact"])
+    out = tmp_path / "run"
+    for mid in ("tg", "decaying"):
+        tg_impostors[mid].save(out / "sim" / mid)
+    assert main(["select", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert str(out / "certificates" / "decaying.json") in capsys.readouterr().err
+    assert main(["certify", "--config", cfg, "--out", str(out)]) == EXIT_CERT_FAIL
+    assert main(["select", "--config", cfg, "--out", str(out)]) == EXIT_CERT_FAIL
+    sel = json.loads((out / "selection.json").read_text())
+    assert (sel["member_ids"], sel["excluded"], sel["lambda"]) == (["tg"], ["decaying"], [1.0])
+    assert (sel["rank"], sel["unique"]) == (1, True)
+    # with no member certified there is nothing to select from
+    (out / "selection.json").unlink()
+    (out / "certificates" / "tg.json").write_text(json.dumps({"verdict": "fail"}))
+    capsys.readouterr()
+    assert main(["select", "--config", cfg, "--out", str(out)]) == EXIT_CERT_FAIL
+    assert "no selection" in capsys.readouterr().out
+    assert not (out / "selection.json").exists()
 
 
 def test_cli_blowup_exit_code(tmp_path, capsys):

@@ -9,6 +9,7 @@ from maxdiss.certificate import ToleranceModel, certify
 from maxdiss.fields import Grid, from_function, l2_norm
 from maxdiss.relenergy import WeightSpec
 from maxdiss.selector import (
+    MAX_MEMBERS,
     SelectorError,
     SimplexWeights,
     assemble_family,
@@ -16,7 +17,6 @@ from maxdiss.selector import (
     kkt_residual,
     objective,
     select,
-    simplex_project,
     verify_convex_midpoint,
 )
 from maxdiss.solver import (
@@ -32,20 +32,6 @@ SERRIN = WeightSpec(kind="serrin", p=4.0)
 
 
 # -- simplex geometry --------------------------------------------------------
-
-def test_simplex_project_identity_on_feasible():
-    lam = np.array([0.2, 0.3, 0.5])
-    assert np.abs(simplex_project(lam) - lam).max() <= 1e-15
-
-
-def test_simplex_project_known_points():
-    assert np.abs(simplex_project(np.array([2.0, 0.0])) - [1.0, 0.0]).max() == 0.0
-    out = simplex_project(np.array([0.6, 0.6]))
-    assert np.abs(out - [0.5, 0.5]).max() <= 1e-15
-    big = simplex_project(np.array([5.0, -3.0, 0.1]))
-    assert big.min() >= 0.0
-    assert big.sum() == pytest.approx(1.0, abs=1e-12)
-
 
 def test_simplex_weights_validation():
     SimplexWeights(np.array([0.5, 0.5]))
@@ -137,7 +123,9 @@ def test_select_duplicate_members(tg_ladder):
     fam = assemble_family([tg_ladder[2], tg_ladder[2]])
     single = assemble_family([tg_ladder[2]])
     res = select(fam)
-    assert res.converged
+    # the whole edge is optimal; the least-norm point is its midpoint
+    assert np.abs(res.weights.lam - 0.5).max() <= 1e-12
+    assert (res.rank, res.unique, res.iterations) == (1, False, 3)
     assert res.objective == pytest.approx(
         objective(single, np.array([1.0])), rel=1e-12)
     gap = max(l2_norm(a - b) for a, b in
@@ -153,8 +141,8 @@ def test_select_concentrates_on_lower_energy_member(tg_ladder):
                      sample_stride=10)
     fam = assemble_family([tg_ladder[0], inflated], data_rtol=0.5)
     res = select(fam)
-    assert res.converged
-    assert res.weights.lam[0] >= 0.99
+    assert np.abs(res.weights.lam - [1.0, 0.0]).max() <= 1e-12
+    assert res.unique
     verts = [objective(fam, np.array([1.0, 0.0])),
              objective(fam, np.array([0.0, 1.0]))]
     assert res.objective <= min(verts) + 1e-12
@@ -183,8 +171,10 @@ def test_interior_optimum_matches_closed_form():
     lam_star = (g22 - g12) / (g11 - 2 * g12 + g22)
     assert 0.0 < lam_star < 1.0
     res = select(fam)
-    assert res.converged
-    assert res.weights.lam[0] == pytest.approx(lam_star, abs=1e-8)
+    assert res.weights.lam[0] == pytest.approx(lam_star, abs=1e-12)
+    assert lam_star == pytest.approx(0.8, abs=1e-12)
+    assert (res.rank, res.unique) == (2, True)
+    assert res.kkt_residual <= 1e-12
     # the closed-form optimum is a KKT point to high accuracy
     assert kkt_residual(
         fam, SimplexWeights(np.array([lam_star, 1 - lam_star]))) <= 1e-10
@@ -214,21 +204,46 @@ def test_objective_convex_in_lambda(tg_ladder, rng):
 def test_selected_objective_below_vertices(tg_ladder):
     fam = assemble_family(list(tg_ladder))
     res = select(fam)
-    assert res.converged and res.kkt_residual <= 1e-6
+    assert res.kkt_residual <= 1e-6
     for i in range(3):
         vert = np.zeros(3)
         vert[i] = 1.0
         assert res.objective <= objective(fam, vert) + 1e-12
 
 
-def test_selected_trajectory_unique_across_restarts(tg_ladder, rng):
+def test_selected_trajectory_unique_across_restarts(tg_ladder):
+    # the exact solve has no start point: restart it on permuted member orders
+    sols = [select(assemble_family([tg_ladder[i] for i in order])).trajectory
+            for order in ((0, 1, 2), (2, 0, 1))]
     fam = assemble_family(list(tg_ladder))
-    sols = [select(fam, start=rng.dirichlet(np.ones(3))).trajectory
-            for _ in range(2)]
     dist2 = [l2_norm(a - b) ** 2
              for a, b in zip(states(sols[0]), states(sols[1]))]
     dist = np.sqrt(simpson(np.array(dist2), x=fam.times))
     assert dist <= 1e-8
+
+
+def test_select_reports_rank_and_ties_on_the_ladder(tg_ladder):
+    # one decaying vortex at three resolutions: H is numerically rank 1, the
+    # whole simplex is optimal, and its least-norm point is the barycentre
+    res = select(assemble_family(list(tg_ladder)))
+    assert (res.rank, res.unique, res.iterations) == (1, False, 7)
+    assert np.abs(res.weights.lam - 1.0 / 3.0).max() <= 1e-10
+
+
+def test_select_all_zero_family_returns_uniform_weights():
+    grid = Grid(8)
+    spec = SystemSpec(nu=0.1, grid=grid, t_end=1.0, dt=0.5, forcing=Forcing("zero"))
+    zero = Trajectory(spec=spec, times=np.array([0.0, 0.5, 1.0]),
+                      coeffs=np.zeros((3, 2, 8, 5), dtype=complex))
+    res = select(assemble_family([zero] * 3))
+    assert np.abs(res.weights.lam - 1.0 / 3.0).max() <= 1e-15
+    assert (res.rank, res.unique, res.objective, res.kkt_residual) == (0, False, 0.0, 0.0)
+
+
+def test_select_rejects_more_members_than_supports_listed(tg_ladder):
+    fam = assemble_family([tg_ladder[0]] * (MAX_MEMBERS + 1))
+    with pytest.raises(SelectorError, match="at most 8"):
+        select(fam)
 
 
 # -- convexity of the certified set ------------------------------------------
@@ -248,7 +263,7 @@ def test_midpoint_of_identical_members(tg_ladder):
     fn = _tg_certify_fn(0.05)
     rep = verify_convex_midpoint(fam, fn)
     member = fn(tg_ladder[2], 2.0)
-    assert rep.all_pass
+    assert all(rep.verdicts)
     assert rep.worst_margins[0] == pytest.approx(member.worst_margin(),
                                                  rel=1e-10)
 
@@ -257,7 +272,7 @@ def test_midpoint_certifies_with_summed_budget(tg_ladder):
     fam = assemble_family([tg_ladder[0], tg_ladder[2]])
     rep = verify_convex_midpoint(fam, _tg_certify_fn(0.05),
                                  lambdas=[0.0, 0.25, 0.5, 0.75, 1.0])
-    assert rep.all_pass
+    assert all(rep.verdicts)
     assert len(rep.worst_margins) == 5
 
 

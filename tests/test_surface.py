@@ -1,6 +1,7 @@
-"""Every public function and class of the package has a consumer."""
+"""Every public function, class and method of the package has a consumer."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).parents[1]
@@ -13,23 +14,29 @@ EXEMPT = {
 }
 
 
-def _referenced(node) -> set:
-    return {sub.id if isinstance(sub, ast.Name) else sub.attr
-            for sub in ast.walk(node) if isinstance(sub, (ast.Name, ast.Attribute))}
+def _references(node) -> Counter:
+    return Counter(sub.id if isinstance(sub, ast.Name) else sub.attr
+                   for sub in ast.walk(node) if isinstance(sub, (ast.Name, ast.Attribute)))
+
+
+def _public_definitions(module):
+    """Public top-level functions and classes, and the public methods of those
+    classes.  Methods are matched by name: a call of ``x.save`` consumes every
+    public method named ``save``."""
+    for node in module.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node
+            if isinstance(node, ast.ClassDef):
+                yield from (fn for fn in node.body if isinstance(fn, ast.FunctionDef)
+                            and not fn.name.startswith("_"))
 
 
 def test_public_definitions_have_consumers():
-    statements = [stmt for path in sorted(SRC.glob("*.py"))
-                  for stmt in ast.parse(path.read_text()).body]
-    used = {id(stmt): _referenced(stmt) for stmt in statements}
-    outside = set().union(*(_referenced(ast.parse(p.read_text())) for p in CONSUMERS))
-    unused = []
-    for node in statements:
-        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
-                or node.name.startswith("_") or node.name in EXEMPT:
-            continue
-        # a definition's references to itself do not count
-        if node.name not in outside and not any(
-                node.name in names for key, names in used.items() if key != id(node)):
-            unused.append(node.name)
+    modules = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    everywhere = sum((_references(tree) for tree in
+                      modules + [ast.parse(p.read_text()) for p in CONSUMERS]), Counter())
+    # a definition's references to itself do not count
+    unused = [node.name for module in modules for node in _public_definitions(module)
+              if node.name not in EXEMPT
+              and everywhere[node.name] == _references(node)[node.name]]
     assert not unused, f"public names nothing consumes: {unused}"
