@@ -123,7 +123,7 @@ def assemble_family(trajs, member_ids=None, data_rtol: float = 1e-8) -> Candidat
 MAX_MEMBERS = 8
 
 #: relative resolution of H: eigenvalues at or below RTOL * lambda_max are
-#: zeroed, and J values within RTOL of the least J are tied.  The benchmark
+#: zeroed, and J values within RTOL * lambda_max of the least J are tied.  The benchmark
 #: families are one solution at several resolutions, so H is numerically
 #: rank 1 (eigenvalues 4.3e-16, 1.6e-11, 4.38 on perfbench's cert_dense_32
 #: at seed 0).  A cut at 1e-12 keeps the 1.6e-11 eigenvalue, which holds the
@@ -177,7 +177,7 @@ def select(family: CandidateFamily) -> SelectionResult:
         raise SelectorError(f"{m} members, the exact solve takes at most {MAX_MEMBERS}")
     eig, vec = np.linalg.eigh(family.gram_time_integral())
     keep = eig > RTOL * eig.max()
-    # scaled to lambda_max = 1, so that lstsq's cut is relative to H
+    # scaled to lambda_max = 1, so that lstsq's cut and the ties are relative to H
     Hr = (vec[:, keep] * (eig[keep] / eig.max())) @ vec[:, keep].T
     supports = [S for k in range(1, m + 1) for S in combinations(range(m), k)]
     candidates = []
@@ -188,7 +188,7 @@ def select(family: CandidateFamily) -> SelectionResult:
         if x.min() >= 0.0:
             candidates.append(np.bincount(S, x, minlength=m))  # x scattered onto S
     J = np.array([lam @ Hr @ lam for lam in candidates])
-    tied = [lam for lam, j in zip(candidates, J) if j <= J.min() * (1.0 + RTOL)]
+    tied = [lam for lam, j in zip(candidates, J) if j <= J.min() + RTOL]
     weights = SimplexWeights(min(tied, key=np.linalg.norm))
     # a J within RTOL fixes lambda to about sqrt(RTOL)
     unique = all(np.abs(lam - weights.lam).max() <= np.sqrt(RTOL) for lam in tied)

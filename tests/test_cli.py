@@ -590,12 +590,12 @@ def test_cli_select_mixes_only_certified_members(tmp_path, capsys, tg_impostors)
     assert (sel["member_ids"], sel["excluded"], sel["lambda"]) == (["tg"], ["decaying"], [1.0])
     assert (sel["rank"], sel["unique"]) == (1, True)
     # with no member certified there is nothing to select from
-    (out / "selection.json").unlink()
-    (out / "certificates" / "tg.json").write_text(json.dumps({"verdict": "fail"}))
-    capsys.readouterr()
-    assert main(["select", "--config", cfg, "--out", str(out)]) == EXIT_CERT_FAIL
+    alone = tmp_path / "alone"
+    tg_impostors["decaying"].save(alone / "sim" / "decaying")
+    for command in ("certify", "select"):
+        assert main([command, "--config", cfg, "--out", str(alone)]) == EXIT_CERT_FAIL
     assert "no selection" in capsys.readouterr().out
-    assert not (out / "selection.json").exists()
+    assert not (alone / "selection.json").exists()
 
 
 def test_cli_blowup_exit_code(tmp_path, capsys):

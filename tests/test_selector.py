@@ -240,6 +240,21 @@ def test_select_all_zero_family_returns_uniform_weights():
     assert (res.rank, res.unique, res.objective, res.kkt_residual) == (0, False, 0.0, 0.0)
 
 
+def test_select_ties_on_a_zero_energy_face():
+    # members b, -b, b: J = 0 on the whole segment lambda_1 + lambda_3 =
+    # lambda_2 = 1/2, where the computed J values are rounding of either sign
+    grid = Grid(16)
+    spec = SystemSpec(nu=0.1, grid=grid, t_end=1.0, dt=0.25, forcing=Forcing("zero"))
+    b = taylor_green(0.0, 0.1, grid)
+    times = np.linspace(0.0, 1.0, 5)
+    trajs = [Trajectory(spec=spec, times=times, coeffs=stacked([s * b] * 5))
+             for s in (1.0, -1.0, 1.0)]
+    res = select(assemble_family(trajs, data_rtol=10.0))
+    assert np.abs(res.weights.lam - [0.25, 0.5, 0.25]).max() <= 1e-12
+    assert (res.rank, res.unique) == (1, False)
+    assert res.objective <= 1e-14
+
+
 def test_select_rejects_more_members_than_supports_listed(tg_ladder):
     fam = assemble_family([tg_ladder[0]] * (MAX_MEMBERS + 1))
     with pytest.raises(SelectorError, match="at most 8"):
