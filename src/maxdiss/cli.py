@@ -69,22 +69,11 @@ def _load_config(args):
                                     seed=args.seed)
 
 
-def _load_members(config) -> dict:
-    """{member id: Trajectory} of every simulated member under the run tree."""
-    from .solver import Trajectory
-    sim = Path(config.out_dir) / "sim"
-    dirs = sorted(p for p in sim.iterdir() if p.is_dir()) if sim.is_dir() else []
-    if not dirs:
-        from .scenarios import ConfigError
-        raise ConfigError(f"{sim}: no simulated members (run simulate first)")
-    return {p.name: Trajectory.load(p) for p in dirs}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     from .fields import FieldError
-    from .scenarios import (ConfigError, report, run_scenario, stage_certify,
-                            stage_select, stage_simulate)
+    from .scenarios import (ConfigError, load_members, report, run_scenario,
+                            stage_certify, stage_select, stage_simulate)
     from .solver import BlowUpError, SolverError
 
     try:
@@ -96,12 +85,12 @@ def main(argv=None) -> int:
             return EXIT_OK
         if args.command == "certify":
             config = _load_config(args)
-            ok = all(stage_certify(config, _load_members(config)).values())
+            ok = all(stage_certify(config, load_members(config)).values())
             print(f"certificate {'PASS' if ok else 'FAIL'}")
             return EXIT_OK if ok else EXIT_CERT_FAIL
         if args.command == "select":
             config = _load_config(args)
-            members, verdicts = _load_members(config), {}
+            members, verdicts = load_members(config), {}
             for mid in members:  # each member's stored certificate verdict
                 path = Path(config.out_dir) / "certificates" / f"{mid}.json"
                 try:

@@ -29,6 +29,8 @@ TWO_PI = 2.0 * np.pi
 SOLENOIDAL_RTOL = 1e-12
 
 HEADER_MAGIC = b"MAXDISS-FLD\0".ljust(16, b"\0")
+#: payload types of the sample container, by its header key ``dtype``
+_SAMPLE_DTYPES = {"f64": "<f8", "c128": "<c16"}
 
 
 class FieldError(ValueError):
@@ -340,17 +342,19 @@ def tensor_samples(c: np.ndarray, m: int) -> np.ndarray:
 # -- persistence ------------------------------------------------------------
 
 def save_samples(path, samples: np.ndarray, extra: dict | None = None) -> None:
-    """Binary container: 16-byte magic, padded JSON header, f64 samples.
+    """Binary container: 16-byte magic, padded JSON header, samples.
 
-    ``samples`` has shape (..., c, n, n): one field (c, n, n) or a time
-    series (T, c, n, n), of velocities (c = 2) or of symmetric defect
-    densities (c = 3).  The header key ``shape`` holds the full shape; the
-    payload is little-endian float64 in C order.
+    ``samples`` has shape (..., c, a, b): real physical samples, one field
+    (c, n, n) or a time series (T, c, n, n), of velocities (c = 2) or of
+    symmetric defect densities (c = 3), or complex half spectra.  The header
+    key ``shape`` holds the full shape and ``dtype`` the payload type, ``f64``
+    or ``c128``; the payload is little-endian in C order.
     """
-    samples = np.ascontiguousarray(samples, dtype="<f8")
-    if samples.ndim < 3 or samples.shape[-1] != samples.shape[-2]:
-        raise FieldError(f"samples must be (..., c, n, n), got {samples.shape}")
-    meta = {"shape": list(samples.shape), "endianness": "little", "dtype": "f64"}
+    dtype = "c128" if np.iscomplexobj(samples) else "f64"
+    samples = np.ascontiguousarray(samples, dtype=_SAMPLE_DTYPES[dtype])
+    if samples.ndim < 3:
+        raise FieldError(f"samples must be (..., c, a, b), got {samples.shape}")
+    meta = {"shape": list(samples.shape), "endianness": "little", "dtype": dtype}
     if extra:
         meta.update(extra)
     header = json.dumps(meta).encode()
@@ -376,9 +380,10 @@ def load_samples(path):
             (hlen,) = struct.unpack("<I", fh.read(4))
             header = json.loads(fh.read(hlen))
             shape = tuple(int(s) for s in header["shape"])
+            dtype = _SAMPLE_DTYPES[header["dtype"]]
         except (struct.error, ValueError, TypeError, KeyError) as exc:
             raise FieldError(f"{path}: unreadable header ({exc!r})") from None
-        data = np.fromfile(fh, dtype="<f8")
+        data = np.fromfile(fh, dtype=dtype)
     if len(shape) < 3 or min(shape) < 0 or data.size != np.prod(shape):
         raise FieldError(f"{path}: {data.size} samples, header shape {list(shape)}")
     return data.reshape(shape), header

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import shutil
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -24,7 +25,8 @@ from .fields import Grid, SpectralField, from_function, l2_norm, random_field, r
 from .mv_euler import defect_from_pair, trace_energy_gap
 from .relenergy import WeightSpec
 from .selector import MAX_MEMBERS, assemble_family, select
-from .solver import BlowUpError, SolverError, SystemSpec, TestTrajectory, solve, taylor_green
+from .solver import (BlowUpError, SolverError, SystemSpec, TestTrajectory, Trajectory, solve,
+                     taylor_green)
 
 SCENARIO_IDS = ("taylor_green", "perturbed_tg", "two_vortex", "euler_tg",
                 "mv_ladder")
@@ -274,6 +276,18 @@ def stage_simulate(config: ScenarioConfig) -> dict:
     return members
 
 
+def load_members(config: ScenarioConfig) -> dict:
+    """{member id: Trajectory} of every simulated member under the run tree,
+    the config's members first and in its order, as stage_simulate returns them."""
+    sim = Path(config.out_dir) / "sim"
+    dirs = [p for p in sim.iterdir() if p.is_dir()] if sim.is_dir() else []
+    if not dirs:
+        raise ConfigError(f"{sim}: no simulated members (run simulate first)")
+    order = {mid: i for i, (mid, _) in enumerate(_member_specs(config))}
+    dirs.sort(key=lambda p: (order.get(p.name, len(order)), p.name))
+    return {p.name: Trajectory.load(p) for p in dirs}
+
+
 def stage_certify(config: ScenarioConfig, members: dict) -> dict:
     """Certify and save every member; returns {member id: passed}."""
     out = Path(config.out_dir) / "certificates"
@@ -291,15 +305,18 @@ def stage_certify(config: ScenarioConfig, members: dict) -> dict:
 
 
 def stage_select(config: ScenarioConfig, members: dict, verdicts: dict) -> dict | None:
-    """Select among the members that passed; writes nothing when none did."""
+    """Select among the members that passed; when none did, removes any
+    earlier selection.json and selected/ and writes nothing."""
+    out = Path(config.out_dir)
     passed = [mid for mid in members if verdicts[mid]]
     if not passed:
+        (out / "selection.json").unlink(missing_ok=True)
+        shutil.rmtree(out / "selected", ignore_errors=True)
         return None
     fam = assemble_family([members[mid] for mid in passed], member_ids=tuple(passed))
     result = select(fam)
     summary = dict(result.to_dict(fam),
                    excluded=[mid for mid in members if not verdicts[mid]])
-    out = Path(config.out_dir)
     result.trajectory.save(out / "selected")
     (out / "selection.json").write_text(json.dumps(summary, indent=2) + "\n")
     return summary

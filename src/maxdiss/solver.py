@@ -279,6 +279,10 @@ def advance(v: SpectralField, spec: SystemSpec, t: float,
 
 # -- trajectories -----------------------------------------------------------
 
+#: header key ``layout`` of a trajectory's states.fld
+_STATES_LAYOUT = "half_spectrum_packed"
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Time-sampled solenoidal states of one Galerkin run, stacked: ``coeffs``
@@ -321,7 +325,9 @@ class Trajectory:
     def save(self, out_dir) -> None:
         """Write manifest.json (spec, times, provenance) and states.fld.
 
-        states.fld holds the physical samples of every state, (T, 2, n, n).
+        states.fld holds the half spectra of every state packed to
+        (T, 2, n - 1, n/2): the Nyquist row and column are zero and left
+        out, so that load gives back the same spectra bit for bit.
         """
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -331,12 +337,9 @@ class Trajectory:
             "provenance": self.provenance,
         }
         (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
-        n = self.grid.n
-        # filled state by state: a stacked batch transform holds a second copy
-        phys = np.empty((self.times.size, 2, n, n))
-        for i, c in enumerate(self.coeffs):
-            phys[i] = np.fft.irfft2(c, s=(n, n), norm="forward")
-        save_samples(out / "states.fld", phys)
+        h = self.grid.n // 2
+        save_samples(out / "states.fld", np.delete(self.coeffs[..., :h], h, axis=-2),
+                     extra={"layout": _STATES_LAYOUT})
 
     @classmethod
     def load(cls, in_dir) -> "Trajectory":
@@ -345,12 +348,15 @@ class Trajectory:
         spec = SystemSpec.from_dict(manifest["spec"])
         times = np.array(manifest["times"])
         path = src / "states.fld"
-        phys, _ = load_samples(path)
-        n = spec.grid.n
-        if phys.shape != (times.size, 2, n, n):
-            raise FieldError(f"{path}: shape {list(phys.shape)}, the manifest "
-                             f"needs {[times.size, 2, n, n]}")
-        return cls(spec=spec, times=times, coeffs=np.fft.rfft2(phys, norm="forward"),
+        packed, header = load_samples(path)
+        n, h = spec.grid.n, spec.grid.n // 2
+        if header.get("layout") != _STATES_LAYOUT or packed.shape != (times.size, 2, n - 1, h):
+            raise FieldError(f"{path}: layout {header.get('layout')}, shape {list(packed.shape)}; "
+                             f"the manifest needs {_STATES_LAYOUT}, {[times.size, 2, n - 1, h]}")
+        coeffs = np.zeros((times.size, 2, n, h + 1), dtype=np.complex128)  # Nyquist: 0
+        coeffs[..., :h, :h] = packed[..., :h, :]
+        coeffs[..., h + 1:, :h] = packed[..., h:, :]
+        return cls(spec=spec, times=times, coeffs=coeffs,
                    provenance=manifest.get("provenance", ""))
 
 

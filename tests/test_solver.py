@@ -11,8 +11,9 @@ from conftest import (convection, divergence_linf, reference_advance, reference_
 from maxdiss import solver
 from maxdiss.fields import (FieldError, Grid, SpectralField,
                             from_function, inner, l2_norm,
-                            leray_project, project, random_field, resample,
-                            save_field, spectral_tables, zero_field)
+                            leray_project, load_samples, project, random_field,
+                            resample, save_field, save_samples, spectral_tables,
+                            zero_field)
 from maxdiss.solver import (
     BlowUpError,
     Forcing,
@@ -475,12 +476,29 @@ def test_trajectory_roundtrip(tmp_path):
     back = Trajectory.load(tmp_path / "run")
     assert np.allclose(back.times, traj.times)
     assert back.spec.nu == spec.nu and back.grid.n == 16
-    assert np.abs(back.coeffs - traj.coeffs).max() <= 1e-14
+    assert np.array_equal(back.coeffs, traj.coeffs)
     # states.fld must match the manifest's sample count
     manifest = tmp_path / "run" / "manifest.json"
     meta = json.loads(manifest.read_text())
     manifest.write_text(json.dumps(dict(meta, times=meta["times"][:-1])))
     with pytest.raises(FieldError, match="states.fld"):
+        Trajectory.load(tmp_path / "run")
+
+
+def test_trajectory_stores_packed_half_spectra(tmp_path, rng):
+    # states.fld holds the spectra less their zero Nyquist row and column and
+    # loads them back bit for bit; a file of physical samples, the layout of
+    # older run trees, is refused
+    spec = _spec(nu=0.1, n=16, t_end=0.02, dt=1e-2)
+    traj = solve(spec, random_field(spec.grid, rng, kmax=8, components=2, solenoidal=True))
+    traj.save(tmp_path / "run")
+    assert np.array_equal(Trajectory.load(tmp_path / "run").coeffs, traj.coeffs)
+    path = tmp_path / "run" / "states.fld"
+    packed, header = load_samples(path)
+    assert packed.shape == (traj.times.size, 2, 15, 8) and header["dtype"] == "c128"
+    assert path.stat().st_size - 16 * 16 * 15 * traj.times.size < 512  # the header
+    save_samples(path, np.fft.irfft2(traj.coeffs, s=(16, 16), norm="forward"))
+    with pytest.raises(FieldError, match="layout None, shape .* needs half_spectrum_packed"):
         Trajectory.load(tmp_path / "run")
 
 
