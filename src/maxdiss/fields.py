@@ -12,6 +12,15 @@ sums count the columns 0 < ky < n/2 twice, for themselves and their mirrors.
 Wavenumber tables (k, |k|^2, 1/|k|^2, Nyquist and 2/3-rule dealias masks)
 are built once per grid size by ``spectral_tables`` and shared read-only
 by every caller.
+
+A transform between a half spectrum and a grid runs its column pass only
+on the columns that can be nonzero (inverse) or that are kept (forward).
+numpy's irfft2 and rfft2 are a column pass of 1D ``ifft``/``fft`` and a
+row pass of ``irfft``/``rfft``, so the pruned transforms give the same
+bits.  The band follows from the shapes: the n//2 + 1 columns of an
+n-spectrum sampled on a finer grid (``samples``), the columns ky <= cut of
+the 2/3 rule (``solver._rhs``), the n//2 + 1 columns that a restriction
+to n keeps (``mv_euler._lowpass_restrict``).
 """
 
 from __future__ import annotations
@@ -295,15 +304,17 @@ def lp_norms(c: np.ndarray, p: float):
 
 # -- resampling and fine-grid samples ------------------------------------------------------
 
-def _embed(coeffs: np.ndarray, n_from: int, n_to: int) -> np.ndarray:
-    """Copy the half-spectrum modes shared by both sizes into an n_to-sized one.
+def _embed(coeffs: np.ndarray, n_from: int, n_to: int, band: bool = False) -> np.ndarray:
+    """Copy the half-spectrum modes shared by both sizes into an n_to-sized one,
+    with ``band`` only into its h + 1 columns that can be nonzero.
 
     Modes |kx|, |ky| < h = min(n_from, n_to)/2 are copied; those at |k| = h
     are split evenly between +h and -h, as in trigonometric interpolation.
     The stored column ky = h stands for +-h: irfft2 takes its Hermitian part.
     """
-    out = np.zeros(coeffs.shape[:-2] + (n_to, n_to // 2 + 1), dtype=np.complex128)
     h = min(n_from, n_to) // 2
+    out = np.zeros(coeffs.shape[:-2] + (n_to, h + 1 if band else n_to // 2 + 1),
+                   dtype=np.complex128)
     out[..., :h, :h + 1] = coeffs[..., :h, :h + 1]
     out[..., n_to - h + 1:, :h + 1] = coeffs[..., n_from - h + 1:, :h + 1]
     if n_to <= n_from:  # fold the source rows +h and -h onto the Nyquist row
@@ -322,8 +333,12 @@ def resample(u: SpectralField, m: int) -> SpectralField:
 
 
 def samples(c: np.ndarray, m: int) -> np.ndarray:
-    """Physical samples on an m x m grid, m >= n, of coefficients (..., n, n//2 + 1)."""
-    return np.fft.irfft2(_embed(c, c.shape[-2], m), s=(m, m), norm="forward")
+    """Physical samples on an m x m grid, m >= n, of coefficients (..., n, n//2 + 1):
+    the irfft2 of ``_embed(c, n, m)``, its column pass on the n//2 + 1 columns
+    that can be nonzero."""
+    band = _embed(c, c.shape[-2], m, band=True)
+    return np.fft.irfft(np.fft.ifft(band, axis=-2, norm="forward", out=band), m,
+                        axis=-1, norm="forward")
 
 
 def grad_samples(u: SpectralField, m: int) -> np.ndarray:

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .fields import (Grid, _embed, _mode_sum, _sym_eigenvalues, grad_samples, inner,
-                     l2_norm, load_samples, pairing, resample, save_samples,
+                     l2_norm, load_samples, pairing, resample, samples, save_samples,
                      spectral_tables, tensor_samples)
 from .relenergy import simpson
 from .solver import TestTrajectory, Trajectory
@@ -136,7 +136,7 @@ class DefectField:
 
 # -- construction from a resolution gap -------------------------------------
 
-def _lowpass_restrict(samples: np.ndarray, m: int, n: int, kmax: int) -> np.ndarray:
+def _lowpass_restrict(raw: np.ndarray, m: int, n: int, kmax: int) -> np.ndarray:
     """Gaussian spectral low-pass at scale kmax, restricted to n samples.
 
     The Gaussian multiplier exp(-2 |k/kmax|^2) is a positive convolution
@@ -144,8 +144,10 @@ def _lowpass_restrict(samples: np.ndarray, m: int, n: int, kmax: int) -> np.ndar
     is preserved (a sharp cutoff is not and rings negative); the k = 0
     mode, hence the trace integral, passes through unchanged.
     """
-    hat = np.fft.rfft2(samples, norm="forward")
-    hat = hat * np.exp(-2.0 * spectral_tables(m).k2 / (kmax * kmax))
+    h = n // 2 + 1  # the columns _embed(hat, m, n) reads: rfft2 pruned to them
+    hat = np.fft.fft(np.fft.rfft(raw, axis=-1, norm="forward")[..., :h], axis=-2,
+                     norm="forward")
+    hat *= np.exp(-2.0 * spectral_tables(m).k2[:, :h] / (kmax * kmax))
     return np.fft.irfft2(_embed(hat, m, n), s=(n, n), norm="forward")
 
 
@@ -231,14 +233,6 @@ def _check_phi(phi: TestTrajectory, times: np.ndarray) -> None:
         raise MVError(f"test function {phi.label!r} must vanish at t=T")
 
 
-def _density_on(m_k: np.ndarray, n_src: int, n_dst: int) -> np.ndarray:
-    """Trigonometric interpolation of defect samples onto a finer grid."""
-    if n_dst == n_src:
-        return m_k
-    hat = np.fft.rfft2(m_k, norm="forward")
-    return np.fft.irfft2(_embed(hat, n_src, n_dst), s=(n_dst, n_dst), norm="forward")
-
-
 def mv_equation_residual(v: Trajectory, m: DefectField | None, f,
                          phis) -> dict:
     """Per-test-function residual of the momentum balance with defect.
@@ -267,7 +261,7 @@ def mv_equation_residual(v: Trajectory, m: DefectField | None, f,
             gphi = grad_samples(ph, n_q)
             tens = tensor_samples(u.coeffs, n_q)
             if m is not None:
-                tens = tens + _density_on(m.density[k], m.grid.n, n_q)
+                tens = tens + samples(np.fft.rfft2(m.density[k], norm="forward"), n_q)
             stress = np.sum(tens[0] * gphi[0, 0] +
                             tens[1] * (gphi[0, 1] + gphi[1, 0]) +
                             tens[2] * gphi[1, 1]) * h * h

@@ -12,10 +12,12 @@ exp(-nu |k|^2 dt), the convection explicitly.
 new state, copied out by ``SpectralField``.  Wavenumber tables and the
 integrating factors are cached per grid and per (n, nu, dt).  The nonlinear
 term is taken in rotational form, P[omega (v_y, -v_x)]: three inverse and
-two forward real transforms per evaluation, 2/3-rule masked before and
-after the product.  It equals P[-(v.grad)v] because the two differ by the
-gradient of |v|^2/2, which the Leray projection removes.  The certificate's
-residual ``relenergy.residual_A`` evaluates the same kernel on stacked states.
+two forward real transforms per evaluation, their column passes only on
+the columns of the 2/3 band; the forcing is added and projected on the
+whole half spectrum.  It equals P[-(v.grad)v] because the two differ by
+the gradient of |v|^2/2, which the Leray projection removes.  The
+certificate's residual ``relenergy.residual_A`` evaluates the same kernel
+on stacked states.
 """
 
 from __future__ import annotations
@@ -196,7 +198,8 @@ class _Workspace:
 
     def __init__(self, shape):
         *lead, _, n, h = shape
-        self.spec = np.empty((*lead, 3, n, h), dtype=np.complex128)  # u, omega
+        # u, omega on the 2/3 band's columns; _rhs keeps the columns above it 0
+        self.spec = np.zeros((*lead, 3, n, h), dtype=np.complex128)
         self.phys = np.empty((*lead, 3, n, n))  # v_x, v_y, omega, then the products
         self.stages = np.empty((6, *lead, 2, n, h), dtype=np.complex128)  # a, b, c, d, 2 sums
         self.real = np.empty((n, h))  # dt e_half, 2 e_half
@@ -209,29 +212,36 @@ def _rhs(u: np.ndarray, spec: SystemSpec, f, ws: _Workspace | None = None,
     operation order of 1j * (kx u_y - ky u_x), w * v_y, (-w) * v_x and ``fields.project``."""
     n = spec.grid.n
     tab = spectral_tables(n)
+    b = np.count_nonzero(tab.dealias[0])  # the columns ky <= cut of the 2/3 band
+    ky, band = tab.ky[:, :b], tab.dealias[:, :b]
     ws = ws or _Workspace(u.shape)
     out = ws.stages[0] if out is None else out
-    s = ws.spec
-    p, q = out[..., 0, :, :], out[..., 1, :, :]  # scratch until rfft2 fills out
-    np.multiply(u, tab.dealias, out=s[..., :2, :, :])
+    s = ws.spec[..., :b]
+    p, q = out[..., 0, :, :b], out[..., 1, :, :b]  # scratch until rfft fills out
+    np.multiply(u[..., :b], band, out=s[..., :2, :, :])
     np.multiply(tab.kx, s[..., 1, :, :], out=p)
-    np.multiply(tab.ky, s[..., 0, :, :], out=q)
+    np.multiply(ky, s[..., 0, :, :], out=q)
     np.multiply(1j, np.subtract(p, q, out=p), out=s[..., 2, :, :])
-    # irfftn, not irfft2: numpy 2.4's irfft2 drops its out argument
-    np.fft.irfftn(s, s=(n, n), axes=(-2, -1), norm="forward", out=ws.phys)
+    # irfft2 and rfft2 as column and row passes, the column passes on the band only;
+    # the row pass reads the zero-padded spectrum: numpy's irfft is slower on less
+    np.fft.ifft(s, axis=-2, norm="forward", out=s)
+    np.fft.irfft(ws.spec, n, axis=-1, norm="forward", out=ws.phys)
     vx, vy, w = np.moveaxis(ws.phys, -3, 0)
     np.multiply(w, vy, out=vy)
     np.multiply(np.negative(w, out=w), vx, out=w)
-    np.fft.rfft2(ws.phys[..., 1:, :, :], norm="forward", out=out)  # (w v_y, -w v_x)
-    out *= tab.dealias
+    np.fft.rfft(ws.phys[..., 1:, :, :], axis=-1, norm="forward", out=out)  # (w v_y, -w v_x)
+    np.fft.fft(out[..., :b], axis=-2, norm="forward", out=out[..., :b])
+    out[..., :b] *= band
+    out[..., b:] = 0
     if f is not None:
         out += f
     cx, cy = out[..., 0, :, :], out[..., 1, :, :]
-    p, q = s[..., 0, :, :], s[..., 1, :, :]  # scratch: irfftn has read s
+    p, q = ws.spec[..., 0, :, :], ws.spec[..., 1, :, :]  # scratch: irfft has read s
     np.multiply(tab.kx, cx, out=p)
     np.multiply(np.add(p, np.multiply(tab.ky, cy, out=q), out=p), tab.inv_k2, out=p)
     np.subtract(cx, np.multiply(tab.kx, p, out=q), out=cx)
     np.subtract(cy, np.multiply(tab.ky, p, out=q), out=cy)
+    ws.spec[..., :2, :, b:] = 0
     return out
 
 

@@ -6,17 +6,20 @@ from conftest import stacked, states
 
 from maxdiss.fields import (
     Grid,
+    _embed,
     from_function,
     l2_norm,
     random_field,
     resample,
+    samples,
+    spectral_tables,
     tensor_samples,
     zero_field,
 )
 from maxdiss.mv_euler import (
     DefectField,
     MVError,
-    _density_on,
+    _lowpass_restrict,
     defect_from_pair,
     min_eigenvalue,
     mv_convex_combine,
@@ -124,8 +127,19 @@ def test_defect_field_validation():
 def test_density_interpolation_reproduces_samples(rng, n):
     # the Nyquist modes of the samples are split between +-n/2, not dropped
     m = rng.standard_normal((3, n, n))
-    fine = _density_on(m, n, 2 * n)
+    fine = samples(np.fft.rfft2(m, norm="forward"), 2 * n)
     assert np.abs(fine[:, ::2, ::2] - m).max() <= 1e-14
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_lowpass_restrict_matches_expression_form_bit_for_bit(n):
+    # the forward column pass runs on the n//2 + 1 columns _embed reads
+    m = 2 * n
+    raw = np.random.default_rng(n).standard_normal((3, m, m))
+    hat = np.fft.rfft2(raw, norm="forward")
+    hat = hat * np.exp(-2.0 * spectral_tables(m).k2 / (n // 3) ** 2)
+    want = np.fft.irfft2(_embed(hat, m, n), s=(n, n), norm="forward")
+    assert np.array_equal(_lowpass_restrict(raw, m, n, n // 3), want)
 
 
 def test_defect_trace_integral_constant_density():
