@@ -269,7 +269,7 @@ def test_samples_match_expression_form_bit_for_bit(n, factor, lead):
 
 def test_samples_peak_below_expression_form():
     # the pruned column pass allocates the (2, 2, 128, 33) band and the
-    # samples: about 0.79 MB, against 1.59 MB for the padded (2, 2, 128, 65)
+    # samples: about 0.80 MB, against 1.59 MB for the padded (2, 2, 128, 65)
     # spectrum, its column pass and the samples of the expression form
     g = gradients(random_field(Grid(64), np.random.default_rng(2), kmax=21).coeffs)
     peaks = []

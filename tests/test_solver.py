@@ -94,10 +94,12 @@ def test_rhs_matches_expression_form_with_out_of_band_forcing():
     # a non-solenoidal forcing with modes in every column, above the 2/3
     # band too: the kernel transforms only the band's columns, but must add
     # the forcing and project over the whole half spectrum
-    spec = _spec(n=24)
+    n = 24
+    spec = _spec(n=n)
     rng = np.random.default_rng(11)
-    f = random_field(spec.grid, rng, kmax=12, solenoidal=False).coeffs
-    assert np.all(np.abs(f[..., (24 - 1) // 3 + 1:24 // 2]).max(axis=-2) > 0)  # Nyquist: 0
+    f = random_field(spec.grid, rng, kmax=n // 2, solenoidal=False).coeffs
+    # every column between the band and the (zeroed) Nyquist column has modes
+    assert np.all(np.abs(f[..., (n - 1) // 3 + 1:n // 2]).max(axis=-2) > 0)
     block = np.stack([random_field(spec.grid, rng, kmax=7).coeffs for _ in range(3)])
     ws = solver._Workspace(block[0].shape)
     assert np.array_equal(solver._rhs(block, spec, f), reference_rhs(block, spec, f))
