@@ -190,12 +190,6 @@ def margin_series(u: Trajectory, vt: TestTrajectory, w: WeightSpec) -> _MarginSe
                          margins=rhs - lhs, lhs=lhs, rhs=rhs)
 
 
-def margin(u: Trajectory, vt: TestTrajectory, t: float, w: WeightSpec) -> float:
-    """rhs - lhs of the damped relative energy inequality at sample time t."""
-    series = margin_series(u, vt, w)
-    return float(series.margins[u.index_of(t)])
-
-
 def certify(u: Trajectory, family, w: WeightSpec,
             tol_model: ToleranceModel = ToleranceModel()) -> CertificateReport:
     """Certify a trajectory against a family of test trajectories.
@@ -237,22 +231,23 @@ def certify(u: Trajectory, family, w: WeightSpec,
 
 @dataclass(frozen=True)
 class PhiWeight:
-    """Admissible multiplier: phi >= 0, phi' <= 0, phi(0) = 1, phi(T) = 0."""
+    """Admissible multiplier: phi >= 0, phi' <= 0, phi(0) = 1, phi(T) = 0.
+    ``value`` and ``deriv`` map an array of times to phi and phi'; a constant is broadcast."""
 
-    value: object  # callable t -> phi(t)
-    deriv: object  # callable t -> phi'(t)
+    value: object  # callable times -> phi(times)
+    deriv: object  # callable times -> phi'(times)
     label: str = "phi"
 
-    def validate(self, times: np.ndarray) -> None:
-        p = np.array([self.value(t) for t in times])
-        dp = np.array([self.deriv(t) for t in times])
-        T = times[-1]
-        if abs(self.value(0.0) - 1.0) > 1e-12:
+    def validate(self, times: np.ndarray):
+        """(phi, phi') at ``times``, 0 to T; CertificateError unless admissible there."""
+        p, dp = (np.broadcast_to(f(times), times.shape) for f in (self.value, self.deriv))
+        if abs(p[0] - 1.0) > 1e-12:
             raise CertificateError(f"{self.label}: phi(0) != 1")
-        if abs(self.value(T)) > 1e-12:
+        if abs(p[-1]) > 1e-12:
             raise CertificateError(f"{self.label}: phi(T) != 0")
         if p.min() < -1e-12 or dp.max() > 1e-10:
             raise CertificateError(f"{self.label}: phi must be >= 0 with phi' <= 0")
+        return p, dp
 
 
 def mollified_indicator(t_star: float, width: float, label: str = "") -> PhiWeight:
@@ -260,34 +255,20 @@ def mollified_indicator(t_star: float, width: float, label: str = "") -> PhiWeig
     if width <= 0:
         raise CertificateError("mollification width must be positive")
 
-    def value(t):
-        if t <= t_star:
-            return 1.0
-        if t >= t_star + width:
-            return 0.0
-        x = (t - t_star) / width
-        return 1.0 - (3 * x * x - 2 * x ** 3)
+    def x(t):  # 0 up to t_star, 1 from t_star + width on
+        return np.clip((t - t_star) / width, 0.0, 1.0)
 
-    def deriv(t):
-        if t <= t_star or t >= t_star + width:
-            return 0.0
-        x = (t - t_star) / width
-        return -(6 * x - 6 * x * x) / width
-
-    return PhiWeight(value, deriv, label or f"indicator[0,{t_star:g}]+{width:g}")
+    return PhiWeight(lambda t: 1.0 - x(t) ** 2 * (3 - 2 * x(t)),
+                     lambda t: 6 * x(t) * (x(t) - 1) / width,
+                     label or f"indicator[0,{t_star:g}]+{width:g}")
 
 
 def _phi_form(series: _MarginSeries, phi: PhiWeight) -> float:
-    times = series.times
-    phi.validate(times)
-    p = np.array([phi.value(t) for t in times])
-    dp = np.array([phi.deriv(t) for t in times])
-    damp = np.exp(-series.weight_integral)
-    term1 = -simpson(dp * series.rel_energies * damp, times)
-    term2 = -phi.value(0.0) * series.rel_energies[0]
-    term3 = simpson(p * series.dissipation_integrand, times)
-    corr = simpson(p * series.correction_integrand, times)
-    return float(term1 + term2 + term3 - corr)
+    times, R = series.times, series.rel_energies
+    p, dp = phi.validate(times)
+    return float(-simpson(dp * R * np.exp(-series.weight_integral), times) - p[0] * R[0]
+                 + simpson(p * series.dissipation_integrand, times)
+                 - simpson(p * series.correction_integrand, times))
 
 
 def phi_form_value(u: Trajectory, vt: TestTrajectory, w: WeightSpec,
@@ -325,12 +306,8 @@ def recover_weak_residual(u: Trajectory, r: SpectralField, alphas,
     base = TestTrajectory.from_trajectory(u, label="self-spline")
     i_t = u.index_of(t)
 
-    margins = []
-    for a in alphas:
-        vt = TestTrajectory.perturbed(base, r, a)
-        series = margin_series(u, vt, w)
-        margins.append(float(series.margins[i_t]))
-    margins = np.array(margins)
+    margins = np.array([margin_series(u, TestTrajectory.perturbed(base, r, a), w).margins[i_t]
+                        for a in alphas])
 
     # least-squares fit margin = c0 + c1 a + c2 a^2 (c0 absorbs spline noise)
     A = np.stack([np.ones_like(alphas), alphas, alphas ** 2], axis=1)

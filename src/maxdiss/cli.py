@@ -11,8 +11,8 @@ Subcommands map to pipeline stages over a shared scenario config:
 Exit codes: 0 success, 2 certificate failure (for select: some member
 failed, and the selection mixes the others), 3 solver blow-up,
 4 configuration error (including a run tree whose files do not match its
-manifest hashes or name a forcing file that cannot be read, and a sample
-or certificate file that cannot be read).
+manifest hashes or name a forcing file that cannot be read, and a sample,
+manifest or certificate file that cannot be read).
 --seed overrides the config seed.
 """
 

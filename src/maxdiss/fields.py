@@ -341,11 +341,6 @@ def samples(c: np.ndarray, m: int) -> np.ndarray:
                         axis=-1, norm="forward")
 
 
-def grad_samples(u: SpectralField, m: int) -> np.ndarray:
-    """Gradient d_j u_i sampled on an m x m grid, m >= n, shape (components, 2, m, m)."""
-    return samples(gradients(u.coeffs), m)
-
-
 def tensor_samples(c: np.ndarray, m: int) -> np.ndarray:
     """v (x) v sampled on an m x m grid, m >= n, of vector coefficients
     (..., 2, n, n//2 + 1); components (11, 12, 22) on axis -3."""

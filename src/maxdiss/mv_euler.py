@@ -19,11 +19,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import (Grid, _embed, _mode_sum, _sym_eigenvalues, grad_samples, inner,
-                     l2_norm, load_samples, pairing, resample, samples, save_samples,
-                     spectral_tables, tensor_samples)
+from . import certificate
+from .fields import (FieldError, Grid, _embed, _mode_sum, _sym_eigenvalues, gradients,
+                     load_samples, pairing, samples, save_samples, spectral_tables,
+                     tensor_samples)
 from .relenergy import simpson
-from .solver import TestTrajectory, Trajectory
+from .solver import Trajectory
 
 DEFECT_COMPONENTS = ("m11", "m12", "m22")
 
@@ -123,13 +124,15 @@ class DefectField:
     @classmethod
     def load(cls, in_dir) -> "DefectField":
         src = Path(in_dir)
-        manifest = json.loads((src / "manifest.json").read_text())
-        if manifest.get("format") != "maxdiss-defect":
-            raise MVError(f"{in_dir} is not a defect directory")
+        try:
+            manifest = json.loads((src / "manifest.json").read_text())
+            if manifest["format"] != "maxdiss-defect":
+                raise ValueError(f"format {manifest['format']!r}")
+            grid, times, kmax = Grid(manifest["n"]), manifest["times"], manifest["mollifier_kmax"]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise FieldError(f"{src / 'manifest.json'}: not a defect manifest ({exc!r})") from None
         density, _ = load_samples(src / "density.fld")
-        return cls(grid=Grid(manifest["n"]), times=manifest["times"],
-                   density=density,
-                   mollifier_kmax=manifest["mollifier_kmax"],
+        return cls(grid=grid, times=times, density=density, mollifier_kmax=kmax,
                    clip_magnitude=manifest.get("clip_magnitude", 0.0),
                    provenance=manifest.get("provenance", ""))
 
@@ -224,15 +227,6 @@ def trace_leakage_bound(m: DefectField) -> float:
 
 # -- measure-valued equation and energy inequality --------------------------
 
-def _check_phi(phi: TestTrajectory, times: np.ndarray) -> None:
-    if not phi.solenoidal:
-        raise MVError(f"test function {phi.label!r} must be solenoidal")
-    end = phi.value(float(times[-1]))
-    scale = max(l2_norm(phi.value(0.0)), 1.0)
-    if l2_norm(end) > 1e-10 * scale:
-        raise MVError(f"test function {phi.label!r} must vanish at t=T")
-
-
 def mv_equation_residual(v: Trajectory, m: DefectField | None, f,
                          phis) -> dict:
     """Per-test-function residual of the momentum balance with defect.
@@ -240,7 +234,9 @@ def mv_equation_residual(v: Trajectory, m: DefectField | None, f,
     res(phi) = -int <v, d_t phi> - int (v(x)v + m) : grad phi
                - (v0, phi(0)) - int (f, phi);
     zero for exact Euler solutions with m = 0, and small for
-    defect-corrected coarse fields against fine references.
+    defect-corrected coarse fields against fine references.  Each phi must
+    be solenoidal and vanish at t = T; the samples are stacked in the
+    blocks of ``certificate.margin_series``.
     """
     times = v.times
     if m is not None and (m.times.size != times.size or
@@ -250,30 +246,32 @@ def mv_equation_residual(v: Trajectory, m: DefectField | None, f,
     h = 2 * np.pi / n_q
     results = {}
     for idx, phi in enumerate(phis if isinstance(phis, (list, tuple)) else [phis]):
-        _check_phi(phi, times)
-        label = phi.label or f"phi_{idx}"
+        if not phi.solenoidal:
+            raise MVError(f"test function {phi.label!r} must be solenoidal")
+        nc = max(v.grid.n, phi.grid.n)
+
+        def common(c):  # the spectrum on the shared nc grid
+            return c if c.shape[-2] == nc else _embed(c, c.shape[-2], nc)
+
+        ends = phi.values(times[[0, -1]])
+        start, end = np.sqrt(pairing(ends, ends))
+        if end > 1e-10 * max(start, 1.0):
+            raise MVError(f"test function {phi.label!r} must vanish at t=T")
+        force = None if f is None or f.is_zero() else f(0.0, phi.grid).coeffs
         vals = np.empty(times.size)
-        for k, t in enumerate(times):
-            u = v.state(k)
-            ph = phi.value(t)
-            nc = max(u.grid.n, ph.grid.n)
-            dval = inner(resample(u, nc), resample(phi.deriv(t), nc))
-            gphi = grad_samples(ph, n_q)
-            tens = tensor_samples(u.coeffs, n_q)
+        for sl in certificate._blocks(times.size, n_q // 2):
+            ph = phi.values(times[sl])
+            dval = pairing(common(v.coeffs[sl]), common(phi.derivs(times[sl])))
+            g = samples(gradients(ph), n_q)
+            tens = tensor_samples(v.coeffs[sl], n_q)
             if m is not None:
-                tens = tens + samples(np.fft.rfft2(m.density[k], norm="forward"), n_q)
-            stress = np.sum(tens[0] * gphi[0, 0] +
-                            tens[1] * (gphi[0, 1] + gphi[1, 0]) +
-                            tens[2] * gphi[1, 1]) * h * h
-            fval = 0.0
-            if f is not None and not f.is_zero():
-                fval = inner(f(t, ph.grid), ph)
-            vals[k] = -dval - stress - fval
-        integral = simpson(vals, times)
-        u0 = v.state(0)
-        ph0 = phi.value(0.0)
-        nc = max(u0.grid.n, ph0.grid.n)
-        results[label] = float(integral - inner(resample(u0, nc), resample(ph0, nc)))
+                tens = tens + samples(np.fft.rfft2(m.density[sl], norm="forward"), n_q)
+            stress = np.sum(tens[:, 0] * g[:, 0, 0] + tens[:, 1] * (g[:, 0, 1] + g[:, 1, 0])
+                            + tens[:, 2] * g[:, 1, 1], axis=(-2, -1)) * h * h
+            vals[sl] = -dval - stress - (0.0 if force is None else pairing(force, ph))
+        label = phi.label or f"phi_{idx}"
+        results[label] = float(simpson(vals, times)
+                               - pairing(common(v.coeffs[0]), common(ends[0])))
     return results
 
 

@@ -6,7 +6,7 @@ trajectory, W the viscous dissipation of the difference, K the Serrin-type
 (or, for Euler, negative-strain) regularity weight entering the Gronwall
 factor, and A the PDE residual of the test trajectory.  The kernels take
 coefficients stacked over leading axes, (..., 2, n, n//2 + 1), and return
-one value or field per leading index; the per-field functions call them.
+one value or field per leading index.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import numpy as np
 
 from .fields import (
     TWO_PI,
-    SpectralField,
     _sym_eigenvalues,
     gradients,
     h1_squared,
@@ -100,21 +99,16 @@ def rel_terms(d: np.ndarray, nu: float):
     return R, (0.5 * nu * h1_squared(d) if nu else np.zeros_like(R))
 
 
-def rel_energy(u: SpectralField, v: SpectralField) -> float:
-    """R(u|v) = 1/2 ||u - v||_L2^2."""
-    return float(rel_terms((u - v).coeffs, 0.0)[0])
-
-
-def rel_dissipation(u: SpectralField, v: SpectralField, nu: float) -> float:
-    """W(u|v) = nu/2 ||grad u - grad v||_L2^2; identically zero for Euler."""
-    return float(rel_terms((u - v).coeffs, nu)[1])
-
-
 # -- regularity weights -----------------------------------------------------
 
 def weight_norms(values: np.ndarray, w: WeightSpec) -> np.ndarray:
     """The nu-free factor of K for stacked test states, on the 2x grid: ||v||_{L^r}
-    (Serrin) or sup_x max(-lambda_min(S), 0) of the strain S = (grad v)_sym."""
+    (Serrin) or sup_x max(-lambda_min(S), 0) of the strain S = (grad v)_sym.
+
+    -b(w, v, w) = -int w.S w <= sup_x max(-lambda_min(S), 0) ||w||^2, so with kappa >= 2
+    the strain weight times R(u|v) bounds -b(u - v, v, u - v).  Shears such as
+    (sin y, 0) carry weight through their off-diagonal strain.
+    """
     if w.kind == "serrin":
         return lp_norms(values, w.lp_exponent)
     g = samples(gradients(values), 2 * values.shape[-2])
@@ -130,25 +124,6 @@ def weight_value(norms: np.ndarray, w: WeightSpec, nu: float) -> np.ndarray:
     return w.kappa * norms
 
 
-def serrin_weight(v: SpectralField, w: WeightSpec, nu: float) -> float:
-    """K(v) = c ||v||_{L^{2p/(p-2)}}^{2/(1-alpha)} from the Young closure."""
-    if w.kind != "serrin":
-        raise WeightError("serrin_weight called with non-Serrin spec")
-    return float(weight_value(weight_norms(v.coeffs, w), w, nu))
-
-
-def euler_negsym_weight(v: SpectralField, kappa: float = 2.0) -> float:
-    """kappa * sup_x max(-lambda_min(S), 0) of the strain S = (grad v)_sym.
-
-    -b(w, v, w) = -int w.S w <= sup_x max(-lambda_min(S), 0) ||w||^2, so
-    with kappa >= 2 the weight times R(u|v) bounds -b(u - v, v, u - v).
-    Shears such as (sin y, 0) and cellular flows such as (-sin y, sin x)
-    carry weight through their off-diagonal strain; pure strain
-    eps*(sin x, -sin y) yields kappa*eps.  Sampled on the 2x grid.
-    """
-    return kappa * float(weight_norms(v.coeffs, WeightSpec(kind="euler_negsym")))
-
-
 # -- residual and trilinear form --------------------------------------------
 
 def residual_A(values: np.ndarray, derivs: np.ndarray, spec: SystemSpec) -> np.ndarray:
@@ -159,8 +134,11 @@ def residual_A(values: np.ndarray, derivs: np.ndarray, spec: SystemSpec) -> np.n
     return res - _rhs(values, spec, _forcing_coeffs(spec, 0.0))
 
 
-def _trilinears(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """int (a.grad)b . c of stacked coefficients on the 2x oversampled grid."""
+def trilinears(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """int (a.grad)b . c of stacked coefficients, exact by collocation on the 2x
+    oversampled grid.  Skew-symmetric in (b, c) when a is solenoidal; no
+    solenoidality is assumed, so the same quadrature serves the divergence
+    corrections."""
     m = 2 * a.shape[-2]
     af, cf, gb = samples(a, m), samples(c, m), samples(gradients(b), m)
     # (a.grad)b_i = a_x d_x b_i + a_y d_y b_i
@@ -169,22 +147,13 @@ def _trilinears(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.sum(integrand, axis=(-2, -1)) * (TWO_PI / m) ** 2
 
 
-def trilinear(a: SpectralField, b: SpectralField, c: SpectralField) -> float:
-    """Integral of (a.grad)b . c, exact via 2x-oversampled collocation.
-
-    Skew-symmetric in (b, c) when a is solenoidal; no solenoidality is
-    assumed, so the same quadrature serves the divergence corrections.
-    """
-    return float(_trilinears(a.coeffs, b.coeffs, c.coeffs))
-
-
 def nonsolenoidal_correction(values: np.ndarray, states: np.ndarray) -> np.ndarray:
     """b(q, v, u - Pv) + b(Pv, q, u - Pv), q = v - Pv, of raw test states v
     and states u: the divergence correction, zero for solenoidal v."""
     pv = project(values, spectral_tables(values.shape[-2]))
     q = values - pv
     d = states - pv
-    return _trilinears(q, values, d) + _trilinears(pv, q, d)
+    return trilinears(q, values, d) + trilinears(pv, q, d)
 
 
 # -- Gronwall machinery -----------------------------------------------------

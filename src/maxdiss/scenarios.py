@@ -392,14 +392,19 @@ def report(run_dir) -> dict:
     manifest_path = root / "manifest.json"
     if not manifest_path.exists():
         raise ConfigError(f"{run_dir}: no manifest.json (incomplete tree)")
-    manifest = json.loads(manifest_path.read_text())
-    for rel, digest in manifest["hashes"].items():
+    try:
+        manifest = json.loads(manifest_path.read_text())
+        hashes, members = manifest["hashes"].items(), manifest["members"]
+        summary = {"scenario": manifest["scenario"], "seed": manifest["seed"],
+                   "members": members, "certified": manifest["certified"]}
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ConfigError(f"{manifest_path}: unreadable run manifest ({exc!r})") from None
+    for rel, digest in hashes:
         path = root / rel
         if not path.is_file():
             raise ConfigError(f"{path}: listed in the manifest but missing")
         if _sha256(path) != digest:
             raise ConfigError(f"{path}: sha256 differs from the manifest")
-    members = manifest["members"]
 
     energy_rows = {}
     for mid in members:
@@ -435,8 +440,6 @@ def report(run_dir) -> dict:
     sel_path = root / "selection.json"
     if sel_path.exists():
         selection = json.loads(sel_path.read_text())
-    summary = {"scenario": manifest["scenario"], "seed": manifest["seed"],
-               "members": members, "certified": manifest["certified"],
-               "worst_margin": worst, "selection": selection}
+    summary.update(worst_margin=worst, selection=selection)
     (root / "report.json").write_text(json.dumps(summary, indent=2) + "\n")
     return summary

@@ -354,9 +354,13 @@ class Trajectory:
     @classmethod
     def load(cls, in_dir) -> "Trajectory":
         src = Path(in_dir)
-        manifest = json.loads((src / "manifest.json").read_text())
-        spec = SystemSpec.from_dict(manifest["spec"])
-        times = np.array(manifest["times"])
+        try:
+            manifest = json.loads((src / "manifest.json").read_text())
+            spec, times = SystemSpec.from_dict(manifest["spec"]), np.array(manifest["times"], float)
+        except SolverError:  # its message starts with the offending key
+            raise
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise FieldError(f"{src / 'manifest.json'}: unreadable manifest ({exc!r})") from None
         path = src / "states.fld"
         packed, header = load_samples(path)
         n, h = spec.grid.n, spec.grid.n // 2
@@ -458,12 +462,6 @@ class TestTrajectory:
         self.solenoidal = solenoidal
         self.label = label
         self.weight_norms = {}
-
-    def value(self, t: float) -> SpectralField:
-        return SpectralField(self.grid, self.values([t])[0], solenoidal=self.solenoidal)
-
-    def deriv(self, t: float) -> SpectralField:
-        return SpectralField(self.grid, self.derivs([t])[0])
 
     @classmethod
     def analytic(cls, value_fn, deriv_fn, grid: Grid, solenoidal: bool = True,

@@ -13,12 +13,12 @@ from conftest import stacked, states
 from maxdiss.certificate import (
     ToleranceModel,
     certify,
-    margin,
+    margin_series,
     mollified_indicator,
     phi_form_value,
     recover_weak_residual,
 )
-from maxdiss.fields import (Grid, SpectralField, from_function, inner, l2_norm,
+from maxdiss.fields import (Grid, from_function, inner, l2_norm,
                             random_field, resample)
 from maxdiss.mv_euler import (
     DefectField,
@@ -28,14 +28,7 @@ from maxdiss.mv_euler import (
     trace_energy_gap,
     trace_leakage_bound,
 )
-from maxdiss.relenergy import (
-    WeightSpec,
-    euler_negsym_weight,
-    rel_dissipation,
-    rel_energy,
-    serrin_weight,
-    trilinear,
-)
+from maxdiss.relenergy import WeightSpec, rel_terms, trilinears, weight_norms, weight_value
 from maxdiss.selector import assemble_family, continuous_dependence_study, objective, select
 from maxdiss.solver import (
     Forcing,
@@ -49,6 +42,7 @@ from maxdiss.solver import (
 )
 
 SERRIN = WeightSpec(kind="serrin", p=4.0)
+STRAIN = WeightSpec(kind="euler_negsym")
 
 
 def _emit(capsys, num, desc, ok):
@@ -97,9 +91,10 @@ def _convection_bound_draws(pairs, unit_norm):
         if unit_norm:
             u = u * (1.0 / l2_norm(u))
             v = v * (1.0 / l2_norm(v))
-        lhs = abs(trilinear(u - v, u - v, v))
-        rhs = rel_dissipation(u, v, nu) + \
-            serrin_weight(v, SERRIN, nu) * rel_energy(u, v)
+        d = (u - v).coeffs
+        R, W = rel_terms(d, nu)
+        lhs = abs(trilinears(d, d, v.coeffs))
+        rhs = W + weight_value(weight_norms(v.coeffs, SERRIN), SERRIN, nu) * R
         worst_ratio = max(worst_ratio, lhs / rhs)
         if lhs > rhs * (1 + 1e-12):
             violations += 1
@@ -204,7 +199,7 @@ def test_acceptance_07_euler_invariants(capsys):
 
     const = np.zeros((2, grid.n, grid.n // 2 + 1), dtype=complex)
     const[:, 0, 0] = (1.5, -0.5)
-    w_const = euler_negsym_weight(SpectralField(grid, const, solenoidal=True))
+    w_const = weight_value(weight_norms(const, STRAIN), STRAIN, 0.0)
     # the weight must bound -b(w, v, w)/||w||^2 over sampled solenoidal w for
     # a shear and a cellular flow, whose strain is all off-diagonal
     rng = np.random.default_rng(7)
@@ -214,12 +209,12 @@ def test_acceptance_07_euler_invariants(capsys):
                             lambda x, y: 0.0 * x, solenoidal=True),
               from_function(grid, lambda x, y: -np.sin(y),
                             lambda x, y: np.sin(x), solenoidal=True)):
-        worst = max(-trilinear(w, v, w) / inner(w, w) for w in draws)
-        slack.append(euler_negsym_weight(v) - worst)
+        worst = max(-trilinears(w.coeffs, v.coeffs, w.coeffs) / inner(w, w) for w in draws)
+        slack.append(weight_value(weight_norms(v.coeffs, STRAIN), STRAIN, 0.0) - worst)
 
     report = certify(traj, [TestTrajectory.taylor_green(0.0, grid,
                                                         label="steady")],
-                     WeightSpec(kind="euler_negsym"))
+                     STRAIN)
     worst = report.worst_margin()
     ok = drift <= 1e-8 and w_const == 0.0 and min(slack) >= 0.0 \
         and report.verdict and worst >= -1e-8
@@ -310,7 +305,7 @@ def test_acceptance_11_multiplier_form_convergence(tg_reference, capsys):
     traj, _, _ = tg_reference
     vt = TestTrajectory.zero(traj.grid)
     t_star = 0.5
-    limit = -margin(traj, vt, t_star, SERRIN)
+    limit = -margin_series(traj, vt, SERRIN).margins[traj.index_of(t_star)]
     gaps = [abs(phi_form_value(traj, vt, SERRIN,
                                mollified_indicator(t_star, width)) - limit)
             for width in (0.2, 0.1)]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from conftest import convection, stacked
 
-from maxdiss.fields import (Grid, SpectralField, from_function, grad_samples, h1_squared,
+from maxdiss.fields import (Grid, SpectralField, from_function, gradients, h1_squared,
                             inner, leray_project, lp_norms, random_field, samples,
                             spectral_tables, zero_field)
 from maxdiss.relenergy import WeightSpec, cumulative_weight_integral
@@ -15,7 +15,6 @@ from maxdiss.certificate import (
     CertificateError,
     ToleranceModel,
     certify,
-    margin,
     margin_series,
     mollified_indicator,
     phi_form_value,
@@ -163,7 +162,7 @@ def test_certify_empty_family_rejected(tg_reference):
 def test_margin_grid_mismatch(tg_reference):
     traj, _, _ = tg_reference
     with pytest.raises(CertificateError):
-        margin(traj, TestTrajectory.zero(Grid(16)), 0.0, SERRIN)
+        margin_series(traj, TestTrajectory.zero(Grid(16)), SERRIN)
 
 
 def test_nonsolenoidal_test_needs_correction(tg_reference):
@@ -246,7 +245,7 @@ def test_phi_width_halving_halves_gap(tg_reference):
     traj, _, _ = tg_reference
     vt = TestTrajectory.zero(traj.grid)
     t_star = 0.5
-    limit = -margin(traj, vt, t_star, SERRIN)
+    limit = -margin_series(traj, vt, SERRIN).margins[traj.index_of(t_star)]
     gaps = []
     for width in (0.2, 0.1):
         val = phi_form_value(traj, vt, SERRIN, mollified_indicator(t_star, width))
@@ -283,7 +282,7 @@ def test_recover_weak_residual_validation(tg_reference, rng):
 
 def _trilinear_oracle(a, b, c):
     m = 2 * a.grid.n
-    af, cf, gb = samples(a.coeffs, m), samples(c.coeffs, m), grad_samples(b, m)
+    af, cf, gb = samples(a.coeffs, m), samples(c.coeffs, m), samples(gradients(b.coeffs), m)
     return np.sum((af[0] * gb[:, 0] + af[1] * gb[:, 1]) * cf) * (2 * np.pi / m) ** 2
 
 
@@ -294,9 +293,8 @@ def _series_oracle(u, vt, w):
     correct = not vt.solenoidal
     R, K, g, corr = (np.zeros(times.size) for _ in range(4))
     for i, t in enumerate(times):
-        raw = vt.value(t)
-        v, dv = (leray_project(raw), leray_project(vt.deriv(t))) if correct \
-            else (raw, vt.deriv(t))
+        raw, raw_dt = (SpectralField(grid, f([t])[0]) for f in (vt.values, vt.derivs))
+        v, dv = (leray_project(raw), leray_project(raw_dt)) if correct else (raw, raw_dt)
         d = u.state(i) - v
         R[i] = 0.5 * inner(d, d)
         a = dv + SpectralField(grid, convection(v.coeffs)) \
@@ -308,7 +306,7 @@ def _series_oracle(u, vt, w):
         if w.kind == "serrin":
             K[i] = w.constant(nu) * lp_norms(v.coeffs, w.lp_exponent) ** w.time_exponent
         else:
-            gv = grad_samples(v, 2 * grid.n)
+            gv = samples(gradients(v.coeffs), 2 * grid.n)
             s11, s12, s22 = gv[0, 0], 0.5 * (gv[0, 1] + gv[1, 0]), gv[1, 1]
             lam_min = 0.5 * (s11 + s22) - np.sqrt((0.5 * (s11 - s22)) ** 2 + s12 ** 2)
             K[i] = w.kappa * max(0.0, np.max(-lam_min))

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -379,6 +380,28 @@ def test_cli_report_rejects_tampered_tree(tmp_path, capsys):
     cert.unlink()
     assert main(["report", "--out", str(out)]) == EXIT_CONFIG
     assert str(cert) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage", ["truncated", "missing_key"])
+@pytest.mark.parametrize("command", ["certify", "select", "mv", "report"])
+def test_cli_rejects_unreadable_json_in_run_tree(completed_run, tmp_path, capsys,
+                                                 command, damage):
+    # a member manifest for the stages that load members, the run manifest for report
+    out = tmp_path / "run"
+    shutil.copytree(completed_run[0], out)
+    path = out / "manifest.json" if command == "report" else out / "sim" / "n_16" / "manifest.json"
+    text = path.read_text()
+    if damage == "truncated":
+        path.write_text(text[:len(text) // 2])
+    else:
+        d = json.loads(text)
+        del d["hashes" if command == "report" else "spec"]
+        path.write_text(json.dumps(d))
+    args = (["--fine", str(path.parent), "--coarse", str(path.parent)] if command == "mv"
+            else ["--config", _write_cfg(tmp_path)])
+    capsys.readouterr()
+    assert main([command, *args, "--out", str(out)]) == EXIT_CONFIG
+    assert str(path) in capsys.readouterr().err
 
 
 def test_run_scenario_deterministic(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from conftest import stacked, states
 
+from maxdiss import certificate
 from maxdiss.fields import (
     Grid,
     _embed,
@@ -279,6 +280,24 @@ def test_residual_phi_admissibility(resolution_pair):
                                    grid, solenoidal=True, label="flat")
     with pytest.raises(MVError):  # phi(T) != 0
         mv_equation_residual(fine, None, Forcing("zero"), [flat])
+
+
+def test_residual_does_not_depend_on_block_split(monkeypatch, rng):
+    # 14 samples span two blocks at n_q = 64; one sample per block must give
+    # the same floats, with a defect, a forcing and a coarser phi grid
+    grid = Grid(32)
+    forcing = Forcing("analytic", "kolmogorov", {"amplitude": 0.5})
+    spec = SystemSpec(nu=0.01, grid=grid, t_end=0.25, dt=2e-3, forcing=forcing)
+    v0 = taylor_green(0.0, 0.0, grid) + 0.1 * random_field(grid, rng, kmax=6)
+    traj = solve(spec, v0, sample_stride=10)
+    m = DefectField(grid=grid, times=traj.times, mollifier_kmax=8,
+                    density=0.1 * tensor_samples(traj.coeffs, grid.n))
+    phis = [_phi_ramp(Grid(16), 0.25), _phi_ramp(grid, 0.25, label="fine-phi")]
+    assert len(certificate._blocks(traj.times.size, grid.n)) == 2
+    blocked = mv_equation_residual(traj, m, forcing, phis)
+    monkeypatch.setattr(certificate, "_blocks",
+                        lambda size, n: [slice(k, k + 1) for k in range(size)])
+    assert mv_equation_residual(traj, m, forcing, phis) == blocked
 
 
 # -- convex combination --------------------------------------------------------

@@ -12,19 +12,19 @@ from maxdiss.relenergy import (
     WeightError,
     WeightSpec,
     cumulative_weight_integral,
-    euler_negsym_weight,
     nonsolenoidal_correction,
-    rel_dissipation,
-    rel_energy,
+    rel_terms,
     residual_A,
-    serrin_weight,
     simpson,
-    trilinear,
+    trilinears,
     weight_norms,
     weight_value,
 )
 from maxdiss.certificate import margin_series
 from maxdiss.solver import Forcing, SystemSpec, TestTrajectory, Trajectory, taylor_green
+
+
+STRAIN = WeightSpec(kind="euler_negsym")
 
 
 def _spec(nu=0.1, n=32):
@@ -37,11 +37,10 @@ def _spec(nu=0.1, n=32):
 def test_rel_energy_basics():
     grid = Grid(32)
     v = taylor_green(0.0, 0.1, grid)
-    assert rel_energy(v, v) == 0.0
-    assert rel_energy(v, zero_field(grid)) == pytest.approx(np.pi ** 2,
-                                                            rel=1e-13)
-    assert rel_energy(v, zero_field(grid)) == pytest.approx(
-        0.5 * inner(v, v), rel=1e-13)
+    R = rel_terms(stacked([v - v, v - zero_field(grid)]), 0.0)[0]
+    assert R[0] == 0.0
+    assert R[1] == pytest.approx(np.pi ** 2, rel=1e-13)
+    assert R[1] == pytest.approx(0.5 * inner(v, v), rel=1e-13)
 
 
 def test_rel_energy_convexity_identity(rng):
@@ -51,8 +50,8 @@ def test_rel_energy_convexity_identity(rng):
     v = random_field(grid, rng, kmax=4)
     for lam in (0.2, 0.5, 0.8):
         mix = lam * u1 + (1 - lam) * u2
-        gap = lam * rel_energy(u1, v) + (1 - lam) * rel_energy(u2, v) \
-            - rel_energy(mix, v)
+        R = rel_terms(stacked([u1 - v, u2 - v, mix - v]), 0.0)[0]
+        gap = lam * R[0] + (1 - lam) * R[1] - R[2]
         expect = lam * (1 - lam) * 0.5 * inner(u1 - u2, u1 - u2)
         assert gap == pytest.approx(expect, rel=1e-12)
 
@@ -62,12 +61,11 @@ def test_rel_dissipation():
     v = taylor_green(0.0, 0.1, grid)
     z = zero_field(grid)
     nu = 0.3
-    assert rel_dissipation(v, z, 0.0) == 0.0
+    assert rel_terms((v - z).coeffs, 0.0)[1] == 0.0
     # TG sits on the |k|^2 = 2 shell: ||grad v||^2 = 2 ||v||^2 = 4 pi^2
-    assert rel_dissipation(v, z, nu) == pytest.approx(nu * 2 * np.pi ** 2,
-                                                      rel=1e-13)
-    assert rel_dissipation(v, z, nu) == pytest.approx(
-        rel_dissipation(z, v, nu), rel=1e-14)
+    W = rel_terms(stacked([v - z, z - v]), nu)[1]
+    assert W[0] == pytest.approx(nu * 2 * np.pi ** 2, rel=1e-13)
+    assert W[0] == pytest.approx(W[1], rel=1e-14)
 
 
 # -- weights -----------------------------------------------------------------
@@ -89,14 +87,13 @@ def test_serrin_weight_values(rng):
     grid = Grid(32)
     w = WeightSpec(kind="serrin", p=4.0)
     nu = 0.1
-    assert serrin_weight(zero_field(grid), w, nu) == 0.0
     v = random_field(grid, rng, kmax=6)
+    K = weight_value(weight_norms(stacked([zero_field(grid), v, 2.0 * v]), w), w, nu)
+    assert K[0] == 0.0
     # K = c ||v||_L4^4 for p = 4, d = 2
-    assert serrin_weight(v, w, nu) == pytest.approx(
-        w.constant(nu) * lp_norms(v.coeffs, 4) ** 4, rel=1e-12)
+    assert K[1] == pytest.approx(w.constant(nu) * lp_norms(v.coeffs, 4) ** 4, rel=1e-12)
     # quartic homogeneity
-    assert serrin_weight(2.0 * v, w, nu) == pytest.approx(
-        16 * serrin_weight(v, w, nu), rel=1e-12)
+    assert K[2] == pytest.approx(16 * K[1], rel=1e-12)
     with pytest.raises(WeightError):
         w.constant(0.0)
 
@@ -106,15 +103,15 @@ def test_euler_negsym_weight():
     # a constant field has no strain
     const = np.zeros((2, 32, 17), dtype=complex)
     const[:, 0, 0] = (1.5, -0.5)
-    assert euler_negsym_weight(SpectralField(grid, const, solenoidal=True)) == 0.0
-    assert euler_negsym_weight(zero_field(grid)) == 0.0
     # pure strain eps (sin x, -sin y): (grad v)_sym = diag(eps cos x, -eps cos y)
     eps = 0.37
     strain = from_function(grid, lambda x, y: eps * np.sin(x),
                            lambda x, y: -eps * np.sin(y))
-    kappa = 2.0
-    assert euler_negsym_weight(strain, kappa) == pytest.approx(kappa * eps,
-                                                               rel=1e-10)
+    w = WeightSpec(kind="euler_negsym", kappa=3.0)
+    K = weight_value(weight_norms(stacked([SpectralField(grid, const, solenoidal=True),
+                                           zero_field(grid), strain]), w), w, 0.0)
+    assert K[0] == 0.0 and K[1] == 0.0
+    assert K[2] == pytest.approx(3.0 * eps, rel=1e-10)
 
 
 @pytest.mark.parametrize("v1, v2", [
@@ -126,22 +123,22 @@ def test_euler_negsym_weight_bounds_sampled_trilinear(rng, v1, v2):
     # which reaches 0.061 (shear) and 0.085 (cellular) over this draw
     grid = Grid(32)
     v = from_function(grid, v1, v2, solenoidal=True)
-    worst = max(-trilinear(w, v, w) / inner(w, w)
+    worst = max(-trilinears(w.coeffs, v.coeffs, w.coeffs) / inner(w, w)
                 for w in (random_field(grid, rng, kmax=6) for _ in range(300)))
     assert worst > 0.05
-    assert euler_negsym_weight(v) >= worst
+    assert weight_value(weight_norms(v.coeffs, STRAIN), STRAIN, 0.0) >= worst
 
 
 def test_euler_quadratic_form_bound(rng):
     # -int d^T (grad v)_sym d <= weight * 2 R(u, v) for random ensembles
     grid = Grid(32)
-    for _ in range(50):
-        v = random_field(grid, rng, kmax=6)
-        u = random_field(grid, rng, kmax=6)
-        d = u - v
-        lhs = -trilinear(d, v, d)  # = -int d (grad v)_sym d for solenoidal d
-        K = euler_negsym_weight(v)
-        assert lhs <= K * 2 * rel_energy(u, v) * (1 + 1e-10) + 1e-12
+    draws = [(random_field(grid, rng, kmax=6), random_field(grid, rng, kmax=6))
+             for _ in range(50)]
+    v, u = stacked([vu[0] for vu in draws]), stacked([vu[1] for vu in draws])
+    d = u - v
+    lhs = -trilinears(d, v, d)  # = -int d (grad v)_sym d for solenoidal d
+    K = weight_value(weight_norms(v, STRAIN), STRAIN, 0.0)
+    assert np.all(lhs <= K * 2 * rel_terms(d, 0.0)[0] * (1 + 1e-10) + 1e-12)
 
 
 # -- residual ----------------------------------------------------------------
@@ -172,7 +169,7 @@ def test_residual_linear_in_viscosity():
     vt = TestTrajectory.taylor_green(nu_wrong, spec.grid)
     t = 0.3
     a = _residual(vt, t, spec)
-    expect = 2 * (nu - nu_wrong) * vt.value(t)
+    expect = 2 * (nu - nu_wrong) * SpectralField(spec.grid, vt.values([t])[0])
     assert l2_norm(a - expect) <= 1e-10
 
 
@@ -183,11 +180,11 @@ def test_trilinear_skew_symmetry(rng):
     a = random_field(grid, rng, kmax=6)
     b = random_field(grid, rng, kmax=6)
     c = random_field(grid, rng, kmax=6)
-    assert abs(trilinear(a, b, b)) <= 1e-12 * l2_norm(a) * l2_norm(b) ** 2
-    assert trilinear(a, b, c) == pytest.approx(-trilinear(a, c, b),
-                                               abs=1e-10)
-    assert trilinear(2.0 * a, b, c) == pytest.approx(2 * trilinear(a, b, c),
-                                                     rel=1e-12)
+    abb, abc, acb, a2bc = trilinears(stacked([a, a, a, 2.0 * a]), stacked([b, b, c, b]),
+                                     stacked([b, c, b, c]))
+    assert abs(abb) <= 1e-12 * l2_norm(a) * l2_norm(b) ** 2
+    assert abc == pytest.approx(-acb, abs=1e-10)
+    assert a2bc == pytest.approx(2 * abc, rel=1e-12)
 
 
 def test_trilinear_taylor_green_gradient():
@@ -195,7 +192,7 @@ def test_trilinear_taylor_green_gradient():
     grid = Grid(32)
     v = taylor_green(0.0, 0.1, grid)
     w = random_field(grid, np.random.default_rng(9), kmax=5)
-    assert abs(trilinear(v, v, w)) <= 1e-12
+    assert abs(trilinears(v.coeffs, v.coeffs, w.coeffs)) <= 1e-12
 
 
 # -- non-solenoidal correction -----------------------------------------------
@@ -236,7 +233,7 @@ def test_margin_series_constant_weight_integral():
     vt = TestTrajectory.analytic(lambda t: v, lambda t: 0.0 * v, grid)
     w = WeightSpec(kind="serrin", p=4.0, constant_c=1.0)
     nu = 0.1
-    k0 = serrin_weight(v, w, nu)
+    k0 = weight_value(weight_norms(v.coeffs, w), w, nu)
     times = np.linspace(0, 1, 21)
     u = Trajectory(spec=SystemSpec(nu=nu, grid=grid, t_end=1.0, dt=0.05),
                    times=times, coeffs=stacked([v] * times.size))
@@ -292,9 +289,10 @@ def test_kest_estimate_random_ensemble(rng):
     for _ in range(100):
         u = random_field(grid, rng, kmax=8)
         v = random_field(grid, rng, kmax=8)
-        lhs = abs(trilinear(u - v, u - v, v))
-        rhs = rel_dissipation(u, v, nu) + \
-            serrin_weight(v, w, nu) * rel_energy(u, v)
+        d = (u - v).coeffs
+        R, W = rel_terms(d, nu)
+        lhs = abs(trilinears(d, d, v.coeffs))
+        rhs = W + weight_value(weight_norms(v.coeffs, w), w, nu) * R
         assert lhs <= rhs * (1 + 1e-12)
 
 
@@ -315,7 +313,7 @@ def test_weight_serialization():
 def test_weight_value_dispatch(rng):
     grid = Grid(16)
     v = random_field(grid, rng, kmax=4)
-    for w, nu, expect in ((WeightSpec(kind="serrin", p=4.0), 0.1,
-                           serrin_weight(v, WeightSpec(kind="serrin", p=4.0), 0.1)),
-                          (WeightSpec(kind="euler_negsym"), 0.0, euler_negsym_weight(v))):
+    serrin = WeightSpec(kind="serrin", p=4.0)
+    for w, nu, expect in ((serrin, 0.1, serrin.constant(0.1) * lp_norms(v.coeffs, 4.0) ** 4),
+                          (STRAIN, 0.0, 2.0 * weight_norms(v.coeffs, STRAIN))):
         assert weight_value(weight_norms(v.coeffs, w), w, nu) == pytest.approx(expect)

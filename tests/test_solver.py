@@ -363,9 +363,9 @@ def test_taylor_green_built_once_per_grid(monkeypatch):
         a = 1.05 * np.exp(-2.0 * nu * t)
         sampled = from_function(spec.grid, lambda X, Y: a * np.sin(X) * np.cos(Y),
                                 lambda X, Y: -a * np.cos(X) * np.sin(Y), solenoidal=True)
-        value = family[1].value(t)
-        assert np.abs(value.coeffs - sampled.coeffs).max() <= 1e-15
-        assert np.array_equal(family[1].deriv(t).coeffs, (-2.0 * nu * value).coeffs)
+        value = family[1].values([t])[0]
+        assert np.abs(value - sampled.coeffs).max() <= 1e-15
+        assert np.array_equal(family[1].derivs([t])[0], -2.0 * nu * value)
 
 
 def test_solenoidality_preserved():
@@ -542,8 +542,9 @@ def test_spline_test_trajectory_matches_analytic():
     t = 0.25
     exact_v = taylor_green(t, nu, spec.grid)
     exact_dv = -2 * nu * exact_v
-    assert l2_norm(vt.value(t) - exact_v) <= 1e-6
-    assert l2_norm(vt.deriv(t) - exact_dv) <= 1e-4
+    v, dv = (SpectralField(spec.grid, f([t])[0]) for f in (vt.values, vt.derivs))
+    assert l2_norm(v - exact_v) <= 1e-6
+    assert l2_norm(dv - exact_dv) <= 1e-4
 
 
 def test_perturbed_test_trajectory():
@@ -551,5 +552,7 @@ def test_perturbed_test_trajectory():
     base = TestTrajectory.taylor_green(0.1, grid)
     r = random_field(grid, np.random.default_rng(5), kmax=3)
     vt = TestTrajectory.perturbed(base, r, 0.25)
-    assert l2_norm(vt.value(0.3) - base.value(0.3) - 0.25 * r) <= 1e-14
-    assert l2_norm(vt.deriv(0.3) - base.deriv(0.3)) <= 1e-14
+    gap = SpectralField(grid, vt.values([0.3])[0] - base.values([0.3])[0])
+    dgap = SpectralField(grid, vt.derivs([0.3])[0] - base.derivs([0.3])[0])
+    assert l2_norm(gap - 0.25 * r) <= 1e-14
+    assert l2_norm(dgap) <= 1e-14
