@@ -15,14 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import SpectralField, pairing, project, spectral_tables
+from .fields import pairing, project, spectral_tables
 from .relenergy import (
     WeightSpec,
     cumulative_weight_integral,
     nonsolenoidal_correction,
     rel_terms,
     residual_A,
-    simpson,
     weight_norms,
     weight_value,
 )
@@ -93,10 +92,6 @@ class CertificateReport:
     @property
     def verdict(self) -> bool:
         return not self.errors and all(e.passed for e in self.entries)
-
-    def worst_margin(self) -> float:
-        """The least margin after t = 0, where every margin is 0 by construction."""
-        return min((e.margin for e in self.entries if e.t > 0), default=np.inf)
 
     def to_dict(self) -> dict:
         return {
@@ -225,108 +220,3 @@ def certify(u: Trajectory, family, w: WeightSpec,
                                             margin=float(m), tol=tol))
     stride = float(u.times[1] - u.times[0]) if u.times.size > 1 else 0.0
     return CertificateReport(tuple(entries), errors, tests, w, tol_model, stride)
-
-
-# -- Lagrange-multiplier (phi) form -----------------------------------------
-
-@dataclass(frozen=True)
-class PhiWeight:
-    """Admissible multiplier: phi >= 0, phi' <= 0, phi(0) = 1, phi(T) = 0.
-    ``value`` and ``deriv`` map an array of times to phi and phi'; a constant is broadcast."""
-
-    value: object  # callable times -> phi(times)
-    deriv: object  # callable times -> phi'(times)
-    label: str = "phi"
-
-    def validate(self, times: np.ndarray):
-        """(phi, phi') at ``times``, 0 to T; CertificateError unless admissible there."""
-        p, dp = (np.broadcast_to(f(times), times.shape) for f in (self.value, self.deriv))
-        if abs(p[0] - 1.0) > 1e-12:
-            raise CertificateError(f"{self.label}: phi(0) != 1")
-        if abs(p[-1]) > 1e-12:
-            raise CertificateError(f"{self.label}: phi(T) != 0")
-        if p.min() < -1e-12 or dp.max() > 1e-10:
-            raise CertificateError(f"{self.label}: phi must be >= 0 with phi' <= 0")
-        return p, dp
-
-
-def mollified_indicator(t_star: float, width: float, label: str = "") -> PhiWeight:
-    """C^1 cubic smoothstep approximation of the indicator of [0, t_star]."""
-    if width <= 0:
-        raise CertificateError("mollification width must be positive")
-
-    def x(t):  # 0 up to t_star, 1 from t_star + width on
-        return np.clip((t - t_star) / width, 0.0, 1.0)
-
-    return PhiWeight(lambda t: 1.0 - x(t) ** 2 * (3 - 2 * x(t)),
-                     lambda t: 6 * x(t) * (x(t) - 1) / width,
-                     label or f"indicator[0,{t_star:g}]+{width:g}")
-
-
-def _phi_form(series: _MarginSeries, phi: PhiWeight) -> float:
-    times, R = series.times, series.rel_energies
-    p, dp = phi.validate(times)
-    return float(-simpson(dp * R * np.exp(-series.weight_integral), times) - p[0] * R[0]
-                 + simpson(p * series.dissipation_integrand, times)
-                 - simpson(p * series.correction_integrand, times))
-
-
-def phi_form_value(u: Trajectory, vt: TestTrajectory, w: WeightSpec,
-                   phi: PhiWeight) -> float:
-    """Value of the phi-weighted inequality form; <= 0 for dissipative u."""
-    return _phi_form(margin_series(u, vt, w), phi)
-
-
-# -- weak residual recovery -------------------------------------------------
-
-@dataclass(frozen=True)
-class ResidualRecovery:
-    alphas: tuple
-    margins: tuple
-    linear_coefficient: float   # fitted d margin / d alpha at alpha = 0
-    direct_pairing: float       # int_0^t <A(u), r> e^{int_s^t K} ds
-    quadratic_coefficient: float
-
-
-def recover_weak_residual(u: Trajectory, r: SpectralField, alphas,
-                          w: WeightSpec, t: float | None = None) -> ResidualRecovery:
-    """Extract the weighted residual pairing from finite-alpha margins.
-
-    Splines u into its own test trajectory, perturbs it by alpha*r, and
-    fits margin(alpha) = c1*alpha + c2*alpha^2; c1 estimates the
-    Gronwall-weighted residual pairing, checked against direct quadrature.
-    """
-    alphas = np.asarray(list(alphas), dtype=float)
-    if alphas.size < 2 or np.any(alphas == 0):
-        raise CertificateError("need >= 2 nonzero perturbation amplitudes")
-    if not r.solenoidal:
-        raise CertificateError("perturbation field must be solenoidal")
-    if t is None:
-        t = float(u.times[-1])
-    base = TestTrajectory.from_trajectory(u, label="self-spline")
-    i_t = u.index_of(t)
-
-    margins = np.array([margin_series(u, TestTrajectory.perturbed(base, r, a), w).margins[i_t]
-                        for a in alphas])
-
-    # least-squares fit margin = c0 + c1 a + c2 a^2 (c0 absorbs spline noise)
-    A = np.stack([np.ones_like(alphas), alphas, alphas ** 2], axis=1)
-    sol, *_ = np.linalg.lstsq(A, margins, rcond=None)
-    if not np.all(np.isfinite(sol)):
-        raise CertificateError("degenerate least-squares fit")
-
-    # direct quadrature of the same weighted pairing along the spline
-    times = u.times[:i_t + 1]
-    K, pair = np.empty(times.size), np.empty(times.size)
-    for sl in _blocks(times.size, u.grid.n):
-        values = base.values(times[sl])
-        K[sl] = weight_value(weight_norms(values, w), w, u.spec.nu)
-        residual = residual_A(values, base.derivs(times[sl]), u.spec)
-        pair[sl] = pairing(residual, r.coeffs)
-    I = cumulative_weight_integral(K, times)
-    direct = float(simpson(pair * np.exp(-I), times))
-
-    return ResidualRecovery(alphas=tuple(alphas), margins=tuple(margins),
-                            linear_coefficient=float(sol[1]),
-                            direct_pairing=direct,
-                            quadratic_coefficient=float(sol[2]))

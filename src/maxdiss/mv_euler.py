@@ -4,11 +4,10 @@ A defect field is a grid-sampled, symmetric, positive-semidefinite matrix
 density absorbing the gap between the quadratic term of a resolved
 reference and that of a coarse candidate.  The continuum measure is stood
 in for by the trigonometric interpolant of the samples, produced through a
-declared spectral low-pass whose scale is always recorded.  The key
-algebraic facts are preserved exactly at the sample level: the trace
-integral matches the kinetic-energy gap, and convex combinations of
-velocity/defect pairs keep v (x) v + m affine, so equation residuals
-combine linearly.
+declared spectral low-pass whose scale is always recorded.  The low-pass
+keeps the k = 0 mode, so before the PSD projection the trace integral
+matches the kinetic-energy gap exactly; the projection's magnitude is
+recorded too, and ``trace_energy_gap`` measures what is left.
 """
 
 from __future__ import annotations
@@ -19,11 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import certificate
-from .fields import (FieldError, Grid, _embed, _mode_sum, _sym_eigenvalues, gradients,
-                     load_samples, pairing, samples, save_samples, spectral_tables,
-                     tensor_samples)
-from .relenergy import simpson
+from .fields import (FieldError, Grid, _embed, _mode_sum, _sym_eigenvalues, load_samples,
+                     pairing, save_samples, spectral_tables, tensor_samples)
 from .solver import Trajectory
 
 DEFECT_COMPONENTS = ("m11", "m12", "m22")
@@ -91,13 +87,6 @@ class DefectField:
         d.flags.writeable = False
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "density", d)
-
-    @classmethod
-    def zero(cls, grid: Grid, times, provenance: str = "zero") -> "DefectField":
-        times = np.asarray(times, dtype=float)
-        return cls(grid=grid, times=times,
-                   density=np.zeros((times.size, 3, grid.n, grid.n)),
-                   mollifier_kmax=grid.n // 2, provenance=provenance)
 
     def trace_integrals(self) -> np.ndarray:
         h = 2 * np.pi / self.grid.n
@@ -212,98 +201,3 @@ def trace_energy_gap(m: DefectField, fine: Trajectory,
     """Per-time |(1/2)<m,I> - (E_fine - E_coarse)|, the low-pass leakage."""
     gap = fine.energies() - coarse.energies()
     return np.abs(0.5 * m.trace_integrals() - gap)
-
-
-def trace_leakage_bound(m: DefectField) -> float:
-    """Bound on the trace/energy-gap mismatch.
-
-    The mollifier passes the k = 0 mode unchanged, so before PSD
-    projection the trace integral equals the energy gap exactly; the
-    projection shifts each eigenvalue by at most the recorded clip
-    magnitude, hence the trace integral by at most 2 (2 pi)^2 clip.
-    """
-    return 2.0 * (2 * np.pi) ** 2 * m.clip_magnitude
-
-
-# -- measure-valued equation and energy inequality --------------------------
-
-def mv_equation_residual(v: Trajectory, m: DefectField | None, f,
-                         phis) -> dict:
-    """Per-test-function residual of the momentum balance with defect.
-
-    res(phi) = -int <v, d_t phi> - int (v(x)v + m) : grad phi
-               - (v0, phi(0)) - int (f, phi);
-    zero for exact Euler solutions with m = 0, and small for
-    defect-corrected coarse fields against fine references.  Each phi must
-    be solenoidal and vanish at t = T; the samples are stacked in the
-    blocks of ``certificate.margin_series``.
-    """
-    times = v.times
-    if m is not None and (m.times.size != times.size or
-                          not np.allclose(m.times, times, atol=1e-12)):
-        raise MVError("defect sample times differ from trajectory times")
-    n_q = 2 * max(v.grid.n, m.grid.n if m is not None else 0)
-    h = 2 * np.pi / n_q
-    results = {}
-    for idx, phi in enumerate(phis if isinstance(phis, (list, tuple)) else [phis]):
-        if not phi.solenoidal:
-            raise MVError(f"test function {phi.label!r} must be solenoidal")
-        nc = max(v.grid.n, phi.grid.n)
-
-        def common(c):  # the spectrum on the shared nc grid
-            return c if c.shape[-2] == nc else _embed(c, c.shape[-2], nc)
-
-        ends = phi.values(times[[0, -1]])
-        start, end = np.sqrt(pairing(ends, ends))
-        if end > 1e-10 * max(start, 1.0):
-            raise MVError(f"test function {phi.label!r} must vanish at t=T")
-        force = None if f is None or f.is_zero() else f(0.0, phi.grid).coeffs
-        vals = np.empty(times.size)
-        for sl in certificate._blocks(times.size, n_q // 2):
-            ph = phi.values(times[sl])
-            dval = pairing(common(v.coeffs[sl]), common(phi.derivs(times[sl])))
-            g = samples(gradients(ph), n_q)
-            tens = tensor_samples(v.coeffs[sl], n_q)
-            if m is not None:
-                tens = tens + samples(np.fft.rfft2(m.density[sl], norm="forward"), n_q)
-            stress = np.sum(tens[:, 0] * g[:, 0, 0] + tens[:, 1] * (g[:, 0, 1] + g[:, 1, 0])
-                            + tens[:, 2] * g[:, 1, 1], axis=(-2, -1)) * h * h
-            vals[sl] = -dval - stress - (0.0 if force is None else pairing(force, ph))
-        label = phi.label or f"phi_{idx}"
-        results[label] = float(simpson(vals, times)
-                               - pairing(common(v.coeffs[0]), common(ends[0])))
-    return results
-
-
-# -- convexity ---------------------------------------------------------------
-
-def mv_convex_combine(v1: Trajectory, m1: DefectField,
-                      v2: Trajectory, m2: DefectField, lam: float):
-    """Combine (v1, m1) and (v2, m2) so that v (x) v + m stays affine.
-
-    v = lam v1 + (1-lam) v2;
-    m = lam m1 + (1-lam) m2 + lam (1-lam) (v1-v2) (x) (v1-v2),
-    which keeps the equation residual exactly affine in lam and the
-    density PSD (sum of PSD terms).
-    """
-    if not 0.0 <= lam <= 1.0:
-        raise MVError(f"lambda must lie in [0, 1], got {lam}")
-    if lam == 1.0:
-        return v1, m1
-    if lam == 0.0:
-        return v2, m2
-    if v1.grid.n != v2.grid.n or m1.grid.n != m2.grid.n:
-        raise MVError("combination requires matching resolutions")
-    if not (np.allclose(v1.times, v2.times, atol=1e-12)
-            and np.allclose(m1.times, m2.times, atol=1e-12)):
-        raise MVError("combination requires aligned sample times")
-    density = lam * m1.density + (1 - lam) * m2.density \
-        + lam * (1 - lam) * tensor_samples(v1.coeffs - v2.coeffs, m1.grid.n)
-    v = Trajectory(spec=v1.spec, times=v1.times,
-                   coeffs=lam * v1.coeffs + (1 - lam) * v2.coeffs,
-                   provenance=f"mv mixture lam={lam}")
-    m = DefectField(grid=m1.grid, times=m1.times, density=density,
-                    mollifier_kmax=min(m1.mollifier_kmax, m2.mollifier_kmax),
-                    clip_magnitude=max(m1.clip_magnitude, m2.clip_magnitude),
-                    provenance=f"mv mixture lam={lam}")
-    return v, m

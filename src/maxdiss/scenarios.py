@@ -140,7 +140,7 @@ class ScenarioConfig:
             _require(system_d, "/system", key, (int, float), required=True)
         _require(system_d, "/system", "n", int, required=True)
         try:
-            system = SystemSpec.from_dict(system_d)
+            system = SystemSpec.from_dict({"forcing": {"kind": "zero"}, **system_d})
         except SolverError as exc:  # its message starts with the key under /system
             raise ConfigError(f"/system/{exc}") from exc
         except Exception as exc:
@@ -177,10 +177,12 @@ class ScenarioConfig:
     def from_file(cls, path, out_dir: str | None = None,
                   seed: int | None = None) -> "ScenarioConfig":
         try:
-            cfg = json.loads(Path(path).read_text())
+            cfg = json.loads(Path(path).read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"/: malformed JSON at line {exc.lineno} "
                               f"column {exc.colno}: {exc.msg}") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{path}: unreadable config ({exc})") from None
         return cls.from_dict(cfg, out_dir=out_dir, seed=seed)
 
 

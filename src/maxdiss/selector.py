@@ -16,8 +16,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .fields import Grid, _embed, l2_norm, normalized, pairing, resample
-from .relenergy import rel_terms, simpson
+from .fields import Grid, _embed, l2_norm, pairing, resample
+from .relenergy import simpson
 from .solver import SystemSpec, Trajectory
 
 
@@ -196,76 +196,3 @@ def select(family: CandidateFamily) -> SelectionResult:
                            kkt_residual=kkt_residual(family, weights),
                            trajectory=family.mix(weights), iterations=len(supports),
                            rank=int(keep.sum()), unique=unique)
-
-
-# -- convexity and stability studies ----------------------------------------
-
-@dataclass(frozen=True)
-class MidpointReport:
-    lambdas: tuple
-    worst_margins: tuple
-    budgets: tuple
-    verdicts: tuple
-
-
-def verify_convex_midpoint(family: CandidateFamily, certify_fn,
-                           lambdas=None) -> MidpointReport:
-    """Certify midpoints / a lambda sweep of two-member combinations.
-
-    ``certify_fn(trajectory, budget_scale)`` must return a
-    CertificateReport evaluated with the summed budget; member budgets sum
-    because the inequality is linear in the two certified inequalities.
-    """
-    if family.size < 2:
-        raise SelectorError("midpoint verification needs >= 2 members")
-    if lambdas is None:
-        lambdas = [0.5]
-    worst, budgets, verdicts = [], [], []
-    for lam in lambdas:
-        weights = SimplexWeights(np.array([lam, 1.0 - lam] +
-                                          [0.0] * (family.size - 2)))
-        mixed = family.mix(weights)
-        report = certify_fn(mixed, 2.0)
-        worst.append(report.worst_margin())
-        budgets.append(max((e.tol for e in report.entries), default=0.0))
-        verdicts.append(report.verdict)
-    return MidpointReport(lambdas=tuple(lambdas), worst_margins=tuple(worst),
-                          budgets=tuple(budgets), verdicts=tuple(verdicts))
-
-
-@dataclass(frozen=True)
-class ScalingReport:
-    deltas: tuple
-    rel_energies: tuple      # max_t R(selected_delta | selected_base)
-    lowpass_distances: tuple  # L2(0,T) distance of low-pass selected states
-    ratios: tuple            # rel-energy decay factors between deltas
-
-    @property
-    def monotone(self) -> bool:
-        return all(a >= b for a, b in zip(self.rel_energies, self.rel_energies[1:]))
-
-
-def _lowpass_distance(a: Trajectory, b: Trajectory, n_low: int = 8) -> float:
-    d = normalized(_embed(a.coeffs, a.grid.n, n_low) - _embed(b.coeffs, b.grid.n, n_low),
-                   n_low, solenoidal=False)
-    return float(np.sqrt(simpson(pairing(d, d), a.times)))
-
-
-def continuous_dependence_study(family_builder, deltas) -> ScalingReport:
-    """Perturbation study of the selected trajectory.
-
-    ``family_builder(delta)`` returns an assembled CandidateFamily for the
-    delta-perturbed data; delta = 0 is the base.  Records the relative
-    energy and weak (low-pass) distance between each perturbed selection
-    and the base selection.
-    """
-    deltas = list(deltas)
-    base = select(family_builder(0.0)).trajectory
-    rel, low = [], []
-    for d in deltas:
-        sel = select(family_builder(d)).trajectory
-        rel.append(float(rel_terms(sel.coeffs - base.coeffs, 0.0)[0].max()))
-        low.append(_lowpass_distance(sel, base))
-    ratios = tuple(b / a if a > 0 else 0.0 for a, b in zip(rel, rel[1:]))
-    return ScalingReport(deltas=tuple(deltas), rel_energies=tuple(rel),
-                         lowpass_distances=tuple(low), ratios=ratios)

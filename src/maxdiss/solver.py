@@ -43,7 +43,6 @@ from .fields import (
     resample,
     save_samples,
     spectral_tables,
-    tensor_samples,
     zero_field,
 )
 
@@ -181,7 +180,7 @@ class SystemSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "SystemSpec":
         return cls(nu=d["nu"], grid=Grid(d["n"]), t_end=d["t_end"], dt=d["dt"],
-                   forcing=Forcing.from_dict(d.get("forcing", {"kind": "zero"})))
+                   forcing=Forcing.from_dict(d["forcing"]))
 
 
 # -- right-hand side --------------------------------------------------------
@@ -326,12 +325,6 @@ class Trajectory:
     def energies(self) -> np.ndarray:
         return 0.5 * pairing(self.coeffs, self.coeffs)
 
-    def index_of(self, t: float) -> int:
-        i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > 1e-10 * max(1.0, abs(t)):
-            raise SolverError(f"time {t:g} is not a sample time")
-        return i
-
     def save(self, out_dir) -> None:
         """Write manifest.json (spec, times, provenance) and states.fld.
 
@@ -414,40 +407,13 @@ def taylor_green(t: float, nu: float, grid: Grid, amplitude: float = 1.0) -> Spe
     return (amplitude * np.exp(-2.0 * nu * t)) * _unit_taylor_green(grid.n)
 
 
-def taylor_green_pressure(t: float, nu: float, grid: Grid, amplitude: float = 1.0) -> SpectralField:
-    """p = (A^2/4) e^{-4 nu t} (cos 2x + cos 2y).
-
-    The sign pairs with the (sin x cos y, -cos x sin y) orientation of
-    taylor_green: (v.grad)v = -grad p there, so the momentum residual
-    of (v, p) vanishes identically.
-    """
-    a = 0.25 * amplitude ** 2 * np.exp(-4.0 * nu * t)
-    return from_function(grid, lambda X, Y: a * (np.cos(2 * X) + np.cos(2 * Y)))
-
-
-def recover_pressure(v: SpectralField, f: SpectralField | None = None) -> SpectralField:
-    """Pressure from -Lap p = div div (v x v) - div f, zero-mean normalization."""
-    if not v.is_vector:
-        raise SolverError("pressure recovery needs a velocity field")
-    n = v.grid.n
-    m = 2 * n
-    that = np.fft.rfft2(tensor_samples(v.coeffs, m), norm="forward")
-    tab = spectral_tables(m)
-    kx, ky = tab.kx, tab.ky
-    rhs = -(kx * kx * that[0] + 2 * kx * ky * that[1] + ky * ky * that[2])
-    if f is not None:
-        ff = resample(resample(f, n), m)
-        rhs = rhs - 1j * (kx * ff.coeffs[0] + ky * ff.coeffs[1])
-    return resample(SpectralField(Grid(m), (rhs * tab.inv_k2)[None]), n)
-
-
 # -- test trajectories ------------------------------------------------------
 
 class TestTrajectory:
     """C^1-in-time trajectory used as a test function for certification.
 
-    Either analytic (closed-form value and time derivative) or a cubic
-    spline through the samples of a Trajectory (not-a-knot ends).
+    ``taylor_green`` (the closed-form decaying vortex, rescaled) and
+    ``zero`` build the members that ``scenarios.build_tests`` names.
     ``values`` and ``derivs`` map an array of times to stacked coefficients
     (len(times), 2, n, n//2 + 1).  ``weight_norms`` keeps the nu-free weight
     series of ``certificate.margin_series`` for reuse by members on one grid.
@@ -462,14 +428,6 @@ class TestTrajectory:
         self.solenoidal = solenoidal
         self.label = label
         self.weight_norms = {}
-
-    @classmethod
-    def analytic(cls, value_fn, deriv_fn, grid: Grid, solenoidal: bool = True,
-                 label: str = "analytic") -> "TestTrajectory":
-        """From callables t -> SpectralField."""
-        return cls(lambda times: np.stack([value_fn(t).coeffs for t in times]),
-                   lambda times: np.stack([deriv_fn(t).coeffs for t in times]),
-                   grid, solenoidal, label)
 
     @classmethod
     def taylor_green(cls, nu: float, grid: Grid, amplitude: float = 1.0,
@@ -489,19 +447,3 @@ class TestTrajectory:
             return np.zeros((len(times), 2, grid.n, grid.n // 2 + 1), dtype=np.complex128)
 
         return cls(zeros, zeros, grid, True, label)
-
-    @classmethod
-    def from_trajectory(cls, traj: Trajectory, label: str = "") -> "TestTrajectory":
-        if traj.times.size < 4:
-            raise SolverError("spline test trajectory needs >= 4 samples")
-        from scipy.interpolate import CubicSpline  # slow to import; only splines need it
-        spline = CubicSpline(traj.times, traj.coeffs, axis=0, bc_type="not-a-knot")
-        return cls(spline, spline.derivative(), traj.grid, True, label or "spline")
-
-    @classmethod
-    def perturbed(cls, base: "TestTrajectory", r: SpectralField, alpha: float,
-                  label: str = "") -> "TestTrajectory":
-        """base + alpha * r with r constant in time."""
-        return cls(lambda times: base.values(times) + alpha * r.coeffs, base.derivs,
-                   base.grid, base.solenoidal and r.solenoidal,
-                   label or f"{base.label}+{alpha:g}r")

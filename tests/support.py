@@ -1,0 +1,199 @@
+"""Helpers that only the tests use, built on the package: test trajectories
+from closed forms, splines and perturbations, the phi-weighted form of the
+relative energy inequality, weak residual recovery, the convex sweep and the
+continuous-dependence study of a selection, the Taylor-Green pressure and
+pressure recovery, and the measure-valued momentum residual and convex
+combination."""
+
+import numpy as np
+from scipy.interpolate import CubicSpline
+
+from maxdiss import certificate
+from maxdiss.certificate import margin_series
+from maxdiss.fields import (Grid, SpectralField, _embed, from_function, gradients, normalized,
+                            pairing, resample, samples, spectral_tables, tensor_samples)
+from maxdiss.mv_euler import DefectField, MVError
+from maxdiss.relenergy import (cumulative_weight_integral, rel_terms, residual_A, simpson,
+                               weight_norms, weight_value)
+from maxdiss.selector import SimplexWeights, select
+from maxdiss.solver import TestTrajectory, Trajectory
+
+
+def worst_margin(report) -> float:
+    """The least margin of a certificate after t = 0, where every margin is 0."""
+    return min((e.margin for e in report.entries if e.t > 0), default=np.inf)
+
+
+# -- test trajectories --------------------------------------------------------
+
+def analytic_test(value_fn, deriv_fn, grid, solenoidal=True, label="analytic"):
+    """A test trajectory from callables t -> SpectralField."""
+    return TestTrajectory(lambda times: np.stack([value_fn(t).coeffs for t in times]),
+                          lambda times: np.stack([deriv_fn(t).coeffs for t in times]),
+                          grid, solenoidal, label)
+
+
+def spline_test(traj, label="spline"):
+    """The not-a-knot cubic spline through the samples of a trajectory."""
+    spline = CubicSpline(traj.times, traj.coeffs, axis=0, bc_type="not-a-knot")
+    return TestTrajectory(spline, spline.derivative(), traj.grid, True, label)
+
+
+def perturbed_test(base, r, alpha):
+    """base + alpha r, with r constant in time."""
+    return TestTrajectory(lambda times: base.values(times) + alpha * r.coeffs, base.derivs,
+                          base.grid, base.solenoidal and r.solenoidal, f"{base.label}+{alpha:g}r")
+
+
+# -- multiplier (phi) form and weak residual recovery --------------------------
+
+def mollified_indicator(t_star, width):
+    """phi and phi' of the C^1 cubic smoothstep approximation of the indicator of [0, t_star]."""
+    def x(t):  # 0 up to t_star, 1 from t_star + width on
+        return np.clip((t - t_star) / width, 0.0, 1.0)
+
+    return (lambda t: 1.0 - x(t) ** 2 * (3 - 2 * x(t)),
+            lambda t: 6 * x(t) * (x(t) - 1) / width)
+
+
+def phi_form_value(u, vt, w, phi, dphi) -> float:
+    """The phi-weighted inequality form, <= 0 for dissipative u when phi >= 0 falls
+    from phi(0) = 1 to phi(T) = 0; phi and dphi map an array of times to phi and phi'."""
+    s = margin_series(u, vt, w)
+    t, R = s.times, s.rel_energies
+    p, dp = (np.broadcast_to(f(t), t.shape) for f in (phi, dphi))
+    return float(-simpson(dp * R * np.exp(-s.weight_integral), t) - p[0] * R[0]
+                 + simpson(p * s.dissipation_integrand, t)
+                 - simpson(p * s.correction_integrand, t))
+
+
+def recover_weak_residual(u, r, alphas, w):
+    """(c1, direct) for a solenoidal r.  c1 is the linear coefficient of the
+    least-squares fit margin(T) = c0 + c1 alpha + c2 alpha^2 against u's own
+    spline perturbed by alpha r (c0 absorbs the spline noise); it estimates the
+    Gronwall-weighted residual pairing int_0^T <A, r> e^{-I}, which ``direct``
+    computes by quadrature along the spline."""
+    alphas = np.asarray(alphas, dtype=float)
+    base = spline_test(u, "self-spline")
+    margins = np.array([margin_series(u, perturbed_test(base, r, a), w).margins[-1]
+                        for a in alphas])
+    A = np.stack([np.ones_like(alphas), alphas, alphas ** 2], axis=1)
+    c1 = float(np.linalg.lstsq(A, margins, rcond=None)[0][1])
+    times = u.times
+    K, pair = np.empty(times.size), np.empty(times.size)
+    for sl in certificate._blocks(times.size, u.grid.n):
+        values = base.values(times[sl])
+        K[sl] = weight_value(weight_norms(values, w), w, u.spec.nu)
+        pair[sl] = pairing(residual_A(values, base.derivs(times[sl]), u.spec), r.coeffs)
+    I = cumulative_weight_integral(K, times)
+    return c1, float(simpson(pair * np.exp(-I), times))
+
+
+# -- convexity and stability of the selection ----------------------------------
+
+def verify_convex_midpoint(family, certify_fn, lambdas=(0.5,)) -> list:
+    """certify_fn(lam u_0 + (1 - lam) u_1, 2.0) for each lam: the budgets of the
+    two members sum, as the inequality is linear in the two certified ones."""
+    pad = [0.0] * (family.size - 2)
+    return [certify_fn(family.mix(SimplexWeights(np.array([lam, 1.0 - lam] + pad))), 2.0)
+            for lam in lambdas]
+
+
+def continuous_dependence_study(family_builder, deltas):
+    """Two lists over deltas: max_t R(selected_delta | selected_0), and the L2(0, T)
+    distance of the two selections low-passed to n = 8.  ``family_builder(delta)``
+    assembles the family of the delta-perturbed data."""
+    base = select(family_builder(0.0)).trajectory
+    rel, low = [], []
+    for delta in deltas:
+        sel = select(family_builder(delta)).trajectory
+        rel.append(float(rel_terms(sel.coeffs - base.coeffs, 0.0)[0].max()))
+        d = normalized(_embed(sel.coeffs, sel.grid.n, 8) - _embed(base.coeffs, base.grid.n, 8),
+                       8, solenoidal=False)
+        low.append(float(np.sqrt(simpson(pairing(d, d), sel.times))))
+    return rel, low
+
+
+# -- pressure ------------------------------------------------------------------
+
+def taylor_green_pressure(t, nu, grid):
+    """p = (1/4) e^{-4 nu t} (cos 2x + cos 2y), the pressure of ``solver.taylor_green``
+    at amplitude 1: (v.grad)v = -grad p there, so the momentum residual vanishes."""
+    a = 0.25 * np.exp(-4.0 * nu * t)
+    return from_function(grid, lambda X, Y: a * (np.cos(2 * X) + np.cos(2 * Y)))
+
+
+def recover_pressure(v, f=None):
+    """Pressure from -Lap p = div div (v x v) - div f, with zero mean."""
+    n, m = v.grid.n, 2 * v.grid.n
+    that = np.fft.rfft2(tensor_samples(v.coeffs, m), norm="forward")
+    tab = spectral_tables(m)
+    kx, ky = tab.kx, tab.ky
+    rhs = -(kx * kx * that[0] + 2 * kx * ky * that[1] + ky * ky * that[2])
+    if f is not None:
+        ff = resample(resample(f, n), m)
+        rhs = rhs - 1j * (kx * ff.coeffs[0] + ky * ff.coeffs[1])
+    return resample(SpectralField(Grid(m), (rhs * tab.inv_k2)[None]), n)
+
+
+# -- measure-valued Euler ------------------------------------------------------
+
+def zero_defect(grid, times):
+    return DefectField(grid=grid, times=times, mollifier_kmax=grid.n // 2,
+                       density=np.zeros((len(times), 3, grid.n, grid.n)))
+
+
+def trace_leakage_bound(m) -> float:
+    """Bound on |(1/2) <m, I> - energy gap|: the low-pass keeps the k = 0 mode,
+    and the PSD projection moves each eigenvalue by at most the recorded clip
+    magnitude, so the trace integral by at most 2 (2 pi)^2 clip."""
+    return 2.0 * (2 * np.pi) ** 2 * m.clip_magnitude
+
+
+def mv_equation_residual(v, m, f, phis) -> dict:
+    """{phi.label: res(phi)} of the momentum balance with defect m (or None),
+    res(phi) = -int <v, d_t phi> - int (v (x) v + m) : grad phi - (v0, phi(0))
+    - int (f, phi), for solenoidal phi vanishing at t = T; zero for exact Euler
+    solutions with m = 0.  The samples are stacked in the blocks of
+    ``certificate.margin_series``."""
+    times = v.times
+    n_q = 2 * max(v.grid.n, m.grid.n if m is not None else 0)
+    h = 2 * np.pi / n_q
+    results = {}
+    for phi in phis:
+        nc = max(v.grid.n, phi.grid.n)
+
+        def common(c):  # the spectrum on the shared nc grid
+            return c if c.shape[-2] == nc else _embed(c, c.shape[-2], nc)
+
+        force = None if f.is_zero() else f(0.0, phi.grid).coeffs
+        vals = np.empty(times.size)
+        for sl in certificate._blocks(times.size, n_q // 2):
+            ph = phi.values(times[sl])
+            dval = pairing(common(v.coeffs[sl]), common(phi.derivs(times[sl])))
+            g = samples(gradients(ph), n_q)
+            tens = tensor_samples(v.coeffs[sl], n_q)
+            if m is not None:
+                tens = tens + samples(np.fft.rfft2(m.density[sl], norm="forward"), n_q)
+            stress = np.sum(tens[:, 0] * g[:, 0, 0] + tens[:, 1] * (g[:, 0, 1] + g[:, 1, 0])
+                            + tens[:, 2] * g[:, 1, 1], axis=(-2, -1)) * h * h
+            vals[sl] = -dval - stress - (0.0 if force is None else pairing(force, ph))
+        start = phi.values(times[:1])[0]
+        results[phi.label] = float(simpson(vals, times)
+                                   - pairing(common(v.coeffs[0]), common(start)))
+    return results
+
+
+def mv_convex_combine(v1, m1, v2, m2, lam):
+    """(v, m) = (lam v1 + (1 - lam) v2, lam m1 + (1 - lam) m2
+    + lam (1 - lam) (v1 - v2) (x) (v1 - v2)): v (x) v + m stays affine in lam,
+    so the equation residual does too, and m stays PSD (a sum of PSD terms)."""
+    if v1.grid.n != v2.grid.n or m1.grid.n != m2.grid.n:
+        raise MVError("combination requires matching resolutions")
+    density = lam * m1.density + (1 - lam) * m2.density \
+        + lam * (1 - lam) * tensor_samples(v1.coeffs - v2.coeffs, m1.grid.n)
+    v = Trajectory(spec=v1.spec, times=v1.times, coeffs=lam * v1.coeffs + (1 - lam) * v2.coeffs)
+    m = DefectField(grid=m1.grid, times=m1.times, density=density,
+                    mollifier_kmax=min(m1.mollifier_kmax, m2.mollifier_kmax),
+                    clip_magnitude=max(m1.clip_magnitude, m2.clip_magnitude))
+    return v, m

@@ -246,6 +246,17 @@ def test_config_malformed_json(tmp_path):
         ScenarioConfig.from_file(path)
 
 
+@pytest.mark.parametrize("kind", ["not_utf8", "directory"])
+def test_cli_rejects_unreadable_config(tmp_path, capsys, kind):
+    path = tmp_path / "cfg.json"
+    if kind == "directory":
+        path.mkdir()
+    else:  # a UTF-16 byte-order mark, ff fe
+        path.write_bytes(b"\xff\xfe" + json.dumps(_base_cfg()).encode("utf-16-le"))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert f"config error: {path}: unreadable config" in capsys.readouterr().err
+
+
 def test_config_overrides(tmp_path):
     path = _write_cfg(tmp_path)
     cfg = ScenarioConfig.from_file(path, out_dir=str(tmp_path / "o"), seed=42)
@@ -489,7 +500,7 @@ def test_run_scenario_loads_no_trajectory(tmp_path, monkeypatch):
 # -- CLI entry point ----------------------------------------------------------
 
 def test_cli_run_imports_no_scipy(tmp_path):
-    # scipy costs most of a run's start-up; only spline paths may load it
+    # scipy costs most of a run's start-up; the package does not import it
     cfg = _write_cfg(tmp_path, scenario="perturbed_tg",
                      system={"nu": 0.1, "n": 16, "t_end": 0.05, "dt": 5e-3},
                      family={"resolutions": [12, 16], "sample_stride": 2})
@@ -549,6 +560,20 @@ def test_cli_truncated_states_file(tmp_path, capsys):
     states.write_bytes(states.read_bytes()[:-8])
     assert main(["certify", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
     assert str(states) in capsys.readouterr().err
+
+
+def test_cli_certify_rejects_manifest_without_forcing(tmp_path, capsys):
+    # a forced member whose manifest lost its forcing is not read as unforced
+    cfg = _write_cfg(tmp_path, system={"nu": 0.1, "n": 16, "t_end": 0.05, "dt": 5e-3,
+                                       "forcing": {"kind": "analytic", "name": "kolmogorov"}})
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    manifest = out / "sim" / "n_16" / "manifest.json"
+    d = json.loads(manifest.read_text())
+    del d["spec"]["forcing"]
+    manifest.write_text(json.dumps(d))
+    assert main(["certify", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert str(manifest) in capsys.readouterr().err
 
 
 def test_cli_mv_with_missing_forcing_file(tmp_path, capsys):

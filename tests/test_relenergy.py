@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from conftest import stacked
+from support import analytic_test
 
 from maxdiss.fields import (Grid, SpectralField, from_function, h1_squared, inner,
                             l2_norm, leray_project, lp_norms, random_field,
@@ -230,7 +231,7 @@ def test_margin_series_constant_weight_integral():
     grid = Grid(16)
     # constant field in time -> constant weight, I(t) = K t
     v = taylor_green(0.0, 0.0, grid)
-    vt = TestTrajectory.analytic(lambda t: v, lambda t: 0.0 * v, grid)
+    vt = analytic_test(lambda t: v, lambda t: 0.0 * v, grid)
     w = WeightSpec(kind="serrin", p=4.0, constant_c=1.0)
     nu = 0.1
     k0 = weight_value(weight_norms(v.coeffs, w), w, nu)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 from conftest import stacked, states
+from support import continuous_dependence_study, verify_convex_midpoint, worst_margin
 
 from maxdiss.certificate import ToleranceModel, certify
 from maxdiss.fields import Grid, from_function, l2_norm
@@ -13,11 +14,9 @@ from maxdiss.selector import (
     SelectorError,
     SimplexWeights,
     assemble_family,
-    continuous_dependence_study,
     kkt_residual,
     objective,
     select,
-    verify_convex_midpoint,
 )
 from maxdiss.solver import (
     Forcing,
@@ -276,19 +275,16 @@ def _tg_certify_fn(nu):
 def test_midpoint_of_identical_members(tg_ladder):
     fam = assemble_family([tg_ladder[2], tg_ladder[2]])
     fn = _tg_certify_fn(0.05)
-    rep = verify_convex_midpoint(fam, fn)
-    member = fn(tg_ladder[2], 2.0)
-    assert all(rep.verdicts)
-    assert rep.worst_margins[0] == pytest.approx(member.worst_margin(),
-                                                 rel=1e-10)
+    (mid,) = verify_convex_midpoint(fam, fn)
+    assert mid.verdict
+    assert worst_margin(mid) == pytest.approx(worst_margin(fn(tg_ladder[2], 2.0)), rel=1e-10)
 
 
 def test_midpoint_certifies_with_summed_budget(tg_ladder):
     fam = assemble_family([tg_ladder[0], tg_ladder[2]])
-    rep = verify_convex_midpoint(fam, _tg_certify_fn(0.05),
-                                 lambdas=[0.0, 0.25, 0.5, 0.75, 1.0])
-    assert all(rep.verdicts)
-    assert len(rep.worst_margins) == 5
+    reports = verify_convex_midpoint(fam, _tg_certify_fn(0.05),
+                                     lambdas=[0.0, 0.25, 0.5, 0.75, 1.0])
+    assert len(reports) == 5 and all(r.verdict for r in reports)
 
 
 def test_midpoint_needs_two_members(tg_ladder):
@@ -312,11 +308,8 @@ def test_continuous_dependence_quadratic_decay():
         v0 = taylor_green(0.0, nu, grid) + delta * w
         return assemble_family([solve(spec, v0, sample_stride=10)])
 
-    rep = continuous_dependence_study(builder, [1e-1, 5e-2])
+    rel, low = continuous_dependence_study(builder, [1e-1, 5e-2])
     # R scales like delta^2: halving delta divides it by 4, within factor 2
-    assert rep.monotone
-    assert rep.ratios[0] == pytest.approx(0.25, abs=0.125)
-    assert all(d > 0 for d in rep.lowpass_distances)
-
-    rep0 = continuous_dependence_study(builder, [0.0])
-    assert rep0.rel_energies[0] <= 1e-14
+    assert rel[1] / rel[0] == pytest.approx(0.25, abs=0.125)
+    assert all(d > 0 for d in low)
+    assert continuous_dependence_study(builder, [0.0])[0][0] <= 1e-14

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from conftest import (convection, divergence_linf, reference_advance, reference_rhs,
                       stacked, states)
+from support import perturbed_test, recover_pressure, spline_test, taylor_green_pressure
 
 from maxdiss import solver
 from maxdiss.fields import (FieldError, Grid, SpectralField,
@@ -22,10 +23,8 @@ from maxdiss.solver import (
     TestTrajectory,
     Trajectory,
     advance,
-    recover_pressure,
     solve,
     taylor_green,
-    taylor_green_pressure,
 )
 
 
@@ -538,7 +537,7 @@ def test_spline_test_trajectory_matches_analytic():
     nu = 0.1
     spec = _spec(nu=nu, t_end=0.5, dt=1e-3)
     traj = solve(spec, taylor_green(0.0, nu, spec.grid), sample_stride=25)
-    vt = TestTrajectory.from_trajectory(traj)
+    vt = spline_test(traj)
     t = 0.25
     exact_v = taylor_green(t, nu, spec.grid)
     exact_dv = -2 * nu * exact_v
@@ -551,7 +550,7 @@ def test_perturbed_test_trajectory():
     grid = Grid(16)
     base = TestTrajectory.taylor_green(0.1, grid)
     r = random_field(grid, np.random.default_rng(5), kmax=3)
-    vt = TestTrajectory.perturbed(base, r, 0.25)
+    vt = perturbed_test(base, r, 0.25)
     gap = SpectralField(grid, vt.values([0.3])[0] - base.values([0.3])[0])
     dgap = SpectralField(grid, vt.derivs([0.3])[0] - base.derivs([0.3])[0])
     assert l2_norm(gap - 0.25 * r) <= 1e-14
