@@ -55,9 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="mollifier low-pass scale")
     sub.add_parser("report", parents=[common],
                    help="emit CSV/JSON summaries from a run directory")
-    run = sub.add_parser("run", parents=[common],
-                         help="full pipeline: simulate, certify, select")
-    del run
+    sub.add_parser("run", parents=[common],
+                   help="full pipeline: simulate, certify, then select (mv for mv_ladder)")
     return parser
 
 

@@ -43,7 +43,7 @@ _SAMPLE_DTYPES = {"f64": "<f8", "c128": "<c16"}
 
 
 class FieldError(ValueError):
-    """Raised on invalid field construction or incompatible operands."""
+    """Raised on invalid field construction or an unreadable sample container."""
 
 
 @dataclass(frozen=True)
@@ -168,42 +168,10 @@ class SpectralField:
             raise FieldError(f"expected (1 or 2 components, n, n//2 + 1), got shape {c.shape}")
         object.__setattr__(self, "coeffs", normalized(c, self.grid.n, self.solenoidal))
 
-    @property
-    def components(self) -> int:
-        return self.coeffs.shape[0]
-
-    @property
-    def is_vector(self) -> bool:
-        return self.components == 2
-
     def physical(self) -> np.ndarray:
         """Real collocation samples, shape (components, n, n)."""
         n = self.grid.n
         return np.fft.irfft2(self.coeffs, s=(n, n), norm="forward")
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def _check_compatible(self, other: "SpectralField"):
-        if self.grid.n != other.grid.n or self.components != other.components:
-            raise FieldError(
-                f"incompatible fields: n={self.grid.n}/{other.grid.n}, "
-                f"components={self.components}/{other.components}"
-            )
-
-    def __add__(self, other: "SpectralField") -> "SpectralField":
-        self._check_compatible(other)
-        return SpectralField(self.grid, self.coeffs + other.coeffs,
-                             solenoidal=self.solenoidal and other.solenoidal)
-
-    def __sub__(self, other: "SpectralField") -> "SpectralField":
-        self._check_compatible(other)
-        return SpectralField(self.grid, self.coeffs - other.coeffs,
-                             solenoidal=self.solenoidal and other.solenoidal)
-
-    def __mul__(self, s: float) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs * s, solenoidal=self.solenoidal)
-
-    __rmul__ = __mul__
 
 
 # -- constructors -----------------------------------------------------------
@@ -224,11 +192,6 @@ def from_function(grid: Grid, *funcs, solenoidal: bool = False) -> SpectralField
     return from_physical(grid, samples, solenoidal=solenoidal)
 
 
-def zero_field(grid: Grid, components: int = 2, solenoidal: bool = True) -> SpectralField:
-    coeffs = np.zeros((components, grid.n, grid.n // 2 + 1), dtype=np.complex128)
-    return SpectralField(grid, coeffs, solenoidal=solenoidal and components == 2)
-
-
 def random_field(grid: Grid, rng: np.random.Generator, kmax: int,
                  components: int = 2, solenoidal: bool = True,
                  amplitude: float = 1.0) -> SpectralField:
@@ -245,7 +208,7 @@ def random_field(grid: Grid, rng: np.random.Generator, kmax: int,
               + 1j * rng.standard_normal((components, n, n))) * band
     f = from_physical(grid, np.fft.ifft2(coeffs * amplitude, norm="forward").real)
     if solenoidal and components == 2:
-        f = leray_project(f)
+        return SpectralField(grid, project(f.coeffs, spectral_tables(n)), solenoidal=True)
     return f
 
 
@@ -255,14 +218,6 @@ def gradients(c: np.ndarray) -> np.ndarray:
     """Coefficients of d_j u_i from those of u, (..., components, 2, n, n//2 + 1)."""
     tab = spectral_tables(c.shape[-2])
     return np.stack([1j * tab.kx * c, 1j * tab.ky * c], axis=-3)
-
-
-def leray_project(u: SpectralField) -> SpectralField:
-    """Leray projection uhat -> (I - k k^T/|k|^2) uhat, identity at k=0."""
-    if not u.is_vector:
-        raise FieldError("Leray projection requires a vector field")
-    return SpectralField(u.grid, project(u.coeffs, spectral_tables(u.grid.n)),
-                         solenoidal=True)
 
 
 def project(c: np.ndarray, tab: Tables) -> np.ndarray:
@@ -277,16 +232,6 @@ def project(c: np.ndarray, tab: Tables) -> np.ndarray:
 def pairing(a: np.ndarray, b: np.ndarray):
     """L2 inner products by Parseval of coefficients (..., components, n, n//2 + 1)."""
     return TWO_PI ** 2 * _mode_sum((a * np.conj(b)).real)
-
-
-def inner(u: SpectralField, w: SpectralField) -> float:
-    """L2 inner product over the torus, computed by Parseval."""
-    u._check_compatible(w)
-    return pairing(u.coeffs, w.coeffs)
-
-
-def l2_norm(u: SpectralField) -> float:
-    return np.sqrt(max(inner(u, u), 0.0))
 
 
 def h1_squared(c: np.ndarray):
@@ -325,11 +270,10 @@ def _embed(coeffs: np.ndarray, n_from: int, n_to: int, band: bool = False) -> np
     return out
 
 
-def resample(u: SpectralField, m: int) -> SpectralField:
-    """The spectrum of u on an m x m grid: zero-padded for m > n, truncated for m < n."""
-    if m == u.grid.n:
-        return u
-    return SpectralField(Grid(m), _embed(u.coeffs, u.grid.n, m), solenoidal=u.solenoidal)
+def resample(c: np.ndarray, m: int) -> np.ndarray:
+    """Coefficients (..., n, n//2 + 1) on an m x m grid: zero-padded for m > n,
+    truncated for m < n; the Nyquist modes of the result are zero."""
+    return normalized(_embed(c, c.shape[-2], m), m, False)
 
 
 def samples(c: np.ndarray, m: int) -> np.ndarray:

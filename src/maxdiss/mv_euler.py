@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import (FieldError, Grid, _embed, _mode_sum, _sym_eigenvalues, load_samples,
-                     pairing, save_samples, spectral_tables, tensor_samples)
+from .fields import (Grid, _embed, _mode_sum, _sym_eigenvalues, pairing, save_samples,
+                     spectral_tables, tensor_samples)
 from .solver import Trajectory
 
 DEFECT_COMPONENTS = ("m11", "m12", "m22")
@@ -109,21 +109,6 @@ class DefectField:
                     "clip_magnitude": self.clip_magnitude,
                     "provenance": self.provenance}
         (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
-
-    @classmethod
-    def load(cls, in_dir) -> "DefectField":
-        src = Path(in_dir)
-        try:
-            manifest = json.loads((src / "manifest.json").read_text())
-            if manifest["format"] != "maxdiss-defect":
-                raise ValueError(f"format {manifest['format']!r}")
-            grid, times, kmax = Grid(manifest["n"]), manifest["times"], manifest["mollifier_kmax"]
-        except (ValueError, KeyError, TypeError) as exc:
-            raise FieldError(f"{src / 'manifest.json'}: not a defect manifest ({exc!r})") from None
-        density, _ = load_samples(src / "density.fld")
-        return cls(grid=grid, times=times, density=density, mollifier_kmax=kmax,
-                   clip_magnitude=manifest.get("clip_magnitude", 0.0),
-                   provenance=manifest.get("provenance", ""))
 
 
 # -- construction from a resolution gap -------------------------------------

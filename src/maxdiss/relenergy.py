@@ -26,7 +26,7 @@ from .fields import (
     samples,
     spectral_tables,
 )
-from .solver import SystemSpec, _forcing_coeffs, _rhs
+from .solver import SystemSpec, _rhs
 
 #: Gagliardo-Nirenberg (Ladyzhenskaya) constant C in
 #: ||w||_L4 <= C ||w||_L2^{1/2} ||grad w||_L2^{1/2} on mean-free torus fields.
@@ -131,7 +131,7 @@ def residual_A(values: np.ndarray, derivs: np.ndarray, spec: SystemSpec) -> np.n
     the stepper's nonlinear kernel: P[d/dt v + nu |k|^2 v] - solver._rhs(v)."""
     tab = spectral_tables(spec.grid.n)
     res = project(derivs + spec.nu * tab.k2 * values, tab)
-    return res - _rhs(values, spec, _forcing_coeffs(spec, 0.0))
+    return res - _rhs(values, spec, spec.forcing.coeffs(spec.grid.n))
 
 
 def trilinears(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:

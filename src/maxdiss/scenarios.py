@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .certificate import ToleranceModel, certify
-from .fields import Grid, SpectralField, from_function, l2_norm, random_field, resample
+from .fields import Grid, SpectralField, from_function, pairing, random_field
 from .mv_euler import defect_from_pair, trace_energy_gap
 from .relenergy import WeightSpec
 from .selector import MAX_MEMBERS, assemble_family, select
@@ -59,7 +59,7 @@ def _reject_unknown_keys(cfg: dict) -> None:
 
 
 def _number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
 
 def _count(v) -> bool:
@@ -68,19 +68,19 @@ def _count(v) -> bool:
 
 #: checks on config values by JSON pointer ("*": every key of the section)
 CONFIG_VALUES = {
-    "/tolerance/*": (lambda v: _number(v) and v >= 0, "a non-negative number"),
+    "/tolerance/*": (lambda v: _number(v) and v >= 0, "a non-negative finite number"),
     "/family/resolutions": (lambda v: isinstance(v, list) and 1 <= len(v) <= MAX_MEMBERS,
                             f"a list of 1 to {MAX_MEMBERS} resolutions"),
     "/family/sample_stride": (_count, "an int >= 1"),
     "/family/kmax": (_count, "an int >= 1"),
-    **{f"/family/{k}": (_number, "a number") for k in ("amplitude", "delta")},
-    **{f"/weight/{k}": (_number, "a number") for k in ("p", "gn_constant", "kappa")},
-    "/weight/c": (lambda v: v == "auto" or _number(v), 'a number or "auto"'),
+    **{f"/family/{k}": (_number, "a finite number") for k in ("amplitude", "delta")},
+    **{f"/weight/{k}": (_number, "a finite number") for k in ("p", "gn_constant", "kappa")},
+    "/weight/c": (lambda v: v == "auto" or _number(v), 'a finite number or "auto"'),
     "/mv/nus": (lambda v: isinstance(v, list) and v != []
                 and all(_number(x) and x > 0 for x in v),
-                "a non-empty list of numbers > 0"),
+                "a non-empty list of finite numbers > 0"),
     "/mv/mollifier_kmax": (lambda v: v is None or _count(v), "an int >= 1 or null"),
-    "/mv/clip_fail_ratio": (lambda v: _number(v) and v >= 0, "a non-negative number"),
+    "/mv/clip_fail_ratio": (lambda v: _number(v) and v >= 0, "a non-negative finite number"),
 }
 
 
@@ -139,8 +139,12 @@ class ScenarioConfig:
         for key in ("nu", "t_end", "dt"):
             _require(system_d, "/system", key, (int, float), required=True)
         _require(system_d, "/system", "n", int, required=True)
+        # a config may leave out the forcing (zero) and an analytic forcing's params
+        forcing = system_d.get("forcing", {"kind": "zero"})
+        if isinstance(forcing, dict) and forcing.get("kind") == "analytic":
+            forcing = {"params": {}, **forcing}
         try:
-            system = SystemSpec.from_dict({"forcing": {"kind": "zero"}, **system_d})
+            system = SystemSpec.from_dict({**system_d, "forcing": forcing})
         except SolverError as exc:  # its message starts with the key under /system
             raise ConfigError(f"/system/{exc}") from exc
         except Exception as exc:
@@ -200,9 +204,10 @@ def initial_condition(config: ScenarioConfig, grid: Grid) -> SpectralField:
         kmax = config.family.get("kmax", 4)
         delta = config.family.get("delta", 1e-2)
         pert = random_field(grid, rng, kmax=kmax, components=2,
-                            solenoidal=True)
-        pert = (1.0 / l2_norm(pert)) * pert
-        return taylor_green(0.0, nu, grid) + delta * pert
+                            solenoidal=True).coeffs
+        pert = pert * (1.0 / np.sqrt(pairing(pert, pert))) * delta
+        return SpectralField(grid, taylor_green(0.0, nu, grid).coeffs + pert,
+                             solenoidal=True)
     if sc == "two_vortex":
         # superposed vortex pairs from psi = sin x sin y + 1/2 sin 2x sin 2y
         return from_function(
@@ -265,7 +270,7 @@ def stage_simulate(config: ScenarioConfig) -> dict:
     v0_fine = initial_condition(config, Grid(n_max))
     members = {}
     for mid, spec in _member_specs(config):
-        traj = solve(spec, resample(v0_fine, spec.grid.n), sample_stride=stride,
+        traj = solve(spec, v0_fine, sample_stride=stride,
                      provenance=f"{config.scenario}/{mid} seed={config.seed}")
         mdir = out / mid
         traj.save(mdir)

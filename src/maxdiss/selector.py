@@ -16,7 +16,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .fields import Grid, _embed, l2_norm, pairing, resample
+from .fields import Grid, _embed, pairing, resample
 from .relenergy import simpson
 from .solver import SystemSpec, Trajectory
 
@@ -93,10 +93,11 @@ def assemble_family(trajs, member_ids=None, data_rtol: float = 1e-8) -> Candidat
         if tr.times.shape != times.shape or not np.allclose(tr.times, times, atol=1e-12):
             raise SelectorError("sample times differ between members")
     n_min = min(tr.grid.n for tr in trajs)
-    u0_ref = resample(trajs[0].state(0), n_min)
-    scale = max(l2_norm(u0_ref), 1.0)
+    u0_ref = resample(trajs[0].coeffs[0], n_min)
+    scale = max(np.sqrt(pairing(u0_ref, u0_ref)), 1.0)
     for tr in trajs[1:]:
-        gap = l2_norm(resample(tr.state(0), n_min) - u0_ref)
+        d = resample(tr.coeffs[0], n_min) - u0_ref
+        gap = np.sqrt(pairing(d, d))
         if gap > data_rtol * scale:
             raise SelectorError(f"initial data mismatch ({gap:g}) after truncation")
 

@@ -6,11 +6,15 @@ modes and the Galerkin projection is spectral truncation.  Time stepping
 is an integrating-factor RK4: the Stokes part is integrated exactly via
 exp(-nu |k|^2 dt), the convection explicitly.
 
-``advance`` steps a SpectralField.  Its stages, rfft2 half spectra
-(2, n, n//2 + 1), are written with ``out=`` into one ``_Workspace`` that
-``solve`` reuses on every step: a step allocates only its checks and the
-new state, copied out by ``SpectralField``.  Wavenumber tables and the
-integrating factors are cached per grid and per (n, nu, dt).  The nonlinear
+``solve`` and ``advance`` take and return the checked boundary type
+SpectralField; under them everything works on coefficient arrays.  The
+stages of a step, rfft2 half spectra (2, n, n//2 + 1), are written with
+``out=`` into one ``_Workspace`` that ``solve`` reuses on every step: a
+step allocates only its checks and the new state, copied out by
+``SpectralField``.  Wavenumber tables and the integrating factors are
+cached per grid and per (n, nu, dt).  The forcing is time-independent:
+``Forcing.coeffs(n)`` builds its coefficients once per grid size, and a
+step looks them up once for its four stages.  The nonlinear
 term is taken in rotational form, P[omega (v_y, -v_x)]: three inverse and
 two forward real transforms per evaluation, their column passes only on
 the columns of the 2/3 band; the forcing is added and projected on the
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -34,16 +39,14 @@ from .fields import (
     Grid,
     SpectralField,
     from_function,
-    inner,
-    leray_project,
     load_field,
     load_samples,
     normalized,
     pairing,
+    project,
     resample,
     save_samples,
     spectral_tables,
-    zero_field,
 )
 
 
@@ -83,8 +86,8 @@ _ANALYTIC_PARAMS = {"gradient_potential": ("amplitude",), "kolmogorov": ("amplit
 class Forcing:
     """Time-independent right-hand side: zero, analytic registry entry, or file.
 
-    The field is built once per grid size and reused by later calls; a
-    file forcing is read and checked when the Forcing is made.
+    Its coefficients are built once per grid size and reused by later
+    calls; a file forcing is read and checked when the Forcing is made.
     """
 
     kind: str = "zero"
@@ -92,8 +95,8 @@ class Forcing:
     params: dict = field(default_factory=dict)
     path: str = ""
     _on_grid: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _file_field: SpectralField | None = field(default=None, init=False, repr=False,
-                                              compare=False)
+    _file_coeffs: np.ndarray | None = field(default=None, init=False, repr=False,
+                                            compare=False)
 
     def __post_init__(self):
         if self.kind not in ("zero", "analytic", "file"):
@@ -102,7 +105,7 @@ class Forcing:
             raise SolverError(f"forcing/name: unknown analytic forcing {self.name!r}, "
                               f"expected one of {tuple(ANALYTIC_FORCINGS)}")
         if not isinstance(self.params, dict) or not all(
-                isinstance(v, (int, float)) and not isinstance(v, bool)
+                isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
                 for v in self.params.values()):
             raise SolverError(f"forcing/params: forcing params must map names to numbers, "
                               f"got {self.params!r}")
@@ -118,21 +121,18 @@ class Forcing:
                 f = load_field(Path(self.path))
             except (OSError, TypeError, FieldError) as exc:
                 raise SolverError(f"forcing/path: {exc}") from None
-            if not f.is_vector:
+            if f.coeffs.shape[0] != 2:
                 raise SolverError(f"forcing/path: {self.path}: one component, need two")
-            object.__setattr__(self, "_file_field", f)
+            object.__setattr__(self, "_file_coeffs", f.coeffs)
 
-    def __call__(self, t: float, grid: Grid) -> SpectralField:
+    def coeffs(self, n: int) -> np.ndarray | None:
+        """Coefficients (2, n, n//2 + 1) on the n x n grid; None for zero forcing."""
         if self.kind == "zero":
-            return zero_field(grid, 2, solenoidal=False)
-        if grid.n not in self._on_grid:
-            self._on_grid[grid.n] = (ANALYTIC_FORCINGS[self.name](grid, self.params)
-                                     if self.kind == "analytic"
-                                     else resample(self._file_field, grid.n))
-        return self._on_grid[grid.n]
-
-    def is_zero(self) -> bool:
-        return self.kind == "zero"
+            return None
+        if n not in self._on_grid:
+            self._on_grid[n] = (ANALYTIC_FORCINGS[self.name](Grid(n), self.params).coeffs
+                                if self.kind == "analytic" else resample(self._file_coeffs, n))
+        return self._on_grid[n]
 
     def to_dict(self) -> dict:
         d = {"kind": self.kind}
@@ -145,8 +145,12 @@ class Forcing:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Forcing":
-        return cls(kind=d.get("kind", "zero"), name=d.get("name", ""),
-                   params=d.get("params", {}), path=d.get("path", ""))
+        """The inverse of ``to_dict``; the keys it writes for the kind are required."""
+        keys = {"analytic": ("name", "params"), "file": ("path",)}.get(d.get("kind"), ())
+        if missing := [key for key in ("kind", *keys) if key not in d]:
+            raise SolverError(f"forcing/{missing[0]}: missing required key")
+        return cls(kind=d["kind"], name=d.get("name", ""), params=d.get("params", {}),
+                   path=d.get("path", ""))
 
 
 # -- system specification ---------------------------------------------------
@@ -162,6 +166,9 @@ class SystemSpec:
     forcing: Forcing = Forcing()
 
     def __post_init__(self):
+        for key in ("nu", "t_end", "dt"):
+            if not math.isfinite(getattr(self, key)):
+                raise SolverError(f"{key}: expected a finite number, got {getattr(self, key)!r}")
         if self.nu < 0:
             raise SolverError(f"nu: viscosity must be >= 0, got {self.nu}")
         if not (0 < self.dt <= self.t_end):
@@ -184,13 +191,6 @@ class SystemSpec:
 
 
 # -- right-hand side --------------------------------------------------------
-
-def _forcing_coeffs(spec: SystemSpec, t: float):
-    """Forcing coefficients at time t; None for zero forcing."""
-    if spec.forcing.is_zero():
-        return None
-    return spec.forcing(t, spec.grid).coeffs
-
 
 class _Workspace:
     """Scratch arrays of ``_rhs`` and ``advance`` for coefficients (..., 2, n, n//2 + 1)."""
@@ -266,17 +266,17 @@ def advance(v: SpectralField, spec: SystemSpec, t: float,
     dt = spec.dt if dt is None else dt
     ws = _ws or _Workspace(v.coeffs.shape)
     e_half, e_full = _integrating_factors(spec.grid.n, spec.nu, dt)
-    f0, f_mid, f1 = (_forcing_coeffs(spec, s) for s in (t, t + 0.5 * dt, t + dt))
+    f = spec.forcing.coeffs(spec.grid.n)
     u = v.coeffs
     (a, b, c, d, x, y), r = ws.stages, ws.real
-    _rhs(u, spec, f0, ws, a)
+    _rhs(u, spec, f, ws, a)
     np.multiply(e_half, np.add(u, np.multiply(0.5 * dt, a, out=x), out=x), out=x)
-    _rhs(x, spec, f_mid, ws, b)
+    _rhs(x, spec, f, ws, b)
     np.add(np.multiply(e_half, u, out=x), np.multiply(0.5 * dt, b, out=y), out=x)
-    _rhs(x, spec, f_mid, ws, c)
+    _rhs(x, spec, f, ws, c)
     np.multiply(np.multiply(dt, e_half, out=r), c, out=y)
     np.add(np.multiply(e_full, u, out=x), y, out=x)
-    _rhs(x, spec, f1, ws, d)
+    _rhs(x, spec, f, ws, d)
     np.multiply(np.multiply(2.0, e_half, out=r), np.add(b, c, out=y), out=y)
     np.add(np.add(np.multiply(e_full, a, out=x), y, out=x), d, out=x)
     new = np.add(np.multiply(e_full, u, out=y), np.multiply(dt / 6.0, x, out=x), out=y)
@@ -319,9 +319,6 @@ class Trajectory:
     def grid(self) -> Grid:
         return self.spec.grid
 
-    def state(self, k: int) -> SpectralField:
-        return SpectralField(self.grid, self.coeffs[k], solenoidal=True)
-
     def energies(self) -> np.ndarray:
         return 0.5 * pairing(self.coeffs, self.coeffs)
 
@@ -350,8 +347,8 @@ class Trajectory:
         try:
             manifest = json.loads((src / "manifest.json").read_text())
             spec, times = SystemSpec.from_dict(manifest["spec"]), np.array(manifest["times"], float)
-        except SolverError:  # its message starts with the offending key
-            raise
+        except SolverError as exc:  # its message starts with the offending key
+            raise SolverError(f"{exc} (in {src / 'manifest.json'})") from None
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise FieldError(f"{src / 'manifest.json'}: unreadable manifest ({exc!r})") from None
         path = src / "states.fld"
@@ -372,9 +369,11 @@ def solve(spec: SystemSpec, v0: SpectralField, sample_stride: int = 1,
     """Integrate from P_n v0 to t_end, sampling every `sample_stride` steps."""
     if sample_stride < 1:
         raise SolverError("sample_stride must be >= 1")
-    v = leray_project(resample(v0, spec.grid.n))
+    n = spec.grid.n
+    v = SpectralField(spec.grid, project(resample(v0.coeffs, n), spectral_tables(n)),
+                      solenoidal=True)
 
-    e0 = 0.5 * inner(v, v)
+    e0 = 0.5 * pairing(v.coeffs, v.coeffs)
     times = [0.0]
     # t = 0, then every sample_stride steps and the last step
     coeffs = np.empty((1 + (spec.n_steps + sample_stride - 1) // sample_stride,) + v.coeffs.shape,
@@ -384,7 +383,7 @@ def solve(spec: SystemSpec, v0: SpectralField, sample_stride: int = 1,
     for step in range(spec.n_steps):
         t = step * spec.dt
         v = advance(v, spec, t, _ws=ws)
-        if 0.5 * inner(v, v) > 1e8 * max(e0, 1.0):
+        if 0.5 * pairing(v.coeffs, v.coeffs) > 1e8 * max(e0, 1.0):
             raise BlowUpError(f"energy blow-up at t={t + spec.dt:g}")
         if (step + 1) % sample_stride == 0 or step == spec.n_steps - 1:
             coeffs[len(times)] = v.coeffs
@@ -396,15 +395,16 @@ def solve(spec: SystemSpec, v0: SpectralField, sample_stride: int = 1,
 # -- exact Taylor-Green oracle ----------------------------------------------
 
 @functools.lru_cache(maxsize=32)
-def _unit_taylor_green(n: int) -> SpectralField:
-    """(sin x cos y, -cos x sin y) on the n x n grid, built once per n."""
+def _unit_taylor_green(n: int) -> np.ndarray:
+    """Coefficients of (sin x cos y, -cos x sin y) on the n x n grid, built once per n."""
     return from_function(Grid(n), lambda X, Y: np.sin(X) * np.cos(Y),
-                         lambda X, Y: -np.cos(X) * np.sin(Y), solenoidal=True)
+                         lambda X, Y: -np.cos(X) * np.sin(Y), solenoidal=True).coeffs
 
 
 def taylor_green(t: float, nu: float, grid: Grid, amplitude: float = 1.0) -> SpectralField:
     """v = A e^{-2 nu t} (sin x cos y, -cos x sin y); exact NSE solution for f=0."""
-    return (amplitude * np.exp(-2.0 * nu * t)) * _unit_taylor_green(grid.n)
+    return SpectralField(grid, _unit_taylor_green(grid.n) * (amplitude * np.exp(-2.0 * nu * t)),
+                         solenoidal=True)
 
 
 # -- test trajectories ------------------------------------------------------
@@ -432,7 +432,7 @@ class TestTrajectory:
     @classmethod
     def taylor_green(cls, nu: float, grid: Grid, amplitude: float = 1.0,
                      label: str = "") -> "TestTrajectory":
-        unit = _unit_taylor_green(grid.n).coeffs
+        unit = _unit_taylor_green(grid.n)
 
         def values(times):
             a = amplitude * np.exp(-2.0 * nu * np.asarray(times))

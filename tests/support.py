@@ -3,14 +3,17 @@ from closed forms, splines and perturbations, the phi-weighted form of the
 relative energy inequality, weak residual recovery, the convex sweep and the
 continuous-dependence study of a selection, the Taylor-Green pressure and
 pressure recovery, and the measure-valued momentum residual and convex
-combination."""
+combination, and the reader of a stored defect field."""
+
+import json
+from pathlib import Path
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
 from maxdiss import certificate
 from maxdiss.certificate import margin_series
-from maxdiss.fields import (Grid, SpectralField, _embed, from_function, gradients, normalized,
+from maxdiss.fields import (Grid, SpectralField, _embed, from_function, gradients, load_samples,
                             pairing, resample, samples, spectral_tables, tensor_samples)
 from maxdiss.mv_euler import DefectField, MVError
 from maxdiss.relenergy import (cumulative_weight_integral, rel_terms, residual_A, simpson,
@@ -27,9 +30,9 @@ def worst_margin(report) -> float:
 # -- test trajectories --------------------------------------------------------
 
 def analytic_test(value_fn, deriv_fn, grid, solenoidal=True, label="analytic"):
-    """A test trajectory from callables t -> SpectralField."""
-    return TestTrajectory(lambda times: np.stack([value_fn(t).coeffs for t in times]),
-                          lambda times: np.stack([deriv_fn(t).coeffs for t in times]),
+    """A test trajectory from callables t -> coefficients (2, n, n//2 + 1)."""
+    return TestTrajectory(lambda times: np.stack([value_fn(t) for t in times]),
+                          lambda times: np.stack([deriv_fn(t) for t in times]),
                           grid, solenoidal, label)
 
 
@@ -108,8 +111,7 @@ def continuous_dependence_study(family_builder, deltas):
     for delta in deltas:
         sel = select(family_builder(delta)).trajectory
         rel.append(float(rel_terms(sel.coeffs - base.coeffs, 0.0)[0].max()))
-        d = normalized(_embed(sel.coeffs, sel.grid.n, 8) - _embed(base.coeffs, base.grid.n, 8),
-                       8, solenoidal=False)
+        d = resample(sel.coeffs, 8) - resample(base.coeffs, 8)
         low.append(float(np.sqrt(simpson(pairing(d, d), sel.times))))
     return rel, low
 
@@ -131,12 +133,25 @@ def recover_pressure(v, f=None):
     kx, ky = tab.kx, tab.ky
     rhs = -(kx * kx * that[0] + 2 * kx * ky * that[1] + ky * ky * that[2])
     if f is not None:
-        ff = resample(resample(f, n), m)
-        rhs = rhs - 1j * (kx * ff.coeffs[0] + ky * ff.coeffs[1])
-    return resample(SpectralField(Grid(m), (rhs * tab.inv_k2)[None]), n)
+        ff = resample(resample(f.coeffs, n), m)
+        rhs = rhs - 1j * (kx * ff[0] + ky * ff[1])
+    return SpectralField(v.grid, resample((rhs * tab.inv_k2)[None], n))
 
 
 # -- measure-valued Euler ------------------------------------------------------
+
+def load_defect(in_dir):
+    """The DefectField that ``DefectField.save`` wrote to in_dir."""
+    src = Path(in_dir)
+    manifest = json.loads((src / "manifest.json").read_text())
+    if manifest["format"] != "maxdiss-defect":
+        raise MVError(f"{src}: format {manifest['format']!r}")
+    density, _ = load_samples(src / "density.fld")
+    return DefectField(grid=Grid(manifest["n"]), times=manifest["times"], density=density,
+                       mollifier_kmax=manifest["mollifier_kmax"],
+                       clip_magnitude=manifest["clip_magnitude"],
+                       provenance=manifest["provenance"])
+
 
 def zero_defect(grid, times):
     return DefectField(grid=grid, times=times, mollifier_kmax=grid.n // 2,
@@ -166,7 +181,7 @@ def mv_equation_residual(v, m, f, phis) -> dict:
         def common(c):  # the spectrum on the shared nc grid
             return c if c.shape[-2] == nc else _embed(c, c.shape[-2], nc)
 
-        force = None if f.is_zero() else f(0.0, phi.grid).coeffs
+        force = f.coeffs(phi.grid.n)
         vals = np.empty(times.size)
         for sl in certificate._blocks(times.size, n_q // 2):
             ph = phi.values(times[sl])

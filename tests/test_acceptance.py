@@ -7,15 +7,14 @@ from dataclasses import replace
 
 import numpy as np
 from scipy.integrate import simpson
-from conftest import stacked, states
+from conftest import dist
 from support import (analytic_test, continuous_dependence_study, mollified_indicator,
                      mv_convex_combine, mv_equation_residual, phi_form_value,
                      recover_pressure, recover_weak_residual, taylor_green_pressure,
                      trace_leakage_bound, verify_convex_midpoint, worst_margin, zero_defect)
 
 from maxdiss.certificate import ToleranceModel, certify, margin_series
-from maxdiss.fields import (Grid, from_function, inner, l2_norm,
-                            random_field, resample)
+from maxdiss.fields import Grid, SpectralField, from_function, pairing, random_field
 from maxdiss.mv_euler import defect_from_pair, trace_energy_gap
 from maxdiss.relenergy import WeightSpec, rel_terms, trilinears, weight_norms, weight_value
 from maxdiss.selector import assemble_family, objective, select
@@ -66,15 +65,15 @@ def _convection_bound_draws(pairs, unit_norm):
     violations = 0
     worst_ratio = 0.0
     for _ in range(pairs):
-        u = random_field(grid, rng, kmax=8)
-        v = random_field(grid, rng, kmax=8)
+        u = random_field(grid, rng, kmax=8).coeffs
+        v = random_field(grid, rng, kmax=8).coeffs
         if unit_norm:
-            u = u * (1.0 / l2_norm(u))
-            v = v * (1.0 / l2_norm(v))
-        d = (u - v).coeffs
+            u = u * (1.0 / dist(u))
+            v = v * (1.0 / dist(v))
+        d = u - v
         R, W = rel_terms(d, nu)
-        lhs = abs(trilinears(d, d, v.coeffs))
-        rhs = W + weight_value(weight_norms(v.coeffs, SERRIN), SERRIN, nu) * R
+        lhs = abs(trilinears(d, d, v))
+        rhs = W + weight_value(weight_norms(v, SERRIN), SERRIN, nu) * R
         worst_ratio = max(worst_ratio, lhs / rhs)
         if lhs > rhs * (1 + 1e-12):
             violations += 1
@@ -130,13 +129,12 @@ def test_acceptance_05_selection_well_posed(tg_ladder, capsys):
     # the exact solve has no start point: restart it on permuted member orders
     sols = [select(assemble_family([tg_ladder[i] for i in order])).trajectory
             for order in ((1, 2, 0), (2, 0, 1))]
-    dist2 = [l2_norm(a - b) ** 2
-             for a, b in zip(states(sols[0]), states(sols[1]))]
-    dist = float(np.sqrt(simpson(np.array(dist2), x=fam.times)))
-    ok = res.kkt_residual <= 1e-6 and vertex_ok and dist <= 1e-8
+    dist2 = [dist(a, b) ** 2 for a, b in zip(sols[0].coeffs, sols[1].coeffs)]
+    gap = float(np.sqrt(simpson(np.array(dist2), x=fam.times)))
+    ok = res.kkt_residual <= 1e-6 and vertex_ok and gap <= 1e-8
     _emit(capsys, 5, "3-member ladder selection: KKT "
           f"{res.kkt_residual:.2e} <= 1e-6, objective below vertices, "
-          f"restart distance {dist:.2e} <= 1e-8", ok)
+          f"restart distance {gap:.2e} <= 1e-8", ok)
     assert ok
 
 
@@ -145,17 +143,16 @@ def test_acceptance_06_continuous_dependence(capsys):
     n_max = 24
     rng = np.random.default_rng(3)
     pert = random_field(Grid(n_max), rng, kmax=4, components=2,
-                        solenoidal=True)
-    pert = (1.0 / l2_norm(pert)) * pert
+                        solenoidal=True).coeffs
+    pert = (1.0 / dist(pert)) * pert
 
     def builder(delta):
-        v0 = taylor_green(0.0, nu, Grid(n_max)) + delta * pert
+        v0 = SpectralField(Grid(n_max), taylor_green(0.0, nu, Grid(n_max)).coeffs + delta * pert)
         members = []
         for n in (16, n_max):
             spec = SystemSpec(nu=nu, grid=Grid(n), t_end=0.25, dt=2.5e-3,
                               forcing=Forcing("zero"))
-            members.append(solve(spec, resample(v0, n),
-                                 sample_stride=10))
+            members.append(solve(spec, v0, sample_stride=10))
         return assemble_family(members)
 
     rel, _ = continuous_dependence_study(builder, [1e-1, 1e-2, 1e-3])
@@ -181,13 +178,13 @@ def test_acceptance_07_euler_invariants(capsys):
     # the weight must bound -b(w, v, w)/||w||^2 over sampled solenoidal w for
     # a shear and a cellular flow, whose strain is all off-diagonal
     rng = np.random.default_rng(7)
-    draws = [random_field(grid, rng, kmax=6) for _ in range(300)]
+    draws = [random_field(grid, rng, kmax=6).coeffs for _ in range(300)]
     slack = []
     for v in (from_function(grid, lambda x, y: np.sin(y),
                             lambda x, y: 0.0 * x, solenoidal=True),
               from_function(grid, lambda x, y: -np.sin(y),
                             lambda x, y: np.sin(x), solenoidal=True)):
-        worst = max(-trilinears(w.coeffs, v.coeffs, w.coeffs) / inner(w, w) for w in draws)
+        worst = max(-trilinears(w, v.coeffs, w) / pairing(w, w) for w in draws)
         slack.append(weight_value(weight_norms(v.coeffs, STRAIN), STRAIN, 0.0) - worst)
 
     report = certify(traj, [TestTrajectory.taylor_green(0.0, grid,
@@ -228,12 +225,11 @@ def test_acceptance_09_measure_valued_identities(capsys):
     spec = SystemSpec(nu=0.0, grid=grid, t_end=1.0, dt=0.1,
                       forcing=Forcing("zero"))
     rng = np.random.default_rng(9)
-    w = random_field(grid, rng, kmax=3, components=2, solenoidal=True)
-    v1 = Trajectory(spec=spec, times=times,
-                    coeffs=stacked([taylor_green(0.0, 0.0, grid)] * 5))
-    v2 = Trajectory(spec=spec, times=times, coeffs=stacked([w] * 5))
+    w = random_field(grid, rng, kmax=3, components=2, solenoidal=True).coeffs
+    psi = taylor_green(0.0, 0.0, grid).coeffs
+    v1 = Trajectory(spec=spec, times=times, coeffs=np.stack([psi] * 5))
+    v2 = Trajectory(spec=spec, times=times, coeffs=np.stack([w] * 5))
     z = zero_defect(grid, times)
-    psi = taylor_green(0.0, 0.0, grid)
     phi = analytic_test(lambda t: (1 - t) * psi, lambda t: -1.0 * psi, grid, label="phi")
     lam = 0.35
     vc, mc = mv_convex_combine(v1, z, v2, z, lam)
@@ -246,8 +242,8 @@ def test_acceptance_09_measure_valued_identities(capsys):
     # (b) viscosity-ladder pair: defect trace tracks the energy gap within
     # the reported low-pass leakage
     g32 = Grid(32)
-    r0 = random_field(g32, rng, kmax=8, components=2, solenoidal=True)
-    v0 = taylor_green(0.0, 1e-2, g32) + (0.5 / l2_norm(r0)) * r0
+    r0 = random_field(g32, rng, kmax=8, components=2, solenoidal=True).coeffs
+    v0 = SpectralField(g32, taylor_green(0.0, 1e-2, g32).coeffs + (0.5 / dist(r0)) * r0)
     runs = [solve(SystemSpec(nu=nu, grid=g32, t_end=0.5, dt=2.5e-3,
                              forcing=Forcing("zero")), v0, sample_stride=20)
             for nu in (1e-2, 5e-3)]
@@ -267,7 +263,7 @@ def test_acceptance_10_pressure_recovery(capsys):
     grid = Grid(32)
     v = taylor_green(t, nu, grid)
     p = recover_pressure(v)
-    err = l2_norm(p - taylor_green_pressure(t, nu, grid))
+    err = dist(p.coeffs, taylor_green_pressure(t, nu, grid).coeffs)
     mean = abs(p.coeffs[0, 0, 0])
     ok = err <= 1e-10 and mean <= 1e-14
     _emit(capsys, 10, f"pressure recovery: L2 error {err:.2e} <= 1e-10, "

@@ -5,13 +5,12 @@ import json
 
 import numpy as np
 import pytest
-from conftest import convection, stacked
+from conftest import convection
 from support import (analytic_test, mollified_indicator, phi_form_value, recover_weak_residual,
                      spline_test, worst_margin)
 
-from maxdiss.fields import (Grid, SpectralField, from_function, gradients, h1_squared,
-                            inner, leray_project, lp_norms, random_field, samples,
-                            spectral_tables, zero_field)
+from maxdiss.fields import (Grid, SpectralField, from_function, gradients, h1_squared, lp_norms,
+                            pairing, project, random_field, samples, spectral_tables)
 from maxdiss.relenergy import WeightSpec, cumulative_weight_integral
 from maxdiss.certificate import CertificateError, ToleranceModel, certify, margin_series
 from maxdiss.solver import Forcing, SystemSpec, TestTrajectory, Trajectory, solve, taylor_green
@@ -67,10 +66,9 @@ def test_non_dissipative_trajectory_fails(tg_reference):
     grid = Grid(32)
     spec = SystemSpec(nu=0.1, grid=grid, t_end=0.5, dt=1e-3,
                       forcing=Forcing("zero"))
-    w = taylor_green(0.0, 0.1, grid)
+    w = taylor_green(0.0, 0.1, grid).coeffs
     times = np.linspace(0.0, 0.5, 21)
-    states = [(1.0 + t) * w for t in times]
-    bad = Trajectory(spec=spec, times=times, coeffs=stacked(states),
+    bad = Trajectory(spec=spec, times=times, coeffs=np.stack([(1.0 + t) * w for t in times]),
                      provenance="manufactured")
     report = certify(bad, [TestTrajectory.zero(grid)], SERRIN)
     assert not report.verdict
@@ -85,7 +83,8 @@ def test_growing_taylor_green_fails_exact_test():
     spec = SystemSpec(nu=nu, grid=grid, t_end=0.5, dt=dt)
     times = np.arange(0, 201, 10) * dt
     bad = Trajectory(spec=spec, times=times,
-                     coeffs=stacked([(1.0 + t) * taylor_green(t, nu, grid) for t in times]))
+                     coeffs=np.stack([(1.0 + t) * taylor_green(t, nu, grid).coeffs
+                                      for t in times]))
     exact = TestTrajectory.taylor_green(nu, grid, label="exact")
     report = certify(bad, [exact, TestTrajectory.zero(grid)], SERRIN)
     for tid in ("exact", "zero"):
@@ -156,8 +155,8 @@ def test_nonsolenoidal_test_needs_correction(tg_reference):
     # the divergence correction; the oracle's nonsolenoidal case checks values
     traj, _, _ = tg_reference
     grid = traj.grid
-    nonsol = from_function(grid, lambda x, y: np.sin(x), lambda x, y: 0.0 * x)
-    vt = analytic_test(lambda t: nonsol, lambda t: zero_field(grid), grid,
+    nonsol = from_function(grid, lambda x, y: np.sin(x), lambda x, y: 0.0 * x).coeffs
+    vt = analytic_test(lambda t: nonsol, lambda t: 0.0 * nonsol, grid,
                        solenoidal=False, label="nonsol")
     report = certify(traj, [vt], SERRIN)
     assert report.errors == {}
@@ -237,32 +236,30 @@ def test_recover_weak_residual_matches_direct(tg_reference, rng):
 # -- blocked kernels against a per-sample oracle -----------------------------
 
 def _trilinear_oracle(a, b, c):
-    m = 2 * a.grid.n
-    af, cf, gb = samples(a.coeffs, m), samples(c.coeffs, m), samples(gradients(b.coeffs), m)
+    m = 2 * a.shape[-2]
+    af, cf, gb = samples(a, m), samples(c, m), samples(gradients(b), m)
     return np.sum((af[0] * gb[:, 0] + af[1] * gb[:, 1]) * cf) * (2 * np.pi / m) ** 2
 
 
 def _series_oracle(u, vt, w):
     """R, I, the damped dissipation integrand and the margins, sample by sample."""
     spec, nu, times, grid = u.spec, u.spec.nu, u.times, u.grid
-    k2 = spectral_tables(grid.n).k2
+    tab = spectral_tables(grid.n)
+    f = spec.forcing.coeffs(grid.n)
     correct = not vt.solenoidal
     R, K, g, corr = (np.zeros(times.size) for _ in range(4))
     for i, t in enumerate(times):
-        raw, raw_dt = (SpectralField(grid, f([t])[0]) for f in (vt.values, vt.derivs))
-        v, dv = (leray_project(raw), leray_project(raw_dt)) if correct else (raw, raw_dt)
-        d = u.state(i) - v
-        R[i] = 0.5 * inner(d, d)
-        a = dv + SpectralField(grid, convection(v.coeffs)) \
-            - nu * SpectralField(grid, -k2 * v.coeffs)
-        if not spec.forcing.is_zero():
-            a = a - spec.forcing(t, grid)
-        a = leray_project(a)
-        g[i] = 0.5 * nu * h1_squared(d.coeffs) + inner(a, d)
+        raw, raw_dt = (fn([t])[0] for fn in (vt.values, vt.derivs))
+        v, dv = (project(raw, tab), project(raw_dt, tab)) if correct else (raw, raw_dt)
+        d = u.coeffs[i] - v
+        R[i] = 0.5 * pairing(d, d)
+        a = dv + convection(v) + nu * tab.k2 * v
+        a = project(a if f is None else a - f, tab)
+        g[i] = 0.5 * nu * h1_squared(d) + pairing(a, d)
         if w.kind == "serrin":
-            K[i] = w.constant(nu) * lp_norms(v.coeffs, w.lp_exponent) ** w.time_exponent
+            K[i] = w.constant(nu) * lp_norms(v, w.lp_exponent) ** w.time_exponent
         else:
-            gv = samples(gradients(v.coeffs), 2 * grid.n)
+            gv = samples(gradients(v), 2 * grid.n)
             s11, s12, s22 = gv[0, 0], 0.5 * (gv[0, 1] + gv[1, 0]), gv[1, 1]
             lam_min = 0.5 * (s11 + s22) - np.sqrt((0.5 * (s11 - s22)) ** 2 + s12 ** 2)
             K[i] = w.kappa * max(0.0, np.max(-lam_min))
@@ -285,7 +282,8 @@ def _oracle_case(case):
         if case == "kolmogorov" else Forcing("zero")
     spec = SystemSpec(nu=nu, grid=Grid(n), t_end=t_end, dt=dt, forcing=forcing)
     pert = random_field(spec.grid, np.random.default_rng(n), kmax=3)
-    u = solve(spec, taylor_green(0.0, nu, spec.grid) + 0.05 * pert,
+    u = solve(spec, SpectralField(spec.grid, taylor_green(0.0, nu, spec.grid).coeffs
+                                  + 0.05 * pert.coeffs),
               sample_stride=2 if case == "n128" else 1)
     w = SERRIN
     vt = TestTrajectory.taylor_green(nu, spec.grid, amplitude=1.05)
@@ -295,9 +293,9 @@ def _oracle_case(case):
         vt = spline_test(u)
     if case == "nonsolenoidal":
         grad = from_function(spec.grid, lambda x, y: np.cos(x) * np.sin(y),
-                             lambda x, y: np.sin(x) * np.cos(y))
-        vt = analytic_test(lambda t: taylor_green(t, nu, spec.grid) + 0.1 * grad,
-                           lambda t: -2 * nu * taylor_green(t, nu, spec.grid),
+                             lambda x, y: np.sin(x) * np.cos(y)).coeffs
+        vt = analytic_test(lambda t: taylor_green(t, nu, spec.grid).coeffs + 0.1 * grad,
+                           lambda t: -2 * nu * taylor_green(t, nu, spec.grid).coeffs,
                            spec.grid, solenoidal=False)
     return u, vt, w
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import divergence_linf, stacked, states
+from conftest import dist, divergence_linf, stacked
 
 import maxdiss
 from maxdiss.cli import (
@@ -19,7 +19,7 @@ from maxdiss.cli import (
     EXIT_OK,
     main,
 )
-from maxdiss.fields import Grid, from_function, l2_norm, resample, save_field
+from maxdiss.fields import Grid, SpectralField, from_function, resample, save_field
 from maxdiss.scenarios import (
     ConfigError,
     ScenarioConfig,
@@ -140,6 +140,14 @@ def test_cli_rejects_unknown_config_key(tmp_path, capsys, pointer, typo):
     ("/mv/clip_fail_ratio", "2"),
     ("/mv/clip_fail_ratio", -1),
     ("/family/resolutions", list(range(4, 22, 2))),  # 9 members
+    ("/system/nu", float("nan")),  # JSON NaN and Infinity: finite numbers only
+    ("/system/t_end", float("inf")),
+    ("/system/dt", float("-inf")),
+    ("/family/amplitude", float("nan")),
+    ("/weight/kappa", float("nan")),
+    ("/weight/c", float("inf")),
+    ("/tolerance/quadrature", float("inf")),
+    ("/mv/nus", [0.1, float("inf")]),
 ])
 def test_cli_rejects_mistyped_config_value(tmp_path, capsys, pointer, value):
     # caught when the config is parsed: exit 4 naming the value, no output tree
@@ -175,6 +183,10 @@ def test_cli_rejects_mistyped_config_value(tmp_path, capsys, pointer, value):
     ({"forcing": {"kind": "analytic", "name": "gradient_potential",
                   "params": {"wavenumber": 2}}},
      "/system/forcing/params/wavenumber: not read by forcing 'gradient_potential'"),
+    ({"forcing": {}}, "/system/forcing/kind: missing required key"),
+    ({"forcing": {"kind": "file"}}, "/system/forcing/path: missing required key"),
+    ({"forcing": {"kind": "analytic", "name": "kolmogorov", "params": {"amplitude": float("nan")}}},
+     "forcing params must map names to numbers"),
 ])
 def test_cli_rejects_system_fault_at_parse(tmp_path, capsys, system, message):
     # a forcing or horizon that cannot be run is a config error before any output
@@ -216,8 +228,8 @@ def test_config_parses_readable_forcing_file(tmp_path):
     cfg["system"]["forcing"] = {"kind": "file", "path": str(path)}
     forcing = ScenarioConfig.from_dict(cfg).system.forcing
     path.unlink()  # read at parse time, not when a step needs it
-    assert np.abs(forcing(0.0, Grid(16)).coeffs - field.coeffs).max() <= 1e-15
-    assert forcing(0.0, Grid(24)).grid.n == 24
+    assert np.abs(forcing.coeffs(16) - field.coeffs).max() <= 1e-15
+    assert forcing.coeffs(24).shape == (2, 24, 13)
 
 
 def _readme_config_sketch():
@@ -272,7 +284,7 @@ def test_initial_condition_taylor_green():
     cfg = ScenarioConfig.from_dict(_base_cfg())
     grid = Grid(16)
     v0 = initial_condition(cfg, grid)
-    assert l2_norm(v0 - taylor_green(0.0, 0.1, grid)) <= 1e-13
+    assert dist(v0.coeffs, taylor_green(0.0, 0.1, grid).coeffs) <= 1e-13
 
 
 def test_initial_condition_perturbed_is_seeded():
@@ -281,10 +293,10 @@ def test_initial_condition_perturbed_is_seeded():
         ScenarioConfig.from_dict(_base_cfg(scenario="perturbed_tg",
                                            seed=seed)), grid)
     a, b, c = mk(0), mk(0), mk(1)
-    assert l2_norm(a - b) == 0.0
-    assert l2_norm(a - c) > 1e-4
+    assert dist(a.coeffs, b.coeffs) == 0.0
+    assert dist(a.coeffs, c.coeffs) > 1e-4
     delta = 1e-2  # default perturbation size
-    assert l2_norm(a - taylor_green(0.0, 0.1, grid)) == pytest.approx(
+    assert dist(a.coeffs, taylor_green(0.0, 0.1, grid).coeffs) == pytest.approx(
         delta, rel=1e-10)
     assert divergence_linf(a) <= 1e-12
 
@@ -293,7 +305,7 @@ def test_initial_condition_two_vortex():
     cfg = ScenarioConfig.from_dict(_base_cfg(scenario="two_vortex"))
     v0 = initial_condition(cfg, Grid(32))
     assert divergence_linf(v0) <= 1e-12
-    assert l2_norm(v0) > 1.0
+    assert dist(v0.coeffs) > 1.0
 
 
 def test_build_tests_ids():
@@ -576,6 +588,28 @@ def test_cli_certify_rejects_manifest_without_forcing(tmp_path, capsys):
     assert str(manifest) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec, message", [
+    ({"forcing": {}}, "forcing/kind: missing required key"),
+    ({"forcing": {"kind": "analytic", "name": "kolmogorov"}}, "forcing/params: missing"),
+    ({"nu": float("nan")}, "nu: expected a finite number, got nan"),
+])
+def test_cli_certify_rejects_incomplete_or_nonfinite_member_spec(tmp_path, capsys, spec, message):
+    # a manifest's spec is not completed with defaults: a forcing without the
+    # keys its kind writes, or a non-finite number, fails naming the manifest
+    cfg = _write_cfg(tmp_path, system={"nu": 0.1, "n": 16, "t_end": 0.05, "dt": 5e-3,
+                                       "forcing": {"kind": "analytic", "name": "kolmogorov"}})
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    manifest = out / "sim" / "n_16" / "manifest.json"
+    d = json.loads(manifest.read_text())
+    d["spec"].update(spec)
+    manifest.write_text(json.dumps(d))
+    capsys.readouterr()
+    assert main(["certify", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert message in err and str(manifest) in err
+
+
 def test_cli_mv_with_missing_forcing_file(tmp_path, capsys):
     # a member manifest naming a forcing file that is gone is a config error
     grid = Grid(16)
@@ -600,10 +634,10 @@ def test_cli_certificate_failure_exit_code(tmp_path, capsys):
     grid = Grid(16)
     spec = SystemSpec(nu=0.1, grid=grid, t_end=0.25, dt=2.5e-3,
                       forcing=Forcing("zero"))
-    w = taylor_green(0.0, 0.1, grid)
+    w = taylor_green(0.0, 0.1, grid).coeffs
     times = np.linspace(0.0, 0.25, 11)
     bad = Trajectory(spec=spec, times=times,
-                     coeffs=stacked([(1.0 + t) * w for t in times]),
+                     coeffs=np.stack([(1.0 + t) * w for t in times]),
                      provenance="manufactured growth")
     bad.save(out / "sim" / "n_16")
     assert main(["certify", "--config", cfg,
@@ -659,11 +693,11 @@ def test_cli_mv_subcommand(tmp_path, capsys):
     from maxdiss.solver import solve
     rng = np.random.default_rng(7)
     from maxdiss.fields import random_field
-    r = random_field(grid, rng, kmax=10, components=2, solenoidal=True)
-    fine = solve(spec, taylor_green(0.0, nu, grid) + (1 / l2_norm(r)) * r,
+    r = random_field(grid, rng, kmax=10, components=2, solenoidal=True).coeffs
+    fine = solve(spec, SpectralField(grid, taylor_green(0.0, nu, grid).coeffs + (1 / dist(r)) * r),
                  sample_stride=10)
     coarse = Trajectory(spec=replace(spec, grid=Grid(16)), times=fine.times,
-                        coeffs=stacked([resample(s, 16) for s in states(fine)]))
+                        coeffs=resample(fine.coeffs, 16))
     fine.save(tmp_path / "fine")
     coarse.save(tmp_path / "coarse")
     out = tmp_path / "defect"

@@ -2,22 +2,21 @@
 
 import numpy as np
 import pytest
-from conftest import stacked, states
-from support import (analytic_test, mv_convex_combine, mv_equation_residual, trace_leakage_bound,
-                     zero_defect)
+from conftest import dist, stacked
+from support import (analytic_test, load_defect, mv_convex_combine, mv_equation_residual,
+                     trace_leakage_bound, zero_defect)
 
 from maxdiss import certificate
 from maxdiss.fields import (
     Grid,
+    SpectralField,
     _embed,
     from_function,
-    l2_norm,
     random_field,
     resample,
     samples,
     spectral_tables,
     tensor_samples,
-    zero_field,
 )
 from maxdiss.mv_euler import (
     DefectField,
@@ -38,9 +37,9 @@ from maxdiss.solver import (
 
 
 def _phi_ramp(grid, T, psi=None, label="ramp-phi"):
-    """phi(t) = (1 - t/T) psi with psi solenoidal; phi(T) = 0."""
+    """phi(t) = (1 - t/T) psi with psi solenoidal coefficients; phi(T) = 0."""
     if psi is None:
-        psi = taylor_green(0.0, 0.0, grid)
+        psi = taylor_green(0.0, 0.0, grid).coeffs
     return analytic_test(lambda t: (1.0 - t / T) * psi, lambda t: (-1.0 / T) * psi, grid,
                          label=label)
 
@@ -57,13 +56,13 @@ def resolution_pair():
     rng = np.random.default_rng(7)
     nu = 0.02
     fine_grid = Grid(32)
-    r = random_field(fine_grid, rng, kmax=10, components=2, solenoidal=True)
-    v0 = taylor_green(0.0, nu, fine_grid) + (1.0 / l2_norm(r)) * r
+    r = random_field(fine_grid, rng, kmax=10, components=2, solenoidal=True).coeffs
+    v0 = SpectralField(fine_grid, taylor_green(0.0, nu, fine_grid).coeffs + (1.0 / dist(r)) * r)
     fine = solve(SystemSpec(nu=nu, grid=fine_grid, t_end=0.25, dt=2e-3,
                             forcing=Forcing("zero")), v0, sample_stride=25)
     coarse = Trajectory(spec=replace(fine.spec, grid=Grid(16)),
                         times=fine.times,
-                        coeffs=stacked([resample(s, 16) for s in states(fine)]),
+                        coeffs=resample(fine.coeffs, 16),
                         provenance="restriction of fine")
     return fine, coarse
 
@@ -162,13 +161,13 @@ def test_defect_save_load_roundtrip(tmp_path, rng):
     m.save(tmp_path / "defect")
     assert sorted(p.name for p in (tmp_path / "defect").iterdir()) == [
         "density.fld", "manifest.json"]
-    back = DefectField.load(tmp_path / "defect")
+    back = load_defect(tmp_path / "defect")
     assert back.grid.n == 8
     assert back.mollifier_kmax == 3
     assert back.clip_magnitude == pytest.approx(1.5e-4)
     assert np.abs(back.density - density).max() == 0.0
     with pytest.raises((MVError, FileNotFoundError)):
-        DefectField.load(tmp_path)  # no manifest / wrong format
+        load_defect(tmp_path)  # no manifest
 
 
 # -- defect construction ------------------------------------------------------
@@ -199,14 +198,13 @@ def test_orthogonal_fluctuation_defect():
                       lambda x, y: np.sin(2 * x), solenoidal=True)
     times = np.linspace(0.0, 1.0, 3)
     fine = Trajectory(spec=spec, times=times, coeffs=stacked([w] * 3))
-    coarse = Trajectory(spec=spec, times=times,
-                        coeffs=stacked([zero_field(grid)] * 3))
+    coarse = Trajectory(spec=spec, times=times, coeffs=np.zeros((3, 2, 16, 9)))
     m = defect_from_pair(fine, coarse, mollifier_kmax=1)
     # w (x) w = diag(0, sin^2 2x): the k=0 part of m22 is 1/2 everywhere
     assert np.abs(m.density[:, 0]).max() <= 1e-10
     assert m.density[:, 2].mean() == pytest.approx(0.5, rel=1e-8)
     assert 0.5 * m.trace_integrals()[0] == pytest.approx(
-        0.5 * l2_norm(w) ** 2, rel=1e-8)
+        0.5 * dist(w.coeffs) ** 2, rel=1e-8)
 
 
 def test_pair_validation_errors(resolution_pair):
@@ -240,8 +238,7 @@ def test_residual_zero_everything():
     spec = SystemSpec(nu=0.0, grid=grid, t_end=1.0, dt=0.1,
                       forcing=Forcing("zero"))
     times = np.linspace(0.0, 1.0, 5)
-    traj = Trajectory(spec=spec, times=times,
-                      coeffs=stacked([zero_field(grid)] * 5))
+    traj = Trajectory(spec=spec, times=times, coeffs=np.zeros((5, 2, 16, 9)))
     res = mv_equation_residual(traj, None, Forcing("zero"),
                                [_phi_ramp(grid, 1.0)])
     assert res["ramp-phi"] == 0.0
@@ -253,7 +250,7 @@ def test_residual_defect_corrects_coarse(resolution_pair):
     fine, coarse = resolution_pair
     m = defect_from_pair(fine, coarse)
     grid = coarse.grid
-    psi = taylor_green(0.0, 0.0, grid)
+    psi = taylor_green(0.0, 0.0, grid).coeffs
     phi = _phi_ramp(grid, 0.25, psi)
     bare_fine = mv_equation_residual(fine, None, Forcing("zero"), [phi])
     corrected = mv_equation_residual(coarse, m, Forcing("zero"), [phi])
@@ -267,7 +264,8 @@ def test_residual_does_not_depend_on_block_split(monkeypatch, rng):
     grid = Grid(32)
     forcing = Forcing("analytic", "kolmogorov", {"amplitude": 0.5})
     spec = SystemSpec(nu=0.01, grid=grid, t_end=0.25, dt=2e-3, forcing=forcing)
-    v0 = taylor_green(0.0, 0.0, grid) + 0.1 * random_field(grid, rng, kmax=6)
+    v0 = SpectralField(grid, taylor_green(0.0, 0.0, grid).coeffs
+                       + 0.1 * random_field(grid, rng, kmax=6).coeffs)
     traj = solve(spec, v0, sample_stride=10)
     m = DefectField(grid=grid, times=traj.times, mollifier_kmax=8,
                     density=0.1 * tensor_samples(traj.coeffs, grid.n))
@@ -281,19 +279,18 @@ def test_residual_does_not_depend_on_block_split(monkeypatch, rng):
 
 # -- convex combination --------------------------------------------------------
 
-def _constant_pair(grid, field, times):
+def _constant_pair(grid, c, times):
     spec = SystemSpec(nu=0.0, grid=grid, t_end=float(times[-1]), dt=0.1,
                       forcing=Forcing("zero"))
-    traj = Trajectory(spec=spec, times=times,
-                      coeffs=stacked([field] * times.size))
+    traj = Trajectory(spec=spec, times=times, coeffs=np.stack([c] * times.size))
     return traj, zero_defect(grid, times)
 
 
 def test_combine_endpoint_passthrough():
     grid = Grid(16)
     times = np.linspace(0.0, 1.0, 3)
-    v1, m1 = _constant_pair(grid, taylor_green(0.0, 0.0, grid), times)
-    v2, m2 = _constant_pair(grid, zero_field(grid), times)
+    v1, m1 = _constant_pair(grid, taylor_green(0.0, 0.0, grid).coeffs, times)
+    v2, m2 = _constant_pair(grid, np.zeros((2, 16, 9)), times)
     for lam, (v_end, m_end) in ((1.0, (v1, m1)), (0.0, (v2, m2))):
         v, m = mv_convex_combine(v1, m1, v2, m2, lam)
         assert np.array_equal(v.coeffs, v_end.coeffs)
@@ -304,12 +301,12 @@ def test_combine_opposite_velocities_closed_form():
     # lambda = 1/2, v2 = -v1, m1 = m2 = 0: v = 0 and m = v1 (x) v1
     grid = Grid(16)
     times = np.linspace(0.0, 1.0, 3)
-    tg = taylor_green(0.0, 0.0, grid)
+    tg = taylor_green(0.0, 0.0, grid).coeffs
     v1, m1 = _constant_pair(grid, tg, times)
     v2, m2 = _constant_pair(grid, -1.0 * tg, times)
     v, m = mv_convex_combine(v1, m1, v2, m2, 0.5)
-    assert max(l2_norm(s) for s in states(v)) <= 1e-14
-    expect = tensor_samples(tg.coeffs, grid.n)
+    assert max(dist(s) for s in v.coeffs) <= 1e-14
+    expect = tensor_samples(tg, grid.n)
     for k in range(times.size):
         assert np.abs(m.density[k] - expect).max() <= 1e-12
 
@@ -319,8 +316,8 @@ def test_combine_residual_affine(rng):
     # the member residuals (the algebraic cancellation, checked per phi)
     grid = Grid(16)
     times = np.linspace(0.0, 1.0, 5)
-    v1, m1 = _constant_pair(grid, taylor_green(0.0, 0.0, grid), times)
-    w = random_field(grid, rng, kmax=3, components=2, solenoidal=True)
+    v1, m1 = _constant_pair(grid, taylor_green(0.0, 0.0, grid).coeffs, times)
+    w = random_field(grid, rng, kmax=3, components=2, solenoidal=True).coeffs
     v2, m2 = _constant_pair(grid, w, times)
     phi = _phi_ramp(grid, 1.0)
     lam = 0.3
@@ -357,8 +354,8 @@ def test_combine_preserves_psd(rng):
 def test_combine_requires_aligned_members():
     grid = Grid(16)
     times = np.linspace(0.0, 1.0, 3)
-    v1, m1 = _constant_pair(grid, taylor_green(0.0, 0.0, grid), times)
-    v2, m2 = _constant_pair(Grid(32), taylor_green(0.0, 0.0, Grid(32)), times)
+    v1, m1 = _constant_pair(grid, taylor_green(0.0, 0.0, grid).coeffs, times)
+    v2, m2 = _constant_pair(Grid(32), taylor_green(0.0, 0.0, Grid(32)).coeffs, times)
     with pytest.raises(MVError):
         mv_convex_combine(v1, m1, v2, m2, 0.5)
 

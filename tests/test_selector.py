@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 from scipy.integrate import simpson
-from conftest import stacked, states
+from conftest import dist
 from support import continuous_dependence_study, verify_convex_midpoint, worst_margin
 
 from maxdiss.certificate import ToleranceModel, certify
-from maxdiss.fields import Grid, from_function, l2_norm
+from maxdiss.fields import Grid, SpectralField, from_function
 from maxdiss.relenergy import WeightSpec
 from maxdiss.selector import (
     MAX_MEMBERS,
@@ -127,8 +127,7 @@ def test_select_duplicate_members(tg_ladder):
     assert (res.rank, res.unique, res.iterations) == (1, False, 3)
     assert res.objective == pytest.approx(
         objective(single, np.array([1.0])), rel=1e-12)
-    gap = max(l2_norm(a - b) for a, b in
-              zip(states(res.trajectory), states(tg_ladder[2])))
+    gap = max(dist(a, b) for a, b in zip(res.trajectory.coeffs, tg_ladder[2].coeffs))
     assert gap <= 1e-10
 
 
@@ -152,14 +151,14 @@ def _orthogonal_fluctuation_family():
     grid = Grid(16)
     spec = SystemSpec(nu=0.1, grid=grid, t_end=1.0, dt=1e-2,
                       forcing=Forcing("zero"))
-    b = taylor_green(0.0, 0.1, grid)
+    b = taylor_green(0.0, 0.1, grid).coeffs
     w1 = from_function(grid, lambda x, y: 0.0 * x,
-                       lambda x, y: 3 * np.sin(3 * x), solenoidal=True)
+                       lambda x, y: 3 * np.sin(3 * x), solenoidal=True).coeffs
     w2 = from_function(grid, lambda x, y: -3 * np.sin(3 * y),
-                       lambda x, y: 0.0 * x, solenoidal=True)
+                       lambda x, y: 0.0 * x, solenoidal=True).coeffs
     times = np.linspace(0.0, 1.0, 5)
-    t1 = Trajectory(spec=spec, times=times, coeffs=stacked([b + 0.5 * w1] * 5))
-    t2 = Trajectory(spec=spec, times=times, coeffs=stacked([b + 1.0 * w2] * 5))
+    t1 = Trajectory(spec=spec, times=times, coeffs=np.stack([b + 0.5 * w1] * 5))
+    t2 = Trajectory(spec=spec, times=times, coeffs=np.stack([b + 1.0 * w2] * 5))
     return assemble_family([t1, t2], data_rtol=10.0)
 
 
@@ -215,10 +214,8 @@ def test_selected_trajectory_unique_across_restarts(tg_ladder):
     sols = [select(assemble_family([tg_ladder[i] for i in order])).trajectory
             for order in ((0, 1, 2), (2, 0, 1))]
     fam = assemble_family(list(tg_ladder))
-    dist2 = [l2_norm(a - b) ** 2
-             for a, b in zip(states(sols[0]), states(sols[1]))]
-    dist = np.sqrt(simpson(np.array(dist2), x=fam.times))
-    assert dist <= 1e-8
+    dist2 = [dist(a, b) ** 2 for a, b in zip(sols[0].coeffs, sols[1].coeffs)]
+    assert np.sqrt(simpson(np.array(dist2), x=fam.times)) <= 1e-8
 
 
 def test_select_reports_rank_and_ties_on_the_ladder(tg_ladder):
@@ -244,9 +241,9 @@ def test_select_ties_on_a_zero_energy_face():
     # lambda_2 = 1/2, where the computed J values are rounding of either sign
     grid = Grid(16)
     spec = SystemSpec(nu=0.1, grid=grid, t_end=1.0, dt=0.25, forcing=Forcing("zero"))
-    b = taylor_green(0.0, 0.1, grid)
+    b = taylor_green(0.0, 0.1, grid).coeffs
     times = np.linspace(0.0, 1.0, 5)
-    trajs = [Trajectory(spec=spec, times=times, coeffs=stacked([s * b] * 5))
+    trajs = [Trajectory(spec=spec, times=times, coeffs=np.stack([s * b] * 5))
              for s in (1.0, -1.0, 1.0)]
     res = select(assemble_family(trajs, data_rtol=10.0))
     assert np.abs(res.weights.lam - [0.25, 0.5, 0.25]).max() <= 1e-12
@@ -300,12 +297,12 @@ def test_continuous_dependence_quadratic_decay():
     grid = Grid(16)
     w = from_function(grid, lambda x, y: np.sin(2 * x) * np.cos(2 * y),
                       lambda x, y: -np.cos(2 * x) * np.sin(2 * y),
-                      solenoidal=True)
+                      solenoidal=True).coeffs
 
     def builder(delta):
         spec = SystemSpec(nu=nu, grid=grid, t_end=0.25, dt=2.5e-3,
                           forcing=Forcing("zero"))
-        v0 = taylor_green(0.0, nu, grid) + delta * w
+        v0 = SpectralField(grid, taylor_green(0.0, nu, grid).coeffs + delta * w)
         return assemble_family([solve(spec, v0, sample_stride=10)])
 
     rel, low = continuous_dependence_study(builder, [1e-1, 5e-2])

@@ -18,20 +18,35 @@ def _modules():
     return {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
 
 
+def _is_classmethod(fn) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "classmethod" for d in fn.decorator_list)
+
+
 def _references(node) -> Counter:
-    return Counter(sub.id if isinstance(sub, ast.Name) else sub.attr
+    """Names and attributes referenced under ``node``; a call of a classmethod
+    through its class, ``C.m`` or ``cls.m`` inside C, also counts as "C.m"."""
+    refs = Counter(sub.id if isinstance(sub, ast.Name) else sub.attr
                    for sub in ast.walk(node) if isinstance(sub, (ast.Name, ast.Attribute)))
+    classes = [c for c in ast.walk(node) if isinstance(c, ast.ClassDef)]
+    owner = {id(sub): c.name for c in classes for sub in ast.walk(c)}
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name):
+            cls = owner.get(id(sub)) if sub.value.id == "cls" else sub.value.id
+            refs[f"{cls}.{sub.attr}"] += 1
+    return refs
 
 
 def _public_definitions(module):
-    """Public top-level functions and classes, and the public methods of those
-    classes.  Methods are matched by name: a call of ``x.save`` consumes every
-    public method named ``save``."""
+    """(name, node) of the public top-level functions and classes, and of the
+    public methods of those classes.  Methods are matched by name: a call of
+    ``x.save`` consumes every public method named ``save``; a classmethod
+    ``C.m`` only by a call through its class, under the name "C.m"."""
     for node in module.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-            yield node
+            yield node.name, node
             if isinstance(node, ast.ClassDef):
-                yield from (fn for fn in node.body if isinstance(fn, ast.FunctionDef)
+                yield from ((f"{node.name}.{fn.name}" if _is_classmethod(fn) else fn.name, fn)
+                            for fn in node.body if isinstance(fn, ast.FunctionDef)
                             and not fn.name.startswith("_"))
 
 
@@ -39,9 +54,8 @@ def test_public_definitions_have_consumers():
     modules = _modules().values()
     everywhere = sum((_references(tree) for tree in modules), Counter())
     # a definition's references to itself do not count
-    unused = [node.name for module in modules for node in _public_definitions(module)
-              if node.name not in EXEMPT
-              and everywhere[node.name] == _references(node)[node.name]]
+    unused = [name for module in modules for name, node in _public_definitions(module)
+              if name not in EXEMPT and everywhere[name] == _references(node)[name]]
     assert not unused, f"public names nothing in the package consumes: {unused}"
 
 
