@@ -146,6 +146,8 @@ class Forcing:
     @classmethod
     def from_dict(cls, d: dict) -> "Forcing":
         """The inverse of ``to_dict``; the keys it writes for the kind are required."""
+        if not isinstance(d, dict):
+            raise SolverError(f"forcing: expected an object, got {d!r}")
         keys = {"analytic": ("name", "params"), "file": ("path",)}.get(d.get("kind"), ())
         if missing := [key for key in ("kind", *keys) if key not in d]:
             raise SolverError(f"forcing/{missing[0]}: missing required key")

@@ -185,6 +185,7 @@ def test_cli_rejects_mistyped_config_value(tmp_path, capsys, pointer, value):
      "/system/forcing/params/wavenumber: not read by forcing 'gradient_potential'"),
     ({"forcing": {}}, "/system/forcing/kind: missing required key"),
     ({"forcing": {"kind": "file"}}, "/system/forcing/path: missing required key"),
+    ({"forcing": "zero"}, "/system/forcing: expected an object, got 'zero'"),
     ({"forcing": {"kind": "analytic", "name": "kolmogorov", "params": {"amplitude": float("nan")}}},
      "forcing params must map names to numbers"),
 ])
