@@ -5,27 +5,30 @@ trajectories: for each test function and sample time the two sides of the
 inequality are computed by composite Simpson quadrature on the sample
 grid, and the verdict compares the margin (rhs - lhs) against an explicit
 tolerance budget.  Verdicts are always relative to the supplied family.
+
+``certify_members`` tests all members of a run against the same v on the
+test's grid, zero-padding coarser members, so the inequality, convex in u,
+carries over to their mixtures; the test-side terms are computed once.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fields import pairing, project, spectral_tables
+from .fields import _embed, pairing, project, spectral_tables
 from .relenergy import (
     WeightSpec,
     cumulative_weight_integral,
-    nonsolenoidal_correction,
     rel_terms,
     residual_A,
     weight_norms,
     weight_value,
 )
-from .solver import TestTrajectory, Trajectory
+from .solver import TestTrajectory, Trajectory, _shares_samples
 
 
 class CertificateError(ValueError):
@@ -107,8 +110,8 @@ class CertificateReport:
         }
 
     def save_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
+        with open(path, "w") as fh:  # one write: json.dump writes every token
+            fh.write(json.dumps(self.to_dict(), indent=2))
 
     def save_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -135,10 +138,8 @@ class _MarginSeries:
     rel_energies: np.ndarray     # R(u(t)|v(t)), unscaled
     weight_integral: np.ndarray  # I(t) = int_0^t K
     dissipation_integrand: np.ndarray  # (W + <A, u-v>) e^{-I(t)}
-    correction_integrand: np.ndarray   # divergence correction times e^{-I(t)}
-    margins: np.ndarray
+    margins: np.ndarray          # R(0) - lhs
     lhs: np.ndarray
-    rhs: np.ndarray
 
 
 def _blocks(size: int, n: int) -> list:
@@ -148,75 +149,83 @@ def _blocks(size: int, n: int) -> list:
     return [slice(s, s + step) for s in range(0, size, step)]
 
 
-def margin_series(u: Trajectory, vt: TestTrajectory, w: WeightSpec) -> _MarginSeries:
-    """Both sides of the relative energy inequality at every sample time, one
-    stacked computation per block; the nu-free weight goes to ``vt.weight_norms``.
-    A non-solenoidal test is Leray-projected and pays the divergence correction."""
-    if vt.grid.n != u.grid.n:
-        raise CertificateError(
-            f"grid mismatch: trajectory n={u.grid.n}, test n={vt.grid.n}")
-    nu = u.spec.nu
-    times = u.times
-    key = (w.kind, w.p, times.tobytes())
-    cached = vt.weight_norms.get(key)
-    norms = np.empty(times.size) if cached is None else cached
-    R, g, corr = np.empty(times.size), np.empty(times.size), np.zeros(times.size)
-    for sl in _blocks(times.size, u.grid.n):
-        values, derivs = vt.values(times[sl]), vt.derivs(times[sl])
-        states = u.coeffs[sl]
-        if not vt.solenoidal:
-            corr[sl] = nonsolenoidal_correction(values, states)
-            values, derivs = (project(x, spectral_tables(u.grid.n)) for x in (values, derivs))
-        if cached is None:
-            norms[sl] = weight_norms(values, w)
-        diff = states - values
-        R[sl], W = rel_terms(diff, nu)
-        g[sl] = W + pairing(residual_A(values, derivs, u.spec), diff)
-    vt.weight_norms[key] = norms
-    I = cumulative_weight_integral(weight_value(norms, w, nu), times)
+def margin_series(members, vt: TestTrajectory, w: WeightSpec) -> list:
+    """Both sides of the relative energy inequality at every sample time, for
+    each member against one solenoidal test, on the test's grid.
 
-    damp = np.exp(-I)
-    g *= damp
-    corr *= damp
-    lhs = damp * R + cumulative_weight_integral(g, times)
-    rhs = R[0] + cumulative_weight_integral(corr, times)
-    return _MarginSeries(times=times, rel_energies=R, weight_integral=I,
-                         dissipation_integrand=g, correction_integrand=corr,
-                         margins=rhs - lhs, lhs=lhs, rhs=rhs)
+    The members share sample times and forcing and are no finer than the
+    test; coarser ones are zero-padded with ``_embed``, which is exact.  Per
+    sample block the test's values, derivatives, weight norms and residual
+    are computed once, the residual as A_0 (nu = 0) and P(|k|^2 v); each
+    member adds A_nu = A_0 + nu P(|k|^2 v), its R, its W and one pairing.
+    """
+    if not all(_shares_samples(members[0], u) for u in members):
+        raise CertificateError("members certified together must share sample times and forcing")
+    if (n_u := max(u.grid.n for u in members)) > (n := vt.grid.n):
+        raise CertificateError(f"grid mismatch: trajectory n={n_u}, test n={n}")
+    times, tab = members[0].times, spectral_tables(n)
+    spec0 = replace(members[0].spec, nu=0.0, grid=vt.grid)
+    norms, R, g = np.empty(times.size), *np.empty((2, len(members), times.size))
+    for sl in _blocks(times.size, n):
+        values, derivs = vt.values(times[sl]), vt.derivs(times[sl])
+        norms[sl] = weight_norms(values, w)
+        a0 = residual_A(values, derivs, spec0)
+        viscous = project(tab.k2 * values, tab)
+        for i, u in enumerate(members):
+            nu, states = u.spec.nu, u.coeffs[sl]
+            diff = (states if u.grid.n == n else _embed(states, u.grid.n, n)) - values
+            R[i, sl], W = rel_terms(diff, nu)
+            g[i, sl] = W + pairing(a0 + nu * viscous if nu else a0, diff)
+    series = []
+    for u, Ri, gi in zip(members, R, g):
+        I = cumulative_weight_integral(weight_value(norms, w, u.spec.nu), times)
+        damp = np.exp(-I)
+        lhs = damp * Ri + cumulative_weight_integral(gi * damp, times)
+        series.append(_MarginSeries(times, Ri, I, gi * damp, Ri[0] - lhs, lhs))
+    return series
+
+
+def certify_members(members, family, w: WeightSpec,
+                    tol_model: ToleranceModel = ToleranceModel()) -> list:
+    """Certify trajectories that share sample times and forcing against one
+    family of test trajectories, one ``margin_series`` pass per test; returns
+    one CertificateReport per member, in order.
+
+    Domain errors (ValueError) of single family members are isolated: their
+    error string is recorded for every trajectory and the remaining members
+    are still evaluated (an errored member fails the overall verdict).
+    Margins and tolerances are both in the damped units of ``margin_series``.
+    """
+    members, family = list(members), list(family)
+    if not family or not members:
+        raise CertificateError("need at least one trajectory and one test")
+    if not all(_shares_samples(members[0], u) for u in members):
+        raise CertificateError("members certified together must share sample times and forcing")
+    results = [([], {}, {}) for _ in members]  # entries, errors, tests
+    for idx, vt in enumerate(family):
+        test_id = vt.label or f"test_{idx}"
+        try:
+            all_series = margin_series(members, vt, w)
+        except ValueError as exc:  # domain errors only; bugs propagate
+            for _, errors, _ in results:
+                errors[test_id] = f"{type(exc).__name__}: {exc}"
+            continue
+        for u, series, (entries, _, tests) in zip(members, all_series, results):
+            damp = np.exp(-series.weight_integral)
+            vacuous = series.times[damp < VACUOUS_DAMPING]
+            tests[test_id] = {"weight_integral": float(series.weight_integral[-1]),
+                              "horizon": float(vacuous[0]) if vacuous.size else None}
+            rhs = float(series.rel_energies[0])
+            entries += [CertificateEntry(test_id, float(t), float(lhs), rhs, float(m),
+                                         tol_model.tau(float(t), u.spec.dt) * float(d))
+                        for t, lhs, m, d in zip(series.times, series.lhs, series.margins, damp)]
+    times = members[0].times
+    stride = float(times[1] - times[0]) if times.size > 1 else 0.0
+    return [CertificateReport(tuple(entries), errors, tests, w, tol_model, stride)
+            for entries, errors, tests in results]
 
 
 def certify(u: Trajectory, family, w: WeightSpec,
             tol_model: ToleranceModel = ToleranceModel()) -> CertificateReport:
-    """Certify a trajectory against a family of test trajectories.
-
-    Domain errors (ValueError) of single family members are isolated: their
-    error string is recorded and the remaining members are still evaluated
-    (an errored member fails the overall verdict).  Margins and tolerances
-    are both in the damped units of ``margin_series``.
-    """
-    family = list(family)
-    if not family:
-        raise CertificateError("test family must not be empty")
-    dt = u.spec.dt
-    entries = []
-    errors = {}
-    tests = {}
-    for idx, vt in enumerate(family):
-        test_id = vt.label or f"test_{idx}"
-        try:
-            series = margin_series(u, vt, w)
-        except ValueError as exc:  # domain errors only; bugs propagate
-            errors[test_id] = f"{type(exc).__name__}: {exc}"
-            continue
-        damp = np.exp(-series.weight_integral)
-        vacuous = series.times[damp < VACUOUS_DAMPING]
-        tests[test_id] = {"weight_integral": float(series.weight_integral[-1]),
-                          "horizon": float(vacuous[0]) if vacuous.size else None}
-        for t, lhs, rhs, m, d in zip(series.times, series.lhs, series.rhs,
-                                     series.margins, damp):
-            tol = tol_model.tau(float(t), dt) * float(d)
-            entries.append(CertificateEntry(test_id=test_id, t=float(t),
-                                            lhs=float(lhs), rhs=float(rhs),
-                                            margin=float(m), tol=tol))
-    stride = float(u.times[1] - u.times[0]) if u.times.size > 1 else 0.0
-    return CertificateReport(tuple(entries), errors, tests, w, tol_model, stride)
+    """Certify one trajectory against a family of tests: ``certify_members`` of [u]."""
+    return certify_members([u], family, w, tol_model)[0]

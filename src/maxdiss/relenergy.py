@@ -6,7 +6,8 @@ trajectory, W the viscous dissipation of the difference, K the Serrin-type
 (or, for Euler, negative-strain) regularity weight entering the Gronwall
 factor, and A the PDE residual of the test trajectory.  The kernels take
 coefficients stacked over leading axes, (..., 2, n, n//2 + 1), and return
-one value or field per leading index.
+one value or field per leading index.  K and A depend only on the test
+(A affinely on nu), so the certifier computes them once for all members.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (
-    TWO_PI,
     _sym_eigenvalues,
     gradients,
     h1_squared,
@@ -124,36 +124,15 @@ def weight_value(norms: np.ndarray, w: WeightSpec, nu: float) -> np.ndarray:
     return w.kappa * norms
 
 
-# -- residual and trilinear form --------------------------------------------
+# -- residual -------------------------------------------------------------
 
 def residual_A(values: np.ndarray, derivs: np.ndarray, spec: SystemSpec) -> np.ndarray:
     """A = P[d/dt v + (v.grad)v - nu Lap v - f] of stacked test states, through
-    the stepper's nonlinear kernel: P[d/dt v + nu |k|^2 v] - solver._rhs(v)."""
+    the stepper's nonlinear kernel: P[d/dt v + nu |k|^2 v] - solver._rhs(v);
+    A_nu = A_0 + nu P(|k|^2 v), so ``margin_series`` calls it once at nu = 0."""
     tab = spectral_tables(spec.grid.n)
     res = project(derivs + spec.nu * tab.k2 * values, tab)
     return res - _rhs(values, spec, spec.forcing.coeffs(spec.grid.n))
-
-
-def trilinears(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """int (a.grad)b . c of stacked coefficients, exact by collocation on the 2x
-    oversampled grid.  Skew-symmetric in (b, c) when a is solenoidal; no
-    solenoidality is assumed, so the same quadrature serves the divergence
-    corrections."""
-    m = 2 * a.shape[-2]
-    af, cf, gb = samples(a, m), samples(c, m), samples(gradients(b), m)
-    # (a.grad)b_i = a_x d_x b_i + a_y d_y b_i
-    integrand = np.sum((af[..., :1, :, :] * gb[..., 0, :, :]
-                        + af[..., 1:, :, :] * gb[..., 1, :, :]) * cf, axis=-3)
-    return np.sum(integrand, axis=(-2, -1)) * (TWO_PI / m) ** 2
-
-
-def nonsolenoidal_correction(values: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """b(q, v, u - Pv) + b(Pv, q, u - Pv), q = v - Pv, of raw test states v
-    and states u: the divergence correction, zero for solenoidal v."""
-    pv = project(values, spectral_tables(values.shape[-2]))
-    q = values - pv
-    d = states - pv
-    return trilinears(q, values, d) + trilinears(pv, q, d)
 
 
 # -- Gronwall machinery -----------------------------------------------------

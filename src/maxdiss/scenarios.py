@@ -20,13 +20,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .certificate import ToleranceModel, certify
+from .certificate import ToleranceModel, certify_members
 from .fields import Grid, SpectralField, from_function, pairing, random_field
 from .mv_euler import defect_from_pair, trace_energy_gap
 from .relenergy import WeightSpec
 from .selector import MAX_MEMBERS, assemble_family, select
-from .solver import (BlowUpError, SolverError, SystemSpec, TestTrajectory, Trajectory, solve,
-                     taylor_green)
+from .solver import (BlowUpError, SolverError, SystemSpec, TestTrajectory, Trajectory,
+                     _shares_samples, solve, taylor_green)
 
 SCENARIO_IDS = ("taylor_green", "perturbed_tg", "two_vortex", "euler_tg",
                 "mv_ladder")
@@ -296,19 +296,20 @@ def load_members(config: ScenarioConfig) -> dict:
 
 
 def stage_certify(config: ScenarioConfig, members: dict) -> dict:
-    """Certify and save every member; returns {member id: passed}."""
+    """Certify every member against one test family on the finest member grid,
+    in one pass per test, and save the reports; returns {member id: passed}."""
+    first = next(iter(members))
+    if bad := [mid for mid, u in members.items() if not _shares_samples(members[first], u)]:
+        raise ConfigError(f"{Path(config.out_dir) / 'sim' / bad[0] / 'manifest.json'}: sample "
+                          f"times or forcing differ from {first}'s; members are certified together")
     out = Path(config.out_dir) / "certificates"
     out.mkdir(parents=True, exist_ok=True)
-    verdicts = {}
-    families = {}  # one test family per grid size, shared by its members
-    for mid, traj in members.items():
-        if traj.grid.n not in families:
-            families[traj.grid.n] = build_tests(config, traj.grid)
-        report = certify(traj, families[traj.grid.n], config.weight, config.tolerance)
+    tests = build_tests(config, Grid(max(traj.grid.n for traj in members.values())))
+    reports = certify_members(members.values(), tests, config.weight, config.tolerance)
+    for mid, report in zip(members, reports):
         report.save_json(out / f"{mid}.json")
         report.save_csv(out / f"{mid}.csv")
-        verdicts[mid] = report.verdict
-    return verdicts
+    return {mid: report.verdict for mid, report in zip(members, reports)}
 
 
 def stage_select(config: ScenarioConfig, members: dict, verdicts: dict) -> dict | None:

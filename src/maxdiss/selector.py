@@ -18,7 +18,7 @@ import numpy as np
 
 from .fields import Grid, _embed, pairing, resample
 from .relenergy import simpson
-from .solver import SystemSpec, Trajectory
+from .solver import SystemSpec, Trajectory, _shares_samples
 
 
 class SelectorError(ValueError):
@@ -83,15 +83,12 @@ def assemble_family(trajs, member_ids=None, data_rtol: float = 1e-8) -> Candidat
     if not trajs:
         raise SelectorError("family must not be empty")
     nu = trajs[0].spec.nu
-    f_desc = trajs[0].spec.forcing.to_dict()
     times = trajs[0].times
     for tr in trajs[1:]:
         if tr.spec.nu != nu:
             raise SelectorError(f"viscosity mismatch: {tr.spec.nu} vs {nu}")
-        if tr.spec.forcing.to_dict() != f_desc:
-            raise SelectorError("forcing mismatch between members")
-        if tr.times.shape != times.shape or not np.allclose(tr.times, times, atol=1e-12):
-            raise SelectorError("sample times differ between members")
+        if not _shares_samples(trajs[0], tr):
+            raise SelectorError("sample times or forcing differ between members")
     n_min = min(tr.grid.n for tr in trajs)
     u0_ref = resample(trajs[0].coeffs[0], n_min)
     scale = max(np.sqrt(pairing(u0_ref, u0_ref)), 1.0)

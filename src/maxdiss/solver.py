@@ -308,8 +308,8 @@ class Trajectory:
         t = np.asarray(self.times, dtype=np.float64)
         if t.size == 0:
             raise SolverError("trajectory needs at least one sample time")
-        if t[0] != 0.0 or np.any(np.diff(t) <= 0):
-            raise SolverError("sample times must start at 0 and increase strictly")
+        if t[0] != 0.0 or not (np.all(np.diff(t) > 0) and np.isfinite(t[-1])):  # NaN: not > 0
+            raise SolverError("times: must be finite, start at 0 and increase strictly")
         shape = (t.size, 2, self.grid.n, self.grid.n // 2 + 1)
         if np.shape(self.coeffs) != shape:
             raise SolverError(f"coefficient shape {np.shape(self.coeffs)}, need {shape}")
@@ -349,9 +349,16 @@ class Trajectory:
         try:
             manifest = json.loads((src / "manifest.json").read_text())
             spec, times = SystemSpec.from_dict(manifest["spec"]), np.array(manifest["times"], float)
+            # on the dt grid and ending at t_end, to SystemSpec's 1e-9 t_end; NaN and inf are off
+            with np.errstate(invalid="ignore"):
+                off = ~(np.abs(times - np.round(times / spec.dt) * spec.dt) <= 1e-9 * spec.t_end)
+            off[-1:] |= ~(np.abs(times[-1:] - spec.t_end) <= 1e-9 * spec.t_end)
+            if off.any():
+                raise SolverError(f"times: expected multiples of dt={spec.dt:g} ending at "
+                                  f"t_end={spec.t_end:g}, got {float(times[off][0])}")
         except SolverError as exc:  # its message starts with the offending key
             raise SolverError(f"{exc} (in {src / 'manifest.json'})") from None
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        except (ValueError, KeyError, IndexError, TypeError, AttributeError) as exc:
             raise FieldError(f"{src / 'manifest.json'}: unreadable manifest ({exc!r})") from None
         path = src / "states.fld"
         packed, header = load_samples(path)
@@ -364,6 +371,12 @@ class Trajectory:
         coeffs[..., h + 1:, :h] = packed[..., h:, :]
         return cls(spec=spec, times=times, coeffs=coeffs,
                    provenance=manifest.get("provenance", ""))
+
+
+def _shares_samples(a: Trajectory, b: Trajectory) -> bool:
+    """Same sample times and forcing, as members certified or mixed together need."""
+    return (a.times.shape == b.times.shape and a.spec.forcing == b.spec.forcing
+            and bool(np.allclose(a.times, b.times, atol=1e-12)))
 
 
 def solve(spec: SystemSpec, v0: SpectralField, sample_stride: int = 1,
@@ -416,20 +429,18 @@ class TestTrajectory:
 
     ``taylor_green`` (the closed-form decaying vortex, rescaled) and
     ``zero`` build the members that ``scenarios.build_tests`` names.
-    ``values`` and ``derivs`` map an array of times to stacked coefficients
-    (len(times), 2, n, n//2 + 1).  ``weight_norms`` keeps the nu-free weight
-    series of ``certificate.margin_series`` for reuse by members on one grid.
+    ``values`` and ``derivs`` map an array of times to stacked solenoidal
+    coefficients (len(times), 2, n, n//2 + 1).  ``certificate.margin_series``
+    evaluates them once per sample block for every member certified.
     """
 
     __test__ = False  # not a pytest test class
 
-    def __init__(self, values, derivs, grid: Grid, solenoidal: bool, label: str):
+    def __init__(self, values, derivs, grid: Grid, label: str):
         self.values = values
         self.derivs = derivs
         self.grid = grid
-        self.solenoidal = solenoidal
         self.label = label
-        self.weight_norms = {}
 
     @classmethod
     def taylor_green(cls, nu: float, grid: Grid, amplitude: float = 1.0,
@@ -440,7 +451,7 @@ class TestTrajectory:
             a = amplitude * np.exp(-2.0 * nu * np.asarray(times))
             return a[:, None, None, None] * unit
 
-        return cls(values, lambda times: -2.0 * nu * values(times), grid, True,
+        return cls(values, lambda times: -2.0 * nu * values(times), grid,
                    label or f"taylor_green(nu={nu:g}, a={amplitude:g})")
 
     @classmethod
@@ -448,4 +459,4 @@ class TestTrajectory:
         def zeros(times):
             return np.zeros((len(times), 2, grid.n, grid.n // 2 + 1), dtype=np.complex128)
 
-        return cls(zeros, zeros, grid, True, label)
+        return cls(zeros, zeros, grid, label)

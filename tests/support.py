@@ -1,6 +1,7 @@
 """Helpers that only the tests use, built on the package: test trajectories
 from closed forms, splines and perturbations, the phi-weighted form of the
-relative energy inequality, weak residual recovery, the convex sweep and the
+relative energy inequality, weak residual recovery, the trilinear form, the
+convex sweep and the
 continuous-dependence study of a selection, the Taylor-Green pressure and
 pressure recovery, and the measure-valued momentum residual and convex
 combination, and the reader of a stored defect field."""
@@ -13,8 +14,9 @@ from scipy.interpolate import CubicSpline
 
 from maxdiss import certificate
 from maxdiss.certificate import margin_series
-from maxdiss.fields import (Grid, SpectralField, _embed, from_function, gradients, load_samples,
-                            pairing, resample, samples, spectral_tables, tensor_samples)
+from maxdiss.fields import (TWO_PI, Grid, SpectralField, _embed, from_function, gradients,
+                            load_samples, pairing, resample, samples, spectral_tables,
+                            tensor_samples)
 from maxdiss.mv_euler import DefectField, MVError
 from maxdiss.relenergy import (cumulative_weight_integral, rel_terms, residual_A, simpson,
                                weight_norms, weight_value)
@@ -29,23 +31,23 @@ def worst_margin(report) -> float:
 
 # -- test trajectories --------------------------------------------------------
 
-def analytic_test(value_fn, deriv_fn, grid, solenoidal=True, label="analytic"):
-    """A test trajectory from callables t -> coefficients (2, n, n//2 + 1)."""
+def analytic_test(value_fn, deriv_fn, grid, label="analytic"):
+    """A test trajectory from callables t -> solenoidal coefficients (2, n, n//2 + 1)."""
     return TestTrajectory(lambda times: np.stack([value_fn(t) for t in times]),
                           lambda times: np.stack([deriv_fn(t) for t in times]),
-                          grid, solenoidal, label)
+                          grid, label)
 
 
 def spline_test(traj, label="spline"):
     """The not-a-knot cubic spline through the samples of a trajectory."""
     spline = CubicSpline(traj.times, traj.coeffs, axis=0, bc_type="not-a-knot")
-    return TestTrajectory(spline, spline.derivative(), traj.grid, True, label)
+    return TestTrajectory(spline, spline.derivative(), traj.grid, label)
 
 
 def perturbed_test(base, r, alpha):
-    """base + alpha r, with r constant in time."""
+    """base + alpha r, with r solenoidal and constant in time."""
     return TestTrajectory(lambda times: base.values(times) + alpha * r.coeffs, base.derivs,
-                          base.grid, base.solenoidal and r.solenoidal, f"{base.label}+{alpha:g}r")
+                          base.grid, f"{base.label}+{alpha:g}r")
 
 
 # -- multiplier (phi) form and weak residual recovery --------------------------
@@ -62,12 +64,11 @@ def mollified_indicator(t_star, width):
 def phi_form_value(u, vt, w, phi, dphi) -> float:
     """The phi-weighted inequality form, <= 0 for dissipative u when phi >= 0 falls
     from phi(0) = 1 to phi(T) = 0; phi and dphi map an array of times to phi and phi'."""
-    s = margin_series(u, vt, w)
+    s, = margin_series([u], vt, w)
     t, R = s.times, s.rel_energies
     p, dp = (np.broadcast_to(f(t), t.shape) for f in (phi, dphi))
     return float(-simpson(dp * R * np.exp(-s.weight_integral), t) - p[0] * R[0]
-                 + simpson(p * s.dissipation_integrand, t)
-                 - simpson(p * s.correction_integrand, t))
+                 + simpson(p * s.dissipation_integrand, t))
 
 
 def recover_weak_residual(u, r, alphas, w):
@@ -78,7 +79,7 @@ def recover_weak_residual(u, r, alphas, w):
     computes by quadrature along the spline."""
     alphas = np.asarray(alphas, dtype=float)
     base = spline_test(u, "self-spline")
-    margins = np.array([margin_series(u, perturbed_test(base, r, a), w).margins[-1]
+    margins = np.array([margin_series([u], perturbed_test(base, r, a), w)[0].margins[-1]
                         for a in alphas])
     A = np.stack([np.ones_like(alphas), alphas, alphas ** 2], axis=1)
     c1 = float(np.linalg.lstsq(A, margins, rcond=None)[0][1])
@@ -90,6 +91,19 @@ def recover_weak_residual(u, r, alphas, w):
         pair[sl] = pairing(residual_A(values, base.derivs(times[sl]), u.spec), r.coeffs)
     I = cumulative_weight_integral(K, times)
     return c1, float(simpson(pair * np.exp(-I), times))
+
+
+# -- trilinear form ------------------------------------------------------------
+
+def trilinears(a, b, c):
+    """int (a.grad)b . c of stacked coefficients, exact by collocation on the 2x
+    oversampled grid; skew-symmetric in (b, c) when a is solenoidal."""
+    m = 2 * a.shape[-2]
+    af, cf, gb = samples(a, m), samples(c, m), samples(gradients(b), m)
+    # (a.grad)b_i = a_x d_x b_i + a_y d_y b_i
+    integrand = np.sum((af[..., :1, :, :] * gb[..., 0, :, :]
+                        + af[..., 1:, :, :] * gb[..., 1, :, :]) * cf, axis=-3)
+    return np.sum(integrand, axis=(-2, -1)) * (TWO_PI / m) ** 2
 
 
 # -- convexity and stability of the selection ----------------------------------

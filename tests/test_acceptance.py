@@ -11,12 +11,13 @@ from conftest import dist
 from support import (analytic_test, continuous_dependence_study, mollified_indicator,
                      mv_convex_combine, mv_equation_residual, phi_form_value,
                      recover_pressure, recover_weak_residual, taylor_green_pressure,
-                     trace_leakage_bound, verify_convex_midpoint, worst_margin, zero_defect)
+                     trace_leakage_bound, trilinears, verify_convex_midpoint, worst_margin,
+                     zero_defect)
 
 from maxdiss.certificate import ToleranceModel, certify, margin_series
 from maxdiss.fields import Grid, SpectralField, from_function, pairing, random_field
 from maxdiss.mv_euler import defect_from_pair, trace_energy_gap
-from maxdiss.relenergy import WeightSpec, rel_terms, trilinears, weight_norms, weight_value
+from maxdiss.relenergy import WeightSpec, rel_terms, weight_norms, weight_value
 from maxdiss.selector import assemble_family, objective, select
 from maxdiss.solver import Forcing, SystemSpec, TestTrajectory, Trajectory, solve, taylor_green
 
@@ -275,7 +276,7 @@ def test_acceptance_11_multiplier_form_convergence(tg_reference, capsys):
     traj, _, _ = tg_reference
     vt = TestTrajectory.zero(traj.grid)
     t_star = 0.5
-    limit = -margin_series(traj, vt, SERRIN).margins[np.argmin(np.abs(traj.times - t_star))]
+    limit = -margin_series([traj], vt, SERRIN)[0].margins[np.argmin(np.abs(traj.times - t_star))]
     gaps = [abs(phi_form_value(traj, vt, SERRIN, *mollified_indicator(t_star, width)) - limit)
             for width in (0.2, 0.1)]
     ratio = gaps[0] / gaps[1]

@@ -2,6 +2,7 @@
 
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,10 +10,12 @@ from conftest import convection
 from support import (analytic_test, mollified_indicator, phi_form_value, recover_weak_residual,
                      spline_test, worst_margin)
 
-from maxdiss.fields import (Grid, SpectralField, from_function, gradients, h1_squared, lp_norms,
-                            pairing, project, random_field, samples, spectral_tables)
+from maxdiss.fields import (Grid, SpectralField, gradients, h1_squared, lp_norms,
+                            pairing, project, random_field, resample, samples, spectral_tables)
 from maxdiss.relenergy import WeightSpec, cumulative_weight_integral
-from maxdiss.certificate import CertificateError, ToleranceModel, certify, margin_series
+from maxdiss import certificate
+from maxdiss.certificate import (CertificateError, ToleranceModel, certify, certify_members,
+                                 margin_series)
 from maxdiss.solver import Forcing, SystemSpec, TestTrajectory, Trajectory, solve, taylor_green
 
 SERRIN = WeightSpec(kind="serrin", p=4.0)
@@ -42,7 +45,7 @@ def test_certificate_zero_test_is_energy_inequality(tg_reference):
     traj, _, _ = tg_reference
     report = certify(traj, [TestTrajectory.zero(traj.grid)], SERRIN)
     assert report.verdict
-    series = margin_series(traj, TestTrajectory.zero(traj.grid), SERRIN)
+    series, = margin_series([traj], TestTrajectory.zero(traj.grid), SERRIN)
     e = traj.energies()
     # K(0) = 0, A(0) = 0: margin(t) = E(0)/... = R0 - R(t) - int W >= 0
     assert np.all(series.weight_integral == 0.0)
@@ -89,7 +92,7 @@ def test_growing_taylor_green_fails_exact_test():
     report = certify(bad, [exact, TestTrajectory.zero(grid)], SERRIN)
     for tid in ("exact", "zero"):
         assert not all(e.passed for e in report.entries if e.test_id == tid)
-    series = margin_series(bad, exact, SERRIN)
+    series, = margin_series([bad], exact, SERRIN)
     tol = [e.tol for e in report.entries if e.test_id == "exact"]
     assert np.allclose(tol, [ToleranceModel().tau(t, dt) for t in times]
                        * np.exp(-series.weight_integral), rtol=1e-14, atol=0.0)
@@ -147,21 +150,7 @@ def test_certify_empty_family_rejected(tg_reference):
 def test_margin_grid_mismatch(tg_reference):
     traj, _, _ = tg_reference
     with pytest.raises(CertificateError):
-        margin_series(traj, TestTrajectory.zero(Grid(16)), SERRIN)
-
-
-def test_nonsolenoidal_test_needs_correction(tg_reference):
-    # a non-solenoidal test is certified through its Leray projection plus
-    # the divergence correction; the oracle's nonsolenoidal case checks values
-    traj, _, _ = tg_reference
-    grid = traj.grid
-    nonsol = from_function(grid, lambda x, y: np.sin(x), lambda x, y: 0.0 * x).coeffs
-    vt = analytic_test(lambda t: nonsol, lambda t: 0.0 * nonsol, grid,
-                       solenoidal=False, label="nonsol")
-    report = certify(traj, [vt], SERRIN)
-    assert report.errors == {}
-    assert {e.test_id for e in report.entries} == {"nonsol"}
-    assert np.all(np.isfinite([e.margin for e in report.entries]))
+        margin_series([traj], TestTrajectory.zero(Grid(16)), SERRIN)
 
 
 # -- report persistence ------------------------------------------------------
@@ -215,7 +204,7 @@ def test_phi_width_halving_halves_gap(tg_reference):
     traj, _, _ = tg_reference
     vt = TestTrajectory.zero(traj.grid)
     t_star = 0.5
-    limit = -margin_series(traj, vt, SERRIN).margins[np.argmin(np.abs(traj.times - t_star))]
+    limit = -margin_series([traj], vt, SERRIN)[0].margins[np.argmin(np.abs(traj.times - t_star))]
     gaps = []
     for width in (0.2, 0.1):
         val = phi_form_value(traj, vt, SERRIN, *mollified_indicator(t_star, width))
@@ -235,23 +224,16 @@ def test_recover_weak_residual_matches_direct(tg_reference, rng):
 
 # -- blocked kernels against a per-sample oracle -----------------------------
 
-def _trilinear_oracle(a, b, c):
-    m = 2 * a.shape[-2]
-    af, cf, gb = samples(a, m), samples(c, m), samples(gradients(b), m)
-    return np.sum((af[0] * gb[:, 0] + af[1] * gb[:, 1]) * cf) * (2 * np.pi / m) ** 2
-
-
 def _series_oracle(u, vt, w):
-    """R, I, the damped dissipation integrand and the margins, sample by sample."""
-    spec, nu, times, grid = u.spec, u.spec.nu, u.times, u.grid
-    tab = spectral_tables(grid.n)
-    f = spec.forcing.coeffs(grid.n)
-    correct = not vt.solenoidal
-    R, K, g, corr = (np.zeros(times.size) for _ in range(4))
+    """R, I, the damped dissipation integrand and the margins, sample by sample,
+    with u zero-padded onto the test's grid."""
+    spec, nu, times, n = u.spec, u.spec.nu, u.times, vt.grid.n
+    tab = spectral_tables(n)
+    f = spec.forcing.coeffs(n)
+    R, K, g = (np.zeros(times.size) for _ in range(3))
     for i, t in enumerate(times):
-        raw, raw_dt = (fn([t])[0] for fn in (vt.values, vt.derivs))
-        v, dv = (project(raw, tab), project(raw_dt, tab)) if correct else (raw, raw_dt)
-        d = u.coeffs[i] - v
+        v, dv = (fn([t])[0] for fn in (vt.values, vt.derivs))
+        d = resample(u.coeffs[i], n) - v
         R[i] = 0.5 * pairing(d, d)
         a = dv + convection(v) + nu * tab.k2 * v
         a = project(a if f is None else a - f, tab)
@@ -259,18 +241,14 @@ def _series_oracle(u, vt, w):
         if w.kind == "serrin":
             K[i] = w.constant(nu) * lp_norms(v, w.lp_exponent) ** w.time_exponent
         else:
-            gv = samples(gradients(v), 2 * grid.n)
+            gv = samples(gradients(v), 2 * n)
             s11, s12, s22 = gv[0, 0], 0.5 * (gv[0, 1] + gv[1, 0]), gv[1, 1]
             lam_min = 0.5 * (s11 + s22) - np.sqrt((0.5 * (s11 - s22)) ** 2 + s12 ** 2)
             K[i] = w.kappa * max(0.0, np.max(-lam_min))
-        if correct:
-            q = raw - v
-            corr[i] = _trilinear_oracle(q, raw, d) + _trilinear_oracle(v, q, d)
     I = cumulative_weight_integral(K, times)
     damp = np.exp(-I)
     lhs = damp * R + cumulative_weight_integral(g * damp, times)
-    rhs = R[0] + cumulative_weight_integral(corr * damp, times)
-    return R, I, g * damp, rhs - lhs
+    return R, I, g * damp, R[0] - lhs
 
 
 def _oracle_case(case):
@@ -279,39 +257,75 @@ def _oracle_case(case):
     dt = 2e-3 if case == "n128" else 2.5e-3
     t_end = {"n128": 0.008, "euler": 0.05, "kolmogorov": 0.05}.get(case, 0.075)
     forcing = Forcing("analytic", "kolmogorov", {"amplitude": 1.0}) \
-        if case == "kolmogorov" else Forcing("zero")
+        if case in ("kolmogorov", "padded") else Forcing("zero")
     spec = SystemSpec(nu=nu, grid=Grid(n), t_end=t_end, dt=dt, forcing=forcing)
     pert = random_field(spec.grid, np.random.default_rng(n), kmax=3)
     u = solve(spec, SpectralField(spec.grid, taylor_green(0.0, nu, spec.grid).coeffs
                                   + 0.05 * pert.coeffs),
               sample_stride=2 if case == "n128" else 1)
     w = SERRIN
-    vt = TestTrajectory.taylor_green(nu, spec.grid, amplitude=1.05)
+    vt = TestTrajectory.taylor_green(nu, Grid(48) if case == "padded" else spec.grid,
+                                     amplitude=1.05)
     if case in ("euler", "spline"):
         w = WeightSpec(kind="euler_negsym")
     if case == "spline":
         vt = spline_test(u)
-    if case == "nonsolenoidal":
-        grad = from_function(spec.grid, lambda x, y: np.cos(x) * np.sin(y),
-                             lambda x, y: np.sin(x) * np.cos(y)).coeffs
-        vt = analytic_test(lambda t: taylor_green(t, nu, spec.grid).coeffs + 0.1 * grad,
-                           lambda t: -2 * nu * taylor_green(t, nu, spec.grid).coeffs,
-                           spec.grid, solenoidal=False)
     return u, vt, w
 
 
-@pytest.mark.parametrize("case", ["n16", "n128", "euler", "kolmogorov", "spline",
-                                  "nonsolenoidal"])
+@pytest.mark.parametrize("case", ["n16", "n128", "euler", "kolmogorov", "spline", "padded"])
 def test_margin_series_matches_per_sample_oracle(case):
     # n16: 31 samples in one block; n128: one sample per block; euler (nu = 0,
     # n = 32) and spline (n = 24): sample counts 21 and 31 are no multiple of
-    # the block lengths 8 and 14
+    # the block lengths 8 and 14; padded: a forced n = 16 member on a test grid of 48
     u, vt, w = _oracle_case(case)
-    series = margin_series(u, vt, w)
+    series, = margin_series([u], vt, w)
     got = (series.rel_energies, series.weight_integral,
            series.dissipation_integrand, series.margins)
     for name, a, b in zip(("R", "I", "g", "margin"), got, _series_oracle(u, vt, w)):
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14, err_msg=name)
-    # a second member on the grid reuses the test's weight series
-    assert len(vt.weight_norms) == 1
-    np.testing.assert_array_equal(margin_series(u, vt, w).margins, series.margins)
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_test_side_terms_run_once_per_test_and_block(monkeypatch, count):
+    # members of three viscosities and two grids share each test's weight norms
+    # and residual; each member's series is bit for bit its one-member series
+    u, vt, w = _oracle_case("euler")  # 21 samples in blocks of 8 at n = 32
+    coarse = SystemSpec(nu=0.01, grid=Grid(16), t_end=u.spec.t_end, dt=u.spec.dt)
+    members = [u, Trajectory(spec=replace(u.spec, nu=0.1), times=u.times, coeffs=u.coeffs),
+               Trajectory(spec=coarse, times=u.times, coeffs=resample(u.coeffs, 16))][:count]
+    alone = [margin_series([m], vt, w)[0] for m in members]
+    calls = {"weight_norms": 0, "residual_A": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(certificate, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(certificate, name, counted)
+    family = [vt, TestTrajectory.zero(vt.grid)]
+    reports = certify_members(members, family, w)
+    blocks = len(certificate._blocks(u.times.size, vt.grid.n))
+    assert blocks == 3
+    assert calls == {"weight_norms": 2 * blocks, "residual_A": 2 * blocks}
+    assert len(reports) == count
+    for series, one in zip(margin_series(members, vt, w), alone):
+        np.testing.assert_array_equal(series.margins, one.margins)
+
+
+def test_stage_certify_tests_coarse_members_on_the_finest_grid(tmp_path):
+    # the n = 16 member's certificate is that of the member zero-padded onto
+    # n = 32 against the n = 32 family, not against a family of its own grid
+    from maxdiss.scenarios import ScenarioConfig, build_tests, stage_certify, stage_simulate
+
+    cfg = ScenarioConfig.from_dict({
+        "scenario": "perturbed_tg",
+        "system": {"nu": 0.05, "n": 32, "t_end": 0.1, "dt": 2.5e-3},
+        "family": {"resolutions": [16, 32], "sample_stride": 4, "amplitude": 0.1, "kmax": 6},
+        "tests": ["exact", "zero", "amplitude:1.05"], "seed": 0}, out_dir=str(tmp_path))
+    members = stage_simulate(cfg)
+    stage_certify(cfg, members)
+    u = members["n_16"]
+    padded = Trajectory(spec=replace(u.spec, grid=Grid(32)), times=u.times,
+                        coeffs=resample(u.coeffs, 32))
+    expect = certify(padded, build_tests(cfg, Grid(32)), cfg.weight, cfg.tolerance)
+    got = json.loads((tmp_path / "certificates" / "n_16.json").read_text())
+    assert got == json.loads(json.dumps(expect.to_dict()))

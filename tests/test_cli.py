@@ -611,6 +611,32 @@ def test_cli_certify_rejects_incomplete_or_nonfinite_member_spec(tmp_path, capsy
     assert message in err and str(manifest) in err
 
 
+@pytest.mark.parametrize("case", ["last_infinite", "off_grid", "members_differ"])
+def test_cli_certify_rejects_bad_sample_times(tmp_path, capsys, case):
+    # sample times are finite, on the manifest's dt grid and end at t_end, and
+    # all members share them, as their one certify pass does
+    message = {"last_infinite": "ending at t_end=0.25, got inf",
+               "off_grid": "times: expected multiples of dt=0.0025 ending at t_end=0.25, got 0.076",
+               "members_differ": "sample times or forcing differ from n_16's"}[case]
+    cfg = _write_cfg(tmp_path, family={"resolutions": [16, 24], "sample_stride": 10})
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    member = out / "sim" / "n_24"
+    manifest = member / "manifest.json"
+    if case == "members_differ":
+        traj = Trajectory.load(member)
+        Trajectory(spec=traj.spec, times=traj.times[::2], coeffs=traj.coeffs[::2]).save(member)
+    else:
+        d = json.loads(manifest.read_text())
+        d["times"][-1 if case == "last_infinite" else 3] = \
+            float("inf") if case == "last_infinite" else 0.076
+        manifest.write_text(json.dumps(d))
+    capsys.readouterr()
+    assert main(["certify", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert message in err and str(manifest) in err
+
+
 def test_cli_mv_with_missing_forcing_file(tmp_path, capsys):
     # a member manifest naming a forcing file that is gone is a config error
     grid = Grid(16)

@@ -1,9 +1,11 @@
 """Relative energy functionals, regularity weights, residuals, Gronwall."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from conftest import dist, stacked
-from support import analytic_test
+from support import analytic_test, trilinears
 
 from maxdiss.fields import (Grid, from_function, h1_squared, lp_norms, pairing, project,
                             random_field, spectral_tables)
@@ -12,11 +14,9 @@ from maxdiss.relenergy import (
     WeightError,
     WeightSpec,
     cumulative_weight_integral,
-    nonsolenoidal_correction,
     rel_terms,
     residual_A,
     simpson,
-    trilinears,
     weight_norms,
     weight_value,
 )
@@ -169,6 +169,22 @@ def test_residual_linear_in_viscosity():
     assert dist(a, expect) <= 1e-10
 
 
+@pytest.mark.parametrize("forced", [False, True])
+def test_residual_affine_in_viscosity_splits_exactly(rng, forced):
+    # A_nu = A_0 + nu P(|k|^2 v), as the certifier assembles it per member,
+    # on a stack of broadband states that are not solenoidal
+    forcing = Forcing("analytic", "kolmogorov", {"amplitude": 1.0}) if forced else Forcing("zero")
+    spec0 = SystemSpec(nu=0.0, grid=Grid(32), t_end=1.0, dt=1e-3, forcing=forcing)
+    values, derivs = (np.stack([random_field(spec0.grid, rng, kmax=10, solenoidal=False).coeffs
+                                for _ in range(3)]) for _ in range(2))
+    tab = spectral_tables(32)
+    a0 = residual_A(values, derivs, spec0)
+    viscous = project(tab.k2 * values, tab)
+    for nu in (0.0, 1e-3, 0.1):
+        direct = residual_A(values, derivs, replace(spec0, nu=nu))
+        assert np.all(dist(a0 + nu * viscous, direct) <= 1e-12 * dist(direct))
+
+
 # -- trilinear form ----------------------------------------------------------
 
 def test_trilinear_skew_symmetry(rng):
@@ -189,34 +205,6 @@ def test_trilinear_taylor_green_gradient():
     assert abs(trilinears(v.coeffs, v.coeffs, w.coeffs)) <= 1e-12
 
 
-# -- non-solenoidal correction -----------------------------------------------
-
-def test_correction_vanishes_for_solenoidal(rng):
-    grid = Grid(32)
-    vt = TestTrajectory.taylor_green(0.1, grid)
-    u = random_field(grid, rng, kmax=5)
-    assert abs(nonsolenoidal_correction(vt.values([0.2]), u.coeffs[None])[0]) <= 1e-12
-
-
-def test_correction_first_order_in_divergence(rng):
-    grid = Grid(32)
-    w = random_field(grid, rng, kmax=4).coeffs
-    gphi = from_function(grid,
-                         lambda x, y: np.cos(x) * np.sin(y),
-                         lambda x, y: np.sin(x) * np.cos(y)).coeffs
-    u = random_field(grid, rng, kmax=4).coeffs
-
-    def corr(delta):
-        return nonsolenoidal_correction((w + delta * gphi)[None], u[None])[0]
-
-    c1, c2 = corr(1e-3), corr(5e-4)
-    assert c1 == pytest.approx(2 * c2, rel=5e-2)  # O(delta) leading term
-    # u = P v: the difference factor vanishes
-    v = w + 0.1 * gphi
-    assert abs(nonsolenoidal_correction(v[None], project(v, spectral_tables(32))[None])[0]) \
-        <= 1e-10
-
-
 # -- Gronwall weight integral ------------------------------------------------
 
 def test_margin_series_constant_weight_integral():
@@ -230,7 +218,7 @@ def test_margin_series_constant_weight_integral():
     times = np.linspace(0, 1, 21)
     u = Trajectory(spec=SystemSpec(nu=nu, grid=grid, t_end=1.0, dt=0.05),
                    times=times, coeffs=np.stack([v] * times.size))
-    integral = margin_series(u, vt, w).weight_integral
+    integral = margin_series([u], vt, w)[0].weight_integral
     assert integral[-1] == pytest.approx(k0, rel=1e-10)
     assert np.allclose(integral, k0 * times, rtol=1e-12, atol=0.0)
 

@@ -459,6 +459,16 @@ def test_trajectory_validation():
         Trajectory(spec=spec, times=np.array([]), coeffs=[])
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_trajectory_rejects_nonfinite_times(bad):
+    # strictly increasing times may still end at inf, and NaN compares false
+    spec = _spec(t_end=0.02, dt=0.01)
+    z = np.zeros((3, 2, 32, 17))
+    for times in ([0.0, 0.01, bad], [0.0, bad, 0.02]):
+        with pytest.raises(SolverError, match="times: must be finite"):
+            Trajectory(spec=spec, times=np.array(times), coeffs=z)
+
+
 def test_trajectory_invariants_match_per_sample_fields():
     # one invariant pass over the stack gives each sample's field invariants;
     # the divergence check is per sample, so a weakly divergent sample beside
@@ -490,10 +500,11 @@ def test_trajectory_roundtrip(tmp_path):
     assert np.allclose(back.times, traj.times)
     assert back.spec.nu == spec.nu and back.grid.n == 16
     assert np.array_equal(back.coeffs, traj.coeffs)
-    # states.fld must match the manifest's sample count
+    # states.fld must match the manifest's sample count (the times left still
+    # end at t_end, which load checks first)
     manifest = tmp_path / "run" / "manifest.json"
     meta = json.loads(manifest.read_text())
-    manifest.write_text(json.dumps(dict(meta, times=meta["times"][:-1])))
+    manifest.write_text(json.dumps(dict(meta, times=meta["times"][1:])))
     with pytest.raises(FieldError, match="states.fld"):
         Trajectory.load(tmp_path / "run")
 
