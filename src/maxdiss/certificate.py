@@ -42,25 +42,22 @@ VACUOUS_DAMPING = 1e-16
 
 @dataclass(frozen=True)
 class ToleranceModel:
-    """tau(t) = step_coeff * dt^4 * t + quadrature + gn_slack.
+    """tau(t) = step_coeff * dt^4 * t + quadrature.
 
-    The three components absorb, in order, the O(dt^4) defect of the time
-    stepper's discrete energy identity, the Simpson quadrature error of the
-    time integrals, and the conservatism of the calibrated
-    Gagliardo-Nirenberg constant.  Calibrated on the Taylor-Green scenario.
+    The two components absorb, in order, the O(dt^4) defect of the time
+    stepper's discrete energy identity and the Simpson quadrature error of
+    the time integrals.  Calibrated on the Taylor-Green scenario.
     ``certify`` scales tau(t) by exp(-I(t)), the damping of the margins.
     """
 
     step_coeff: float = 10.0
     quadrature: float = 1e-9
-    gn_slack: float = 1e-9
 
     def tau(self, t: float, dt: float) -> float:
-        return self.step_coeff * dt ** 4 * t + self.quadrature + self.gn_slack
+        return self.step_coeff * dt ** 4 * t + self.quadrature
 
     def to_dict(self) -> dict:
-        return {"step_coeff": self.step_coeff, "quadrature": self.quadrature,
-                "gn_slack": self.gn_slack}
+        return {"step_coeff": self.step_coeff, "quadrature": self.quadrature}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ToleranceModel":
@@ -110,8 +107,8 @@ class CertificateReport:
         }
 
     def save_json(self, path) -> None:
-        with open(path, "w") as fh:  # one write: json.dump writes every token
-            fh.write(json.dumps(self.to_dict(), indent=2))
+        with open(path, "w") as fh:  # one write; indent would take json's Python encoder
+            fh.write(json.dumps(self.to_dict()))
 
     def save_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -128,10 +125,10 @@ class CertificateReport:
 class _MarginSeries:
     """Damped form of the relative energy inequality at every sample time.
 
-    The raw inequality carries growth factors exp(int_s^t K) that overflow
-    float64 for conservative auto constants, so both sides are scaled by
-    exp(-int_0^t K) > 0.  The scaling preserves sign, so verdicts are
-    unchanged; all Gronwall weights then lie in (0, 1].
+    The raw inequality carries growth factors exp(int_s^t K), which grow
+    without bound in I(t), so both sides are scaled by exp(-int_0^t K) > 0.
+    The scaling preserves sign, so verdicts are unchanged; all Gronwall
+    weights then lie in (0, 1].
     """
 
     times: np.ndarray
@@ -143,8 +140,8 @@ class _MarginSeries:
 
 
 def _blocks(size: int, n: int) -> list:
-    """Sample slices holding at most 1 MiB of the largest per-sample array, the
-    2x-oversampled velocity gradient (2 x 2 float64 on 2n x 2n, 128 n^2 bytes)."""
+    """Sample slices of at most 1 MiB at 128 n^2 bytes per sample, four float64
+    fields on the 2n x 2n grid (the strain samples of ``weight_norms`` are two)."""
     step = max(1, (1 << 20) // (128 * n * n))
     return [slice(s, s + step) for s in range(0, size, step)]
 
@@ -158,6 +155,7 @@ def margin_series(members, vt: TestTrajectory, w: WeightSpec) -> list:
     sample block the test's values, derivatives, weight norms and residual
     are computed once, the residual as A_0 (nu = 0) and P(|k|^2 v); each
     member adds A_nu = A_0 + nu P(|k|^2 v), its R, its W and one pairing.
+    The weight is nu-free, so all members share I(t).
     """
     if not all(_shares_samples(members[0], u) for u in members):
         raise CertificateError("members certified together must share sample times and forcing")
@@ -168,7 +166,7 @@ def margin_series(members, vt: TestTrajectory, w: WeightSpec) -> list:
     norms, R, g = np.empty(times.size), *np.empty((2, len(members), times.size))
     for sl in _blocks(times.size, n):
         values, derivs = vt.values(times[sl]), vt.derivs(times[sl])
-        norms[sl] = weight_norms(values, w)
+        norms[sl] = weight_norms(values)
         a0 = residual_A(values, derivs, spec0)
         viscous = project(tab.k2 * values, tab)
         for i, u in enumerate(members):
@@ -176,10 +174,9 @@ def margin_series(members, vt: TestTrajectory, w: WeightSpec) -> list:
             diff = (states if u.grid.n == n else _embed(states, u.grid.n, n)) - values
             R[i, sl], W = rel_terms(diff, nu)
             g[i, sl] = W + pairing(a0 + nu * viscous if nu else a0, diff)
-    series = []
-    for u, Ri, gi in zip(members, R, g):
-        I = cumulative_weight_integral(weight_value(norms, w, u.spec.nu), times)
-        damp = np.exp(-I)
+    I = cumulative_weight_integral(weight_value(norms, w), times)
+    damp, series = np.exp(-I), []
+    for Ri, gi in zip(R, g):
         lhs = damp * Ri + cumulative_weight_integral(gi * damp, times)
         series.append(_MarginSeries(times, Ri, I, gi * damp, Ri[0] - lhs, lhs))
     return series

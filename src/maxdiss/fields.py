@@ -212,13 +212,7 @@ def random_field(grid: Grid, rng: np.random.Generator, kmax: int,
     return f
 
 
-# -- differential calculus --------------------------------------------------
-
-def gradients(c: np.ndarray) -> np.ndarray:
-    """Coefficients of d_j u_i from those of u, (..., components, 2, n, n//2 + 1)."""
-    tab = spectral_tables(c.shape[-2])
-    return np.stack([1j * tab.kx * c, 1j * tab.ky * c], axis=-3)
-
+# -- Leray projection -----------------------------------------------------
 
 def project(c: np.ndarray, tab: Tables) -> np.ndarray:
     """Leray projection of vector coefficients (..., 2, n, n//2 + 1) in the layout of ``tab``."""
@@ -237,14 +231,6 @@ def pairing(a: np.ndarray, b: np.ndarray):
 def h1_squared(c: np.ndarray):
     """||grad u||_L2^2 of coefficients (..., components, n, n//2 + 1)."""
     return TWO_PI ** 2 * _mode_sum(spectral_tables(c.shape[-2]).k2 * np.abs(c) ** 2)
-
-
-def lp_norms(c: np.ndarray, p: float):
-    """L^p norms, 1 <= p < inf, of coefficients (..., components, n, n//2 + 1)
-    by quadrature of the Euclidean magnitude on the 2x oversampled grid."""
-    phys = samples(c, 2 * c.shape[-2])
-    mag = np.sqrt(np.sum(phys * phys, axis=-3))
-    return (np.sum(mag ** p, axis=(-2, -1)) * (TWO_PI / phys.shape[-1]) ** 2) ** (1.0 / p)
 
 
 # -- resampling and fine-grid samples ------------------------------------------------------

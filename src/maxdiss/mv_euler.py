@@ -20,7 +20,7 @@ import numpy as np
 
 from .fields import (Grid, _embed, _mode_sum, _sym_eigenvalues, pairing, save_samples,
                      spectral_tables, tensor_samples)
-from .solver import Trajectory
+from .solver import Trajectory, _shares_samples
 
 DEFECT_COMPONENTS = ("m11", "m12", "m22")
 
@@ -138,11 +138,8 @@ def defect_from_pair(fine: Trajectory, coarse: Trajectory,
     construction fails if the clip exceeds ``clip_fail_ratio`` times the
     mean trace scale.
     """
-    if fine.times.size != coarse.times.size or not np.allclose(
-            fine.times, coarse.times, atol=1e-12):
-        raise MVError("fine/coarse sample times differ")
-    if fine.spec.forcing.to_dict() != coarse.spec.forcing.to_dict():
-        raise MVError("fine/coarse trajectories do not share forcing")
+    if not _shares_samples(fine, coarse):
+        raise MVError("fine/coarse trajectories differ in sample times or forcing")
     n = fine.grid.n
     if coarse.grid.n > n:
         raise MVError("coarse resolution exceeds fine resolution")

@@ -2,12 +2,12 @@
 
 The quantities here make up both sides of the Gronwall-weighted relative
 energy inequality: R measures the squared L2 distance to a test
-trajectory, W the viscous dissipation of the difference, K the Serrin-type
-(or, for Euler, negative-strain) regularity weight entering the Gronwall
-factor, and A the PDE residual of the test trajectory.  The kernels take
-coefficients stacked over leading axes, (..., 2, n, n//2 + 1), and return
-one value or field per leading index.  K and A depend only on the test
-(A affinely on nu), so the certifier computes them once for all members.
+trajectory, W the viscous dissipation of the difference, K the strain
+regularity weight entering the Gronwall factor, and A the PDE residual of
+the test trajectory.  The kernels take coefficients stacked over leading
+axes, (..., 2, n, n//2 + 1), and return one value or field per leading
+index.  K and A depend only on the test (A affinely on nu), so the
+certifier computes them once for all members.
 """
 
 from __future__ import annotations
@@ -16,26 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (
-    _sym_eigenvalues,
-    gradients,
-    h1_squared,
-    lp_norms,
-    pairing,
-    project,
-    samples,
-    spectral_tables,
-)
+from .fields import h1_squared, pairing, project, samples, spectral_tables
 from .solver import SystemSpec, _rhs
-
-#: Gagliardo-Nirenberg (Ladyzhenskaya) constant C in
-#: ||w||_L4 <= C ||w||_L2^{1/2} ||grad w||_L2^{1/2} on mean-free torus fields.
-#: An empirical maximum, not a proven bound: 1.1 times the largest ratio
-#: ||v||_L4 / (||v||_L2 ||grad v||_L2)^{1/2} over 20,000 random band-limited
-#: fields: ``random_field`` on Grid(64) drawn from default_rng(0), trial i
-#: with kmax = (1, 2, 3, 5, 8, 13, 21)[i % 7], a solenoidal vector field for
-#: even i and a scalar field for odd i.
-DEFAULT_GN_CONSTANT = 0.5444330952113287
 
 
 class WeightError(ValueError):
@@ -44,51 +26,23 @@ class WeightError(ValueError):
 
 @dataclass(frozen=True)
 class WeightSpec:
-    """Configuration of the regularity weight K."""
+    """Configuration of the regularity weight K = kappa sup_x |S(v)|; "euler_negsym"
+    is read as "strain", the one kind."""
 
-    kind: str = "serrin"  # "serrin" | "euler_negsym"
-    p: float = 4.0
-    constant_c: object = "auto"
-    gn_constant: float = DEFAULT_GN_CONSTANT
-    kappa: float = 2.0  # prefactor of the Euler negative-strain weight
+    kind: str = "strain"
+    kappa: float = 2.0  # kappa >= 2 makes K R(u|v) bound |b(u - v, v, u - v)|
 
     def __post_init__(self):
-        if self.kind not in ("serrin", "euler_negsym"):
-            raise WeightError(f"unknown weight kind {self.kind!r}")
-        if self.kind == "serrin":
-            if self.p <= 2:
-                raise WeightError(f"Serrin weight needs p > 2, got p={self.p}")
-
-    @property
-    def alpha(self) -> float:
-        return (self.p - 2) / self.p  # d (p - 2) / (2 p) at d = 2
-
-    @property
-    def lp_exponent(self) -> float:
-        # r = 2p/(p-2); together with s = 2/(1-alpha) this attains 2/s + 2/r <= 1
-        return 2 * self.p / (self.p - 2)
-
-    @property
-    def time_exponent(self) -> float:
-        return 2.0 / (1.0 - self.alpha)
-
-    def constant(self, nu: float) -> float:
-        """The Young-closure constant c in K = c ||v||_r^{2/(1-a)}."""
-        if self.constant_c != "auto":
-            return float(self.constant_c)
-        if nu <= 0:
-            raise WeightError("Serrin weight with auto constant requires nu > 0")
-        a = self.alpha
-        return (0.5 * (1 - a)) * self.gn_constant ** (2 / (1 - a)) \
-            * ((1 + a) / nu) ** ((1 + a) / (1 - a))
+        if self.kind not in ("strain", "euler_negsym"):
+            raise WeightError(f'unknown weight kind {self.kind!r}, expected "strain"')
+        object.__setattr__(self, "kind", "strain")
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "p": self.p, "c": self.constant_c,
-                "gn_constant": self.gn_constant, "kappa": self.kappa}
+        return {"kind": self.kind, "kappa": self.kappa}
 
     @classmethod
     def from_dict(cls, d: dict) -> "WeightSpec":
-        return cls(**{"constant_c" if k == "c" else k: v for k, v in d.items()})
+        return cls(**d)
 
 
 # -- quadratic functionals --------------------------------------------------
@@ -99,28 +53,29 @@ def rel_terms(d: np.ndarray, nu: float):
     return R, (0.5 * nu * h1_squared(d) if nu else np.zeros_like(R))
 
 
-# -- regularity weights -----------------------------------------------------
+# -- regularity weight ------------------------------------------------------
 
-def weight_norms(values: np.ndarray, w: WeightSpec) -> np.ndarray:
-    """The nu-free factor of K for stacked test states, on the 2x grid: ||v||_{L^r}
-    (Serrin) or sup_x max(-lambda_min(S), 0) of the strain S = (grad v)_sym.
+def weight_norms(values: np.ndarray) -> np.ndarray:
+    """The nu-free factor of K for stacked solenoidal test states: the max over
+    the 2x grid of |S|, the spectral norm of the strain S = (grad v)_sym.
 
-    -b(w, v, w) = -int w.S w <= sup_x max(-lambda_min(S), 0) ||w||^2, so with kappa >= 2
-    the strain weight times R(u|v) bounds -b(u - v, v, u - v).  Shears such as
-    (sin y, 0) carry weight through their off-diagonal strain.
+    The precondition is div v = 0: then S is trace-free, its eigenvalues are
+    +-|S| with |S| = sqrt(s11^2 + s12^2), s11 = d_x v_x and
+    s12 = (d_y v_x + d_x v_y) / 2, and |b(w, v, w)| = |int w.S w| <= sup |S| ||w||^2,
+    so kappa >= 2 times R(u|v) bounds b(u - v, v, u - v) from both sides, for
+    every nu >= 0.  Shears such as (sin y, 0) carry weight through s12.
     """
-    if w.kind == "serrin":
-        return lp_norms(values, w.lp_exponent)
-    g = samples(gradients(values), 2 * values.shape[-2])
-    strain = np.stack([g[..., 0, 0, :, :], 0.5 * (g[..., 0, 1, :, :] + g[..., 1, 0, :, :]),
-                       g[..., 1, 1, :, :]], axis=-3)
-    return np.maximum(np.max(-_sym_eigenvalues(strain)[1], axis=(-2, -1)), 0.0)
+    tab = spectral_tables(values.shape[-2])
+    vx, vy = values[..., 0, :, :], values[..., 1, :, :]
+    s = samples(np.stack([1j * tab.kx * vx, 0.5j * (tab.ky * vx + tab.kx * vy)], axis=-3),
+                2 * values.shape[-2])
+    s *= s  # in place: fresh (B, 2n, 2n) temporaries cost more than the arithmetic
+    return np.sqrt(np.max(np.add(s[..., 0, :, :], s[..., 1, :, :], out=s[..., 0, :, :]),
+                          axis=(-2, -1)))
 
 
-def weight_value(norms: np.ndarray, w: WeightSpec, nu: float) -> np.ndarray:
-    """K from ``weight_norms``: c ||v||_r^{2/(1-alpha)} or kappa times the strain bound."""
-    if w.kind == "serrin":
-        return w.constant(nu) * norms ** w.time_exponent
+def weight_value(norms: np.ndarray, w: WeightSpec) -> np.ndarray:
+    """K = kappa times ``weight_norms``, the same for every viscosity."""
     return w.kappa * norms
 
 

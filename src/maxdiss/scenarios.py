@@ -41,8 +41,8 @@ CONFIG_KEYS = {
     "": "scenario system weight tolerance family tests mv out_dir seed",
     "/system": "nu n t_end dt forcing",
     "/system/forcing": "kind name params path",
-    "/weight": "kind p c gn_constant kappa",
-    "/tolerance": "step_coeff quadrature gn_slack",
+    "/weight": "kind kappa",
+    "/tolerance": "step_coeff quadrature",
     "/family": "resolutions sample_stride amplitude kmax delta",
     "/mv": "nus mollifier_kmax clip_fail_ratio",
 }
@@ -74,8 +74,7 @@ CONFIG_VALUES = {
     "/family/sample_stride": (_count, "an int >= 1"),
     "/family/kmax": (_count, "an int >= 1"),
     **{f"/family/{k}": (_number, "a finite number") for k in ("amplitude", "delta")},
-    **{f"/weight/{k}": (_number, "a finite number") for k in ("p", "gn_constant", "kappa")},
-    "/weight/c": (lambda v: v == "auto" or _number(v), 'a finite number or "auto"'),
+    "/weight/kappa": (_number, "a finite number"),
     "/mv/nus": (lambda v: isinstance(v, list) and v != []
                 and all(_number(x) and x > 0 for x in v),
                 "a non-empty list of finite numbers > 0"),

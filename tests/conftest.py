@@ -4,9 +4,10 @@ import time
 
 import numpy as np
 import pytest
+from support import gradients
 
 from maxdiss import solver
-from maxdiss.fields import Grid, SpectralField, gradients, pairing, project, spectral_tables
+from maxdiss.fields import Grid, SpectralField, pairing, project, spectral_tables
 from maxdiss.solver import Forcing, SystemSpec, Trajectory, solve, taylor_green
 
 

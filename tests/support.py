@@ -1,10 +1,10 @@
 """Helpers that only the tests use, built on the package: test trajectories
 from closed forms, splines and perturbations, the phi-weighted form of the
-relative energy inequality, weak residual recovery, the trilinear form, the
-convex sweep and the
-continuous-dependence study of a selection, the Taylor-Green pressure and
-pressure recovery, and the measure-valued momentum residual and convex
-combination, and the reader of a stored defect field."""
+relative energy inequality, weak residual recovery, velocity gradients and
+the trilinear form, the convex sweep and the continuous-dependence study of
+a selection, the Taylor-Green pressure and pressure recovery, and the
+measure-valued momentum residual and convex combination, and the reader of
+a stored defect field."""
 
 import json
 from pathlib import Path
@@ -14,9 +14,8 @@ from scipy.interpolate import CubicSpline
 
 from maxdiss import certificate
 from maxdiss.certificate import margin_series
-from maxdiss.fields import (TWO_PI, Grid, SpectralField, _embed, from_function, gradients,
-                            load_samples, pairing, resample, samples, spectral_tables,
-                            tensor_samples)
+from maxdiss.fields import (TWO_PI, Grid, SpectralField, _embed, from_function, load_samples,
+                            pairing, resample, samples, spectral_tables, tensor_samples)
 from maxdiss.mv_euler import DefectField, MVError
 from maxdiss.relenergy import (cumulative_weight_integral, rel_terms, residual_A, simpson,
                                weight_norms, weight_value)
@@ -87,13 +86,19 @@ def recover_weak_residual(u, r, alphas, w):
     K, pair = np.empty(times.size), np.empty(times.size)
     for sl in certificate._blocks(times.size, u.grid.n):
         values = base.values(times[sl])
-        K[sl] = weight_value(weight_norms(values, w), w, u.spec.nu)
+        K[sl] = weight_value(weight_norms(values), w)
         pair[sl] = pairing(residual_A(values, base.derivs(times[sl]), u.spec), r.coeffs)
     I = cumulative_weight_integral(K, times)
     return c1, float(simpson(pair * np.exp(-I), times))
 
 
-# -- trilinear form ------------------------------------------------------------
+# -- gradients and the trilinear form ---------------------------------------------
+
+def gradients(c):
+    """Coefficients of d_j u_i from those of u, (..., components, 2, n, n//2 + 1)."""
+    tab = spectral_tables(c.shape[-2])
+    return np.stack([1j * tab.kx * c, 1j * tab.ky * c], axis=-3)
+
 
 def trilinears(a, b, c):
     """int (a.grad)b . c of stacked coefficients, exact by collocation on the 2x

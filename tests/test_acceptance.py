@@ -21,8 +21,7 @@ from maxdiss.relenergy import WeightSpec, rel_terms, weight_norms, weight_value
 from maxdiss.selector import assemble_family, objective, select
 from maxdiss.solver import Forcing, SystemSpec, TestTrajectory, Trajectory, solve, taylor_green
 
-SERRIN = WeightSpec(kind="serrin", p=4.0)
-STRAIN = WeightSpec(kind="euler_negsym")
+STRAIN = WeightSpec()
 
 
 def _emit(capsys, num, desc, ok):
@@ -50,7 +49,7 @@ def test_acceptance_02_weak_strong_certificate(tg_reference, capsys):
               TestTrajectory.zero(grid),
               TestTrajectory.taylor_green(0.1, grid, amplitude=1.05,
                                           label="amplitude_1.05")]
-    report = certify(traj, family, SERRIN)
+    report = certify(traj, family, STRAIN)
     worst = worst_margin(report)
     ok = report.verdict and worst >= -1e-8
     _emit(capsys, 2, "certificate vs {exact, zero, amplitude-perturbed}: "
@@ -59,7 +58,7 @@ def test_acceptance_02_weak_strong_certificate(tg_reference, capsys):
 
 
 def _convection_bound_draws(pairs, unit_norm):
-    """Violations and worst ratio of |b(u-v, u-v, v)| <= W + K R, p = 4."""
+    """Violations and worst ratio of |b(u-v, u-v, v)| <= W + K R, strain weight."""
     grid = Grid(32)
     nu = 0.1
     rng = np.random.default_rng(2024)
@@ -74,7 +73,7 @@ def _convection_bound_draws(pairs, unit_norm):
         d = u - v
         R, W = rel_terms(d, nu)
         lhs = abs(trilinears(d, d, v))
-        rhs = W + weight_value(weight_norms(v, SERRIN), SERRIN, nu) * R
+        rhs = W + weight_value(weight_norms(v), STRAIN) * R
         worst_ratio = max(worst_ratio, lhs / rhs)
         if lhs > rhs * (1 + 1e-12):
             violations += 1
@@ -82,7 +81,7 @@ def _convection_bound_draws(pairs, unit_norm):
 
 
 def test_acceptance_03_weight_estimate_soundness(capsys):
-    # |b(u-v, u-v, v)| <= W(u,v) + K(v) R(u,v), auto constant, d=2, p=4
+    # |b(u-v, u-v, v)| <= W(u,v) + K(v) R(u,v), K = 2 sup |S(v)|
     violations, worst_ratio = _convection_bound_draws(1000, unit_norm=False)
     ok = violations == 0
     _emit(capsys, 3, "convection bound over 1000 random pairs: "
@@ -92,7 +91,7 @@ def test_acceptance_03_weight_estimate_soundness(capsys):
 
 
 def test_acceptance_03_weight_estimate_soundness_unit_norm(capsys):
-    # the same bound on unit-L2 fields: it holds by about 10^2 there, not 10^8
+    # the same bound on unit-L2 fields
     violations, worst_ratio = _convection_bound_draws(300, unit_norm=True)
     ok = violations == 0
     _emit(capsys, 3, "convection bound over 300 unit-norm random pairs: "
@@ -107,9 +106,8 @@ def test_acceptance_04_convex_combinations_certify(tg_ladder, capsys):
     def certify_fn(traj, budget_scale):
         vt = TestTrajectory.taylor_green(0.05, traj.grid)
         tol = ToleranceModel(step_coeff=10.0 * budget_scale,
-                             quadrature=budget_scale * 1e-9,
-                             gn_slack=budget_scale * 1e-9)
-        return certify(traj, [vt], SERRIN, tol_model=tol)
+                             quadrature=budget_scale * 1e-9)
+        return certify(traj, [vt], STRAIN, tol_model=tol)
 
     reports = verify_convex_midpoint(fam, certify_fn,
                                      lambdas=list(np.linspace(0.0, 1.0, 11)))
@@ -175,7 +173,7 @@ def test_acceptance_07_euler_invariants(capsys):
 
     const = np.zeros((2, grid.n, grid.n // 2 + 1), dtype=complex)
     const[:, 0, 0] = (1.5, -0.5)
-    w_const = weight_value(weight_norms(const, STRAIN), STRAIN, 0.0)
+    w_const = weight_value(weight_norms(const), STRAIN)
     # the weight must bound -b(w, v, w)/||w||^2 over sampled solenoidal w for
     # a shear and a cellular flow, whose strain is all off-diagonal
     rng = np.random.default_rng(7)
@@ -186,7 +184,7 @@ def test_acceptance_07_euler_invariants(capsys):
               from_function(grid, lambda x, y: -np.sin(y),
                             lambda x, y: np.sin(x), solenoidal=True)):
         worst = max(-trilinears(w, v.coeffs, w) / pairing(w, w) for w in draws)
-        slack.append(weight_value(weight_norms(v.coeffs, STRAIN), STRAIN, 0.0) - worst)
+        slack.append(weight_value(weight_norms(v.coeffs), STRAIN) - worst)
 
     report = certify(traj, [TestTrajectory.taylor_green(0.0, grid,
                                                         label="steady")],
@@ -211,7 +209,9 @@ def test_acceptance_08_residual_recovery(tg_reference, capsys):
                             provenance="forcing mismatch")
     rng = np.random.default_rng(0)
     r = random_field(traj.grid, rng, kmax=3, components=2, solenoidal=True)
-    c1, direct = recover_weak_residual(mismatched, r, [1e-3, 2e-3, -1e-3, -2e-3], SERRIN)
+    # |S| of TG peaks at four tied grid points, so K(v + alpha r) has a kink at
+    # alpha = 0 and the fit's linear coefficient an O(alpha) bias: small alphas
+    c1, direct = recover_weak_residual(mismatched, r, [1e-6, 2e-6, -1e-6, -2e-6], STRAIN)
     rel = abs(c1 - direct) / abs(direct)
     ok = rel <= 1e-4
     _emit(capsys, 8, "weighted residual pairing from finite-amplitude "
@@ -276,8 +276,8 @@ def test_acceptance_11_multiplier_form_convergence(tg_reference, capsys):
     traj, _, _ = tg_reference
     vt = TestTrajectory.zero(traj.grid)
     t_star = 0.5
-    limit = -margin_series([traj], vt, SERRIN)[0].margins[np.argmin(np.abs(traj.times - t_star))]
-    gaps = [abs(phi_form_value(traj, vt, SERRIN, *mollified_indicator(t_star, width)) - limit)
+    limit = -margin_series([traj], vt, STRAIN)[0].margins[np.argmin(np.abs(traj.times - t_star))]
+    gaps = [abs(phi_form_value(traj, vt, STRAIN, *mollified_indicator(t_star, width)) - limit)
             for width in (0.2, 0.1)]
     ratio = gaps[0] / gaps[1]
     ok = 1.0 <= ratio <= 4.0
@@ -296,7 +296,7 @@ def test_acceptance_12_selection_mixes_only_certified_members(tg_impostors, tmp_
         "scenario": "taylor_green",
         "system": {"nu": 0.1, "n": 32, "t_end": 0.5, "dt": 2.5e-3},
         "family": {"resolutions": [32], "sample_stride": 10},
-        "weight": {"kind": "euler_negsym"}, "tests": ["exact", "zero"]},
+        "tests": ["exact", "zero"]},
         out_dir=str(tmp_path))
     members = {mid: tg_impostors[mid] for mid in ("tg", "decaying")}
     verdicts = stage_certify(cfg, members)

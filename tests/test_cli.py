@@ -91,6 +91,7 @@ def test_config_not_an_object():
     ("/system", "nuu"),
     ("/system/forcing", "kinds"),
     ("/weight", "kapa"),
+    ("/tolerance", "gn_slack"),
     ("/tolerance", "step_coef"),
     ("/family", "sample_strid"),
     ("", "selector"),
@@ -124,9 +125,9 @@ def test_cli_rejects_unknown_config_key(tmp_path, capsys, pointer, typo):
     ("/family/sample_stride", 0),
     ("/family/sample_stride", "2"),
     ("/family/sample_stride", 2.0),
-    ("/weight/p", "4"),
-    ("/weight/c", "x"),
-    ("/weight/gn_constant", True),
+    ("/weight/kappa", "2"),
+    ("/weight/kappa", True),
+    ("/tolerance/quadrature", -1e-9),
     ("/weight/kappa", None),
     ("/system/nu", True),
     ("/family/amplitude", "1.0"),
@@ -145,7 +146,7 @@ def test_cli_rejects_unknown_config_key(tmp_path, capsys, pointer, typo):
     ("/system/dt", float("-inf")),
     ("/family/amplitude", float("nan")),
     ("/weight/kappa", float("nan")),
-    ("/weight/c", float("inf")),
+    ("/weight/kappa", float("inf")),
     ("/tolerance/quadrature", float("inf")),
     ("/mv/nus", [0.1, float("inf")]),
 ])
@@ -164,6 +165,31 @@ def test_cli_rejects_mistyped_config_value(tmp_path, capsys, pointer, value):
     err = capsys.readouterr().err
     assert f"config error: {pointer}: expected " in err
     assert f", got {value!r}" in err  # e.g. "expected a number, got True"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("pointer, value", [
+    ("/weight/p", "4"),  # the retired Serrin weight's keys, with values it once rejected
+    ("/weight/c", "x"),
+    ("/weight/c", float("inf")),
+    ("/weight/gn_constant", True),
+])
+def test_cli_rejects_retired_weight_key(tmp_path, capsys, pointer, value):
+    # the keys are gone, not retyped: whatever the value, exit 4 as an unknown key
+    key = pointer.rsplit("/", 1)[1]
+    path = _write_cfg(tmp_path, weight={key: value})
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out)]) == EXIT_CONFIG
+    assert f"config error: {pointer}: unknown key" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_rejects_retired_weight_kind(tmp_path, capsys):
+    # the strain bound is the one weight: the Serrin kind is a config error
+    path = _write_cfg(tmp_path, weight={"kind": "serrin"})
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out)]) == EXIT_CONFIG
+    assert "config error: /weight: unknown weight kind 'serrin'" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -344,19 +370,22 @@ def test_run_scenario_artifacts(completed_run):
 
 
 def test_certificate_records_weight_integral_and_horizon(tmp_path):
-    # the auto Serrin weight at nu = 0.1 damps every margin below 1e-16 by
-    # t = 0.05; the zero test has K = 0 and so no horizon
+    # K = 2 sup |S| = 2 a e^{-2 nu t} for TG of amplitude a: I(0.1) is about 0.2
+    # for `exact`, and a = 400 damps every margin below 1e-16 by t = 0.05; the
+    # zero test has K = 0; only amplitude_400 has a horizon
     cfg = _base_cfg(system={"nu": 0.1, "n": 32, "t_end": 0.1, "dt": 2.5e-3},
                     family={"resolutions": [32], "sample_stride": 1},
-                    out_dir=str(tmp_path / "run"))
+                    tests=["exact", "zero", "amplitude:400"], out_dir=str(tmp_path / "run"))
     assert run_scenario(ScenarioConfig.from_dict(cfg)) == 0
     cert = json.loads((tmp_path / "run" / "certificates" / "n_32.json").read_text())
     assert cert["tests"]["zero"] == {"weight_integral": 0.0, "horizon": None}
-    exact = cert["tests"]["exact"]
-    assert exact["horizon"] <= 0.05
-    assert exact["weight_integral"] > 16 * np.log(10)
-    times = [e["t"] for e in cert["entries"] if e["test_id"] == "exact"]
-    assert exact["horizon"] in times
+    exact, big = cert["tests"]["exact"], cert["tests"]["amplitude_400"]
+    assert exact["horizon"] is None
+    assert exact["weight_integral"] == pytest.approx(10 * (1 - np.exp(-0.02)), rel=1e-6)
+    assert big["horizon"] <= 0.05
+    assert big["weight_integral"] > 16 * np.log(10)
+    times = [e["t"] for e in cert["entries"] if e["test_id"] == "amplitude_400"]
+    assert big["horizon"] in times
 
 
 def test_report_reads_stored_artifacts(completed_run):

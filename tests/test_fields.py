@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import dist, divergence_linf
+from support import gradients
 
 from maxdiss.fields import (
     FieldError,
@@ -14,11 +15,9 @@ from maxdiss.fields import (
     _embed,
     from_function,
     from_physical,
-    gradients,
     h1_squared,
     load_field,
     load_samples,
-    lp_norms,
     pairing,
     project,
     random_field,
@@ -142,24 +141,6 @@ def test_l2_of_sine():
     grid = Grid(32)
     u = from_function(grid, lambda x, y: np.sin(x))
     assert dist(u.coeffs) == pytest.approx(np.sqrt(2 * np.pi ** 2), abs=1e-12)
-
-
-def test_lp_norm_zero_field():
-    for p in (2, 4):
-        assert lp_norms(np.zeros((2, 16, 9), dtype=complex), p) == 0.0
-
-
-def test_l4_taylor_green_against_fine_reference():
-    grid = Grid(32)
-    v = taylor_green(0.0, 0.1, grid)
-    val = lp_norms(v.coeffs, 4) ** 4
-    # reference: dense quadrature of |v|^4 on a 512^2 grid
-    n = 512
-    x = np.arange(n) * 2 * np.pi / n
-    X, Y = np.meshgrid(x, x, indexing="ij")
-    mag2 = (np.sin(X) * np.cos(Y)) ** 2 + (np.cos(X) * np.sin(Y)) ** 2
-    ref = np.sum(mag2 ** 2) * (2 * np.pi / n) ** 2
-    assert abs(val - ref) <= 1e-10 * max(ref, 1.0)
 
 
 @pytest.mark.parametrize("components", [1, 2])

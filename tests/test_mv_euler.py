@@ -1,5 +1,7 @@
 """Defect fields, the measure-valued momentum balance and its convexity."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from conftest import dist, stacked
@@ -51,8 +53,6 @@ def resolution_pair():
     The coarse member is the mode restriction of the fine states: its
     missing quadratic content is exactly what the defect absorbs.
     """
-    from dataclasses import replace
-
     rng = np.random.default_rng(7)
     nu = 0.02
     fine_grid = Grid(32)
@@ -215,6 +215,11 @@ def test_pair_validation_errors(resolution_pair):
                          coeffs=coarse.coeffs)
     with pytest.raises(MVError):  # misaligned sample times
         defect_from_pair(fine, shifted)
+    kol = Forcing("analytic", "kolmogorov", {"amplitude": 0.3})
+    forced = Trajectory(spec=replace(coarse.spec, forcing=kol), times=coarse.times,
+                        coeffs=coarse.coeffs)
+    with pytest.raises(MVError, match="sample times or forcing"):  # forcing mismatch
+        defect_from_pair(fine, forced)
     other = Trajectory(spec=coarse.spec, times=coarse.times,
                        coeffs=1.5 * coarse.coeffs)
     with pytest.raises(MVError):  # initial data differ below mollifier scale

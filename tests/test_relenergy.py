@@ -7,10 +7,8 @@ import pytest
 from conftest import dist, stacked
 from support import analytic_test, trilinears
 
-from maxdiss.fields import (Grid, from_function, h1_squared, lp_norms, pairing, project,
-                            random_field, spectral_tables)
+from maxdiss.fields import Grid, from_function, pairing, project, random_field, spectral_tables
 from maxdiss.relenergy import (
-    DEFAULT_GN_CONSTANT,
     WeightError,
     WeightSpec,
     cumulative_weight_integral,
@@ -24,7 +22,7 @@ from maxdiss.certificate import margin_series
 from maxdiss.solver import Forcing, SystemSpec, TestTrajectory, Trajectory, taylor_green
 
 
-STRAIN = WeightSpec(kind="euler_negsym")
+STRAIN = WeightSpec()
 
 
 def _spec(nu=0.1, n=32):
@@ -67,45 +65,16 @@ def test_rel_dissipation():
 
 # -- weights -----------------------------------------------------------------
 
-def test_weightspec_exponents():
-    w = WeightSpec(kind="serrin", p=4.0)
-    assert w.alpha == pytest.approx(0.5)
-    assert w.lp_exponent == pytest.approx(4.0)
-    assert w.time_exponent == pytest.approx(4.0)
-    # admissibility 2/s + 2/r <= 1 (d = 2) attained with equality at s = r = 4
-    assert 2 / w.time_exponent + 2 / w.lp_exponent == pytest.approx(1.0)
-    with pytest.raises(WeightError):
-        WeightSpec(kind="serrin", p=2.0)
-    with pytest.raises(WeightError):
-        WeightSpec(kind="no_such_kind")
-
-
-def test_serrin_weight_values(rng):
-    grid = Grid(32)
-    w = WeightSpec(kind="serrin", p=4.0)
-    nu = 0.1
-    v = random_field(grid, rng, kmax=6).coeffs
-    K = weight_value(weight_norms(np.stack([0.0 * v, v, 2.0 * v]), w), w, nu)
-    assert K[0] == 0.0
-    # K = c ||v||_L4^4 for p = 4, d = 2
-    assert K[1] == pytest.approx(w.constant(nu) * lp_norms(v, 4) ** 4, rel=1e-12)
-    # quartic homogeneity
-    assert K[2] == pytest.approx(16 * K[1], rel=1e-12)
-    with pytest.raises(WeightError):
-        w.constant(0.0)
-
-
 def test_euler_negsym_weight():
     grid = Grid(32)
     # a constant field has no strain
     const = np.zeros((2, 32, 17), dtype=complex)
     const[:, 0, 0] = (1.5, -0.5)
-    # pure strain eps (sin x, -sin y): (grad v)_sym = diag(eps cos x, -eps cos y)
+    # eps TG: (grad v)_sym = diag(eps cos x cos y, -eps cos x cos y), so sup |S| = eps
     eps = 0.37
-    strain = from_function(grid, lambda x, y: eps * np.sin(x),
-                           lambda x, y: -eps * np.sin(y))
-    w = WeightSpec(kind="euler_negsym", kappa=3.0)
-    K = weight_value(weight_norms(np.stack([const, 0.0 * const, strain.coeffs]), w), w, 0.0)
+    strain = eps * taylor_green(0.0, 0.0, grid).coeffs
+    w = WeightSpec(kind="euler_negsym", kappa=3.0)  # the alias of "strain"
+    K = weight_value(weight_norms(np.stack([const, 0.0 * const, strain])), w)
     assert K[0] == 0.0 and K[1] == 0.0
     assert K[2] == pytest.approx(3.0 * eps, rel=1e-10)
 
@@ -122,7 +91,7 @@ def test_euler_negsym_weight_bounds_sampled_trilinear(rng, v1, v2):
     worst = max(-trilinears(w, v.coeffs, w) / pairing(w, w)
                 for w in (random_field(grid, rng, kmax=6).coeffs for _ in range(300)))
     assert worst > 0.05
-    assert weight_value(weight_norms(v.coeffs, STRAIN), STRAIN, 0.0) >= worst
+    assert weight_value(weight_norms(v.coeffs), STRAIN) >= worst
 
 
 def test_euler_quadratic_form_bound(rng):
@@ -133,7 +102,7 @@ def test_euler_quadratic_form_bound(rng):
     v, u = stacked([vu[0] for vu in draws]), stacked([vu[1] for vu in draws])
     d = u - v
     lhs = -trilinears(d, v, d)  # = -int d (grad v)_sym d for solenoidal d
-    K = weight_value(weight_norms(v, STRAIN), STRAIN, 0.0)
+    K = weight_value(weight_norms(v), STRAIN)
     assert np.all(lhs <= K * 2 * rel_terms(d, 0.0)[0] * (1 + 1e-10) + 1e-12)
 
 
@@ -209,16 +178,16 @@ def test_trilinear_taylor_green_gradient():
 
 def test_margin_series_constant_weight_integral():
     grid = Grid(16)
-    # constant field in time -> constant weight, I(t) = K t
+    # constant field in time -> constant weight K = 2 sup |S| = 2, I(t) = K t
     v = taylor_green(0.0, 0.0, grid).coeffs
     vt = analytic_test(lambda t: v, lambda t: 0.0 * v, grid)
-    w = WeightSpec(kind="serrin", p=4.0, constant_c=1.0)
     nu = 0.1
-    k0 = weight_value(weight_norms(v, w), w, nu)
+    k0 = weight_value(weight_norms(v), STRAIN)
+    assert k0 == pytest.approx(2.0, rel=1e-14)
     times = np.linspace(0, 1, 21)
     u = Trajectory(spec=SystemSpec(nu=nu, grid=grid, t_end=1.0, dt=0.05),
                    times=times, coeffs=np.stack([v] * times.size))
-    integral = margin_series([u], vt, w)[0].weight_integral
+    integral = margin_series([u], vt, STRAIN)[0].weight_integral
     assert integral[-1] == pytest.approx(k0, rel=1e-10)
     assert np.allclose(integral, k0 * times, rtol=1e-12, atol=0.0)
 
@@ -263,38 +232,33 @@ def test_cumulative_weight_integral_matches_scipy_bitwise():
 # -- the closure estimate ----------------------------------------------------
 
 def test_kest_estimate_random_ensemble(rng):
-    # |b(u-v, u-v, v)| <= W + K R with the auto constant: spot ensemble
+    # |b(u-v, u-v, v)| <= W + K R under the strain weight: spot ensemble
     grid = Grid(32)
     nu = 0.1
-    w = WeightSpec(kind="serrin", p=4.0)
     for _ in range(100):
         u = random_field(grid, rng, kmax=8).coeffs
         v = random_field(grid, rng, kmax=8).coeffs
         d = u - v
         R, W = rel_terms(d, nu)
         lhs = abs(trilinears(d, d, v))
-        rhs = W + weight_value(weight_norms(v, w), w, nu) * R
+        rhs = W + weight_value(weight_norms(v), STRAIN) * R
         assert lhs <= rhs * (1 + 1e-12)
 
 
-def test_gn_constant_is_conservative(rng):
-    grid = Grid(32)
-    for _ in range(50):
-        v = random_field(grid, rng, kmax=8, components=2, solenoidal=True).coeffs
-        ratio = lp_norms(v, 4) / np.sqrt(dist(v) * np.sqrt(h1_squared(v)))
-        assert ratio <= DEFAULT_GN_CONSTANT
-
-
 def test_weight_serialization():
+    # "strain" is the one kind and the default; "euler_negsym" is read as it
     w = WeightSpec(kind="euler_negsym", kappa=3.0)
-    back = WeightSpec.from_dict(w.to_dict())
-    assert back.kind == "euler_negsym" and back.kappa == 3.0
+    assert w.to_dict() == {"kind": "strain", "kappa": 3.0}
+    assert WeightSpec.from_dict(w.to_dict()) == w
+    assert WeightSpec() == WeightSpec(kind="strain", kappa=2.0)
+    for kind in ("serrin", "no_such_kind"):
+        with pytest.raises(WeightError, match="unknown weight kind"):
+            WeightSpec(kind=kind)
 
 
 def test_weight_value_dispatch(rng):
-    grid = Grid(16)
-    v = random_field(grid, rng, kmax=4)
-    serrin = WeightSpec(kind="serrin", p=4.0)
-    for w, nu, expect in ((serrin, 0.1, serrin.constant(0.1) * lp_norms(v.coeffs, 4.0) ** 4),
-                          (STRAIN, 0.0, 2.0 * weight_norms(v.coeffs, STRAIN))):
-        assert weight_value(weight_norms(v.coeffs, w), w, nu) == pytest.approx(expect)
+    # K = kappa times the strain norm, linear in v
+    v = random_field(Grid(16), rng, kmax=4).coeffs
+    norms = weight_norms(np.stack([v, -3.0 * v]))
+    assert norms[1] == pytest.approx(3.0 * norms[0], rel=1e-13)
+    assert np.all(weight_value(norms, WeightSpec(kappa=5.0)) == 5.0 * norms)

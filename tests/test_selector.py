@@ -27,7 +27,7 @@ from maxdiss.solver import (
     taylor_green,
 )
 
-SERRIN = WeightSpec(kind="serrin", p=4.0)
+STRAIN = WeightSpec()
 
 
 # -- simplex geometry --------------------------------------------------------
@@ -263,9 +263,8 @@ def _tg_certify_fn(nu):
     def fn(traj, budget_scale):
         vt = TestTrajectory.taylor_green(nu, traj.grid)
         tol = ToleranceModel(step_coeff=10.0 * budget_scale,
-                             quadrature=budget_scale * 1e-9,
-                             gn_slack=budget_scale * 1e-9)
-        return certify(traj, [vt], SERRIN, tol_model=tol)
+                             quadrature=budget_scale * 1e-9)
+        return certify(traj, [vt], STRAIN, tol_model=tol)
     return fn
 
 

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 from conftest import (convection, dist, divergence_linf, reference_advance, reference_rhs,
                       stacked)
-from support import perturbed_test, recover_pressure, spline_test, taylor_green_pressure
+from support import (gradients, perturbed_test, recover_pressure, spline_test,
+                     taylor_green_pressure)
 
 from maxdiss import solver
-from maxdiss.fields import (FieldError, Grid, SpectralField, from_function, gradients,
-                            load_samples, pairing, project, random_field, resample, save_field,
-                            save_samples, spectral_tables)
+from maxdiss.fields import (FieldError, Grid, SpectralField, from_function, load_samples,
+                            pairing, project, random_field, resample, save_field, save_samples,
+                            spectral_tables)
 from maxdiss.solver import (
     BlowUpError,
     Forcing,
