@@ -12,6 +12,7 @@ certifier computes them once for all members.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,17 +25,24 @@ class WeightError(ValueError):
     pass
 
 
+#: the least kappa for which K R(u|v) bounds |b(u - v, v, u - v)| (``weight_norms``)
+MIN_KAPPA = 2.0
+
+
 @dataclass(frozen=True)
 class WeightSpec:
     """Configuration of the regularity weight K = kappa sup_x |S(v)|; "euler_negsym"
     is read as "strain", the one kind."""
 
     kind: str = "strain"
-    kappa: float = 2.0  # kappa >= 2 makes K R(u|v) bound |b(u - v, v, u - v)|
+    kappa: float = MIN_KAPPA
 
     def __post_init__(self):
         if self.kind not in ("strain", "euler_negsym"):
             raise WeightError(f'unknown weight kind {self.kind!r}, expected "strain"')
+        if not MIN_KAPPA <= self.kappa < math.inf:
+            raise WeightError(f"kappa: expected a finite number >= {MIN_KAPPA:g}, "
+                              f"got {self.kappa!r}")
         object.__setattr__(self, "kind", "strain")
 
     def to_dict(self) -> dict:
@@ -87,7 +95,7 @@ def residual_A(values: np.ndarray, derivs: np.ndarray, spec: SystemSpec) -> np.n
     A_nu = A_0 + nu P(|k|^2 v), so ``margin_series`` calls it once at nu = 0."""
     tab = spectral_tables(spec.grid.n)
     res = project(derivs + spec.nu * tab.k2 * values, tab)
-    return res - _rhs(values, spec, spec.forcing.coeffs(spec.grid.n))
+    return res - _rhs(values, spec, spec.forcing.projected(spec.grid.n))
 
 
 # -- Gronwall machinery -----------------------------------------------------

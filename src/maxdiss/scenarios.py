@@ -23,7 +23,7 @@ import numpy as np
 from .certificate import ToleranceModel, certify_members
 from .fields import Grid, SpectralField, from_function, pairing, random_field
 from .mv_euler import defect_from_pair, trace_energy_gap
-from .relenergy import WeightSpec
+from .relenergy import MIN_KAPPA, WeightSpec
 from .selector import MAX_MEMBERS, assemble_family, select
 from .solver import (BlowUpError, SolverError, SystemSpec, TestTrajectory, Trajectory,
                      _shares_samples, solve, taylor_green)
@@ -74,7 +74,8 @@ CONFIG_VALUES = {
     "/family/sample_stride": (_count, "an int >= 1"),
     "/family/kmax": (_count, "an int >= 1"),
     **{f"/family/{k}": (_number, "a finite number") for k in ("amplitude", "delta")},
-    "/weight/kappa": (_number, "a finite number"),
+    "/weight/kappa": (lambda v: _number(v) and v >= MIN_KAPPA,
+                      f"a finite number >= {MIN_KAPPA:g}"),
     "/mv/nus": (lambda v: isinstance(v, list) and v != []
                 and all(_number(x) and x > 0 for x in v),
                 "a non-empty list of finite numbers > 0"),

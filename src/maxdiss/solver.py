@@ -13,15 +13,17 @@ stages of a step, rfft2 half spectra (2, n, n//2 + 1), are written with
 step allocates only its checks and the new state, copied out by
 ``SpectralField``.  Wavenumber tables and the integrating factors are
 cached per grid and per (n, nu, dt).  The forcing is time-independent:
-``Forcing.coeffs(n)`` builds its coefficients once per grid size, and a
-step looks them up once for its four stages.  The nonlinear
-term is taken in rotational form, P[omega (v_y, -v_x)]: three inverse and
-two forward real transforms per evaluation, their column passes only on
-the columns of the 2/3 band; the forcing is added and projected on the
-whole half spectrum.  It equals P[-(v.grad)v] because the two differ by
-the gradient of |v|^2/2, which the Leray projection removes.  The
-certificate's residual ``relenergy.residual_A`` evaluates the same kernel
-on stacked states.
+``Forcing.projected(n)`` builds its projected coefficients P_n f once per
+grid size, and a step looks them up once for its four stages.  The
+nonlinear term is taken in Basdevant's form: with a = v_x^2 - v_y^2 and
+b = v_x v_y, it is P[-div T] for T = [[a/2, b], [b, -a/2]].  This equals
+P[-(v.grad)v] = P[-div(v (x) v)] because T differs from v (x) v by
+|v|^2/2 I, whose divergence is a gradient that the Leray projection
+removes.  Two inverse and two forward real transforms per evaluation, their
+column passes only on the columns of the 2/3 band; the divergence, the band
+and the projection are folded into two tables per grid.  The certificate's
+residual ``relenergy.residual_A`` evaluates the same kernel on stacked
+states.
 """
 
 from __future__ import annotations
@@ -86,8 +88,9 @@ _ANALYTIC_PARAMS = {"gradient_potential": ("amplitude",), "kolmogorov": ("amplit
 class Forcing:
     """Time-independent right-hand side: zero, analytic registry entry, or file.
 
-    Its coefficients are built once per grid size and reused by later
-    calls; a file forcing is read and checked when the Forcing is made.
+    Its coefficients and their projection are built once per grid size and
+    reused by later calls; a file forcing is read and checked when the
+    Forcing is made.
     """
 
     kind: str = "zero"
@@ -127,11 +130,20 @@ class Forcing:
 
     def coeffs(self, n: int) -> np.ndarray | None:
         """Coefficients (2, n, n//2 + 1) on the n x n grid; None for zero forcing."""
+        return self._on(n)[0]
+
+    def projected(self, n: int) -> np.ndarray | None:
+        """Their Leray projection P_n f, which the stepper adds; None for zero forcing."""
+        return self._on(n)[1]
+
+    def _on(self, n: int) -> tuple:
+        """(f, P_n f) on the n x n grid, built on the first lookup."""
         if self.kind == "zero":
-            return None
+            return None, None
         if n not in self._on_grid:
-            self._on_grid[n] = (ANALYTIC_FORCINGS[self.name](Grid(n), self.params).coeffs
-                                if self.kind == "analytic" else resample(self._file_coeffs, n))
+            f = (ANALYTIC_FORCINGS[self.name](Grid(n), self.params).coeffs
+                 if self.kind == "analytic" else resample(self._file_coeffs, n))
+            self._on_grid[n] = f, project(f, spectral_tables(n))
         return self._on_grid[n]
 
     def to_dict(self) -> dict:
@@ -199,61 +211,79 @@ class _Workspace:
 
     def __init__(self, shape):
         *lead, _, n, h = shape
-        # u, omega on the 2/3 band's columns; _rhs keeps the columns above it 0
-        self.spec = np.zeros((*lead, 3, n, h), dtype=np.complex128)
-        self.phys = np.empty((*lead, 3, n, n))  # v_x, v_y, omega, then the products
+        # v on the 2/3 band's columns; the columns above it stay 0
+        self.spec = np.zeros((*lead, 2, n, h), dtype=np.complex128)
+        m = (n - 1) // 3 + 1  # v, then a_hat and b_hat, on the band's columns contiguously
+        self.band = np.empty((*lead, 2, n, m), dtype=np.complex128)
+        self.phys = np.empty((*lead, 2, n, n))  # v_x, v_y, then the products a, b
         self.stages = np.empty((6, *lead, 2, n, h), dtype=np.complex128)  # a, b, c, d, 2 sums
-        self.real = np.empty((n, h))  # dt e_half, 2 e_half
 
 
-def _rhs(u: np.ndarray, spec: SystemSpec, f, ws: _Workspace | None = None,
-         out: np.ndarray | None = None) -> np.ndarray:
-    """P[omega (v_y, -v_x) + f] on coefficients of shape (..., 2, n, n//2 + 1), into
-    ``out`` with the arrays of ``ws`` (of a new workspace without them), in the
-    operation order of 1j * (kx u_y - ky u_x), w * v_y, (-w) * v_x and ``fields.project``."""
-    n = spec.grid.n
+@functools.lru_cache(maxsize=32)
+def _basdevant_tables(n: int):
+    """Read-only real tables g and h, (n, m) on the m columns of the 2/3 band, and
+    i k' = i (-ky, kx), complex (1, m) and (n, 1), with which
+    P[-div T] = i k' (g a_hat - h b_hat) on the band for T = [[a/2, b], [b, -a/2]].
+
+    In 2D, P N = k' (k'.N) / |k|^2; for N = -i k.T,
+    k'.N = i (kx ky a_hat - (kx^2 - ky^2) b_hat).  g and h carry the 2/3 mask."""
     tab = spectral_tables(n)
-    b = np.count_nonzero(tab.dealias[0])  # the columns ky <= cut of the 2/3 band
-    ky, band = tab.ky[:, :b], tab.dealias[:, :b]
+    m = (n - 1) // 3 + 1  # the columns ky <= cut
+    kx, ky = tab.kx, tab.ky[:, :m]
+    w = tab.inv_k2[:, :m] * tab.dealias[:, :m]
+    tables = kx * ky * w, (kx * kx - ky * ky) * w, -1j * ky, 1j * kx
+    for a in tables:
+        a.flags.writeable = False
+    return tables
+
+
+def _rhs(u: np.ndarray, spec: SystemSpec, pf, ws: _Workspace | None = None,
+         out: np.ndarray | None = None) -> np.ndarray:
+    """P[-(v.grad)v] + pf for coefficients u of shape (..., 2, n, n//2 + 1), v = u
+    on the 2/3 band and pf a projected forcing (``Forcing.projected``) or None, into
+    ``out`` with the arrays of ``ws`` (of a new workspace without them), in the
+    operation order of a = v_x * v_x - v_y * v_y, b = v_x * v_y,
+    z = g * a_hat - h * b_hat and (-i ky * z, i kx * z) (+ pf) from ``_basdevant_tables``."""
+    n = spec.grid.n
+    g, h, rot_x, rot_y = _basdevant_tables(n)
+    m = g.shape[-1]
     ws = ws or _Workspace(u.shape)
     out = ws.stages[0] if out is None else out
-    s = ws.spec[..., :b]
-    p, q = out[..., 0, :, :b], out[..., 1, :, :b]  # scratch until rfft fills out
-    np.multiply(u[..., :b], band, out=s[..., :2, :, :])
-    np.multiply(tab.kx, s[..., 1, :, :], out=p)
-    np.multiply(ky, s[..., 0, :, :], out=q)
-    np.multiply(1j, np.subtract(p, q, out=p), out=s[..., 2, :, :])
+    c = ws.band
+    c[..., :m, :] = u[..., :m, :m]  # the band: rows |kx| <= cut of the columns ky <= cut
+    c[..., m:1 - m, :] = 0
+    c[..., 1 - m:, :] = u[..., 1 - m:, :m]
     # irfft2 and rfft2 as column and row passes, the column passes on the band only;
     # the row pass reads the zero-padded spectrum: numpy's irfft is slower on less
-    np.fft.ifft(s, axis=-2, norm="forward", out=s)
+    np.fft.ifft(c, axis=-2, norm="forward", out=ws.spec[..., :m])
     np.fft.irfft(ws.spec, n, axis=-1, norm="forward", out=ws.phys)
-    vx, vy, w = np.moveaxis(ws.phys, -3, 0)
-    np.multiply(w, vy, out=vy)
-    np.multiply(np.negative(w, out=w), vx, out=w)
-    np.fft.rfft(ws.phys[..., 1:, :, :], axis=-1, norm="forward", out=out)  # (w v_y, -w v_x)
-    np.fft.fft(out[..., :b], axis=-2, norm="forward", out=out[..., :b])
-    out[..., :b] *= band
-    out[..., b:] = 0
-    if f is not None:
-        out += f
-    cx, cy = out[..., 0, :, :], out[..., 1, :, :]
-    p, q = ws.spec[..., 0, :, :], ws.spec[..., 1, :, :]  # scratch: irfft has read s
-    np.multiply(tab.kx, cx, out=p)
-    np.multiply(np.add(p, np.multiply(tab.ky, cy, out=q), out=p), tab.inv_k2, out=p)
-    np.subtract(cx, np.multiply(tab.kx, p, out=q), out=cx)
-    np.subtract(cy, np.multiply(tab.ky, p, out=q), out=cy)
-    ws.spec[..., :2, :, b:] = 0
+    vx, vy = ws.phys[..., 0, :, :], ws.phys[..., 1, :, :]
+    t = out.view(np.float64)[..., 0, :, :n]  # scratch until rfft fills out
+    np.multiply(vy, vy, out=t)
+    np.multiply(vx, vy, out=vy)
+    np.subtract(np.multiply(vx, vx, out=vx), t, out=vx)
+    np.fft.rfft(ws.phys, axis=-1, norm="forward", out=out)
+    np.fft.fft(out[..., :m], axis=-2, norm="forward", out=c)  # a_hat, b_hat
+    a, b = c[..., 0, :, :], c[..., 1, :, :]
+    z = np.subtract(np.multiply(g, a, out=a), np.multiply(h, b, out=b), out=a)
+    np.multiply(rot_x, z, out=out[..., 0, :, :m])
+    np.multiply(rot_y, z, out=out[..., 1, :, :m])
+    out[..., m:] = 0
+    if pf is not None:
+        out += pf
     return out
 
 
 @functools.lru_cache(maxsize=32)
 def _integrating_factors(n: int, nu: float, dt: float):
-    """Read-only exp(-nu |k|^2 dt/2) and exp(-nu |k|^2 dt)."""
+    """Read-only exp(-nu |k|^2 dt/2), exp(-nu |k|^2 dt) and the step's products
+    dt exp(-nu |k|^2 dt/2) and 2 exp(-nu |k|^2 dt/2)."""
     k2 = spectral_tables(n).k2
     e_half = np.exp(-nu * k2 * (dt / 2))
-    e_full = np.exp(-nu * k2 * dt)
-    e_half.flags.writeable = e_full.flags.writeable = False
-    return e_half, e_full
+    factors = e_half, np.exp(-nu * k2 * dt), dt * e_half, 2.0 * e_half
+    for e in factors:
+        e.flags.writeable = False
+    return factors
 
 
 def advance(v: SpectralField, spec: SystemSpec, t: float,
@@ -267,19 +297,19 @@ def advance(v: SpectralField, spec: SystemSpec, t: float,
     checked finite, and solenoidal by its constructor."""
     dt = spec.dt if dt is None else dt
     ws = _ws or _Workspace(v.coeffs.shape)
-    e_half, e_full = _integrating_factors(spec.grid.n, spec.nu, dt)
-    f = spec.forcing.coeffs(spec.grid.n)
+    e_half, e_full, dt_e_half, two_e_half = _integrating_factors(spec.grid.n, spec.nu, dt)
+    f = spec.forcing.projected(spec.grid.n)
     u = v.coeffs
-    (a, b, c, d, x, y), r = ws.stages, ws.real
+    a, b, c, d, x, y = ws.stages
     _rhs(u, spec, f, ws, a)
     np.multiply(e_half, np.add(u, np.multiply(0.5 * dt, a, out=x), out=x), out=x)
     _rhs(x, spec, f, ws, b)
     np.add(np.multiply(e_half, u, out=x), np.multiply(0.5 * dt, b, out=y), out=x)
     _rhs(x, spec, f, ws, c)
-    np.multiply(np.multiply(dt, e_half, out=r), c, out=y)
+    np.multiply(dt_e_half, c, out=y)
     np.add(np.multiply(e_full, u, out=x), y, out=x)
     _rhs(x, spec, f, ws, d)
-    np.multiply(np.multiply(2.0, e_half, out=r), np.add(b, c, out=y), out=y)
+    np.multiply(two_e_half, np.add(b, c, out=y), out=y)
     np.add(np.add(np.multiply(e_full, a, out=x), y, out=x), d, out=x)
     new = np.add(np.multiply(e_full, u, out=y), np.multiply(dt / 6.0, x, out=x), out=y)
 

@@ -44,10 +44,28 @@ def convection(c: np.ndarray, dealias: bool = True) -> np.ndarray:
     return np.fft.rfft2(conv, norm="forward") * (tab.dealias if dealias else tab.nyquist)
 
 
-def reference_rhs(u: np.ndarray, spec, f) -> np.ndarray:
-    """Expression form of the solver's kernel P[omega (v_y, -v_x) + f] on
-    coefficients (..., 2, n, n//2 + 1), one new array per operation; the
-    in-place ``solver._rhs`` must match it bit for bit."""
+def reference_rhs(u: np.ndarray, spec, pf) -> np.ndarray:
+    """Expression form of the solver's kernel i (-ky z, kx z) + pf, z = g a_hat - h b_hat,
+    on coefficients (..., 2, n, n//2 + 1), a = v_x^2 - v_y^2 and b = v_x v_y of the
+    band-limited v, one new array per operation; the in-place ``solver._rhs``
+    must match it bit for bit."""
+    n = spec.grid.n
+    g, h, rot_x, rot_y = solver._basdevant_tables(n)
+    m = g.shape[-1]
+    v = np.fft.irfft2(u * spectral_tables(n).dealias, s=(n, n), norm="forward")
+    vx, vy = v[..., 0, :, :], v[..., 1, :, :]
+    t = np.fft.rfft2(np.stack([vx * vx - vy * vy, vx * vy], axis=-3), norm="forward")
+    z = g * t[..., 0, :, :m] - h * t[..., 1, :, :m]
+    nl = np.zeros(u.shape, dtype=complex)
+    nl[..., 0, :, :m] = rot_x * z
+    nl[..., 1, :, :m] = rot_y * z
+    return nl if pf is None else nl + pf
+
+
+def rotational_rhs(u: np.ndarray, spec, f) -> np.ndarray:
+    """The rotational form P[omega (v_y, -v_x) + f] of the dealiased nonlinear term
+    on coefficients (..., 2, n, n//2 + 1), with the raw forcing f: a second oracle
+    that ``solver._rhs(u, spec, P f)`` must match to roundoff."""
     n = spec.grid.n
     tab = spectral_tables(n)
     u = u * tab.dealias
@@ -66,8 +84,8 @@ def reference_advance(v, spec, t: float):
     """Expression form of one IF-RK4 step of ``solver.advance``, allocating
     every stage; the in-place step must match it bit for bit."""
     dt = spec.dt
-    e_half, e_full = solver._integrating_factors(spec.grid.n, spec.nu, dt)
-    f = spec.forcing.coeffs(spec.grid.n)
+    e_half, e_full = solver._integrating_factors(spec.grid.n, spec.nu, dt)[:2]
+    f = spec.forcing.projected(spec.grid.n)
     u = v.coeffs
     a = reference_rhs(u, spec, f)
     b = reference_rhs(e_half * (u + 0.5 * dt * a), spec, f)

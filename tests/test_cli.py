@@ -149,6 +149,9 @@ def test_cli_rejects_unknown_config_key(tmp_path, capsys, pointer, typo):
     ("/weight/kappa", float("inf")),
     ("/tolerance/quadrature", float("inf")),
     ("/mv/nus", [0.1, float("inf")]),
+    ("/weight/kappa", 1.99),  # finite but below the kappa >= 2 of a sound weight
+    ("/weight/kappa", 0),
+    ("/weight/kappa", -3),
 ])
 def test_cli_rejects_mistyped_config_value(tmp_path, capsys, pointer, value):
     # caught when the config is parsed: exit 4 naming the value, no output tree

@@ -256,6 +256,13 @@ def test_weight_serialization():
             WeightSpec(kind=kind)
 
 
+@pytest.mark.parametrize("kappa", [1.99, 0.0, -3.0, float("inf"), float("nan")])
+def test_weightspec_rejects_unsound_kappa(kappa):
+    # kappa sup|S| R bounds |b(u - v, v, u - v)| only for finite kappa >= 2
+    with pytest.raises(WeightError, match=r"^kappa: expected a finite number >= 2, got"):
+        WeightSpec(kappa=kappa)
+
+
 def test_weight_value_dispatch(rng):
     # K = kappa times the strain norm, linear in v
     v = random_field(Grid(16), rng, kmax=4).coeffs

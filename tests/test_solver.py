@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import (convection, dist, divergence_linf, reference_advance, reference_rhs,
-                      stacked)
+                      rotational_rhs, stacked)
 from support import (gradients, perturbed_test, recover_pressure, spline_test,
                      taylor_green_pressure)
 
@@ -66,7 +66,7 @@ def test_rhs_stacked_matches_single_calls():
     spec = _spec(n=24, forcing=Forcing("analytic", "kolmogorov", {"wavenumber": 2}))
     rng = np.random.default_rng(5)
     block = np.stack([random_field(spec.grid, rng, kmax=7).coeffs for _ in range(3)])
-    f = spec.forcing.coeffs(24)
+    f = spec.forcing.projected(24)
     got = solver._rhs(block, spec, f)
     assert got.shape == block.shape
     for b, g in zip(block, got):
@@ -80,29 +80,60 @@ def test_rhs_matches_expression_form_bit_for_bit():
     rng = np.random.default_rng(8)
     block = np.stack([random_field(spec.grid, rng, kmax=7).coeffs for _ in range(3)])
     ws = solver._Workspace(block[0].shape)
-    for f in (None, spec.forcing.coeffs(24)):
+    for f in (None, spec.forcing.projected(24)):
         assert np.array_equal(solver._rhs(block, spec, f), reference_rhs(block, spec, f))
         for b in block:
             assert np.array_equal(solver._rhs(b, spec, f, ws, ws.stages[2]),
                                   reference_rhs(b, spec, f))
 
 
+def _out_of_band_forcing(grid, rng):
+    """A non-solenoidal forcing with modes in every column, above the 2/3 band too."""
+    n = grid.n
+    f = random_field(grid, rng, kmax=n // 2, solenoidal=False).coeffs
+    # every column between the band and the (zeroed) Nyquist column has modes
+    assert np.all(np.abs(f[..., (n - 1) // 3 + 1:n // 2]).max(axis=-2) > 0)
+    return f
+
+
 def test_rhs_matches_expression_form_with_out_of_band_forcing():
-    # a non-solenoidal forcing with modes in every column, above the 2/3
-    # band too: the kernel transforms only the band's columns, but must add
-    # the forcing and project over the whole half spectrum
+    # the kernel transforms only the band's columns, but must add the
+    # projected forcing over the whole half spectrum
     n = 24
     spec = _spec(n=n)
     rng = np.random.default_rng(11)
-    f = random_field(spec.grid, rng, kmax=n // 2, solenoidal=False).coeffs
-    # every column between the band and the (zeroed) Nyquist column has modes
-    assert np.all(np.abs(f[..., (n - 1) // 3 + 1:n // 2]).max(axis=-2) > 0)
+    f = project(_out_of_band_forcing(spec.grid, rng), spectral_tables(n))
     block = np.stack([random_field(spec.grid, rng, kmax=7).coeffs for _ in range(3)])
     ws = solver._Workspace(block[0].shape)
     assert np.array_equal(solver._rhs(block, spec, f), reference_rhs(block, spec, f))
     for b in block:
         assert np.array_equal(solver._rhs(b, spec, f, ws, ws.stages[2]),
                               reference_rhs(b, spec, f))
+
+
+@pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.parametrize("n", [16, 24, 32, 96])
+def test_rhs_matches_rotational_form(n, forced):
+    # the divergence form against P[omega (v_y, -v_x) + f]: the two differ by
+    # the gradient of |v|^2/2, which the projection removes
+    spec = _spec(n=n)
+    rng = np.random.default_rng(n + 1)
+    block = np.stack([random_field(spec.grid, rng, kmax=(n - 1) // 3).coeffs for _ in range(3)])
+    f = _out_of_band_forcing(spec.grid, rng) if forced else None
+    got = solver._rhs(block, spec, None if f is None else project(f, spectral_tables(n)))
+    want = rotational_rhs(block, spec, f)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_rhs_ignores_modes_above_the_band():
+    # modes above the 2/3 cut, in the band's columns and above them, must not
+    # enter the product: the state gives the kernel output of its band part
+    n = 24
+    spec = _spec(n=n)
+    u = random_field(spec.grid, np.random.default_rng(4), kmax=n // 2).coeffs
+    band = u * spectral_tables(n).dealias
+    assert dist(u - band) >= 0.5 * dist(u)
+    assert np.array_equal(solver._rhs(u, spec, None), solver._rhs(band, spec, None))
 
 
 # -- time stepping -----------------------------------------------------------
@@ -132,8 +163,8 @@ def test_advance_allocates_little_beyond_the_new_state():
     # stage, transform and product arrays live in the solve's workspace: one
     # step at n = 128 peaks near 2.5x the state's bytes, the inverse
     # transform's intermediate half spectra and the new state; a fresh
-    # (3, n, n) transform output per call (numpy's irfft2 drops out=) reads
-    # 3.0x, and the expression form 9.5x
+    # (2, n, n) transform output per call (numpy's irfft2 drops out=) would
+    # add about 1x, and the expression form reads 9.0x
     spec = _spec(nu=0.02, n=128, dt=2e-3)
     v = random_field(spec.grid, np.random.default_rng(3), kmax=42).coeffs
     v = SpectralField(spec.grid, v * (1.0 / dist(v)), solenoidal=True)
@@ -247,10 +278,13 @@ def test_advance_rejects_state_leaving_solenoidal_space():
 
 
 def test_integrating_factors_cached_and_read_only():
-    e_half, e_full = solver._integrating_factors(16, 0.1, 1e-2)
-    assert solver._integrating_factors(16, 0.1, 1e-2)[0] is e_half
+    factors = solver._integrating_factors(16, 0.1, 1e-2)
+    assert solver._integrating_factors(16, 0.1, 1e-2)[0] is factors[0]
+    e_half, e_full, dt_e_half, two_e_half = factors
     assert e_half.shape == (16, 9)
-    for e in (e_half, e_full):
+    assert np.array_equal(dt_e_half, 1e-2 * e_half)
+    assert np.array_equal(two_e_half, 2.0 * e_half)
+    for e in factors:
         with pytest.raises(ValueError):
             e[0, 0] = 0.0
 
@@ -291,14 +325,14 @@ def test_solve_detects_nonfinite_state_partway(monkeypatch):
     # a forcing that turns NaN in its fifth lookup poisons the state in the
     # step from t = 0.04; the energy check cannot see NaN, the finiteness check must
     lookups = []
-    forcing_coeffs = Forcing.coeffs
+    forcing_projected = Forcing.projected
 
     def poisoned(self, n):
         lookups.append(n)
-        f = forcing_coeffs(self, n)
+        f = forcing_projected(self, n)
         return f * np.nan if len(lookups) >= 5 else f
 
-    monkeypatch.setattr(Forcing, "coeffs", poisoned)
+    monkeypatch.setattr(Forcing, "projected", poisoned)
     spec = _spec(nu=0.1, n=16, t_end=0.1, dt=1e-2,
                  forcing=Forcing("analytic", "kolmogorov", {"amplitude": 0.0}))
     with pytest.raises(BlowUpError, match="non-finite .* t=0.04$"):
@@ -541,6 +575,18 @@ def test_forcing_registry_and_serialization():
                    ({"kind": "analytic", "params": {}}, "name"), ({"kind": "file"}, "path")):
         with pytest.raises(SolverError, match=f"^forcing/{key}: missing required key"):
             Forcing.from_dict(d)
+
+
+def test_gradient_forcing_leaves_the_solve_unchanged():
+    # P f = 0 for a pure gradient: the forced solve is the unforced one
+    unforced = _spec(nu=0.02, n=32, t_end=0.1, dt=2e-3)
+    forced = SystemSpec(nu=0.02, grid=Grid(32), t_end=0.1, dt=2e-3,
+                        forcing=Forcing("analytic", "gradient_potential", {"amplitude": 3.0}))
+    assert dist(forced.forcing.projected(32)) <= 1e-14 * dist(forced.forcing.coeffs(32))
+    v0 = random_field(unforced.grid, np.random.default_rng(6), kmax=10)
+    want = solve(unforced, v0, sample_stride=10).coeffs
+    got = solve(forced, v0, sample_stride=10).coeffs
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 # -- test trajectories -------------------------------------------------------
