@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fields import _embed, pairing, project, spectral_tables
+from .fields import _embed, pairing, spectral_tables
 from .relenergy import (
     WeightSpec,
     cumulative_weight_integral,
@@ -58,10 +58,6 @@ class ToleranceModel:
 
     def to_dict(self) -> dict:
         return {"step_coeff": self.step_coeff, "quadrature": self.quadrature}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ToleranceModel":
-        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -153,8 +149,8 @@ def margin_series(members, vt: TestTrajectory, w: WeightSpec) -> list:
     The members share sample times and forcing and are no finer than the
     test; coarser ones are zero-padded with ``_embed``, which is exact.  Per
     sample block the test's values, derivatives, weight norms and residual
-    are computed once, the residual as A_0 (nu = 0) and P(|k|^2 v); each
-    member adds A_nu = A_0 + nu P(|k|^2 v), its R, its W and one pairing.
+    are computed once, the residual as A_0 (nu = 0) and |k|^2 v; each
+    member adds A_nu = A_0 + nu |k|^2 v, its R, its W and one pairing.
     The weight is nu-free, so all members share I(t).
     """
     if not all(_shares_samples(members[0], u) for u in members):
@@ -168,7 +164,7 @@ def margin_series(members, vt: TestTrajectory, w: WeightSpec) -> list:
         values, derivs = vt.values(times[sl]), vt.derivs(times[sl])
         norms[sl] = weight_norms(values)
         a0 = residual_A(values, derivs, spec0)
-        viscous = project(tab.k2 * values, tab)
+        viscous = tab.k2 * values
         for i, u in enumerate(members):
             nu, states = u.spec.nu, u.coeffs[sl]
             diff = (states if u.grid.n == n else _embed(states, u.grid.n, n)) - values

@@ -145,6 +145,8 @@ def defect_from_pair(fine: Trajectory, coarse: Trajectory,
         raise MVError("coarse resolution exceeds fine resolution")
     if mollifier_kmax is None:
         mollifier_kmax = max(coarse.grid.n // 3, 1)
+    if mollifier_kmax < 1:  # an empty low band would check and keep nothing
+        raise MVError(f"mollifier_kmax: expected an int >= 1, got {mollifier_kmax!r}")
     # shared data means agreement below the mollifier scale: the coarse
     # member is allowed to miss exactly the content the defect absorbs
     kx, ky = fine.grid.wavenumbers()

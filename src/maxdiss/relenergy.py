@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import h1_squared, pairing, project, samples, spectral_tables
+from .fields import h1_squared, pairing, samples, spectral_tables
 from .solver import SystemSpec, _rhs
 
 
@@ -39,18 +39,15 @@ class WeightSpec:
 
     def __post_init__(self):
         if self.kind not in ("strain", "euler_negsym"):
-            raise WeightError(f'unknown weight kind {self.kind!r}, expected "strain"')
-        if not MIN_KAPPA <= self.kappa < math.inf:
+            raise WeightError(f'kind: unknown weight kind {self.kind!r}, expected "strain"')
+        if not (isinstance(self.kappa, (int, float)) and not isinstance(self.kappa, bool)
+                and MIN_KAPPA <= self.kappa < math.inf):
             raise WeightError(f"kappa: expected a finite number >= {MIN_KAPPA:g}, "
                               f"got {self.kappa!r}")
         object.__setattr__(self, "kind", "strain")
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "kappa": self.kappa}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "WeightSpec":
-        return cls(**d)
 
 
 # -- quadratic functionals --------------------------------------------------
@@ -90,12 +87,12 @@ def weight_value(norms: np.ndarray, w: WeightSpec) -> np.ndarray:
 # -- residual -------------------------------------------------------------
 
 def residual_A(values: np.ndarray, derivs: np.ndarray, spec: SystemSpec) -> np.ndarray:
-    """A = P[d/dt v + (v.grad)v - nu Lap v - f] of stacked test states, through
-    the stepper's nonlinear kernel: P[d/dt v + nu |k|^2 v] - solver._rhs(v);
-    A_nu = A_0 + nu P(|k|^2 v), so ``margin_series`` calls it once at nu = 0."""
-    tab = spectral_tables(spec.grid.n)
-    res = project(derivs + spec.nu * tab.k2 * values, tab)
-    return res - _rhs(values, spec, spec.forcing.projected(spec.grid.n))
+    """A = P[d/dt v + (v.grad)v - nu Lap v - f] of stacked solenoidal test states (as
+    ``weight_norms`` needs; P leaves d/dt v and |k|^2 v as they are), through the
+    stepper's nonlinear kernel: d/dt v + nu |k|^2 v - solver._rhs(v);
+    A_nu = A_0 + nu |k|^2 v, so ``margin_series`` calls it once at nu = 0."""
+    f = spec.forcing.projected(spec.grid.n)
+    return derivs + spec.nu * spectral_tables(spec.grid.n).k2 * values - _rhs(values, spec, f)
 
 
 # -- Gronwall machinery -----------------------------------------------------

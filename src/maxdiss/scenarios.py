@@ -1,21 +1,22 @@
 """Scenario configuration, execution and report emission.
 
-A scenario ties the flow solver, certifier, selector and the
-measure-valued machinery into one reproducible experiment: given a JSON
-config and a seed, ``run_scenario`` produces a deterministic artifact tree
-(simulations, certificates, selection, optional defect fields) closed by a
-manifest of content hashes.  ``report`` checks the tree against those
-hashes, reads the stored artifacts only -- it never recomputes -- and
-emits flat CSV/JSON summaries.
+A scenario ties the flow solver, certifier, selector and the measure-valued machinery
+into one reproducible experiment.  ``ScenarioConfig`` checks a JSON config once against
+one table, ``SCHEMA`` (``ITEMS`` for list items), and holds its sections with their
+defaults filled in; from it ``run_scenario`` produces a deterministic artifact tree
+(simulations, certificates, selection, optional defect fields) closed by a manifest of
+content hashes.  ``report`` checks the tree against those hashes, reads the stored
+artifacts only -- it never recomputes -- and emits flat CSV/JSON summaries.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import math
 import shutil
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ import numpy as np
 from .certificate import ToleranceModel, certify_members
 from .fields import Grid, SpectralField, from_function, pairing, random_field
 from .mv_euler import defect_from_pair, trace_energy_gap
-from .relenergy import MIN_KAPPA, WeightSpec
+from .relenergy import WeightError, WeightSpec
 from .selector import MAX_MEMBERS, assemble_family, select
 from .solver import (BlowUpError, SolverError, SystemSpec, TestTrajectory, Trajectory,
                      _shares_samples, solve, taylor_green)
@@ -36,146 +37,122 @@ class ConfigError(ValueError):
     """Schema violation; the message carries a JSON-pointer location."""
 
 
-#: the keys each config section may hold, by JSON pointer
-CONFIG_KEYS = {
-    "": "scenario system weight tolerance family tests mv out_dir seed",
-    "/system": "nu n t_end dt forcing",
-    "/system/forcing": "kind name params path",
-    "/weight": "kind kappa",
-    "/tolerance": "step_coeff quadrature",
-    "/family": "resolutions sample_stride amplitude kmax delta",
-    "/mv": "nus mollifier_kmax clip_fail_ratio",
-}
-
-
-def _reject_unknown_keys(cfg: dict) -> None:
-    for pointer, allowed in CONFIG_KEYS.items():
-        section = cfg
-        for part in pointer.split("/")[1:]:
-            section = section.get(part) if isinstance(section, dict) else None
-        for key in section if isinstance(section, dict) else ():
-            if key not in allowed.split():
-                raise ConfigError(f"{pointer}/{key}: unknown key")
-
-
 def _number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
 
-def _count(v) -> bool:
-    return _number(v) and isinstance(v, int) and v >= 1
+def _count(v, least: int = 1) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= least  # bool is an int
 
 
-#: checks on config values by JSON pointer ("*": every key of the section)
-CONFIG_VALUES = {
-    "/tolerance/*": (lambda v: _number(v) and v >= 0, "a non-negative finite number"),
-    "/family/resolutions": (lambda v: isinstance(v, list) and 1 <= len(v) <= MAX_MEMBERS,
-                            f"a list of 1 to {MAX_MEMBERS} resolutions"),
-    "/family/sample_stride": (_count, "an int >= 1"),
-    "/family/kmax": (_count, "an int >= 1"),
-    **{f"/family/{k}": (_number, "a finite number") for k in ("amplitude", "delta")},
-    "/weight/kappa": (lambda v: _number(v) and v >= MIN_KAPPA,
-                      f"a finite number >= {MIN_KAPPA:g}"),
-    "/mv/nus": (lambda v: isinstance(v, list) and v != []
-                and all(_number(x) and x > 0 for x in v),
-                "a non-empty list of finite numbers > 0"),
-    "/mv/mollifier_kmax": (lambda v: v is None or _count(v), "an int >= 1 or null"),
-    "/mv/clip_fail_ratio": (lambda v: _number(v) and v >= 0, "a non-negative finite number"),
+#: a missing key is an error; OPTIONAL leaves it out, for the class that reads the section
+REQUIRED, OPTIONAL = object(), object()
+_NUMBER, _COUNT = (_number, "a finite number"), (_count, "an int >= 1")
+_NON_NEGATIVE = (lambda v: _number(v) and v >= 0, "a non-negative finite number")
+_GRID_SIZE = (lambda v: _count(v, 4) and v % 2 == 0, "an even int >= 4")
+
+#: section -> key -> (check, what it expects, a default or REQUIRED or OPTIONAL).  A key
+#: that is a section here or a list in ITEMS is walked in turn; a check of None leaves
+#: the value to SystemSpec, Forcing or WeightSpec; the callable default is computed
+#: from the top-level sections parsed before it.
+SCHEMA = {
+    "": {"scenario": (SCENARIO_IDS.__contains__, f"one of {SCENARIO_IDS}", REQUIRED),
+         "system": (None, "", REQUIRED), "weight": (None, "", {}),
+         "tolerance": (None, "", {}), "family": (None, "", {}),
+         "tests": (lambda v: isinstance(v, list) and v != [], "a non-empty list",
+                   ["exact", "zero"]),
+         "mv": (None, "", {}), "out_dir": (lambda v: isinstance(v, str), "a string", "out"),
+         "seed": (lambda v: _count(v, 0), "an int >= 0", 0)},
+    "/system": {**dict.fromkeys(("nu", "t_end", "dt"), (*_NUMBER, REQUIRED)),
+                "n": (*_GRID_SIZE, REQUIRED), "forcing": (None, "", {"kind": "zero"})},
+    "/system/forcing": {"kind": (None, "", REQUIRED), "name": (None, "", OPTIONAL),
+                        "params": (None, "", {}), "path": (None, "", OPTIONAL)},
+    "/weight": dict.fromkeys(("kind", "kappa"), (None, "", OPTIONAL)),
+    "/tolerance": dict.fromkeys(("step_coeff", "quadrature"), (*_NON_NEGATIVE, OPTIONAL)),
+    "/family": {"resolutions": (lambda v: isinstance(v, list) and 1 <= len(v) <= MAX_MEMBERS,
+                                f"a list of 1 to {MAX_MEMBERS} resolutions",
+                                lambda parsed: [parsed["system"]["n"]]),
+                "sample_stride": (*_COUNT, 1), "amplitude": (*_NUMBER, 1.0),
+                "kmax": (*_COUNT, 4), "delta": (*_NUMBER, 1e-2)},
+    "/mv": {"nus": (lambda v: isinstance(v, list) and v != []
+                    and all(_number(x) and x > 0 for x in v),
+                    "a non-empty list of finite numbers > 0", [1e-2, 5e-3, 2.5e-3]),
+            # None: the coarse n // 3 of defect_from_pair, whose default ratio is 0.5 too
+            "mollifier_kmax": (lambda v: v is None or _count(v), "an int >= 1 or null", None),
+            "clip_fail_ratio": (*_NON_NEGATIVE, 0.5)},
 }
 
-
-def _reject_bad_values(cfg: dict) -> None:
-    for pointer, (ok, expected) in CONFIG_VALUES.items():
-        _, name, key = pointer.split("/")
-        section = cfg.get(name) if isinstance(cfg.get(name), dict) else {}
-        for k in section if key == "*" else [key] if key in section else []:
-            if not ok(section[k]):
-                raise ConfigError(f"/{name}/{k}: expected {expected}, got {section[k]!r}")
+#: list -> (check, what it expects) of each of its items
+ITEMS = {"/family/resolutions": _GRID_SIZE,
+         "/tests": (lambda t: t in ("zero", "exact") or _amplitude(t) is not None,
+                    '"zero", "exact" or "amplitude:<finite number>"')}
 
 
-#: how ``_require`` names the types it asks for
-TYPE_NAMES = {str: "a string", dict: "an object", list: "a list", int: "an int",
-              (int, float): "a number"}
-
-
-def _require(cfg: dict, pointer: str, key: str, types, default=None,
-             required: bool = False):
-    if key not in cfg:
-        if required:
+def _parse(value, pointer: str = "", parsed: dict | None = None):
+    """``value`` checked against SCHEMA and ITEMS at ``pointer``, with the defaults
+    of every section filled in; ``parsed``: the top-level sections so far."""
+    if pointer in ITEMS:
+        ok, what = ITEMS[pointer]
+        if bad := [i for i, item in enumerate(value) if not ok(item)]:
+            raise ConfigError(f"{pointer}/{bad[0]}: expected {what}, got {value[bad[0]]!r}")
+        return value
+    if pointer not in SCHEMA:
+        return value
+    if not isinstance(value, dict):
+        raise ConfigError(f"{pointer}: expected an object, got {value!r}")
+    if unknown := [key for key in value if key not in SCHEMA[pointer]]:
+        raise ConfigError(f"{pointer}/{unknown[0]}: unknown key")
+    out = {}
+    parsed = out if parsed is None else parsed
+    for key, (ok, what, default) in SCHEMA[pointer].items():
+        if key not in value and default is REQUIRED:
             raise ConfigError(f"{pointer}/{key}: missing required key")
-        return default
-    val = cfg[key]
-    if not isinstance(val, types) or isinstance(val, bool):  # bool is an int
-        raise ConfigError(f"{pointer}/{key}: expected {TYPE_NAMES[types]}, got {val!r}")
-    return val
+        if key in value or default is not OPTIONAL:
+            v = value[key] if key in value else (
+                default(parsed) if callable(default) else copy.deepcopy(default))
+            if ok and not ok(v):
+                raise ConfigError(f"{pointer}/{key}: expected {what}, got {v!r}")
+            out[key] = _parse(v, f"{pointer}/{key}", parsed)
+    return out
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Validated scenario description; see from_dict for the schema."""
+    """Validated scenario description: SCHEMA's sections, with their defaults."""
 
     scenario: str
     system: SystemSpec
     weight: WeightSpec
     tolerance: ToleranceModel
-    family: dict = field(default_factory=dict)
-    tests: tuple = ("exact", "zero")
-    mv: dict = field(default_factory=dict)
-    out_dir: str = "out"
-    seed: int = 0
+    family: dict
+    tests: tuple
+    mv: dict
+    out_dir: str
+    seed: int
 
     @classmethod
     def from_dict(cls, cfg: dict, out_dir: str | None = None,
                   seed: int | None = None) -> "ScenarioConfig":
         if not isinstance(cfg, dict):
             raise ConfigError("/: config must be a JSON object")
-        _reject_unknown_keys(cfg)
-        _reject_bad_values(cfg)
-        scenario = _require(cfg, "", "scenario", str, required=True)
-        if scenario not in SCENARIO_IDS:
-            raise ConfigError(f"/scenario: unknown id {scenario!r}, "
-                              f"expected one of {SCENARIO_IDS}")
-        system_d = _require(cfg, "", "system", dict, required=True)
-        for key in ("nu", "t_end", "dt"):
-            _require(system_d, "/system", key, (int, float), required=True)
-        _require(system_d, "/system", "n", int, required=True)
-        # a config may leave out the forcing (zero) and an analytic forcing's params
-        forcing = system_d.get("forcing", {"kind": "zero"})
-        if isinstance(forcing, dict) and forcing.get("kind") == "analytic":
-            forcing = {"params": {}, **forcing}
+        cfg = _parse({**cfg, **({"out_dir": out_dir} if out_dir else {}),
+                      **({"seed": seed} if seed is not None else {})})
         try:
-            system = SystemSpec.from_dict({**system_d, "forcing": forcing})
+            system = SystemSpec.from_dict(cfg["system"])
         except SolverError as exc:  # its message starts with the key under /system
             raise ConfigError(f"/system/{exc}") from exc
-        except Exception as exc:
-            raise ConfigError(f"/system: {exc}") from exc
         try:
-            weight = WeightSpec.from_dict(_require(cfg, "", "weight", dict,
-                                                   default={}))
-        except Exception as exc:
-            raise ConfigError(f"/weight: {exc}") from exc
-        tolerance = ToleranceModel.from_dict(
-            _require(cfg, "", "tolerance", dict, default={}))
-        family = _require(cfg, "", "family", dict, default={})
-        resolutions = family.get("resolutions", [system.grid.n])
-        for i, r in enumerate(resolutions):
-            if not isinstance(r, int) or r < 4 or r % 2:
-                raise ConfigError(f"/family/resolutions/{i}: need even int "
-                                  f">= 4, got {r!r}")
-        tests = _require(cfg, "", "tests", list, default=["exact", "zero"])
-        for i, t in enumerate(tests):
-            if t not in ("zero", "exact") and _amplitude(t) is None:
-                raise ConfigError(f'/tests/{i}: expected "zero", "exact" or '
-                                  f'"amplitude:<finite number>", got {t!r}')
-        return cls(scenario=scenario, system=system, weight=weight,
-                   tolerance=tolerance,
-                   family=dict(family, resolutions=list(resolutions)),
-                   tests=tuple(tests),
-                   mv=_require(cfg, "", "mv", dict, default={}),
-                   out_dir=out_dir or _require(cfg, "", "out_dir", str,
-                                               default="out"),
-                   seed=seed if seed is not None
-                   else _require(cfg, "", "seed", int, default=0))
+            weight = WeightSpec(**cfg["weight"])
+        except WeightError as exc:  # its message starts with the key under /weight
+            raise ConfigError(f"/weight/{exc}") from exc
+        config = cls(**dict(cfg, system=system, weight=weight, tests=tuple(cfg["tests"]),
+                            tolerance=ToleranceModel(**cfg["tolerance"])))
+        ids = [mid for mid, _ in _member_specs(config)]
+        key = "/mv/nus" if config.scenario == "mv_ladder" else "/family/resolutions"
+        for i, mid in enumerate(ids):
+            if mid in ids[:i]:  # its directory would overwrite the earlier member's
+                raise ConfigError(f"{key}/{i}: member id {mid!r} repeats {key}/{ids.index(mid)}'s")
+        return config
 
     @classmethod
     def from_file(cls, path, out_dir: str | None = None,
@@ -197,25 +174,20 @@ def initial_condition(config: ScenarioConfig, grid: Grid) -> SpectralField:
     nu = config.system.nu
     sc = config.scenario
     if sc in ("taylor_green", "euler_tg", "mv_ladder"):
-        return taylor_green(0.0, nu, grid,
-                            amplitude=config.family.get("amplitude", 1.0))
+        return taylor_green(0.0, nu, grid, amplitude=config.family["amplitude"])
     if sc == "perturbed_tg":
         rng = np.random.default_rng(config.seed)
-        kmax = config.family.get("kmax", 4)
-        delta = config.family.get("delta", 1e-2)
-        pert = random_field(grid, rng, kmax=kmax, components=2,
+        pert = random_field(grid, rng, kmax=config.family["kmax"], components=2,
                             solenoidal=True).coeffs
-        pert = pert * (1.0 / np.sqrt(pairing(pert, pert))) * delta
+        pert = pert * (1.0 / np.sqrt(pairing(pert, pert))) * config.family["delta"]
         return SpectralField(grid, taylor_green(0.0, nu, grid).coeffs + pert,
                              solenoidal=True)
-    if sc == "two_vortex":
-        # superposed vortex pairs from psi = sin x sin y + 1/2 sin 2x sin 2y
-        return from_function(
-            grid,
-            lambda x, y: np.sin(x) * np.cos(y) + np.sin(2 * x) * np.cos(2 * y),
-            lambda x, y: -np.cos(x) * np.sin(y) - np.cos(2 * x) * np.sin(2 * y),
-            solenoidal=True)
-    raise ConfigError(f"/scenario: unknown id {sc!r}")
+    # two_vortex: superposed vortex pairs from psi = sin x sin y + 1/2 sin 2x sin 2y
+    return from_function(
+        grid,
+        lambda x, y: np.sin(x) * np.cos(y) + np.sin(2 * x) * np.cos(2 * y),
+        lambda x, y: -np.cos(x) * np.sin(y) - np.cos(2 * x) * np.sin(2 * y),
+        solenoidal=True)
 
 
 def _amplitude(tid):
@@ -232,7 +204,7 @@ def _amplitude(tid):
 def build_tests(config: ScenarioConfig, grid: Grid) -> list:
     """Certificate test family from the config's test id strings.
 
-    The ids, checked by ``ScenarioConfig.from_dict``: "exact" (closed-form
+    The ids, checked by ``ITEMS["/tests"]``: "exact" (closed-form
     decaying vortex matching the scenario data where available), "zero",
     "amplitude:<a>" (rescaled vortex).
     """
@@ -253,24 +225,24 @@ def build_tests(config: ScenarioConfig, grid: Grid) -> list:
 # -- stages ------------------------------------------------------------------
 
 def _member_specs(config: ScenarioConfig):
+    """(member id, SystemSpec) of each member, in config order."""
     base = config.system
     if config.scenario == "mv_ladder":
-        nus = config.mv.get("nus", [1e-2, 5e-3, 2.5e-3])
-        return [(f"nu_{nu:g}", replace(base, nu=nu)) for nu in nus]
+        return [(f"nu_{nu:g}", replace(base, nu=nu)) for nu in config.mv["nus"]]
     return [(f"n_{n}", replace(base, grid=Grid(n)))
             for n in config.family["resolutions"]]
 
 
 def stage_simulate(config: ScenarioConfig) -> dict:
-    """Solve and save every member; returns {member id: Trajectory}."""
+    """Solve and save every member in a new sim/, which holds exactly the
+    config's members; returns {member id: Trajectory}."""
     out = Path(config.out_dir) / "sim"
-    stride = config.family.get("sample_stride", 1)
-    n_max = max(config.family["resolutions"]) if config.scenario != "mv_ladder" \
-        else config.system.grid.n
-    v0_fine = initial_condition(config, Grid(n_max))
+    shutil.rmtree(out, ignore_errors=True)
+    specs = _member_specs(config)
+    v0_fine = initial_condition(config, Grid(max(spec.grid.n for _, spec in specs)))
     members = {}
-    for mid, spec in _member_specs(config):
-        traj = solve(spec, v0_fine, sample_stride=stride,
+    for mid, spec in specs:
+        traj = solve(spec, v0_fine, sample_stride=config.family["sample_stride"],
                      provenance=f"{config.scenario}/{mid} seed={config.seed}")
         mdir = out / mid
         traj.save(mdir)
@@ -297,13 +269,15 @@ def load_members(config: ScenarioConfig) -> dict:
 
 def stage_certify(config: ScenarioConfig, members: dict) -> dict:
     """Certify every member against one test family on the finest member grid,
-    in one pass per test, and save the reports; returns {member id: passed}."""
+    in one pass per test, and save the reports in a new certificates/;
+    returns {member id: passed}."""
     first = next(iter(members))
     if bad := [mid for mid, u in members.items() if not _shares_samples(members[first], u)]:
         raise ConfigError(f"{Path(config.out_dir) / 'sim' / bad[0] / 'manifest.json'}: sample "
                           f"times or forcing differ from {first}'s; members are certified together")
     out = Path(config.out_dir) / "certificates"
-    out.mkdir(parents=True, exist_ok=True)
+    shutil.rmtree(out, ignore_errors=True)
+    out.mkdir(parents=True)
     tests = build_tests(config, Grid(max(traj.grid.n for traj in members.values())))
     reports = certify_members(members.values(), tests, config.weight, config.tolerance)
     for mid, report in zip(members, reports):
@@ -333,8 +307,8 @@ def stage_select(config: ScenarioConfig, members: dict, verdicts: dict) -> dict 
 def stage_mv(config: ScenarioConfig, members: dict) -> dict:
     ids = list(members.keys())
     fine, coarse = members[ids[-1]], members[ids[0]]
-    keys = ("mollifier_kmax", "clip_fail_ratio")  # else defect_from_pair's defaults
-    m = defect_from_pair(fine, coarse, **{k: config.mv[k] for k in keys if k in config.mv})
+    m = defect_from_pair(fine, coarse, mollifier_kmax=config.mv["mollifier_kmax"],
+                         clip_fail_ratio=config.mv["clip_fail_ratio"])
     out = Path(config.out_dir) / "defect"
     m.save(out)
     info = {"fine": ids[-1], "coarse": ids[0],

@@ -185,8 +185,9 @@ class SystemSpec:
                 raise SolverError(f"{key}: expected a finite number, got {getattr(self, key)!r}")
         if self.nu < 0:
             raise SolverError(f"nu: viscosity must be >= 0, got {self.nu}")
-        if not (0 < self.dt <= self.t_end):
-            raise SolverError(f"dt: need 0 < dt <= t_end, got dt={self.dt}, t_end={self.t_end}")
+        if not (0 < self.dt <= self.t_end and self.t_end / self.dt < math.inf):
+            raise SolverError(f"dt: need 0 < dt <= t_end and a finite t_end / dt, "
+                              f"got dt={self.dt}, t_end={self.t_end}")
         if abs(self.n_steps * self.dt - self.t_end) > 1e-9 * self.t_end:
             raise SolverError(f"t_end: {self.t_end} must be an integer multiple of dt={self.dt}")
 
@@ -287,7 +288,7 @@ def _integrating_factors(n: int, nu: float, dt: float):
 
 
 def advance(v: SpectralField, spec: SystemSpec, t: float,
-            dt: float | None = None, _ws: _Workspace | None = None) -> SpectralField:
+            _ws: _Workspace | None = None) -> SpectralField:
     """One integrating-factor RK4 step; diffusion exact, convection explicit.
 
     The stages run in the arrays of ``_ws`` (a new workspace without it), in
@@ -295,23 +296,22 @@ def advance(v: SpectralField, spec: SystemSpec, t: float,
     c = N(e_half u + (dt/2) b), d = N(e_full u + (dt e_half) c) and
     e_full u + (dt/6) (e_full a + (2 e_half) (b + c) + d).  The result is
     checked finite, and solenoidal by its constructor."""
-    dt = spec.dt if dt is None else dt
     ws = _ws or _Workspace(v.coeffs.shape)
-    e_half, e_full, dt_e_half, two_e_half = _integrating_factors(spec.grid.n, spec.nu, dt)
+    e_half, e_full, dt_e_half, two_e_half = _integrating_factors(spec.grid.n, spec.nu, spec.dt)
     f = spec.forcing.projected(spec.grid.n)
     u = v.coeffs
     a, b, c, d, x, y = ws.stages
     _rhs(u, spec, f, ws, a)
-    np.multiply(e_half, np.add(u, np.multiply(0.5 * dt, a, out=x), out=x), out=x)
+    np.multiply(e_half, np.add(u, np.multiply(0.5 * spec.dt, a, out=x), out=x), out=x)
     _rhs(x, spec, f, ws, b)
-    np.add(np.multiply(e_half, u, out=x), np.multiply(0.5 * dt, b, out=y), out=x)
+    np.add(np.multiply(e_half, u, out=x), np.multiply(0.5 * spec.dt, b, out=y), out=x)
     _rhs(x, spec, f, ws, c)
     np.multiply(dt_e_half, c, out=y)
     np.add(np.multiply(e_full, u, out=x), y, out=x)
     _rhs(x, spec, f, ws, d)
     np.multiply(two_e_half, np.add(b, c, out=y), out=y)
     np.add(np.add(np.multiply(e_full, a, out=x), y, out=x), d, out=x)
-    new = np.add(np.multiply(e_full, u, out=y), np.multiply(dt / 6.0, x, out=x), out=y)
+    new = np.add(np.multiply(e_full, u, out=y), np.multiply(spec.dt / 6.0, x, out=x), out=y)
 
     if not np.all(np.isfinite(new)):
         raise BlowUpError(f"non-finite coefficients after step at t={t:g}")

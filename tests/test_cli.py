@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from maxdiss.cli import (
 )
 from maxdiss.fields import Grid, SpectralField, from_function, resample, save_field
 from maxdiss.scenarios import (
+    SCHEMA,
     ConfigError,
     ScenarioConfig,
     build_tests,
@@ -152,15 +154,17 @@ def test_cli_rejects_unknown_config_key(tmp_path, capsys, pointer, typo):
     ("/weight/kappa", 1.99),  # finite but below the kappa >= 2 of a sound weight
     ("/weight/kappa", 0),
     ("/weight/kappa", -3),
+    ("/seed", -1),  # default_rng takes no negative seed
+    ("/tests", []),  # nothing to certify against
+    ("/system/n", 15),
 ])
 def test_cli_rejects_mistyped_config_value(tmp_path, capsys, pointer, value):
     # caught when the config is parsed: exit 4 naming the value, no output tree
-    _, section, key = pointer.split("/")
-    cfg = _base_cfg()
-    if isinstance(cfg.get(section), list):
-        cfg[section][int(key)] = value
-    else:
-        cfg.setdefault(section, {})[key] = value
+    *sections, key = pointer.split("/")[1:]
+    cfg = section = _base_cfg()
+    for name in sections:
+        section = section.setdefault(name, {})
+    section[int(key) if isinstance(section, list) else key] = value
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
@@ -187,12 +191,47 @@ def test_cli_rejects_retired_weight_key(tmp_path, capsys, pointer, value):
     assert not out.exists()
 
 
+def test_cli_rejects_step_count_that_overflows(tmp_path, capsys):
+    # t_end / dt is infinite: exit 4 naming /system/dt, not an OverflowError
+    path = _write_cfg(tmp_path, system={"nu": 0.1, "n": 16, "t_end": 1.0, "dt": 5e-324})
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out)]) == EXIT_CONFIG
+    assert "config error: /system/dt: need 0 < dt <= t_end and a finite t_end / dt" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_cli_rejects_negative_seed_override(tmp_path, capsys):
+    # --seed takes the place of /seed, and is checked like it
+    path = _write_cfg(tmp_path, scenario="perturbed_tg")
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out), "--seed", "-2"]) == EXIT_CONFIG
+    assert "config error: /seed: expected an int >= 0, got -2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scenario, section, values, message", [
+    ("mv_ladder", "mv", {"nus": [0.01, 0.0100000001]},
+     "/mv/nus/1: member id 'nu_0.01' repeats /mv/nus/0's"),
+    ("taylor_green", "family", {"resolutions": [12, 16, 16]},
+     "/family/resolutions/2: member id 'n_16' repeats /family/resolutions/1's"),
+], ids=["mv", "family"])
+def test_cli_rejects_members_that_share_an_id(tmp_path, capsys, scenario, section, values,
+                                              message):
+    # one member's directory would overwrite the other's
+    path = _write_cfg(tmp_path, scenario=scenario, **{section: values})
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out)]) == EXIT_CONFIG
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_rejects_retired_weight_kind(tmp_path, capsys):
     # the strain bound is the one weight: the Serrin kind is a config error
     path = _write_cfg(tmp_path, weight={"kind": "serrin"})
     out = tmp_path / "out"
     assert main(["run", "--config", path, "--out", str(out)]) == EXIT_CONFIG
-    assert "config error: /weight: unknown weight kind 'serrin'" in capsys.readouterr().err
+    assert "config error: /weight/kind: unknown weight kind 'serrin'" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -279,6 +318,14 @@ def test_documented_and_benchmark_configs_parse():
     assert len(configs) == 4
     for cfg in configs:
         ScenarioConfig.from_dict(cfg)
+
+
+def test_readme_names_exactly_the_schema_keys():
+    # the README names each key as often as SCHEMA declares it (kind: twice)
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    paragraph = readme.split("Config sections and keys: ")[1].split("\n\n")[0]
+    named = re.findall(r"`(\w+)`", paragraph)
+    assert sorted(named) == sorted(key for section in SCHEMA.values() for key in section)
 
 
 def test_config_malformed_json(tmp_path):
@@ -498,6 +545,22 @@ def test_stage_subcommands_match_run(tmp_path, capsys):
     assert b == a and (a["member_ids"], a["rank"], a["unique"]) == (["n_16", "n_12"], 2, True)
     assert all((staged / "selected" / name).read_bytes() == (run / "selected" / name).read_bytes()
                for name in ("manifest.json", "states.fld"))
+
+
+def test_stages_keep_no_member_of_an_earlier_config(tmp_path):
+    # simulate replaces sim/ and certify certificates/, so a member that the
+    # config no longer names is neither certified, selected nor hashed
+    out = tmp_path / "run"
+    for resolutions in ([8, 16], [12, 16]):
+        cfg = _write_cfg(tmp_path, family={"resolutions": resolutions, "sample_stride": 10})
+        for command in ("simulate", "certify"):
+            assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_OK
+    assert main(["select", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    assert sorted(p.name for p in (out / "sim").iterdir()) == ["n_12", "n_16"]
+    assert sorted(p.name for p in (out / "certificates").iterdir()) == [
+        "n_12.csv", "n_12.json", "n_16.csv", "n_16.json"]
+    sel = json.loads((out / "selection.json").read_text())
+    assert sorted(sel["member_ids"] + sel["excluded"]) == ["n_12", "n_16"]
 
 
 def test_stage_mv_uses_the_pair_default_clip_ratio(tmp_path):
@@ -770,6 +833,26 @@ def test_cli_mv_subcommand(tmp_path, capsys):
     assert main(["mv", "--fine", str(tmp_path / "coarse"),
                  "--coarse", str(tmp_path / "fine"),
                  "--out", str(tmp_path / "d2")]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("kmax", ["0", "-2"])
+def test_cli_mv_rejects_kmax_below_one(tmp_path, capsys, kmax):
+    # a low band without modes checks no initial data and leaves a NaN density
+    from dataclasses import replace
+
+    from maxdiss.solver import solve
+    spec = SystemSpec(nu=0.1, grid=Grid(16), t_end=0.05, dt=2.5e-3)
+    fine = solve(spec, taylor_green(0.0, 0.1, spec.grid), sample_stride=10)
+    coarse = Trajectory(spec=replace(spec, grid=Grid(8)), times=fine.times,
+                        coeffs=resample(fine.coeffs, 8))
+    fine.save(tmp_path / "fine")
+    coarse.save(tmp_path / "coarse")
+    out = tmp_path / "defect"
+    assert main(["mv", "--fine", str(tmp_path / "fine"), "--coarse", str(tmp_path / "coarse"),
+                 "--out", str(out), "--kmax", kmax]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"config error: /mv: mollifier_kmax: expected an int >= 1, got {kmax}" in err
+    assert not out.exists()
 
 
 def test_cli_seed_override(tmp_path):

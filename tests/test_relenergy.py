@@ -19,7 +19,7 @@ from maxdiss.relenergy import (
     weight_value,
 )
 from maxdiss.certificate import margin_series
-from maxdiss.solver import Forcing, SystemSpec, TestTrajectory, Trajectory, taylor_green
+from maxdiss.solver import Forcing, SystemSpec, TestTrajectory, Trajectory, _rhs, taylor_green
 
 
 STRAIN = WeightSpec()
@@ -140,7 +140,7 @@ def test_residual_linear_in_viscosity():
 
 @pytest.mark.parametrize("forced", [False, True])
 def test_residual_affine_in_viscosity_splits_exactly(rng, forced):
-    # A_nu = A_0 + nu P(|k|^2 v), as the certifier assembles it per member,
+    # A_nu = A_0 + nu |k|^2 v, as the certifier assembles it per member,
     # on a stack of broadband states that are not solenoidal
     forcing = Forcing("analytic", "kolmogorov", {"amplitude": 1.0}) if forced else Forcing("zero")
     spec0 = SystemSpec(nu=0.0, grid=Grid(32), t_end=1.0, dt=1e-3, forcing=forcing)
@@ -148,10 +148,26 @@ def test_residual_affine_in_viscosity_splits_exactly(rng, forced):
                                 for _ in range(3)]) for _ in range(2))
     tab = spectral_tables(32)
     a0 = residual_A(values, derivs, spec0)
-    viscous = project(tab.k2 * values, tab)
+    viscous = tab.k2 * values
     for nu in (0.0, 1e-3, 0.1):
         direct = residual_A(values, derivs, replace(spec0, nu=nu))
         assert np.all(dist(a0 + nu * viscous, direct) <= 1e-12 * dist(direct))
+
+
+@pytest.mark.parametrize("forced", [False, True])
+def test_residual_of_solenoidal_states_needs_no_projection(rng, forced):
+    # on solenoidal states d/dt v + nu |k|^2 v is solenoidal, so residual_A leaves
+    # out the Leray projection of P[d/dt v + nu |k|^2 v] - solver._rhs(v)
+    forcing = Forcing("analytic", "kolmogorov", {"amplitude": 1.0}) if forced else Forcing("zero")
+    values, derivs = (np.stack([random_field(Grid(32), rng, kmax=10, solenoidal=True).coeffs
+                                for _ in range(3)]) for _ in range(2))
+    tab = spectral_tables(32)
+    for nu in (0.0, 0.1):
+        spec = SystemSpec(nu=nu, grid=Grid(32), t_end=1.0, dt=1e-3, forcing=forcing)
+        projected = project(derivs + nu * tab.k2 * values, tab) - _rhs(
+            values, spec, forcing.projected(32))
+        got = residual_A(values, derivs, spec)
+        assert np.all(dist(got, projected) <= 1e-14 * dist(projected))
 
 
 # -- trilinear form ----------------------------------------------------------
@@ -249,7 +265,7 @@ def test_weight_serialization():
     # "strain" is the one kind and the default; "euler_negsym" is read as it
     w = WeightSpec(kind="euler_negsym", kappa=3.0)
     assert w.to_dict() == {"kind": "strain", "kappa": 3.0}
-    assert WeightSpec.from_dict(w.to_dict()) == w
+    assert WeightSpec(**w.to_dict()) == w
     assert WeightSpec() == WeightSpec(kind="strain", kappa=2.0)
     for kind in ("serrin", "no_such_kind"):
         with pytest.raises(WeightError, match="unknown weight kind"):
