@@ -32,33 +32,20 @@ class MVError(ValueError):
 def psd_clip(density: np.ndarray):
     """Project 2x2-symmetric samples (..., 3, n, n) onto PSD matrices.
 
-    Returns (clipped, magnitude) where magnitude is the largest negative
-    eigenvalue removed, as an absolute number in velocity^2 units.
+    The nearest PSD matrix in the Frobenius norm clips the eigenvalues (Higham 1988):
+    with p = max(lam1, 0), q = min(lam2, 0) it is p/(p - q) (M - qI), as e1 e1^T =
+    (M - lam2 I)/(lam1 - lam2), and 0 where p = q = 0; PSD samples come back bit for
+    bit.  Returns (clipped, magnitude), magnitude the largest negative eigenvalue
+    removed, as an absolute number in velocity^2 units.
     """
-    a = density[..., 0, :, :]
-    b = density[..., 1, :, :]
-    c = density[..., 2, :, :]
     lam1, lam2 = _sym_eigenvalues(density)
-    magnitude = float(max(np.max(-lam2, initial=0.0), np.max(-lam1, initial=0.0), 0.0))
+    magnitude = float(np.max(-lam2, initial=0.0))
     if magnitude == 0.0:
         return density.copy(), 0.0
-    l1 = np.maximum(lam1, 0.0)
-    l2 = np.maximum(lam2, 0.0)
-    # eigenvector for lam1: (b, lam1 - a), falling back to an axis when the
-    # matrix is (numerically) already diagonal
-    vx = b.copy()
-    vy = lam1 - a
-    nrm = np.hypot(vx, vy)
-    tiny = nrm <= 1e-300
-    vx = np.where(tiny, np.where(a >= c, 1.0, 0.0), vx)
-    vy = np.where(tiny, np.where(a >= c, 0.0, 1.0), vy)
-    nrm = np.hypot(vx, vy)
-    vx /= nrm
-    vy /= nrm
-    out = np.empty_like(density)
-    out[..., 0, :, :] = l1 * vx * vx + l2 * vy * vy
-    out[..., 1, :, :] = (l1 - l2) * vx * vy
-    out[..., 2, :, :] = l1 * vy * vy + l2 * vx * vx
+    p, q = np.maximum(lam1, 0.0), np.minimum(lam2, 0.0)
+    out = density.copy()
+    out[..., 0::2, :, :] -= q[..., None, :, :]
+    out *= np.divide(p, p - q, out=np.zeros_like(p), where=p > q)[..., None, :, :]
     return out, magnitude
 
 

@@ -97,30 +97,6 @@ def residual_A(values: np.ndarray, derivs: np.ndarray, spec: SystemSpec) -> np.n
 
 # -- Gronwall machinery -----------------------------------------------------
 
-def simpson(y, times) -> np.ndarray:
-    """int y dt along axis 0, bit for bit as scipy.integrate.simpson (1.17).
-
-    Uneven-spacing composite Simpson; for an even sample count Cartwright's
-    (2017) correction on the last interval; the trapezoid for two samples, 0 for one.
-    """
-    y = np.asarray(y, dtype=float)
-    h = np.diff(np.asarray(times, dtype=float)).reshape((-1,) + (1,) * (y.ndim - 1))
-    if y.shape[0] == 2:
-        return 0.5 * h[0] * (y[1] + y[0])
-    stop = y.shape[0] - 3 + y.shape[0] % 2
-    h0, h1 = h[0:stop:2], h[1:stop + 1:2]
-    hsum, ratio = h0 + h1, h0 / h1
-    result = np.sum(hsum / 6.0 * (y[0:stop:2] * (2.0 - 1.0 / ratio)
-                                  + y[1:stop + 1:2] * (hsum * (hsum / (h0 * h1)))
-                                  + y[2:stop + 2:2] * (2.0 - ratio)), axis=0)
-    if y.shape[0] % 2 == 0:
-        a, b = np.asarray(h[-2]), np.asarray(h[-1])  # 0-d: scalar ** rounds otherwise
-        result += ((2 * b ** 2 + 3 * a * b) / (6 * (b + a)) * y[-1]
-                   + (b ** 2 + 3.0 * a * b) / (6 * a) * y[-2]
-                   - b ** 3 / (6 * a * (a + b)) * y[-3])
-    return result
-
-
 def _simpson_pieces(y: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Integral over [t_k, t_k+1] of the parabola through t_k, t_k+1, t_k+2."""
     x21, x32 = h[:-1], h[1:]
@@ -132,7 +108,8 @@ def _simpson_pieces(y: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 def cumulative_weight_integral(values, times) -> np.ndarray:
     """I(t_k) = int_0^{t_k} K ds along axis 0, I(0) = 0; bit for bit as scipy 1.17's
-    cumulative_simpson(..., initial=0.0): Cartwright's (2017) rule per interval."""
+    cumulative_simpson(..., initial=0.0): Cartwright's (2017) rule per interval.
+    The package's one time quadrature: the selector takes its Gram integral as I(T)."""
     y = np.asarray(values, dtype=float)
     h = np.diff(np.asarray(times, dtype=float)).reshape((-1,) + (1,) * (y.ndim - 1))
     pieces = np.zeros(y.shape)

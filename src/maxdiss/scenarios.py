@@ -25,7 +25,7 @@ from .certificate import ToleranceModel, certify_members
 from .fields import Grid, SpectralField, from_function, pairing, random_field
 from .mv_euler import defect_from_pair, trace_energy_gap
 from .relenergy import WeightError, WeightSpec
-from .selector import MAX_MEMBERS, assemble_family, select
+from .selector import MAX_MEMBERS, SelectorError, assemble_family, select
 from .solver import (BlowUpError, SolverError, SystemSpec, TestTrajectory, Trajectory,
                      _shares_samples, solve, taylor_green)
 
@@ -116,6 +116,12 @@ def _parse(value, pointer: str = "", parsed: dict | None = None):
     return out
 
 
+def _no_repeats(values: list, what: str, pointer: str):
+    for i, v in enumerate(values):
+        if v in values[:i]:
+            raise ConfigError(f"{pointer}/{i}: {what} {v!r} repeats {pointer}/{values.index(v)}'s")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Validated scenario description: SCHEMA's sections, with their defaults."""
@@ -147,11 +153,10 @@ class ScenarioConfig:
             raise ConfigError(f"/weight/{exc}") from exc
         config = cls(**dict(cfg, system=system, weight=weight, tests=tuple(cfg["tests"]),
                             tolerance=ToleranceModel(**cfg["tolerance"])))
-        ids = [mid for mid, _ in _member_specs(config)]
-        key = "/mv/nus" if config.scenario == "mv_ladder" else "/family/resolutions"
-        for i, mid in enumerate(ids):
-            if mid in ids[:i]:  # its directory would overwrite the earlier member's
-                raise ConfigError(f"{key}/{i}: member id {mid!r} repeats {key}/{ids.index(mid)}'s")
+        # a repeated member id would overwrite a directory, a repeated test label a test_id
+        _no_repeats([mid for mid, _ in _member_specs(config)], "member id",
+                    "/mv/nus" if config.scenario == "mv_ladder" else "/family/resolutions")
+        _no_repeats([_test_label(tid) for tid in config.tests], "test", "/tests")
         return config
 
     @classmethod
@@ -201,6 +206,11 @@ def _amplitude(tid):
     return a if math.isfinite(a) else None
 
 
+def _test_label(tid: str) -> str:
+    """The label of a test id: "zero", "exact" or "amplitude_<a>" with a in %g."""
+    return tid if tid in ("zero", "exact") else f"amplitude_{_amplitude(tid):g}"
+
+
 def build_tests(config: ScenarioConfig, grid: Grid) -> list:
     """Certificate test family from the config's test id strings.
 
@@ -208,17 +218,14 @@ def build_tests(config: ScenarioConfig, grid: Grid) -> list:
     decaying vortex matching the scenario data where available), "zero",
     "amplitude:<a>" (rescaled vortex).
     """
-    nu = config.system.nu
     tests = []
     for tid in config.tests:
         if tid == "zero":
             tests.append(TestTrajectory.zero(grid))
-        elif tid == "exact":
-            tests.append(TestTrajectory.taylor_green(nu, grid, label="exact"))
-        else:
-            a = _amplitude(tid)
-            tests.append(TestTrajectory.taylor_green(
-                nu, grid, amplitude=a, label=f"amplitude_{a:g}"))
+        else:  # "exact" is the vortex of amplitude 1
+            a = 1.0 if tid == "exact" else _amplitude(tid)
+            tests.append(TestTrajectory.taylor_green(config.system.nu, grid, amplitude=a,
+                                                     label=_test_label(tid)))
     return tests
 
 
@@ -295,7 +302,10 @@ def stage_select(config: ScenarioConfig, members: dict, verdicts: dict) -> dict 
         (out / "selection.json").unlink(missing_ok=True)
         shutil.rmtree(out / "selected", ignore_errors=True)
         return None
-    fam = assemble_family([members[mid] for mid in passed], member_ids=tuple(passed))
+    try:
+        fam = assemble_family([members[mid] for mid in passed], member_ids=tuple(passed))
+    except SelectorError as exc:  # its message starts with the member id
+        raise ConfigError(f"{out / 'sim'}/{exc}") from exc
     result = select(fam)
     summary = dict(result.to_dict(fam),
                    excluded=[mid for mid in members if not verdicts[mid]])
@@ -325,8 +335,12 @@ def _sha256(path: Path) -> str:
 
 
 def _hash_tree(root: Path) -> dict:
-    return {str(p.relative_to(root)): _sha256(p) for p in sorted(root.rglob("*"))
-            if p.is_file() and p.name != "manifest.json"}
+    return {str(p.relative_to(root)): _sha256(p) for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+#: what runs and reports leave besides sim/ and certificates/, which their stages replace
+EARLIER_OUTPUTS = ("defect", "selected", "selection.json", "energy.csv", "margins.csv",
+                   "report.json", "manifest.json")
 
 
 def run_scenario(config: ScenarioConfig) -> int:
@@ -334,6 +348,9 @@ def run_scenario(config: ScenarioConfig) -> int:
     3 blow-up.  Any stage failure halts with a stage-tagged diagnostic."""
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    for name in EARLIER_OUTPUTS:  # so _hash_tree sees this run's files and no run manifest
+        shutil.rmtree(out / name, ignore_errors=True)
+        (out / name).unlink(missing_ok=True)
     try:
         members = stage_simulate(config)
     except BlowUpError as exc:

@@ -2,11 +2,11 @@
 
 The time-integrated kinetic energy J(lambda) = 1/2 int_0^T E(u_lambda) dt
 is minimized over convex combinations u_lambda = sum lambda_i u_i of
-certified candidates.  J is a convex quadratic in lambda (via the Gram
-matrices of the members), and with at most MAX_MEMBERS members it is
-minimized exactly, support by support.  The mixed trajectory is unique
-even when the weights are not (singular Gram), so the trajectory is the
-deliverable and the weights a witness.
+certified candidates.  J = 1/4 lambda^T H lambda is a convex quadratic, H the
+members' Gram matrix integrated over time once by the certifier's Simpson rule;
+with at most MAX_MEMBERS members it is minimized exactly, support by support.
+The mixed trajectory is unique even when the weights are not (singular Gram),
+so the trajectory is the deliverable and the weights a witness.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from itertools import combinations
 import numpy as np
 
 from .fields import Grid, _embed, pairing, resample
-from .relenergy import simpson
+from .relenergy import cumulative_weight_integral
 from .solver import SystemSpec, Trajectory, _shares_samples
 
 
@@ -50,17 +50,12 @@ class CandidateFamily:
     member_ids: tuple
     times: np.ndarray
     coeffs: tuple        # coeffs[i]: member i on the common grid, (T, 2, n, n//2 + 1)
-    gram: np.ndarray     # (T, m, m) with G_ij(t_k) = <u_i(t_k), u_j(t_k)>
+    H: np.ndarray        # (m, m), H_ij = int_0^T <u_i, u_j> dt
     spec: SystemSpec
 
     @property
     def size(self) -> int:
         return len(self.member_ids)
-
-    def gram_time_integral(self) -> np.ndarray:
-        if self.times.size == 1:
-            return self.gram[0]
-        return simpson(self.gram, self.times)
 
     def mix(self, weights: SimplexWeights) -> Trajectory:
         """The convex combination sum_i lambda_i u_i as a Trajectory."""
@@ -73,7 +68,7 @@ class CandidateFamily:
 
 
 def assemble_family(trajs, member_ids=None, data_rtol: float = 1e-8) -> CandidateFamily:
-    """Hold compatible trajectories on the finest grid and precompute Grams.
+    """Hold compatible trajectories on the finest grid and integrate their Gram.
 
     Members must share viscosity, forcing and sample times, and their
     initial data must agree after truncation to the smallest resolution:
@@ -82,37 +77,36 @@ def assemble_family(trajs, member_ids=None, data_rtol: float = 1e-8) -> Candidat
     trajs = list(trajs)
     if not trajs:
         raise SelectorError("family must not be empty")
+    m = len(trajs)
+    member_ids = tuple(f"member_{i}" for i in range(m)) if member_ids is None else tuple(member_ids)
     nu = trajs[0].spec.nu
     times = trajs[0].times
-    for tr in trajs[1:]:
+    for mid, tr in zip(member_ids[1:], trajs[1:]):
         if tr.spec.nu != nu:
-            raise SelectorError(f"viscosity mismatch: {tr.spec.nu} vs {nu}")
+            raise SelectorError(f"{mid}: viscosity mismatch: {tr.spec.nu} vs {nu}")
         if not _shares_samples(trajs[0], tr):
-            raise SelectorError("sample times or forcing differ between members")
+            raise SelectorError(f"{mid}: sample times or forcing differ from {member_ids[0]}'s")
     n_min = min(tr.grid.n for tr in trajs)
     u0_ref = resample(trajs[0].coeffs[0], n_min)
     scale = max(np.sqrt(pairing(u0_ref, u0_ref)), 1.0)
-    for tr in trajs[1:]:
+    for mid, tr in zip(member_ids[1:], trajs[1:]):
         d = resample(tr.coeffs[0], n_min) - u0_ref
         gap = np.sqrt(pairing(d, d))
         if gap > data_rtol * scale:
-            raise SelectorError(f"initial data mismatch ({gap:g}) after truncation")
+            raise SelectorError(f"{mid}: initial data mismatch ({gap:g}) with "
+                                f"{member_ids[0]}'s after truncation")
 
     n = max(tr.grid.n for tr in trajs)
     # zero-padding a normalized spectrum leaves it normalized
     coeffs = tuple(tr.coeffs if tr.grid.n == n else _embed(tr.coeffs, tr.grid.n, n)
                    for tr in trajs)
-    m = len(trajs)
     gram = np.empty((times.size, m, m))
     for i in range(m):
         for j in range(i, m):
             gram[:, i, j] = gram[:, j, i] = pairing(coeffs[i], coeffs[j])
-
-    if member_ids is None:
-        member_ids = tuple(f"member_{i}" for i in range(m))
+    H = gram[0] if times.size == 1 else cumulative_weight_integral(gram, times)[-1]
     spec = replace(trajs[0].spec, grid=Grid(n), dt=min(tr.spec.dt for tr in trajs))
-    return CandidateFamily(member_ids=tuple(member_ids), times=times, coeffs=coeffs,
-                           gram=gram, spec=spec)
+    return CandidateFamily(member_ids=member_ids, times=times, coeffs=coeffs, H=H, spec=spec)
 
 
 # -- optimization -----------------------------------------------------------
@@ -149,15 +143,14 @@ class SelectionResult:
 
 def objective(family: CandidateFamily, lam: np.ndarray) -> float:
     """J(lambda) = 1/2 int_0^T E(u_lambda) dt = 1/4 lambda^T H lambda."""
-    H = family.gram_time_integral()
-    return 0.25 * float(lam @ H @ lam)
+    return 0.25 * float(lam @ family.H @ lam)
 
 
 def kkt_residual(family: CandidateFamily, weights: SimplexWeights) -> float:
     """max over the support of g_i - min_j g_j, g = 1/2 H lambda the gradient
     of J; zero exactly at a minimizer over the simplex."""
     lam = weights.lam
-    g = 0.5 * (family.gram_time_integral() @ lam)
+    g = 0.5 * (family.H @ lam)
     return float(g[lam > 0].max() - g.min())
 
 
@@ -173,7 +166,7 @@ def select(family: CandidateFamily) -> SelectionResult:
     m = family.size
     if m > MAX_MEMBERS:
         raise SelectorError(f"{m} members, the exact solve takes at most {MAX_MEMBERS}")
-    eig, vec = np.linalg.eigh(family.gram_time_integral())
+    eig, vec = np.linalg.eigh(family.H)
     keep = eig > RTOL * eig.max()
     # scaled to lambda_max = 1, so that lstsq's cut and the ties are relative to H
     Hr = (vec[:, keep] * (eig[keep] / eig.max())) @ vec[:, keep].T

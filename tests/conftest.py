@@ -31,7 +31,7 @@ def divergence_linf(u) -> float:
 def convection(c: np.ndarray, dealias: bool = True) -> np.ndarray:
     """Convective-form reference (v.grad)v of velocity coefficients
     (..., 2, n, n//2 + 1), optionally 2/3-rule dealiased, that the solver's
-    rotational kernel is checked against."""
+    Basdevant-form kernel is checked against."""
     n = c.shape[-2]
     tab = spectral_tables(n)
     if dealias:

@@ -10,6 +10,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+from scipy.integrate import simpson
 from scipy.interpolate import CubicSpline
 
 from maxdiss import certificate
@@ -17,8 +18,8 @@ from maxdiss.certificate import margin_series
 from maxdiss.fields import (TWO_PI, Grid, SpectralField, _embed, from_function, load_samples,
                             pairing, resample, samples, spectral_tables, tensor_samples)
 from maxdiss.mv_euler import DefectField, MVError
-from maxdiss.relenergy import (cumulative_weight_integral, rel_terms, residual_A, simpson,
-                               weight_norms, weight_value)
+from maxdiss.relenergy import (cumulative_weight_integral, rel_terms, residual_A, weight_norms,
+                               weight_value)
 from maxdiss.selector import SimplexWeights, select
 from maxdiss.solver import TestTrajectory, Trajectory
 

@@ -215,7 +215,10 @@ def test_cli_rejects_negative_seed_override(tmp_path, capsys):
      "/mv/nus/1: member id 'nu_0.01' repeats /mv/nus/0's"),
     ("taylor_green", "family", {"resolutions": [12, 16, 16]},
      "/family/resolutions/2: member id 'n_16' repeats /family/resolutions/1's"),
-], ids=["mv", "family"])
+    ("taylor_green", "tests", ["exact", "exact"], "/tests/1: test 'exact' repeats /tests/0's"),
+    ("taylor_green", "tests", ["zero", "amplitude:1.05", "amplitude:1.050"],
+     "/tests/2: test 'amplitude_1.05' repeats /tests/1's"),
+], ids=["mv", "family", "tests", "amplitude"])
 def test_cli_rejects_members_that_share_an_id(tmp_path, capsys, scenario, section, values,
                                               message):
     # one member's directory would overwrite the other's
@@ -507,6 +510,41 @@ def test_cli_rejects_unreadable_json_in_run_tree(completed_run, tmp_path, capsys
     assert str(path) in capsys.readouterr().err
 
 
+def test_cli_report_rejects_edited_member_manifest(completed_run, tmp_path, capsys):
+    # the member manifests (spec, times, provenance) are hashed like every other file
+    out = tmp_path / "run"
+    shutil.copytree(completed_run[0], out)
+    path = out / "sim" / "n_16" / "manifest.json"
+    d = json.loads(path.read_text())
+    d["provenance"] += " (edited)"
+    path.write_text(json.dumps(d))
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == EXIT_CONFIG
+    assert f"{path}: sha256 differs from the manifest" in capsys.readouterr().err
+
+
+def test_run_leaves_no_output_of_an_earlier_run(tmp_path, capsys):
+    # run replaces what an earlier run or report left: report's outputs, the other
+    # kind of scenario's final stage and the run manifest, so none of them is hashed
+    out = str(tmp_path / "run")
+    system = {"nu": 0.1, "n": 16, "t_end": 0.05, "dt": 0.005}
+    family = {"resolutions": [16], "sample_stride": 5}
+    for nu in (0.1, 0.2):
+        cfg = _write_cfg(tmp_path, system=dict(system, nu=nu), family=family)
+        assert main(["run", "--config", cfg, "--out", out]) == EXIT_OK
+        assert main(["report", "--out", out]) == EXIT_OK
+    assert main(["report", "--out", out]) == EXIT_OK
+    ladder = _write_cfg(tmp_path, "ladder.json", scenario="mv_ladder", system=system,
+                        family=family, mv={"nus": [0.1, 0.05]})
+    for cfg, gone in ((ladder, ("selection.json", "selected")), (cfg, ("defect",))):
+        assert main(["run", "--config", cfg, "--out", out]) == EXIT_OK
+        hashes = json.loads((tmp_path / "run" / "manifest.json").read_text())["hashes"]
+        assert not [rel for rel in hashes if rel.split("/")[0] in gone + (
+            "energy.csv", "margins.csv", "report.json")]
+        assert not any((tmp_path / "run" / name).exists() for name in gone)
+        assert main(["report", "--out", out]) == EXIT_OK
+
+
 def test_run_scenario_deterministic(tmp_path):
     codes, manifests = [], []
     for sub in ("a", "b"):
@@ -792,6 +830,24 @@ def test_cli_select_mixes_only_certified_members(tmp_path, capsys, tg_impostors)
         assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CERT_FAIL
     assert "no selection" in capsys.readouterr().out
     assert not (out / "selection.json").exists() and not (out / "selected").exists()
+
+
+def test_cli_select_rejects_members_with_other_initial_data(tmp_path, capsys):
+    # n_24 of another seed: its perturbation differs from n_16's
+    trees = [tmp_path / "seed0", tmp_path / "seed1"]
+    cfg = _write_cfg(tmp_path, scenario="perturbed_tg",
+                     system={"nu": 0.1, "n": 24, "t_end": 0.05, "dt": 5e-3},
+                     family={"resolutions": [16, 24], "sample_stride": 5})
+    for seed, out in enumerate(trees):
+        assert main(["simulate", "--config", cfg, "--out", str(out),
+                     "--seed", str(seed)]) == EXIT_OK
+    shutil.rmtree(trees[0] / "sim" / "n_24")
+    shutil.copytree(trees[1] / "sim" / "n_24", trees[0] / "sim" / "n_24")
+    main(["certify", "--config", cfg, "--out", str(trees[0])])
+    capsys.readouterr()
+    assert main(["select", "--config", cfg, "--out", str(trees[0])]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{trees[0] / 'sim' / 'n_24'}: initial data mismatch" in err
 
 
 def test_cli_blowup_exit_code(tmp_path, capsys):

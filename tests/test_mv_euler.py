@@ -101,6 +101,46 @@ def test_psd_clip_off_diagonal_case():
     assert clipped[2, 0, 0] == pytest.approx(0.5)
 
 
+def test_psd_clip_diagonal_with_negative_entry():
+    # an eigenvector (b, lam1 - a) built from rounded eigenvalues points along the
+    # wrong axis here, and the clip kept m22's place instead of m11's
+    a = 1.0425133694426776
+    density = np.array([a, 0.0, -1.4836004852469666]).reshape(3, 1, 1)
+    clipped, mag = psd_clip(density)
+    np.testing.assert_allclose(clipped.ravel(), [a, 0.0, 0.0], rtol=1e-15, atol=1e-15)
+    assert mag == pytest.approx(1.4836004852469666, rel=1e-15)
+
+
+def _eigh_clip(density):
+    """numpy.linalg.eigh's projection of (..., 3, n, n) samples, and max |eigenvalue|."""
+    a, b, c = density[..., 0, :, :], density[..., 1, :, :], density[..., 2, :, :]
+    w, v = np.linalg.eigh(np.stack([np.stack([a, b], -1), np.stack([b, c], -1)], -2))
+    r = (v * np.maximum(w, 0.0)[..., None, :]) @ np.swapaxes(v, -1, -2)
+    return np.stack([r[..., 0, 0], r[..., 0, 1], r[..., 1, 1]], -3), np.abs(w).max(-1)
+
+
+def test_psd_clip_matches_eigh_projection(rng):
+    density = rng.standard_normal((4, 3, 32, 32))
+    density[1, 1] = 0.0      # diagonal samples
+    density[2, 1] *= 1e-9    # nearly diagonal samples
+    clipped, mag = psd_clip(density)
+    ref, scale = _eigh_clip(density)
+    assert (np.abs(clipped - ref).max(axis=-3) <= 1e-12 * scale).all()
+    assert mag == pytest.approx(-min_eigenvalue(density), rel=1e-15)
+
+
+def test_psd_clip_keeps_psd_samples_bitwise(rng):
+    density = rng.standard_normal((3, 8, 8))
+    density[1] *= 0.1
+    density[0::2] = np.abs(density[0::2]) + 1.0     # diagonally dominant: PSD
+    density[:, 0, 0] = [1.0, 0.0, -1.0]             # one indefinite sample
+    clipped, mag = psd_clip(density)
+    assert mag == 1.0
+    keep = np.ones((8, 8), dtype=bool)
+    keep[0, 0] = False
+    np.testing.assert_array_equal(clipped[:, keep], density[:, keep])
+
+
 def test_min_eigenvalue_formula():
     density = np.zeros((3, 1, 1))
     density[0], density[1], density[2] = 2.0, 1.0, 2.0  # eigenvalues 3, 1

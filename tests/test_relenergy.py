@@ -14,7 +14,6 @@ from maxdiss.relenergy import (
     cumulative_weight_integral,
     rel_terms,
     residual_A,
-    simpson,
     weight_norms,
     weight_value,
 )
@@ -224,15 +223,6 @@ def _quadrature_cases():
         for times in (uniform, jittered):
             for shape in ((n,), (n, 3, 3)):
                 yield times, rng.standard_normal(shape)
-
-
-def test_simpson_matches_scipy_bitwise():
-    from scipy.integrate import simpson as scipy_simpson
-
-    for times, y in _quadrature_cases():
-        ours = simpson(y, times)
-        assert np.shape(ours) == y.shape[1:]
-        np.testing.assert_array_equal(ours, scipy_simpson(y, x=times, axis=0))
 
 
 def test_cumulative_weight_integral_matches_scipy_bitwise():

@@ -7,7 +7,7 @@ from conftest import dist
 from support import continuous_dependence_study, verify_convex_midpoint, worst_margin
 
 from maxdiss.certificate import ToleranceModel, certify
-from maxdiss.fields import Grid, SpectralField, from_function
+from maxdiss.fields import Grid, SpectralField, from_function, pairing
 from maxdiss.relenergy import WeightSpec
 from maxdiss.selector import (
     MAX_MEMBERS,
@@ -48,7 +48,8 @@ def test_single_member_family_gram_is_twice_energy(tg_ladder):
     fam = assemble_family([tg_ladder[0]])
     e = tg_ladder[0].energies()
     assert fam.size == 1
-    assert np.abs(fam.gram[:, 0, 0] - 2 * e).max() <= 1e-12 * e[0]
+    assert np.abs(pairing(fam.coeffs[0], fam.coeffs[0]) - 2 * e).max() <= 1e-12 * e[0]
+    assert fam.H[0, 0] == pytest.approx(simpson(2 * e, x=fam.times), rel=1e-12)
 
 
 def test_padded_members_near_identical_gram(tg_ladder):
@@ -59,7 +60,8 @@ def test_padded_members_near_identical_gram(tg_ladder):
     e2 = 2 * tg_ladder[2].energies()
     for i in range(2):
         for j in range(2):
-            assert np.abs(fam.gram[:, i, j] - e2).max() <= 1e-8 * e2[0]
+            assert np.abs(pairing(fam.coeffs[i], fam.coeffs[j]) - e2).max() <= 1e-8 * e2[0]
+            assert fam.H[i, j] == pytest.approx(simpson(e2, x=fam.times), rel=1e-8)
 
 
 def test_family_rejects_mismatched_viscosity(tg_ladder):
@@ -164,7 +166,7 @@ def _orthogonal_fluctuation_family():
 
 def test_interior_optimum_matches_closed_form():
     fam = _orthogonal_fluctuation_family()
-    H = fam.gram_time_integral()
+    H = fam.H
     g11, g12, g22 = H[0, 0], H[0, 1], H[1, 1]
     lam_star = (g22 - g12) / (g11 - 2 * g12 + g22)
     assert 0.0 < lam_star < 1.0
