@@ -19,7 +19,7 @@ numpy's irfft2 and rfft2 are a column pass of 1D ``ifft``/``fft`` and a
 row pass of ``irfft``/``rfft``, so the pruned transforms give the same
 bits.  The band follows from the shapes: the n//2 + 1 columns of an
 n-spectrum sampled on a finer grid (``samples``), the columns ky <= cut of
-the 2/3 band, both ways, in the nonlinear kernel (``solver._rhs``), the
+the 2/3 band, both ways, in the nonlinear term (``solver._products``), the
 n//2 + 1 columns that a restriction to n keeps
 (``mv_euler._lowpass_restrict``).
 """

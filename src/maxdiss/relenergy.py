@@ -89,7 +89,7 @@ def weight_value(norms: np.ndarray, w: WeightSpec) -> np.ndarray:
 def residual_A(values: np.ndarray, derivs: np.ndarray, spec: SystemSpec) -> np.ndarray:
     """A = P[d/dt v + (v.grad)v - nu Lap v - f] of stacked solenoidal test states (as
     ``weight_norms`` needs; P leaves d/dt v and |k|^2 v as they are), through the
-    stepper's nonlinear kernel: d/dt v + nu |k|^2 v - solver._rhs(v);
+    velocity kernel on the stepper's transforms: d/dt v + nu |k|^2 v - solver._rhs(v);
     A_nu = A_0 + nu |k|^2 v, so ``margin_series`` calls it once at nu = 0."""
     f = spec.forcing.projected(spec.grid.n)
     return derivs + spec.nu * spectral_tables(spec.grid.n).k2 * values - _rhs(values, spec, f)

@@ -29,8 +29,7 @@ from .selector import MAX_MEMBERS, SelectorError, assemble_family, select
 from .solver import (BlowUpError, SolverError, SystemSpec, TestTrajectory, Trajectory,
                      _shares_samples, solve, taylor_green)
 
-SCENARIO_IDS = ("taylor_green", "perturbed_tg", "two_vortex", "euler_tg",
-                "mv_ladder")
+SCENARIO_IDS = ("taylor_green", "perturbed_tg", "two_vortex", "mv_ladder")
 
 
 class ConfigError(ValueError):
@@ -157,6 +156,8 @@ class ScenarioConfig:
         _no_repeats([mid for mid, _ in _member_specs(config)], "member id",
                     "/mv/nus" if config.scenario == "mv_ladder" else "/family/resolutions")
         _no_repeats([_test_label(tid) for tid in config.tests], "test", "/tests")
+        _no_repeats([_test_amplitude(tid, config) for tid in config.tests],
+                    "test function of amplitude", "/tests")
         return config
 
     @classmethod
@@ -178,7 +179,7 @@ def initial_condition(config: ScenarioConfig, grid: Grid) -> SpectralField:
     """Scenario initial state at the requested resolution (seeded noise)."""
     nu = config.system.nu
     sc = config.scenario
-    if sc in ("taylor_green", "euler_tg", "mv_ladder"):
+    if sc in ("taylor_green", "mv_ladder"):
         return taylor_green(0.0, nu, grid, amplitude=config.family["amplitude"])
     if sc == "perturbed_tg":
         rng = np.random.default_rng(config.seed)
@@ -206,6 +207,16 @@ def _amplitude(tid):
     return a if math.isfinite(a) else None
 
 
+def _test_amplitude(tid: str, config: ScenarioConfig) -> float:
+    """The amplitude of the vortex a test id names: 0 for "zero", a for "amplitude:<a>",
+    and for "exact" that of the scenario's vortex: /family/amplitude in taylor_green
+    and mv_ladder, whose initial data it scales, and 1 in the other scenarios."""
+    if tid == "exact":
+        vortex = config.scenario in ("taylor_green", "mv_ladder")
+        return config.family["amplitude"] if vortex else 1.0
+    return 0.0 if tid == "zero" else _amplitude(tid)
+
+
 def _test_label(tid: str) -> str:
     """The label of a test id: "zero", "exact" or "amplitude_<a>" with a in %g."""
     return tid if tid in ("zero", "exact") else f"amplitude_{_amplitude(tid):g}"
@@ -214,19 +225,15 @@ def _test_label(tid: str) -> str:
 def build_tests(config: ScenarioConfig, grid: Grid) -> list:
     """Certificate test family from the config's test id strings.
 
-    The ids, checked by ``ITEMS["/tests"]``: "exact" (closed-form
-    decaying vortex matching the scenario data where available), "zero",
-    "amplitude:<a>" (rescaled vortex).
+    The ids, checked by ``ITEMS["/tests"]``: "exact" (the closed-form
+    decaying vortex of the scenario's amplitude), "zero", "amplitude:<a>"
+    (rescaled vortex); no two name the same function (``from_dict``).
     """
-    tests = []
-    for tid in config.tests:
-        if tid == "zero":
-            tests.append(TestTrajectory.zero(grid))
-        else:  # "exact" is the vortex of amplitude 1
-            a = 1.0 if tid == "exact" else _amplitude(tid)
-            tests.append(TestTrajectory.taylor_green(config.system.nu, grid, amplitude=a,
-                                                     label=_test_label(tid)))
-    return tests
+    return [TestTrajectory.zero(grid) if tid == "zero" else
+            TestTrajectory.taylor_green(config.system.nu, grid,
+                                        amplitude=_test_amplitude(tid, config),
+                                        label=_test_label(tid))
+            for tid in config.tests]
 
 
 # -- stages ------------------------------------------------------------------

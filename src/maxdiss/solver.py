@@ -6,24 +6,21 @@ modes and the Galerkin projection is spectral truncation.  Time stepping
 is an integrating-factor RK4: the Stokes part is integrated exactly via
 exp(-nu |k|^2 dt), the convection explicitly.
 
-``solve`` and ``advance`` take and return the checked boundary type
-SpectralField; under them everything works on coefficient arrays.  The
-stages of a step, rfft2 half spectra (2, n, n//2 + 1), are written with
-``out=`` into one ``_Workspace`` that ``solve`` reuses on every step: a
-step allocates only its checks and the new state, copied out by
-``SpectralField``.  Wavenumber tables and the integrating factors are
-cached per grid and per (n, nu, dt).  The forcing is time-independent:
-``Forcing.projected(n)`` builds its projected coefficients P_n f once per
-grid size, and a step looks them up once for its four stages.  The
-nonlinear term is taken in Basdevant's form: with a = v_x^2 - v_y^2 and
-b = v_x v_y, it is P[-div T] for T = [[a/2, b], [b, -a/2]].  This equals
-P[-(v.grad)v] = P[-div(v (x) v)] because T differs from v (x) v by
-|v|^2/2 I, whose divergence is a gradient that the Leray projection
-removes.  Two inverse and two forward real transforms per evaluation, their
-column passes only on the columns of the 2/3 band; the divergence, the band
-and the projection are folded into two tables per grid.  The certificate's
-residual ``relenergy.residual_A`` evaluates the same kernel on stacked
-states.
+The stepper's state is one scalar, the vorticity half spectrum
+w = i kx v_y - i ky v_x of shape (n, n//2 + 1), so v = (i ky, -i kx) w / |k|^2
+is solenoidal by construction; the k = 0 entry, which the curl lacks,
+carries the velocity mean as v_x + i v_y.  ``solve`` takes the curl once,
+runs the stages of every step in one reused ``_Workspace`` and rebuilds the
+velocity at the sample times; every step is checked finite, its column
+ky = 0 projected onto Hermitian symmetry and its energy bounded.  Tables
+are cached per grid and per (n, nu, dt); ``Forcing`` builds f, P_n f and
+curl f once per grid size.  The nonlinear term is taken in
+Basdevant's form: with a = v_x^2 - v_y^2 and b = v_x v_y, it is P[-div T]
+for T = [[a/2, b], [b, -a/2]], which differs from v (x) v by |v|^2/2 I, whose
+divergence is a gradient that the Leray projection removes.  Its four real
+transforms, the column passes on the 2/3 band's columns only (``_products``),
+serve the stepper's kernel ``_curl_rhs`` and the velocity kernel ``_rhs``
+that the certificate's residual ``relenergy.residual_A`` evaluates.
 """
 
 from __future__ import annotations
@@ -88,9 +85,9 @@ _ANALYTIC_PARAMS = {"gradient_potential": ("amplitude",), "kolmogorov": ("amplit
 class Forcing:
     """Time-independent right-hand side: zero, analytic registry entry, or file.
 
-    Its coefficients and their projection are built once per grid size and
-    reused by later calls; a file forcing is read and checked when the
-    Forcing is made.
+    Its coefficients, their projection and its curl are built once per grid
+    size and reused by later calls; a file forcing is read and checked when
+    the Forcing is made.
     """
 
     kind: str = "zero"
@@ -133,17 +130,21 @@ class Forcing:
         return self._on(n)[0]
 
     def projected(self, n: int) -> np.ndarray | None:
-        """Their Leray projection P_n f, which the stepper adds; None for zero forcing."""
+        """Their Leray projection P_n f, which the velocity kernel adds; None for zero forcing."""
         return self._on(n)[1]
 
+    def curl(self, n: int) -> np.ndarray | None:
+        """Its curl with its mean (``_curl``), which the stepper adds; None for zero forcing."""
+        return self._on(n)[2]
+
     def _on(self, n: int) -> tuple:
-        """(f, P_n f) on the n x n grid, built on the first lookup."""
+        """(f, P_n f, curl f) on the n x n grid, built on the first lookup."""
         if self.kind == "zero":
-            return None, None
+            return None, None, None
         if n not in self._on_grid:
             f = (ANALYTIC_FORCINGS[self.name](Grid(n), self.params).coeffs
                  if self.kind == "analytic" else resample(self._file_coeffs, n))
-            self._on_grid[n] = f, project(f, spectral_tables(n))
+            self._on_grid[n] = f, project(f, spectral_tables(n)), _curl(f)
         return self._on_grid[n]
 
     def to_dict(self) -> dict:
@@ -208,70 +209,114 @@ class SystemSpec:
 # -- right-hand side --------------------------------------------------------
 
 class _Workspace:
-    """Scratch arrays of ``_rhs`` and ``advance`` for coefficients (..., 2, n, n//2 + 1)."""
+    """Scratch arrays of the kernels and ``advance`` for states stacked over ``lead``."""
 
-    def __init__(self, shape):
-        *lead, _, n, h = shape
-        # v on the 2/3 band's columns; the columns above it stay 0
+    def __init__(self, lead: tuple, n: int):
+        h, m = n // 2 + 1, (n - 1) // 3 + 1  # m: the columns of the 2/3 band
+        # the band velocity's column pass; the columns above the band stay 0
         self.spec = np.zeros((*lead, 2, n, h), dtype=np.complex128)
-        m = (n - 1) // 3 + 1  # v, then a_hat and b_hat, on the band's columns contiguously
-        self.band = np.empty((*lead, 2, n, m), dtype=np.complex128)
+        self.band = np.empty((*lead, 2, n, m), dtype=np.complex128)  # v, then a_hat, b_hat
         self.phys = np.empty((*lead, 2, n, n))  # v_x, v_y, then the products a, b
-        self.stages = np.empty((6, *lead, 2, n, h), dtype=np.complex128)  # a, b, c, d, 2 sums
+        self.prod = np.empty((*lead, 2, n, h), dtype=np.complex128)  # the row pass of a, b
+        self.stages = np.empty((6, *lead, n, h), dtype=np.complex128)  # a, b, c, d, 2 sums
 
 
 @functools.lru_cache(maxsize=32)
 def _basdevant_tables(n: int):
     """Read-only real tables g and h, (n, m) on the m columns of the 2/3 band, and
     i k' = i (-ky, kx), complex (1, m) and (n, 1), with which
-    P[-div T] = i k' (g a_hat - h b_hat) on the band for T = [[a/2, b], [b, -a/2]].
-
-    In 2D, P N = k' (k'.N) / |k|^2; for N = -i k.T,
-    k'.N = i (kx ky a_hat - (kx^2 - ky^2) b_hat).  g and h carry the 2/3 mask."""
+    P[-div T] = i k' (g a_hat - h b_hat) on the band for T = [[a/2, b], [b, -a/2]], its
+    curl |k|^2 (h b_hat - g a_hat); and -1/|k|^2, (n, m): w has the band velocity
+    i k' (-w / |k|^2).  In 2D, P N = k' (k'.N) / |k|^2; for N = -i k.T,
+    k'.N = i (kx ky a_hat - (kx^2 - ky^2) b_hat).  The real tables carry the 2/3 mask."""
     tab = spectral_tables(n)
     m = (n - 1) // 3 + 1  # the columns ky <= cut
     kx, ky = tab.kx, tab.ky[:, :m]
     w = tab.inv_k2[:, :m] * tab.dealias[:, :m]
-    tables = kx * ky * w, (kx * kx - ky * ky) * w, -1j * ky, 1j * kx
+    tables = kx * ky * w, (kx * kx - ky * ky) * w, -1j * ky, 1j * kx, -w
     for a in tables:
         a.flags.writeable = False
     return tables
 
 
-def _rhs(u: np.ndarray, spec: SystemSpec, pf, ws: _Workspace | None = None,
-         out: np.ndarray | None = None) -> np.ndarray:
-    """P[-(v.grad)v] + pf for coefficients u of shape (..., 2, n, n//2 + 1), v = u
-    on the 2/3 band and pf a projected forcing (``Forcing.projected``) or None, into
-    ``out`` with the arrays of ``ws`` (of a new workspace without them), in the
-    operation order of a = v_x * v_x - v_y * v_y, b = v_x * v_y,
-    z = g * a_hat - h * b_hat and (-i ky * z, i kx * z) (+ pf) from ``_basdevant_tables``."""
-    n = spec.grid.n
-    g, h, rot_x, rot_y = _basdevant_tables(n)
-    m = g.shape[-1]
-    ws = ws or _Workspace(u.shape)
-    out = ws.stages[0] if out is None else out
+def _curl(u: np.ndarray) -> np.ndarray:
+    """Vorticity half spectra (..., n, n//2 + 1) of velocity coefficients
+    (..., 2, n, n//2 + 1), with the mean u_x + i u_y at k = 0."""
+    tab = spectral_tables(u.shape[-2])
+    w = 1j * (tab.kx * u[..., 1, :, :] - tab.ky * u[..., 0, :, :])
+    w[..., 0, 0] = u[..., 0, 0, 0].real + 1j * u[..., 1, 0, 0].real
+    return w
+
+
+def _velocity(w: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Velocity coefficients (i ky, -i kx) w / |k|^2, with the mean from k = 0, of
+    vorticity half spectra w (``_curl``) into ``out`` (..., 2, n, n//2 + 1), which may hold w."""
+    tab = spectral_tables(w.shape[-2])
+    psi, mean = w * tab.inv_k2, w[..., 0, 0].copy()
+    np.multiply(1j * tab.ky, psi, out=out[..., 0, :, :])
+    np.multiply(-1j * tab.kx, psi, out=out[..., 1, :, :])
+    out[..., 0, 0, 0], out[..., 1, 0, 0] = mean.real, mean.imag
+    return out
+
+
+def _products(ws: _Workspace, fwd: np.ndarray):
+    """a_hat and b_hat (views of ``ws.band``) of a = v_x^2 - v_y^2 and b = v_x v_y for
+    the band velocity in ``ws.band``, by irfft2 and rfft2 as column and row passes, the
+    column passes on the band only, the forward row pass into ``fwd``."""
     c = ws.band
-    c[..., :m, :] = u[..., :m, :m]  # the band: rows |kx| <= cut of the columns ky <= cut
-    c[..., m:1 - m, :] = 0
-    c[..., 1 - m:, :] = u[..., 1 - m:, :m]
-    # irfft2 and rfft2 as column and row passes, the column passes on the band only;
+    n, m = c.shape[-2:]
     # the row pass reads the zero-padded spectrum: numpy's irfft is slower on less
     np.fft.ifft(c, axis=-2, norm="forward", out=ws.spec[..., :m])
     np.fft.irfft(ws.spec, n, axis=-1, norm="forward", out=ws.phys)
     vx, vy = ws.phys[..., 0, :, :], ws.phys[..., 1, :, :]
-    t = out.view(np.float64)[..., 0, :, :n]  # scratch until rfft fills out
+    t = fwd.view(np.float64)[..., 0, :, :n]  # scratch until rfft fills fwd
     np.multiply(vy, vy, out=t)
     np.multiply(vx, vy, out=vy)
     np.subtract(np.multiply(vx, vx, out=vx), t, out=vx)
-    np.fft.rfft(ws.phys, axis=-1, norm="forward", out=out)
-    np.fft.fft(out[..., :m], axis=-2, norm="forward", out=c)  # a_hat, b_hat
-    a, b = c[..., 0, :, :], c[..., 1, :, :]
+    np.fft.rfft(ws.phys, axis=-1, norm="forward", out=fwd)
+    np.fft.fft(fwd[..., :m], axis=-2, norm="forward", out=c)
+    return c[..., 0, :, :], c[..., 1, :, :]
+
+
+def _rhs(u: np.ndarray, spec: SystemSpec, pf) -> np.ndarray:
+    """P[-(v.grad)v] + pf, a new array, for velocity coefficients u (..., 2, n, n//2 + 1),
+    v = u on the 2/3 band and pf ``Forcing.projected`` or None, in the operation order
+    of ``_products``, z = g * a_hat - h * b_hat and (-i ky * z, i kx * z) (+ pf)."""
+    g, h, rot_x, rot_y = _basdevant_tables(spec.grid.n)[:4]
+    m = g.shape[-1]
+    ws = _Workspace(u.shape[:-3], spec.grid.n)
+    out, c = ws.prod, ws.band
+    c[..., :m, :] = u[..., :m, :m]  # the band: rows |kx| <= cut of the columns ky <= cut
+    c[..., m:1 - m, :] = 0
+    c[..., 1 - m:, :] = u[..., 1 - m:, :m]
+    a, b = _products(ws, out)
     z = np.subtract(np.multiply(g, a, out=a), np.multiply(h, b, out=b), out=a)
     np.multiply(rot_x, z, out=out[..., 0, :, :m])
     np.multiply(rot_y, z, out=out[..., 1, :, :m])
     out[..., m:] = 0
     if pf is not None:
         out += pf
+    return out
+
+
+def _curl_rhs(w: np.ndarray, spec: SystemSpec, cf, ws: _Workspace,
+              out: np.ndarray) -> np.ndarray:
+    """curl P[-(v.grad)v] + cf for vorticity half spectra w (..., n, n//2 + 1), v their
+    velocity on the 2/3 band with the mean and cf ``Forcing.curl`` or None, into ``out``
+    with the arrays of ``ws``, in the operation order of q = -w / |k|^2, v = i k' q,
+    ``_products`` and |k|^2 (h * b_hat - g * a_hat) (+ cf, at k = 0 the forcing mean)."""
+    g, h, rot_x, rot_y, neg_inv_k2 = _basdevant_tables(spec.grid.n)
+    m, c = g.shape[-1], ws.band
+    q = np.multiply(neg_inv_k2, w[..., :m], out=c[..., 1, :, :])
+    np.multiply(rot_x, q, out=c[..., 0, :, :])
+    np.multiply(rot_y, q, out=q)
+    c[..., 0, 0, 0], c[..., 1, 0, 0] = w[..., 0, 0].real, w[..., 0, 0].imag
+    a, b = _products(ws, ws.prod)
+    z = np.subtract(np.multiply(h, b, out=b), np.multiply(g, a, out=a), out=b)
+    np.multiply(spectral_tables(spec.grid.n).k2[:, :m], z, out=out[..., :m])
+    out[..., m:] = 0
+    if cf is not None:
+        out += cf
     return out
 
 
@@ -287,35 +332,45 @@ def _integrating_factors(n: int, nu: float, dt: float):
     return factors
 
 
-def advance(v: SpectralField, spec: SystemSpec, t: float,
-            _ws: _Workspace | None = None) -> SpectralField:
-    """One integrating-factor RK4 step; diffusion exact, convection explicit.
+def advance(w: np.ndarray | SpectralField, spec: SystemSpec, t: float,
+            _ws: _Workspace | None = None) -> np.ndarray | SpectralField:
+    """One integrating-factor RK4 step of vorticity half spectra w (``_curl``), a new
+    array; a velocity SpectralField, which must be divergence-free (FieldError), is
+    stepped through its curl and returned as one.  Diffusion exact, convection explicit.
 
     The stages run in the arrays of ``_ws`` (a new workspace without it), in
-    the operation order of a = N(u), b = N(e_half (u + (dt/2) a)),
-    c = N(e_half u + (dt/2) b), d = N(e_full u + (dt e_half) c) and
-    e_full u + (dt/6) (e_full a + (2 e_half) (b + c) + d).  The result is
-    checked finite, and solenoidal by its constructor."""
-    ws = _ws or _Workspace(v.coeffs.shape)
-    e_half, e_full, dt_e_half, two_e_half = _integrating_factors(spec.grid.n, spec.nu, spec.dt)
-    f = spec.forcing.projected(spec.grid.n)
-    u = v.coeffs
+    the operation order of a = N(w), b = N(e_half (w + (dt/2) a)),
+    c = N(e_half w + (dt/2) b), d = N(e_full w + (dt e_half) c) and
+    e_full w + (dt/6) (e_full a + (2 e_half) (b + c) + d), N = ``_curl_rhs``, with
+    e_full w formed once.  The result is checked finite and its column ky = 0,
+    k = 0 aside, projected onto Hermitian symmetry."""
+    n = spec.grid.n
+    as_field = isinstance(w, SpectralField)
+    if as_field:
+        w = _curl(normalized(w.coeffs, n, solenoidal=True))
+    ws = _ws or _Workspace((), n)
+    e_half, e_full, dt_e_half, two_e_half = _integrating_factors(n, spec.nu, spec.dt)
+    f = spec.forcing.curl(n)
     a, b, c, d, x, y = ws.stages
-    _rhs(u, spec, f, ws, a)
-    np.multiply(e_half, np.add(u, np.multiply(0.5 * spec.dt, a, out=x), out=x), out=x)
-    _rhs(x, spec, f, ws, b)
-    np.add(np.multiply(e_half, u, out=x), np.multiply(0.5 * spec.dt, b, out=y), out=x)
-    _rhs(x, spec, f, ws, c)
-    np.multiply(dt_e_half, c, out=y)
-    np.add(np.multiply(e_full, u, out=x), y, out=x)
-    _rhs(x, spec, f, ws, d)
-    np.multiply(two_e_half, np.add(b, c, out=y), out=y)
-    np.add(np.add(np.multiply(e_full, a, out=x), y, out=x), d, out=x)
-    new = np.add(np.multiply(e_full, u, out=y), np.multiply(spec.dt / 6.0, x, out=x), out=y)
-
+    _curl_rhs(w, spec, f, ws, a)
+    np.multiply(e_half, np.add(w, np.multiply(0.5 * spec.dt, a, out=x), out=x), out=x)
+    _curl_rhs(x, spec, f, ws, b)
+    np.add(np.multiply(e_half, w, out=x), np.multiply(0.5 * spec.dt, b, out=y), out=x)
+    _curl_rhs(x, spec, f, ws, c)
+    e_w = np.multiply(e_full, w, out=y)
+    np.add(e_w, np.multiply(dt_e_half, c, out=x), out=x)
+    _curl_rhs(x, spec, f, ws, d)
+    np.multiply(two_e_half, np.add(b, c, out=b), out=b)
+    np.add(np.add(np.multiply(e_full, a, out=x), b, out=x), d, out=x)
+    new = np.add(e_w, np.multiply(spec.dt / 6.0, x, out=x))
     if not np.all(np.isfinite(new)):
         raise BlowUpError(f"non-finite coefficients after step at t={t:g}")
-    return SpectralField(spec.grid, new, solenoidal=True)
+    col = new[..., 0]  # holds w(kx, 0) and its mirror w(-kx, 0); k = 0 holds the mean
+    col[..., 1:] = 0.5 * (col[..., 1:] + np.conj(col[..., :0:-1]))
+    if as_field:
+        return SpectralField(spec.grid, _velocity(new, np.empty((2, *new.shape), complex)),
+                             solenoidal=True)
+    return new
 
 
 # -- trajectories -----------------------------------------------------------
@@ -411,29 +466,32 @@ def _shares_samples(a: Trajectory, b: Trajectory) -> bool:
 
 def solve(spec: SystemSpec, v0: SpectralField, sample_stride: int = 1,
           provenance: str = "") -> Trajectory:
-    """Integrate from P_n v0 to t_end, sampling every `sample_stride` steps."""
+    """Integrate from P_n v0 to t_end, sampling every `sample_stride` steps: one
+    ``advance`` per step on the vorticity of v0 on the n-grid, whose curl leaves
+    out what P_n removes; its energy is bounded after every step, and the velocity
+    is rebuilt at the sample times."""
     if sample_stride < 1:
         raise SolverError("sample_stride must be >= 1")
     n = spec.grid.n
-    v = SpectralField(spec.grid, project(resample(v0.coeffs, n), spectral_tables(n)),
-                      solenoidal=True)
-
-    e0 = 0.5 * pairing(v.coeffs, v.coeffs)
+    w, tab = _curl(resample(v0.coeffs, n)), spectral_tables(n)
+    weight = np.where(tab.k2 == 0, 1.0, tab.inv_k2)  # energy: |w|^2 / |k|^2, the mean's
+    bound = 1e8 * max(0.5 * pairing(w[None], weight * w[None]), 1.0)
     times = [0.0]
-    # t = 0, then every sample_stride steps and the last step
-    coeffs = np.empty((1 + (spec.n_steps + sample_stride - 1) // sample_stride,) + v.coeffs.shape,
+    # t = 0, then every sample_stride steps and the last step; a sample's
+    # vorticity is held in its first component until the velocity is rebuilt
+    coeffs = np.empty((1 + (spec.n_steps + sample_stride - 1) // sample_stride, 2, *w.shape),
                       dtype=np.complex128)
-    coeffs[0] = v.coeffs
-    ws = _Workspace(v.coeffs.shape)
+    coeffs[0, 0] = w
+    ws = _Workspace((), n)
     for step in range(spec.n_steps):
         t = step * spec.dt
-        v = advance(v, spec, t, _ws=ws)
-        if 0.5 * pairing(v.coeffs, v.coeffs) > 1e8 * max(e0, 1.0):
+        w = advance(w, spec, t, _ws=ws)
+        if 0.5 * pairing(w[None], weight * w[None]) > bound:
             raise BlowUpError(f"energy blow-up at t={t + spec.dt:g}")
         if (step + 1) % sample_stride == 0 or step == spec.n_steps - 1:
-            coeffs[len(times)] = v.coeffs
+            coeffs[len(times), 0] = w
             times.append((step + 1) * spec.dt)
-    return Trajectory(spec=spec, times=np.array(times), coeffs=coeffs,
+    return Trajectory(spec=spec, times=np.array(times), coeffs=_velocity(coeffs[:, 0], coeffs),
                       provenance=provenance or f"ifrk4 n={spec.grid.n} dt={spec.dt}")
 
 

@@ -7,7 +7,7 @@ import pytest
 from support import gradients
 
 from maxdiss import solver
-from maxdiss.fields import Grid, SpectralField, pairing, project, spectral_tables
+from maxdiss.fields import Grid, pairing, project, spectral_tables
 from maxdiss.solver import Forcing, SystemSpec, Trajectory, solve, taylor_green
 
 
@@ -44,22 +44,69 @@ def convection(c: np.ndarray, dealias: bool = True) -> np.ndarray:
     return np.fft.rfft2(conv, norm="forward") * (tab.dealias if dealias else tab.nyquist)
 
 
-def reference_rhs(u: np.ndarray, spec, pf) -> np.ndarray:
-    """Expression form of the solver's kernel i (-ky z, kx z) + pf, z = g a_hat - h b_hat,
+def _reference_products(v: np.ndarray, n: int):
+    """a_hat and b_hat of a = v_x^2 - v_y^2 and b = v_x v_y for velocity coefficients
+    v (..., 2, n, n//2 + 1), by irfft2 and rfft2 of the whole half spectra."""
+    p = np.fft.irfft2(v, s=(n, n), norm="forward")
+    vx, vy = p[..., 0, :, :], p[..., 1, :, :]
+    t = np.fft.rfft2(np.stack([vx * vx - vy * vy, vx * vy], axis=-3), norm="forward")
+    return t[..., 0, :, :], t[..., 1, :, :]
+
+
+def reference_velocity_rhs(u: np.ndarray, spec, pf) -> np.ndarray:
+    """Expression form of the velocity kernel i (-ky z, kx z) + pf, z = g a_hat - h b_hat,
     on coefficients (..., 2, n, n//2 + 1), a = v_x^2 - v_y^2 and b = v_x v_y of the
     band-limited v, one new array per operation; the in-place ``solver._rhs``
     must match it bit for bit."""
     n = spec.grid.n
-    g, h, rot_x, rot_y = solver._basdevant_tables(n)
+    g, h, rot_x, rot_y = solver._basdevant_tables(n)[:4]
     m = g.shape[-1]
-    v = np.fft.irfft2(u * spectral_tables(n).dealias, s=(n, n), norm="forward")
-    vx, vy = v[..., 0, :, :], v[..., 1, :, :]
-    t = np.fft.rfft2(np.stack([vx * vx - vy * vy, vx * vy], axis=-3), norm="forward")
-    z = g * t[..., 0, :, :m] - h * t[..., 1, :, :m]
+    a, b = _reference_products(u * spectral_tables(n).dealias, n)
+    z = g * a[..., :m] - h * b[..., :m]
     nl = np.zeros(u.shape, dtype=complex)
     nl[..., 0, :, :m] = rot_x * z
     nl[..., 1, :, :m] = rot_y * z
     return nl if pf is None else nl + pf
+
+
+def reference_curl(u: np.ndarray) -> np.ndarray:
+    """Vorticity half spectra i kx u_y - i ky u_x of velocity coefficients
+    (..., 2, n, n//2 + 1), the mean at k = 0 as u_x + i u_y: the stepper's state."""
+    tab = spectral_tables(u.shape[-2])
+    w = 1j * (tab.kx * u[..., 1, :, :] - tab.ky * u[..., 0, :, :])
+    w[..., 0, 0] = u[..., 0, 0, 0].real + 1j * u[..., 1, 0, 0].real
+    return w
+
+
+def reference_velocity(w: np.ndarray) -> np.ndarray:
+    """Velocity coefficients (i ky, -i kx) w / |k|^2 of vorticity half spectra w, the
+    mean from k = 0, one new array per operation."""
+    tab = spectral_tables(w.shape[-2])
+    psi = w * tab.inv_k2
+    u = np.stack([(1j * tab.ky) * psi, (-1j * tab.kx) * psi], axis=-3)
+    u[..., 0, 0, 0] = w[..., 0, 0].real
+    u[..., 1, 0, 0] = w[..., 0, 0].imag
+    return u
+
+
+def reference_rhs(w: np.ndarray, spec, cf) -> np.ndarray:
+    """Expression form of the vorticity kernel |k|^2 (h b_hat - g a_hat) + cf on half
+    spectra (..., n, n//2 + 1), a and b of the band-limited velocity
+    i k' (-w / |k|^2) of w with its mean, one new array per operation; the in-place
+    ``solver._curl_rhs`` must match it bit for bit."""
+    n = spec.grid.n
+    g, h, rot_x, rot_y, neg_inv_k2 = solver._basdevant_tables(n)
+    m = g.shape[-1]
+    q = neg_inv_k2 * w[..., :m]
+    v = np.zeros(w.shape[:-2] + (2, n, n // 2 + 1), dtype=complex)
+    v[..., 0, :, :m] = rot_x * q
+    v[..., 1, :, :m] = rot_y * q
+    v[..., 0, 0, 0] = w[..., 0, 0].real
+    v[..., 1, 0, 0] = w[..., 0, 0].imag
+    a, b = _reference_products(v, n)
+    nl = np.zeros(w.shape, dtype=complex)
+    nl[..., :m] = spectral_tables(n).k2[:, :m] * (h * b[..., :m] - g * a[..., :m])
+    return nl if cf is None else nl + cf
 
 
 def rotational_rhs(u: np.ndarray, spec, f) -> np.ndarray:
@@ -80,19 +127,20 @@ def rotational_rhs(u: np.ndarray, spec, f) -> np.ndarray:
     return project(nl, tab)
 
 
-def reference_advance(v, spec, t: float):
-    """Expression form of one IF-RK4 step of ``solver.advance``, allocating
-    every stage; the in-place step must match it bit for bit."""
+def reference_advance(w: np.ndarray, spec, t: float) -> np.ndarray:
+    """Expression form of one IF-RK4 step of ``solver.advance`` on vorticity half
+    spectra, allocating every stage; the in-place step must match it bit for bit."""
     dt = spec.dt
     e_half, e_full = solver._integrating_factors(spec.grid.n, spec.nu, dt)[:2]
-    f = spec.forcing.projected(spec.grid.n)
-    u = v.coeffs
-    a = reference_rhs(u, spec, f)
-    b = reference_rhs(e_half * (u + 0.5 * dt * a), spec, f)
-    c = reference_rhs(e_half * u + 0.5 * dt * b, spec, f)
-    d = reference_rhs(e_full * u + dt * e_half * c, spec, f)
-    new = e_full * u + (dt / 6.0) * (e_full * a + 2.0 * e_half * (b + c) + d)
-    return SpectralField(spec.grid, new, solenoidal=True)
+    f = spec.forcing.curl(spec.grid.n)
+    a = reference_rhs(w, spec, f)
+    b = reference_rhs(e_half * (w + 0.5 * dt * a), spec, f)
+    c = reference_rhs(e_half * w + 0.5 * dt * b, spec, f)
+    d = reference_rhs(e_full * w + dt * e_half * c, spec, f)
+    new = e_full * w + (dt / 6.0) * (e_full * a + 2.0 * e_half * (b + c) + d)
+    # column ky = 0 onto Hermitian symmetry; k = 0 holds the mean
+    new[..., 1:, 0] = 0.5 * (new[..., 1:, 0] + np.conj(new[..., :0:-1, 0]))
+    return new
 
 
 @pytest.fixture(scope="session")

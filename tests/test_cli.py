@@ -157,6 +157,7 @@ def test_cli_rejects_unknown_config_key(tmp_path, capsys, pointer, typo):
     ("/seed", -1),  # default_rng takes no negative seed
     ("/tests", []),  # nothing to certify against
     ("/system/n", 15),
+    ("/scenario", "euler_tg"),  # retired: it set no viscosity, taylor_green with nu = 0 does
 ])
 def test_cli_rejects_mistyped_config_value(tmp_path, capsys, pointer, value):
     # caught when the config is parsed: exit 4 naming the value, no output tree
@@ -218,7 +219,12 @@ def test_cli_rejects_negative_seed_override(tmp_path, capsys):
     ("taylor_green", "tests", ["exact", "exact"], "/tests/1: test 'exact' repeats /tests/0's"),
     ("taylor_green", "tests", ["zero", "amplitude:1.05", "amplitude:1.050"],
      "/tests/2: test 'amplitude_1.05' repeats /tests/1's"),
-], ids=["mv", "family", "tests", "amplitude"])
+    # the same function under two labels: "exact" is the vortex of amplitude 1 here
+    ("taylor_green", "tests", ["exact", "zero", "amplitude:1"],
+     "/tests/2: test function of amplitude 1.0 repeats /tests/0's"),
+    ("perturbed_tg", "tests", ["amplitude:0", "exact", "zero"],
+     "/tests/2: test function of amplitude 0.0 repeats /tests/0's"),
+], ids=["mv", "family", "tests", "amplitude", "exact", "zero"])
 def test_cli_rejects_members_that_share_an_id(tmp_path, capsys, scenario, section, values,
                                               message):
     # one member's directory would overwrite the other's
@@ -386,6 +392,31 @@ def test_initial_condition_two_vortex():
     v0 = initial_condition(cfg, Grid(32))
     assert divergence_linf(v0) <= 1e-12
     assert dist(v0.coeffs) > 1.0
+
+
+@pytest.mark.parametrize("scenario, exact", [("taylor_green", 2.0), ("mv_ladder", 2.0),
+                                             ("perturbed_tg", 1.0)])
+def test_exact_test_has_the_amplitude_of_the_scenario_vortex(tmp_path, scenario, exact):
+    # /family/amplitude 2 scales the vortex of taylor_green and mv_ladder; the
+    # vortex of perturbed_tg has amplitude 1.  Two tests may name the same
+    # amplitude only under one id
+    cfg = _base_cfg(scenario=scenario, family={"resolutions": [16], "sample_stride": 10,
+                                               "amplitude": 2.0},
+                    tests=["exact", "zero", f"amplitude:{3.0 - exact}"],
+                    mv={"nus": [0.1, 0.05]}, out_dir=str(tmp_path / "run"))
+    config = ScenarioConfig.from_dict(cfg)
+    grid = Grid(16)
+    values = build_tests(config, grid)[0].values([0.0])[0]
+    assert np.array_equal(values, taylor_green(0.0, 0.1, grid, amplitude=exact).coeffs)
+    if scenario != "perturbed_tg":
+        assert np.array_equal(values, initial_condition(config, grid).coeffs)
+        # the run's data is the exact test's: R(0) = 0
+        run_scenario(config)
+        member = sorted((tmp_path / "run" / "certificates").glob("*.json"))[0]
+        entries = json.loads(member.read_text())["entries"]
+        assert next(e for e in entries if e["test_id"] == "exact")["lhs"] <= 1e-28
+    with pytest.raises(ConfigError, match="^/tests/1: test function of amplitude"):
+        ScenarioConfig.from_dict(dict(cfg, tests=["exact", f"amplitude:{exact}"]))
 
 
 def test_build_tests_ids():

@@ -5,15 +5,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import (convection, dist, divergence_linf, reference_advance, reference_rhs,
-                      rotational_rhs, stacked)
+from conftest import (convection, dist, divergence_linf, reference_advance, reference_curl,
+                      reference_rhs, reference_velocity, reference_velocity_rhs, rotational_rhs,
+                      stacked)
 from support import (gradients, perturbed_test, recover_pressure, spline_test,
                      taylor_green_pressure)
 
 from maxdiss import solver
 from maxdiss.fields import (FieldError, Grid, SpectralField, from_function, load_samples,
-                            pairing, project, random_field, resample, save_field, save_samples,
-                            spectral_tables)
+                            normalized, pairing, project, random_field, resample, save_field,
+                            save_samples, spectral_tables)
 from maxdiss.solver import (
     BlowUpError,
     Forcing,
@@ -74,17 +75,40 @@ def test_rhs_stacked_matches_single_calls():
         assert np.abs(g - want).max() <= 1e-15 * np.abs(want).max()
 
 
+def _with_mean(block):
+    """A writable copy of stacked velocity coefficients with the mean (0.3, -0.2)."""
+    block = np.array(block)
+    block[..., 0, 0, 0], block[..., 1, 0, 0] = 0.3, -0.2
+    return block
+
+
+def _assert_kernels_match_expression_form(block, spec, f):
+    """The velocity kernel on the stack and the vorticity kernel on the stack and on
+    each state, with a workspace of each shape, against the expression forms, with
+    the forcing f projected and its curl."""
+    pf = None if f is None else project(f, spectral_tables(spec.grid.n))
+    cf = None if f is None else solver._curl(f)
+    assert np.array_equal(solver._rhs(block, spec, pf), reference_velocity_rhs(block, spec, pf))
+    w = solver._curl(block)
+    assert np.array_equal(w, reference_curl(block))
+    ws = solver._Workspace(w.shape[:1], spec.grid.n)
+    assert np.array_equal(solver._curl_rhs(w, spec, cf, ws, np.empty_like(w)),
+                          reference_rhs(w, spec, cf))
+    ws = solver._Workspace((), spec.grid.n)
+    for one in w:
+        assert np.array_equal(solver._curl_rhs(one, spec, cf, ws, ws.stages[2]),
+                              reference_rhs(one, spec, cf))
+
+
 def test_rhs_matches_expression_form_bit_for_bit():
-    # stacked and single states, forced and unforced, with and without a workspace
-    spec = _spec(n=24, forcing=Forcing("analytic", "kolmogorov", {"wavenumber": 3}))
+    # stacked and single states with a mean, forced and unforced
+    spec = _spec(n=24)
     rng = np.random.default_rng(8)
-    block = np.stack([random_field(spec.grid, rng, kmax=7).coeffs for _ in range(3)])
-    ws = solver._Workspace(block[0].shape)
-    for f in (None, spec.forcing.projected(24)):
-        assert np.array_equal(solver._rhs(block, spec, f), reference_rhs(block, spec, f))
-        for b in block:
-            assert np.array_equal(solver._rhs(b, spec, f, ws, ws.stages[2]),
-                                  reference_rhs(b, spec, f))
+    block = _with_mean([random_field(spec.grid, rng, kmax=7).coeffs for _ in range(3)])
+    forcing = Forcing("analytic", "kolmogorov", {"wavenumber": 3})
+    for f in (None, forcing.coeffs(24)):
+        _assert_kernels_match_expression_form(block, spec, f)
+    assert np.array_equal(forcing.curl(24), solver._curl(forcing.coeffs(24)))
 
 
 def _out_of_band_forcing(grid, rng):
@@ -97,18 +121,14 @@ def _out_of_band_forcing(grid, rng):
 
 
 def test_rhs_matches_expression_form_with_out_of_band_forcing():
-    # the kernel transforms only the band's columns, but must add the
-    # projected forcing over the whole half spectrum
+    # the kernels transform only the band's columns, but must add the
+    # forcing over the whole half spectrum
     n = 24
     spec = _spec(n=n)
     rng = np.random.default_rng(11)
-    f = project(_out_of_band_forcing(spec.grid, rng), spectral_tables(n))
-    block = np.stack([random_field(spec.grid, rng, kmax=7).coeffs for _ in range(3)])
-    ws = solver._Workspace(block[0].shape)
-    assert np.array_equal(solver._rhs(block, spec, f), reference_rhs(block, spec, f))
-    for b in block:
-        assert np.array_equal(solver._rhs(b, spec, f, ws, ws.stages[2]),
-                              reference_rhs(b, spec, f))
+    f = _out_of_band_forcing(spec.grid, rng)
+    block = _with_mean([random_field(spec.grid, rng, kmax=7).coeffs for _ in range(3)])
+    _assert_kernels_match_expression_form(block, spec, f)
 
 
 @pytest.mark.parametrize("forced", [False, True])
@@ -120,8 +140,15 @@ def test_rhs_matches_rotational_form(n, forced):
     rng = np.random.default_rng(n + 1)
     block = np.stack([random_field(spec.grid, rng, kmax=(n - 1) // 3).coeffs for _ in range(3)])
     f = _out_of_band_forcing(spec.grid, rng) if forced else None
-    got = solver._rhs(block, spec, None if f is None else project(f, spectral_tables(n)))
+    pf = None if f is None else project(f, spectral_tables(n))
+    got = solver._rhs(block, spec, pf)
     want = rotational_rhs(block, spec, f)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    # the vorticity kernel against the curl of the rotational form
+    w = solver._curl(block)
+    got = solver._curl_rhs(w, spec, None if f is None else solver._curl(f),
+                           solver._Workspace(w.shape[:1], n), np.empty_like(w))
+    want = solver._curl(want)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
@@ -134,6 +161,10 @@ def test_rhs_ignores_modes_above_the_band():
     band = u * spectral_tables(n).dealias
     assert dist(u - band) >= 0.5 * dist(u)
     assert np.array_equal(solver._rhs(u, spec, None), solver._rhs(band, spec, None))
+    ws = solver._Workspace((), n)
+    w, w_band = solver._curl(u), solver._curl(band)
+    assert np.array_equal(solver._curl_rhs(w, spec, None, ws, np.empty_like(w)),
+                          solver._curl_rhs(w_band, spec, None, ws, np.empty_like(w)))
 
 
 # -- time stepping -----------------------------------------------------------
@@ -141,42 +172,57 @@ def test_rhs_ignores_modes_above_the_band():
 @pytest.mark.parametrize("forced", [False, True])
 @pytest.mark.parametrize("n", [16, 24, 32, 64, 128])
 def test_solve_matches_expression_form_bit_for_bit(n, forced):
-    # the in-place steps of one reused workspace against the expression-form
-    # step, sampled every step and every 20th (with the last step)
+    # the in-place steps of one reused workspace on the vorticity against the
+    # expression-form step, sampled every step and every 20th (with the last
+    # step), and the velocity rebuilt from the sampled vorticity
     forcing = Forcing("analytic", "kolmogorov", {"amplitude": 1.0, "wavenumber": 2})
     spec = SystemSpec(nu=0.02, grid=Grid(n), t_end=21 * 2e-3, dt=2e-3,
                       forcing=forcing if forced else Forcing("zero"))
     v0 = random_field(spec.grid, np.random.default_rng(n), kmax=(n - 1) // 3).coeffs
     v0 = SpectralField(spec.grid, v0 * (1.0 / dist(v0)))
-    v = SpectralField(spec.grid, project(v0.coeffs, spectral_tables(n)), solenoidal=True)
-    want = [v.coeffs]
+    want = [reference_curl(resample(v0.coeffs, n))]  # the curl leaves out what P_n removes
     for step in range(spec.n_steps):
-        want.append(reference_advance(SpectralField(spec.grid, want[-1]), spec,
-                                      step * spec.dt).coeffs)
-    assert np.array_equal(advance(v, spec, 0.0).coeffs, want[1])
+        want.append(reference_advance(want[-1], spec, step * spec.dt))
+    assert np.array_equal(advance(want[0], spec, 0.0), want[1])
+    v = SpectralField(spec.grid, project(v0.coeffs, spectral_tables(n)), solenoidal=True)
+    assert np.array_equal(advance(v, spec, 0.0).coeffs, normalized(
+        reference_velocity(reference_advance(reference_curl(v.coeffs), spec, 0.0)), n, True))
     for stride, keep in ((1, range(22)), (20, (0, 20, 21))):
         traj = solve(spec, v0, sample_stride=stride)
-        assert np.array_equal(traj.coeffs, np.stack([want[k] for k in keep]))
+        velocities = reference_velocity(np.stack([want[k] for k in keep]))
+        assert np.array_equal(traj.coeffs, normalized(velocities, n, solenoidal=True))
+
+
+def test_solve_calls_advance_once_per_step(monkeypatch):
+    # one public advance per step on the vorticity array: the per-step spans
+    # that a tracer of solver.advance records
+    calls = []
+    step = solver.advance
+    monkeypatch.setattr(solver, "advance",
+                        lambda w, *args, **kw: calls.append(type(w)) or step(w, *args, **kw))
+    spec = _spec(nu=0.05, n=16, t_end=0.07, dt=1e-2)
+    traj = solve(spec, taylor_green(0.0, 0.05, spec.grid), sample_stride=3)
+    assert calls == [np.ndarray] * spec.n_steps
+    assert traj.times.size == 4
 
 
 def test_advance_allocates_little_beyond_the_new_state():
     # stage, transform and product arrays live in the solve's workspace: one
-    # step at n = 128 peaks near 2.5x the state's bytes, the inverse
-    # transform's intermediate half spectra and the new state; a fresh
-    # (2, n, n) transform output per call (numpy's irfft2 drops out=) would
-    # add about 1x, and the expression form reads 9.0x
+    # step of the vorticity at n = 128 peaks near 1.1x the bytes of the new
+    # vorticity, which is half a velocity state's; a fresh (2, n, n) transform
+    # output per call (numpy's irfft2 drops out=) would add about 2x, and a
+    # velocity step read 2.5x a velocity state's bytes
     spec = _spec(nu=0.02, n=128, dt=2e-3)
     v = random_field(spec.grid, np.random.default_rng(3), kmax=42).coeffs
-    v = SpectralField(spec.grid, v * (1.0 / dist(v)), solenoidal=True)
-    ws = solver._Workspace(v.coeffs.shape)
-    v = advance(v, spec, 0.0, _ws=ws)  # warm-up: caches, FFT plans
+    ws = solver._Workspace((), 128)
+    w = advance(solver._curl(v * (1.0 / dist(v))), spec, 0.0, _ws=ws)  # warm-up: caches, plans
     tracemalloc.start()
     try:
-        advance(v, spec, spec.dt, _ws=ws)
+        advance(w, spec, spec.dt, _ws=ws)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.75 * v.coeffs.nbytes
+    assert peak < 1.5 * w.nbytes
 
 
 def test_advance_exact_on_stokes_mode():
@@ -252,21 +298,38 @@ def _convective_advance(v, spec, dealias):
     return SpectralField(spec.grid, new, solenoidal=True)
 
 
-@pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.parametrize("forced", [False, True, "mean"])
 @pytest.mark.parametrize("dealias", [True])  # the stepper always applies the 2/3 rule
 @pytest.mark.parametrize("n", [32, 64, 128])
-def test_advance_matches_convective_form(n, dealias, forced):
+def test_advance_matches_convective_form(n, dealias, forced, tmp_path):
     # data band-limited at the 2/3 cut, stepped against a reference that
-    # dealiases the convective form the same way
-    v = random_field(Grid(n), np.random.default_rng(n), kmax=(n - 1) // 3).coeffs
-    v = SpectralField(Grid(n), v * (1.0 / dist(v)), solenoidal=True)
+    # dealiases the convective form the same way; in the "mean" row the data
+    # and a file forcing have a mean, which the vorticity lacks and its k = 0
+    # entry carries: a run to T advects the flow by a mean that grows by T f_mean
+    grid = Grid(n)
+    v = random_field(grid, np.random.default_rng(n), kmax=(n - 1) // 3).coeffs
+    v = v * (1.0 / dist(v))
     forcing = Forcing("analytic", "kolmogorov",
-                      {"amplitude": 1.0, "wavenumber": 2}) if forced else None
-    spec = SystemSpec(nu=0.05, grid=Grid(n), t_end=0.1, dt=1e-2,
-                      forcing=forcing or Forcing("zero"))
+                      {"amplitude": 1.0, "wavenumber": 2}) if forced else Forcing("zero")
+    if forced == "mean":
+        v = _with_mean(v)
+        save_field(from_function(grid, lambda X, Y: 0.5 + np.sin(2 * Y),
+                                 lambda X, Y: 0.25 + np.cos(X + Y)), tmp_path / "forcing.fld")
+        forcing = Forcing("file", path=str(tmp_path / "forcing.fld"))
+    v = SpectralField(grid, v, solenoidal=True)
+    spec = SystemSpec(nu=0.05, grid=grid, t_end=0.1, dt=1e-2, forcing=forcing)
     got = advance(v, spec, 0.3)
     want = _convective_advance(v, spec, dealias)
     assert dist(got.coeffs, want.coeffs) <= 1e-13 * dist(want.coeffs)
+    if forced == "mean":
+        traj = solve(spec, v, sample_stride=5)
+        for _ in range(spec.n_steps - 1):
+            want = _convective_advance(want, spec, dealias)
+        assert dist(traj.coeffs[-1], want.coeffs) <= 1e-13 * dist(want.coeffs)
+        f_mean = forcing.coeffs(n)[:, 0, 0]
+        assert np.abs(f_mean - (0.5, 0.25)).max() <= 1e-15
+        drift = v.coeffs[:, 0, 0] + traj.times[:, None] * f_mean
+        assert np.abs(traj.coeffs[:, :, 0, 0] - drift).max() <= 1e-15
 
 
 def test_advance_rejects_state_leaving_solenoidal_space():
@@ -322,17 +385,17 @@ def test_viscous_energy_monotone():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_solve_detects_nonfinite_state_partway(monkeypatch):
-    # a forcing that turns NaN in its fifth lookup poisons the state in the
+    # a forcing whose curl turns NaN in its fifth lookup poisons the state in the
     # step from t = 0.04; the energy check cannot see NaN, the finiteness check must
     lookups = []
-    forcing_projected = Forcing.projected
+    forcing_curl = Forcing.curl
 
     def poisoned(self, n):
         lookups.append(n)
-        f = forcing_projected(self, n)
+        f = forcing_curl(self, n)
         return f * np.nan if len(lookups) >= 5 else f
 
-    monkeypatch.setattr(Forcing, "projected", poisoned)
+    monkeypatch.setattr(Forcing, "curl", poisoned)
     spec = _spec(nu=0.1, n=16, t_end=0.1, dt=1e-2,
                  forcing=Forcing("analytic", "kolmogorov", {"amplitude": 0.0}))
     with pytest.raises(BlowUpError, match="non-finite .* t=0.04$"):
