@@ -8,7 +8,7 @@ tolerance budget.  Verdicts are always relative to the supplied family.
 
 ``certify_members`` tests all members of a run against the same v on the
 test's grid, zero-padding coarser members, so the inequality, convex in u,
-carries over to their mixtures; the test-side terms are computed once.
+carries over to their mixtures; the test terms are computed once, on U if v = a(t) U.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .relenergy import (
     weight_norms,
     weight_value,
 )
-from .solver import TestTrajectory, Trajectory, _shares_samples
+from .solver import Forcing, TestTrajectory, Trajectory, _shares_samples
 
 
 class CertificateError(ValueError):
@@ -137,7 +137,8 @@ class _MarginSeries:
 
 def _blocks(size: int, n: int) -> list:
     """Sample slices of at most 1 MiB at 128 n^2 bytes per sample, four float64
-    fields on the 2n x 2n grid (the strain samples of ``weight_norms`` are two)."""
+    fields on the 2n x 2n grid (the strain samples of ``weight_norms`` are two),
+    for a sampled test; for a separable one they bound the member-side arrays."""
     step = max(1, (1 << 20) // (128 * n * n))
     return [slice(s, s + step) for s in range(0, size, step)]
 
@@ -147,23 +148,34 @@ def margin_series(members, vt: TestTrajectory, w: WeightSpec) -> list:
     each member against one solenoidal test, on the test's grid.
 
     The members share sample times and forcing and are no finer than the
-    test; coarser ones are zero-padded with ``_embed``, which is exact.  Per
-    sample block the test's values, derivatives, weight norms and residual
-    are computed once, the residual as A_0 (nu = 0) and |k|^2 v; each
-    member adds A_nu = A_0 + nu |k|^2 v, its R, its W and one pairing.
+    test; coarser ones are zero-padded with ``_embed``, which is exact.  The
+    residual is taken as A_0 (nu = 0) and |k|^2 v.  For a separable test
+    v = a(t) U, as S is linear and the convection quadratic in v, the weight
+    norms are |a| sup|S(U)| and A_0 = a' U - a^2 N(U) - P_n f, N = ``solver._rhs``
+    unforced: each kernel runs once, on U.  Any other test has its weight norms
+    and residual computed per sample block.  Per block each member adds
+    A_nu = A_0 + nu |k|^2 v, its R, its W and one pairing.
     The weight is nu-free, so all members share I(t).
     """
     if not all(_shares_samples(members[0], u) for u in members):
         raise CertificateError("members certified together must share sample times and forcing")
     if (n_u := max(u.grid.n for u in members)) > (n := vt.grid.n):
         raise CertificateError(f"grid mismatch: trajectory n={n_u}, test n={n}")
-    times, tab = members[0].times, spectral_tables(n)
+    times, tab, U = members[0].times, spectral_tables(n), vt.shape
     spec0 = replace(members[0].spec, nu=0.0, grid=vt.grid)
     norms, R, g = np.empty(times.size), *np.empty((2, len(members), times.size))
+    if U is not None:
+        a, da = (x.reshape(-1, 1, 1, 1) for x in vt.amplitude(times))
+        norms = np.abs(a.ravel()) * weight_norms(U[None])
+        conv = residual_A(U[None], 0.0, replace(spec0, forcing=Forcing()))  # -N(U)
+        pf = spec0.forcing.projected(n)
     for sl in _blocks(times.size, n):
-        values, derivs = vt.values(times[sl]), vt.derivs(times[sl])
-        norms[sl] = weight_norms(values)
-        a0 = residual_A(values, derivs, spec0)
+        values = vt.values(times[sl])
+        if U is None:
+            norms[sl] = weight_norms(values)
+            a0 = residual_A(values, vt.derivs(times[sl]), spec0)
+        else:
+            a0 = da[sl] * U + a[sl] ** 2 * conv - (0.0 if pf is None else pf)
         viscous = tab.k2 * values
         for i, u in enumerate(members):
             nu, states = u.spec.nu, u.coeffs[sl]

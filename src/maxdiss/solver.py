@@ -515,36 +515,39 @@ def taylor_green(t: float, nu: float, grid: Grid, amplitude: float = 1.0) -> Spe
 class TestTrajectory:
     """C^1-in-time trajectory used as a test function for certification.
 
-    ``taylor_green`` (the closed-form decaying vortex, rescaled) and
-    ``zero`` build the members that ``scenarios.build_tests`` names.
     ``values`` and ``derivs`` map an array of times to stacked solenoidal
-    coefficients (len(times), 2, n, n//2 + 1).  ``certificate.margin_series``
-    evaluates them once per sample block for every member certified.
+    coefficients (len(times), 2, n, n//2 + 1).  A ``separable`` test v = a(t) U
+    also has its fixed solenoidal ``shape`` U (2, n, n//2 + 1) and ``amplitude``,
+    times -> (a, a'): its values are a U, its derivatives a' U, and
+    ``certificate.margin_series`` runs its kernels once, on U.  The tests
+    ``scenarios.build_tests`` names are: ``taylor_green`` (the closed-form
+    decaying vortex, rescaled) and ``zero`` (its amplitude 0).
     """
 
     __test__ = False  # not a pytest test class
 
-    def __init__(self, values, derivs, grid: Grid, label: str):
-        self.values = values
-        self.derivs = derivs
-        self.grid = grid
-        self.label = label
+    def __init__(self, values, derivs, grid: Grid, label: str, shape=None, amplitude=None):
+        self.values, self.derivs, self.grid, self.label = values, derivs, grid, label
+        self.shape, self.amplitude = shape, amplitude
+
+    @classmethod
+    def separable(cls, shape: np.ndarray, amplitude, grid: Grid, label: str) -> "TestTrajectory":
+        return cls(lambda times: amplitude(times)[0][:, None, None, None] * shape,
+                   lambda times: amplitude(times)[1][:, None, None, None] * shape,
+                   grid, label, shape, amplitude)
 
     @classmethod
     def taylor_green(cls, nu: float, grid: Grid, amplitude: float = 1.0,
                      label: str = "") -> "TestTrajectory":
-        unit = _unit_taylor_green(grid.n)
-
-        def values(times):
+        def a(times):
             a = amplitude * np.exp(-2.0 * nu * np.asarray(times))
-            return a[:, None, None, None] * unit
+            return a, -2.0 * nu * a
 
-        return cls(values, lambda times: -2.0 * nu * values(times), grid,
-                   label or f"taylor_green(nu={nu:g}, a={amplitude:g})")
+        vt = cls.separable(_unit_taylor_green(grid.n), a, grid,
+                           label or f"taylor_green(nu={nu:g}, a={amplitude:g})")
+        vt.derivs = lambda times: -2.0 * nu * vt.values(times)  # a' U, as -2 nu v bit for bit
+        return vt
 
     @classmethod
     def zero(cls, grid: Grid, label: str = "zero") -> "TestTrajectory":
-        def zeros(times):
-            return np.zeros((len(times), 2, grid.n, grid.n // 2 + 1), dtype=np.complex128)
-
-        return cls(zeros, zeros, grid, label)
+        return cls.taylor_green(0.0, grid, amplitude=0.0, label=label)

@@ -3,8 +3,8 @@ from closed forms, splines and perturbations, the phi-weighted form of the
 relative energy inequality, weak residual recovery, velocity gradients and
 the trilinear form, the convex sweep and the continuous-dependence study of
 a selection, the Taylor-Green pressure and pressure recovery, and the
-measure-valued momentum residual and convex combination, and the reader of
-a stored defect field."""
+measure-valued momentum residual and convex combination, the reader of
+a stored defect field and the benchmark's workload configs."""
 
 import json
 from pathlib import Path
@@ -22,6 +22,14 @@ from maxdiss.relenergy import (cumulative_weight_integral, rel_terms, residual_A
                                weight_value)
 from maxdiss.selector import SimplexWeights, select
 from maxdiss.solver import TestTrajectory, Trajectory
+
+
+def perfbench_configs() -> list:
+    """The scenario configs of the benchmark's workloads, ``perfbench/workloads.py``."""
+    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    namespace = {}
+    exec(compile(path.read_text(), str(path), "exec"), namespace)
+    return [w["config"] for w in namespace["WORKLOADS"].values()]
 
 
 def worst_margin(report) -> float:

@@ -7,8 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import convection
-from support import (analytic_test, gradients, mollified_indicator, phi_form_value,
-                     recover_weak_residual, spline_test, worst_margin)
+from support import (analytic_test, gradients, mollified_indicator, perfbench_configs,
+                     phi_form_value, recover_weak_residual, spline_test, worst_margin)
 
 from maxdiss.fields import (Grid, SpectralField, h1_squared, pairing, project, random_field,
                             resample, samples, spectral_tables)
@@ -16,7 +16,8 @@ from maxdiss.relenergy import WeightSpec, cumulative_weight_integral
 from maxdiss import certificate
 from maxdiss.certificate import (CertificateError, ToleranceModel, certify, certify_members,
                                  margin_series)
-from maxdiss.solver import Forcing, SystemSpec, TestTrajectory, Trajectory, solve, taylor_green
+from maxdiss.solver import (Forcing, SystemSpec, TestTrajectory, Trajectory, _rhs, solve,
+                            taylor_green)
 
 STRAIN = WeightSpec()
 
@@ -304,11 +305,14 @@ def test_margin_series_matches_per_sample_oracle(case):
 @pytest.mark.parametrize("count", [1, 3])
 def test_test_side_terms_run_once_per_test_and_block(monkeypatch, count):
     # members of three viscosities and two grids share each test's weight norms
-    # and residual; each member's series is bit for bit its one-member series
+    # and residual: a separable test a(t) U (the vortex, zero) takes them once,
+    # from U, whatever the number of blocks; a sampled test once per block;
+    # each member's series is bit for bit its one-member series
     u, vt, w = _oracle_case("euler")  # 21 samples in blocks of 8 at n = 32
     coarse = SystemSpec(nu=0.01, grid=Grid(16), t_end=u.spec.t_end, dt=u.spec.dt)
     members = [u, Trajectory(spec=replace(u.spec, nu=0.1), times=u.times, coeffs=u.coeffs),
                Trajectory(spec=coarse, times=u.times, coeffs=resample(u.coeffs, 16))][:count]
+    sampled = analytic_test(lambda t: vt.values([t])[0], lambda t: vt.derivs([t])[0], vt.grid)
     alone = [margin_series([m], vt, w)[0] for m in members]
     calls = {"weight_norms": 0, "residual_A": 0}
     for name in calls:
@@ -316,14 +320,66 @@ def test_test_side_terms_run_once_per_test_and_block(monkeypatch, count):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(certificate, name, counted)
-    family = [vt, TestTrajectory.zero(vt.grid)]
-    reports = certify_members(members, family, w)
+    per_test = []
+    for test in (vt, TestTrajectory.zero(vt.grid), sampled):
+        calls.update(weight_norms=0, residual_A=0)
+        assert len(certify_members(members, [test], w)) == count
+        per_test.append(dict(calls))
     blocks = len(certificate._blocks(u.times.size, vt.grid.n))
     assert blocks == 3
-    assert calls == {"weight_norms": 2 * blocks, "residual_A": 2 * blocks}
-    assert len(reports) == count
+    assert per_test == [{"weight_norms": 1, "residual_A": 1}] * 2 \
+        + [{"weight_norms": blocks, "residual_A": blocks}]
     for series, one in zip(margin_series(members, vt, w), alone):
         np.testing.assert_array_equal(series.margins, one.margins)
+
+
+@pytest.mark.parametrize("A", [1.5, -1.5])
+def test_separable_test_matches_its_sampled_form(A):
+    # a random band-limited U, where N(U) != 0 and sup|S(U)| is no round number,
+    # under a(t) = A e^{-lam t} (A < 0: K takes |a|), with a forcing P_n f != 0,
+    # for members on two grids: the separable path equals the per-block kernels
+    grid, lam = Grid(24), 2.0
+    forcing = Forcing("analytic", "kolmogorov", {"amplitude": 1.0})
+    U = 0.5 * random_field(grid, np.random.default_rng(3), kmax=3).coeffs
+
+    def amplitude(times):
+        a = A * np.exp(-lam * np.asarray(times))
+        return a, -lam * a
+
+    separable = TestTrajectory.separable(U, amplitude, grid, "separable")
+    sampled = analytic_test(lambda t: amplitude(t)[0] * U, lambda t: amplitude(t)[1] * U, grid)
+    members = []
+    for n in (16, 24):
+        spec = SystemSpec(nu=0.05, grid=Grid(n), t_end=0.05, dt=2.5e-3, forcing=forcing)
+        pert = random_field(spec.grid, np.random.default_rng(n), kmax=3)
+        v0 = resample(A * U, n) + 0.1 * pert.coeffs
+        members.append(solve(spec, SpectralField(spec.grid, v0)))
+    assert np.abs(forcing.projected(24)).max() > 0.1
+    N = _rhs(U[None], SystemSpec(nu=0.0, grid=grid, t_end=0.05, dt=2.5e-3), None)[0]
+    assert np.sqrt(pairing(N, N)) > 0.1 * np.sqrt(pairing(U, U))
+
+    def wrong_derivs(t):  # the sampled A_0 is then a' U - a N(U) - P_n f: a in place of a^2
+        a, da = amplitude(t)
+        return da * U + (a - 1) * a * N
+
+    wrong = analytic_test(lambda t: amplitude(t)[0] * U, wrong_derivs, grid)
+    for got, expect, off in zip(*(margin_series(members, vt, STRAIN)
+                                  for vt in (separable, sampled, wrong))):
+        assert got.weight_integral[-1] > 0
+        for name in ("rel_energies", "weight_integral", "dissipation_integrand", "margins"):
+            np.testing.assert_allclose(getattr(got, name), getattr(expect, name),
+                                       rtol=1e-12, atol=1e-14, err_msg=name)
+        assert not np.allclose(got.margins, off.margins, rtol=1e-12, atol=1e-14)
+
+
+def test_benchmark_configs_build_separable_tests_only():
+    # the pipeline never falls back to per-block kernels on the workloads
+    from maxdiss.scenarios import ScenarioConfig, build_tests
+
+    for cfg in perfbench_configs():
+        config = ScenarioConfig.from_dict(cfg)
+        tests = build_tests(config, config.system.grid)
+        assert tests and all(vt.shape is not None for vt in tests)
 
 
 def test_stage_certify_tests_coarse_members_on_the_finest_grid(tmp_path):

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import dist, divergence_linf, stacked
+from support import perfbench_configs
 
 import maxdiss
 from maxdiss.cli import (
@@ -315,15 +316,8 @@ def _readme_config_sketch():
     return json.loads(readme.split("### Config sketch")[1].split("```")[1][len("json"):])
 
 
-def _perfbench_configs():
-    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
-    namespace = {}
-    exec(compile(path.read_text(), str(path), "exec"), namespace)
-    return [w["config"] for w in namespace["WORKLOADS"].values()]
-
-
 def test_documented_and_benchmark_configs_parse():
-    configs = [_readme_config_sketch()] + _perfbench_configs()
+    configs = [_readme_config_sketch()] + perfbench_configs()
     assert len(configs) == 4
     for cfg in configs:
         ScenarioConfig.from_dict(cfg)
