@@ -62,9 +62,9 @@ class CandidateFamily:
         lam = weights.lam
         if lam.size != self.size:
             raise SelectorError("weight/member count mismatch")
-        return Trajectory(spec=self.spec, times=self.times,
-                          coeffs=sum(w * c for w, c in zip(lam, self.coeffs)),
-                          provenance=f"mixture lambda={lam.tolist()}")
+        return Trajectory.from_velocity(self.spec, self.times,
+                                        sum(w * c for w, c in zip(lam, self.coeffs)),
+                                        provenance=f"mixture lambda={lam.tolist()}")
 
 
 def assemble_family(trajs, member_ids=None, data_rtol: float = 1e-8) -> CandidateFamily:

@@ -9,12 +9,12 @@ exp(-nu |k|^2 dt), the convection explicitly.
 The stepper's state is one scalar, the vorticity half spectrum
 w = i kx v_y - i ky v_x of shape (n, n//2 + 1), so v = (i ky, -i kx) w / |k|^2
 is solenoidal by construction; the k = 0 entry, which the curl lacks,
-carries the velocity mean as v_x + i v_y.  ``solve`` takes the curl once,
-runs the stages of every step in one reused ``_Workspace`` and rebuilds the
-velocity at the sample times; every step is checked finite, its column
-ky = 0 projected onto Hermitian symmetry and its energy bounded.  Tables
-are cached per grid and per (n, nu, dt); ``Forcing`` builds f, P_n f and
-curl f once per grid size.  The nonlinear term is taken in
+carries the velocity mean as v_x + i v_y.  ``solve`` takes the curl once and
+runs the stages of every step in one reused ``_Workspace``; every step is
+checked finite, its column ky = 0 projected onto Hermitian symmetry and its
+energy bounded.  ``Trajectory`` stores the sampled vorticity, on disk too.
+Tables are cached per grid and per (n, nu, dt); ``Forcing`` builds f, P_n f
+and curl f once per grid size.  The nonlinear term is taken in
 Basdevant's form: with a = v_x^2 - v_y^2 and b = v_x v_y, it is P[-div T]
 for T = [[a/2, b], [b, -a/2]], which differs from v (x) v by |v|^2/2 I, whose
 divergence is a gradient that the Leray projection removes.  Its four real
@@ -248,15 +248,23 @@ def _curl(u: np.ndarray) -> np.ndarray:
     return w
 
 
-def _velocity(w: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Velocity coefficients (i ky, -i kx) w / |k|^2, with the mean from k = 0, of
-    vorticity half spectra w (``_curl``) into ``out`` (..., 2, n, n//2 + 1), which may hold w."""
+def _velocity(w: np.ndarray) -> np.ndarray:
+    """Velocity coefficients (i ky, -i kx) w / |k|^2, (..., 2, n, n//2 + 1), with the
+    mean from k = 0, of vorticity half spectra w (``_curl``)."""
     tab = spectral_tables(w.shape[-2])
-    psi, mean = w * tab.inv_k2, w[..., 0, 0].copy()
+    psi, out = w * tab.inv_k2, np.empty((*w.shape[:-2], 2, *w.shape[-2:]), dtype=np.complex128)
     np.multiply(1j * tab.ky, psi, out=out[..., 0, :, :])
     np.multiply(-1j * tab.kx, psi, out=out[..., 1, :, :])
-    out[..., 0, 0, 0], out[..., 1, 0, 0] = mean.real, mean.imag
+    out[..., 0, 0, 0], out[..., 1, 0, 0] = w[..., 0, 0].real, w[..., 0, 0].imag
     return out
+
+
+def _hermitian_column(w: np.ndarray) -> np.ndarray:
+    """w, vorticity half spectra, with the column ky = 0 (w(kx, 0) and its mirror
+    w(-kx, 0)) projected onto Hermitian symmetry in place, k = 0 (the mean) aside."""
+    col = w[..., 0]
+    col[..., 1:] = 0.5 * (col[..., 1:] + np.conj(col[..., :0:-1]))
+    return w
 
 
 def _products(ws: _Workspace, fwd: np.ndarray):
@@ -365,28 +373,28 @@ def advance(w: np.ndarray | SpectralField, spec: SystemSpec, t: float,
     new = np.add(e_w, np.multiply(spec.dt / 6.0, x, out=x))
     if not np.all(np.isfinite(new)):
         raise BlowUpError(f"non-finite coefficients after step at t={t:g}")
-    col = new[..., 0]  # holds w(kx, 0) and its mirror w(-kx, 0); k = 0 holds the mean
-    col[..., 1:] = 0.5 * (col[..., 1:] + np.conj(col[..., :0:-1]))
+    _hermitian_column(new)
     if as_field:
-        return SpectralField(spec.grid, _velocity(new, np.empty((2, *new.shape), complex)),
-                             solenoidal=True)
+        return SpectralField(spec.grid, _velocity(new), solenoidal=True)
     return new
 
 
 # -- trajectories -----------------------------------------------------------
 
 #: header key ``layout`` of a trajectory's states.fld
-_STATES_LAYOUT = "half_spectrum_packed"
+_STATES_LAYOUT = "vorticity_half_spectrum_packed"
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-sampled solenoidal states of one Galerkin run, stacked: ``coeffs``
-    has shape (T, 2, n, n//2 + 1) and coeffs[k] is the state at times[k]."""
+    """Time-sampled states of one Galerkin run as their vorticity, (T, n, n//2 + 1) in
+    ``_curl``'s layout with the mean at k = 0: vorticity[k] is the state at times[k].
+    Its velocity ``coeffs`` (T, 2, n, n//2 + 1), solenoidal by construction, is built
+    once, on first use; ``from_velocity`` is the way in for velocity coefficients."""
 
     spec: SystemSpec
     times: np.ndarray
-    coeffs: np.ndarray
+    vorticity: np.ndarray
     provenance: str = ""
 
     def __post_init__(self):
@@ -395,12 +403,29 @@ class Trajectory:
             raise SolverError("trajectory needs at least one sample time")
         if t[0] != 0.0 or not (np.all(np.diff(t) > 0) and np.isfinite(t[-1])):  # NaN: not > 0
             raise SolverError("times: must be finite, start at 0 and increase strictly")
-        shape = (t.size, 2, self.grid.n, self.grid.n // 2 + 1)
-        if np.shape(self.coeffs) != shape:
-            raise SolverError(f"coefficient shape {np.shape(self.coeffs)}, need {shape}")
-        t.flags.writeable = False
+        shape = (t.size, self.grid.n, self.grid.n // 2 + 1)
+        if np.shape(self.vorticity) != shape:
+            raise SolverError(f"vorticity shape {np.shape(self.vorticity)}, need {shape}")
+        w = np.asarray(self.vorticity, dtype=np.complex128).view()  # read-only, not a copy
+        t.flags.writeable = w.flags.writeable = False
         object.__setattr__(self, "times", t)
-        object.__setattr__(self, "coeffs", normalized(self.coeffs, self.grid.n, solenoidal=True))
+        object.__setattr__(self, "vorticity", w)
+
+    @classmethod
+    def from_velocity(cls, spec: SystemSpec, times, v, provenance: str = "") -> "Trajectory":
+        """The trajectory of velocity coefficients v (T, 2, n, n//2 + 1) at ``times``,
+        each sample checked divergence-free (FieldError) by ``normalized``."""
+        shape = (np.size(times), 2, spec.grid.n, spec.grid.n // 2 + 1)
+        if np.shape(v) != shape:
+            raise SolverError(f"coefficient shape {np.shape(v)}, need {shape}")
+        return cls(spec, times, _curl(normalized(v, spec.grid.n, solenoidal=True)), provenance)
+
+    @functools.cached_property
+    def coeffs(self) -> np.ndarray:
+        """The velocity coefficients (T, 2, n, n//2 + 1), read-only."""
+        v = _velocity(self.vorticity)
+        v.flags.writeable = False
+        return v
 
     @property
     def grid(self) -> Grid:
@@ -410,12 +435,9 @@ class Trajectory:
         return 0.5 * pairing(self.coeffs, self.coeffs)
 
     def save(self, out_dir) -> None:
-        """Write manifest.json (spec, times, provenance) and states.fld.
-
-        states.fld holds the half spectra of every state packed to
-        (T, 2, n - 1, n/2): the Nyquist row and column are zero and left
-        out, so that load gives back the same spectra bit for bit.
-        """
+        """Write manifest.json (spec, times, provenance) and states.fld, the vorticity
+        packed to (T, 1, n - 1, n/2): the Nyquist row and column are zero and left out,
+        so that load gives back the same vorticity, and velocity, bit for bit."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         manifest = {
@@ -425,7 +447,7 @@ class Trajectory:
         }
         (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
         h = self.grid.n // 2
-        save_samples(out / "states.fld", np.delete(self.coeffs[..., :h], h, axis=-2),
+        save_samples(out / "states.fld", np.delete(self.vorticity[:, None, :, :h], h, axis=-2),
                      extra={"layout": _STATES_LAYOUT})
 
     @classmethod
@@ -448,13 +470,16 @@ class Trajectory:
         path = src / "states.fld"
         packed, header = load_samples(path)
         n, h = spec.grid.n, spec.grid.n // 2
-        if header.get("layout") != _STATES_LAYOUT or packed.shape != (times.size, 2, n - 1, h):
+        if header.get("layout") != _STATES_LAYOUT or packed.shape != (times.size, 1, n - 1, h):
             raise FieldError(f"{path}: layout {header.get('layout')}, shape {list(packed.shape)}; "
-                             f"the manifest needs {_STATES_LAYOUT}, {[times.size, 2, n - 1, h]}")
-        coeffs = np.zeros((times.size, 2, n, h + 1), dtype=np.complex128)  # Nyquist: 0
-        coeffs[..., :h, :h] = packed[..., :h, :]
-        coeffs[..., h + 1:, :h] = packed[..., h:, :]
-        return cls(spec=spec, times=times, coeffs=coeffs,
+                             f"the manifest needs {_STATES_LAYOUT}, {[times.size, 1, n - 1, h]}: "
+                             f"re-run simulate")
+        if not (finite := np.isfinite(packed).all(axis=(1, 2, 3))).all():
+            raise FieldError(f"{path}: non-finite coefficients in the sample at "
+                             f"t={float(times[np.argmin(finite)])!r}")
+        w = np.pad(np.insert(packed[:, 0], h, 0, axis=1), ((0, 0), (0, 0), (0, 1)))  # Nyquist: 0
+        # not ``normalized``, whose projection would drop the mean's imaginary part
+        return cls(spec=spec, times=times, vorticity=_hermitian_column(w),
                    provenance=manifest.get("provenance", ""))
 
 
@@ -468,8 +493,8 @@ def solve(spec: SystemSpec, v0: SpectralField, sample_stride: int = 1,
           provenance: str = "") -> Trajectory:
     """Integrate from P_n v0 to t_end, sampling every `sample_stride` steps: one
     ``advance`` per step on the vorticity of v0 on the n-grid, whose curl leaves
-    out what P_n removes; its energy is bounded after every step, and the velocity
-    is rebuilt at the sample times."""
+    out what P_n removes; its energy is bounded after every step, and the samples
+    are kept as that vorticity."""
     if sample_stride < 1:
         raise SolverError("sample_stride must be >= 1")
     n = spec.grid.n
@@ -477,11 +502,10 @@ def solve(spec: SystemSpec, v0: SpectralField, sample_stride: int = 1,
     weight = np.where(tab.k2 == 0, 1.0, tab.inv_k2)  # energy: |w|^2 / |k|^2, the mean's
     bound = 1e8 * max(0.5 * pairing(w[None], weight * w[None]), 1.0)
     times = [0.0]
-    # t = 0, then every sample_stride steps and the last step; a sample's
-    # vorticity is held in its first component until the velocity is rebuilt
-    coeffs = np.empty((1 + (spec.n_steps + sample_stride - 1) // sample_stride, 2, *w.shape),
+    # t = 0, then every sample_stride steps and the last step
+    states = np.empty((1 + (spec.n_steps + sample_stride - 1) // sample_stride, *w.shape),
                       dtype=np.complex128)
-    coeffs[0, 0] = w
+    states[0] = w
     ws = _Workspace((), n)
     for step in range(spec.n_steps):
         t = step * spec.dt
@@ -489,9 +513,9 @@ def solve(spec: SystemSpec, v0: SpectralField, sample_stride: int = 1,
         if 0.5 * pairing(w[None], weight * w[None]) > bound:
             raise BlowUpError(f"energy blow-up at t={t + spec.dt:g}")
         if (step + 1) % sample_stride == 0 or step == spec.n_steps - 1:
-            coeffs[len(times), 0] = w
+            states[len(times)] = w
             times.append((step + 1) * spec.dt)
-    return Trajectory(spec=spec, times=np.array(times), coeffs=_velocity(coeffs[:, 0], coeffs),
+    return Trajectory(spec=spec, times=np.array(times), vorticity=states,
                       provenance=provenance or f"ifrk4 n={spec.grid.n} dt={spec.dt}")
 
 

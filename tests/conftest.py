@@ -16,6 +16,11 @@ def stacked(fields) -> np.ndarray:
     return np.stack([f.coeffs for f in fields])
 
 
+def rebuilt(v: np.ndarray) -> np.ndarray:
+    """The velocity that ``Trajectory.from_velocity`` rebuilds from coefficients v."""
+    return solver._velocity(solver._curl(v))
+
+
 def dist(a, b=0.0) -> float:
     """The L2 distance, by Parseval, of coefficients a and b (components, n, n//2 + 1)."""
     d = a - b
@@ -186,9 +191,9 @@ def tg_impostors():
     spec = SystemSpec(nu=nu, grid=grid, t_end=0.5, dt=2.5e-3, forcing=Forcing("zero"))
     tg = solve(spec, taylor_green(0.0, nu, grid), sample_stride=10)
     factors = {"growing": 1.0 + tg.times, "decaying": np.exp(-tg.times / 2)}
-    return dict(tg=tg, **{name: Trajectory(spec=spec, times=tg.times,
-                                           coeffs=tg.coeffs * f[:, None, None, None],
-                                           provenance=f"manufactured {name}")
+    return dict(tg=tg, **{name: Trajectory.from_velocity(spec, tg.times,
+                                                         tg.coeffs * f[:, None, None, None],
+                                                         provenance=f"manufactured {name}")
                           for name, f in factors.items()})
 
 

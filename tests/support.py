@@ -235,7 +235,7 @@ def mv_convex_combine(v1, m1, v2, m2, lam):
         raise MVError("combination requires matching resolutions")
     density = lam * m1.density + (1 - lam) * m2.density \
         + lam * (1 - lam) * tensor_samples(v1.coeffs - v2.coeffs, m1.grid.n)
-    v = Trajectory(spec=v1.spec, times=v1.times, coeffs=lam * v1.coeffs + (1 - lam) * v2.coeffs)
+    v = Trajectory.from_velocity(v1.spec, v1.times, lam * v1.coeffs + (1 - lam) * v2.coeffs)
     m = DefectField(grid=m1.grid, times=m1.times, density=density,
                     mollifier_kmax=min(m1.mollifier_kmax, m2.mollifier_kmax),
                     clip_magnitude=max(m1.clip_magnitude, m2.clip_magnitude))

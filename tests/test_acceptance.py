@@ -204,8 +204,7 @@ def test_acceptance_08_residual_recovery(tg_reference, capsys):
     # inject a forcing mismatch: the stored states solve the unforced system
     kol = Forcing("analytic", "kolmogorov",
                   {"amplitude": 0.3, "wavenumber": 2})
-    mismatched = Trajectory(spec=replace(traj.spec, forcing=kol),
-                            times=traj.times, coeffs=traj.coeffs,
+    mismatched = Trajectory(replace(traj.spec, forcing=kol), traj.times, traj.vorticity,
                             provenance="forcing mismatch")
     rng = np.random.default_rng(0)
     r = random_field(traj.grid, rng, kmax=3, components=2, solenoidal=True)
@@ -228,8 +227,8 @@ def test_acceptance_09_measure_valued_identities(capsys):
     rng = np.random.default_rng(9)
     w = random_field(grid, rng, kmax=3, components=2, solenoidal=True).coeffs
     psi = taylor_green(0.0, 0.0, grid).coeffs
-    v1 = Trajectory(spec=spec, times=times, coeffs=np.stack([psi] * 5))
-    v2 = Trajectory(spec=spec, times=times, coeffs=np.stack([w] * 5))
+    v1 = Trajectory.from_velocity(spec, times, np.stack([psi] * 5))
+    v2 = Trajectory.from_velocity(spec, times, np.stack([w] * 5))
     z = zero_defect(grid, times)
     phi = analytic_test(lambda t: (1 - t) * psi, lambda t: -1.0 * psi, grid, label="phi")
     lam = 0.35

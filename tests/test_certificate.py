@@ -10,8 +10,8 @@ from conftest import convection
 from support import (analytic_test, gradients, mollified_indicator, perfbench_configs,
                      phi_form_value, recover_weak_residual, spline_test, worst_margin)
 
-from maxdiss.fields import (Grid, SpectralField, h1_squared, pairing, project, random_field,
-                            resample, samples, spectral_tables)
+from maxdiss.fields import (Grid, SpectralField, _embed, h1_squared, pairing, project,
+                            random_field, resample, samples, spectral_tables)
 from maxdiss.relenergy import WeightSpec, cumulative_weight_integral
 from maxdiss import certificate
 from maxdiss.certificate import (CertificateError, ToleranceModel, certify, certify_members,
@@ -72,8 +72,8 @@ def test_non_dissipative_trajectory_fails(tg_reference):
                       forcing=Forcing("zero"))
     w = taylor_green(0.0, 0.1, grid).coeffs
     times = np.linspace(0.0, 0.5, 21)
-    bad = Trajectory(spec=spec, times=times, coeffs=np.stack([(1.0 + t) * w for t in times]),
-                     provenance="manufactured")
+    bad = Trajectory.from_velocity(spec, times, np.stack([(1.0 + t) * w for t in times]),
+                                   provenance="manufactured")
     report = certify(bad, [TestTrajectory.zero(grid)], STRAIN)
     assert not report.verdict
     assert worst_margin(report) < -1e-2
@@ -85,9 +85,9 @@ def test_growing_taylor_green_fails_exact_test():
     nu, grid, dt = 0.1, Grid(32), 2.5e-3
     spec = SystemSpec(nu=nu, grid=grid, t_end=0.5, dt=dt)
     times = np.arange(0, 201, 10) * dt
-    bad = Trajectory(spec=spec, times=times,
-                     coeffs=np.stack([(1.0 + t) * taylor_green(t, nu, grid).coeffs
-                                      for t in times]))
+    bad = Trajectory.from_velocity(spec, times,
+                                   np.stack([(1.0 + t) * taylor_green(t, nu, grid).coeffs
+                                             for t in times]))
     exact = TestTrajectory.taylor_green(nu, grid, label="exact")
     report = certify(bad, [exact, TestTrajectory.zero(grid)], STRAIN)
     for tid in ("exact", "zero"):
@@ -192,7 +192,7 @@ def test_worst_margin_skips_initial_time(tg_reference):
     report = certify(traj, [vt], STRAIN)
     assert all(e.margin == 0.0 for e in report.entries if e.t == 0.0)
     assert worst_margin(report) > 0
-    first = Trajectory(spec=traj.spec, times=traj.times[:1], coeffs=traj.coeffs[:1])
+    first = Trajectory(traj.spec, traj.times[:1], traj.vorticity[:1])
     assert worst_margin(certify(first, [vt], STRAIN)) == np.inf
 
 
@@ -310,8 +310,8 @@ def test_test_side_terms_run_once_per_test_and_block(monkeypatch, count):
     # each member's series is bit for bit its one-member series
     u, vt, w = _oracle_case("euler")  # 21 samples in blocks of 8 at n = 32
     coarse = SystemSpec(nu=0.01, grid=Grid(16), t_end=u.spec.t_end, dt=u.spec.dt)
-    members = [u, Trajectory(spec=replace(u.spec, nu=0.1), times=u.times, coeffs=u.coeffs),
-               Trajectory(spec=coarse, times=u.times, coeffs=resample(u.coeffs, 16))][:count]
+    members = [u, Trajectory(replace(u.spec, nu=0.1), u.times, u.vorticity),
+               Trajectory.from_velocity(coarse, u.times, resample(u.coeffs, 16))][:count]
     sampled = analytic_test(lambda t: vt.values([t])[0], lambda t: vt.derivs([t])[0], vt.grid)
     alone = [margin_series([m], vt, w)[0] for m in members]
     calls = {"weight_norms": 0, "residual_A": 0}
@@ -395,8 +395,9 @@ def test_stage_certify_tests_coarse_members_on_the_finest_grid(tmp_path):
     members = stage_simulate(cfg)
     stage_certify(cfg, members)
     u = members["n_16"]
+    # the padded vorticity has the padded velocity, bit for bit
     padded = Trajectory(spec=replace(u.spec, grid=Grid(32)), times=u.times,
-                        coeffs=resample(u.coeffs, 32))
+                        vorticity=_embed(u.vorticity, 16, 32))
     expect = certify(padded, build_tests(cfg, Grid(32)), cfg.weight, cfg.tolerance)
     got = json.loads((tmp_path / "certificates" / "n_16.json").read_text())
     assert got == json.loads(json.dumps(expect.to_dict()))

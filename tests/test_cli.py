@@ -21,7 +21,8 @@ from maxdiss.cli import (
     EXIT_OK,
     main,
 )
-from maxdiss.fields import Grid, SpectralField, from_function, resample, save_field
+from maxdiss.fields import (Grid, SpectralField, from_function, load_samples, resample,
+                            save_field, save_samples)
 from maxdiss.scenarios import (
     SCHEMA,
     ConfigError,
@@ -610,6 +611,22 @@ def test_stage_subcommands_match_run(tmp_path, capsys):
                for name in ("manifest.json", "states.fld"))
 
 
+def test_mv_subcommand_matches_run(tmp_path, capsys):
+    # simulate, then mv on the finest and coarsest viscosity, writes the defect of
+    # one `maxdiss run` bit for bit: mv loads the velocities rebuilt from the
+    # stored vorticity, which are the ones `maxdiss run` holds in memory
+    cfg = _write_cfg(tmp_path, scenario="mv_ladder")
+    run, staged = tmp_path / "run", tmp_path / "staged"
+    assert main(["run", "--config", cfg, "--out", str(run)]) == EXIT_OK
+    assert main(["simulate", "--config", cfg, "--out", str(staged)]) == EXIT_OK
+    assert main(["mv", "--fine", str(staged / "sim" / "nu_0.0025"),
+                 "--coarse", str(staged / "sim" / "nu_0.01"),
+                 "--out", str(staged / "defect")]) == EXIT_OK
+    capsys.readouterr()
+    for name in ("density.fld", "manifest.json"):
+        assert (staged / "defect" / name).read_bytes() == (run / "defect" / name).read_bytes()
+
+
 def test_stages_keep_no_member_of_an_earlier_config(tmp_path):
     # simulate replaces sim/ and certify certificates/, so a member that the
     # config no longer names is neither certified, selected nor hashed
@@ -643,7 +660,7 @@ def test_stage_mv_uses_the_pair_default_clip_ratio(tmp_path):
 
     fields = {"coarse": from_function(grid, lambda x, y: np.sin(6 * y), zero, solenoidal=True),
               "fine": from_function(grid, zero, lambda x, y: np.sin(6 * x), solenoidal=True)}
-    members = {mid: Trajectory(spec=spec, times=times, coeffs=stacked([f] * 3))
+    members = {mid: Trajectory.from_velocity(spec, times, stacked([f] * 3))
                for mid, f in fields.items()}
     with pytest.raises(MVError, match="PSD projection too large"):
         defect_from_pair(members["fine"], members["coarse"])
@@ -733,6 +750,37 @@ def test_cli_truncated_states_file(tmp_path, capsys):
     assert str(states) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("damage", ["nan", "inf", "velocity_layout"])
+@pytest.mark.parametrize("command", ["certify", "select", "mv"])
+def test_cli_rejects_bad_states(tmp_path, capsys, command, damage):
+    # a stored state with a non-finite coefficient exits 4 naming the file and the
+    # first bad sample time, so it is neither certified, selected nor turned into a
+    # defect; so does the states.fld of older run trees, which holds the velocity,
+    # (T, 2, n - 1, n/2) under the layout half_spectrum_packed
+    cfg = _write_cfg(tmp_path, family={"resolutions": [8, 16], "sample_stride": 10})
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    member, states = out / "sim" / "n_16", out / "sim" / "n_16" / "states.fld"
+    if damage == "velocity_layout":
+        save_samples(states, np.delete(Trajectory.load(member).coeffs[..., :8], 8, axis=-2),
+                     extra={"layout": "half_spectrum_packed"})
+        message = ("layout half_spectrum_packed, shape [11, 2, 15, 8]; the manifest needs "
+                   "vorticity_half_spectrum_packed, [11, 1, 15, 8]: re-run simulate")
+    else:
+        packed, header = load_samples(states)
+        packed[5, 0, 3, 2] = packed[3, 0, 1, 1] = float(damage)
+        save_samples(states, packed, extra=header)
+        t = json.loads((member / "manifest.json").read_text())["times"][3]
+        message = f"non-finite coefficients in the sample at t={t!r}"
+    capsys.readouterr()
+    argv = ([command, "--config", cfg, "--out", str(out)] if command != "mv" else
+            ["mv", "--fine", str(member), "--coarse", str(out / "sim" / "n_8"),
+             "--out", str(out / "defect")])
+    assert main(argv) == EXIT_CONFIG
+    assert f"{states}: {message}" in capsys.readouterr().err
+    assert not any((out / name).exists() for name in ("certificates", "selection.json", "defect"))
+
+
 def test_cli_certify_rejects_manifest_without_forcing(tmp_path, capsys):
     # a forced member whose manifest lost its forcing is not read as unforced
     cfg = _write_cfg(tmp_path, system={"nu": 0.1, "n": 16, "t_end": 0.05, "dt": 5e-3,
@@ -783,7 +831,7 @@ def test_cli_certify_rejects_bad_sample_times(tmp_path, capsys, case):
     manifest = member / "manifest.json"
     if case == "members_differ":
         traj = Trajectory.load(member)
-        Trajectory(spec=traj.spec, times=traj.times[::2], coeffs=traj.coeffs[::2]).save(member)
+        Trajectory(traj.spec, traj.times[::2], traj.vorticity[::2]).save(member)
     else:
         d = json.loads(manifest.read_text())
         d["times"][-1 if case == "last_infinite" else 3] = \
@@ -804,7 +852,7 @@ def test_cli_mv_with_missing_forcing_file(tmp_path, capsys):
                       forcing=Forcing("file", path=str(path)))
     times = np.linspace(0.0, 0.25, 11)
     w = taylor_green(0.0, 0.1, grid)
-    Trajectory(spec=spec, times=times, coeffs=stacked([w] * 11)).save(tmp_path / "member")
+    Trajectory.from_velocity(spec, times, stacked([w] * 11)).save(tmp_path / "member")
     path.unlink()
     member = str(tmp_path / "member")
     assert main(["mv", "--fine", member, "--coarse", member,
@@ -821,9 +869,9 @@ def test_cli_certificate_failure_exit_code(tmp_path, capsys):
                       forcing=Forcing("zero"))
     w = taylor_green(0.0, 0.1, grid).coeffs
     times = np.linspace(0.0, 0.25, 11)
-    bad = Trajectory(spec=spec, times=times,
-                     coeffs=np.stack([(1.0 + t) * w for t in times]),
-                     provenance="manufactured growth")
+    bad = Trajectory.from_velocity(spec, times,
+                                   np.stack([(1.0 + t) * w for t in times]),
+                                   provenance="manufactured growth")
     bad.save(out / "sim" / "n_16")
     assert main(["certify", "--config", cfg,
                  "--out", str(out)]) == EXIT_CERT_FAIL
@@ -899,8 +947,8 @@ def test_cli_mv_subcommand(tmp_path, capsys):
     r = random_field(grid, rng, kmax=10, components=2, solenoidal=True).coeffs
     fine = solve(spec, SpectralField(grid, taylor_green(0.0, nu, grid).coeffs + (1 / dist(r)) * r),
                  sample_stride=10)
-    coarse = Trajectory(spec=replace(spec, grid=Grid(16)), times=fine.times,
-                        coeffs=resample(fine.coeffs, 16))
+    coarse = Trajectory.from_velocity(replace(spec, grid=Grid(16)), fine.times,
+                                      resample(fine.coeffs, 16))
     fine.save(tmp_path / "fine")
     coarse.save(tmp_path / "coarse")
     out = tmp_path / "defect"
@@ -924,8 +972,8 @@ def test_cli_mv_rejects_kmax_below_one(tmp_path, capsys, kmax):
     from maxdiss.solver import solve
     spec = SystemSpec(nu=0.1, grid=Grid(16), t_end=0.05, dt=2.5e-3)
     fine = solve(spec, taylor_green(0.0, 0.1, spec.grid), sample_stride=10)
-    coarse = Trajectory(spec=replace(spec, grid=Grid(8)), times=fine.times,
-                        coeffs=resample(fine.coeffs, 8))
+    coarse = Trajectory.from_velocity(replace(spec, grid=Grid(8)), fine.times,
+                                      resample(fine.coeffs, 8))
     fine.save(tmp_path / "fine")
     coarse.save(tmp_path / "coarse")
     out = tmp_path / "defect"

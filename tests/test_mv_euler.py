@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import dist, stacked
+from conftest import dist, rebuilt, stacked
 from support import (analytic_test, load_defect, mv_convex_combine, mv_equation_residual,
                      trace_leakage_bound, zero_defect)
 
@@ -60,10 +60,10 @@ def resolution_pair():
     v0 = SpectralField(fine_grid, taylor_green(0.0, nu, fine_grid).coeffs + (1.0 / dist(r)) * r)
     fine = solve(SystemSpec(nu=nu, grid=fine_grid, t_end=0.25, dt=2e-3,
                             forcing=Forcing("zero")), v0, sample_stride=25)
-    coarse = Trajectory(spec=replace(fine.spec, grid=Grid(16)),
-                        times=fine.times,
-                        coeffs=resample(fine.coeffs, 16),
-                        provenance="restriction of fine")
+    coarse = Trajectory.from_velocity(replace(fine.spec, grid=Grid(16)),
+                                      fine.times,
+                                      resample(fine.coeffs, 16),
+                                      provenance="restriction of fine")
     return fine, coarse
 
 
@@ -237,8 +237,8 @@ def test_orthogonal_fluctuation_defect():
     w = from_function(grid, lambda x, y: 0.0 * x,
                       lambda x, y: np.sin(2 * x), solenoidal=True)
     times = np.linspace(0.0, 1.0, 3)
-    fine = Trajectory(spec=spec, times=times, coeffs=stacked([w] * 3))
-    coarse = Trajectory(spec=spec, times=times, coeffs=np.zeros((3, 2, 16, 9)))
+    fine = Trajectory.from_velocity(spec, times, stacked([w] * 3))
+    coarse = Trajectory.from_velocity(spec, times, np.zeros((3, 2, 16, 9)))
     m = defect_from_pair(fine, coarse, mollifier_kmax=1)
     # w (x) w = diag(0, sin^2 2x): the k=0 part of m22 is 1/2 everywhere
     assert np.abs(m.density[:, 0]).max() <= 1e-10
@@ -251,17 +251,14 @@ def test_pair_validation_errors(resolution_pair):
     fine, coarse = resolution_pair
     with pytest.raises(MVError):  # coarse finer than fine
         defect_from_pair(coarse, fine)
-    shifted = Trajectory(spec=coarse.spec, times=coarse.times * 0.5,
-                         coeffs=coarse.coeffs)
+    shifted = Trajectory(coarse.spec, coarse.times * 0.5, coarse.vorticity)
     with pytest.raises(MVError):  # misaligned sample times
         defect_from_pair(fine, shifted)
     kol = Forcing("analytic", "kolmogorov", {"amplitude": 0.3})
-    forced = Trajectory(spec=replace(coarse.spec, forcing=kol), times=coarse.times,
-                        coeffs=coarse.coeffs)
+    forced = Trajectory(replace(coarse.spec, forcing=kol), coarse.times, coarse.vorticity)
     with pytest.raises(MVError, match="sample times or forcing"):  # forcing mismatch
         defect_from_pair(fine, forced)
-    other = Trajectory(spec=coarse.spec, times=coarse.times,
-                       coeffs=1.5 * coarse.coeffs)
+    other = Trajectory(coarse.spec, coarse.times, 1.5 * coarse.vorticity)
     with pytest.raises(MVError):  # initial data differ below mollifier scale
         defect_from_pair(fine, other)
 
@@ -283,7 +280,7 @@ def test_residual_zero_everything():
     spec = SystemSpec(nu=0.0, grid=grid, t_end=1.0, dt=0.1,
                       forcing=Forcing("zero"))
     times = np.linspace(0.0, 1.0, 5)
-    traj = Trajectory(spec=spec, times=times, coeffs=np.zeros((5, 2, 16, 9)))
+    traj = Trajectory.from_velocity(spec, times, np.zeros((5, 2, 16, 9)))
     res = mv_equation_residual(traj, None, Forcing("zero"),
                                [_phi_ramp(grid, 1.0)])
     assert res["ramp-phi"] == 0.0
@@ -327,7 +324,7 @@ def test_residual_does_not_depend_on_block_split(monkeypatch, rng):
 def _constant_pair(grid, c, times):
     spec = SystemSpec(nu=0.0, grid=grid, t_end=float(times[-1]), dt=0.1,
                       forcing=Forcing("zero"))
-    traj = Trajectory(spec=spec, times=times, coeffs=np.stack([c] * times.size))
+    traj = Trajectory.from_velocity(spec, times, np.stack([c] * times.size))
     return traj, zero_defect(grid, times)
 
 
@@ -338,7 +335,7 @@ def test_combine_endpoint_passthrough():
     v2, m2 = _constant_pair(grid, np.zeros((2, 16, 9)), times)
     for lam, (v_end, m_end) in ((1.0, (v1, m1)), (0.0, (v2, m2))):
         v, m = mv_convex_combine(v1, m1, v2, m2, lam)
-        assert np.array_equal(v.coeffs, v_end.coeffs)
+        assert np.array_equal(v.coeffs, rebuilt(v_end.coeffs))
         assert np.array_equal(m.density, m_end.density)
 
 
@@ -390,8 +387,8 @@ def test_combine_preserves_psd(rng):
     w2 = random_field(grid, rng, kmax=2, components=2, solenoidal=True)
     spec = SystemSpec(nu=0.0, grid=grid, t_end=1.0, dt=0.1,
                       forcing=Forcing("zero"))
-    v1 = Trajectory(spec=spec, times=times, coeffs=stacked([w1] * 2))
-    v2 = Trajectory(spec=spec, times=times, coeffs=stacked([w2] * 2))
+    v1 = Trajectory.from_velocity(spec, times, stacked([w1] * 2))
+    v2 = Trajectory.from_velocity(spec, times, stacked([w2] * 2))
     _, m = mv_convex_combine(v1, random_psd(), v2, random_psd(), 0.4)
     assert m.min_eigenvalue() >= -1e-12
 

@@ -200,8 +200,8 @@ def test_margin_series_constant_weight_integral():
     k0 = weight_value(weight_norms(v), STRAIN)
     assert k0 == pytest.approx(2.0, rel=1e-14)
     times = np.linspace(0, 1, 21)
-    u = Trajectory(spec=SystemSpec(nu=nu, grid=grid, t_end=1.0, dt=0.05),
-                   times=times, coeffs=np.stack([v] * times.size))
+    u = Trajectory.from_velocity(SystemSpec(nu=nu, grid=grid, t_end=1.0, dt=0.05),
+                                 times, np.stack([v] * times.size))
     integral = margin_series([u], vt, STRAIN)[0].weight_integral
     assert integral[-1] == pytest.approx(k0, rel=1e-10)
     assert np.allclose(integral, k0 * times, rtol=1e-12, atol=0.0)

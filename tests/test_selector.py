@@ -100,8 +100,8 @@ def test_family_rejects_mismatched_initial_data(tg_ladder):
 def test_family_rejects_mismatched_sample_times(tg_ladder):
     # members are compared sample by sample: there is no resampling in time
     base = tg_ladder[0]
-    fewer = Trajectory(spec=base.spec, times=base.times[::2], coeffs=base.coeffs[::2])
-    shifted = Trajectory(spec=base.spec, times=0.9 * base.times, coeffs=base.coeffs)
+    fewer = Trajectory(base.spec, base.times[::2], base.vorticity[::2])
+    shifted = Trajectory(base.spec, 0.9 * base.times, base.vorticity)
     for other in (fewer, shifted):
         with pytest.raises(SelectorError, match="sample times"):
             assemble_family([base, other])
@@ -159,8 +159,8 @@ def _orthogonal_fluctuation_family():
     w2 = from_function(grid, lambda x, y: -3 * np.sin(3 * y),
                        lambda x, y: 0.0 * x, solenoidal=True).coeffs
     times = np.linspace(0.0, 1.0, 5)
-    t1 = Trajectory(spec=spec, times=times, coeffs=np.stack([b + 0.5 * w1] * 5))
-    t2 = Trajectory(spec=spec, times=times, coeffs=np.stack([b + 1.0 * w2] * 5))
+    t1 = Trajectory.from_velocity(spec, times, np.stack([b + 0.5 * w1] * 5))
+    t2 = Trajectory.from_velocity(spec, times, np.stack([b + 1.0 * w2] * 5))
     return assemble_family([t1, t2], data_rtol=10.0)
 
 
@@ -231,8 +231,8 @@ def test_select_reports_rank_and_ties_on_the_ladder(tg_ladder):
 def test_select_all_zero_family_returns_uniform_weights():
     grid = Grid(8)
     spec = SystemSpec(nu=0.1, grid=grid, t_end=1.0, dt=0.5, forcing=Forcing("zero"))
-    zero = Trajectory(spec=spec, times=np.array([0.0, 0.5, 1.0]),
-                      coeffs=np.zeros((3, 2, 8, 5), dtype=complex))
+    zero = Trajectory.from_velocity(spec, np.array([0.0, 0.5, 1.0]),
+                                    np.zeros((3, 2, 8, 5), dtype=complex))
     res = select(assemble_family([zero] * 3))
     assert np.abs(res.weights.lam - 1.0 / 3.0).max() <= 1e-15
     assert (res.rank, res.unique, res.objective, res.kkt_residual) == (0, False, 0.0, 0.0)
@@ -245,7 +245,7 @@ def test_select_ties_on_a_zero_energy_face():
     spec = SystemSpec(nu=0.1, grid=grid, t_end=1.0, dt=0.25, forcing=Forcing("zero"))
     b = taylor_green(0.0, 0.1, grid).coeffs
     times = np.linspace(0.0, 1.0, 5)
-    trajs = [Trajectory(spec=spec, times=times, coeffs=np.stack([s * b] * 5))
+    trajs = [Trajectory.from_velocity(spec, times, np.stack([s * b] * 5))
              for s in (1.0, -1.0, 1.0)]
     res = select(assemble_family(trajs, data_rtol=10.0))
     assert np.abs(res.weights.lam - [0.25, 0.5, 0.25]).max() <= 1e-12

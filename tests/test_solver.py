@@ -5,16 +5,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import (convection, dist, divergence_linf, reference_advance, reference_curl,
-                      reference_rhs, reference_velocity, reference_velocity_rhs, rotational_rhs,
-                      stacked)
-from support import (gradients, perturbed_test, recover_pressure, spline_test,
-                     taylor_green_pressure)
+from conftest import (convection, dist, divergence_linf, rebuilt, reference_advance,
+                      reference_curl, reference_rhs, reference_velocity, reference_velocity_rhs,
+                      rotational_rhs, stacked)
+from support import (gradients, perfbench_configs, perturbed_test, recover_pressure,
+                     spline_test, taylor_green_pressure)
 
 from maxdiss import solver
-from maxdiss.fields import (FieldError, Grid, SpectralField, from_function, load_samples,
-                            normalized, pairing, project, random_field, resample, save_field,
-                            save_samples, spectral_tables)
+from maxdiss.fields import (SOLENOIDAL_RTOL, FieldError, Grid, SpectralField, from_function,
+                            load_samples, normalized, pairing, project, random_field, resample,
+                            save_field, save_samples, spectral_tables)
+from maxdiss.scenarios import ScenarioConfig, stage_simulate
 from maxdiss.solver import (
     BlowUpError,
     Forcing,
@@ -448,8 +449,8 @@ def test_taylor_green_built_once_per_grid(monkeypatch):
     for n in (16, 24):
         spec = _spec(nu=nu, n=n, t_end=0.075, dt=2.5e-3)
         times = np.arange(31) * spec.dt
-        u = Trajectory(spec=spec, times=times,
-                       coeffs=stacked([taylor_green(t, nu, spec.grid) for t in times]))
+        u = Trajectory.from_velocity(spec, times,
+                                     stacked([taylor_green(t, nu, spec.grid) for t in times]))
         family = [TestTrajectory.taylor_green(nu, spec.grid, label="exact"),
                   TestTrajectory.taylor_green(nu, spec.grid, amplitude=1.05)]
         assert len(certify(u, family, WeightSpec()).entries) == 62
@@ -550,11 +551,11 @@ def test_trajectory_validation():
     spec = _spec(t_end=0.01, dt=0.01)
     z = np.zeros((2, 2, 32, 17))
     with pytest.raises(SolverError):
-        Trajectory(spec=spec, times=np.array([0.1, 0.2]), coeffs=z)
+        Trajectory.from_velocity(spec, np.array([0.1, 0.2]), z)
     with pytest.raises(SolverError):
-        Trajectory(spec=spec, times=np.array([0.0, 0.0]), coeffs=z)
+        Trajectory.from_velocity(spec, np.array([0.0, 0.0]), z)
     with pytest.raises(SolverError):
-        Trajectory(spec=spec, times=np.array([]), coeffs=[])
+        Trajectory.from_velocity(spec, np.array([]), [])
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
@@ -564,7 +565,7 @@ def test_trajectory_rejects_nonfinite_times(bad):
     z = np.zeros((3, 2, 32, 17))
     for times in ([0.0, 0.01, bad], [0.0, bad, 0.02]):
         with pytest.raises(SolverError, match="times: must be finite"):
-            Trajectory(spec=spec, times=np.array(times), coeffs=z)
+            Trajectory.from_velocity(spec, np.array(times), z)
 
 
 def test_trajectory_invariants_match_per_sample_fields():
@@ -576,18 +577,18 @@ def test_trajectory_invariants_match_per_sample_fields():
     rng = np.random.default_rng(3)
     raw = rng.standard_normal((3, 2, 16, 9)) + 1j * rng.standard_normal((3, 2, 16, 9))
     sol = project(raw, spectral_tables(16))
-    traj = Trajectory(spec=spec, times=times, coeffs=sol)
+    traj = Trajectory.from_velocity(spec, times, sol)
     assert not traj.coeffs.flags.writeable
     for k in range(times.size):
         field = SpectralField(spec.grid, sol[k], solenoidal=True)
-        assert np.array_equal(traj.coeffs[k], field.coeffs)
+        assert np.array_equal(traj.coeffs[k], rebuilt(field.coeffs))
     bad = sol.copy()
     bad[0] *= 1e7
     bad[2] += 1e-6 * raw[2]
     with pytest.raises(FieldError, match="tagged solenoidal"):
-        Trajectory(spec=spec, times=times, coeffs=bad)
+        Trajectory.from_velocity(spec, times, bad)
     with pytest.raises(SolverError, match="coefficient shape"):
-        Trajectory(spec=spec, times=times, coeffs=sol[:2])
+        Trajectory.from_velocity(spec, times, sol[:2])
 
 
 def test_trajectory_roundtrip(tmp_path):
@@ -608,20 +609,58 @@ def test_trajectory_roundtrip(tmp_path):
 
 
 def test_trajectory_stores_packed_half_spectra(tmp_path, rng):
-    # states.fld holds the spectra less their zero Nyquist row and column and
-    # loads them back bit for bit; a file of physical samples, the layout of
-    # older run trees, is refused
+    # states.fld holds the vorticity spectra less their zero Nyquist row and
+    # column and loads them back bit for bit; a file of physical samples, the
+    # layout of older run trees, is refused
     spec = _spec(nu=0.1, n=16, t_end=0.02, dt=1e-2)
     traj = solve(spec, random_field(spec.grid, rng, kmax=8, components=2, solenoidal=True))
     traj.save(tmp_path / "run")
     assert np.array_equal(Trajectory.load(tmp_path / "run").coeffs, traj.coeffs)
     path = tmp_path / "run" / "states.fld"
     packed, header = load_samples(path)
-    assert packed.shape == (traj.times.size, 2, 15, 8) and header["dtype"] == "c128"
-    assert path.stat().st_size - 16 * 16 * 15 * traj.times.size < 512  # the header
+    assert packed.shape == (traj.times.size, 1, 15, 8) and header["dtype"] == "c128"
+    assert path.stat().st_size - 16 * 8 * 15 * traj.times.size < 512  # the header
     save_samples(path, np.fft.irfft2(traj.coeffs, s=(16, 16), norm="forward"))
-    with pytest.raises(FieldError, match="layout None, shape .* needs half_spectrum_packed"):
+    with pytest.raises(FieldError,
+                       match="layout None, shape .* needs vorticity_half_spectrum_packed"):
         Trajectory.load(tmp_path / "run")
+
+
+def test_trajectory_mean_survives_save_and_load(tmp_path):
+    # the k = 0 vorticity carries the velocity mean as v_x + i v_y, which a file
+    # forcing with a mean moves; save -> load keeps both of its parts bit for bit
+    # (``normalized`` would keep the real one only), so the reloaded velocity is
+    # the one held in memory
+    grid = Grid(16)
+    save_field(from_function(grid, lambda X, Y: 0.5 + np.sin(2 * Y),
+                             lambda X, Y: 0.25 + np.cos(X + Y)), tmp_path / "forcing.fld")
+    spec = SystemSpec(nu=0.05, grid=grid, t_end=0.1, dt=1e-2,
+                      forcing=Forcing("file", path=str(tmp_path / "forcing.fld")))
+    v0 = _with_mean(random_field(grid, np.random.default_rng(4), kmax=5).coeffs)
+    traj = solve(spec, SpectralField(grid, v0, solenoidal=True), sample_stride=5)
+    mean = traj.vorticity[:, 0, 0]
+    assert mean[0] == 0.3 - 0.2j and abs(mean[-1] - (0.35 - 0.175j)) <= 1e-15
+    traj.save(tmp_path / "run")
+    back = Trajectory.load(tmp_path / "run")
+    assert np.array_equal(back.vorticity[:, 0, 0], mean)
+    assert np.array_equal(back.vorticity, traj.vorticity)
+    assert np.array_equal(back.coeffs, traj.coeffs)
+
+
+def test_benchmark_members_are_solenoidal_far_below_the_bound(tmp_path):
+    # the divergence check runs only in Trajectory.from_velocity; a velocity
+    # rebuilt from the stored vorticity is solenoidal by construction.  On the
+    # members of the three benchmark configs (config seed 0), max |k.v| is at
+    # most 2.7e-20, 4.6e-9 of the bound ``normalized`` enforces, max(1e-13,
+    # SOLENOIDAL_RTOL max|v| n) (measured on cert_dense_32's n_24)
+    for i, cfg in enumerate(perfbench_configs()):
+        config = ScenarioConfig.from_dict(dict(cfg, seed=0), out_dir=str(tmp_path / str(i)))
+        for traj in stage_simulate(config).values():
+            u, tab = traj.coeffs, spectral_tables(traj.grid.n)
+            div = np.abs(tab.kx * u[:, 0] + tab.ky * u[:, 1]).max(axis=(-2, -1))
+            bound = np.maximum(1e-13, SOLENOIDAL_RTOL * np.abs(u).max(axis=(-3, -2, -1))
+                               * traj.grid.n)
+            assert np.all(div <= 1e-6 * bound)
 
 
 def test_forcing_registry_and_serialization():
