@@ -1,14 +1,14 @@
 """Evaluation of the Gronwall-weighted relative energy inequality.
 
-A trajectory is certified against a finite family of C^1 test
-trajectories: for each test function and sample time the two sides of the
-inequality are computed by composite Simpson quadrature on the sample
-grid, and the verdict compares the margin (rhs - lhs) against an explicit
-tolerance budget.  Verdicts are always relative to the supplied family.
+A trajectory is certified against a finite list of C^1 test trajectories:
+for each test and sample time the two sides of the inequality are computed
+by composite Simpson quadrature on the sample grid, and the verdict compares
+the margin (rhs - lhs) against an explicit tolerance budget.  Verdicts are
+always relative to the supplied tests.
 
-``certify_members`` tests all members of a run against the same v on the
-test's grid, zero-padding coarser members, so the inequality, convex in u,
-carries over to their mixtures; the test terms are computed once, on U if v = a(t) U.
+``certify_members`` tests all members of a run's candidate family against the same v
+on the test's grid, coarser members zero-padded, so the inequality, convex in u, carries
+over to their mixtures; the test terms are computed once, on U if v = a(t) U.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fields import _embed, pairing, spectral_tables
+from .fields import pairing, spectral_tables
 from .relenergy import (
     WeightSpec,
     cumulative_weight_integral,
@@ -28,7 +28,8 @@ from .relenergy import (
     weight_norms,
     weight_value,
 )
-from .solver import Forcing, TestTrajectory, Trajectory, _shares_samples
+from .selector import CandidateFamily, assemble_family
+from .solver import Forcing, TestTrajectory, Trajectory
 
 
 class CertificateError(ValueError):
@@ -143,27 +144,24 @@ def _blocks(size: int, n: int) -> list:
     return [slice(s, s + step) for s in range(0, size, step)]
 
 
-def margin_series(members, vt: TestTrajectory, w: WeightSpec) -> list:
+def margin_series(family: CandidateFamily, vt: TestTrajectory, w: WeightSpec) -> list:
     """Both sides of the relative energy inequality at every sample time, for
-    each member against one solenoidal test, on the test's grid.
+    each member of a family against one solenoidal test, on the test's grid.
 
-    The members share sample times and forcing and are no finer than the
-    test; coarser ones are zero-padded with ``_embed``, which is exact.  The
-    residual is taken as A_0 (nu = 0) and |k|^2 v.  For a separable test
-    v = a(t) U, as S is linear and the convection quadratic in v, the weight
-    norms are |a| sup|S(U)| and A_0 = a' U - a^2 N(U) - P_n f, N = ``solver._rhs``
-    unforced: each kernel runs once, on U.  Any other test has its weight norms
-    and residual computed per sample block.  Per block each member adds
-    A_nu = A_0 + nu |k|^2 v, its R, its W and one pairing.
-    The weight is nu-free, so all members share I(t).
+    The members are no finer than the test; coarser ones are zero-padded by
+    ``family.on_grid``.  The residual is taken as A_0 (nu = 0) and |k|^2 v.
+    For a separable test v = a(t) U, as S is linear and the convection
+    quadratic in v, the weight norms are |a| sup|S(U)| and
+    A_0 = a' U - a^2 N(U) - P_n f, N = ``solver._rhs`` unforced: each kernel
+    runs once, on U.  Any other test has its weight norms and residual computed
+    per sample block.  Per block each member adds A_nu = A_0 + nu |k|^2 v, its
+    R, its W and one pairing.  The weight is nu-free, so all members share I(t).
     """
-    if not all(_shares_samples(members[0], u) for u in members):
-        raise CertificateError("members certified together must share sample times and forcing")
-    if (n_u := max(u.grid.n for u in members)) > (n := vt.grid.n):
-        raise CertificateError(f"grid mismatch: trajectory n={n_u}, test n={n}")
-    times, tab, U = members[0].times, spectral_tables(n), vt.shape
-    spec0 = replace(members[0].spec, nu=0.0, grid=vt.grid)
-    norms, R, g = np.empty(times.size), *np.empty((2, len(members), times.size))
+    if family.n > (n := vt.grid.n):
+        raise CertificateError(f"grid mismatch: trajectory n={family.n}, test n={n}")
+    times, tab, U = family.times, spectral_tables(n), vt.shape
+    spec0 = replace(family.trajs[0].spec, nu=0.0, grid=vt.grid)
+    norms, R, g = np.empty(times.size), *np.empty((2, family.size, times.size))
     if U is not None:
         a, da = (x.reshape(-1, 1, 1, 1) for x in vt.amplitude(times))
         norms = np.abs(a.ravel()) * weight_norms(U[None])
@@ -177,9 +175,9 @@ def margin_series(members, vt: TestTrajectory, w: WeightSpec) -> list:
         else:
             a0 = da[sl] * U + a[sl] ** 2 * conv - (0.0 if pf is None else pf)
         viscous = tab.k2 * values
-        for i, u in enumerate(members):
-            nu, states = u.spec.nu, u.coeffs[sl]
-            diff = (states if u.grid.n == n else _embed(states, u.grid.n, n)) - values
+        for i, u in enumerate(family.trajs):
+            nu = u.spec.nu
+            diff = family.on_grid(i, sl, n) - values
             R[i, sl], W = rel_terms(diff, nu)
             g[i, sl] = W + pairing(a0 + nu * viscous if nu else a0, diff)
     I = cumulative_weight_integral(weight_value(norms, w), times)
@@ -190,47 +188,44 @@ def margin_series(members, vt: TestTrajectory, w: WeightSpec) -> list:
     return series
 
 
-def certify_members(members, family, w: WeightSpec,
+def certify_members(family: CandidateFamily, tests, w: WeightSpec,
                     tol_model: ToleranceModel = ToleranceModel()) -> list:
-    """Certify trajectories that share sample times and forcing against one
-    family of test trajectories, one ``margin_series`` pass per test; returns
-    one CertificateReport per member, in order.
+    """Certify the members of a family against one list of test trajectories,
+    one ``margin_series`` pass per test; returns one CertificateReport per
+    member, in order.
 
-    Domain errors (ValueError) of single family members are isolated: their
-    error string is recorded for every trajectory and the remaining members
-    are still evaluated (an errored member fails the overall verdict).
-    Margins and tolerances are both in the damped units of ``margin_series``.
+    Domain errors (ValueError) of single tests are isolated: their error
+    string is recorded for every member and the remaining tests are still
+    evaluated (an errored test fails the overall verdict).  Margins and
+    tolerances are both in the damped units of ``margin_series``.
     """
-    members, family = list(members), list(family)
-    if not family or not members:
-        raise CertificateError("need at least one trajectory and one test")
-    if not all(_shares_samples(members[0], u) for u in members):
-        raise CertificateError("members certified together must share sample times and forcing")
-    results = [([], {}, {}) for _ in members]  # entries, errors, tests
-    for idx, vt in enumerate(family):
+    if not (tests := list(tests)):
+        raise CertificateError("need at least one test")
+    results = [([], {}, {}) for _ in family.trajs]  # entries, errors, test records
+    for idx, vt in enumerate(tests):
         test_id = vt.label or f"test_{idx}"
         try:
-            all_series = margin_series(members, vt, w)
+            all_series = margin_series(family, vt, w)
         except ValueError as exc:  # domain errors only; bugs propagate
             for _, errors, _ in results:
                 errors[test_id] = f"{type(exc).__name__}: {exc}"
             continue
-        for u, series, (entries, _, tests) in zip(members, all_series, results):
+        for u, series, (entries, _, records) in zip(family.trajs, all_series, results):
             damp = np.exp(-series.weight_integral)
             vacuous = series.times[damp < VACUOUS_DAMPING]
-            tests[test_id] = {"weight_integral": float(series.weight_integral[-1]),
-                              "horizon": float(vacuous[0]) if vacuous.size else None}
+            records[test_id] = {"weight_integral": float(series.weight_integral[-1]),
+                                "horizon": float(vacuous[0]) if vacuous.size else None}
             rhs = float(series.rel_energies[0])
             entries += [CertificateEntry(test_id, float(t), float(lhs), rhs, float(m),
                                          tol_model.tau(float(t), u.spec.dt) * float(d))
                         for t, lhs, m, d in zip(series.times, series.lhs, series.margins, damp)]
-    times = members[0].times
+    times = family.times
     stride = float(times[1] - times[0]) if times.size > 1 else 0.0
-    return [CertificateReport(tuple(entries), errors, tests, w, tol_model, stride)
-            for entries, errors, tests in results]
+    return [CertificateReport(tuple(entries), errors, records, w, tol_model, stride)
+            for entries, errors, records in results]
 
 
-def certify(u: Trajectory, family, w: WeightSpec,
+def certify(u: Trajectory, tests, w: WeightSpec,
             tol_model: ToleranceModel = ToleranceModel()) -> CertificateReport:
-    """Certify one trajectory against a family of tests: ``certify_members`` of [u]."""
-    return certify_members([u], family, w, tol_model)[0]
+    """Certify one trajectory against a list of tests, as a family of its own."""
+    return certify_members(assemble_family([u]), tests, w, tol_model)[0]

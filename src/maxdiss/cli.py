@@ -78,8 +78,8 @@ def main(argv=None) -> int:
     try:
         if args.command == "simulate":
             config = _load_config(args)
-            members = stage_simulate(config)
-            print(f"simulated {len(members)} member(s) -> "
+            family = stage_simulate(config)
+            print(f"simulated {family.size} member(s) -> "
                   f"{Path(config.out_dir) / 'sim'}")
             return EXIT_OK
         if args.command == "certify":
@@ -89,14 +89,14 @@ def main(argv=None) -> int:
             return EXIT_OK if ok else EXIT_CERT_FAIL
         if args.command == "select":
             config = _load_config(args)
-            members, verdicts = load_members(config), {}
-            for mid in members:  # each member's stored certificate verdict
+            family, verdicts = load_members(config), {}
+            for mid in family.member_ids:  # each member's stored certificate verdict
                 path = Path(config.out_dir) / "certificates" / f"{mid}.json"
                 try:
                     verdicts[mid] = json.loads(path.read_text())["verdict"] == "pass"
                 except (OSError, ValueError, KeyError, TypeError) as exc:
                     raise ConfigError(f"{path}: no certificate verdict ({exc})") from exc
-            summary = stage_select(config, members, verdicts)
+            summary = stage_select(config, family, verdicts)
             print(json.dumps(summary) if summary else "no member passed: no selection")
             return EXIT_OK if all(verdicts.values()) else EXIT_CERT_FAIL
         if args.command == "run":

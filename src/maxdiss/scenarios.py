@@ -25,9 +25,9 @@ from .certificate import ToleranceModel, certify_members
 from .fields import Grid, SpectralField, from_function, pairing, random_field
 from .mv_euler import defect_from_pair, trace_energy_gap
 from .relenergy import WeightError, WeightSpec
-from .selector import MAX_MEMBERS, SelectorError, assemble_family, select
-from .solver import (BlowUpError, SolverError, SystemSpec, TestTrajectory, Trajectory,
-                     _shares_samples, solve, taylor_green)
+from .selector import MAX_MEMBERS, CandidateFamily, SelectorError, assemble_family, select
+from .solver import (BlowUpError, SolverError, SystemSpec, TestTrajectory, Trajectory, solve,
+                     taylor_green)
 
 SCENARIO_IDS = ("taylor_green", "perturbed_tg", "two_vortex", "mv_ladder")
 
@@ -247,88 +247,86 @@ def _member_specs(config: ScenarioConfig):
             for n in config.family["resolutions"]]
 
 
-def stage_simulate(config: ScenarioConfig) -> dict:
+def stage_simulate(config: ScenarioConfig) -> CandidateFamily:
     """Solve and save every member in a new sim/, which holds exactly the
-    config's members; returns {member id: Trajectory}."""
+    config's members; returns their family."""
     out = Path(config.out_dir) / "sim"
     shutil.rmtree(out, ignore_errors=True)
     specs = _member_specs(config)
     v0_fine = initial_condition(config, Grid(max(spec.grid.n for _, spec in specs)))
-    members = {}
+    trajs = []
     for mid, spec in specs:
         traj = solve(spec, v0_fine, sample_stride=config.family["sample_stride"],
                      provenance=f"{config.scenario}/{mid} seed={config.seed}")
         mdir = out / mid
         traj.save(mdir)
-        energies = traj.energies()
-        lines = ["# t  energy"]
-        lines += [f"{float(t)!r} {float(e)!r}"
-                  for t, e in zip(traj.times, energies)]
-        (mdir / "energies.csv").write_text("\n".join(lines) + "\n")
-        members[mid] = traj
-    return members
+        rows = [f"{float(t)!r} {float(e)!r}" for t, e in zip(traj.times, traj.energies())]
+        (mdir / "energies.csv").write_text("\n".join(["# t  energy", *rows]) + "\n")
+        trajs.append(traj)
+    return assemble_family(trajs, member_ids=[mid for mid, _ in specs])
 
 
-def load_members(config: ScenarioConfig) -> dict:
-    """{member id: Trajectory} of every simulated member under the run tree,
-    the config's members first and in its order, as stage_simulate returns them."""
+def load_members(config: ScenarioConfig) -> CandidateFamily:
+    """The family of the simulated members under the run tree, the config's first and in
+    its order; one whose sample times or forcing differ is a ConfigError naming its manifest."""
     sim = Path(config.out_dir) / "sim"
     dirs = [p for p in sim.iterdir() if p.is_dir()] if sim.is_dir() else []
     if not dirs:
         raise ConfigError(f"{sim}: no simulated members (run simulate first)")
     order = {mid: i for i, (mid, _) in enumerate(_member_specs(config))}
     dirs.sort(key=lambda p: (order.get(p.name, len(order)), p.name))
-    return {p.name: Trajectory.load(p) for p in dirs}
+    try:
+        return assemble_family([Trajectory.load(p) for p in dirs], [p.name for p in dirs])
+    except SelectorError as exc:  # its message starts with the member id
+        mid, _, why = str(exc).partition(": ")
+        raise ConfigError(f"{sim / mid / 'manifest.json'}: {why}") from exc
 
 
-def stage_certify(config: ScenarioConfig, members: dict) -> dict:
-    """Certify every member against one test family on the finest member grid,
-    in one pass per test, and save the reports in a new certificates/;
-    returns {member id: passed}."""
-    first = next(iter(members))
-    if bad := [mid for mid, u in members.items() if not _shares_samples(members[first], u)]:
-        raise ConfigError(f"{Path(config.out_dir) / 'sim' / bad[0] / 'manifest.json'}: sample "
-                          f"times or forcing differ from {first}'s; members are certified together")
+def stage_certify(config: ScenarioConfig, family: CandidateFamily) -> dict:
+    """Certify the members against the config's tests on the family's grid, one pass
+    per test, and save the reports in a new certificates/; returns {member id: passed}."""
     out = Path(config.out_dir) / "certificates"
     shutil.rmtree(out, ignore_errors=True)
     out.mkdir(parents=True)
-    tests = build_tests(config, Grid(max(traj.grid.n for traj in members.values())))
-    reports = certify_members(members.values(), tests, config.weight, config.tolerance)
-    for mid, report in zip(members, reports):
+    reports = certify_members(family, build_tests(config, Grid(family.n)), config.weight,
+                              config.tolerance)
+    for mid, report in zip(family.member_ids, reports):
         report.save_json(out / f"{mid}.json")
         report.save_csv(out / f"{mid}.csv")
-    return {mid: report.verdict for mid, report in zip(members, reports)}
+    return {mid: report.verdict for mid, report in zip(family.member_ids, reports)}
 
 
-def stage_select(config: ScenarioConfig, members: dict, verdicts: dict) -> dict | None:
+def stage_select(config: ScenarioConfig, family: CandidateFamily, verdicts: dict) -> dict | None:
     """Select among the members that passed; when none did, removes any
     earlier selection.json and selected/ and writes nothing."""
     out = Path(config.out_dir)
-    passed = [mid for mid in members if verdicts[mid]]
+    passed = [mid for mid in family.member_ids if verdicts[mid]]
     if not passed:
         (out / "selection.json").unlink(missing_ok=True)
         shutil.rmtree(out / "selected", ignore_errors=True)
         return None
+    fam = family.subfamily(passed)
     try:
-        fam = assemble_family([members[mid] for mid in passed], member_ids=tuple(passed))
+        result = select(fam)
     except SelectorError as exc:  # its message starts with the member id
         raise ConfigError(f"{out / 'sim'}/{exc}") from exc
-    result = select(fam)
     summary = dict(result.to_dict(fam),
-                   excluded=[mid for mid in members if not verdicts[mid]])
+                   excluded=[mid for mid in family.member_ids if not verdicts[mid]])
     result.trajectory.save(out / "selected")
     (out / "selection.json").write_text(json.dumps(summary, indent=2) + "\n")
     return summary
 
 
-def stage_mv(config: ScenarioConfig, members: dict) -> dict:
-    ids = list(members.keys())
-    fine, coarse = members[ids[-1]], members[ids[0]]
+def stage_mv(config: ScenarioConfig, family: CandidateFamily) -> dict:
+    """The defect of the least viscous member (fine) against the most viscous (coarse)."""
+    # a stable sort: of members with equal nu, the first is coarse and the last fine
+    by_nu = sorted(zip(family.member_ids, family.trajs), key=lambda m: -m[1].spec.nu)
+    (coarse_id, coarse), (fine_id, fine) = by_nu[0], by_nu[-1]
     m = defect_from_pair(fine, coarse, mollifier_kmax=config.mv["mollifier_kmax"],
                          clip_fail_ratio=config.mv["clip_fail_ratio"])
     out = Path(config.out_dir) / "defect"
     m.save(out)
-    info = {"fine": ids[-1], "coarse": ids[0],
+    info = {"fine": fine_id, "coarse": coarse_id,
             "mollifier_kmax": m.mollifier_kmax,
             "clip_magnitude": m.clip_magnitude,
             "min_eigenvalue": m.min_eigenvalue(),
@@ -359,23 +357,23 @@ def run_scenario(config: ScenarioConfig) -> int:
         shutil.rmtree(out / name, ignore_errors=True)
         (out / name).unlink(missing_ok=True)
     try:
-        members = stage_simulate(config)
+        family = stage_simulate(config)
     except BlowUpError as exc:
         raise BlowUpError(f"[simulate] {exc}") from exc
-    verdicts = stage_certify(config, members)
+    verdicts = stage_certify(config, family)
     certified = all(verdicts.values())
     if config.scenario == "mv_ladder":
         # the viscosity-ladder members do not share nu, so the convex
         # selection does not apply; the deliverable is the defect pair
-        if len(members) >= 2:
-            stage_mv(config, members)
+        if family.size >= 2:
+            stage_mv(config, family)
     else:
-        stage_select(config, members, verdicts)
+        stage_select(config, family, verdicts)
     manifest = {"scenario": config.scenario, "seed": config.seed,
                 "system": config.system.to_dict(),
                 "weight": config.weight.to_dict(),
                 "tolerance": config.tolerance.to_dict(),
-                "members": sorted(members.keys()),
+                "members": sorted(family.member_ids),
                 "certified": certified,
                 "hashes": _hash_tree(out)}
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")

@@ -1,24 +1,27 @@
 """Selection of the maximal dissipative trajectory from a candidate family.
 
-The time-integrated kinetic energy J(lambda) = 1/2 int_0^T E(u_lambda) dt
-is minimized over convex combinations u_lambda = sum lambda_i u_i of
-certified candidates.  J = 1/4 lambda^T H lambda is a convex quadratic, H the
-members' Gram matrix integrated over time once by the certifier's Simpson rule;
-with at most MAX_MEMBERS members it is minimized exactly, support by support.
-The mixed trajectory is unique even when the weights are not (singular Gram),
-so the trajectory is the deliverable and the weights a witness.
+A run's members form one ``CandidateFamily``: trajectories sharing sample times
+and forcing, certified and mixed on the grid of the finest.  The time-integrated
+kinetic energy J(lambda) = 1/2 int_0^T E(u_lambda) dt is minimized over convex
+combinations u_lambda = sum lambda_i u_i of certified members of one datum.
+J = 1/4 lambda^T H lambda is a convex quadratic, H the members' Gram matrix
+integrated over time once by the certifier's Simpson rule; with at most
+MAX_MEMBERS members it is minimized exactly, support by support.  The mixed
+trajectory is unique even when the weights are not (singular Gram), so the
+trajectory is the deliverable and the weights a witness.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
-from .fields import Grid, _embed, pairing, resample
+from .fields import Grid, _embed, pairing, spectral_tables
 from .relenergy import cumulative_weight_integral
-from .solver import SystemSpec, Trajectory, _shares_samples
+from .solver import Trajectory, _shares_samples
 
 
 class SelectorError(ValueError):
@@ -45,68 +48,68 @@ class SimplexWeights:
 
 @dataclass(frozen=True)
 class CandidateFamily:
-    """Candidate trajectories sharing data, on a common grid and time axis."""
+    """The members of one run, sharing sample times and forcing, on the finest one's grid."""
 
     member_ids: tuple
-    times: np.ndarray
-    coeffs: tuple        # coeffs[i]: member i on the common grid, (T, 2, n, n//2 + 1)
-    H: np.ndarray        # (m, m), H_ij = int_0^T <u_i, u_j> dt
-    spec: SystemSpec
+    trajs: tuple
 
     @property
     def size(self) -> int:
         return len(self.member_ids)
 
+    @property
+    def times(self) -> np.ndarray:
+        return self.trajs[0].times
+
+    @property
+    def n(self) -> int:
+        return max(tr.grid.n for tr in self.trajs)
+
+    def on_grid(self, i: int, sl=slice(None), n: int | None = None, vorticity: bool = False):
+        """Member i's velocity samples ``sl`` (its vorticity with ``vorticity``) on the
+        common grid or on grid n, by ``_embed``: exact zero-padding, or truncation."""
+        tr, n = self.trajs[i], self.n if n is None else n
+        states = (tr.vorticity if vorticity else tr.coeffs)[sl]
+        return states if tr.grid.n == n else _embed(states, tr.grid.n, n)
+
+    def subfamily(self, member_ids) -> "CandidateFamily":
+        """The members named in ``member_ids``, in this family's order."""
+        keep = [i for i, mid in enumerate(self.member_ids) if mid in member_ids]
+        return CandidateFamily(*(tuple(a[i] for i in keep) for a in (self.member_ids, self.trajs)))
+
+    @functools.cached_property
+    def H(self) -> np.ndarray:
+        """(m, m), H_ij = int_0^T <u_i, u_j> dt by the certifier's Simpson rule, integrated
+        on first use from the members' velocities on the common grid, which are not kept."""
+        m, coeffs = self.size, [self.on_grid(i) for i in range(self.size)]
+        gram = np.empty((self.times.size, m, m))
+        for i, j in combinations_with_replacement(range(m), 2):
+            gram[:, i, j] = gram[:, j, i] = pairing(coeffs[i], coeffs[j])
+        return gram[0] if self.times.size == 1 else cumulative_weight_integral(gram, self.times)[-1]
+
     def mix(self, weights: SimplexWeights) -> Trajectory:
-        """The convex combination sum_i lambda_i u_i as a Trajectory."""
+        """The convex combination sum_i lambda_i u_i, summed in the members' vorticity
+        on the common grid, with the first member's system at the least member dt."""
         lam = weights.lam
         if lam.size != self.size:
             raise SelectorError("weight/member count mismatch")
-        return Trajectory.from_velocity(self.spec, self.times,
-                                        sum(w * c for w, c in zip(lam, self.coeffs)),
-                                        provenance=f"mixture lambda={lam.tolist()}")
+        spec = replace(self.trajs[0].spec, grid=Grid(self.n),
+                       dt=min(tr.spec.dt for tr in self.trajs))
+        return Trajectory(spec, self.times,
+                          sum(w * self.on_grid(i, vorticity=True) for i, w in enumerate(lam)),
+                          provenance=f"mixture lambda={lam.tolist()}")
 
 
-def assemble_family(trajs, member_ids=None, data_rtol: float = 1e-8) -> CandidateFamily:
-    """Hold compatible trajectories on the finest grid and integrate their Gram.
-
-    Members must share viscosity, forcing and sample times, and their
-    initial data must agree after truncation to the smallest resolution:
-    the dissipative solution set is specific to one (nu, f, u0) datum.
-    """
-    trajs = list(trajs)
-    if not trajs:
+def assemble_family(trajs, member_ids=None) -> CandidateFamily:
+    """The family of trajectories that share sample times and forcing, as members
+    certified or mixed together must; ids default to member_<i>."""
+    if not (trajs := tuple(trajs)):
         raise SelectorError("family must not be empty")
-    m = len(trajs)
-    member_ids = tuple(f"member_{i}" for i in range(m)) if member_ids is None else tuple(member_ids)
-    nu = trajs[0].spec.nu
-    times = trajs[0].times
-    for mid, tr in zip(member_ids[1:], trajs[1:]):
-        if tr.spec.nu != nu:
-            raise SelectorError(f"{mid}: viscosity mismatch: {tr.spec.nu} vs {nu}")
+    ids = tuple(member_ids or (f"member_{i}" for i in range(len(trajs))))
+    for mid, tr in zip(ids[1:], trajs[1:]):
         if not _shares_samples(trajs[0], tr):
-            raise SelectorError(f"{mid}: sample times or forcing differ from {member_ids[0]}'s")
-    n_min = min(tr.grid.n for tr in trajs)
-    u0_ref = resample(trajs[0].coeffs[0], n_min)
-    scale = max(np.sqrt(pairing(u0_ref, u0_ref)), 1.0)
-    for mid, tr in zip(member_ids[1:], trajs[1:]):
-        d = resample(tr.coeffs[0], n_min) - u0_ref
-        gap = np.sqrt(pairing(d, d))
-        if gap > data_rtol * scale:
-            raise SelectorError(f"{mid}: initial data mismatch ({gap:g}) with "
-                                f"{member_ids[0]}'s after truncation")
-
-    n = max(tr.grid.n for tr in trajs)
-    # zero-padding a normalized spectrum leaves it normalized
-    coeffs = tuple(tr.coeffs if tr.grid.n == n else _embed(tr.coeffs, tr.grid.n, n)
-                   for tr in trajs)
-    gram = np.empty((times.size, m, m))
-    for i in range(m):
-        for j in range(i, m):
-            gram[:, i, j] = gram[:, j, i] = pairing(coeffs[i], coeffs[j])
-    H = gram[0] if times.size == 1 else cumulative_weight_integral(gram, times)[-1]
-    spec = replace(trajs[0].spec, grid=Grid(n), dt=min(tr.spec.dt for tr in trajs))
-    return CandidateFamily(member_ids=member_ids, times=times, coeffs=coeffs, H=H, spec=spec)
+            raise SelectorError(f"{mid}: sample times or forcing differ from {ids[0]}'s")
+    return CandidateFamily(ids, trajs)
 
 
 # -- optimization -----------------------------------------------------------
@@ -154,18 +157,30 @@ def kkt_residual(family: CandidateFamily, weights: SimplexWeights) -> float:
     return float(g[lam > 0].max() - g.min())
 
 
-def select(family: CandidateFamily) -> SelectionResult:
+def select(family: CandidateFamily, data_rtol: float = 1e-8) -> SelectionResult:
     """Minimize the time-integrated energy over the simplex, exactly.
 
-    With H cut to its numerical rank, each support S gives the stationary
-    point of J on its face from the bordered KKT system [[H_SS, 1], [1^T, 0]]
-    (Boyd & Vandenberghe, Convex Optimization 5.5), the least-norm one when
-    H_SS is singular.  Of the feasible points tied at the least J, the one
-    with the least norm is selected.
+    The members must be of one datum (nu, u0), their initial data equal to
+    ``data_rtol`` relative after truncation to the coarsest grid.  With H cut
+    to its numerical rank, each support S gives the stationary point of J on
+    its face from the bordered KKT system [[H_SS, 1], [1^T, 0]] (Boyd &
+    Vandenberghe, Convex Optimization 5.5), the least-norm one when H_SS is
+    singular.  Of the feasible points tied at the least J, the one with the
+    least norm is selected.
     """
     m = family.size
     if m > MAX_MEMBERS:
         raise SelectorError(f"{m} members, the exact solve takes at most {MAX_MEMBERS}")
+    first, n_min = family.trajs[0], min(tr.grid.n for tr in family.trajs)
+    # the initial data truncated to the coarsest grid, its Nyquist modes zeroed
+    u0 = [family.on_grid(i, 0, n_min) * spectral_tables(n_min).nyquist for i in range(m)]
+    scale = max(np.sqrt(pairing(u0[0], u0[0])), 1.0)
+    for mid, tr, u in zip(family.member_ids[1:], family.trajs[1:], u0[1:]):
+        if tr.spec.nu != first.spec.nu:
+            raise SelectorError(f"{mid}: viscosity mismatch: {tr.spec.nu} vs {first.spec.nu}")
+        if (gap := np.sqrt(pairing(u - u0[0], u - u0[0]))) > data_rtol * scale:
+            raise SelectorError(f"{mid}: initial data mismatch ({gap:g}) with "
+                                f"{family.member_ids[0]}'s after truncation")
     eig, vec = np.linalg.eigh(family.H)
     keep = eig > RTOL * eig.max()
     # scaled to lambda_max = 1, so that lstsq's cut and the ties are relative to H

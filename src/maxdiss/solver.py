@@ -390,7 +390,7 @@ class Trajectory:
     """Time-sampled states of one Galerkin run as their vorticity, (T, n, n//2 + 1) in
     ``_curl``'s layout with the mean at k = 0: vorticity[k] is the state at times[k].
     Its velocity ``coeffs`` (T, 2, n, n//2 + 1), solenoidal by construction, is built
-    once, on first use; ``from_velocity`` is the way in for velocity coefficients."""
+    once, on first use."""
 
     spec: SystemSpec
     times: np.ndarray
@@ -410,15 +410,6 @@ class Trajectory:
         t.flags.writeable = w.flags.writeable = False
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "vorticity", w)
-
-    @classmethod
-    def from_velocity(cls, spec: SystemSpec, times, v, provenance: str = "") -> "Trajectory":
-        """The trajectory of velocity coefficients v (T, 2, n, n//2 + 1) at ``times``,
-        each sample checked divergence-free (FieldError) by ``normalized``."""
-        shape = (np.size(times), 2, spec.grid.n, spec.grid.n // 2 + 1)
-        if np.shape(v) != shape:
-            raise SolverError(f"coefficient shape {np.shape(v)}, need {shape}")
-        return cls(spec, times, _curl(normalized(v, spec.grid.n, solenoidal=True)), provenance)
 
     @functools.cached_property
     def coeffs(self) -> np.ndarray:

@@ -4,11 +4,11 @@ import time
 
 import numpy as np
 import pytest
-from support import gradients
+from support import from_velocity, gradients
 
 from maxdiss import solver
 from maxdiss.fields import Grid, pairing, project, spectral_tables
-from maxdiss.solver import Forcing, SystemSpec, Trajectory, solve, taylor_green
+from maxdiss.solver import Forcing, SystemSpec, solve, taylor_green
 
 
 def stacked(fields) -> np.ndarray:
@@ -17,7 +17,7 @@ def stacked(fields) -> np.ndarray:
 
 
 def rebuilt(v: np.ndarray) -> np.ndarray:
-    """The velocity that ``Trajectory.from_velocity`` rebuilds from coefficients v."""
+    """The velocity that ``from_velocity`` rebuilds from coefficients v."""
     return solver._velocity(solver._curl(v))
 
 
@@ -191,9 +191,9 @@ def tg_impostors():
     spec = SystemSpec(nu=nu, grid=grid, t_end=0.5, dt=2.5e-3, forcing=Forcing("zero"))
     tg = solve(spec, taylor_green(0.0, nu, grid), sample_stride=10)
     factors = {"growing": 1.0 + tg.times, "decaying": np.exp(-tg.times / 2)}
-    return dict(tg=tg, **{name: Trajectory.from_velocity(spec, tg.times,
-                                                         tg.coeffs * f[:, None, None, None],
-                                                         provenance=f"manufactured {name}")
+    return dict(tg=tg, **{name: from_velocity(spec, tg.times,
+                                              tg.coeffs * f[:, None, None, None],
+                                              provenance=f"manufactured {name}")
                           for name, f in factors.items()})
 
 

@@ -1,10 +1,11 @@
-"""Helpers that only the tests use, built on the package: test trajectories
-from closed forms, splines and perturbations, the phi-weighted form of the
-relative energy inequality, weak residual recovery, velocity gradients and
-the trilinear form, the convex sweep and the continuous-dependence study of
-a selection, the Taylor-Green pressure and pressure recovery, and the
-measure-valued momentum residual and convex combination, the reader of
-a stored defect field and the benchmark's workload configs."""
+"""Helpers that only the tests use, built on the package: trajectories from
+velocity stacks, test trajectories from closed forms, splines and
+perturbations, the phi-weighted form of the relative energy inequality, weak
+residual recovery, velocity gradients and the trilinear form, the convex
+sweep and the continuous-dependence study of a selection, the Taylor-Green
+pressure and pressure recovery, and the measure-valued momentum residual and
+convex combination, the reader of a stored defect field and the benchmark's
+workload configs."""
 
 import json
 from pathlib import Path
@@ -16,12 +17,13 @@ from scipy.interpolate import CubicSpline
 from maxdiss import certificate
 from maxdiss.certificate import margin_series
 from maxdiss.fields import (TWO_PI, Grid, SpectralField, _embed, from_function, load_samples,
-                            pairing, resample, samples, spectral_tables, tensor_samples)
+                            normalized, pairing, resample, samples, spectral_tables,
+                            tensor_samples)
 from maxdiss.mv_euler import DefectField, MVError
 from maxdiss.relenergy import (cumulative_weight_integral, rel_terms, residual_A, weight_norms,
                                weight_value)
-from maxdiss.selector import SimplexWeights, select
-from maxdiss.solver import TestTrajectory, Trajectory
+from maxdiss.selector import SimplexWeights, assemble_family, select
+from maxdiss.solver import SolverError, TestTrajectory, Trajectory, _curl
 
 
 def perfbench_configs() -> list:
@@ -38,6 +40,15 @@ def worst_margin(report) -> float:
 
 
 # -- test trajectories --------------------------------------------------------
+
+def from_velocity(spec, times, v, provenance: str = "") -> Trajectory:
+    """The trajectory of velocity coefficients v (T, 2, n, n//2 + 1) at ``times``,
+    each sample checked divergence-free (FieldError) by ``normalized``."""
+    shape = (np.size(times), 2, spec.grid.n, spec.grid.n // 2 + 1)
+    if np.shape(v) != shape:
+        raise SolverError(f"coefficient shape {np.shape(v)}, need {shape}")
+    return Trajectory(spec, times, _curl(normalized(v, spec.grid.n, solenoidal=True)), provenance)
+
 
 def analytic_test(value_fn, deriv_fn, grid, label="analytic"):
     """A test trajectory from callables t -> solenoidal coefficients (2, n, n//2 + 1)."""
@@ -72,7 +83,7 @@ def mollified_indicator(t_star, width):
 def phi_form_value(u, vt, w, phi, dphi) -> float:
     """The phi-weighted inequality form, <= 0 for dissipative u when phi >= 0 falls
     from phi(0) = 1 to phi(T) = 0; phi and dphi map an array of times to phi and phi'."""
-    s, = margin_series([u], vt, w)
+    s, = margin_series(assemble_family([u]), vt, w)
     t, R = s.times, s.rel_energies
     p, dp = (np.broadcast_to(f(t), t.shape) for f in (phi, dphi))
     return float(-simpson(dp * R * np.exp(-s.weight_integral), t) - p[0] * R[0]
@@ -86,8 +97,8 @@ def recover_weak_residual(u, r, alphas, w):
     Gronwall-weighted residual pairing int_0^T <A, r> e^{-I}, which ``direct``
     computes by quadrature along the spline."""
     alphas = np.asarray(alphas, dtype=float)
-    base = spline_test(u, "self-spline")
-    margins = np.array([margin_series([u], perturbed_test(base, r, a), w)[0].margins[-1]
+    base, family = spline_test(u, "self-spline"), assemble_family([u])
+    margins = np.array([margin_series(family, perturbed_test(base, r, a), w)[0].margins[-1]
                         for a in alphas])
     A = np.stack([np.ones_like(alphas), alphas, alphas ** 2], axis=1)
     c1 = float(np.linalg.lstsq(A, margins, rcond=None)[0][1])
@@ -235,7 +246,7 @@ def mv_convex_combine(v1, m1, v2, m2, lam):
         raise MVError("combination requires matching resolutions")
     density = lam * m1.density + (1 - lam) * m2.density \
         + lam * (1 - lam) * tensor_samples(v1.coeffs - v2.coeffs, m1.grid.n)
-    v = Trajectory.from_velocity(v1.spec, v1.times, lam * v1.coeffs + (1 - lam) * v2.coeffs)
+    v = from_velocity(v1.spec, v1.times, lam * v1.coeffs + (1 - lam) * v2.coeffs)
     m = DefectField(grid=m1.grid, times=m1.times, density=density,
                     mollifier_kmax=min(m1.mollifier_kmax, m2.mollifier_kmax),
                     clip_magnitude=max(m1.clip_magnitude, m2.clip_magnitude))

@@ -8,11 +8,11 @@ from dataclasses import replace
 import numpy as np
 from scipy.integrate import simpson
 from conftest import dist
-from support import (analytic_test, continuous_dependence_study, mollified_indicator,
-                     mv_convex_combine, mv_equation_residual, phi_form_value,
-                     recover_pressure, recover_weak_residual, taylor_green_pressure,
-                     trace_leakage_bound, trilinears, verify_convex_midpoint, worst_margin,
-                     zero_defect)
+from support import (analytic_test, continuous_dependence_study, from_velocity,
+                     mollified_indicator, mv_convex_combine, mv_equation_residual,
+                     phi_form_value, recover_pressure, recover_weak_residual,
+                     taylor_green_pressure, trace_leakage_bound, trilinears,
+                     verify_convex_midpoint, worst_margin, zero_defect)
 
 from maxdiss.certificate import ToleranceModel, certify, margin_series
 from maxdiss.fields import Grid, SpectralField, from_function, pairing, random_field
@@ -227,8 +227,8 @@ def test_acceptance_09_measure_valued_identities(capsys):
     rng = np.random.default_rng(9)
     w = random_field(grid, rng, kmax=3, components=2, solenoidal=True).coeffs
     psi = taylor_green(0.0, 0.0, grid).coeffs
-    v1 = Trajectory.from_velocity(spec, times, np.stack([psi] * 5))
-    v2 = Trajectory.from_velocity(spec, times, np.stack([w] * 5))
+    v1 = from_velocity(spec, times, np.stack([psi] * 5))
+    v2 = from_velocity(spec, times, np.stack([w] * 5))
     z = zero_defect(grid, times)
     phi = analytic_test(lambda t: (1 - t) * psi, lambda t: -1.0 * psi, grid, label="phi")
     lam = 0.35
@@ -275,7 +275,8 @@ def test_acceptance_11_multiplier_form_convergence(tg_reference, capsys):
     traj, _, _ = tg_reference
     vt = TestTrajectory.zero(traj.grid)
     t_star = 0.5
-    limit = -margin_series([traj], vt, STRAIN)[0].margins[np.argmin(np.abs(traj.times - t_star))]
+    series, = margin_series(assemble_family([traj]), vt, STRAIN)
+    limit = -series.margins[np.argmin(np.abs(traj.times - t_star))]
     gaps = [abs(phi_form_value(traj, vt, STRAIN, *mollified_indicator(t_star, width)) - limit)
             for width in (0.2, 0.1)]
     ratio = gaps[0] / gaps[1]
@@ -297,10 +298,11 @@ def test_acceptance_12_selection_mixes_only_certified_members(tg_impostors, tmp_
         "family": {"resolutions": [32], "sample_stride": 10},
         "tests": ["exact", "zero"]},
         out_dir=str(tmp_path))
-    members = {mid: tg_impostors[mid] for mid in ("tg", "decaying")}
-    verdicts = stage_certify(cfg, members)
-    summary = stage_select(cfg, members, verdicts)
-    gap = np.abs(Trajectory.load(tmp_path / "selected").coeffs - members["tg"].coeffs).max()
+    family = assemble_family([tg_impostors[mid] for mid in ("tg", "decaying")],
+                             member_ids=("tg", "decaying"))
+    verdicts = stage_certify(cfg, family)
+    summary = stage_select(cfg, family, verdicts)
+    gap = np.abs(Trajectory.load(tmp_path / "selected").coeffs - tg_impostors["tg"].coeffs).max()
     ok = (verdicts == {"tg": True, "decaying": False} and summary["member_ids"] == ["tg"]
           and summary["excluded"] == ["decaying"] and summary["lambda"] == [1.0]
           and gap <= 1e-12)

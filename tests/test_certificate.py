@@ -7,8 +7,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import convection
-from support import (analytic_test, gradients, mollified_indicator, perfbench_configs,
-                     phi_form_value, recover_weak_residual, spline_test, worst_margin)
+from support import (analytic_test, from_velocity, gradients, mollified_indicator,
+                     perfbench_configs, phi_form_value, recover_weak_residual, spline_test,
+                     worst_margin)
 
 from maxdiss.fields import (Grid, SpectralField, _embed, h1_squared, pairing, project,
                             random_field, resample, samples, spectral_tables)
@@ -16,6 +17,7 @@ from maxdiss.relenergy import WeightSpec, cumulative_weight_integral
 from maxdiss import certificate
 from maxdiss.certificate import (CertificateError, ToleranceModel, certify, certify_members,
                                  margin_series)
+from maxdiss.selector import assemble_family
 from maxdiss.solver import (Forcing, SystemSpec, TestTrajectory, Trajectory, _rhs, solve,
                             taylor_green)
 
@@ -46,7 +48,7 @@ def test_certificate_zero_test_is_energy_inequality(tg_reference):
     traj, _, _ = tg_reference
     report = certify(traj, [TestTrajectory.zero(traj.grid)], STRAIN)
     assert report.verdict
-    series, = margin_series([traj], TestTrajectory.zero(traj.grid), STRAIN)
+    series, = margin_series(assemble_family([traj]), TestTrajectory.zero(traj.grid), STRAIN)
     e = traj.energies()
     # K(0) = 0, A(0) = 0: margin(t) = E(0)/... = R0 - R(t) - int W >= 0
     assert np.all(series.weight_integral == 0.0)
@@ -72,8 +74,8 @@ def test_non_dissipative_trajectory_fails(tg_reference):
                       forcing=Forcing("zero"))
     w = taylor_green(0.0, 0.1, grid).coeffs
     times = np.linspace(0.0, 0.5, 21)
-    bad = Trajectory.from_velocity(spec, times, np.stack([(1.0 + t) * w for t in times]),
-                                   provenance="manufactured")
+    bad = from_velocity(spec, times, np.stack([(1.0 + t) * w for t in times]),
+                        provenance="manufactured")
     report = certify(bad, [TestTrajectory.zero(grid)], STRAIN)
     assert not report.verdict
     assert worst_margin(report) < -1e-2
@@ -85,14 +87,14 @@ def test_growing_taylor_green_fails_exact_test():
     nu, grid, dt = 0.1, Grid(32), 2.5e-3
     spec = SystemSpec(nu=nu, grid=grid, t_end=0.5, dt=dt)
     times = np.arange(0, 201, 10) * dt
-    bad = Trajectory.from_velocity(spec, times,
-                                   np.stack([(1.0 + t) * taylor_green(t, nu, grid).coeffs
-                                             for t in times]))
+    bad = from_velocity(spec, times,
+                        np.stack([(1.0 + t) * taylor_green(t, nu, grid).coeffs
+                                  for t in times]))
     exact = TestTrajectory.taylor_green(nu, grid, label="exact")
     report = certify(bad, [exact, TestTrajectory.zero(grid)], STRAIN)
     for tid in ("exact", "zero"):
         assert not all(e.passed for e in report.entries if e.test_id == tid)
-    series, = margin_series([bad], exact, STRAIN)
+    series, = margin_series(assemble_family([bad]), exact, STRAIN)
     tol = [e.tol for e in report.entries if e.test_id == "exact"]
     assert np.allclose(tol, [ToleranceModel().tau(t, dt) for t in times]
                        * np.exp(-series.weight_integral), rtol=1e-14, atol=0.0)
@@ -128,8 +130,9 @@ def test_default_weight_fails_growing_impostor_through_stage_certify(tg_impostor
         "system": {"nu": 0.1, "n": 32, "t_end": 0.5, "dt": 2.5e-3},
         "family": {"resolutions": [32], "sample_stride": 10},
         "tests": ["exact", "amplitude:1.05"]}, out_dir=str(tmp_path))
-    members = {mid: tg_impostors[mid] for mid in ("tg", "growing")}
-    assert stage_certify(cfg, members) == {"tg": True, "growing": False}
+    family = assemble_family([tg_impostors[mid] for mid in ("tg", "growing")],
+                             member_ids=("tg", "growing"))
+    assert stage_certify(cfg, family) == {"tg": True, "growing": False}
     cert = json.loads((tmp_path / "certificates" / "growing.json").read_text())
     assert cert["config"]["weight"]["kind"] == "strain"
     failed = {e["test_id"] for e in cert["entries"] if e["margin"] < -e["tol"]}
@@ -168,7 +171,7 @@ def test_certify_empty_family_rejected(tg_reference):
 def test_margin_grid_mismatch(tg_reference):
     traj, _, _ = tg_reference
     with pytest.raises(CertificateError):
-        margin_series([traj], TestTrajectory.zero(Grid(16)), STRAIN)
+        margin_series(assemble_family([traj]), TestTrajectory.zero(Grid(16)), STRAIN)
 
 
 # -- report persistence ------------------------------------------------------
@@ -224,7 +227,8 @@ def test_phi_width_halving_halves_gap(tg_reference):
     traj, _, _ = tg_reference
     vt = TestTrajectory.zero(traj.grid)
     t_star = 0.5
-    limit = -margin_series([traj], vt, STRAIN)[0].margins[np.argmin(np.abs(traj.times - t_star))]
+    series, = margin_series(assemble_family([traj]), vt, STRAIN)
+    limit = -series.margins[np.argmin(np.abs(traj.times - t_star))]
     gaps = []
     for width in (0.2, 0.1):
         val = phi_form_value(traj, vt, STRAIN, *mollified_indicator(t_star, width))
@@ -295,7 +299,7 @@ def test_margin_series_matches_per_sample_oracle(case):
     # n = 32) and spline (n = 24): sample counts 21 and 31 are no multiple of
     # the block lengths 8 and 14; padded: a forced n = 16 member on a test grid of 48
     u, vt, w = _oracle_case(case)
-    series, = margin_series([u], vt, w)
+    series, = margin_series(assemble_family([u]), vt, w)
     got = (series.rel_energies, series.weight_integral,
            series.dissipation_integrand, series.margins)
     for name, a, b in zip(("R", "I", "g", "margin"), got, _series_oracle(u, vt, w)):
@@ -311,9 +315,9 @@ def test_test_side_terms_run_once_per_test_and_block(monkeypatch, count):
     u, vt, w = _oracle_case("euler")  # 21 samples in blocks of 8 at n = 32
     coarse = SystemSpec(nu=0.01, grid=Grid(16), t_end=u.spec.t_end, dt=u.spec.dt)
     members = [u, Trajectory(replace(u.spec, nu=0.1), u.times, u.vorticity),
-               Trajectory.from_velocity(coarse, u.times, resample(u.coeffs, 16))][:count]
+               from_velocity(coarse, u.times, resample(u.coeffs, 16))][:count]
     sampled = analytic_test(lambda t: vt.values([t])[0], lambda t: vt.derivs([t])[0], vt.grid)
-    alone = [margin_series([m], vt, w)[0] for m in members]
+    alone = [margin_series(assemble_family([m]), vt, w)[0] for m in members]
     calls = {"weight_norms": 0, "residual_A": 0}
     for name in calls:
         def counted(*args, _fn=getattr(certificate, name), _name=name):
@@ -323,13 +327,13 @@ def test_test_side_terms_run_once_per_test_and_block(monkeypatch, count):
     per_test = []
     for test in (vt, TestTrajectory.zero(vt.grid), sampled):
         calls.update(weight_norms=0, residual_A=0)
-        assert len(certify_members(members, [test], w)) == count
+        assert len(certify_members(assemble_family(members), [test], w)) == count
         per_test.append(dict(calls))
     blocks = len(certificate._blocks(u.times.size, vt.grid.n))
     assert blocks == 3
     assert per_test == [{"weight_norms": 1, "residual_A": 1}] * 2 \
         + [{"weight_norms": blocks, "residual_A": blocks}]
-    for series, one in zip(margin_series(members, vt, w), alone):
+    for series, one in zip(margin_series(assemble_family(members), vt, w), alone):
         np.testing.assert_array_equal(series.margins, one.margins)
 
 
@@ -363,7 +367,7 @@ def test_separable_test_matches_its_sampled_form(A):
         return da * U + (a - 1) * a * N
 
     wrong = analytic_test(lambda t: amplitude(t)[0] * U, wrong_derivs, grid)
-    for got, expect, off in zip(*(margin_series(members, vt, STRAIN)
+    for got, expect, off in zip(*(margin_series(assemble_family(members), vt, STRAIN)
                                   for vt in (separable, sampled, wrong))):
         assert got.weight_integral[-1] > 0
         for name in ("rel_energies", "weight_integral", "dissipation_integrand", "margins"):
@@ -392,9 +396,9 @@ def test_stage_certify_tests_coarse_members_on_the_finest_grid(tmp_path):
         "system": {"nu": 0.05, "n": 32, "t_end": 0.1, "dt": 2.5e-3},
         "family": {"resolutions": [16, 32], "sample_stride": 4, "amplitude": 0.1, "kmax": 6},
         "tests": ["exact", "zero", "amplitude:1.05"], "seed": 0}, out_dir=str(tmp_path))
-    members = stage_simulate(cfg)
-    stage_certify(cfg, members)
-    u = members["n_16"]
+    family = stage_simulate(cfg)
+    stage_certify(cfg, family)
+    u = family.trajs[0]
     # the padded vorticity has the padded velocity, bit for bit
     padded = Trajectory(spec=replace(u.spec, grid=Grid(32)), times=u.times,
                         vorticity=_embed(u.vorticity, 16, 32))

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import dist, divergence_linf, stacked
-from support import perfbench_configs
+from support import from_velocity, perfbench_configs
 
 import maxdiss
 from maxdiss.cli import (
@@ -650,6 +650,7 @@ def test_stage_mv_uses_the_pair_default_clip_ratio(tmp_path):
     from maxdiss.fields import from_function
     from maxdiss.mv_euler import MVError, defect_from_pair
     from maxdiss.scenarios import stage_mv
+    from maxdiss.selector import assemble_family
 
     grid = Grid(16)
     spec = SystemSpec(nu=0.0, grid=grid, t_end=1.0, dt=0.5)
@@ -660,15 +661,16 @@ def test_stage_mv_uses_the_pair_default_clip_ratio(tmp_path):
 
     fields = {"coarse": from_function(grid, lambda x, y: np.sin(6 * y), zero, solenoidal=True),
               "fine": from_function(grid, zero, lambda x, y: np.sin(6 * x), solenoidal=True)}
-    members = {mid: Trajectory.from_velocity(spec, times, stacked([f] * 3))
+    members = {mid: from_velocity(spec, times, stacked([f] * 3))
                for mid, f in fields.items()}
+    family = assemble_family(members.values(), member_ids=tuple(members))
     with pytest.raises(MVError, match="PSD projection too large"):
         defect_from_pair(members["fine"], members["coarse"])
     cfg = _base_cfg(scenario="mv_ladder")
     with pytest.raises(MVError, match="PSD projection too large"):
-        stage_mv(ScenarioConfig.from_dict(cfg, out_dir=str(tmp_path / "a")), members)
+        stage_mv(ScenarioConfig.from_dict(cfg, out_dir=str(tmp_path / "a")), family)
     cfg["mv"] = {"clip_fail_ratio": 2.0}  # the config still overrides it
-    info = stage_mv(ScenarioConfig.from_dict(cfg, out_dir=str(tmp_path / "b")), members)
+    info = stage_mv(ScenarioConfig.from_dict(cfg, out_dir=str(tmp_path / "b")), family)
     assert info["clip_magnitude"] == pytest.approx(0.5, rel=1e-3)
 
 
@@ -683,6 +685,65 @@ def test_run_scenario_loads_no_trajectory(tmp_path, monkeypatch):
         cfg = ScenarioConfig.from_dict(_base_cfg(scenario=scenario, **extra),
                                        out_dir=str(tmp_path / scenario))
         assert run_scenario(cfg) == 0
+
+
+def test_run_builds_one_family_and_checks_samples_only_there(tmp_path, monkeypatch):
+    # the stages share the family that stage_simulate assembles: one
+    # assemble_family per run, and the sample check runs only there, and in
+    # defect_from_pair, the entry point of `maxdiss mv`, on mv_ladder
+    import maxdiss.selector
+    import maxdiss.solver
+
+    calls = []
+    for original in (maxdiss.selector.assemble_family, maxdiss.solver._shares_samples):
+        def counted(*args, _fn=original, **kwargs):
+            calls.append((_fn.__name__, sys._getframe(1).f_code.co_name))
+            return _fn(*args, **kwargs)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("maxdiss") and getattr(module, original.__name__, None) is original:
+                monkeypatch.setattr(module, original.__name__, counted)
+    for scenario, extra, checkers in (
+            ("perturbed_tg", {"family": {"resolutions": [12, 16], "sample_stride": 10}},
+             {"assemble_family"}),
+            ("mv_ladder", {"mv": {"nus": [0.1, 0.05]}}, {"assemble_family", "defect_from_pair"})):
+        calls.clear()
+        cfg = ScenarioConfig.from_dict(_base_cfg(scenario=scenario, **extra),
+                                       out_dir=str(tmp_path / scenario))
+        assert run_scenario(cfg) == 0
+        assert [c for c in calls if c[0] == "assemble_family"] == [
+            ("assemble_family", "stage_simulate")]
+        assert {caller for fn, caller in calls if fn == "_shares_samples"} == checkers
+
+
+def test_select_stage_takes_no_velocity_round_trip(tmp_path, monkeypatch):
+    # the mixture is summed in the members' vorticity: the select stage neither
+    # takes a curl nor normalizes a velocity
+    from maxdiss.scenarios import stage_certify, stage_select, stage_simulate
+
+    cfg = ScenarioConfig.from_dict(_base_cfg(scenario="perturbed_tg", family={
+        "resolutions": [12, 16], "sample_stride": 10}), out_dir=str(tmp_path))
+    family = stage_simulate(cfg)
+    verdicts = stage_certify(cfg, family)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("velocity round trip in the select stage")
+
+    for name, module in list(sys.modules.items()):
+        for fn in ("_curl", "normalized"):
+            if name.startswith("maxdiss") and hasattr(module, fn):
+                monkeypatch.setattr(module, fn, refuse)
+    assert stage_select(cfg, family, verdicts)["member_ids"] == ["n_12", "n_16"]
+
+
+@pytest.mark.parametrize("nus", [[0.01, 0.0025], [0.0025, 0.01]])
+def test_cli_run_pairs_least_with_most_viscous_member(tmp_path, capsys, nus):
+    # the defect pairs the least viscous member (fine) with the most viscous
+    # (coarse) in whatever order /mv/nus lists them
+    out = tmp_path / "run"
+    cfg = _write_cfg(tmp_path, scenario="mv_ladder", mv={"nus": nus})
+    assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    summary = json.loads((out / "defect" / "summary.json").read_text())
+    assert (summary["fine"], summary["coarse"]) == ("nu_0.0025", "nu_0.01")
 
 
 # -- CLI entry point ----------------------------------------------------------
@@ -852,7 +913,7 @@ def test_cli_mv_with_missing_forcing_file(tmp_path, capsys):
                       forcing=Forcing("file", path=str(path)))
     times = np.linspace(0.0, 0.25, 11)
     w = taylor_green(0.0, 0.1, grid)
-    Trajectory.from_velocity(spec, times, stacked([w] * 11)).save(tmp_path / "member")
+    from_velocity(spec, times, stacked([w] * 11)).save(tmp_path / "member")
     path.unlink()
     member = str(tmp_path / "member")
     assert main(["mv", "--fine", member, "--coarse", member,
@@ -869,9 +930,9 @@ def test_cli_certificate_failure_exit_code(tmp_path, capsys):
                       forcing=Forcing("zero"))
     w = taylor_green(0.0, 0.1, grid).coeffs
     times = np.linspace(0.0, 0.25, 11)
-    bad = Trajectory.from_velocity(spec, times,
-                                   np.stack([(1.0 + t) * w for t in times]),
-                                   provenance="manufactured growth")
+    bad = from_velocity(spec, times,
+                        np.stack([(1.0 + t) * w for t in times]),
+                        provenance="manufactured growth")
     bad.save(out / "sim" / "n_16")
     assert main(["certify", "--config", cfg,
                  "--out", str(out)]) == EXIT_CERT_FAIL
@@ -947,8 +1008,8 @@ def test_cli_mv_subcommand(tmp_path, capsys):
     r = random_field(grid, rng, kmax=10, components=2, solenoidal=True).coeffs
     fine = solve(spec, SpectralField(grid, taylor_green(0.0, nu, grid).coeffs + (1 / dist(r)) * r),
                  sample_stride=10)
-    coarse = Trajectory.from_velocity(replace(spec, grid=Grid(16)), fine.times,
-                                      resample(fine.coeffs, 16))
+    coarse = from_velocity(replace(spec, grid=Grid(16)), fine.times,
+                           resample(fine.coeffs, 16))
     fine.save(tmp_path / "fine")
     coarse.save(tmp_path / "coarse")
     out = tmp_path / "defect"
@@ -972,8 +1033,8 @@ def test_cli_mv_rejects_kmax_below_one(tmp_path, capsys, kmax):
     from maxdiss.solver import solve
     spec = SystemSpec(nu=0.1, grid=Grid(16), t_end=0.05, dt=2.5e-3)
     fine = solve(spec, taylor_green(0.0, 0.1, spec.grid), sample_stride=10)
-    coarse = Trajectory.from_velocity(replace(spec, grid=Grid(8)), fine.times,
-                                      resample(fine.coeffs, 8))
+    coarse = from_velocity(replace(spec, grid=Grid(8)), fine.times,
+                           resample(fine.coeffs, 8))
     fine.save(tmp_path / "fine")
     coarse.save(tmp_path / "coarse")
     out = tmp_path / "defect"

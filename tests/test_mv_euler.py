@@ -5,8 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import dist, rebuilt, stacked
-from support import (analytic_test, load_defect, mv_convex_combine, mv_equation_residual,
-                     trace_leakage_bound, zero_defect)
+from support import (analytic_test, from_velocity, load_defect, mv_convex_combine,
+                     mv_equation_residual, trace_leakage_bound, zero_defect)
 
 from maxdiss import certificate
 from maxdiss.fields import (
@@ -60,10 +60,10 @@ def resolution_pair():
     v0 = SpectralField(fine_grid, taylor_green(0.0, nu, fine_grid).coeffs + (1.0 / dist(r)) * r)
     fine = solve(SystemSpec(nu=nu, grid=fine_grid, t_end=0.25, dt=2e-3,
                             forcing=Forcing("zero")), v0, sample_stride=25)
-    coarse = Trajectory.from_velocity(replace(fine.spec, grid=Grid(16)),
-                                      fine.times,
-                                      resample(fine.coeffs, 16),
-                                      provenance="restriction of fine")
+    coarse = from_velocity(replace(fine.spec, grid=Grid(16)),
+                           fine.times,
+                           resample(fine.coeffs, 16),
+                           provenance="restriction of fine")
     return fine, coarse
 
 
@@ -237,8 +237,8 @@ def test_orthogonal_fluctuation_defect():
     w = from_function(grid, lambda x, y: 0.0 * x,
                       lambda x, y: np.sin(2 * x), solenoidal=True)
     times = np.linspace(0.0, 1.0, 3)
-    fine = Trajectory.from_velocity(spec, times, stacked([w] * 3))
-    coarse = Trajectory.from_velocity(spec, times, np.zeros((3, 2, 16, 9)))
+    fine = from_velocity(spec, times, stacked([w] * 3))
+    coarse = from_velocity(spec, times, np.zeros((3, 2, 16, 9)))
     m = defect_from_pair(fine, coarse, mollifier_kmax=1)
     # w (x) w = diag(0, sin^2 2x): the k=0 part of m22 is 1/2 everywhere
     assert np.abs(m.density[:, 0]).max() <= 1e-10
@@ -280,7 +280,7 @@ def test_residual_zero_everything():
     spec = SystemSpec(nu=0.0, grid=grid, t_end=1.0, dt=0.1,
                       forcing=Forcing("zero"))
     times = np.linspace(0.0, 1.0, 5)
-    traj = Trajectory.from_velocity(spec, times, np.zeros((5, 2, 16, 9)))
+    traj = from_velocity(spec, times, np.zeros((5, 2, 16, 9)))
     res = mv_equation_residual(traj, None, Forcing("zero"),
                                [_phi_ramp(grid, 1.0)])
     assert res["ramp-phi"] == 0.0
@@ -324,7 +324,7 @@ def test_residual_does_not_depend_on_block_split(monkeypatch, rng):
 def _constant_pair(grid, c, times):
     spec = SystemSpec(nu=0.0, grid=grid, t_end=float(times[-1]), dt=0.1,
                       forcing=Forcing("zero"))
-    traj = Trajectory.from_velocity(spec, times, np.stack([c] * times.size))
+    traj = from_velocity(spec, times, np.stack([c] * times.size))
     return traj, zero_defect(grid, times)
 
 
@@ -387,8 +387,8 @@ def test_combine_preserves_psd(rng):
     w2 = random_field(grid, rng, kmax=2, components=2, solenoidal=True)
     spec = SystemSpec(nu=0.0, grid=grid, t_end=1.0, dt=0.1,
                       forcing=Forcing("zero"))
-    v1 = Trajectory.from_velocity(spec, times, stacked([w1] * 2))
-    v2 = Trajectory.from_velocity(spec, times, stacked([w2] * 2))
+    v1 = from_velocity(spec, times, stacked([w1] * 2))
+    v2 = from_velocity(spec, times, stacked([w2] * 2))
     _, m = mv_convex_combine(v1, random_psd(), v2, random_psd(), 0.4)
     assert m.min_eigenvalue() >= -1e-12
 

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import dist, stacked
-from support import analytic_test, trilinears
+from support import analytic_test, from_velocity, trilinears
 
 from maxdiss.fields import Grid, from_function, pairing, project, random_field, spectral_tables
 from maxdiss.relenergy import (
@@ -18,7 +18,8 @@ from maxdiss.relenergy import (
     weight_value,
 )
 from maxdiss.certificate import margin_series
-from maxdiss.solver import Forcing, SystemSpec, TestTrajectory, Trajectory, _rhs, taylor_green
+from maxdiss.selector import assemble_family
+from maxdiss.solver import Forcing, SystemSpec, TestTrajectory, _rhs, taylor_green
 
 
 STRAIN = WeightSpec()
@@ -200,9 +201,9 @@ def test_margin_series_constant_weight_integral():
     k0 = weight_value(weight_norms(v), STRAIN)
     assert k0 == pytest.approx(2.0, rel=1e-14)
     times = np.linspace(0, 1, 21)
-    u = Trajectory.from_velocity(SystemSpec(nu=nu, grid=grid, t_end=1.0, dt=0.05),
-                                 times, np.stack([v] * times.size))
-    integral = margin_series([u], vt, STRAIN)[0].weight_integral
+    u = from_velocity(SystemSpec(nu=nu, grid=grid, t_end=1.0, dt=0.05),
+                      times, np.stack([v] * times.size))
+    integral = margin_series(assemble_family([u]), vt, STRAIN)[0].weight_integral
     assert integral[-1] == pytest.approx(k0, rel=1e-10)
     assert np.allclose(integral, k0 * times, rtol=1e-12, atol=0.0)
 

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 from conftest import dist
-from support import continuous_dependence_study, verify_convex_midpoint, worst_margin
+from support import (continuous_dependence_study, from_velocity, verify_convex_midpoint,
+                     worst_margin)
 
 from maxdiss.certificate import ToleranceModel, certify
-from maxdiss.fields import Grid, SpectralField, from_function, pairing
+from maxdiss.fields import Grid, SpectralField, _embed, from_function, pairing
 from maxdiss.relenergy import WeightSpec
 from maxdiss.selector import (
     MAX_MEMBERS,
@@ -48,7 +49,7 @@ def test_single_member_family_gram_is_twice_energy(tg_ladder):
     fam = assemble_family([tg_ladder[0]])
     e = tg_ladder[0].energies()
     assert fam.size == 1
-    assert np.abs(pairing(fam.coeffs[0], fam.coeffs[0]) - 2 * e).max() <= 1e-12 * e[0]
+    assert np.abs(pairing(fam.on_grid(0), fam.on_grid(0)) - 2 * e).max() <= 1e-12 * e[0]
     assert fam.H[0, 0] == pytest.approx(simpson(2 * e, x=fam.times), rel=1e-12)
 
 
@@ -56,11 +57,11 @@ def test_padded_members_near_identical_gram(tg_ladder):
     # decaying-vortex runs at n=16 and n=32 padded to a common grid: all four
     # Gram entries approximate twice the shared energy profile
     fam = assemble_family([tg_ladder[0], tg_ladder[2]])
-    assert fam.spec.grid.n == 32
+    assert fam.n == 32
     e2 = 2 * tg_ladder[2].energies()
     for i in range(2):
         for j in range(2):
-            assert np.abs(pairing(fam.coeffs[i], fam.coeffs[j]) - e2).max() <= 1e-8 * e2[0]
+            assert np.abs(pairing(fam.on_grid(i), fam.on_grid(j)) - e2).max() <= 1e-8 * e2[0]
             assert fam.H[i, j] == pytest.approx(simpson(e2, x=fam.times), rel=1e-8)
 
 
@@ -69,8 +70,8 @@ def test_family_rejects_mismatched_viscosity(tg_ladder):
     other = solve(SystemSpec(nu=0.1, grid=grid, t_end=0.5, dt=2.5e-3,
                              forcing=Forcing("zero")),
                   taylor_green(0.0, 0.1, grid), sample_stride=10)
-    with pytest.raises(SelectorError):
-        assemble_family([tg_ladder[0], other])
+    with pytest.raises(SelectorError, match="member_1: viscosity mismatch"):
+        select(assemble_family([tg_ladder[0], other]))
 
 
 def test_family_rejects_mismatched_forcing(tg_ladder):
@@ -90,11 +91,11 @@ def test_family_rejects_mismatched_initial_data(tg_ladder):
                               forcing=Forcing("zero")),
                    taylor_green(0.0, 0.05, grid, amplitude=1.2),
                    sample_stride=10)
-    with pytest.raises(SelectorError):
-        assemble_family([tg_ladder[0], scaled])
+    fam = assemble_family([tg_ladder[0], scaled])
+    with pytest.raises(SelectorError, match="member_1: initial data mismatch"):
+        select(fam)
     # an explicit loose tolerance admits the pair
-    fam = assemble_family([tg_ladder[0], scaled], data_rtol=0.5)
-    assert fam.size == 2
+    assert select(fam, data_rtol=0.5).weights.lam.size == 2
 
 
 def test_family_rejects_mismatched_sample_times(tg_ladder):
@@ -110,6 +111,19 @@ def test_family_rejects_mismatched_sample_times(tg_ladder):
 def test_family_must_not_be_empty():
     with pytest.raises(SelectorError):
         assemble_family([])
+
+
+def test_mix_returns_a_members_embedded_vorticity_exactly(tg_ladder):
+    # mix sums lambda_i w_i of the members' vorticity on the common grid, with no
+    # velocity round trip: a member of weight 1, or one member twice at equal
+    # weights, comes back as its vorticity, zero-padded when it is the coarser
+    coarse, fine = tg_ladder[0], tg_ladder[2]
+    for lam in ([1.0, 0.0], [0.5, 0.5]):
+        mixed = assemble_family([fine, fine]).mix(SimplexWeights(np.array(lam)))
+        assert np.array_equal(mixed.vorticity, fine.vorticity)
+    mixed = assemble_family([coarse, fine]).mix(SimplexWeights(np.array([1.0, 0.0])))
+    assert mixed.grid.n == 32
+    assert np.array_equal(mixed.vorticity, _embed(coarse.vorticity, 16, 32))
 
 
 def test_mix_weight_count_mismatch(tg_ladder):
@@ -139,8 +153,8 @@ def test_select_concentrates_on_lower_energy_member(tg_ladder):
                                 forcing=Forcing("zero")),
                      taylor_green(0.0, 0.05, grid, amplitude=1.2),
                      sample_stride=10)
-    fam = assemble_family([tg_ladder[0], inflated], data_rtol=0.5)
-    res = select(fam)
+    fam = assemble_family([tg_ladder[0], inflated])
+    res = select(fam, data_rtol=0.5)
     assert np.abs(res.weights.lam - [1.0, 0.0]).max() <= 1e-12
     assert res.unique
     verts = [objective(fam, np.array([1.0, 0.0])),
@@ -159,9 +173,9 @@ def _orthogonal_fluctuation_family():
     w2 = from_function(grid, lambda x, y: -3 * np.sin(3 * y),
                        lambda x, y: 0.0 * x, solenoidal=True).coeffs
     times = np.linspace(0.0, 1.0, 5)
-    t1 = Trajectory.from_velocity(spec, times, np.stack([b + 0.5 * w1] * 5))
-    t2 = Trajectory.from_velocity(spec, times, np.stack([b + 1.0 * w2] * 5))
-    return assemble_family([t1, t2], data_rtol=10.0)
+    t1 = from_velocity(spec, times, np.stack([b + 0.5 * w1] * 5))
+    t2 = from_velocity(spec, times, np.stack([b + 1.0 * w2] * 5))
+    return assemble_family([t1, t2])
 
 
 def test_interior_optimum_matches_closed_form():
@@ -170,7 +184,7 @@ def test_interior_optimum_matches_closed_form():
     g11, g12, g22 = H[0, 0], H[0, 1], H[1, 1]
     lam_star = (g22 - g12) / (g11 - 2 * g12 + g22)
     assert 0.0 < lam_star < 1.0
-    res = select(fam)
+    res = select(fam, data_rtol=10.0)
     assert res.weights.lam[0] == pytest.approx(lam_star, abs=1e-12)
     assert lam_star == pytest.approx(0.8, abs=1e-12)
     assert (res.rank, res.unique) == (2, True)
@@ -231,8 +245,8 @@ def test_select_reports_rank_and_ties_on_the_ladder(tg_ladder):
 def test_select_all_zero_family_returns_uniform_weights():
     grid = Grid(8)
     spec = SystemSpec(nu=0.1, grid=grid, t_end=1.0, dt=0.5, forcing=Forcing("zero"))
-    zero = Trajectory.from_velocity(spec, np.array([0.0, 0.5, 1.0]),
-                                    np.zeros((3, 2, 8, 5), dtype=complex))
+    zero = from_velocity(spec, np.array([0.0, 0.5, 1.0]),
+                         np.zeros((3, 2, 8, 5), dtype=complex))
     res = select(assemble_family([zero] * 3))
     assert np.abs(res.weights.lam - 1.0 / 3.0).max() <= 1e-15
     assert (res.rank, res.unique, res.objective, res.kkt_residual) == (0, False, 0.0, 0.0)
@@ -245,9 +259,9 @@ def test_select_ties_on_a_zero_energy_face():
     spec = SystemSpec(nu=0.1, grid=grid, t_end=1.0, dt=0.25, forcing=Forcing("zero"))
     b = taylor_green(0.0, 0.1, grid).coeffs
     times = np.linspace(0.0, 1.0, 5)
-    trajs = [Trajectory.from_velocity(spec, times, np.stack([s * b] * 5))
+    trajs = [from_velocity(spec, times, np.stack([s * b] * 5))
              for s in (1.0, -1.0, 1.0)]
-    res = select(assemble_family(trajs, data_rtol=10.0))
+    res = select(assemble_family(trajs), data_rtol=10.0)
     assert np.abs(res.weights.lam - [0.25, 0.5, 0.25]).max() <= 1e-12
     assert (res.rank, res.unique) == (1, False)
     assert res.objective <= 1e-14

@@ -8,8 +8,8 @@ import pytest
 from conftest import (convection, dist, divergence_linf, rebuilt, reference_advance,
                       reference_curl, reference_rhs, reference_velocity, reference_velocity_rhs,
                       rotational_rhs, stacked)
-from support import (gradients, perfbench_configs, perturbed_test, recover_pressure,
-                     spline_test, taylor_green_pressure)
+from support import (from_velocity, gradients, perfbench_configs, perturbed_test,
+                     recover_pressure, spline_test, taylor_green_pressure)
 
 from maxdiss import solver
 from maxdiss.fields import (SOLENOIDAL_RTOL, FieldError, Grid, SpectralField, from_function,
@@ -449,8 +449,8 @@ def test_taylor_green_built_once_per_grid(monkeypatch):
     for n in (16, 24):
         spec = _spec(nu=nu, n=n, t_end=0.075, dt=2.5e-3)
         times = np.arange(31) * spec.dt
-        u = Trajectory.from_velocity(spec, times,
-                                     stacked([taylor_green(t, nu, spec.grid) for t in times]))
+        u = from_velocity(spec, times,
+                          stacked([taylor_green(t, nu, spec.grid) for t in times]))
         family = [TestTrajectory.taylor_green(nu, spec.grid, label="exact"),
                   TestTrajectory.taylor_green(nu, spec.grid, amplitude=1.05)]
         assert len(certify(u, family, WeightSpec()).entries) == 62
@@ -551,11 +551,11 @@ def test_trajectory_validation():
     spec = _spec(t_end=0.01, dt=0.01)
     z = np.zeros((2, 2, 32, 17))
     with pytest.raises(SolverError):
-        Trajectory.from_velocity(spec, np.array([0.1, 0.2]), z)
+        from_velocity(spec, np.array([0.1, 0.2]), z)
     with pytest.raises(SolverError):
-        Trajectory.from_velocity(spec, np.array([0.0, 0.0]), z)
+        from_velocity(spec, np.array([0.0, 0.0]), z)
     with pytest.raises(SolverError):
-        Trajectory.from_velocity(spec, np.array([]), [])
+        from_velocity(spec, np.array([]), [])
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
@@ -565,7 +565,7 @@ def test_trajectory_rejects_nonfinite_times(bad):
     z = np.zeros((3, 2, 32, 17))
     for times in ([0.0, 0.01, bad], [0.0, bad, 0.02]):
         with pytest.raises(SolverError, match="times: must be finite"):
-            Trajectory.from_velocity(spec, np.array(times), z)
+            from_velocity(spec, np.array(times), z)
 
 
 def test_trajectory_invariants_match_per_sample_fields():
@@ -577,7 +577,7 @@ def test_trajectory_invariants_match_per_sample_fields():
     rng = np.random.default_rng(3)
     raw = rng.standard_normal((3, 2, 16, 9)) + 1j * rng.standard_normal((3, 2, 16, 9))
     sol = project(raw, spectral_tables(16))
-    traj = Trajectory.from_velocity(spec, times, sol)
+    traj = from_velocity(spec, times, sol)
     assert not traj.coeffs.flags.writeable
     for k in range(times.size):
         field = SpectralField(spec.grid, sol[k], solenoidal=True)
@@ -586,9 +586,9 @@ def test_trajectory_invariants_match_per_sample_fields():
     bad[0] *= 1e7
     bad[2] += 1e-6 * raw[2]
     with pytest.raises(FieldError, match="tagged solenoidal"):
-        Trajectory.from_velocity(spec, times, bad)
+        from_velocity(spec, times, bad)
     with pytest.raises(SolverError, match="coefficient shape"):
-        Trajectory.from_velocity(spec, times, sol[:2])
+        from_velocity(spec, times, sol[:2])
 
 
 def test_trajectory_roundtrip(tmp_path):
@@ -648,14 +648,14 @@ def test_trajectory_mean_survives_save_and_load(tmp_path):
 
 
 def test_benchmark_members_are_solenoidal_far_below_the_bound(tmp_path):
-    # the divergence check runs only in Trajectory.from_velocity; a velocity
-    # rebuilt from the stored vorticity is solenoidal by construction.  On the
+    # the package checks no divergence (only the tests' from_velocity does); a
+    # velocity rebuilt from the stored vorticity is solenoidal by construction.  On the
     # members of the three benchmark configs (config seed 0), max |k.v| is at
     # most 2.7e-20, 4.6e-9 of the bound ``normalized`` enforces, max(1e-13,
     # SOLENOIDAL_RTOL max|v| n) (measured on cert_dense_32's n_24)
     for i, cfg in enumerate(perfbench_configs()):
         config = ScenarioConfig.from_dict(dict(cfg, seed=0), out_dir=str(tmp_path / str(i)))
-        for traj in stage_simulate(config).values():
+        for traj in stage_simulate(config).trajs:
             u, tab = traj.coeffs, spectral_tables(traj.grid.n)
             div = np.abs(tab.kx * u[:, 0] + tab.ky * u[:, 1]).max(axis=(-2, -1))
             bound = np.maximum(1e-13, SOLENOIDAL_RTOL * np.abs(u).max(axis=(-3, -2, -1))
