@@ -29,7 +29,7 @@ from .relenergy import (
     weight_value,
 )
 from .selector import CandidateFamily, assemble_family
-from .solver import Forcing, TestTrajectory, Trajectory
+from .solver import Forcing, TestTrajectory, Trajectory, _velocity
 
 
 class CertificateError(ValueError):
@@ -152,10 +152,11 @@ def margin_series(family: CandidateFamily, vt: TestTrajectory, w: WeightSpec) ->
     ``family.on_grid``.  The residual is taken as A_0 (nu = 0) and |k|^2 v.
     For a separable test v = a(t) U, as S is linear and the convection
     quadratic in v, the weight norms are |a| sup|S(U)| and
-    A_0 = a' U - a^2 N(U) - P_n f, N = ``solver._rhs`` unforced: each kernel
-    runs once, on U.  Any other test has its weight norms and residual computed
-    per sample block.  Per block each member adds A_nu = A_0 + nu |k|^2 v, its
-    R, its W and one pairing.  The weight is nu-free, so all members share I(t).
+    A_0 = a' U - a^2 N(U) - P_n f, with N(U) from ``residual_A`` unforced and P_n f
+    the velocity of the forcing's curl: each kernel runs once, on U.  Any other
+    test has its weight norms and residual computed per sample block.  Per block
+    each member adds A_nu = A_0 + nu |k|^2 v, its R, its W and one pairing.  The
+    weight is nu-free, so all members share I(t).
     """
     if family.n > (n := vt.grid.n):
         raise CertificateError(f"grid mismatch: trajectory n={family.n}, test n={n}")
@@ -166,14 +167,15 @@ def margin_series(family: CandidateFamily, vt: TestTrajectory, w: WeightSpec) ->
         a, da = (x.reshape(-1, 1, 1, 1) for x in vt.amplitude(times))
         norms = np.abs(a.ravel()) * weight_norms(U[None])
         conv = residual_A(U[None], 0.0, replace(spec0, forcing=Forcing()))  # -N(U)
-        pf = spec0.forcing.projected(n)
+        cf = spec0.forcing.curl(n)
+        pf = 0.0 if cf is None else _velocity(cf)  # P_n f
     for sl in _blocks(times.size, n):
         values = vt.values(times[sl])
         if U is None:
             norms[sl] = weight_norms(values)
             a0 = residual_A(values, vt.derivs(times[sl]), spec0)
         else:
-            a0 = da[sl] * U + a[sl] ** 2 * conv - (0.0 if pf is None else pf)
+            a0 = da[sl] * U + a[sl] ** 2 * conv - pf
         viscous = tab.k2 * values
         for i, u in enumerate(family.trajs):
             nu = u.spec.nu

@@ -4,7 +4,7 @@ Fields are stored as Fourier amplitudes u(x) = sum_k uhat(k) exp(i k.x)
 on the rfft2 half spectrum: shape (components, n, n//2 + 1), rows kx in
 numpy fft ordering, columns ky = 0 ... n/2.  The modes ky < 0 are the
 conjugates of their mirrors, so physical samples are real by construction;
-only the column ky = 0, whose mirror modes are stored too, is projected
+only the column ky = 0, whose mirror modes are stored too, is averaged
 onto Hermitian symmetry.  The Nyquist row and column (|k| = n/2) are
 always zeroed to keep the retained band symmetric under k -> -k.  Parseval
 sums count the columns 0 < ky < n/2 twice, for themselves and their mirrors.

@@ -118,7 +118,7 @@ def _lowpass_restrict(raw: np.ndarray, m: int, n: int, kmax: int) -> np.ndarray:
 def defect_from_pair(fine: Trajectory, coarse: Trajectory,
                      mollifier_kmax: int | None = None,
                      clip_fail_ratio: float = 0.5) -> DefectField:
-    """Defect density m = low-pass(v_f (x) v_f - v_c (x) v_c), PSD-projected.
+    """Defect density m = low-pass(v_f (x) v_f - v_c (x) v_c), PSD-clipped.
 
     The low-pass stands in for the weak-* limit; its scale is recorded on
     the result.  The PSD projection magnitude is recorded too, and the

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import h1_squared, pairing, samples, spectral_tables
-from .solver import SystemSpec, _rhs
+from .solver import SystemSpec, _curl, _curl_rhs, _velocity, _Workspace
 
 
 class WeightError(ValueError):
@@ -89,10 +89,12 @@ def weight_value(norms: np.ndarray, w: WeightSpec) -> np.ndarray:
 def residual_A(values: np.ndarray, derivs: np.ndarray, spec: SystemSpec) -> np.ndarray:
     """A = P[d/dt v + (v.grad)v - nu Lap v - f] of stacked solenoidal test states (as
     ``weight_norms`` needs; P leaves d/dt v and |k|^2 v as they are), through the
-    velocity kernel on the stepper's transforms: d/dt v + nu |k|^2 v - solver._rhs(v);
+    stepper's one nonlinear kernel: d/dt v + nu |k|^2 v - N(v), N(v) the velocity
+    (``solver._velocity``) of ``solver._curl_rhs`` on the curl of v with curl f;
     A_nu = A_0 + nu |k|^2 v, so ``margin_series`` calls it once at nu = 0."""
-    f = spec.forcing.projected(spec.grid.n)
-    return derivs + spec.nu * spectral_tables(spec.grid.n).k2 * values - _rhs(values, spec, f)
+    n, w = spec.grid.n, _curl(values)  # _curl_rhs reads w before it writes its output there
+    nl = _curl_rhs(w, spec, spec.forcing.curl(n), _Workspace(w.shape[:-2], n), w)
+    return derivs + spec.nu * spectral_tables(n).k2 * values - _velocity(nl)
 
 
 # -- Gronwall machinery -----------------------------------------------------

@@ -11,16 +11,16 @@ w = i kx v_y - i ky v_x of shape (n, n//2 + 1), so v = (i ky, -i kx) w / |k|^2
 is solenoidal by construction; the k = 0 entry, which the curl lacks,
 carries the velocity mean as v_x + i v_y.  ``solve`` takes the curl once and
 runs the stages of every step in one reused ``_Workspace``; every step is
-checked finite, its column ky = 0 projected onto Hermitian symmetry and its
+checked finite, its column ky = 0 averaged onto Hermitian symmetry and its
 energy bounded.  ``Trajectory`` stores the sampled vorticity, on disk too.
-Tables are cached per grid and per (n, nu, dt); ``Forcing`` builds f, P_n f
-and curl f once per grid size.  The nonlinear term is taken in
+Tables are cached per grid and per (n, nu, dt); ``Forcing`` builds f and curl f
+once per grid size.  The one nonlinear kernel, ``_curl_rhs``, takes the term in
 Basdevant's form: with a = v_x^2 - v_y^2 and b = v_x v_y, it is P[-div T]
 for T = [[a/2, b], [b, -a/2]], which differs from v (x) v by |v|^2/2 I, whose
-divergence is a gradient that the Leray projection removes.  Its four real
-transforms, the column passes on the 2/3 band's columns only (``_products``),
-serve the stepper's kernel ``_curl_rhs`` and the velocity kernel ``_rhs``
-that the certificate's residual ``relenergy.residual_A`` evaluates.
+divergence is a gradient that the Leray projection removes; its curl takes four
+real transforms, the column passes on the 2/3 band's columns only (``_products``).
+The stepper calls it, and the certificate's residual ``relenergy.residual_A``
+takes its velocity.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from .fields import (
     load_samples,
     normalized,
     pairing,
-    project,
     resample,
     save_samples,
     spectral_tables,
@@ -85,9 +84,8 @@ _ANALYTIC_PARAMS = {"gradient_potential": ("amplitude",), "kolmogorov": ("amplit
 class Forcing:
     """Time-independent right-hand side: zero, analytic registry entry, or file.
 
-    Its coefficients, their projection and its curl are built once per grid
-    size and reused by later calls; a file forcing is read and checked when
-    the Forcing is made.
+    Its coefficients and their curl are built once per grid size and reused by
+    later calls; a file forcing is read and checked when the Forcing is made.
     """
 
     kind: str = "zero"
@@ -129,22 +127,18 @@ class Forcing:
         """Coefficients (2, n, n//2 + 1) on the n x n grid; None for zero forcing."""
         return self._on(n)[0]
 
-    def projected(self, n: int) -> np.ndarray | None:
-        """Their Leray projection P_n f, which the velocity kernel adds; None for zero forcing."""
+    def curl(self, n: int) -> np.ndarray | None:
+        """Its curl with its mean (``_curl``), whose velocity is P_n f; None for zero forcing."""
         return self._on(n)[1]
 
-    def curl(self, n: int) -> np.ndarray | None:
-        """Its curl with its mean (``_curl``), which the stepper adds; None for zero forcing."""
-        return self._on(n)[2]
-
     def _on(self, n: int) -> tuple:
-        """(f, P_n f, curl f) on the n x n grid, built on the first lookup."""
+        """(f, curl f) on the n x n grid, built on the first lookup."""
         if self.kind == "zero":
-            return None, None, None
+            return None, None
         if n not in self._on_grid:
             f = (ANALYTIC_FORCINGS[self.name](Grid(n), self.params).coeffs
                  if self.kind == "analytic" else resample(self._file_coeffs, n))
-            self._on_grid[n] = f, project(f, spectral_tables(n)), _curl(f)
+            self._on_grid[n] = f, _curl(f)
         return self._on_grid[n]
 
     def to_dict(self) -> dict:
@@ -209,7 +203,7 @@ class SystemSpec:
 # -- right-hand side --------------------------------------------------------
 
 class _Workspace:
-    """Scratch arrays of the kernels and ``advance`` for states stacked over ``lead``."""
+    """Scratch arrays of ``_curl_rhs`` and ``advance`` for states stacked over ``lead``."""
 
     def __init__(self, lead: tuple, n: int):
         h, m = n // 2 + 1, (n - 1) // 3 + 1  # m: the columns of the 2/3 band
@@ -261,17 +255,17 @@ def _velocity(w: np.ndarray) -> np.ndarray:
 
 def _hermitian_column(w: np.ndarray) -> np.ndarray:
     """w, vorticity half spectra, with the column ky = 0 (w(kx, 0) and its mirror
-    w(-kx, 0)) projected onto Hermitian symmetry in place, k = 0 (the mean) aside."""
+    w(-kx, 0)) averaged onto Hermitian symmetry in place, k = 0 (the mean) aside."""
     col = w[..., 0]
     col[..., 1:] = 0.5 * (col[..., 1:] + np.conj(col[..., :0:-1]))
     return w
 
 
-def _products(ws: _Workspace, fwd: np.ndarray):
+def _products(ws: _Workspace):
     """a_hat and b_hat (views of ``ws.band``) of a = v_x^2 - v_y^2 and b = v_x v_y for
     the band velocity in ``ws.band``, by irfft2 and rfft2 as column and row passes, the
-    column passes on the band only, the forward row pass into ``fwd``."""
-    c = ws.band
+    column passes on the band only, the forward row pass into ``ws.prod``."""
+    c, fwd = ws.band, ws.prod
     n, m = c.shape[-2:]
     # the row pass reads the zero-padded spectrum: numpy's irfft is slower on less
     np.fft.ifft(c, axis=-2, norm="forward", out=ws.spec[..., :m])
@@ -286,27 +280,6 @@ def _products(ws: _Workspace, fwd: np.ndarray):
     return c[..., 0, :, :], c[..., 1, :, :]
 
 
-def _rhs(u: np.ndarray, spec: SystemSpec, pf) -> np.ndarray:
-    """P[-(v.grad)v] + pf, a new array, for velocity coefficients u (..., 2, n, n//2 + 1),
-    v = u on the 2/3 band and pf ``Forcing.projected`` or None, in the operation order
-    of ``_products``, z = g * a_hat - h * b_hat and (-i ky * z, i kx * z) (+ pf)."""
-    g, h, rot_x, rot_y = _basdevant_tables(spec.grid.n)[:4]
-    m = g.shape[-1]
-    ws = _Workspace(u.shape[:-3], spec.grid.n)
-    out, c = ws.prod, ws.band
-    c[..., :m, :] = u[..., :m, :m]  # the band: rows |kx| <= cut of the columns ky <= cut
-    c[..., m:1 - m, :] = 0
-    c[..., 1 - m:, :] = u[..., 1 - m:, :m]
-    a, b = _products(ws, out)
-    z = np.subtract(np.multiply(g, a, out=a), np.multiply(h, b, out=b), out=a)
-    np.multiply(rot_x, z, out=out[..., 0, :, :m])
-    np.multiply(rot_y, z, out=out[..., 1, :, :m])
-    out[..., m:] = 0
-    if pf is not None:
-        out += pf
-    return out
-
-
 def _curl_rhs(w: np.ndarray, spec: SystemSpec, cf, ws: _Workspace,
               out: np.ndarray) -> np.ndarray:
     """curl P[-(v.grad)v] + cf for vorticity half spectra w (..., n, n//2 + 1), v their
@@ -319,7 +292,7 @@ def _curl_rhs(w: np.ndarray, spec: SystemSpec, cf, ws: _Workspace,
     np.multiply(rot_x, q, out=c[..., 0, :, :])
     np.multiply(rot_y, q, out=q)
     c[..., 0, 0, 0], c[..., 1, 0, 0] = w[..., 0, 0].real, w[..., 0, 0].imag
-    a, b = _products(ws, ws.prod)
+    a, b = _products(ws)
     z = np.subtract(np.multiply(h, b, out=b), np.multiply(g, a, out=a), out=b)
     np.multiply(spectral_tables(spec.grid.n).k2[:, :m], z, out=out[..., :m])
     out[..., m:] = 0
@@ -351,7 +324,7 @@ def advance(w: np.ndarray | SpectralField, spec: SystemSpec, t: float,
     c = N(e_half w + (dt/2) b), d = N(e_full w + (dt e_half) c) and
     e_full w + (dt/6) (e_full a + (2 e_half) (b + c) + d), N = ``_curl_rhs``, with
     e_full w formed once.  The result is checked finite and its column ky = 0,
-    k = 0 aside, projected onto Hermitian symmetry."""
+    k = 0 aside, averaged onto Hermitian symmetry."""
     n = spec.grid.n
     as_field = isinstance(w, SpectralField)
     if as_field:
@@ -399,10 +372,9 @@ class Trajectory:
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=np.float64)
-        if t.size == 0:
-            raise SolverError("trajectory needs at least one sample time")
-        if t[0] != 0.0 or not (np.all(np.diff(t) > 0) and np.isfinite(t[-1])):  # NaN: not > 0
-            raise SolverError("times: must be finite, start at 0 and increase strictly")
+        if not (t.ndim == 1 and t.size and t[0] == 0.0 and np.all(np.diff(t) > 0)
+                and np.isfinite(t[-1])):  # NaN: not > 0
+            raise SolverError("times: must be finite, 1-D, start at 0 and increase strictly")
         shape = (t.size, self.grid.n, self.grid.n // 2 + 1)
         if np.shape(self.vorticity) != shape:
             raise SolverError(f"vorticity shape {np.shape(self.vorticity)}, need {shape}")
@@ -469,15 +441,17 @@ class Trajectory:
             raise FieldError(f"{path}: non-finite coefficients in the sample at "
                              f"t={float(times[np.argmin(finite)])!r}")
         w = np.pad(np.insert(packed[:, 0], h, 0, axis=1), ((0, 0), (0, 0), (0, 1)))  # Nyquist: 0
-        # not ``normalized``, whose projection would drop the mean's imaginary part
-        return cls(spec=spec, times=times, vorticity=_hermitian_column(w),
-                   provenance=manifest.get("provenance", ""))
+        try:  # not ``normalized``, whose projection would drop the mean's imaginary part
+            return cls(spec=spec, times=times, vorticity=_hermitian_column(w),
+                       provenance=manifest.get("provenance", ""))
+        except SolverError as exc:  # the vorticity's shape is checked: the times are at fault
+            raise SolverError(f"{exc} (in {src / 'manifest.json'})") from None
 
 
 def _shares_samples(a: Trajectory, b: Trajectory) -> bool:
     """Same sample times and forcing, as members certified or mixed together need."""
     return (a.times.shape == b.times.shape and a.spec.forcing == b.spec.forcing
-            and bool(np.allclose(a.times, b.times, atol=1e-12)))
+            and bool(np.allclose(a.times, b.times, rtol=0.0, atol=1e-12)))
 
 
 def solve(spec: SystemSpec, v0: SpectralField, sample_stride: int = 1,

@@ -58,22 +58,6 @@ def _reference_products(v: np.ndarray, n: int):
     return t[..., 0, :, :], t[..., 1, :, :]
 
 
-def reference_velocity_rhs(u: np.ndarray, spec, pf) -> np.ndarray:
-    """Expression form of the velocity kernel i (-ky z, kx z) + pf, z = g a_hat - h b_hat,
-    on coefficients (..., 2, n, n//2 + 1), a = v_x^2 - v_y^2 and b = v_x v_y of the
-    band-limited v, one new array per operation; the in-place ``solver._rhs``
-    must match it bit for bit."""
-    n = spec.grid.n
-    g, h, rot_x, rot_y = solver._basdevant_tables(n)[:4]
-    m = g.shape[-1]
-    a, b = _reference_products(u * spectral_tables(n).dealias, n)
-    z = g * a[..., :m] - h * b[..., :m]
-    nl = np.zeros(u.shape, dtype=complex)
-    nl[..., 0, :, :m] = rot_x * z
-    nl[..., 1, :, :m] = rot_y * z
-    return nl if pf is None else nl + pf
-
-
 def reference_curl(u: np.ndarray) -> np.ndarray:
     """Vorticity half spectra i kx u_y - i ky u_x of velocity coefficients
     (..., 2, n, n//2 + 1), the mean at k = 0 as u_x + i u_y: the stepper's state."""
@@ -116,8 +100,9 @@ def reference_rhs(w: np.ndarray, spec, cf) -> np.ndarray:
 
 def rotational_rhs(u: np.ndarray, spec, f) -> np.ndarray:
     """The rotational form P[omega (v_y, -v_x) + f] of the dealiased nonlinear term
-    on coefficients (..., 2, n, n//2 + 1), with the raw forcing f: a second oracle
-    that ``solver._rhs(u, spec, P f)`` must match to roundoff."""
+    on coefficients (..., 2, n, n//2 + 1), with the raw forcing f: an oracle of the
+    nonlinear kernel independent of it, which ``-relenergy.residual_A(u, 0, spec)``
+    must match to roundoff at nu = 0 with the forcing f."""
     n = spec.grid.n
     tab = spectral_tables(n)
     u = u * tab.dealias

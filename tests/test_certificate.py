@@ -13,13 +13,12 @@ from support import (analytic_test, from_velocity, gradients, mollified_indicato
 
 from maxdiss.fields import (Grid, SpectralField, _embed, h1_squared, pairing, project,
                             random_field, resample, samples, spectral_tables)
-from maxdiss.relenergy import WeightSpec, cumulative_weight_integral
+from maxdiss.relenergy import WeightSpec, cumulative_weight_integral, residual_A
 from maxdiss import certificate
 from maxdiss.certificate import (CertificateError, ToleranceModel, certify, certify_members,
                                  margin_series)
 from maxdiss.selector import assemble_family
-from maxdiss.solver import (Forcing, SystemSpec, TestTrajectory, Trajectory, _rhs, solve,
-                            taylor_green)
+from maxdiss.solver import Forcing, SystemSpec, TestTrajectory, Trajectory, solve, taylor_green
 
 STRAIN = WeightSpec()
 
@@ -358,8 +357,8 @@ def test_separable_test_matches_its_sampled_form(A):
         pert = random_field(spec.grid, np.random.default_rng(n), kmax=3)
         v0 = resample(A * U, n) + 0.1 * pert.coeffs
         members.append(solve(spec, SpectralField(spec.grid, v0)))
-    assert np.abs(forcing.projected(24)).max() > 0.1
-    N = _rhs(U[None], SystemSpec(nu=0.0, grid=grid, t_end=0.05, dt=2.5e-3), None)[0]
+    assert np.abs(project(forcing.coeffs(24), spectral_tables(24))).max() > 0.1
+    N = -residual_A(U[None], 0.0, SystemSpec(nu=0.0, grid=grid, t_end=0.05, dt=2.5e-3))[0]
     assert np.sqrt(pairing(N, N)) > 0.1 * np.sqrt(pairing(U, U))
 
     def wrong_derivs(t):  # the sampled A_0 is then a' U - a N(U) - P_n f: a in place of a^2

@@ -878,12 +878,15 @@ def test_cli_certify_rejects_incomplete_or_nonfinite_member_spec(tmp_path, capsy
     assert message in err and str(manifest) in err
 
 
-@pytest.mark.parametrize("case", ["last_infinite", "off_grid", "members_differ"])
+@pytest.mark.parametrize("case", ["last_infinite", "off_grid", "repeated", "not_1d",
+                                  "members_differ"])
 def test_cli_certify_rejects_bad_sample_times(tmp_path, capsys, case):
-    # sample times are finite, on the manifest's dt grid and end at t_end, and
-    # all members share them, as their one certify pass does
+    # sample times are finite, on the manifest's dt grid, end at t_end and increase
+    # strictly along one axis, and all members share them, as their one certify pass does
     message = {"last_infinite": "ending at t_end=0.25, got inf",
                "off_grid": "times: expected multiples of dt=0.0025 ending at t_end=0.25, got 0.076",
+               "repeated": "times: must be finite, 1-D, start at 0 and increase strictly",
+               "not_1d": "times: must be finite, 1-D, start at 0 and increase strictly",
                "members_differ": "sample times or forcing differ from n_16's"}[case]
     cfg = _write_cfg(tmp_path, family={"resolutions": [16, 24], "sample_stride": 10})
     out = tmp_path / "run"
@@ -895,8 +898,14 @@ def test_cli_certify_rejects_bad_sample_times(tmp_path, capsys, case):
         Trajectory(traj.spec, traj.times[::2], traj.vorticity[::2]).save(member)
     else:
         d = json.loads(manifest.read_text())
-        d["times"][-1 if case == "last_infinite" else 3] = \
-            float("inf") if case == "last_infinite" else 0.076
+        if case == "last_infinite":
+            d["times"][-1] = float("inf")
+        elif case == "off_grid":
+            d["times"][3] = 0.076
+        elif case == "repeated":  # on the dt grid, but not increasing
+            d["times"][3] = d["times"][2]
+        else:
+            d["times"] = [[t] for t in d["times"]]
         manifest.write_text(json.dumps(d))
     capsys.readouterr()
     assert main(["certify", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import dist, stacked
+from conftest import dist, rotational_rhs, stacked
 from support import analytic_test, from_velocity, trilinears
 
 from maxdiss.fields import Grid, from_function, pairing, project, random_field, spectral_tables
@@ -19,7 +19,7 @@ from maxdiss.relenergy import (
 )
 from maxdiss.certificate import margin_series
 from maxdiss.selector import assemble_family
-from maxdiss.solver import Forcing, SystemSpec, TestTrajectory, _rhs, taylor_green
+from maxdiss.solver import Forcing, SystemSpec, TestTrajectory, taylor_green
 
 
 STRAIN = WeightSpec()
@@ -157,15 +157,15 @@ def test_residual_affine_in_viscosity_splits_exactly(rng, forced):
 @pytest.mark.parametrize("forced", [False, True])
 def test_residual_of_solenoidal_states_needs_no_projection(rng, forced):
     # on solenoidal states d/dt v + nu |k|^2 v is solenoidal, so residual_A leaves
-    # out the Leray projection of P[d/dt v + nu |k|^2 v] - solver._rhs(v)
+    # out the Leray projection of P[d/dt v + nu |k|^2 v] less the rotational form
     forcing = Forcing("analytic", "kolmogorov", {"amplitude": 1.0}) if forced else Forcing("zero")
     values, derivs = (np.stack([random_field(Grid(32), rng, kmax=10, solenoidal=True).coeffs
                                 for _ in range(3)]) for _ in range(2))
     tab = spectral_tables(32)
     for nu in (0.0, 0.1):
         spec = SystemSpec(nu=nu, grid=Grid(32), t_end=1.0, dt=1e-3, forcing=forcing)
-        projected = project(derivs + nu * tab.k2 * values, tab) - _rhs(
-            values, spec, forcing.projected(32))
+        projected = project(derivs + nu * tab.k2 * values, tab) - rotational_rhs(
+            values, spec, forcing.coeffs(32))
         got = residual_A(values, derivs, spec)
         assert np.all(dist(got, projected) <= 1e-14 * dist(projected))
 

@@ -9,6 +9,7 @@ from support import (continuous_dependence_study, from_velocity, verify_convex_m
 
 from maxdiss.certificate import ToleranceModel, certify
 from maxdiss.fields import Grid, SpectralField, _embed, from_function, pairing
+from maxdiss.mv_euler import MVError, defect_from_pair
 from maxdiss.relenergy import WeightSpec
 from maxdiss.selector import (
     MAX_MEMBERS,
@@ -106,6 +107,18 @@ def test_family_rejects_mismatched_sample_times(tg_ladder):
     for other in (fewer, shifted):
         with pytest.raises(SelectorError, match="sample times"):
             assemble_family([base, other])
+
+
+def test_family_and_defect_pair_reject_times_off_by_a_relative_1e_6(tg_ladder):
+    # sample times are shared to 1e-12 absolute, with no relative slack: times
+    # scaled by 1 + 1e-6 (off by up to 5e-7) are not simultaneous samples
+    base, fine = tg_ladder[0], tg_ladder[2]
+    scaled = Trajectory(base.spec, base.times * (1.0 + 1e-6), base.vorticity)
+    assert 0 < np.abs(scaled.times - base.times).max() <= 1e-6
+    with pytest.raises(SelectorError, match="member_1: sample times or forcing differ"):
+        assemble_family([fine, scaled])
+    with pytest.raises(MVError, match="sample times or forcing"):
+        defect_from_pair(fine, scaled)
 
 
 def test_family_must_not_be_empty():

@@ -6,8 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import (convection, dist, divergence_linf, rebuilt, reference_advance,
-                      reference_curl, reference_rhs, reference_velocity, reference_velocity_rhs,
-                      rotational_rhs, stacked)
+                      reference_curl, reference_rhs, reference_velocity, rotational_rhs,
+                      stacked)
 from support import (from_velocity, gradients, perfbench_configs, perturbed_test,
                      recover_pressure, spline_test, taylor_green_pressure)
 
@@ -15,6 +15,7 @@ from maxdiss import solver
 from maxdiss.fields import (SOLENOIDAL_RTOL, FieldError, Grid, SpectralField, from_function,
                             load_samples, normalized, pairing, project, random_field, resample,
                             save_field, save_samples, spectral_tables)
+from maxdiss.relenergy import residual_A
 from maxdiss.scenarios import ScenarioConfig, stage_simulate
 from maxdiss.solver import (
     BlowUpError,
@@ -36,31 +37,42 @@ def _spec(nu=0.1, n=32, t_end=1.0, dt=1e-3, forcing=None):
 
 # -- right-hand side ---------------------------------------------------------
 
+def _vorticity_rhs(w, spec, cf=None):
+    """``solver._curl_rhs`` of vorticity half spectra w in a new workspace of their shape."""
+    return solver._curl_rhs(w, spec, cf, solver._Workspace(w.shape[:-2], spec.grid.n),
+                            np.empty_like(w))
+
+
 def test_rhs_zero_state():
+    # the kernel writes all of its output, and the residual of the resting state is 0
     spec = _spec()
-    rhs = solver._rhs(np.zeros((2, 32, 17), dtype=complex), spec, None)
-    assert dist(rhs) == 0.0
+    w = np.zeros((32, 17), dtype=complex)
+    ws = solver._Workspace((), 32)
+    assert not np.any(solver._curl_rhs(w, spec, None, ws, np.ones_like(w)))
+    z = np.zeros((1, 2, 32, 17), dtype=complex)
+    assert dist(residual_A(z, z, spec)) == 0.0
 
 
 def test_rhs_euler_taylor_green_vanishes():
     # TG convection is a pure gradient, annihilated by the projection
     spec = _spec(nu=0.0)
-    v = taylor_green(0.0, 0.0, spec.grid)
-    assert dist(solver._rhs(v.coeffs, spec, None)) <= 1e-12
+    v = taylor_green(0.0, 0.0, spec.grid).coeffs
+    assert np.abs(_vorticity_rhs(solver._curl(v), spec)).max() <= 1e-12
+    assert dist(residual_A(v[None], 0.0, spec)) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [16, 24, 32, 48, 96])
 def test_dealiased_convection_matches_padded_product(n):
-    # data band-limited at the 2/3 cut: the dealiased rotational term must
-    # equal -P of the exact convective product (2x padded, alias-free)
-    # truncated to the cut band
+    # data band-limited at the 2/3 cut: the convection that the residual takes
+    # from the vorticity kernel must equal P of the exact convective product
+    # (2x padded, alias-free) truncated to the cut band
     grid = Grid(n)
     mask = spectral_tables(n).dealias
     cut = int(np.abs(grid.wavenumbers()[0][mask]).max())
     v = random_field(grid, np.random.default_rng(n), kmax=cut).coeffs
     exact = resample(convection(resample(v, 2 * n), dealias=False), n)
-    exact = -project(exact * mask, spectral_tables(n))
-    got = solver._rhs(v, _spec(n=n), None)
+    exact = project(exact * mask, spectral_tables(n))
+    got = residual_A(v[None], 0.0, _spec(nu=0.0, n=n))[0]
     assert dist(got, exact) <= 1e-13 * dist(exact)
 
 
@@ -68,11 +80,11 @@ def test_rhs_stacked_matches_single_calls():
     spec = _spec(n=24, forcing=Forcing("analytic", "kolmogorov", {"wavenumber": 2}))
     rng = np.random.default_rng(5)
     block = np.stack([random_field(spec.grid, rng, kmax=7).coeffs for _ in range(3)])
-    f = spec.forcing.projected(24)
-    got = solver._rhs(block, spec, f)
+    derivs = np.stack([random_field(spec.grid, rng, kmax=7).coeffs for _ in range(3)])
+    got = residual_A(block, derivs, spec)
     assert got.shape == block.shape
-    for b, g in zip(block, got):
-        want = solver._rhs(b, spec, f)
+    for b, d, g in zip(block, derivs, got):
+        want = residual_A(b[None], d[None], spec)[0]
         assert np.abs(g - want).max() <= 1e-15 * np.abs(want).max()
 
 
@@ -84,12 +96,9 @@ def _with_mean(block):
 
 
 def _assert_kernels_match_expression_form(block, spec, f):
-    """The velocity kernel on the stack and the vorticity kernel on the stack and on
-    each state, with a workspace of each shape, against the expression forms, with
-    the forcing f projected and its curl."""
-    pf = None if f is None else project(f, spectral_tables(spec.grid.n))
+    """The vorticity kernel on the stack and on each state, with a workspace of each
+    shape, against the expression form, with the curl of the forcing f."""
     cf = None if f is None else solver._curl(f)
-    assert np.array_equal(solver._rhs(block, spec, pf), reference_velocity_rhs(block, spec, pf))
     w = solver._curl(block)
     assert np.array_equal(w, reference_curl(block))
     ws = solver._Workspace(w.shape[:1], spec.grid.n)
@@ -102,14 +111,21 @@ def _assert_kernels_match_expression_form(block, spec, f):
 
 
 def test_rhs_matches_expression_form_bit_for_bit():
-    # stacked and single states with a mean, forced and unforced
+    # stacked and single states with a mean, forced and unforced; the residual
+    # is d/dt v + nu |k|^2 v less the velocity of the vorticity kernel, bit for bit
     spec = _spec(n=24)
     rng = np.random.default_rng(8)
     block = _with_mean([random_field(spec.grid, rng, kmax=7).coeffs for _ in range(3)])
+    derivs = np.stack([random_field(spec.grid, rng, kmax=7).coeffs for _ in range(3)])
     forcing = Forcing("analytic", "kolmogorov", {"wavenumber": 3})
     for f in (None, forcing.coeffs(24)):
         _assert_kernels_match_expression_form(block, spec, f)
     assert np.array_equal(forcing.curl(24), solver._curl(forcing.coeffs(24)))
+    for forced in (Forcing("zero"), forcing):
+        s = _spec(n=24, forcing=forced)
+        nl = reference_velocity(reference_rhs(reference_curl(block), s, forced.curl(24)))
+        want = derivs + 0.1 * spectral_tables(24).k2 * block - nl
+        assert np.array_equal(residual_A(block, derivs, s), want)
 
 
 def _out_of_band_forcing(grid, rng):
@@ -122,7 +138,7 @@ def _out_of_band_forcing(grid, rng):
 
 
 def test_rhs_matches_expression_form_with_out_of_band_forcing():
-    # the kernels transform only the band's columns, but must add the
+    # the kernel transforms only the band's columns, but must add the
     # forcing over the whole half spectrum
     n = 24
     spec = _spec(n=n)
@@ -134,21 +150,23 @@ def test_rhs_matches_expression_form_with_out_of_band_forcing():
 
 @pytest.mark.parametrize("forced", [False, True])
 @pytest.mark.parametrize("n", [16, 24, 32, 96])
-def test_rhs_matches_rotational_form(n, forced):
+def test_rhs_matches_rotational_form(tmp_path, n, forced):
     # the divergence form against P[omega (v_y, -v_x) + f]: the two differ by
-    # the gradient of |v|^2/2, which the projection removes
-    spec = _spec(n=n)
-    rng = np.random.default_rng(n + 1)
-    block = np.stack([random_field(spec.grid, rng, kmax=(n - 1) // 3).coeffs for _ in range(3)])
-    f = _out_of_band_forcing(spec.grid, rng) if forced else None
-    pf = None if f is None else project(f, spectral_tables(n))
-    got = solver._rhs(block, spec, pf)
+    # the gradient of |v|^2/2, which the projection removes; forced, by a
+    # forcing file with modes above the 2/3 band
+    grid, rng, forcing = Grid(n), np.random.default_rng(n + 1), Forcing("zero")
+    block = np.stack([random_field(grid, rng, kmax=(n - 1) // 3).coeffs for _ in range(3)])
+    if forced:
+        save_field(SpectralField(grid, _out_of_band_forcing(grid, rng)), tmp_path / "f.fld")
+        forcing = Forcing("file", path=str(tmp_path / "f.fld"))
+    spec = _spec(nu=0.0, n=n, forcing=forcing)
+    f = forcing.coeffs(n)
+    assert not forced or np.abs(f[..., (n - 1) // 3 + 1:]).max() > 0.1 * np.abs(f).max()
     want = rotational_rhs(block, spec, f)
+    got = -residual_A(block, 0.0, spec)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
     # the vorticity kernel against the curl of the rotational form
-    w = solver._curl(block)
-    got = solver._curl_rhs(w, spec, None if f is None else solver._curl(f),
-                           solver._Workspace(w.shape[:1], n), np.empty_like(w))
+    got = _vorticity_rhs(solver._curl(block), spec, forcing.curl(n))
     want = solver._curl(want)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -161,7 +179,6 @@ def test_rhs_ignores_modes_above_the_band():
     u = random_field(spec.grid, np.random.default_rng(4), kmax=n // 2).coeffs
     band = u * spectral_tables(n).dealias
     assert dist(u - band) >= 0.5 * dist(u)
-    assert np.array_equal(solver._rhs(u, spec, None), solver._rhs(band, spec, None))
     ws = solver._Workspace((), n)
     w, w_band = solver._curl(u), solver._curl(band)
     assert np.array_equal(solver._curl_rhs(w, spec, None, ws, np.empty_like(w)),
@@ -684,7 +701,8 @@ def test_gradient_forcing_leaves_the_solve_unchanged():
     unforced = _spec(nu=0.02, n=32, t_end=0.1, dt=2e-3)
     forced = SystemSpec(nu=0.02, grid=Grid(32), t_end=0.1, dt=2e-3,
                         forcing=Forcing("analytic", "gradient_potential", {"amplitude": 3.0}))
-    assert dist(forced.forcing.projected(32)) <= 1e-14 * dist(forced.forcing.coeffs(32))
+    f = forced.forcing.coeffs(32)
+    assert dist(project(f, spectral_tables(32))) <= 1e-14 * dist(f)
     v0 = random_field(unforced.grid, np.random.default_rng(6), kmax=10)
     want = solve(unforced, v0, sample_stride=10).coeffs
     got = solve(forced, v0, sample_stride=10).coeffs

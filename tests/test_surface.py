@@ -1,5 +1,6 @@
-"""Every public function, class and method of the package is used inside the
-package, and the package imports nothing but the standard library and numpy."""
+"""Every public function, class and method and every private top-level function and
+class of the package is used inside the package, and the package imports nothing but
+the standard library and numpy."""
 
 import ast
 import sys
@@ -51,13 +52,31 @@ def _public_definitions(module):
                             and not fn.name.startswith("_"))
 
 
-def test_public_definitions_have_consumers():
+def _private_definitions(module):
+    """(name, node) of the private top-level functions and classes."""
+    for node in module.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_"):
+            yield node.name, node
+
+
+def _unconsumed(definitions) -> list:
+    """The names of ``definitions(module)`` that nothing else in the package references;
+    a definition's references to itself do not count."""
     modules = _modules().values()
     everywhere = sum((_references(tree) for tree in modules), Counter())
-    # a definition's references to itself do not count
-    unused = [name for module in modules for name, node in _public_definitions(module)
-              if name not in EXEMPT and everywhere[name] == _references(node)[name]]
+    return [name for module in modules for name, node in definitions(module)
+            if name not in EXEMPT and everywhere[name] == _references(node)[name]]
+
+
+def test_public_definitions_have_consumers():
+    unused = _unconsumed(_public_definitions)
     assert not unused, f"public names nothing in the package consumes: {unused}"
+
+
+def test_private_definitions_have_consumers():
+    # a private kernel that only tests call is dead code of the package
+    unused = _unconsumed(_private_definitions)
+    assert not unused, f"private names nothing in the package consumes: {unused}"
 
 
 def test_package_imports_only_the_stdlib_and_numpy():
