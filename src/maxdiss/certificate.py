@@ -8,7 +8,8 @@ always relative to the supplied tests.
 
 ``certify_members`` tests all members of a run's candidate family against the same v
 on the test's grid, coarser members zero-padded, so the inequality, convex in u, carries
-over to their mixtures; the test terms are computed once, on U if v = a(t) U.
+over to their mixtures; the test terms are computed once, on U if v = a(t) U.  Members
+and tests are vorticities (``solver._curl``), and R, W and <A, u - v> sums over them.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fields import pairing, spectral_tables
+from .fields import spectral_tables
 from .relenergy import (
     WeightSpec,
     cumulative_weight_integral,
@@ -29,7 +30,7 @@ from .relenergy import (
     weight_value,
 )
 from .selector import CandidateFamily, assemble_family
-from .solver import Forcing, TestTrajectory, Trajectory, _velocity
+from .solver import Forcing, TestTrajectory, Trajectory, _velocity_pairing
 
 
 class CertificateError(ValueError):
@@ -146,16 +147,16 @@ def _blocks(size: int, n: int) -> list:
 
 def margin_series(family: CandidateFamily, vt: TestTrajectory, w: WeightSpec) -> list:
     """Both sides of the relative energy inequality at every sample time, for
-    each member of a family against one solenoidal test, on the test's grid.
+    each member of a family against one test, on the test's grid.
 
     The members are no finer than the test; coarser ones are zero-padded by
-    ``family.on_grid``.  The residual is taken as A_0 (nu = 0) and |k|^2 v.
+    ``family.on_grid``.  The residual is taken as curl A_0 (nu = 0) and |k|^2 w.
     For a separable test v = a(t) U, as S is linear and the convection
     quadratic in v, the weight norms are |a| sup|S(U)| and
-    A_0 = a' U - a^2 N(U) - P_n f, with N(U) from ``residual_A`` unforced and P_n f
-    the velocity of the forcing's curl: each kernel runs once, on U.  Any other
+    curl A_0 = a' U - a^2 curl N(U) - curl P_n f, with curl N(U) from ``residual_A``
+    unforced and curl P_n f the forcing's curl: each kernel runs once, on U.  Any other
     test has its weight norms and residual computed per sample block.  Per block
-    each member adds A_nu = A_0 + nu |k|^2 v, its R, its W and one pairing.  The
+    each member adds A_nu = A_0 + nu |k|^2 w, its R, its W and one pairing.  The
     weight is nu-free, so all members share I(t).
     """
     if family.n > (n := vt.grid.n):
@@ -164,11 +165,10 @@ def margin_series(family: CandidateFamily, vt: TestTrajectory, w: WeightSpec) ->
     spec0 = replace(family.trajs[0].spec, nu=0.0, grid=vt.grid)
     norms, R, g = np.empty(times.size), *np.empty((2, family.size, times.size))
     if U is not None:
-        a, da = (x.reshape(-1, 1, 1, 1) for x in vt.amplitude(times))
+        a, da = (x.reshape(-1, 1, 1) for x in vt.amplitude(times))
         norms = np.abs(a.ravel()) * weight_norms(U[None])
-        conv = residual_A(U[None], 0.0, replace(spec0, forcing=Forcing()))  # -N(U)
-        cf = spec0.forcing.curl(n)
-        pf = 0.0 if cf is None else _velocity(cf)  # P_n f
+        conv = residual_A(U[None], 0.0, replace(spec0, forcing=Forcing()))  # -curl N(U)
+        pf = 0.0 if (cf := spec0.forcing.curl(n)) is None else cf  # curl P_n f
     for sl in _blocks(times.size, n):
         values = vt.values(times[sl])
         if U is None:
@@ -181,7 +181,7 @@ def margin_series(family: CandidateFamily, vt: TestTrajectory, w: WeightSpec) ->
             nu = u.spec.nu
             diff = family.on_grid(i, sl, n) - values
             R[i, sl], W = rel_terms(diff, nu)
-            g[i, sl] = W + pairing(a0 + nu * viscous if nu else a0, diff)
+            g[i, sl] = W + _velocity_pairing(a0 + nu * viscous if nu else a0, diff)
     I = cumulative_weight_integral(weight_value(norms, w), times)
     damp, series = np.exp(-I), []
     for Ri, gi in zip(R, g):

@@ -9,9 +9,9 @@ onto Hermitian symmetry.  The Nyquist row and column (|k| = n/2) are
 always zeroed to keep the retained band symmetric under k -> -k.  Parseval
 sums count the columns 0 < ky < n/2 twice, for themselves and their mirrors.
 
-Wavenumber tables (k, |k|^2, 1/|k|^2, Nyquist and 2/3-rule dealias masks)
-are built once per grid size by ``spectral_tables`` and shared read-only
-by every caller.
+Wavenumber tables (k, |k|^2, 1/|k|^2, the energy weight, Nyquist and 2/3-rule
+dealias masks) are built once per grid size by ``spectral_tables`` and shared
+read-only by every caller.
 
 A transform between a half spectrum and a grid runs its column pass only
 on the columns that can be nonzero (inverse) or that are kept (forward).
@@ -85,6 +85,7 @@ class Tables:
     ky: np.ndarray
     k2: np.ndarray       # |k|^2
     inv_k2: np.ndarray   # 1/|k|^2, 0 at k = 0
+    energy: np.ndarray   # 1/|k|^2, 1 at k = 0: a vorticity's velocity weight (solver._curl)
     nyquist: np.ndarray  # False on the |kx| = n/2 or |ky| = n/2 modes
     dealias: np.ndarray  # 2/3 rule: |kx|, |ky| <= (n - 1) // 3
 
@@ -99,7 +100,7 @@ def spectral_tables(n: int) -> Tables:
     # strict cut: at n divisible by 3 the modes |k| = n/3 would alias
     # onto the retained band in a quadratic product
     cut = (n - 1) // 3
-    arrays = dict(kx=kx, ky=ky, k2=k2, inv_k2=inv_k2,
+    arrays = dict(kx=kx, ky=ky, k2=k2, inv_k2=inv_k2, energy=np.where(k2 == 0, 1.0, inv_k2),
                   nyquist=(np.abs(kx) != n // 2) & (np.abs(ky) != n // 2),
                   dealias=(np.abs(kx) <= cut) & (np.abs(ky) <= cut))
     for a in arrays.values():
@@ -227,11 +228,6 @@ def project(c: np.ndarray, tab: Tables) -> np.ndarray:
 def pairing(a: np.ndarray, b: np.ndarray):
     """L2 inner products by Parseval of coefficients (..., components, n, n//2 + 1)."""
     return TWO_PI ** 2 * _mode_sum((a * np.conj(b)).real)
-
-
-def h1_squared(c: np.ndarray):
-    """||grad u||_L2^2 of coefficients (..., components, n, n//2 + 1)."""
-    return TWO_PI ** 2 * _mode_sum(spectral_tables(c.shape[-2]).k2 * np.abs(c) ** 2)
 
 
 # -- resampling and fine-grid samples ------------------------------------------------------

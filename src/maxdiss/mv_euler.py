@@ -18,9 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import (Grid, _embed, _mode_sum, _sym_eigenvalues, pairing, save_samples,
-                     spectral_tables, tensor_samples)
-from .solver import Trajectory, _shares_samples
+from .fields import (Grid, _embed, _mode_sum, _sym_eigenvalues, save_samples, spectral_tables,
+                     tensor_samples)
+from .solver import Trajectory, _shares_samples, _velocity
 
 DEFECT_COMPONENTS = ("m11", "m12", "m22")
 
@@ -138,24 +138,25 @@ def defect_from_pair(fine: Trajectory, coarse: Trajectory,
     # member is allowed to miss exactly the content the defect absorbs
     kx, ky = fine.grid.wavenumbers()
     low = (np.abs(kx) <= mollifier_kmax) & (np.abs(ky) <= mollifier_kmax)
-    cpad = _embed(coarse.coeffs[0], coarse.grid.n, n)
-    gap0 = np.sqrt(_mode_sum(np.abs((fine.coeffs[0] - cpad) * low) ** 2))
-    scale = max(np.sqrt(_mode_sum(np.abs(fine.coeffs[0]) ** 2)), 1.0)
+    f0, c0 = _velocity(fine.vorticity[0]), _embed(_velocity(coarse.vorticity[0]), coarse.grid.n, n)
+    gap0 = np.sqrt(_mode_sum(np.abs((f0 - c0) * low) ** 2))
+    scale = max(np.sqrt(_mode_sum(np.abs(f0) ** 2)), 1.0)
     if gap0 > 1e-8 * scale:
         raise MVError(f"fine/coarse initial data differ ({gap0:g}) "
                       f"below the mollifier scale")
     m2 = 2 * n
     T = fine.times.size
     density = np.empty((T, 3, n, n))
-    # sample by sample: the 2n-grid tensors of a whole series are large
+    # sample by sample, from the velocities: the 2n-grid tensors of a whole series are large
     for k in range(T):
-        raw = tensor_samples(fine.coeffs[k], m2) - tensor_samples(coarse.coeffs[k], m2)
+        raw = (tensor_samples(_velocity(fine.vorticity[k]), m2)
+               - tensor_samples(_velocity(coarse.vorticity[k]), m2))
         density[k] = _lowpass_restrict(raw, m2, n, mollifier_kmax)
     clipped, magnitude = psd_clip(density)
     trace_scale = float(np.mean(np.abs(clipped[:, 0] + clipped[:, 2])))
     # roundoff floor: a vanishing defect produces eigenvalues at machine
     # precision relative to the velocity energy density, not the trace scale
-    energy_density = pairing(fine.coeffs, fine.coeffs).max() / (2 * np.pi) ** 2
+    energy_density = 2.0 * fine.energies().max() / (2 * np.pi) ** 2
     floor = 1e-12 * max(energy_density, 1.0)
     if magnitude > max(clip_fail_ratio * trace_scale, floor):
         raise MVError(f"PSD projection too large: clip {magnitude:g} "

@@ -4,9 +4,9 @@ The quantities here make up both sides of the Gronwall-weighted relative
 energy inequality: R measures the squared L2 distance to a test
 trajectory, W the viscous dissipation of the difference, K the strain
 regularity weight entering the Gronwall factor, and A the PDE residual of
-the test trajectory.  The kernels take coefficients stacked over leading
-axes, (..., 2, n, n//2 + 1), and return one value or field per leading
-index.  K and A depend only on the test (A affinely on nu), so the
+the test trajectory.  The kernels take vorticity half spectra (``solver._curl``),
+stacked over leading axes, (..., n, n//2 + 1), and return one value or field
+per leading index.  K and A depend only on the test (A affinely on nu), so the
 certifier computes them once for all members.
 """
 
@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import h1_squared, pairing, samples, spectral_tables
-from .solver import SystemSpec, _curl, _curl_rhs, _velocity, _Workspace
+from .fields import samples, spectral_tables
+from .solver import SystemSpec, _curl_rhs, _velocity_pairing, _Workspace
 
 
 class WeightError(ValueError):
@@ -53,27 +53,30 @@ class WeightSpec:
 # -- quadratic functionals --------------------------------------------------
 
 def rel_terms(d: np.ndarray, nu: float):
-    """R = 1/2 ||d||^2 and W = nu/2 ||grad d||^2 of stacked differences d = u - v."""
-    R = 0.5 * pairing(d, d)
-    return R, (0.5 * nu * h1_squared(d) if nu else np.zeros_like(R))
+    """R = 1/2 ||d||^2 and W = nu/2 ||grad d||^2 = nu/2 <d, |k|^2 d> of the velocity
+    d = u - v of stacked vorticity differences, by ``_velocity_pairing``: W is nu/2
+    times the sum of |w|^2 over k != 0."""
+    R = 0.5 * _velocity_pairing(d, d)
+    return R, (0.5 * nu * _velocity_pairing(d, spectral_tables(d.shape[-2]).k2 * d) if nu
+               else np.zeros_like(R))
 
 
 # -- regularity weight ------------------------------------------------------
 
-def weight_norms(values: np.ndarray) -> np.ndarray:
-    """The nu-free factor of K for stacked solenoidal test states: the max over
-    the 2x grid of |S|, the spectral norm of the strain S = (grad v)_sym.
+def weight_norms(w: np.ndarray) -> np.ndarray:
+    """The nu-free factor of K for stacked test vorticities w: the max over the 2x
+    grid of |S|, the spectral norm of the strain S = (grad v)_sym of their velocity v.
 
-    The precondition is div v = 0: then S is trace-free, its eigenvalues are
-    +-|S| with |S| = sqrt(s11^2 + s12^2), s11 = d_x v_x and
-    s12 = (d_y v_x + d_x v_y) / 2, and |b(w, v, w)| = |int w.S w| <= sup |S| ||w||^2,
-    so kappa >= 2 times R(u|v) bounds b(u - v, v, u - v) from both sides, for
-    every nu >= 0.  Shears such as (sin y, 0) carry weight through s12.
+    v is solenoidal, so S is trace-free, its eigenvalues are +-|S| with |S| =
+    sqrt(s11^2 + s12^2), s11 = d_x v_x = -kx ky w / |k|^2, s12 = (d_y v_x + d_x v_y) / 2
+    = (kx^2 - ky^2) w / (2 |k|^2), and |b(d, v, d)| = |int d.S d| <= sup |S| ||d||^2, so
+    kappa >= 2 times R(u|v) bounds b(u - v, v, u - v) from both sides, for every
+    nu >= 0.  Shears such as (sin y, 0) carry weight through s12.
     """
-    tab = spectral_tables(values.shape[-2])
-    vx, vy = values[..., 0, :, :], values[..., 1, :, :]
-    s = samples(np.stack([1j * tab.kx * vx, 0.5j * (tab.ky * vx + tab.kx * vy)], axis=-3),
-                2 * values.shape[-2])
+    n, tab = w.shape[-2], spectral_tables(w.shape[-2])
+    s = samples(np.stack([-tab.kx * tab.ky * tab.inv_k2 * w,
+                          0.5 * (tab.kx * tab.kx - tab.ky * tab.ky) * tab.inv_k2 * w], axis=-3),
+                2 * n)
     s *= s  # in place: fresh (B, 2n, 2n) temporaries cost more than the arithmetic
     return np.sqrt(np.max(np.add(s[..., 0, :, :], s[..., 1, :, :], out=s[..., 0, :, :]),
                           axis=(-2, -1)))
@@ -86,15 +89,14 @@ def weight_value(norms: np.ndarray, w: WeightSpec) -> np.ndarray:
 
 # -- residual -------------------------------------------------------------
 
-def residual_A(values: np.ndarray, derivs: np.ndarray, spec: SystemSpec) -> np.ndarray:
-    """A = P[d/dt v + (v.grad)v - nu Lap v - f] of stacked solenoidal test states (as
-    ``weight_norms`` needs; P leaves d/dt v and |k|^2 v as they are), through the
-    stepper's one nonlinear kernel: d/dt v + nu |k|^2 v - N(v), N(v) the velocity
-    (``solver._velocity``) of ``solver._curl_rhs`` on the curl of v with curl f;
-    A_nu = A_0 + nu |k|^2 v, so ``margin_series`` calls it once at nu = 0."""
-    n, w = spec.grid.n, _curl(values)  # _curl_rhs reads w before it writes its output there
-    nl = _curl_rhs(w, spec, spec.forcing.curl(n), _Workspace(w.shape[:-2], n), w)
-    return derivs + spec.nu * spectral_tables(n).k2 * values - _velocity(nl)
+def residual_A(w: np.ndarray, dw: np.ndarray, spec: SystemSpec) -> np.ndarray:
+    """curl A, with A's mean at k = 0, of A = P[d/dt v + (v.grad)v - nu Lap v - f] for
+    stacked test vorticities w and their time derivatives dw, through the stepper's
+    one nonlinear kernel: dw + nu |k|^2 w - ``solver._curl_rhs``(w) with curl f;
+    A_nu = A_0 + nu |k|^2 w, so ``margin_series`` calls it once at nu = 0."""
+    n = spec.grid.n
+    nl = _curl_rhs(w, spec, spec.forcing.curl(n), _Workspace(w.shape[:-2], n), np.empty_like(w))
+    return dw + spec.nu * spectral_tables(n).k2 * w - nl
 
 
 # -- Gronwall machinery -----------------------------------------------------

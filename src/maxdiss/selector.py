@@ -19,9 +19,9 @@ from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
-from .fields import Grid, _embed, pairing, spectral_tables
+from .fields import Grid, _embed, spectral_tables
 from .relenergy import cumulative_weight_integral
-from .solver import Trajectory, _shares_samples
+from .solver import Trajectory, _shares_samples, _velocity_pairing
 
 
 class SelectorError(ValueError):
@@ -65,12 +65,11 @@ class CandidateFamily:
     def n(self) -> int:
         return max(tr.grid.n for tr in self.trajs)
 
-    def on_grid(self, i: int, sl=slice(None), n: int | None = None, vorticity: bool = False):
-        """Member i's velocity samples ``sl`` (its vorticity with ``vorticity``) on the
-        common grid or on grid n, by ``_embed``: exact zero-padding, or truncation."""
+    def on_grid(self, i: int, sl=slice(None), n: int | None = None):
+        """Member i's vorticity samples ``sl`` on the common grid or on grid n, by
+        ``_embed``: exact zero-padding, or truncation."""
         tr, n = self.trajs[i], self.n if n is None else n
-        states = (tr.vorticity if vorticity else tr.coeffs)[sl]
-        return states if tr.grid.n == n else _embed(states, tr.grid.n, n)
+        return tr.vorticity[sl] if tr.grid.n == n else _embed(tr.vorticity[sl], tr.grid.n, n)
 
     def subfamily(self, member_ids) -> "CandidateFamily":
         """The members named in ``member_ids``, in this family's order."""
@@ -80,11 +79,11 @@ class CandidateFamily:
     @functools.cached_property
     def H(self) -> np.ndarray:
         """(m, m), H_ij = int_0^T <u_i, u_j> dt by the certifier's Simpson rule, integrated
-        on first use from the members' velocities on the common grid, which are not kept."""
-        m, coeffs = self.size, [self.on_grid(i) for i in range(self.size)]
+        on first use from the members' vorticities on the common grid."""
+        m, w = self.size, [self.on_grid(i) for i in range(self.size)]
         gram = np.empty((self.times.size, m, m))
         for i, j in combinations_with_replacement(range(m), 2):
-            gram[:, i, j] = gram[:, j, i] = pairing(coeffs[i], coeffs[j])
+            gram[:, i, j] = gram[:, j, i] = _velocity_pairing(w[i], w[j])
         return gram[0] if self.times.size == 1 else cumulative_weight_integral(gram, self.times)[-1]
 
     def mix(self, weights: SimplexWeights) -> Trajectory:
@@ -96,7 +95,7 @@ class CandidateFamily:
         spec = replace(self.trajs[0].spec, grid=Grid(self.n),
                        dt=min(tr.spec.dt for tr in self.trajs))
         return Trajectory(spec, self.times,
-                          sum(w * self.on_grid(i, vorticity=True) for i, w in enumerate(lam)),
+                          sum(w * self.on_grid(i) for i, w in enumerate(lam)),
                           provenance=f"mixture lambda={lam.tolist()}")
 
 
@@ -174,11 +173,11 @@ def select(family: CandidateFamily, data_rtol: float = 1e-8) -> SelectionResult:
     first, n_min = family.trajs[0], min(tr.grid.n for tr in family.trajs)
     # the initial data truncated to the coarsest grid, its Nyquist modes zeroed
     u0 = [family.on_grid(i, 0, n_min) * spectral_tables(n_min).nyquist for i in range(m)]
-    scale = max(np.sqrt(pairing(u0[0], u0[0])), 1.0)
+    scale = max(np.sqrt(_velocity_pairing(u0[0], u0[0])), 1.0)
     for mid, tr, u in zip(family.member_ids[1:], family.trajs[1:], u0[1:]):
         if tr.spec.nu != first.spec.nu:
             raise SelectorError(f"{mid}: viscosity mismatch: {tr.spec.nu} vs {first.spec.nu}")
-        if (gap := np.sqrt(pairing(u - u0[0], u - u0[0]))) > data_rtol * scale:
+        if (gap := np.sqrt(_velocity_pairing(u - u0[0], u - u0[0]))) > data_rtol * scale:
             raise SelectorError(f"{mid}: initial data mismatch ({gap:g}) with "
                                 f"{family.member_ids[0]}'s after truncation")
     eig, vec = np.linalg.eigh(family.H)

@@ -12,15 +12,16 @@ is solenoidal by construction; the k = 0 entry, which the curl lacks,
 carries the velocity mean as v_x + i v_y.  ``solve`` takes the curl once and
 runs the stages of every step in one reused ``_Workspace``; every step is
 checked finite, its column ky = 0 averaged onto Hermitian symmetry and its
-energy bounded.  ``Trajectory`` stores the sampled vorticity, on disk too.
-Tables are cached per grid and per (n, nu, dt); ``Forcing`` builds f and curl f
-once per grid size.  The one nonlinear kernel, ``_curl_rhs``, takes the term in
+energy bounded.  Trajectories (on disk too) and test trajectories hold w; energies
+and pairings of their velocities are weighted sums over w (``_velocity_pairing``),
+and only a physical product rebuilds the velocity (``_velocity``).  Tables are
+cached per grid and per (n, nu, dt); ``Forcing`` builds curl f once per grid
+size.  The one nonlinear kernel, ``_curl_rhs``, takes the term in
 Basdevant's form: with a = v_x^2 - v_y^2 and b = v_x v_y, it is P[-div T]
 for T = [[a/2, b], [b, -a/2]], which differs from v (x) v by |v|^2/2 I, whose
 divergence is a gradient that the Leray projection removes; its curl takes four
 real transforms, the column passes on the 2/3 band's columns only (``_products``).
-The stepper calls it, and the certificate's residual ``relenergy.residual_A``
-takes its velocity.
+The stepper calls it, and so does the certificate's ``relenergy.residual_A``.
 """
 
 from __future__ import annotations
@@ -34,14 +35,15 @@ from pathlib import Path
 import numpy as np
 
 from .fields import (
+    TWO_PI,
     FieldError,
     Grid,
     SpectralField,
+    _mode_sum,
     from_function,
     load_field,
     load_samples,
     normalized,
-    pairing,
     resample,
     save_samples,
     spectral_tables,
@@ -84,8 +86,8 @@ _ANALYTIC_PARAMS = {"gradient_potential": ("amplitude",), "kolmogorov": ("amplit
 class Forcing:
     """Time-independent right-hand side: zero, analytic registry entry, or file.
 
-    Its coefficients and their curl are built once per grid size and reused by
-    later calls; a file forcing is read and checked when the Forcing is made.
+    Its curl is built once per grid size and reused by later calls; a file
+    forcing is read and checked when the Forcing is made.
     """
 
     kind: str = "zero"
@@ -123,22 +125,15 @@ class Forcing:
                 raise SolverError(f"forcing/path: {self.path}: one component, need two")
             object.__setattr__(self, "_file_coeffs", f.coeffs)
 
-    def coeffs(self, n: int) -> np.ndarray | None:
-        """Coefficients (2, n, n//2 + 1) on the n x n grid; None for zero forcing."""
-        return self._on(n)[0]
-
     def curl(self, n: int) -> np.ndarray | None:
-        """Its curl with its mean (``_curl``), whose velocity is P_n f; None for zero forcing."""
-        return self._on(n)[1]
-
-    def _on(self, n: int) -> tuple:
-        """(f, curl f) on the n x n grid, built on the first lookup."""
+        """curl f on the n x n grid with the mean of f (``_curl``), whose velocity is
+        P_n f, built on the first lookup; None for zero forcing."""
         if self.kind == "zero":
-            return None, None
+            return None
         if n not in self._on_grid:
             f = (ANALYTIC_FORCINGS[self.name](Grid(n), self.params).coeffs
                  if self.kind == "analytic" else resample(self._file_coeffs, n))
-            self._on_grid[n] = f, _curl(f)
+            self._on_grid[n] = _curl(f)
         return self._on_grid[n]
 
     def to_dict(self) -> dict:
@@ -253,6 +248,17 @@ def _velocity(w: np.ndarray) -> np.ndarray:
     return out
 
 
+def _velocity_pairing(a: np.ndarray, b: np.ndarray):
+    """L2 inner products <v_a, v_b> of the velocities of vorticity half spectra a and b
+    (..., n, n//2 + 1) (``_curl``), one per leading index: by Parseval, |v|^2 = |w|^2 / |k|^2
+    mode by mode and |v(0)|^2 = |w(0)|^2 for the mean, the weight ``Tables.energy``.
+    Re(a conj b) is formed in place from real parts: fresh temporaries cost more."""
+    p = a.real * b.real
+    p += a.imag * b.imag
+    p *= spectral_tables(a.shape[-2]).energy
+    return TWO_PI ** 2 * _mode_sum(p[..., None, :, :])
+
+
 def _hermitian_column(w: np.ndarray) -> np.ndarray:
     """w, vorticity half spectra, with the column ky = 0 (w(kx, 0) and its mirror
     w(-kx, 0)) averaged onto Hermitian symmetry in place, k = 0 (the mean) aside."""
@@ -362,8 +368,7 @@ _STATES_LAYOUT = "vorticity_half_spectrum_packed"
 class Trajectory:
     """Time-sampled states of one Galerkin run as their vorticity, (T, n, n//2 + 1) in
     ``_curl``'s layout with the mean at k = 0: vorticity[k] is the state at times[k].
-    Its velocity ``coeffs`` (T, 2, n, n//2 + 1), solenoidal by construction, is built
-    once, on first use."""
+    Its velocity, solenoidal by construction, is ``_velocity`` of a sample."""
 
     spec: SystemSpec
     times: np.ndarray
@@ -371,36 +376,30 @@ class Trajectory:
     provenance: str = ""
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=np.float64)
+        t = np.asarray(self.times, dtype=np.float64).view()
         if not (t.ndim == 1 and t.size and t[0] == 0.0 and np.all(np.diff(t) > 0)
                 and np.isfinite(t[-1])):  # NaN: not > 0
             raise SolverError("times: must be finite, 1-D, start at 0 and increase strictly")
         shape = (t.size, self.grid.n, self.grid.n // 2 + 1)
         if np.shape(self.vorticity) != shape:
             raise SolverError(f"vorticity shape {np.shape(self.vorticity)}, need {shape}")
-        w = np.asarray(self.vorticity, dtype=np.complex128).view()  # read-only, not a copy
-        t.flags.writeable = w.flags.writeable = False
+        w = np.asarray(self.vorticity, dtype=np.complex128).view()
+        t.flags.writeable = w.flags.writeable = False  # views: the caller's arrays stay writable
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "vorticity", w)
-
-    @functools.cached_property
-    def coeffs(self) -> np.ndarray:
-        """The velocity coefficients (T, 2, n, n//2 + 1), read-only."""
-        v = _velocity(self.vorticity)
-        v.flags.writeable = False
-        return v
 
     @property
     def grid(self) -> Grid:
         return self.spec.grid
 
     def energies(self) -> np.ndarray:
-        return 0.5 * pairing(self.coeffs, self.coeffs)
+        """1/2 ||v||^2 of every sample, the energy the stepper bounds."""
+        return 0.5 * _velocity_pairing(self.vorticity, self.vorticity)
 
     def save(self, out_dir) -> None:
         """Write manifest.json (spec, times, provenance) and states.fld, the vorticity
         packed to (T, 1, n - 1, n/2): the Nyquist row and column are zero and left out,
-        so that load gives back the same vorticity, and velocity, bit for bit."""
+        so that load gives back the same vorticity bit for bit."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         manifest = {
@@ -419,6 +418,8 @@ class Trajectory:
         try:
             manifest = json.loads((src / "manifest.json").read_text())
             spec, times = SystemSpec.from_dict(manifest["spec"]), np.array(manifest["times"], float)
+            if not times.size:
+                raise SolverError("times: empty, need the sample times from 0 to t_end")
             # on the dt grid and ending at t_end, to SystemSpec's 1e-9 t_end; NaN and inf are off
             with np.errstate(invalid="ignore"):
                 off = ~(np.abs(times - np.round(times / spec.dt) * spec.dt) <= 1e-9 * spec.t_end)
@@ -463,9 +464,8 @@ def solve(spec: SystemSpec, v0: SpectralField, sample_stride: int = 1,
     if sample_stride < 1:
         raise SolverError("sample_stride must be >= 1")
     n = spec.grid.n
-    w, tab = _curl(resample(v0.coeffs, n)), spectral_tables(n)
-    weight = np.where(tab.k2 == 0, 1.0, tab.inv_k2)  # energy: |w|^2 / |k|^2, the mean's
-    bound = 1e8 * max(0.5 * pairing(w[None], weight * w[None]), 1.0)
+    w = _curl(resample(v0.coeffs, n))
+    bound = 1e8 * max(0.5 * _velocity_pairing(w, w), 1.0)
     times = [0.0]
     # t = 0, then every sample_stride steps and the last step
     states = np.empty((1 + (spec.n_steps + sample_stride - 1) // sample_stride, *w.shape),
@@ -475,7 +475,7 @@ def solve(spec: SystemSpec, v0: SpectralField, sample_stride: int = 1,
     for step in range(spec.n_steps):
         t = step * spec.dt
         w = advance(w, spec, t, _ws=ws)
-        if 0.5 * pairing(w[None], weight * w[None]) > bound:
+        if 0.5 * _velocity_pairing(w, w) > bound:
             raise BlowUpError(f"energy blow-up at t={t + spec.dt:g}")
         if (step + 1) % sample_stride == 0 or step == spec.n_steps - 1:
             states[len(times)] = w
@@ -504,10 +504,11 @@ def taylor_green(t: float, nu: float, grid: Grid, amplitude: float = 1.0) -> Spe
 class TestTrajectory:
     """C^1-in-time trajectory used as a test function for certification.
 
-    ``values`` and ``derivs`` map an array of times to stacked solenoidal
-    coefficients (len(times), 2, n, n//2 + 1).  A ``separable`` test v = a(t) U
-    also has its fixed solenoidal ``shape`` U (2, n, n//2 + 1) and ``amplitude``,
-    times -> (a, a'): its values are a U, its derivatives a' U, and
+    ``values`` and ``derivs`` map an array of times to the stacked vorticity half
+    spectra (len(times), n, n//2 + 1) of the test and of its time derivative, in
+    ``_curl``'s layout, so the test is solenoidal by construction.  A ``separable``
+    test v = a(t) U also has its fixed ``shape`` U (n, n//2 + 1), a vorticity too, and
+    ``amplitude``, times -> (a, a'): its values are a U, its derivatives a' U, and
     ``certificate.margin_series`` runs its kernels once, on U.  The tests
     ``scenarios.build_tests`` names are: ``taylor_green`` (the closed-form
     decaying vortex, rescaled) and ``zero`` (its amplitude 0).
@@ -521,8 +522,8 @@ class TestTrajectory:
 
     @classmethod
     def separable(cls, shape: np.ndarray, amplitude, grid: Grid, label: str) -> "TestTrajectory":
-        return cls(lambda times: amplitude(times)[0][:, None, None, None] * shape,
-                   lambda times: amplitude(times)[1][:, None, None, None] * shape,
+        return cls(lambda times: amplitude(times)[0][:, None, None] * shape,
+                   lambda times: amplitude(times)[1][:, None, None] * shape,
                    grid, label, shape, amplitude)
 
     @classmethod
@@ -532,7 +533,7 @@ class TestTrajectory:
             a = amplitude * np.exp(-2.0 * nu * np.asarray(times))
             return a, -2.0 * nu * a
 
-        vt = cls.separable(_unit_taylor_green(grid.n), a, grid,
+        vt = cls.separable(_curl(_unit_taylor_green(grid.n)), a, grid,
                            label or f"taylor_green(nu={nu:g}, a={amplitude:g})")
         vt.derivs = lambda times: -2.0 * nu * vt.values(times)  # a' U, as -2 nu v bit for bit
         return vt

@@ -1,5 +1,7 @@
 """Helpers that only the tests use, built on the package: trajectories from
-velocity stacks, test trajectories from closed forms, splines and
+velocity stacks and the velocity of a trajectory, the H1 seminorm and the raw
+forcing on a grid, the velocity form of the certificate's margins, test
+trajectories from closed forms, splines and
 perturbations, the phi-weighted form of the relative energy inequality, weak
 residual recovery, velocity gradients and the trilinear form, the convex
 sweep and the continuous-dependence study of a selection, the Taylor-Green
@@ -8,6 +10,7 @@ convex combination, the reader of a stored defect field and the benchmark's
 workload configs."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,14 +19,15 @@ from scipy.interpolate import CubicSpline
 
 from maxdiss import certificate
 from maxdiss.certificate import margin_series
-from maxdiss.fields import (TWO_PI, Grid, SpectralField, _embed, from_function, load_samples,
-                            normalized, pairing, resample, samples, spectral_tables,
-                            tensor_samples)
+from maxdiss.fields import (TWO_PI, Grid, SpectralField, _embed, _mode_sum, from_function,
+                            load_samples, normalized, pairing, resample, samples,
+                            spectral_tables, tensor_samples)
 from maxdiss.mv_euler import DefectField, MVError
 from maxdiss.relenergy import (cumulative_weight_integral, rel_terms, residual_A, weight_norms,
                                weight_value)
 from maxdiss.selector import SimplexWeights, assemble_family, select
-from maxdiss.solver import SolverError, TestTrajectory, Trajectory, _curl
+from maxdiss.solver import (ANALYTIC_FORCINGS, SolverError, TestTrajectory, Trajectory, _curl,
+                            _velocity, _velocity_pairing)
 
 
 def perfbench_configs() -> list:
@@ -50,22 +54,60 @@ def from_velocity(spec, times, v, provenance: str = "") -> Trajectory:
     return Trajectory(spec, times, _curl(normalized(v, spec.grid.n, solenoidal=True)), provenance)
 
 
+def velocity(traj) -> np.ndarray:
+    """The velocity coefficients (T, 2, n, n//2 + 1) of a trajectory's vorticity."""
+    return _velocity(traj.vorticity)
+
+
+def h1_squared(c: np.ndarray):
+    """||grad u||_L2^2 of coefficients (..., components, n, n//2 + 1)."""
+    return TWO_PI ** 2 * _mode_sum(spectral_tables(c.shape[-2]).k2 * np.abs(c) ** 2)
+
+
+def forcing_coeffs(forcing, n):
+    """The coefficients (2, n, n//2 + 1) of f itself on the n x n grid, which
+    ``Forcing.curl`` takes the curl of; None for zero forcing."""
+    if forcing.kind == "zero":
+        return None
+    if forcing.kind == "analytic":
+        return ANALYTIC_FORCINGS[forcing.name](Grid(n), forcing.params).coeffs
+    return resample(forcing._file_coeffs, n)
+
+
+def velocity_margins(u, vt, w) -> np.ndarray:
+    """The damped margins of u against the test vt, in the velocity form of the
+    relative energy inequality: R = 1/2 ||d||^2, W = nu/2 ||grad d||^2 and <A, d> of
+    the velocities (``_velocity``) of d = u - v and of A, with ``pairing`` and
+    ``h1_squared``; the oracle of ``margin_series``'s vorticity form."""
+    times, nu = u.times, u.spec.nu
+    values = vt.values(times)
+    norms = weight_norms(values)
+    d = _velocity(_embed(u.vorticity, u.grid.n, vt.grid.n) - values)
+    A = _velocity(residual_A(values, vt.derivs(times), replace(u.spec, grid=vt.grid)))
+    R = 0.5 * pairing(d, d)
+    g = 0.5 * nu * h1_squared(d) + pairing(A, d)
+    I = cumulative_weight_integral(weight_value(norms, w), times)
+    lhs = np.exp(-I) * R + cumulative_weight_integral(g * np.exp(-I), times)
+    return R[0] - lhs
+
+
 def analytic_test(value_fn, deriv_fn, grid, label="analytic"):
-    """A test trajectory from callables t -> solenoidal coefficients (2, n, n//2 + 1)."""
-    return TestTrajectory(lambda times: np.stack([value_fn(t) for t in times]),
-                          lambda times: np.stack([deriv_fn(t) for t in times]),
+    """A test trajectory from callables t -> solenoidal velocity coefficients
+    (2, n, n//2 + 1), held as their curl."""
+    return TestTrajectory(lambda times: _curl(np.stack([value_fn(t) for t in times])),
+                          lambda times: _curl(np.stack([deriv_fn(t) for t in times])),
                           grid, label)
 
 
 def spline_test(traj, label="spline"):
-    """The not-a-knot cubic spline through the samples of a trajectory."""
-    spline = CubicSpline(traj.times, traj.coeffs, axis=0, bc_type="not-a-knot")
+    """The not-a-knot cubic spline through the vorticity samples of a trajectory."""
+    spline = CubicSpline(traj.times, traj.vorticity, axis=0, bc_type="not-a-knot")
     return TestTrajectory(spline, spline.derivative(), traj.grid, label)
 
 
 def perturbed_test(base, r, alpha):
     """base + alpha r, with r solenoidal and constant in time."""
-    return TestTrajectory(lambda times: base.values(times) + alpha * r.coeffs, base.derivs,
+    return TestTrajectory(lambda times: base.values(times) + alpha * _curl(r.coeffs), base.derivs,
                           base.grid, f"{base.label}+{alpha:g}r")
 
 
@@ -107,7 +149,8 @@ def recover_weak_residual(u, r, alphas, w):
     for sl in certificate._blocks(times.size, u.grid.n):
         values = base.values(times[sl])
         K[sl] = weight_value(weight_norms(values), w)
-        pair[sl] = pairing(residual_A(values, base.derivs(times[sl]), u.spec), r.coeffs)
+        pair[sl] = _velocity_pairing(residual_A(values, base.derivs(times[sl]), u.spec),
+                                     _curl(r.coeffs))
     I = cumulative_weight_integral(K, times)
     return c1, float(simpson(pair * np.exp(-I), times))
 
@@ -149,8 +192,8 @@ def continuous_dependence_study(family_builder, deltas):
     rel, low = [], []
     for delta in deltas:
         sel = select(family_builder(delta)).trajectory
-        rel.append(float(rel_terms(sel.coeffs - base.coeffs, 0.0)[0].max()))
-        d = resample(sel.coeffs, 8) - resample(base.coeffs, 8)
+        rel.append(float(rel_terms(sel.vorticity - base.vorticity, 0.0)[0].max()))
+        d = resample(velocity(sel), 8) - resample(velocity(base), 8)
         low.append(float(np.sqrt(simpson(pairing(d, d), sel.times))))
     return rel, low
 
@@ -213,28 +256,28 @@ def mv_equation_residual(v, m, f, phis) -> dict:
     times = v.times
     n_q = 2 * max(v.grid.n, m.grid.n if m is not None else 0)
     h = 2 * np.pi / n_q
-    results = {}
+    results, v_coeffs = {}, velocity(v)
     for phi in phis:
         nc = max(v.grid.n, phi.grid.n)
 
         def common(c):  # the spectrum on the shared nc grid
             return c if c.shape[-2] == nc else _embed(c, c.shape[-2], nc)
 
-        force = f.coeffs(phi.grid.n)
+        force = f.curl(phi.grid.n)
         vals = np.empty(times.size)
         for sl in certificate._blocks(times.size, n_q // 2):
             ph = phi.values(times[sl])
-            dval = pairing(common(v.coeffs[sl]), common(phi.derivs(times[sl])))
-            g = samples(gradients(ph), n_q)
-            tens = tensor_samples(v.coeffs[sl], n_q)
+            dval = _velocity_pairing(common(v.vorticity[sl]), common(phi.derivs(times[sl])))
+            g = samples(gradients(_velocity(ph)), n_q)
+            tens = tensor_samples(v_coeffs[sl], n_q)
             if m is not None:
                 tens = tens + samples(np.fft.rfft2(m.density[sl], norm="forward"), n_q)
             stress = np.sum(tens[:, 0] * g[:, 0, 0] + tens[:, 1] * (g[:, 0, 1] + g[:, 1, 0])
                             + tens[:, 2] * g[:, 1, 1], axis=(-2, -1)) * h * h
-            vals[sl] = -dval - stress - (0.0 if force is None else pairing(force, ph))
+            vals[sl] = -dval - stress - (0.0 if force is None else _velocity_pairing(force, ph))
         start = phi.values(times[:1])[0]
         results[phi.label] = float(simpson(vals, times)
-                                   - pairing(common(v.coeffs[0]), common(start)))
+                                   - _velocity_pairing(common(v.vorticity[0]), common(start)))
     return results
 
 
@@ -245,8 +288,8 @@ def mv_convex_combine(v1, m1, v2, m2, lam):
     if v1.grid.n != v2.grid.n or m1.grid.n != m2.grid.n:
         raise MVError("combination requires matching resolutions")
     density = lam * m1.density + (1 - lam) * m2.density \
-        + lam * (1 - lam) * tensor_samples(v1.coeffs - v2.coeffs, m1.grid.n)
-    v = from_velocity(v1.spec, v1.times, lam * v1.coeffs + (1 - lam) * v2.coeffs)
+        + lam * (1 - lam) * tensor_samples(velocity(v1) - velocity(v2), m1.grid.n)
+    v = Trajectory(v1.spec, v1.times, lam * v1.vorticity + (1 - lam) * v2.vorticity)
     m = DefectField(grid=m1.grid, times=m1.times, density=density,
                     mollifier_kmax=min(m1.mollifier_kmax, m2.mollifier_kmax),
                     clip_magnitude=max(m1.clip_magnitude, m2.clip_magnitude))

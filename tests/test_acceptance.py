@@ -12,14 +12,15 @@ from support import (analytic_test, continuous_dependence_study, from_velocity,
                      mollified_indicator, mv_convex_combine, mv_equation_residual,
                      phi_form_value, recover_pressure, recover_weak_residual,
                      taylor_green_pressure, trace_leakage_bound, trilinears,
-                     verify_convex_midpoint, worst_margin, zero_defect)
+                     velocity, verify_convex_midpoint, worst_margin, zero_defect)
 
 from maxdiss.certificate import ToleranceModel, certify, margin_series
 from maxdiss.fields import Grid, SpectralField, from_function, pairing, random_field
 from maxdiss.mv_euler import defect_from_pair, trace_energy_gap
 from maxdiss.relenergy import WeightSpec, rel_terms, weight_norms, weight_value
 from maxdiss.selector import assemble_family, objective, select
-from maxdiss.solver import Forcing, SystemSpec, TestTrajectory, Trajectory, solve, taylor_green
+from maxdiss.solver import (Forcing, SystemSpec, TestTrajectory, Trajectory, _curl, solve,
+                            taylor_green)
 
 STRAIN = WeightSpec()
 
@@ -71,9 +72,9 @@ def _convection_bound_draws(pairs, unit_norm):
             u = u * (1.0 / dist(u))
             v = v * (1.0 / dist(v))
         d = u - v
-        R, W = rel_terms(d, nu)
+        R, W = rel_terms(_curl(d), nu)
         lhs = abs(trilinears(d, d, v))
-        rhs = W + weight_value(weight_norms(v), STRAIN) * R
+        rhs = W + weight_value(weight_norms(_curl(v)), STRAIN) * R
         worst_ratio = max(worst_ratio, lhs / rhs)
         if lhs > rhs * (1 + 1e-12):
             violations += 1
@@ -128,7 +129,7 @@ def test_acceptance_05_selection_well_posed(tg_ladder, capsys):
     # the exact solve has no start point: restart it on permuted member orders
     sols = [select(assemble_family([tg_ladder[i] for i in order])).trajectory
             for order in ((1, 2, 0), (2, 0, 1))]
-    dist2 = [dist(a, b) ** 2 for a, b in zip(sols[0].coeffs, sols[1].coeffs)]
+    dist2 = [dist(a, b) ** 2 for a, b in zip(velocity(sols[0]), velocity(sols[1]))]
     gap = float(np.sqrt(simpson(np.array(dist2), x=fam.times)))
     ok = res.kkt_residual <= 1e-6 and vertex_ok and gap <= 1e-8
     _emit(capsys, 5, "3-member ladder selection: KKT "
@@ -173,7 +174,7 @@ def test_acceptance_07_euler_invariants(capsys):
 
     const = np.zeros((2, grid.n, grid.n // 2 + 1), dtype=complex)
     const[:, 0, 0] = (1.5, -0.5)
-    w_const = weight_value(weight_norms(const), STRAIN)
+    w_const = weight_value(weight_norms(_curl(const)), STRAIN)
     # the weight must bound -b(w, v, w)/||w||^2 over sampled solenoidal w for
     # a shear and a cellular flow, whose strain is all off-diagonal
     rng = np.random.default_rng(7)
@@ -184,7 +185,7 @@ def test_acceptance_07_euler_invariants(capsys):
               from_function(grid, lambda x, y: -np.sin(y),
                             lambda x, y: np.sin(x), solenoidal=True)):
         worst = max(-trilinears(w, v.coeffs, w) / pairing(w, w) for w in draws)
-        slack.append(weight_value(weight_norms(v.coeffs), STRAIN) - worst)
+        slack.append(weight_value(weight_norms(_curl(v.coeffs)), STRAIN) - worst)
 
     report = certify(traj, [TestTrajectory.taylor_green(0.0, grid,
                                                         label="steady")],
@@ -302,7 +303,8 @@ def test_acceptance_12_selection_mixes_only_certified_members(tg_impostors, tmp_
                              member_ids=("tg", "decaying"))
     verdicts = stage_certify(cfg, family)
     summary = stage_select(cfg, family, verdicts)
-    gap = np.abs(Trajectory.load(tmp_path / "selected").coeffs - tg_impostors["tg"].coeffs).max()
+    gap = np.abs(velocity(Trajectory.load(tmp_path / "selected"))
+                 - velocity(tg_impostors["tg"])).max()
     ok = (verdicts == {"tg": True, "decaying": False} and summary["member_ids"] == ["tg"]
           and summary["excluded"] == ["decaying"] and summary["lambda"] == [1.0]
           and gap <= 1e-12)

@@ -7,18 +7,20 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import convection
-from support import (analytic_test, from_velocity, gradients, mollified_indicator,
-                     perfbench_configs, phi_form_value, recover_weak_residual, spline_test,
+from support import (analytic_test, forcing_coeffs, from_velocity, gradients, h1_squared,
+                     mollified_indicator, perfbench_configs, phi_form_value,
+                     recover_weak_residual, spline_test, velocity, velocity_margins,
                      worst_margin)
 
-from maxdiss.fields import (Grid, SpectralField, _embed, h1_squared, pairing, project,
-                            random_field, resample, samples, spectral_tables)
-from maxdiss.relenergy import WeightSpec, cumulative_weight_integral, residual_A
+from maxdiss.fields import (Grid, SpectralField, _embed, pairing, project, random_field,
+                            resample, samples, spectral_tables)
+from maxdiss.relenergy import WeightSpec, cumulative_weight_integral, rel_terms, residual_A
 from maxdiss import certificate
 from maxdiss.certificate import (CertificateError, ToleranceModel, certify, certify_members,
                                  margin_series)
 from maxdiss.selector import assemble_family
-from maxdiss.solver import Forcing, SystemSpec, TestTrajectory, Trajectory, solve, taylor_green
+from maxdiss.solver import (Forcing, SystemSpec, TestTrajectory, Trajectory, _curl, _velocity,
+                            solve, taylor_green)
 
 STRAIN = WeightSpec()
 
@@ -253,11 +255,11 @@ def _series_oracle(u, vt, w):
     with u zero-padded onto the test's grid."""
     spec, nu, times, n = u.spec, u.spec.nu, u.times, vt.grid.n
     tab = spectral_tables(n)
-    f = spec.forcing.coeffs(n)
+    f, coeffs = forcing_coeffs(spec.forcing, n), velocity(u)
     R, K, g = (np.zeros(times.size) for _ in range(3))
     for i, t in enumerate(times):
-        v, dv = (fn([t])[0] for fn in (vt.values, vt.derivs))
-        d = resample(u.coeffs[i], n) - v
+        v, dv = (_velocity(fn([t])[0]) for fn in (vt.values, vt.derivs))
+        d = resample(coeffs[i], n) - v
         R[i] = 0.5 * pairing(d, d)
         a = dv + convection(v) + nu * tab.k2 * v
         a = project(a if f is None else a - f, tab)
@@ -305,6 +307,35 @@ def test_margin_series_matches_per_sample_oracle(case):
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14, err_msg=name)
 
 
+@pytest.mark.parametrize("test", ["taylor_green", "spline"])
+def test_vorticity_margins_match_the_velocity_form(test):
+    # the margins that margin_series sums over the vorticity spectrum equal those of
+    # R, W and <A, d> taken on the velocities, for a forced member with a mean (the
+    # k = 0 weight) against the padded vortex and against another run's spline
+    nu, grid = 0.05, Grid(16)
+    spec = SystemSpec(nu=nu, grid=grid, t_end=0.05, dt=2.5e-3,
+                      forcing=Forcing("analytic", "kolmogorov", {"amplitude": 1.0}))
+    v0 = taylor_green(0.0, nu, grid).coeffs \
+        + 0.05 * random_field(grid, np.random.default_rng(16), kmax=3).coeffs
+    v0[:, 0, 0] = (0.3, -0.2)
+    u = solve(spec, SpectralField(grid, v0))
+    vt = (TestTrajectory.taylor_green(nu, Grid(24), amplitude=1.05) if test == "taylor_green"
+          else spline_test(solve(spec, taylor_green(0.0, nu, grid))))
+    series, = margin_series(assemble_family([u]), vt, STRAIN)
+    assert series.rel_energies[0] > 0.05
+    np.testing.assert_allclose(series.margins, velocity_margins(u, vt, STRAIN),
+                               rtol=0.0, atol=1e-13 * series.rel_energies[0])
+
+
+def test_relative_terms_of_a_vorticity_are_those_of_its_velocity(rng):
+    # 1/2 ||d||^2 and nu/2 ||grad d||^2 = nu/2 sum_{k != 0} |w_d|^2 on a random field
+    d = random_field(Grid(32), rng, kmax=10).coeffs.copy()
+    d[:, 0, 0] = (0.3, -0.2)
+    R, W = rel_terms(_curl(d), 0.3)
+    assert R == pytest.approx(0.5 * pairing(d, d), rel=1e-14)
+    assert W == pytest.approx(0.15 * h1_squared(d), rel=1e-14)
+
+
 @pytest.mark.parametrize("count", [1, 3])
 def test_test_side_terms_run_once_per_test_and_block(monkeypatch, count):
     # members of three viscosities and two grids share each test's weight norms
@@ -314,8 +345,8 @@ def test_test_side_terms_run_once_per_test_and_block(monkeypatch, count):
     u, vt, w = _oracle_case("euler")  # 21 samples in blocks of 8 at n = 32
     coarse = SystemSpec(nu=0.01, grid=Grid(16), t_end=u.spec.t_end, dt=u.spec.dt)
     members = [u, Trajectory(replace(u.spec, nu=0.1), u.times, u.vorticity),
-               from_velocity(coarse, u.times, resample(u.coeffs, 16))][:count]
-    sampled = analytic_test(lambda t: vt.values([t])[0], lambda t: vt.derivs([t])[0], vt.grid)
+               from_velocity(coarse, u.times, resample(velocity(u), 16))][:count]
+    sampled = TestTrajectory(vt.values, vt.derivs, vt.grid, "sampled")
     alone = [margin_series(assemble_family([m]), vt, w)[0] for m in members]
     calls = {"weight_norms": 0, "residual_A": 0}
     for name in calls:
@@ -349,7 +380,7 @@ def test_separable_test_matches_its_sampled_form(A):
         a = A * np.exp(-lam * np.asarray(times))
         return a, -lam * a
 
-    separable = TestTrajectory.separable(U, amplitude, grid, "separable")
+    separable = TestTrajectory.separable(_curl(U), amplitude, grid, "separable")
     sampled = analytic_test(lambda t: amplitude(t)[0] * U, lambda t: amplitude(t)[1] * U, grid)
     members = []
     for n in (16, 24):
@@ -357,8 +388,9 @@ def test_separable_test_matches_its_sampled_form(A):
         pert = random_field(spec.grid, np.random.default_rng(n), kmax=3)
         v0 = resample(A * U, n) + 0.1 * pert.coeffs
         members.append(solve(spec, SpectralField(spec.grid, v0)))
-    assert np.abs(project(forcing.coeffs(24), spectral_tables(24))).max() > 0.1
-    N = -residual_A(U[None], 0.0, SystemSpec(nu=0.0, grid=grid, t_end=0.05, dt=2.5e-3))[0]
+    assert np.abs(project(forcing_coeffs(forcing, 24), spectral_tables(24))).max() > 0.1
+    N = -_velocity(residual_A(_curl(U)[None], 0.0,
+                              SystemSpec(nu=0.0, grid=grid, t_end=0.05, dt=2.5e-3)))[0]
     assert np.sqrt(pairing(N, N)) > 0.1 * np.sqrt(pairing(U, U))
 
     def wrong_derivs(t):  # the sampled A_0 is then a' U - a N(U) - P_n f: a in place of a^2

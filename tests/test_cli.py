@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import dist, divergence_linf, stacked
-from support import from_velocity, perfbench_configs
+from support import forcing_coeffs, from_velocity, perfbench_configs, velocity
 
 import maxdiss
 from maxdiss.cli import (
@@ -32,7 +32,7 @@ from maxdiss.scenarios import (
     report,
     run_scenario,
 )
-from maxdiss.solver import Forcing, SystemSpec, Trajectory, taylor_green
+from maxdiss.solver import Forcing, SystemSpec, Trajectory, _curl, taylor_green
 
 
 def _base_cfg(**overrides):
@@ -308,8 +308,8 @@ def test_config_parses_readable_forcing_file(tmp_path):
     cfg["system"]["forcing"] = {"kind": "file", "path": str(path)}
     forcing = ScenarioConfig.from_dict(cfg).system.forcing
     path.unlink()  # read at parse time, not when a step needs it
-    assert np.abs(forcing.coeffs(16) - field.coeffs).max() <= 1e-15
-    assert forcing.coeffs(24).shape == (2, 24, 13)
+    assert np.abs(forcing_coeffs(forcing, 16) - field.coeffs).max() <= 1e-15
+    assert forcing.curl(24).shape == (24, 13)
 
 
 def _readme_config_sketch():
@@ -402,9 +402,9 @@ def test_exact_test_has_the_amplitude_of_the_scenario_vortex(tmp_path, scenario,
     config = ScenarioConfig.from_dict(cfg)
     grid = Grid(16)
     values = build_tests(config, grid)[0].values([0.0])[0]
-    assert np.array_equal(values, taylor_green(0.0, 0.1, grid, amplitude=exact).coeffs)
+    assert np.array_equal(values, _curl(taylor_green(0.0, 0.1, grid, amplitude=exact).coeffs))
     if scenario != "perturbed_tg":
-        assert np.array_equal(values, initial_condition(config, grid).coeffs)
+        assert np.array_equal(values, _curl(initial_condition(config, grid).coeffs))
         # the run's data is the exact test's: R(0) = 0
         run_scenario(config)
         member = sorted((tmp_path / "run" / "certificates").glob("*.json"))[0]
@@ -823,7 +823,7 @@ def test_cli_rejects_bad_states(tmp_path, capsys, command, damage):
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_OK
     member, states = out / "sim" / "n_16", out / "sim" / "n_16" / "states.fld"
     if damage == "velocity_layout":
-        save_samples(states, np.delete(Trajectory.load(member).coeffs[..., :8], 8, axis=-2),
+        save_samples(states, np.delete(velocity(Trajectory.load(member))[..., :8], 8, axis=-2),
                      extra={"layout": "half_spectrum_packed"})
         message = ("layout half_spectrum_packed, shape [11, 2, 15, 8]; the manifest needs "
                    "vorticity_half_spectrum_packed, [11, 1, 15, 8]: re-run simulate")
@@ -878,7 +878,7 @@ def test_cli_certify_rejects_incomplete_or_nonfinite_member_spec(tmp_path, capsy
     assert message in err and str(manifest) in err
 
 
-@pytest.mark.parametrize("case", ["last_infinite", "off_grid", "repeated", "not_1d",
+@pytest.mark.parametrize("case", ["last_infinite", "off_grid", "repeated", "not_1d", "empty",
                                   "members_differ"])
 def test_cli_certify_rejects_bad_sample_times(tmp_path, capsys, case):
     # sample times are finite, on the manifest's dt grid, end at t_end and increase
@@ -887,6 +887,7 @@ def test_cli_certify_rejects_bad_sample_times(tmp_path, capsys, case):
                "off_grid": "times: expected multiples of dt=0.0025 ending at t_end=0.25, got 0.076",
                "repeated": "times: must be finite, 1-D, start at 0 and increase strictly",
                "not_1d": "times: must be finite, 1-D, start at 0 and increase strictly",
+               "empty": "times: empty, need the sample times from 0 to t_end",
                "members_differ": "sample times or forcing differ from n_16's"}[case]
     cfg = _write_cfg(tmp_path, family={"resolutions": [16, 24], "sample_stride": 10})
     out = tmp_path / "run"
@@ -904,8 +905,10 @@ def test_cli_certify_rejects_bad_sample_times(tmp_path, capsys, case):
             d["times"][3] = 0.076
         elif case == "repeated":  # on the dt grid, but not increasing
             d["times"][3] = d["times"][2]
-        else:
+        elif case == "not_1d":
             d["times"] = [[t] for t in d["times"]]
+        else:  # the manifest is at fault, not the states.fld it no longer matches
+            d["times"] = []
         manifest.write_text(json.dumps(d))
     capsys.readouterr()
     assert main(["certify", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
@@ -1018,7 +1021,7 @@ def test_cli_mv_subcommand(tmp_path, capsys):
     fine = solve(spec, SpectralField(grid, taylor_green(0.0, nu, grid).coeffs + (1 / dist(r)) * r),
                  sample_stride=10)
     coarse = from_velocity(replace(spec, grid=Grid(16)), fine.times,
-                           resample(fine.coeffs, 16))
+                           resample(velocity(fine), 16))
     fine.save(tmp_path / "fine")
     coarse.save(tmp_path / "coarse")
     out = tmp_path / "defect"
@@ -1043,7 +1046,7 @@ def test_cli_mv_rejects_kmax_below_one(tmp_path, capsys, kmax):
     spec = SystemSpec(nu=0.1, grid=Grid(16), t_end=0.05, dt=2.5e-3)
     fine = solve(spec, taylor_green(0.0, 0.1, spec.grid), sample_stride=10)
     coarse = from_velocity(replace(spec, grid=Grid(8)), fine.times,
-                           resample(fine.coeffs, 8))
+                           resample(velocity(fine), 8))
     fine.save(tmp_path / "fine")
     coarse.save(tmp_path / "coarse")
     out = tmp_path / "defect"

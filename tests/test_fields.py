@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import dist, divergence_linf
-from support import gradients
+from support import gradients, h1_squared
 
 from maxdiss.fields import (
     FieldError,
@@ -15,7 +15,6 @@ from maxdiss.fields import (
     _embed,
     from_function,
     from_physical,
-    h1_squared,
     load_field,
     load_samples,
     pairing,

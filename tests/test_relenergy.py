@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import dist, rotational_rhs, stacked
-from support import analytic_test, from_velocity, trilinears
+from support import analytic_test, forcing_coeffs, from_velocity, trilinears
 
 from maxdiss.fields import Grid, from_function, pairing, project, random_field, spectral_tables
 from maxdiss.relenergy import (
@@ -19,7 +19,7 @@ from maxdiss.relenergy import (
 )
 from maxdiss.certificate import margin_series
 from maxdiss.selector import assemble_family
-from maxdiss.solver import Forcing, SystemSpec, TestTrajectory, taylor_green
+from maxdiss.solver import Forcing, SystemSpec, TestTrajectory, _curl, _velocity, taylor_green
 
 
 STRAIN = WeightSpec()
@@ -35,7 +35,7 @@ def _spec(nu=0.1, n=32):
 def test_rel_energy_basics():
     grid = Grid(32)
     v = taylor_green(0.0, 0.1, grid).coeffs
-    R = rel_terms(np.stack([v - v, v]), 0.0)[0]
+    R = rel_terms(_curl(np.stack([v - v, v])), 0.0)[0]
     assert R[0] == 0.0
     assert R[1] == pytest.approx(np.pi ** 2, rel=1e-13)
     assert R[1] == pytest.approx(0.5 * pairing(v, v), rel=1e-13)
@@ -46,7 +46,7 @@ def test_rel_energy_convexity_identity(rng):
     u1, u2, v = (random_field(grid, rng, kmax=4).coeffs for _ in range(3))
     for lam in (0.2, 0.5, 0.8):
         mix = lam * u1 + (1 - lam) * u2
-        R = rel_terms(np.stack([u1 - v, u2 - v, mix - v]), 0.0)[0]
+        R = rel_terms(_curl(np.stack([u1 - v, u2 - v, mix - v])), 0.0)[0]
         gap = lam * R[0] + (1 - lam) * R[1] - R[2]
         expect = lam * (1 - lam) * 0.5 * dist(u1, u2) ** 2
         assert gap == pytest.approx(expect, rel=1e-12)
@@ -56,9 +56,9 @@ def test_rel_dissipation():
     grid = Grid(32)
     v = taylor_green(0.0, 0.1, grid).coeffs
     nu = 0.3
-    assert rel_terms(v, 0.0)[1] == 0.0
+    assert rel_terms(_curl(v), 0.0)[1] == 0.0
     # TG sits on the |k|^2 = 2 shell: ||grad v||^2 = 2 ||v||^2 = 4 pi^2
-    W = rel_terms(np.stack([v, -v]), nu)[1]
+    W = rel_terms(_curl(np.stack([v, -v])), nu)[1]
     assert W[0] == pytest.approx(nu * 2 * np.pi ** 2, rel=1e-13)
     assert W[0] == pytest.approx(W[1], rel=1e-14)
 
@@ -74,7 +74,7 @@ def test_euler_negsym_weight():
     eps = 0.37
     strain = eps * taylor_green(0.0, 0.0, grid).coeffs
     w = WeightSpec(kind="euler_negsym", kappa=3.0)  # the alias of "strain"
-    K = weight_value(weight_norms(np.stack([const, 0.0 * const, strain])), w)
+    K = weight_value(weight_norms(_curl(np.stack([const, 0.0 * const, strain]))), w)
     assert K[0] == 0.0 and K[1] == 0.0
     assert K[2] == pytest.approx(3.0 * eps, rel=1e-10)
 
@@ -91,7 +91,7 @@ def test_euler_negsym_weight_bounds_sampled_trilinear(rng, v1, v2):
     worst = max(-trilinears(w, v.coeffs, w) / pairing(w, w)
                 for w in (random_field(grid, rng, kmax=6).coeffs for _ in range(300)))
     assert worst > 0.05
-    assert weight_value(weight_norms(v.coeffs), STRAIN) >= worst
+    assert weight_value(weight_norms(_curl(v.coeffs)), STRAIN) >= worst
 
 
 def test_euler_quadratic_form_bound(rng):
@@ -102,15 +102,15 @@ def test_euler_quadratic_form_bound(rng):
     v, u = stacked([vu[0] for vu in draws]), stacked([vu[1] for vu in draws])
     d = u - v
     lhs = -trilinears(d, v, d)  # = -int d (grad v)_sym d for solenoidal d
-    K = weight_value(weight_norms(v), STRAIN)
-    assert np.all(lhs <= K * 2 * rel_terms(d, 0.0)[0] * (1 + 1e-10) + 1e-12)
+    K = weight_value(weight_norms(_curl(v)), STRAIN)
+    assert np.all(lhs <= K * 2 * rel_terms(_curl(d), 0.0)[0] * (1 + 1e-10) + 1e-12)
 
 
 # -- residual ----------------------------------------------------------------
 
 def _residual(vt, t, spec):
-    """The residual A of vt at time t."""
-    return residual_A(vt.values([t]), vt.derivs([t]), spec)[0]
+    """The residual A of vt at time t, a velocity."""
+    return _velocity(residual_A(vt.values([t]), vt.derivs([t]), spec))[0]
 
 
 def test_residual_exact_taylor_green():
@@ -134,14 +134,14 @@ def test_residual_linear_in_viscosity():
     vt = TestTrajectory.taylor_green(nu_wrong, spec.grid)
     t = 0.3
     a = _residual(vt, t, spec)
-    expect = 2 * (nu - nu_wrong) * vt.values([t])[0]
+    expect = 2 * (nu - nu_wrong) * _velocity(vt.values([t]))[0]
     assert dist(a, expect) <= 1e-10
 
 
 @pytest.mark.parametrize("forced", [False, True])
 def test_residual_affine_in_viscosity_splits_exactly(rng, forced):
-    # A_nu = A_0 + nu |k|^2 v, as the certifier assembles it per member,
-    # on a stack of broadband states that are not solenoidal
+    # curl A_nu = curl A_0 + nu |k|^2 w, as the certifier assembles it per member,
+    # on a stack of broadband vorticities
     forcing = Forcing("analytic", "kolmogorov", {"amplitude": 1.0}) if forced else Forcing("zero")
     spec0 = SystemSpec(nu=0.0, grid=Grid(32), t_end=1.0, dt=1e-3, forcing=forcing)
     values, derivs = (np.stack([random_field(spec0.grid, rng, kmax=10, solenoidal=False).coeffs
@@ -156,8 +156,8 @@ def test_residual_affine_in_viscosity_splits_exactly(rng, forced):
 
 @pytest.mark.parametrize("forced", [False, True])
 def test_residual_of_solenoidal_states_needs_no_projection(rng, forced):
-    # on solenoidal states d/dt v + nu |k|^2 v is solenoidal, so residual_A leaves
-    # out the Leray projection of P[d/dt v + nu |k|^2 v] less the rotational form
+    # the velocity of residual_A on the curls of solenoidal states is the Leray
+    # projection of d/dt v + nu |k|^2 v less the rotational form
     forcing = Forcing("analytic", "kolmogorov", {"amplitude": 1.0}) if forced else Forcing("zero")
     values, derivs = (np.stack([random_field(Grid(32), rng, kmax=10, solenoidal=True).coeffs
                                 for _ in range(3)]) for _ in range(2))
@@ -165,8 +165,8 @@ def test_residual_of_solenoidal_states_needs_no_projection(rng, forced):
     for nu in (0.0, 0.1):
         spec = SystemSpec(nu=nu, grid=Grid(32), t_end=1.0, dt=1e-3, forcing=forcing)
         projected = project(derivs + nu * tab.k2 * values, tab) - rotational_rhs(
-            values, spec, forcing.coeffs(32))
-        got = residual_A(values, derivs, spec)
+            values, spec, forcing_coeffs(forcing, 32))
+        got = _velocity(residual_A(_curl(values), _curl(derivs), spec))
         assert np.all(dist(got, projected) <= 1e-14 * dist(projected))
 
 
@@ -198,7 +198,7 @@ def test_margin_series_constant_weight_integral():
     v = taylor_green(0.0, 0.0, grid).coeffs
     vt = analytic_test(lambda t: v, lambda t: 0.0 * v, grid)
     nu = 0.1
-    k0 = weight_value(weight_norms(v), STRAIN)
+    k0 = weight_value(weight_norms(_curl(v)), STRAIN)
     assert k0 == pytest.approx(2.0, rel=1e-14)
     times = np.linspace(0, 1, 21)
     u = from_velocity(SystemSpec(nu=nu, grid=grid, t_end=1.0, dt=0.05),
@@ -246,9 +246,9 @@ def test_kest_estimate_random_ensemble(rng):
         u = random_field(grid, rng, kmax=8).coeffs
         v = random_field(grid, rng, kmax=8).coeffs
         d = u - v
-        R, W = rel_terms(d, nu)
+        R, W = rel_terms(_curl(d), nu)
         lhs = abs(trilinears(d, d, v))
-        rhs = W + weight_value(weight_norms(v), STRAIN) * R
+        rhs = W + weight_value(weight_norms(_curl(v)), STRAIN) * R
         assert lhs <= rhs * (1 + 1e-12)
 
 
@@ -273,6 +273,6 @@ def test_weightspec_rejects_unsound_kappa(kappa):
 def test_weight_value_dispatch(rng):
     # K = kappa times the strain norm, linear in v
     v = random_field(Grid(16), rng, kmax=4).coeffs
-    norms = weight_norms(np.stack([v, -3.0 * v]))
+    norms = weight_norms(_curl(np.stack([v, -3.0 * v])))
     assert norms[1] == pytest.approx(3.0 * norms[0], rel=1e-13)
     assert np.all(weight_value(norms, WeightSpec(kappa=5.0)) == 5.0 * norms)

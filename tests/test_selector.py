@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 from conftest import dist
-from support import (continuous_dependence_study, from_velocity, verify_convex_midpoint,
-                     worst_margin)
+from support import (continuous_dependence_study, from_velocity, velocity,
+                     verify_convex_midpoint, worst_margin)
 
 from maxdiss.certificate import ToleranceModel, certify
 from maxdiss.fields import Grid, SpectralField, _embed, from_function, pairing
@@ -25,6 +25,7 @@ from maxdiss.solver import (
     SystemSpec,
     TestTrajectory,
     Trajectory,
+    _velocity,
     solve,
     taylor_green,
 )
@@ -50,7 +51,8 @@ def test_single_member_family_gram_is_twice_energy(tg_ladder):
     fam = assemble_family([tg_ladder[0]])
     e = tg_ladder[0].energies()
     assert fam.size == 1
-    assert np.abs(pairing(fam.on_grid(0), fam.on_grid(0)) - 2 * e).max() <= 1e-12 * e[0]
+    u = _velocity(fam.on_grid(0))
+    assert np.abs(pairing(u, u) - 2 * e).max() <= 1e-12 * e[0]
     assert fam.H[0, 0] == pytest.approx(simpson(2 * e, x=fam.times), rel=1e-12)
 
 
@@ -62,7 +64,8 @@ def test_padded_members_near_identical_gram(tg_ladder):
     e2 = 2 * tg_ladder[2].energies()
     for i in range(2):
         for j in range(2):
-            assert np.abs(pairing(fam.on_grid(i), fam.on_grid(j)) - e2).max() <= 1e-8 * e2[0]
+            gram = pairing(_velocity(fam.on_grid(i)), _velocity(fam.on_grid(j)))
+            assert np.abs(gram - e2).max() <= 1e-8 * e2[0]
             assert fam.H[i, j] == pytest.approx(simpson(e2, x=fam.times), rel=1e-8)
 
 
@@ -156,7 +159,7 @@ def test_select_duplicate_members(tg_ladder):
     assert (res.rank, res.unique, res.iterations) == (1, False, 3)
     assert res.objective == pytest.approx(
         objective(single, np.array([1.0])), rel=1e-12)
-    gap = max(dist(a, b) for a, b in zip(res.trajectory.coeffs, tg_ladder[2].coeffs))
+    gap = max(dist(a, b) for a, b in zip(velocity(res.trajectory), velocity(tg_ladder[2])))
     assert gap <= 1e-10
 
 
@@ -243,7 +246,7 @@ def test_selected_trajectory_unique_across_restarts(tg_ladder):
     sols = [select(assemble_family([tg_ladder[i] for i in order])).trajectory
             for order in ((0, 1, 2), (2, 0, 1))]
     fam = assemble_family(list(tg_ladder))
-    dist2 = [dist(a, b) ** 2 for a, b in zip(sols[0].coeffs, sols[1].coeffs)]
+    dist2 = [dist(a, b) ** 2 for a, b in zip(velocity(sols[0]), velocity(sols[1]))]
     assert np.sqrt(simpson(np.array(dist2), x=fam.times)) <= 1e-8
 
 

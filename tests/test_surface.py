@@ -20,15 +20,28 @@ def _modules():
     return {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
 
 
+def _decorators(fn) -> set:
+    return {d.id if isinstance(d, ast.Name) else d.attr for d in fn.decorator_list
+            if isinstance(d, (ast.Name, ast.Attribute))}
+
+
 def _is_classmethod(fn) -> bool:
-    return any(isinstance(d, ast.Name) and d.id == "classmethod" for d in fn.decorator_list)
+    return "classmethod" in _decorators(fn)
+
+
+def _is_plain_method(fn) -> bool:
+    """A method read by calling it: no property, cached property or classmethod."""
+    return not _decorators(fn) & {"property", "cached_property", "classmethod"}
 
 
 def _references(node) -> Counter:
     """Names and attributes referenced under ``node``; a call of a classmethod
-    through its class, ``C.m`` or ``cls.m`` inside C, also counts as "C.m"."""
+    through its class, ``C.m`` or ``cls.m`` inside C, also counts as "C.m", and
+    a call ``x.m(...)`` also counts as "m()", the one use of a plain method."""
     refs = Counter(sub.id if isinstance(sub, ast.Name) else sub.attr
                    for sub in ast.walk(node) if isinstance(sub, (ast.Name, ast.Attribute)))
+    refs.update(f"{sub.func.attr}()" for sub in ast.walk(node)
+                if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute))
     classes = [c for c in ast.walk(node) if isinstance(c, ast.ClassDef)]
     owner = {id(sub): c.name for c in classes for sub in ast.walk(c)}
     for sub in ast.walk(node):
@@ -38,18 +51,24 @@ def _references(node) -> Counter:
     return refs
 
 
+def _method_key(cls, fn) -> str:
+    if _is_classmethod(fn):
+        return f"{cls.name}.{fn.name}"
+    return f"{fn.name}()" if _is_plain_method(fn) else fn.name
+
+
 def _public_definitions(module):
     """(name, node) of the public top-level functions and classes, and of the
-    public methods of those classes.  Methods are matched by name: a call of
-    ``x.save`` consumes every public method named ``save``; a classmethod
-    ``C.m`` only by a call through its class, under the name "C.m"."""
+    public methods of those classes.  Methods are matched by name: a call
+    ``x.save(...)`` consumes every plain public method named ``save``, under the
+    name "save()", where reading ``x.save`` does not; a property by reading it; a
+    classmethod ``C.m`` only by a call through its class, under the name "C.m"."""
     for node in module.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
             yield node.name, node
             if isinstance(node, ast.ClassDef):
-                yield from ((f"{node.name}.{fn.name}" if _is_classmethod(fn) else fn.name, fn)
-                            for fn in node.body if isinstance(fn, ast.FunctionDef)
-                            and not fn.name.startswith("_"))
+                yield from ((_method_key(node, fn), fn) for fn in node.body
+                            if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"))
 
 
 def _private_definitions(module):
@@ -59,10 +78,11 @@ def _private_definitions(module):
             yield node.name, node
 
 
-def _unconsumed(definitions) -> list:
-    """The names of ``definitions(module)`` that nothing else in the package references;
-    a definition's references to itself do not count."""
-    modules = _modules().values()
+def _unconsumed(definitions, modules=None) -> list:
+    """The names of ``definitions(module)`` that nothing else in the package (or in
+    ``modules``, parsed sources) references; a definition's references to itself do
+    not count."""
+    modules = list((modules or _modules()).values())
     everywhere = sum((_references(tree) for tree in modules), Counter())
     return [name for module in modules for name, node in definitions(module)
             if name not in EXEMPT and everywhere[name] == _references(node)[name]]
@@ -71,6 +91,29 @@ def _unconsumed(definitions) -> list:
 def test_public_definitions_have_consumers():
     unused = _unconsumed(_public_definitions)
     assert not unused, f"public names nothing in the package consumes: {unused}"
+
+
+def test_a_method_only_read_as_an_attribute_has_no_consumer():
+    # ``grid.coeffs`` reads a field of another class: it neither calls the
+    # method ``coeffs`` nor would count for it, while reading a property is its use
+    source = """
+class Forcing:
+    def coeffs(self, n):
+        return n
+
+    def curl(self, n):
+        return n
+
+    @property
+    def size(self):
+        return 1
+
+def use(forcing, field):
+    return field.coeffs, forcing.curl(2), forcing.size
+
+use(Forcing(), None)
+"""
+    assert _unconsumed(_public_definitions, {"m.py": ast.parse(source)}) == ["coeffs()"]
 
 
 def test_private_definitions_have_consumers():
