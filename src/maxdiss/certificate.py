@@ -14,7 +14,6 @@ and tests are vorticities (``solver._curl``), and R, W and <A, u - v> sums over 
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, replace
 
@@ -109,12 +108,18 @@ class CertificateReport:
             fh.write(json.dumps(self.to_dict()))
 
     def save_csv(self, path) -> None:
+        """The entries as ``csv.writer`` writes them, in one write."""
+        ids = {tid: _csv_field(tid) for tid in {e.test_id for e in self.entries}}
+        rows = [f"{ids[e.test_id]},{e.t:.12g},{e.lhs:.17g},{e.rhs:.17g},"
+                f"{e.margin:.17g},{e.tol:.12g}" for e in self.entries]
         with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["test_id", "t", "lhs", "rhs", "margin", "tol"])
-            for e in self.entries:
-                wr.writerow([e.test_id, f"{e.t:.12g}", f"{e.lhs:.17g}",
-                             f"{e.rhs:.17g}", f"{e.margin:.17g}", f"{e.tol:.12g}"])
+            fh.write("\r\n".join(["test_id,t,lhs,rhs,margin,tol", *rows, ""]))
+
+
+def _csv_field(s: str) -> str:
+    """s as the excel dialect of ``csv.writer`` writes it: quoted, with its quotes
+    doubled, when it holds a comma, a quote or a line break."""
+    return '"' + s.replace('"', '""') + '"' if any(c in s for c in ',"\r\n') else s
 
 
 # -- margin computation -----------------------------------------------------

@@ -15,6 +15,8 @@ import copy
 import hashlib
 import json
 import math
+import os
+import pickle
 import shutil
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -247,22 +249,80 @@ def _member_specs(config: ScenarioConfig):
             for n in config.family["resolutions"]]
 
 
+def _lanes(specs, count: int) -> list:
+    """The member indices of each of ``count`` lanes, in config order: the costliest
+    member first (n_steps n^2 log n) onto the least-loaded lane, ties to the lower lane."""
+    cost = [spec.n_steps * spec.grid.n ** 2 * math.log(spec.grid.n) for _, spec in specs]
+    lanes, loads = [[] for _ in range(count)], [0.0] * count
+    for i in sorted(range(len(specs)), key=lambda i: -cost[i]):
+        k = loads.index(min(loads))
+        lanes[k].append(i)
+        loads[k] += cost[i]
+    return [sorted(lane) for lane in lanes]
+
+
 def stage_simulate(config: ScenarioConfig) -> CandidateFamily:
     """Solve and save every member in a new sim/, which holds exactly the
-    config's members; returns their family."""
+    config's members; returns their family.
+
+    The members run side by side on one lane per usable CPU, at most one per member
+    (``_lanes``).  This process runs lane 0; each other lane runs in a child made by
+    ``os.fork``, which saves its members and sends back through a pipe only their
+    times and vorticity, or the error that stopped it.  A lane solves its members in
+    config order and stops at the first that fails; the error raised is that of the
+    first failing member in config order, as in a serial run.  With one usable CPU
+    nothing is forked."""
     out = Path(config.out_dir) / "sim"
     shutil.rmtree(out, ignore_errors=True)
     specs = _member_specs(config)
     v0_fine = initial_condition(config, Grid(max(spec.grid.n for _, spec in specs)))
-    trajs = []
-    for mid, spec in specs:
-        traj = solve(spec, v0_fine, sample_stride=config.family["sample_stride"],
-                     provenance=f"{config.scenario}/{mid} seed={config.seed}")
-        mdir = out / mid
-        traj.save(mdir)
-        rows = [f"{float(t)!r} {float(e)!r}" for t, e in zip(traj.times, traj.energies())]
-        (mdir / "energies.csv").write_text("\n".join(["# t  energy", *rows]) + "\n")
-        trajs.append(traj)
+    provenance = [f"{config.scenario}/{mid} seed={config.seed}" for mid, _ in specs]
+
+    def solve_lane(lane) -> dict:  # member index -> (times, vorticity) or its error
+        done = {}
+        for i in lane:
+            mid, spec = specs[i]
+            try:
+                traj = solve(spec, v0_fine, sample_stride=config.family["sample_stride"],
+                             provenance=provenance[i])
+                traj.save(out / mid)
+                rows = [f"{float(t)!r} {float(e)!r}" for t, e in zip(traj.times, traj.energies())]
+                (out / mid / "energies.csv").write_text("\n".join(["# t  energy", *rows]) + "\n")
+                done[i] = traj.times, traj.vorticity
+            except Exception as exc:
+                done[i] = exc
+                break
+        return done
+
+    can_fork = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    lanes = _lanes(specs, min(len(specs), len(os.sched_getaffinity(0)) if can_fork else 1))
+    children = []  # (pid, read end of its pipe)
+    try:
+        for lane in lanes[1:]:
+            r, w = os.pipe()
+            if (pid := os.fork()) == 0:
+                try:
+                    os.close(r)
+                    for _, fh in children:  # a sibling's read end: only the parent reads
+                        fh.close()
+                    with os.fdopen(w, "wb") as fh:
+                        pickle.dump(solve_lane(lane), fh)
+                finally:
+                    os._exit(0)
+            os.close(w)  # so that the read end sees EOF when the child exits
+            children.append((pid, os.fdopen(r, "rb")))
+        done = solve_lane(lanes[0])
+        for _, fh in children:
+            done.update(pickle.load(fh))
+    finally:  # a child blocked on a full pipe gets EPIPE once the read ends close
+        for _, fh in children:
+            fh.close()
+        for pid, _ in children:
+            os.waitpid(pid, 0)
+    if errors := [done[i] for i in sorted(done) if isinstance(done[i], Exception)]:
+        raise errors[0]
+    trajs = [Trajectory(spec, *done[i], provenance=provenance[i])
+             for i, (_, spec) in enumerate(specs)]
     return assemble_family(trajs, member_ids=[mid for mid, _ in specs])
 
 

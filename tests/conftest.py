@@ -1,5 +1,6 @@
 """Shared fixtures (expensive reference runs computed once per session) and helpers."""
 
+import os
 import time
 
 import numpy as np
@@ -180,6 +181,15 @@ def tg_impostors():
     return dict(tg=tg, **{name: Trajectory(spec, tg.times, tg.vorticity * f[:, None, None],
                                            provenance=f"manufactured {name}")
                           for name, f in factors.items()})
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process unreaped (``stage_simulate`` forks)."""
+    yield
+    with pytest.raises(ChildProcessError):
+        pid, status = os.waitpid(-1, os.WNOHANG)
+        pytest.fail(f"child process {pid} left unreaped" if pid else "child process left running")
 
 
 @pytest.fixture()

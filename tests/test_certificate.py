@@ -1,6 +1,7 @@
 """Certification of trajectories via the weighted relative energy inequality."""
 
 import csv
+import io
 import json
 from dataclasses import replace
 
@@ -187,6 +188,26 @@ def test_report_csv_layout(tg_reference, tmp_path):
     assert rows[0] == ["test_id", "t", "lhs", "rhs", "margin", "tol"]
     margins = np.array([float(r[4]) for r in rows[1:] if float(r[1]) > 0])
     assert margins.min() == pytest.approx(worst_margin(report), rel=1e-12)
+
+
+def test_report_csv_bytes_are_csv_writers(tg_reference, tmp_path):
+    # one joined write, byte for byte what csv.writer writes, with the test ids
+    # that the excel dialect quotes
+    traj, _, _ = tg_reference
+    report = certify(traj, [TestTrajectory.zero(traj.grid)], STRAIN)
+    ids = ["zero", "a,b", 'say "hi"', "two\nlines", "cr\rhere", " lead", ""]
+    report = replace(report, entries=tuple(replace(e, test_id=ids[i % len(ids)])
+                                           for i, e in enumerate(report.entries)))
+    expected = io.StringIO(newline="")
+    wr = csv.writer(expected)
+    wr.writerow(["test_id", "t", "lhs", "rhs", "margin", "tol"])
+    for e in report.entries:
+        wr.writerow([e.test_id, f"{e.t:.12g}", f"{e.lhs:.17g}", f"{e.rhs:.17g}",
+                     f"{e.margin:.17g}", f"{e.tol:.12g}"])
+    report.save_csv(tmp_path / "cert.csv")
+    assert (tmp_path / "cert.csv").read_bytes() == expected.getvalue().encode()
+    with open(tmp_path / "cert.csv", newline="") as fh:
+        assert [r[0] for r in list(csv.reader(fh))[1:]] == [e.test_id for e in report.entries]
 
 
 def test_worst_margin_skips_initial_time(tg_reference):

@@ -31,8 +31,9 @@ from maxdiss.scenarios import (
     initial_condition,
     report,
     run_scenario,
+    stage_simulate,
 )
-from maxdiss.solver import Forcing, SystemSpec, Trajectory, _curl, taylor_green
+from maxdiss.solver import BlowUpError, Forcing, SystemSpec, Trajectory, _curl, taylor_green
 
 
 def _base_cfg(**overrides):
@@ -672,6 +673,63 @@ def test_stage_mv_uses_the_pair_default_clip_ratio(tmp_path):
     cfg["mv"] = {"clip_fail_ratio": 2.0}  # the config still overrides it
     info = stage_mv(ScenarioConfig.from_dict(cfg, out_dir=str(tmp_path / "b")), family)
     assert info["clip_magnitude"] == pytest.approx(0.5, rel=1e-3)
+
+
+def _tree(root: Path) -> dict:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
+            if p.is_file()}
+
+
+def _cpus(monkeypatch, count: int) -> list:
+    """Make ``os.sched_getaffinity`` report ``count`` usable CPUs; returns the list that
+    counts the forks, which fail the test with one CPU."""
+    forks, fork = [], os.fork
+
+    def counted():
+        assert count > 1, "forked with one usable CPU"
+        forks.append(count)
+        return fork()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+@pytest.mark.parametrize("scenario, extra", [
+    ("perturbed_tg", {"family": {"resolutions": [12, 16, 8], "sample_stride": 10}}),
+    ("mv_ladder", {"mv": {"nus": [0.1, 0.05, 0.02]}})])
+def test_members_on_lanes_write_the_serial_tree(tmp_path, monkeypatch, scenario, extra):
+    # one lane per usable CPU: two lanes fork a child, whose members reach the family
+    # read-only like the parent's, and the run tree is the one-lane tree byte for byte
+    trees = []
+    for cpus in (1, 2):
+        forks = _cpus(monkeypatch, cpus)
+        cfg = ScenarioConfig.from_dict(_base_cfg(scenario=scenario, **extra),
+                                       out_dir=str(tmp_path / str(cpus)))
+        family = stage_simulate(cfg)
+        assert family.size == 3 and len(forks) == cpus - 1
+        assert not any(a.flags.writeable for tr in family.trajs for a in (tr.times, tr.vorticity))
+        assert run_scenario(cfg) == 0
+        trees.append(_tree(tmp_path / str(cpus)))
+        monkeypatch.undo()
+    assert trees[0] == trees[1]
+
+
+def test_blowup_in_a_child_lane_raises_the_serial_error(tmp_path, monkeypatch):
+    # n_32, first in config order, blows up at t = 2.5 in the child's lane; n_64, the
+    # costliest member and alone in this process's lane, at t = 2: the serial error wins
+    messages = []
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        cfg = ScenarioConfig.from_dict(_base_cfg(
+            scenario="two_vortex", system={"nu": 0.0, "n": 32, "t_end": 5.0, "dt": 0.5},
+            family={"resolutions": [32, 16, 64], "sample_stride": 1}, tests=["zero"]),
+            out_dir=str(tmp_path / str(cpus)))
+        with pytest.raises(BlowUpError) as info:
+            run_scenario(cfg)
+        messages.append(str(info.value))
+        monkeypatch.undo()
+    assert messages == ["[simulate] energy blow-up at t=2.5"] * 2
 
 
 def test_run_scenario_loads_no_trajectory(tmp_path, monkeypatch):
