@@ -54,7 +54,7 @@ class ToleranceModel:
     step_coeff: float = 10.0
     quadrature: float = 1e-9
 
-    def tau(self, t: float, dt: float) -> float:
+    def tau(self, t, dt: float):
         return self.step_coeff * dt ** 4 * t + self.quadrature
 
     def to_dict(self) -> dict:
@@ -62,40 +62,36 @@ class ToleranceModel:
 
 
 @dataclass(frozen=True)
-class CertificateEntry:
-    """One sample time of one test; margin and tol = tau(t) exp(-I(t)) are damped."""
-
-    test_id: str
-    t: float
-    lhs: float
-    rhs: float
-    margin: float
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return self.margin >= -self.tol
-
-
-@dataclass(frozen=True)
 class CertificateReport:
-    entries: tuple
+    """One member's certificate.  ``series`` maps each test id, in test order, to
+    the damped "lhs", "margin" and "tol" = tau(t) exp(-I(t)) at ``times`` and the
+    scalar "rhs" = R(0); an errored test has an entry in ``errors`` instead."""
+
+    times: np.ndarray
+    series: dict
     errors: dict
     tests: dict  # test id -> {"weight_integral": I(T), "horizon": first t with e^{-I} < 1e-16}
     weight: WeightSpec
     tolerance: ToleranceModel
     stride: float
+    _COLUMNS = ("test_id", "t", "lhs", "rhs", "margin", "tol")  # of the JSON rows and the CSV
 
     @property
     def verdict(self) -> bool:
-        return not self.errors and all(e.passed for e in self.entries)
+        return not self.errors and all(np.all(s["margin"] >= -s["tol"])
+                                       for s in self.series.values())
+
+    def _rows(self):
+        """One tuple of ``_COLUMNS`` per test and sample time, in floats."""
+        times = self.times.tolist()
+        for tid, s in self.series.items():
+            for t, lhs, m, tol in zip(times, *(s[k].tolist() for k in ("lhs", "margin", "tol"))):
+                yield tid, t, lhs, s["rhs"], m, tol
 
     def to_dict(self) -> dict:
         return {
             "verdict": "pass" if self.verdict else "fail",
-            "entries": [{"test_id": e.test_id, "t": e.t, "lhs": e.lhs,
-                         "rhs": e.rhs, "margin": e.margin, "tol": e.tol}
-                        for e in self.entries],
+            "entries": [dict(zip(self._COLUMNS, row)) for row in self._rows()],
             "errors": dict(self.errors),
             "tests": dict(self.tests),
             "config": {"weight": self.weight.to_dict(),
@@ -108,12 +104,12 @@ class CertificateReport:
             fh.write(json.dumps(self.to_dict()))
 
     def save_csv(self, path) -> None:
-        """The entries as ``csv.writer`` writes them, in one write."""
-        ids = {tid: _csv_field(tid) for tid in {e.test_id for e in self.entries}}
-        rows = [f"{ids[e.test_id]},{e.t:.12g},{e.lhs:.17g},{e.rhs:.17g},"
-                f"{e.margin:.17g},{e.tol:.12g}" for e in self.entries]
+        """The rows as ``csv.writer`` writes them, in one write."""
+        ids = {tid: _csv_field(tid) for tid in self.series}
+        rows = [f"{ids[tid]},{t:.12g},{lhs:.17g},{rhs:.17g},{m:.17g},{tol:.12g}"
+                for tid, t, lhs, rhs, m, tol in self._rows()]
         with open(path, "w", newline="") as fh:
-            fh.write("\r\n".join(["test_id,t,lhs,rhs,margin,tol", *rows, ""]))
+            fh.write("\r\n".join([",".join(self._COLUMNS), *rows, ""]))
 
 
 def _csv_field(s: str) -> str:
@@ -126,7 +122,8 @@ def _csv_field(s: str) -> str:
 
 @dataclass(frozen=True)
 class _MarginSeries:
-    """Damped form of the relative energy inequality at every sample time.
+    """Damped form of the relative energy inequality at every sample time, one
+    row per member.
 
     The raw inequality carries growth factors exp(int_s^t K), which grow
     without bound in I(t), so both sides are scaled by exp(-int_0^t K) > 0.
@@ -134,12 +131,12 @@ class _MarginSeries:
     weights then lie in (0, 1].
     """
 
-    times: np.ndarray
-    rel_energies: np.ndarray     # R(u(t)|v(t)), unscaled
-    weight_integral: np.ndarray  # I(t) = int_0^t K
-    dissipation_integrand: np.ndarray  # (W + <A, u-v>) e^{-I(t)}
-    margins: np.ndarray          # R(0) - lhs
-    lhs: np.ndarray
+    times: np.ndarray            # (T,)
+    rel_energies: np.ndarray     # (members, T): R(u(t)|v(t)), unscaled
+    weight_integral: np.ndarray  # (T,): I(t) = int_0^t K, shared by the members
+    dissipation_integrand: np.ndarray  # (members, T): (W + <A, u-v>) e^{-I(t)}
+    margins: np.ndarray          # (members, T): R(0) - lhs
+    lhs: np.ndarray              # (members, T)
 
 
 def _blocks(size: int, n: int) -> list:
@@ -150,7 +147,7 @@ def _blocks(size: int, n: int) -> list:
     return [slice(s, s + step) for s in range(0, size, step)]
 
 
-def margin_series(family: CandidateFamily, vt: TestTrajectory, w: WeightSpec) -> list:
+def margin_series(family: CandidateFamily, vt: TestTrajectory, w: WeightSpec) -> _MarginSeries:
     """Both sides of the relative energy inequality at every sample time, for
     each member of a family against one test, on the test's grid.
 
@@ -188,18 +185,17 @@ def margin_series(family: CandidateFamily, vt: TestTrajectory, w: WeightSpec) ->
             R[i, sl], W = rel_terms(diff, nu)
             g[i, sl] = W + _velocity_pairing(a0 + nu * viscous if nu else a0, diff)
     I = cumulative_weight_integral(weight_value(norms, w), times)
-    damp, series = np.exp(-I), []
-    for Ri, gi in zip(R, g):
-        lhs = damp * Ri + cumulative_weight_integral(gi * damp, times)
-        series.append(_MarginSeries(times, Ri, I, gi * damp, Ri[0] - lhs, lhs))
-    return series
+    damp = np.exp(-I)
+    g *= damp
+    lhs = damp * R + cumulative_weight_integral(g.T, times).T
+    return _MarginSeries(times, R, I, g, R[:, :1] - lhs, lhs)
 
 
 def certify_members(family: CandidateFamily, tests, w: WeightSpec,
                     tol_model: ToleranceModel = ToleranceModel()) -> list:
     """Certify the members of a family against one list of test trajectories,
     one ``margin_series`` pass per test; returns one CertificateReport per
-    member, in order.
+    member, in order.  Test ids (label, or test_<position>) must be distinct.
 
     Domain errors (ValueError) of single tests are isolated: their error
     string is recorded for every member and the remaining tests are still
@@ -208,28 +204,28 @@ def certify_members(family: CandidateFamily, tests, w: WeightSpec,
     """
     if not (tests := list(tests)):
         raise CertificateError("need at least one test")
-    results = [([], {}, {}) for _ in family.trajs]  # entries, errors, test records
-    for idx, vt in enumerate(tests):
-        test_id = vt.label or f"test_{idx}"
+    ids = [vt.label or f"test_{idx}" for idx, vt in enumerate(tests)]
+    for idx, test_id in enumerate(ids):
+        if (first := ids.index(test_id)) < idx:
+            raise CertificateError(f"test id {test_id!r} repeats: tests {first} and {idx}")
+    times, errors, records = family.times, {}, {}
+    series = [{} for _ in family.trajs]
+    for test_id, vt in zip(ids, tests):
         try:
-            all_series = margin_series(family, vt, w)
+            s = margin_series(family, vt, w)
         except ValueError as exc:  # domain errors only; bugs propagate
-            for _, errors, _ in results:
-                errors[test_id] = f"{type(exc).__name__}: {exc}"
+            errors[test_id] = f"{type(exc).__name__}: {exc}"
             continue
-        for u, series, (entries, _, records) in zip(family.trajs, all_series, results):
-            damp = np.exp(-series.weight_integral)
-            vacuous = series.times[damp < VACUOUS_DAMPING]
-            records[test_id] = {"weight_integral": float(series.weight_integral[-1]),
-                                "horizon": float(vacuous[0]) if vacuous.size else None}
-            rhs = float(series.rel_energies[0])
-            entries += [CertificateEntry(test_id, float(t), float(lhs), rhs, float(m),
-                                         tol_model.tau(float(t), u.spec.dt) * float(d))
-                        for t, lhs, m, d in zip(series.times, series.lhs, series.margins, damp)]
-    times = family.times
+        damp = np.exp(-s.weight_integral)
+        vacuous = times[damp < VACUOUS_DAMPING]
+        records[test_id] = {"weight_integral": float(s.weight_integral[-1]),
+                            "horizon": float(vacuous[0]) if vacuous.size else None}
+        for u, own, R, lhs, m in zip(family.trajs, series, s.rel_energies, s.lhs, s.margins):
+            own[test_id] = {"lhs": lhs, "rhs": float(R[0]), "margin": m,
+                            "tol": tol_model.tau(times, u.spec.dt) * damp}
     stride = float(times[1] - times[0]) if times.size > 1 else 0.0
-    return [CertificateReport(tuple(entries), errors, records, w, tol_model, stride)
-            for entries, errors, records in results]
+    return [CertificateReport(times, own, errors, records, w, tol_model, stride)
+            for own in series]
 
 
 def certify(u: Trajectory, tests, w: WeightSpec,

@@ -470,20 +470,14 @@ def report(run_dir) -> dict:
         if _sha256(path) != digest:
             raise ConfigError(f"{path}: sha256 differs from the manifest")
 
-    energy_rows = {}
+    columns = []  # the members share their sample times (one dt and n_steps)
     for mid in members:
         path = root / "sim" / mid / "energies.csv"
         if not path.exists():
             raise ConfigError(f"{run_dir}: missing {path.relative_to(root)}")
-        for line in path.read_text().splitlines():
-            if line.startswith("#"):
-                continue
-            t, e = line.split()
-            energy_rows.setdefault(t, {})[mid] = e
+        columns.append([line.split() for line in path.read_text().splitlines()[1:]])
     lines = ["# t " + " ".join(members)]
-    for t in sorted(energy_rows, key=float):
-        row = energy_rows[t]
-        lines.append(t + " " + " ".join(row.get(m, "nan") for m in members))
+    lines += [row[0][0] + " " + " ".join(e for _, e in row) for row in zip(*columns)]
     (root / "energy.csv").write_text("\n".join(lines) + "\n")
 
     margin_lines = ["# member test_id t lhs rhs margin tol"]

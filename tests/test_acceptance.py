@@ -276,8 +276,8 @@ def test_acceptance_11_multiplier_form_convergence(tg_reference, capsys):
     traj, _, _ = tg_reference
     vt = TestTrajectory.zero(traj.grid)
     t_star = 0.5
-    series, = margin_series(assemble_family([traj]), vt, STRAIN)
-    limit = -series.margins[np.argmin(np.abs(traj.times - t_star))]
+    series = margin_series(assemble_family([traj]), vt, STRAIN)
+    limit = -series.margins[0, np.argmin(np.abs(traj.times - t_star))]
     gaps = [abs(phi_form_value(traj, vt, STRAIN, *mollified_indicator(t_star, width)) - limit)
             for width in (0.2, 0.1)]
     ratio = gaps[0] / gaps[1]

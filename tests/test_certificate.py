@@ -41,7 +41,7 @@ def test_certificate_exact_taylor_green(tg_reference):
     assert report.verdict
     assert worst_margin(report) >= -1e-8
     # the run tracks the exact solution, so margins are also small from above
-    assert max(e.margin for e in report.entries) <= 1e-6
+    assert report.series[vt.label]["margin"].max() <= 1e-6
 
 
 def test_certificate_zero_test_is_energy_inequality(tg_reference):
@@ -50,12 +50,12 @@ def test_certificate_zero_test_is_energy_inequality(tg_reference):
     traj, _, _ = tg_reference
     report = certify(traj, [TestTrajectory.zero(traj.grid)], STRAIN)
     assert report.verdict
-    series, = margin_series(assemble_family([traj]), TestTrajectory.zero(traj.grid), STRAIN)
+    series = margin_series(assemble_family([traj]), TestTrajectory.zero(traj.grid), STRAIN)
     e = traj.energies()
     # K(0) = 0, A(0) = 0: margin(t) = E(0)/... = R0 - R(t) - int W >= 0
     assert np.all(series.weight_integral == 0.0)
-    assert series.margins[-1] > 0
-    assert series.rel_energies[0] == pytest.approx(e[0], rel=1e-12)
+    assert series.margins[0, -1] > 0
+    assert series.rel_energies[0, 0] == pytest.approx(e[0], rel=1e-12)
 
 
 def test_certificate_reflexive_spline(tg_reference):
@@ -95,9 +95,9 @@ def test_growing_taylor_green_fails_exact_test():
     exact = TestTrajectory.taylor_green(nu, grid, label="exact")
     report = certify(bad, [exact, TestTrajectory.zero(grid)], STRAIN)
     for tid in ("exact", "zero"):
-        assert not all(e.passed for e in report.entries if e.test_id == tid)
-    series, = margin_series(assemble_family([bad]), exact, STRAIN)
-    tol = [e.tol for e in report.entries if e.test_id == "exact"]
+        assert not np.all(report.series[tid]["margin"] >= -report.series[tid]["tol"])
+    series = margin_series(assemble_family([bad]), exact, STRAIN)
+    tol = report.series["exact"]["tol"]
     assert np.allclose(tol, [ToleranceModel().tau(t, dt) for t in times]
                        * np.exp(-series.weight_integral), rtol=1e-14, atol=0.0)
 
@@ -112,8 +112,8 @@ def test_strain_weight_fails_manufactured_impostors(tg_impostors):
 
     def worst(name):  # least margin + tol after t = 0, per test
         report = certify(tg_impostors[name], tests, STRAIN)
-        return {tid: min(e.margin + e.tol for e in report.entries
-                         if e.test_id == tid and e.t > 0)
+        after = report.times > 0
+        return {tid: (report.series[tid]["margin"] + report.series[tid]["tol"])[after].min()
                 for tid in ("zero", "exact", "amplitude_1.05")}
 
     assert min(worst("tg").values()) >= 0.0
@@ -160,8 +160,33 @@ def test_certify_error_isolation(tg_reference):
     report = certify(traj, [bad, TestTrajectory.zero(grid)], STRAIN)
     assert "bad" in report.errors
     assert not report.verdict  # an errored member fails the verdict
-    assert {e.test_id for e in report.entries} == {"zero"}
-    assert all(e.passed for e in report.entries)
+    assert list(report.series) == ["zero"]
+    assert np.all(report.series["zero"]["margin"] >= -report.series["zero"]["tol"])
+
+
+def test_certify_rejects_a_repeated_test_id(tg_reference):
+    # two tests under one id would pool their margins and keep one I(T) record
+    traj, _, _ = tg_reference
+    grid = traj.grid
+    tests = [TestTrajectory.taylor_green(0.1, grid, label="x"), TestTrajectory.zero(grid),
+             TestTrajectory.taylor_green(0.1, grid, amplitude=40.0, label="x")]
+    with pytest.raises(CertificateError, match=r"test id 'x' repeats: tests 0 and 2"):
+        certify_members(assemble_family([traj]), tests, STRAIN)
+
+
+def test_a_nan_sample_fails_its_members_certificate(tg_reference, tmp_path):
+    # one NaN coefficient makes the margins NaN from its sample on; NaN >= -tol is
+    # false, so that member fails and its JSON says so, while the other passes
+    traj, _, _ = tg_reference
+    vorticity = traj.vorticity.copy()
+    vorticity[3, 1, 1] = np.nan
+    family = assemble_family([traj, Trajectory(traj.spec, traj.times, vorticity)])
+    good, bad = certify_members(family, [TestTrajectory.zero(traj.grid)], STRAIN)
+    margin = bad.series["zero"]["margin"]
+    assert np.all(np.isfinite(margin[:3])) and np.all(np.isnan(margin[3:]))
+    assert good.verdict and not bad.verdict
+    bad.save_json(tmp_path / "bad.json")
+    assert json.loads((tmp_path / "bad.json").read_text())["verdict"] == "fail"
 
 
 def test_certify_empty_family_rejected(tg_reference):
@@ -196,18 +221,19 @@ def test_report_csv_bytes_are_csv_writers(tg_reference, tmp_path):
     traj, _, _ = tg_reference
     report = certify(traj, [TestTrajectory.zero(traj.grid)], STRAIN)
     ids = ["zero", "a,b", 'say "hi"', "two\nlines", "cr\rhere", " lead", ""]
-    report = replace(report, entries=tuple(replace(e, test_id=ids[i % len(ids)])
-                                           for i, e in enumerate(report.entries)))
+    report = replace(report, series=dict.fromkeys(ids, report.series["zero"]))
     expected = io.StringIO(newline="")
     wr = csv.writer(expected)
     wr.writerow(["test_id", "t", "lhs", "rhs", "margin", "tol"])
-    for e in report.entries:
-        wr.writerow([e.test_id, f"{e.t:.12g}", f"{e.lhs:.17g}", f"{e.rhs:.17g}",
-                     f"{e.margin:.17g}", f"{e.tol:.12g}"])
+    for tid, s in report.series.items():
+        for t, lhs, m, tol in zip(report.times, s["lhs"], s["margin"], s["tol"]):
+            wr.writerow([tid, f"{t:.12g}", f"{lhs:.17g}", f"{s['rhs']:.17g}",
+                         f"{m:.17g}", f"{tol:.12g}"])
     report.save_csv(tmp_path / "cert.csv")
     assert (tmp_path / "cert.csv").read_bytes() == expected.getvalue().encode()
     with open(tmp_path / "cert.csv", newline="") as fh:
-        assert [r[0] for r in list(csv.reader(fh))[1:]] == [e.test_id for e in report.entries]
+        assert [r[0] for r in list(csv.reader(fh))[1:]] == [tid for tid in ids
+                                                            for _ in report.times]
 
 
 def test_worst_margin_skips_initial_time(tg_reference):
@@ -215,7 +241,7 @@ def test_worst_margin_skips_initial_time(tg_reference):
     traj, _, _ = tg_reference
     vt = TestTrajectory.taylor_green(0.1, traj.grid, amplitude=1.05)
     report = certify(traj, [vt], STRAIN)
-    assert all(e.margin == 0.0 for e in report.entries if e.t == 0.0)
+    assert report.times[0] == 0.0 and report.series[vt.label]["margin"][0] == 0.0
     assert worst_margin(report) > 0
     first = Trajectory(traj.spec, traj.times[:1], traj.vorticity[:1])
     assert worst_margin(certify(first, [vt], STRAIN)) == np.inf
@@ -231,7 +257,7 @@ def test_report_json_roundtrip(tg_reference, tmp_path):
     assert d["config"]["weight"] == {"kind": "strain", "kappa": 2.0}
     assert d["config"]["tolerance"] == {"step_coeff": 10.0, "quadrature": 1e-9}
     assert "\n" not in path.read_text()  # compact: json's C encoder
-    assert len(d["entries"]) == len(report.entries)
+    assert len(d["entries"]) == report.times.size == report.series["zero"]["margin"].size
     assert d["errors"] == {}
 
 
@@ -249,8 +275,8 @@ def test_phi_width_halving_halves_gap(tg_reference):
     traj, _, _ = tg_reference
     vt = TestTrajectory.zero(traj.grid)
     t_star = 0.5
-    series, = margin_series(assemble_family([traj]), vt, STRAIN)
-    limit = -series.margins[np.argmin(np.abs(traj.times - t_star))]
+    series = margin_series(assemble_family([traj]), vt, STRAIN)
+    limit = -series.margins[0, np.argmin(np.abs(traj.times - t_star))]
     gaps = []
     for width in (0.2, 0.1):
         val = phi_form_value(traj, vt, STRAIN, *mollified_indicator(t_star, width))
@@ -321,9 +347,9 @@ def test_margin_series_matches_per_sample_oracle(case):
     # n = 32) and spline (n = 24): sample counts 21 and 31 are no multiple of
     # the block lengths 8 and 14; padded: a forced n = 16 member on a test grid of 48
     u, vt, w = _oracle_case(case)
-    series, = margin_series(assemble_family([u]), vt, w)
-    got = (series.rel_energies, series.weight_integral,
-           series.dissipation_integrand, series.margins)
+    series = margin_series(assemble_family([u]), vt, w)
+    got = (series.rel_energies[0], series.weight_integral,
+           series.dissipation_integrand[0], series.margins[0])
     for name, a, b in zip(("R", "I", "g", "margin"), got, _series_oracle(u, vt, w)):
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14, err_msg=name)
 
@@ -342,10 +368,10 @@ def test_vorticity_margins_match_the_velocity_form(test):
     u = solve(spec, SpectralField(grid, v0))
     vt = (TestTrajectory.taylor_green(nu, Grid(24), amplitude=1.05) if test == "taylor_green"
           else spline_test(solve(spec, taylor_green(0.0, nu, grid))))
-    series, = margin_series(assemble_family([u]), vt, STRAIN)
-    assert series.rel_energies[0] > 0.05
-    np.testing.assert_allclose(series.margins, velocity_margins(u, vt, STRAIN),
-                               rtol=0.0, atol=1e-13 * series.rel_energies[0])
+    series = margin_series(assemble_family([u]), vt, STRAIN)
+    assert series.rel_energies[0, 0] > 0.05
+    np.testing.assert_allclose(series.margins[0], velocity_margins(u, vt, STRAIN),
+                               rtol=0.0, atol=1e-13 * series.rel_energies[0, 0])
 
 
 def test_relative_terms_of_a_vorticity_are_those_of_its_velocity(rng):
@@ -368,7 +394,7 @@ def test_test_side_terms_run_once_per_test_and_block(monkeypatch, count):
     members = [u, Trajectory(replace(u.spec, nu=0.1), u.times, u.vorticity),
                from_velocity(coarse, u.times, resample(velocity(u), 16))][:count]
     sampled = TestTrajectory(vt.values, vt.derivs, vt.grid, "sampled")
-    alone = [margin_series(assemble_family([m]), vt, w)[0] for m in members]
+    alone = [margin_series(assemble_family([m]), vt, w) for m in members]
     calls = {"weight_norms": 0, "residual_A": 0}
     for name in calls:
         def counted(*args, _fn=getattr(certificate, name), _name=name):
@@ -384,8 +410,8 @@ def test_test_side_terms_run_once_per_test_and_block(monkeypatch, count):
     assert blocks == 3
     assert per_test == [{"weight_norms": 1, "residual_A": 1}] * 2 \
         + [{"weight_norms": blocks, "residual_A": blocks}]
-    for series, one in zip(margin_series(assemble_family(members), vt, w), alone):
-        np.testing.assert_array_equal(series.margins, one.margins)
+    for margins, one in zip(margin_series(assemble_family(members), vt, w).margins, alone):
+        np.testing.assert_array_equal(margins, one.margins[0])
 
 
 @pytest.mark.parametrize("A", [1.5, -1.5])
@@ -419,13 +445,14 @@ def test_separable_test_matches_its_sampled_form(A):
         return da * U + (a - 1) * a * N
 
     wrong = analytic_test(lambda t: amplitude(t)[0] * U, wrong_derivs, grid)
-    for got, expect, off in zip(*(margin_series(assemble_family(members), vt, STRAIN)
-                                  for vt in (separable, sampled, wrong))):
-        assert got.weight_integral[-1] > 0
-        for name in ("rel_energies", "weight_integral", "dissipation_integrand", "margins"):
-            np.testing.assert_allclose(getattr(got, name), getattr(expect, name),
-                                       rtol=1e-12, atol=1e-14, err_msg=name)
-        assert not np.allclose(got.margins, off.margins, rtol=1e-12, atol=1e-14)
+    got, expect, off = (margin_series(assemble_family(members), vt, STRAIN)
+                        for vt in (separable, sampled, wrong))
+    assert got.weight_integral[-1] > 0
+    for name in ("rel_energies", "weight_integral", "dissipation_integrand", "margins"):
+        np.testing.assert_allclose(getattr(got, name), getattr(expect, name),
+                                   rtol=1e-12, atol=1e-14, err_msg=name)
+    for got_margins, off_margins in zip(got.margins, off.margins, strict=True):
+        assert not np.allclose(got_margins, off_margins, rtol=1e-12, atol=1e-14)
 
 
 def test_benchmark_configs_build_separable_tests_only():

@@ -203,7 +203,7 @@ def test_margin_series_constant_weight_integral():
     times = np.linspace(0, 1, 21)
     u = from_velocity(SystemSpec(nu=nu, grid=grid, t_end=1.0, dt=0.05),
                       times, np.stack([v] * times.size))
-    integral = margin_series(assemble_family([u]), vt, STRAIN)[0].weight_integral
+    integral = margin_series(assemble_family([u]), vt, STRAIN).weight_integral
     assert integral[-1] == pytest.approx(k0, rel=1e-10)
     assert np.allclose(integral, k0 * times, rtol=1e-12, atol=0.0)
 
