@@ -232,17 +232,22 @@ def pairing(a: np.ndarray, b: np.ndarray):
 
 # -- resampling and fine-grid samples ------------------------------------------------------
 
-def _embed(coeffs: np.ndarray, n_from: int, n_to: int, band: bool = False) -> np.ndarray:
+def _embed(coeffs: np.ndarray, n_from: int, n_to: int, band: bool = False,
+           out: np.ndarray | None = None) -> np.ndarray:
     """Copy the half-spectrum modes shared by both sizes into an n_to-sized one,
-    with ``band`` only into its h + 1 columns that can be nonzero.
+    with ``band`` only into its h + 1 columns that can be nonzero; into ``out``,
+    zeroed first, where given.
 
     Modes |kx|, |ky| < h = min(n_from, n_to)/2 are copied; those at |k| = h
     are split evenly between +h and -h, as in trigonometric interpolation.
     The stored column ky = h stands for +-h: irfft2 takes its Hermitian part.
     """
     h = min(n_from, n_to) // 2
-    out = np.zeros(coeffs.shape[:-2] + (n_to, h + 1 if band else n_to // 2 + 1),
-                   dtype=np.complex128)
+    if out is None:
+        out = np.zeros(coeffs.shape[:-2] + (n_to, h + 1 if band else n_to // 2 + 1),
+                       dtype=np.complex128)
+    else:
+        out.fill(0.0)
     out[..., :h, :h + 1] = coeffs[..., :h, :h + 1]
     out[..., n_to - h + 1:, :h + 1] = coeffs[..., n_from - h + 1:, :h + 1]
     if n_to <= n_from:  # fold the source rows +h and -h onto the Nyquist row
@@ -266,14 +271,6 @@ def samples(c: np.ndarray, m: int) -> np.ndarray:
     band = _embed(c, c.shape[-2], m, band=True)
     return np.fft.irfft(np.fft.ifft(band, axis=-2, norm="forward", out=band), m,
                         axis=-1, norm="forward")
-
-
-def tensor_samples(c: np.ndarray, m: int) -> np.ndarray:
-    """v (x) v sampled on an m x m grid, m >= n, of vector coefficients
-    (..., 2, n, n//2 + 1); components (11, 12, 22) on axis -3."""
-    p = samples(c, m)
-    vx, vy = p[..., 0, :, :], p[..., 1, :, :]
-    return np.stack([vx * vx, vx * vy, vy * vy], axis=-3)
 
 
 # -- persistence ------------------------------------------------------------

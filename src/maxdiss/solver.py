@@ -237,11 +237,13 @@ def _curl(u: np.ndarray) -> np.ndarray:
     return w
 
 
-def _velocity(w: np.ndarray) -> np.ndarray:
+def _velocity(w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Velocity coefficients (i ky, -i kx) w / |k|^2, (..., 2, n, n//2 + 1), with the
-    mean from k = 0, of vorticity half spectra w (``_curl``)."""
+    mean from k = 0, of vorticity half spectra w (``_curl``); into ``out`` where given."""
     tab = spectral_tables(w.shape[-2])
-    psi, out = w * tab.inv_k2, np.empty((*w.shape[:-2], 2, *w.shape[-2:]), dtype=np.complex128)
+    psi = w * tab.inv_k2
+    if out is None:
+        out = np.empty((*w.shape[:-2], 2, *w.shape[-2:]), dtype=np.complex128)
     np.multiply(1j * tab.ky, psi, out=out[..., 0, :, :])
     np.multiply(-1j * tab.kx, psi, out=out[..., 1, :, :])
     out[..., 0, 0, 0], out[..., 1, 0, 0] = w[..., 0, 0].real, w[..., 0, 0].imag

@@ -4,10 +4,10 @@ forcing on a grid, the velocity form of the certificate's margins, test
 trajectories from closed forms, splines and
 perturbations, the phi-weighted form of the relative energy inequality, weak
 residual recovery, velocity gradients and the trilinear form, the convex
-sweep and the continuous-dependence study of a selection, the Taylor-Green
-pressure and pressure recovery, and the measure-valued momentum residual and
-convex combination, the reader of a stored defect field and the benchmark's
-workload configs."""
+sweep and the continuous-dependence study of a selection, v (x) v sampled
+on a fine grid, the Taylor-Green pressure and pressure recovery, and the
+measure-valued momentum residual and convex combination, the reader of a
+stored defect field and the benchmark's workload configs."""
 
 import json
 from dataclasses import replace
@@ -21,7 +21,7 @@ from maxdiss import certificate
 from maxdiss.certificate import margin_series
 from maxdiss.fields import (TWO_PI, Grid, SpectralField, _embed, _mode_sum, from_function,
                             load_samples, normalized, pairing, resample, samples,
-                            spectral_tables, tensor_samples)
+                            spectral_tables)
 from maxdiss.mv_euler import DefectField, MVError
 from maxdiss.relenergy import (cumulative_weight_integral, rel_terms, residual_A, weight_norms,
                                weight_value)
@@ -197,6 +197,14 @@ def continuous_dependence_study(family_builder, deltas):
         d = resample(velocity(sel), 8) - resample(velocity(base), 8)
         low.append(float(np.sqrt(simpson(pairing(d, d), sel.times))))
     return rel, low
+
+
+def tensor_samples(c: np.ndarray, m: int) -> np.ndarray:
+    """v (x) v sampled on an m x m grid, m >= n, of vector coefficients
+    (..., 2, n, n//2 + 1); components (11, 12, 22) on axis -3."""
+    p = samples(c, m)
+    vx, vy = p[..., 0, :, :], p[..., 1, :, :]
+    return np.stack([vx * vx, vx * vy, vy * vy], axis=-3)
 
 
 # -- pressure ------------------------------------------------------------------

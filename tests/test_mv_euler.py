@@ -1,12 +1,14 @@
 """Defect fields, the measure-valued momentum balance and its convexity."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from conftest import dist, stacked
 from support import (analytic_test, from_velocity, load_defect, mv_convex_combine,
-                     mv_equation_residual, trace_leakage_bound, velocity, zero_defect)
+                     mv_equation_residual, tensor_samples, trace_leakage_bound, velocity,
+                     zero_defect)
 
 from maxdiss import certificate
 from maxdiss.fields import (
@@ -18,12 +20,13 @@ from maxdiss.fields import (
     resample,
     samples,
     spectral_tables,
-    tensor_samples,
 )
 from maxdiss.mv_euler import (
     DefectField,
     MVError,
     _lowpass_restrict,
+    _SampleWork,
+    _lowpassed_defect,
     defect_from_pair,
     min_eigenvalue,
     psd_clip,
@@ -33,6 +36,8 @@ from maxdiss.solver import (
     Forcing,
     SystemSpec,
     Trajectory,
+    _curl,
+    _velocity,
     solve,
     taylor_green,
 )
@@ -141,6 +146,24 @@ def test_psd_clip_keeps_psd_samples_bitwise(rng):
     np.testing.assert_array_equal(clipped[:, keep], density[:, keep])
 
 
+def test_psd_clip_and_min_eigenvalue_sample_by_sample_match_the_series(rng):
+    # the defect is clipped and its min eigenvalue taken one sample at a time:
+    # both give the floats of one call on the stacked series, where samples 1
+    # and 3 are indefinite and the others PSD
+    series = rng.standard_normal((5, 3, 8, 8))
+    series[:, 1] *= 0.1
+    series[:, 0::2] = np.abs(series[:, 0::2]) + 1.0
+    series[1, :, 2, 3] = [1.0, 0.0, -1.0]
+    series[3, 1] *= 40.0
+    clipped, mag = psd_clip(series)
+    per_sample = [psd_clip(sample) for sample in series]
+    assert np.array_equal(np.stack([c for c, _ in per_sample]), clipped)
+    assert [m > 0.0 for _, m in per_sample] == [False, True, False, True, False]
+    assert max(m for _, m in per_sample) == mag
+    field = DefectField(grid=Grid(8), times=np.arange(5.0), density=series, mollifier_kmax=2)
+    assert field.min_eigenvalue() == min_eigenvalue(series) < 0.0
+
+
 def test_min_eigenvalue_formula():
     density = np.zeros((3, 1, 1))
     density[0], density[1], density[2] = 2.0, 1.0, 2.0  # eigenvalues 3, 1
@@ -158,6 +181,16 @@ def test_defect_field_validation():
     z = zero_defect(grid, times)
     assert z.trace_integrals().max() == 0.0
     assert z.min_eigenvalue() == 0.0
+
+
+def test_defect_field_leaves_the_callers_arrays_writable():
+    # the field's times and density are read-only views, as a trajectory's
+    # are: the caller's own float64 arrays are not frozen
+    t, d = np.array([0.0, 0.5]), np.zeros((2, 3, 4, 4))
+    m = DefectField(grid=Grid(4), times=t, density=d, mollifier_kmax=1)
+    assert not m.times.flags.writeable and not m.density.flags.writeable
+    assert t.flags.writeable and d.flags.writeable
+    t[0], d[0, 0, 0, 0] = 1.0, 1.0
 
 
 @pytest.mark.parametrize("n", [8, 12])
@@ -217,6 +250,70 @@ def test_self_pair_zero_defect(resolution_pair):
     m = defect_from_pair(fine, fine)
     assert np.abs(m.density).max() <= 1e-14
     assert m.clip_magnitude <= 1e-12
+
+
+def test_self_pair_density_is_exactly_zero(resolution_pair):
+    # the members cancel in the spectra: v_f - v_c is 0, and so is every product
+    fine, _ = resolution_pair
+    m = defect_from_pair(fine, fine)
+    assert not m.density.any()
+    assert m.clip_magnitude == 0.0
+
+
+def _full_band_vorticity(n, seed):
+    grid = Grid(n)
+    return _curl(random_field(grid, np.random.default_rng(seed), kmax=n // 2).coeffs)
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+@pytest.mark.parametrize("nc_over_n", [1, 2])
+def test_defect_products_exact_on_the_three_halves_grid(n, nc_over_n):
+    # products of two n-grid fields reach |k| = n - 2; on M = 2 ceil(3n/4) they
+    # alias onto no mode the restriction to n keeps, so M gives the 2n grid's
+    # density to roundoff, and M - 2 aliases onto the Nyquist modes
+    nc = n // nc_over_n
+    wf, wc = _full_band_vorticity(n, n), _full_band_vorticity(nc, n + 1)
+    kmax, m = n // 3, 2 * -(-3 * n // 4)
+    raw = tensor_samples(_velocity(wf), 2 * n) - tensor_samples(_velocity(wc), 2 * n)
+    want = _lowpass_restrict(raw, 2 * n, n, kmax)
+    scale = np.abs(want).max()
+    wc = _embed(wc, nc, n)
+    assert np.abs(_lowpassed_defect(wf, wc, m, kmax) - want).max() <= 1e-14 * scale
+    assert np.abs(_lowpassed_defect(wf, wc, m - 2, kmax) - want).max() >= 1e-5 * scale
+
+
+def test_reused_sample_work_keeps_nothing_of_the_last_sample():
+    # one _SampleWork serves every sample of a pair: the padded band and the
+    # restricted spectrum are zeroed before each use
+    n, m = 32, 48
+    a, b, c = (_full_band_vorticity(n, seed) for seed in (1, 2, 3))
+    ws = _SampleWork(n, m)
+    _lowpassed_defect(a, b, m, 10, ws)
+    assert np.array_equal(_lowpassed_defect(b, c, m, 10, ws), _lowpassed_defect(b, c, m, 10))
+
+
+def test_defect_from_pair_holds_one_series_and_one_sample():
+    # memory: from T = 8 to T = 16 samples the peak grows by the output series'
+    # growth alone, with no whole-series temporary beside it
+    grid = Grid(64)
+    spec = SystemSpec(nu=0.0, grid=grid, t_end=1.0, dt=0.1, forcing=Forcing("zero"))
+    v = np.array(random_field(grid, np.random.default_rng(3), kmax=30).coeffs)
+    kx, ky = grid.wavenumbers()
+    v[:, (np.abs(kx) <= 8) & (np.abs(ky) <= 8)] = 0.0  # the coarse zero shares the low band
+
+    def peak(size):
+        times = np.linspace(0.0, 1.0, size)
+        fine = from_velocity(spec, times, np.stack([v] * size))
+        coarse = from_velocity(spec, times, np.zeros((size, 2, 64, 33)))
+        defect_from_pair(fine, coarse, mollifier_kmax=8)  # the per-grid tables, built once
+        tracemalloc.start()
+        try:
+            defect_from_pair(fine, coarse, mollifier_kmax=8)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(16) - peak(8) <= 1.1 * (8 * 3 * 64 * 64 * 8)
 
 
 def test_pair_defect_psd_and_trace(resolution_pair):
