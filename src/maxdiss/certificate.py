@@ -74,24 +74,22 @@ class CertificateReport:
     weight: WeightSpec
     tolerance: ToleranceModel
     stride: float
-    _COLUMNS = ("test_id", "t", "lhs", "rhs", "margin", "tol")  # of the JSON rows and the CSV
 
     @property
     def verdict(self) -> bool:
         return not self.errors and all(np.all(s["margin"] >= -s["tol"])
                                        for s in self.series.values())
 
-    def _rows(self):
-        """One tuple of ``_COLUMNS`` per test and sample time, in floats."""
-        times = self.times.tolist()
-        for tid, s in self.series.items():
-            for t, lhs, m, tol in zip(times, *(s[k].tolist() for k in ("lhs", "margin", "tol"))):
-                yield tid, t, lhs, s["rhs"], m, tol
-
     def to_dict(self) -> dict:
+        """The JSON of ``save_json``: ``entries`` holds one row per test and sample time."""
+        times, entries = self.times.tolist(), []
+        for tid, s in self.series.items():
+            rows = zip(times, s["lhs"].tolist(), s["margin"].tolist(), s["tol"].tolist())
+            entries += [{"test_id": tid, "t": t, "lhs": lhs, "rhs": s["rhs"], "margin": m,
+                         "tol": tol} for t, lhs, m, tol in rows]
         return {
             "verdict": "pass" if self.verdict else "fail",
-            "entries": [dict(zip(self._COLUMNS, row)) for row in self._rows()],
+            "entries": entries,
             "errors": dict(self.errors),
             "tests": dict(self.tests),
             "config": {"weight": self.weight.to_dict(),
@@ -102,20 +100,6 @@ class CertificateReport:
     def save_json(self, path) -> None:
         with open(path, "w") as fh:  # one write; indent would take json's Python encoder
             fh.write(json.dumps(self.to_dict()))
-
-    def save_csv(self, path) -> None:
-        """The rows as ``csv.writer`` writes them, in one write."""
-        ids = {tid: _csv_field(tid) for tid in self.series}
-        rows = [f"{ids[tid]},{t:.12g},{lhs:.17g},{rhs:.17g},{m:.17g},{tol:.12g}"
-                for tid, t, lhs, rhs, m, tol in self._rows()]
-        with open(path, "w", newline="") as fh:
-            fh.write("\r\n".join([",".join(self._COLUMNS), *rows, ""]))
-
-
-def _csv_field(s: str) -> str:
-    """s as the excel dialect of ``csv.writer`` writes it: quoted, with its quotes
-    doubled, when it holds a comma, a quote or a line break."""
-    return '"' + s.replace('"', '""') + '"' if any(c in s for c in ',"\r\n') else s
 
 
 # -- margin computation -----------------------------------------------------

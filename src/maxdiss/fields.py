@@ -329,9 +329,16 @@ def save_field(u: SpectralField, path) -> None:
 
 
 def load_field(path) -> SpectralField:
-    """Load one field container; spectra are recomputed from the stored samples."""
+    """Load one field container of finite real samples (c, n, n); spectra are
+    recomputed from them.  Any fault raises FieldError naming ``path``."""
     samples, header = load_samples(path)
-    if samples.ndim != 3:
-        raise FieldError(f"{path}: one field is (c, n, n), got shape {list(samples.shape)}")
-    return from_physical(Grid(samples.shape[-1]), samples,
-                         solenoidal=header.get("solenoidal", False))
+    if header["dtype"] != "f64" or samples.ndim != 3 or samples.shape[1] != samples.shape[2]:
+        raise FieldError(f"{path}: one field is real (c, n, n) samples, "
+                         f"got {header['dtype']} of shape {list(samples.shape)}")
+    if not np.isfinite(samples).all():
+        raise FieldError(f"{path}: non-finite samples")
+    try:
+        return from_physical(Grid(samples.shape[-1]), samples,
+                             solenoidal=header.get("solenoidal", False))
+    except FieldError as exc:
+        raise FieldError(f"{path}: {exc}") from None

@@ -352,7 +352,6 @@ def stage_certify(config: ScenarioConfig, family: CandidateFamily) -> dict:
                               config.tolerance)
     for mid, report in zip(family.member_ids, reports):
         report.save_json(out / f"{mid}.json")
-        report.save_csv(out / f"{mid}.csv")
     return {mid: report.verdict for mid, report in zip(family.member_ids, reports)}
 
 
@@ -447,10 +446,11 @@ def report(run_dir) -> dict:
 
     First checks every file the manifest hashes: a missing or altered one
     raises ConfigError naming it.  Writes margins.csv (test id, time, lhs,
-    rhs, margin, tol per member), energy.csv (time, one column per member)
-    and report.json, whose worst_margin is the least margin after t = 0
-    (null without such a row); reads stored values only, and repeated
-    invocations produce identical bytes.
+    rhs, margin, tol per member, the ``entries`` of its certificate JSON; a
+    certificate without them raises ConfigError naming it), energy.csv (time,
+    one column per member) and report.json, whose worst_margin is the least
+    margin after t = 0 (null without such a row); reads stored values only,
+    and repeated invocations produce identical bytes.
     """
     root = Path(run_dir)
     manifest_path = root / "manifest.json"
@@ -480,24 +480,22 @@ def report(run_dir) -> dict:
     lines += [row[0][0] + " " + " ".join(e for _, e in row) for row in zip(*columns)]
     (root / "energy.csv").write_text("\n".join(lines) + "\n")
 
-    margin_lines = ["# member test_id t lhs rhs margin tol"]
-    worst = None
+    margin_lines, margins = ["# member test_id t lhs rhs margin tol"], []
     for mid in members:
-        path = root / "certificates" / f"{mid}.csv"
-        if not path.exists():
-            raise ConfigError(f"{run_dir}: missing {path.relative_to(root)}")
-        for line in path.read_text().splitlines()[1:]:
-            parts = line.split(",")
-            margin_lines.append(mid + " " + " ".join(parts))
-            if float(parts[1]) > 0:  # every margin at t = 0 is 0
-                m = float(parts[4])
-                worst = m if worst is None else min(worst, m)
+        path = root / "certificates" / f"{mid}.json"
+        try:
+            entries = json.loads(path.read_text())["entries"]
+            margin_lines += [f"{mid} {e['test_id']} {e['t']:.12g} {e['lhs']:.17g} {e['rhs']:.17g} "
+                             f"{e['margin']:.17g} {e['tol']:.12g}" for e in entries]
+            margins += [e["margin"] for e in entries if e["t"] > 0]  # every margin at t = 0 is 0
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"{path}: unreadable certificate ({exc!r})") from None
     (root / "margins.csv").write_text("\n".join(margin_lines) + "\n")
 
     selection = None
     sel_path = root / "selection.json"
     if sel_path.exists():
         selection = json.loads(sel_path.read_text())
-    summary.update(worst_margin=worst, selection=selection)
+    summary.update(worst_margin=min(margins, default=None), selection=selection)
     (root / "report.json").write_text(json.dumps(summary, indent=2) + "\n")
     return summary

@@ -440,6 +440,8 @@ class Trajectory:
             raise FieldError(f"{path}: layout {header.get('layout')}, shape {list(packed.shape)}; "
                              f"the manifest needs {_STATES_LAYOUT}, {[times.size, 1, n - 1, h]}: "
                              f"re-run simulate")
+        if header["dtype"] != "c128":  # real samples would drop the imaginary parts
+            raise FieldError(f"{path}: dtype {header['dtype']}, the vorticity needs c128")
         if not (finite := np.isfinite(packed).all(axis=(1, 2, 3))).all():
             raise FieldError(f"{path}: non-finite coefficients in the sample at "
                              f"t={float(times[np.argmin(finite)])!r}")

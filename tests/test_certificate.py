@@ -1,7 +1,5 @@
 """Certification of trajectories via the weighted relative energy inequality."""
 
-import csv
-import io
 import json
 from dataclasses import replace
 
@@ -202,39 +200,6 @@ def test_margin_grid_mismatch(tg_reference):
 
 
 # -- report persistence ------------------------------------------------------
-
-def test_report_csv_layout(tg_reference, tmp_path):
-    traj, _, _ = tg_reference
-    report = certify(traj, [TestTrajectory.zero(traj.grid)], STRAIN)
-    path = tmp_path / "cert.csv"
-    report.save_csv(path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["test_id", "t", "lhs", "rhs", "margin", "tol"]
-    margins = np.array([float(r[4]) for r in rows[1:] if float(r[1]) > 0])
-    assert margins.min() == pytest.approx(worst_margin(report), rel=1e-12)
-
-
-def test_report_csv_bytes_are_csv_writers(tg_reference, tmp_path):
-    # one joined write, byte for byte what csv.writer writes, with the test ids
-    # that the excel dialect quotes
-    traj, _, _ = tg_reference
-    report = certify(traj, [TestTrajectory.zero(traj.grid)], STRAIN)
-    ids = ["zero", "a,b", 'say "hi"', "two\nlines", "cr\rhere", " lead", ""]
-    report = replace(report, series=dict.fromkeys(ids, report.series["zero"]))
-    expected = io.StringIO(newline="")
-    wr = csv.writer(expected)
-    wr.writerow(["test_id", "t", "lhs", "rhs", "margin", "tol"])
-    for tid, s in report.series.items():
-        for t, lhs, m, tol in zip(report.times, s["lhs"], s["margin"], s["tol"]):
-            wr.writerow([tid, f"{t:.12g}", f"{lhs:.17g}", f"{s['rhs']:.17g}",
-                         f"{m:.17g}", f"{tol:.12g}"])
-    report.save_csv(tmp_path / "cert.csv")
-    assert (tmp_path / "cert.csv").read_bytes() == expected.getvalue().encode()
-    with open(tmp_path / "cert.csv", newline="") as fh:
-        assert [r[0] for r in list(csv.reader(fh))[1:]] == [tid for tid in ids
-                                                            for _ in report.times]
-
 
 def test_worst_margin_skips_initial_time(tg_reference):
     # every margin at t = 0 is 0 by construction and tests nothing

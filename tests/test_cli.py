@@ -1,5 +1,6 @@
 """Scenario orchestration, artifact tree, reports and CLI exit codes."""
 
+import hashlib
 import json
 import os
 import re
@@ -281,14 +282,22 @@ def test_cli_rejects_system_fault_at_parse(tmp_path, capsys, system, message):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("content", ["missing", "garbage", "scalar"])
+@pytest.mark.parametrize("content", ["missing", "garbage", "scalar", "non_finite", "complex",
+                                     "non_square", "odd"])
 def test_cli_rejects_unreadable_forcing_file_at_parse(tmp_path, capsys, content):
-    # the forcing file is read and checked with the config, before any output
+    # the forcing file is read and checked with the config, before any output: a
+    # non-finite sample would blow up the first step, and complex samples would
+    # lose their imaginary part
     path = tmp_path / "forcing.fld"
+    samples = from_function(Grid(16), lambda X, Y: np.sin(Y), lambda X, Y: 0 * X).physical()
     if content == "garbage":
         path.write_bytes(b"not a sample container")
     elif content == "scalar":
         save_field(from_function(Grid(16), lambda X, Y: np.sin(Y)), path)
+    elif content != "missing":
+        save_samples(path, {"non_finite": np.full_like(samples, np.inf),
+                            "complex": samples + 0.5j, "non_square": samples[:, :8],
+                            "odd": samples[:, :15, :15]}[content])
     cfg = _base_cfg()
     cfg["system"]["forcing"] = {"kind": "file", "path": str(path)}
     cfg_path = tmp_path / "bad.json"
@@ -331,6 +340,35 @@ def test_readme_names_exactly_the_schema_keys():
     paragraph = readme.split("Config sections and keys: ")[1].split("\n\n")[0]
     named = re.findall(r"`(\w+)`", paragraph)
     assert sorted(named) == sorted(key for section in SCHEMA.values() for key in section)
+
+
+def _readme_run_tree():
+    """The file patterns of README's "Run tree" sentence, <member> as a regex."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    sentence = re.split(r"(?<=`)\.\s", readme.split("Run tree: ")[1])[0]
+    patterns = []
+    for item in re.findall(r"`([^`]+)`", sentence):
+        head, _, names = item.partition("{")
+        patterns += [re.escape(head + name).replace("<member>", "[^/]+")
+                     for name in (names.rstrip("}").split(", ") if names else [""])]
+    return [p for p in patterns if "." in p or "/" in p]  # not the scenario `mv_ladder`
+
+
+def test_readme_run_tree_lists_exactly_the_files_run_writes(tmp_path):
+    # each file that `maxdiss run` writes for a selecting scenario and for the
+    # viscosity ladder matches one pattern of the README's run tree, and each
+    # pattern matches a file of one of the two trees
+    patterns, seen = _readme_run_tree(), set()
+    for scenario in ("perturbed_tg", "mv_ladder"):
+        out = tmp_path / scenario
+        cfg = _write_cfg(tmp_path, scenario=scenario,
+                         family={"resolutions": [12, 16], "sample_stride": 10})
+        assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        for path in (p for p in out.rglob("*") if p.is_file()):
+            rel = path.relative_to(out).as_posix()
+            assert len(hits := [p for p in patterns if re.fullmatch(p, rel)]) == 1, rel
+            seen.update(hits)
+    assert seen == set(patterns)
 
 
 def test_config_malformed_json(tmp_path):
@@ -501,11 +539,10 @@ def test_cli_report_rejects_tampered_tree(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["run", "--config", _write_cfg(tmp_path),
                  "--out", str(out)]) == EXIT_OK
-    cert = out / "certificates" / "n_16.csv"
-    header, row, rest = cert.read_text().split("\n", 2)
-    i = next(i for i, ch in enumerate(row) if ch.isdigit())
-    row = row[:i] + str((int(row[i]) + 1) % 10) + row[i + 1:]
-    cert.write_text("\n".join([header, row, rest]))
+    cert = out / "certificates" / "n_16.json"
+    text = cert.read_text()
+    i = next(i for i, ch in enumerate(text) if ch.isdigit())
+    cert.write_text(text[:i] + str((int(text[i]) + 1) % 10) + text[i + 1:])
     capsys.readouterr()
     assert main(["report", "--out", str(out)]) == EXIT_CONFIG
     assert str(cert) in capsys.readouterr().err
@@ -513,6 +550,49 @@ def test_cli_report_rejects_tampered_tree(tmp_path, capsys):
     cert.unlink()
     assert main(["report", "--out", str(out)]) == EXIT_CONFIG
     assert str(cert) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage", ["truncated", "no_entries", "missing"])
+def test_cli_report_rejects_unreadable_certificate(completed_run, tmp_path, capsys, damage):
+    # report builds margins.csv from the certificate JSON: one that is truncated, has no
+    # entries or is gone exits 4 naming it, with the run manifest's hashes made to match
+    out = tmp_path / "run"
+    shutil.copytree(completed_run[0], out)
+    for name in ("energy.csv", "margins.csv", "report.json"):
+        (out / name).unlink(missing_ok=True)
+    path, manifest_path = out / "certificates" / "n_16.json", out / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    if damage == "missing":
+        path.unlink()
+        del manifest["hashes"]["certificates/n_16.json"]
+    else:
+        text = path.read_text()
+        path.write_text(text[:len(text) // 2] if damage == "truncated" else
+                        json.dumps({k: v for k, v in json.loads(text).items() if k != "entries"}))
+        manifest["hashes"]["certificates/n_16.json"] = hashlib.sha256(
+            path.read_bytes()).hexdigest()
+    manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == EXIT_CONFIG
+    assert f"config error: {path}: unreadable certificate" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+def test_report_margins_keep_the_csv_number_formats(completed_run):
+    # margins.csv writes t and tol in %.12g and lhs, rhs and margin in %.17g, the
+    # formats of the per-member certificate CSV it was built from before
+    out, _ = completed_run
+    report(out)
+    lines = (out / "margins.csv").read_text().splitlines()
+    zero = next(ln for ln in lines if ln.startswith("n_16 zero "))
+    energy = zero.split()[3]  # R(0) of the zero test: the energy pi^2 of the vortex
+    assert zero == f"n_16 zero 0 {energy} {energy} 0 1e-09"
+    assert float(energy) == pytest.approx(np.pi ** 2, rel=1e-14)
+    entries = json.loads((out / "certificates" / "n_16.json").read_text())["entries"]
+    e = entries[-1]
+    assert lines[-1] == "n_16 %s %.12g %.17g %.17g %.17g %.12g" % (
+        e["test_id"], e["t"], e["lhs"], e["rhs"], e["margin"], e["tol"])
+    assert lines[-1].split()[2] == "0.25" and float(lines[-1].split()[5]) == e["margin"]
 
 
 @pytest.mark.parametrize("damage", ["truncated", "missing_key"])
@@ -638,8 +718,7 @@ def test_stages_keep_no_member_of_an_earlier_config(tmp_path):
             assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_OK
     assert main(["select", "--config", cfg, "--out", str(out)]) == EXIT_OK
     assert sorted(p.name for p in (out / "sim").iterdir()) == ["n_12", "n_16"]
-    assert sorted(p.name for p in (out / "certificates").iterdir()) == [
-        "n_12.csv", "n_12.json", "n_16.csv", "n_16.json"]
+    assert sorted(p.name for p in (out / "certificates").iterdir()) == ["n_12.json", "n_16.json"]
     sel = json.loads((out / "selection.json").read_text())
     assert sorted(sel["member_ids"] + sel["excluded"]) == ["n_12", "n_16"]
 
@@ -869,13 +948,13 @@ def test_cli_truncated_states_file(tmp_path, capsys):
     assert str(states) in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("damage", ["nan", "inf", "velocity_layout"])
+@pytest.mark.parametrize("damage", ["nan", "inf", "velocity_layout", "real"])
 @pytest.mark.parametrize("command", ["certify", "select", "mv"])
 def test_cli_rejects_bad_states(tmp_path, capsys, command, damage):
     # a stored state with a non-finite coefficient exits 4 naming the file and the
     # first bad sample time, so it is neither certified, selected nor turned into a
     # defect; so does the states.fld of older run trees, which holds the velocity,
-    # (T, 2, n - 1, n/2) under the layout half_spectrum_packed
+    # (T, 2, n - 1, n/2) under the layout half_spectrum_packed, and one of real samples
     cfg = _write_cfg(tmp_path, family={"resolutions": [8, 16], "sample_stride": 10})
     out = tmp_path / "run"
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_OK
@@ -885,6 +964,10 @@ def test_cli_rejects_bad_states(tmp_path, capsys, command, damage):
                      extra={"layout": "half_spectrum_packed"})
         message = ("layout half_spectrum_packed, shape [11, 2, 15, 8]; the manifest needs "
                    "vorticity_half_spectrum_packed, [11, 1, 15, 8]: re-run simulate")
+    elif damage == "real":
+        packed, header = load_samples(states)
+        save_samples(states, packed.real, extra={"layout": header["layout"]})
+        message = "dtype f64, the vorticity needs c128"
     else:
         packed, header = load_samples(states)
         packed[5, 0, 3, 2] = packed[3, 0, 1, 1] = float(damage)
