@@ -81,15 +81,13 @@ class CertificateReport:
                                        for s in self.series.values())
 
     def to_dict(self) -> dict:
-        """The JSON of ``save_json``: ``entries`` holds one row per test and sample time."""
-        times, entries = self.times.tolist(), []
-        for tid, s in self.series.items():
-            rows = zip(times, s["lhs"].tolist(), s["margin"].tolist(), s["tol"].tolist())
-            entries += [{"test_id": tid, "t": t, "lhs": lhs, "rhs": s["rhs"], "margin": m,
-                         "tol": tol} for t, lhs, m, tol in rows]
+        """The JSON of ``save_json``: ``times`` once, then ``series`` as held, per test id
+        the "lhs", "margin" and "tol" lists over ``times`` and the scalar "rhs"."""
         return {
             "verdict": "pass" if self.verdict else "fail",
-            "entries": entries,
+            "times": self.times.tolist(),
+            "series": {tid: {k: v if k == "rhs" else v.tolist() for k, v in s.items()}
+                       for tid, s in self.series.items()},
             "errors": dict(self.errors),
             "tests": dict(self.tests),
             "config": {"weight": self.weight.to_dict(),

@@ -11,8 +11,8 @@ Subcommands map to pipeline stages over a shared scenario config:
 Exit codes: 0 success, 2 certificate failure (for select: some member
 failed, and the selection mixes the others), 3 solver blow-up,
 4 configuration error (including a run tree whose files do not match its
-manifest hashes or name a forcing file that cannot be read, and a sample,
-manifest or certificate file that cannot be read).
+manifest hashes or name a forcing file that cannot be read, a run-tree file
+that cannot be read and a certificate verdict other than "pass" or "fail").
 --seed overrides the config seed.
 """
 
@@ -71,7 +71,7 @@ def _load_config(args):
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     from .fields import FieldError
-    from .scenarios import (ConfigError, load_members, report, run_scenario,
+    from .scenarios import (ConfigError, _read_json, load_members, report, run_scenario,
                             stage_certify, stage_select, stage_simulate)
     from .solver import BlowUpError, SolverError
 
@@ -89,13 +89,10 @@ def main(argv=None) -> int:
             return EXIT_OK if ok else EXIT_CERT_FAIL
         if args.command == "select":
             config = _load_config(args)
-            family, verdicts = load_members(config), {}
-            for mid in family.member_ids:  # each member's stored certificate verdict
-                path = Path(config.out_dir) / "certificates" / f"{mid}.json"
-                try:
-                    verdicts[mid] = json.loads(path.read_text())["verdict"] == "pass"
-                except (OSError, ValueError, KeyError, TypeError) as exc:
-                    raise ConfigError(f"{path}: no certificate verdict ({exc})") from exc
+            family, certs = load_members(config), Path(config.out_dir) / "certificates"
+            verdicts = {mid: _read_json(certs / f"{mid}.json", "certificate verdict",
+                                        lambda d: {"pass": True, "fail": False}[d["verdict"]])
+                        for mid in family.member_ids}  # any other stored verdict: exit 4
             summary = stage_select(config, family, verdicts)
             print(json.dumps(summary) if summary else "no member passed: no selection")
             return EXIT_OK if all(verdicts.values()) else EXIT_CERT_FAIL

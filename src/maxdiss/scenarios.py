@@ -441,28 +441,36 @@ def run_scenario(config: ScenarioConfig) -> int:
 
 # -- reporting ---------------------------------------------------------------
 
-def report(run_dir) -> dict:
-    """Emit flat summaries from a completed artifact tree.
+def _read_json(path, what: str, parse=lambda d: d):
+    """``parse`` of the JSON in a run-tree file; one that is missing or malformed, or that
+    ``parse`` cannot take (a missing key, a wrong type or length), is a ConfigError naming it."""
+    try:
+        return parse(json.loads(Path(path).read_text()))
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ConfigError(f"{path}: unreadable {what} ({exc!r})") from None
 
-    First checks every file the manifest hashes: a missing or altered one
-    raises ConfigError naming it.  Writes margins.csv (test id, time, lhs,
-    rhs, margin, tol per member, the ``entries`` of its certificate JSON; a
-    certificate without them raises ConfigError naming it), energy.csv (time,
-    one column per member) and report.json, whose worst_margin is the least
-    margin after t = 0 (null without such a row); reads stored values only,
-    and repeated invocations produce identical bytes.
+
+def _margin_rows(cert: dict) -> list:
+    """(margins.csv line without the member, t > 0, margin) per test and sample, test-major."""
+    return [(f"{tid} {t:.12g} {lhs:.17g} {s['rhs']:.17g} {m:.17g} {tol:.12g}", t > 0, m)
+            for tid, s in cert["series"].items()
+            for t, lhs, m, tol in zip(cert["times"], s["lhs"], s["margin"], s["tol"], strict=True)]
+
+
+def report(run_dir) -> dict:
+    """Emit flat summaries from a completed artifact tree, reading all of it before writing.
+
+    Checks every file the manifest hashes, then reads each member's energies.csv (rows of
+    two floats at the first member's sample times), certificate JSON (each ``series`` as
+    long as ``times``) and selection.json: a missing, altered or unreadable one raises
+    ConfigError naming it, and nothing is written.  Then writes energy.csv (time, one
+    column per member), margins.csv (member, test id, time, lhs, rhs, margin, tol per
+    certificate sample) and report.json, whose worst_margin is the least margin after
+    t = 0 (null without such a row); repeated invocations produce identical bytes.
     """
     root = Path(run_dir)
-    manifest_path = root / "manifest.json"
-    if not manifest_path.exists():
-        raise ConfigError(f"{run_dir}: no manifest.json (incomplete tree)")
-    try:
-        manifest = json.loads(manifest_path.read_text())
-        hashes, members = manifest["hashes"].items(), manifest["members"]
-        summary = {"scenario": manifest["scenario"], "seed": manifest["seed"],
-                   "members": members, "certified": manifest["certified"]}
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise ConfigError(f"{manifest_path}: unreadable run manifest ({exc!r})") from None
+    hashes, summary = _read_json(root / "manifest.json", "run manifest", lambda d: (
+        d["hashes"].items(), {k: d[k] for k in ("scenario", "seed", "members", "certified")}))
     for rel, digest in hashes:
         path = root / rel
         if not path.is_file():
@@ -470,32 +478,29 @@ def report(run_dir) -> dict:
         if _sha256(path) != digest:
             raise ConfigError(f"{path}: sha256 differs from the manifest")
 
-    columns = []  # the members share their sample times (one dt and n_steps)
+    members, columns = summary["members"], []  # per member its (t, energy) tokens
     for mid in members:
         path = root / "sim" / mid / "energies.csv"
-        if not path.exists():
-            raise ConfigError(f"{run_dir}: missing {path.relative_to(root)}")
-        columns.append([line.split() for line in path.read_text().splitlines()[1:]])
+        try:
+            rows = [line.split() for line in path.read_text().splitlines()[1:]]
+            shape = np.array(rows, dtype=float).shape  # a ragged or non-float row: ValueError
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"{path}: unreadable energies ({exc!r})") from None
+        columns.append(rows)
+        if shape != (len(rows), 2) or [r[:1] for r in rows] != [r[:1] for r in columns[0]]:
+            raise ConfigError(f"{path}: not one row of two floats (t, energy) per sample time "
+                              f"of member {members[0]}")
+    certs = [_read_json(root / "certificates" / f"{mid}.json", "certificate", _margin_rows)
+             for mid in members]
+    selection = _read_json(sel, "selection") if (sel := root / "selection.json").exists() else None
+
     lines = ["# t " + " ".join(members)]
     lines += [row[0][0] + " " + " ".join(e for _, e in row) for row in zip(*columns)]
     (root / "energy.csv").write_text("\n".join(lines) + "\n")
-
-    margin_lines, margins = ["# member test_id t lhs rhs margin tol"], []
-    for mid in members:
-        path = root / "certificates" / f"{mid}.json"
-        try:
-            entries = json.loads(path.read_text())["entries"]
-            margin_lines += [f"{mid} {e['test_id']} {e['t']:.12g} {e['lhs']:.17g} {e['rhs']:.17g} "
-                             f"{e['margin']:.17g} {e['tol']:.12g}" for e in entries]
-            margins += [e["margin"] for e in entries if e["t"] > 0]  # every margin at t = 0 is 0
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            raise ConfigError(f"{path}: unreadable certificate ({exc!r})") from None
-    (root / "margins.csv").write_text("\n".join(margin_lines) + "\n")
-
-    selection = None
-    sel_path = root / "selection.json"
-    if sel_path.exists():
-        selection = json.loads(sel_path.read_text())
+    lines = ["# member test_id t lhs rhs margin tol"]
+    lines += [f"{mid} {line}" for mid, rows in zip(members, certs) for line, _, _ in rows]
+    (root / "margins.csv").write_text("\n".join(lines) + "\n")
+    margins = [m for rows in certs for _, late, m in rows if late]  # every margin at t = 0 is 0
     summary.update(worst_margin=min(margins, default=None), selection=selection)
     (root / "report.json").write_text(json.dumps(summary, indent=2) + "\n")
     return summary

@@ -1,7 +1,9 @@
 """Certification of trajectories via the weighted relative energy inequality."""
 
 import json
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -135,7 +137,8 @@ def test_default_weight_fails_growing_impostor_through_stage_certify(tg_impostor
     assert stage_certify(cfg, family) == {"tg": True, "growing": False}
     cert = json.loads((tmp_path / "certificates" / "growing.json").read_text())
     assert cert["config"]["weight"]["kind"] == "strain"
-    failed = {e["test_id"] for e in cert["entries"] if e["margin"] < -e["tol"]}
+    failed = {tid for tid, s in cert["series"].items()
+              if any(m < -tol for m, tol in zip(s["margin"], s["tol"], strict=True))}
     assert failed == {"exact", "amplitude_1.05"}
 
 
@@ -222,8 +225,21 @@ def test_report_json_roundtrip(tg_reference, tmp_path):
     assert d["config"]["weight"] == {"kind": "strain", "kappa": 2.0}
     assert d["config"]["tolerance"] == {"step_coeff": 10.0, "quadrature": 1e-9}
     assert "\n" not in path.read_text()  # compact: json's C encoder
-    assert len(d["entries"]) == report.times.size == report.series["zero"]["margin"].size
+    assert d["times"] == report.times.tolist()
+    zero = d["series"]["zero"]
+    assert len(zero["margin"]) == report.times.size == report.series["zero"]["margin"].size
     assert d["errors"] == {}
+
+
+def test_readme_names_exactly_the_certificate_json_keys(tg_reference):
+    # README's "Certificate JSON" paragraph names each top-level key of the stored
+    # certificate and each key of one series entry, and no other key
+    traj, _, _ = tg_reference
+    d = certify(traj, [TestTrajectory.zero(traj.grid)], STRAIN).to_dict()
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    paragraph = readme.split("Certificate JSON: ")[1].split("\n\n")[0]
+    named = re.findall(r"`(\w+)`", paragraph)
+    assert sorted(named) == sorted([*d, *d["series"]["zero"]])
 
 
 # -- Lagrange-multiplier (phi) form ------------------------------------------

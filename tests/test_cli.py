@@ -447,8 +447,8 @@ def test_exact_test_has_the_amplitude_of_the_scenario_vortex(tmp_path, scenario,
         # the run's data is the exact test's: R(0) = 0
         run_scenario(config)
         member = sorted((tmp_path / "run" / "certificates").glob("*.json"))[0]
-        entries = json.loads(member.read_text())["entries"]
-        assert next(e for e in entries if e["test_id"] == "exact")["lhs"] <= 1e-28
+        series = json.loads(member.read_text())["series"]
+        assert series["exact"]["lhs"][0] <= 1e-28
     with pytest.raises(ConfigError, match="^/tests/1: test function of amplitude"):
         ScenarioConfig.from_dict(dict(cfg, tests=["exact", f"amplitude:{exact}"]))
 
@@ -470,6 +470,14 @@ def completed_run(tmp_path_factory):
     cfg = ScenarioConfig.from_dict(_base_cfg(), out_dir=str(out))
     code = run_scenario(cfg)
     return out, code
+
+
+@pytest.fixture(scope="module")
+def two_member_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("run")
+    family = {"resolutions": [12, 16], "sample_stride": 10}
+    assert run_scenario(ScenarioConfig.from_dict(_base_cfg(family=family), out_dir=str(out))) == 0
+    return out
 
 
 def test_run_scenario_artifacts(completed_run):
@@ -502,8 +510,8 @@ def test_certificate_records_weight_integral_and_horizon(tmp_path):
     assert exact["weight_integral"] == pytest.approx(10 * (1 - np.exp(-0.02)), rel=1e-6)
     assert big["horizon"] <= 0.05
     assert big["weight_integral"] > 16 * np.log(10)
-    times = [e["t"] for e in cert["entries"] if e["test_id"] == "amplitude_400"]
-    assert big["horizon"] in times
+    assert len(cert["series"]["amplitude_400"]["margin"]) == len(cert["times"])
+    assert big["horizon"] in cert["times"]
 
 
 def test_report_reads_stored_artifacts(completed_run):
@@ -552,30 +560,88 @@ def test_cli_report_rejects_tampered_tree(tmp_path, capsys):
     assert str(cert) in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("damage", ["truncated", "no_entries", "missing"])
+REPORT_OUTPUTS = ("energy.csv", "margins.csv", "report.json")
+
+
+def _damage_and_rehash(out, rel, edit):
+    """Rewrite run-tree file ``rel`` with ``edit`` of its text, or remove it when ``edit``
+    is None, and make the run manifest's hashes match; clears what a report left."""
+    for name in REPORT_OUTPUTS:
+        (out / name).unlink(missing_ok=True)
+    path, manifest_path = out / rel, out / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    if edit is None:
+        path.unlink()
+        del manifest["hashes"][rel]
+    else:
+        path.write_text(edit(path.read_text()))
+        manifest["hashes"][rel] = hashlib.sha256(path.read_bytes()).hexdigest()
+    manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
+    return path
+
+
+def _edit_json(change):
+    def edit(text):
+        d = json.loads(text)
+        change(d)
+        return json.dumps(d)
+    return edit
+
+
+@pytest.mark.parametrize("damage", ["truncated", "no_series", "no_times", "short_series",
+                                    "missing"])
 def test_cli_report_rejects_unreadable_certificate(completed_run, tmp_path, capsys, damage):
     # report builds margins.csv from the certificate JSON: one that is truncated, has no
-    # entries or is gone exits 4 naming it, with the run manifest's hashes made to match
+    # series or times, has a series shorter than its times or is gone exits 4 naming it,
+    # with the run manifest's hashes made to match, and writes none of its outputs
     out = tmp_path / "run"
     shutil.copytree(completed_run[0], out)
-    for name in ("energy.csv", "margins.csv", "report.json"):
-        (out / name).unlink(missing_ok=True)
-    path, manifest_path = out / "certificates" / "n_16.json", out / "manifest.json"
-    manifest = json.loads(manifest_path.read_text())
-    if damage == "missing":
-        path.unlink()
-        del manifest["hashes"]["certificates/n_16.json"]
-    else:
-        text = path.read_text()
-        path.write_text(text[:len(text) // 2] if damage == "truncated" else
-                        json.dumps({k: v for k, v in json.loads(text).items() if k != "entries"}))
-        manifest["hashes"]["certificates/n_16.json"] = hashlib.sha256(
-            path.read_bytes()).hexdigest()
-    manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
+    edit = {"truncated": lambda text: text[:len(text) // 2],
+            "no_series": _edit_json(lambda d: d.pop("series")),
+            "no_times": _edit_json(lambda d: d.pop("times")),
+            "short_series": _edit_json(lambda d: d["series"]["zero"]["lhs"].pop()),
+            "missing": None}[damage]
+    path = _damage_and_rehash(out, "certificates/n_16.json", edit)
     capsys.readouterr()
     assert main(["report", "--out", str(out)]) == EXIT_CONFIG
     assert f"config error: {path}: unreadable certificate" in capsys.readouterr().err
-    assert not (out / "report.json").exists()
+    assert not any((out / name).exists() for name in REPORT_OUTPUTS)
+
+
+@pytest.mark.parametrize("rel, damage", [
+    ("selection.json", "truncated"),
+    ("sim/n_12/energies.csv", "one_column"),
+    ("sim/n_16/energies.csv", "not_a_float"),
+    ("sim/n_12/energies.csv", "ragged"),
+    ("sim/n_16/energies.csv", "header_only"),
+    ("sim/n_16/energies.csv", "short"),
+    ("sim/n_16/energies.csv", "other_times"),
+])
+def test_cli_report_rejects_damaged_input_and_writes_nothing(two_member_run, tmp_path, capsys,
+                                                             rel, damage):
+    # report reads every input before it writes: a truncated selection.json, or an
+    # energies.csv whose rows are not two floats or whose times are not the first
+    # member's (n_12), exits 4 naming the file, with the manifest's hashes made to match
+    out = tmp_path / "run"
+    shutil.copytree(two_member_run, out)
+    assert main(["report", "--out", str(out)]) == EXIT_OK  # the undamaged tree reports
+
+    def rows(change):
+        return lambda text: "\n".join(change(text.splitlines())) + "\n"
+
+    edit = {"truncated": lambda text: text[:len(text) // 2],
+            "one_column": rows(lambda ls: ls[:1] + [ln.split()[0] for ln in ls[1:]]),
+            "not_a_float": rows(lambda ls: ls[:2] + ["0.5 energy"] + ls[3:]),
+            "ragged": rows(lambda ls: ls[:2] + [ls[2] + " 1.0"] + ls[3:]),
+            "header_only": rows(lambda ls: ls[:1]),
+            "short": rows(lambda ls: ls[:-1]),
+            "other_times": rows(lambda ls: ls[:2] + ["9.5 " + ls[2].split()[1]] + ls[3:]),
+            }[damage]
+    path = _damage_and_rehash(out, rel, edit)
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == EXIT_CONFIG
+    assert f"config error: {path}: " in capsys.readouterr().err
+    assert not any((out / name).exists() for name in REPORT_OUTPUTS)
 
 
 def test_report_margins_keep_the_csv_number_formats(completed_run):
@@ -588,11 +654,11 @@ def test_report_margins_keep_the_csv_number_formats(completed_run):
     energy = zero.split()[3]  # R(0) of the zero test: the energy pi^2 of the vortex
     assert zero == f"n_16 zero 0 {energy} {energy} 0 1e-09"
     assert float(energy) == pytest.approx(np.pi ** 2, rel=1e-14)
-    entries = json.loads((out / "certificates" / "n_16.json").read_text())["entries"]
-    e = entries[-1]
+    cert = json.loads((out / "certificates" / "n_16.json").read_text())
+    test_id, s = list(cert["series"].items())[-1]  # margins.csv is test-major
     assert lines[-1] == "n_16 %s %.12g %.17g %.17g %.17g %.12g" % (
-        e["test_id"], e["t"], e["lhs"], e["rhs"], e["margin"], e["tol"])
-    assert lines[-1].split()[2] == "0.25" and float(lines[-1].split()[5]) == e["margin"]
+        test_id, cert["times"][-1], s["lhs"][-1], s["rhs"], s["margin"][-1], s["tol"][-1])
+    assert lines[-1].split()[2] == "0.25" and float(lines[-1].split()[5]) == s["margin"][-1]
 
 
 @pytest.mark.parametrize("damage", ["truncated", "missing_key"])
@@ -1117,6 +1183,25 @@ def test_cli_select_mixes_only_certified_members(tmp_path, capsys, tg_impostors)
         assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CERT_FAIL
     assert "no selection" in capsys.readouterr().out
     assert not (out / "selection.json").exists() and not (out / "selected").exists()
+
+
+@pytest.mark.parametrize("verdict", ["PASS", None, ["pass"], "missing"])
+def test_cli_select_rejects_a_stored_verdict_other_than_pass_or_fail(completed_run, tmp_path,
+                                                                    capsys, verdict):
+    # a stored verdict that is neither "pass" nor "fail", or none at all, is not
+    # read as a fail that excludes the member: select exits 4 naming the certificate
+    out = tmp_path / "run"
+    shutil.copytree(completed_run[0], out)
+    path = out / "certificates" / "n_16.json"
+    cert = json.loads(path.read_text())
+    if verdict == "missing":
+        del cert["verdict"]
+    else:
+        cert["verdict"] = verdict
+    path.write_text(json.dumps(cert))
+    capsys.readouterr()
+    assert main(["select", "--config", _write_cfg(tmp_path), "--out", str(out)]) == EXIT_CONFIG
+    assert f"config error: {path}: unreadable certificate verdict" in capsys.readouterr().err
 
 
 def test_cli_select_rejects_members_with_other_initial_data(tmp_path, capsys):
