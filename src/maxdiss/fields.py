@@ -5,7 +5,8 @@ on the rfft2 half spectrum: shape (components, n, n//2 + 1), rows kx in
 numpy fft ordering, columns ky = 0 ... n/2.  The modes ky < 0 are the
 conjugates of their mirrors, so physical samples are real by construction;
 only the column ky = 0, whose mirror modes are stored too, is averaged
-onto Hermitian symmetry.  The Nyquist row and column (|k| = n/2) are
+onto Hermitian symmetry, by the one rule ``_hermitian_column`` that the
+stepper applies too.  The Nyquist row and column (|k| = n/2) are
 always zeroed to keep the retained band symmetric under k -> -k.  Parseval
 sums count the columns 0 < ky < n/2 twice, for themselves and their mirrors.
 
@@ -21,14 +22,14 @@ bits.  The band follows from the shapes: the n//2 + 1 columns of an
 n-spectrum sampled on a finer grid (``samples``), the columns ky <= cut of
 the 2/3 band, both ways, in the nonlinear term (``solver._products``), the
 n//2 + 1 columns that a restriction to n keeps
-(``mv_euler._lowpass_restrict``).
+(``mv_euler._lowpass_restrict``).  Arrays are stored one to a .npy file
+(``save_samples``), and read back, checked, by ``load_samples``.
 """
 
 from __future__ import annotations
 
 import functools
-import json
-import struct
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,13 +39,9 @@ TWO_PI = 2.0 * np.pi
 #: relative divergence threshold for tagging a field solenoidal
 SOLENOIDAL_RTOL = 1e-12
 
-HEADER_MAGIC = b"MAXDISS-FLD\0".ljust(16, b"\0")
-#: payload types of the sample container, by its header key ``dtype``
-_SAMPLE_DTYPES = {"f64": "<f8", "c128": "<c16"}
-
 
 class FieldError(ValueError):
-    """Raised on invalid field construction or an unreadable sample container."""
+    """Raised on invalid field construction or an unreadable array file."""
 
 
 @dataclass(frozen=True)
@@ -132,6 +129,14 @@ def _sym_eigenvalues(m: np.ndarray):
     return mean + rad, mean - rad
 
 
+def _hermitian_column(c: np.ndarray) -> np.ndarray:
+    """c, half spectra (..., n, n//2 + 1), with the column ky = 0 (c(kx, 0) and its
+    mirror c(-kx, 0)) averaged onto Hermitian symmetry in place, k = 0 aside."""
+    col = c[..., 0]
+    col[..., 1:] = 0.5 * (col[..., 1:] + np.conj(col[..., :0:-1]))
+    return c
+
+
 def normalized(c, n: int, solenoidal: bool) -> np.ndarray:
     """Read-only copy of coefficients (..., components, n, n//2 + 1) with Nyquist
     modes zeroed and column ky = 0 Hermitian; ``solenoidal`` vector coefficients
@@ -140,10 +145,8 @@ def normalized(c, n: int, solenoidal: bool) -> np.ndarray:
     if c.shape[-2:] != (n, n // 2 + 1):
         raise FieldError(f"bad coefficient shape {c.shape} for n={n}")
     tab = spectral_tables(n)
-    c = c * tab.nyquist
-    # column ky = 0 holds both uhat(kx, 0) and its mirror uhat(-kx, 0)
-    col = c[..., 0]
-    c[..., 0] = 0.5 * (col + np.conj(np.roll(col[..., ::-1], 1, axis=-1)))
+    c = _hermitian_column(c * tab.nyquist)
+    c[..., 0, 0] = c[..., 0, 0].real
     c.flags.writeable = False
     if solenoidal and c.shape[-3] == 2:
         div = np.abs(tab.kx * c[..., 0, :, :] + tab.ky * c[..., 1, :, :]).max(axis=(-2, -1))
@@ -275,70 +278,45 @@ def samples(c: np.ndarray, m: int) -> np.ndarray:
 
 # -- persistence ------------------------------------------------------------
 
-def save_samples(path, samples: np.ndarray, extra: dict | None = None) -> None:
-    """Binary container: 16-byte magic, padded JSON header, samples.
-
-    ``samples`` has shape (..., c, a, b): real physical samples, one field
-    (c, n, n) or a time series (T, c, n, n), of velocities (c = 2) or of
-    symmetric defect densities (c = 3), or complex half spectra.  The header
-    key ``shape`` holds the full shape and ``dtype`` the payload type, ``f64``
-    or ``c128``; the payload is little-endian in C order.
-    """
-    dtype = "c128" if np.iscomplexobj(samples) else "f64"
-    samples = np.ascontiguousarray(samples, dtype=_SAMPLE_DTYPES[dtype])
-    if samples.ndim < 3:
-        raise FieldError(f"samples must be (..., c, a, b), got {samples.shape}")
-    meta = {"shape": list(samples.shape), "endianness": "little", "dtype": dtype}
-    if extra:
-        meta.update(extra)
-    header = json.dumps(meta).encode()
-    pad = (-(len(HEADER_MAGIC) + 4 + len(header))) % 64
-    header += b" " * pad
+def save_samples(path, samples: np.ndarray) -> None:
+    """Write ``samples`` to ``path`` as one array in numpy's .npy format (NEP 1)."""
     with open(path, "wb") as fh:
-        fh.write(HEADER_MAGIC)
-        fh.write(struct.pack("<I", len(header)))
-        fh.write(header)
-        fh.write(samples)
+        np.save(fh, samples, allow_pickle=False)
 
 
-def load_samples(path):
-    """Read a sample container; returns (samples of the header's shape, header dict).
-
-    A bad magic, an unreadable header or a payload whose size differs from
-    the header's shape raises FieldError naming ``path``.
-    """
-    with open(path, "rb") as fh:
-        if fh.read(16) != HEADER_MAGIC:
-            raise FieldError(f"{path}: bad magic")
-        try:
-            (hlen,) = struct.unpack("<I", fh.read(4))
-            header = json.loads(fh.read(hlen))
-            shape = tuple(int(s) for s in header["shape"])
-            dtype = _SAMPLE_DTYPES[header["dtype"]]
-        except (struct.error, ValueError, TypeError, KeyError) as exc:
-            raise FieldError(f"{path}: unreadable header ({exc!r})") from None
-        data = np.fromfile(fh, dtype=dtype)
-    if len(shape) < 3 or min(shape) < 0 or data.size != np.prod(shape):
-        raise FieldError(f"{path}: {data.size} samples, header shape {list(shape)}")
-    return data.reshape(shape), header
+def load_samples(path) -> np.ndarray:
+    """The one array of the .npy file ``path``, finite float64 or complex128 samples
+    (..., c, a, b), else FieldError naming ``path``.  The file is mapped before its
+    payload is copied, so a header that declares more than the file holds reads nothing."""
+    try:
+        mapped = np.lib.format.open_memmap(path, mode="r")
+        if (size := os.path.getsize(path) - mapped.offset) != mapped.nbytes:
+            raise ValueError(f"{size} payload bytes, the header declares {mapped.nbytes}")
+        a = np.array(mapped)
+    except (OSError, ValueError) as exc:
+        raise FieldError(f"{path}: unreadable .npy array ({exc})") from None
+    if a.dtype not in (np.float64, np.complex128) or a.ndim < 3:
+        raise FieldError(f"{path}: {a.dtype} of shape {list(a.shape)}; samples are "
+                         f"float64 or complex128 of shape (..., c, a, b)")
+    if not np.isfinite(a).all():
+        raise FieldError(f"{path}: non-finite value at index "
+                         f"{np.argwhere(~np.isfinite(a))[0].tolist()}")
+    return a
 
 
 def save_field(u: SpectralField, path) -> None:
-    """Save one velocity/scalar field, (c, n, n), in the sample container."""
-    save_samples(path, u.physical(), extra={"solenoidal": u.solenoidal})
+    """Save one field as its physical samples (c, n, n), as a forcing file holds them."""
+    save_samples(path, u.physical())
 
 
 def load_field(path) -> SpectralField:
-    """Load one field container of finite real samples (c, n, n); spectra are
+    """Load one velocity field of real samples (2, n, n), a forcing file; spectra are
     recomputed from them.  Any fault raises FieldError naming ``path``."""
-    samples, header = load_samples(path)
-    if header["dtype"] != "f64" or samples.ndim != 3 or samples.shape[1] != samples.shape[2]:
-        raise FieldError(f"{path}: one field is real (c, n, n) samples, "
-                         f"got {header['dtype']} of shape {list(samples.shape)}")
-    if not np.isfinite(samples).all():
-        raise FieldError(f"{path}: non-finite samples")
+    samples = load_samples(path)
+    if samples.dtype != np.float64 or samples.shape != (2,) + samples.shape[-1:] * 2:
+        raise FieldError(f"{path}: a velocity field is real (2, n, n) samples, "
+                         f"got {samples.dtype} of shape {list(samples.shape)}")
     try:
-        return from_physical(Grid(samples.shape[-1]), samples,
-                             solenoidal=header.get("solenoidal", False))
+        return from_physical(Grid(samples.shape[-1]), samples)
     except FieldError as exc:
         raise FieldError(f"{path}: {exc}") from None

@@ -88,13 +88,12 @@ class DefectField:
         return float(np.min([min_eigenvalue(sample) for sample in self.density]))
 
     def save(self, out_dir) -> None:
-        """Write manifest.json and density.fld, the (T, 3, n, n) samples."""
+        """Write manifest.json and density.npy, the (T, 3, n, n) float64 ``components``."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        save_samples(out / "density.fld", self.density,
-                     extra={"kind": "defect",
-                            "components_order": list(DEFECT_COMPONENTS)})
+        save_samples(out / "density.npy", self.density)
         manifest = {"format": "maxdiss-defect", "n": self.grid.n,
+                    "components": list(DEFECT_COMPONENTS),
                     "times": self.times.tolist(),
                     "mollifier_kmax": self.mollifier_kmax,
                     "clip_magnitude": self.clip_magnitude,

@@ -460,13 +460,14 @@ def _margin_rows(cert: dict) -> list:
 def report(run_dir) -> dict:
     """Emit flat summaries from a completed artifact tree, reading all of it before writing.
 
-    Checks every file the manifest hashes, then reads each member's energies.csv (rows of
-    two floats at the first member's sample times), certificate JSON (each ``series`` as
-    long as ``times``) and selection.json: a missing, altered or unreadable one raises
-    ConfigError naming it, and nothing is written.  Then writes energy.csv (time, one
-    column per member), margins.csv (member, test id, time, lhs, rhs, margin, tol per
-    certificate sample) and report.json, whose worst_margin is the least margin after
-    t = 0 (null without such a row); repeated invocations produce identical bytes.
+    Checks every file the manifest hashes and that its members are the sim/ directories
+    of those files, then reads each member's energies.csv (rows of two floats at the first
+    member's sample times), certificate JSON (each ``series`` as long as ``times``) and
+    selection.json: a missing, altered or unreadable one raises ConfigError naming it,
+    and nothing is written.  Then writes energy.csv (time, one column per member),
+    margins.csv (member, test id, time, lhs, rhs, margin, tol per certificate sample) and
+    report.json, whose worst_margin is the least margin after t = 0 (null without such a
+    row); repeated invocations produce identical bytes.
     """
     root = Path(run_dir)
     hashes, summary = _read_json(root / "manifest.json", "run manifest", lambda d: (
@@ -479,6 +480,11 @@ def report(run_dir) -> dict:
             raise ConfigError(f"{path}: sha256 differs from the manifest")
 
     members, columns = summary["members"], []  # per member its (t, energy) tokens
+    covered = sorted({Path(rel).parent.name for rel, _ in hashes
+                      if Path(rel).parent.parent == Path("sim")})
+    if members != covered:
+        raise ConfigError(f"{root / 'manifest.json'}: members {members!r} are not the "
+                          f"member directories {covered} under sim/ that its hashes cover")
     for mid in members:
         path = root / "sim" / mid / "energies.csv"
         try:

@@ -39,6 +39,7 @@ from .fields import (
     FieldError,
     Grid,
     SpectralField,
+    _hermitian_column,
     _mode_sum,
     from_function,
     load_field,
@@ -118,12 +119,9 @@ class Forcing:
             raise SolverError(f"forcing/params/wavenumber: expected an int >= 1, got {k!r}")
         if self.kind == "file":  # read and checked once, here
             try:
-                f = load_field(Path(self.path))
-            except (OSError, TypeError, FieldError) as exc:
+                object.__setattr__(self, "_file_coeffs", load_field(Path(self.path)).coeffs)
+            except (TypeError, FieldError) as exc:
                 raise SolverError(f"forcing/path: {exc}") from None
-            if f.coeffs.shape[0] != 2:
-                raise SolverError(f"forcing/path: {self.path}: one component, need two")
-            object.__setattr__(self, "_file_coeffs", f.coeffs)
 
     def curl(self, n: int) -> np.ndarray | None:
         """curl f on the n x n grid with the mean of f (``_curl``), whose velocity is
@@ -261,14 +259,6 @@ def _velocity_pairing(a: np.ndarray, b: np.ndarray):
     return TWO_PI ** 2 * _mode_sum(p[..., None, :, :])
 
 
-def _hermitian_column(w: np.ndarray) -> np.ndarray:
-    """w, vorticity half spectra, with the column ky = 0 (w(kx, 0) and its mirror
-    w(-kx, 0)) averaged onto Hermitian symmetry in place, k = 0 (the mean) aside."""
-    col = w[..., 0]
-    col[..., 1:] = 0.5 * (col[..., 1:] + np.conj(col[..., :0:-1]))
-    return w
-
-
 def _products(ws: _Workspace):
     """a_hat and b_hat (views of ``ws.band``) of a = v_x^2 - v_y^2 and b = v_x v_y for
     the band velocity in ``ws.band``, by irfft2 and rfft2 as column and row passes, the
@@ -362,10 +352,6 @@ def advance(w: np.ndarray | SpectralField, spec: SystemSpec, t: float,
 
 # -- trajectories -----------------------------------------------------------
 
-#: header key ``layout`` of a trajectory's states.fld
-_STATES_LAYOUT = "vorticity_half_spectrum_packed"
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """Time-sampled states of one Galerkin run as their vorticity, (T, n, n//2 + 1) in
@@ -399,9 +385,9 @@ class Trajectory:
         return 0.5 * _velocity_pairing(self.vorticity, self.vorticity)
 
     def save(self, out_dir) -> None:
-        """Write manifest.json (spec, times, provenance) and states.fld, the vorticity
-        packed to (T, 1, n - 1, n/2): the Nyquist row and column are zero and left out,
-        so that load gives back the same vorticity bit for bit."""
+        """Write manifest.json (spec, times, provenance) and states.npy, the vorticity
+        packed to complex128 (T, 1, n - 1, n/2): the Nyquist row and column are zero and
+        left out, so that load gives back the same vorticity bit for bit."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         manifest = {
@@ -411,8 +397,7 @@ class Trajectory:
         }
         (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
         h = self.grid.n // 2
-        save_samples(out / "states.fld", np.delete(self.vorticity[:, None, :, :h], h, axis=-2),
-                     extra={"layout": _STATES_LAYOUT})
+        save_samples(out / "states.npy", np.delete(self.vorticity[:, None, :, :h], h, axis=-2))
 
     @classmethod
     def load(cls, in_dir) -> "Trajectory":
@@ -433,18 +418,13 @@ class Trajectory:
             raise SolverError(f"{exc} (in {src / 'manifest.json'})") from None
         except (ValueError, KeyError, IndexError, TypeError, AttributeError) as exc:
             raise FieldError(f"{src / 'manifest.json'}: unreadable manifest ({exc!r})") from None
-        path = src / "states.fld"
-        packed, header = load_samples(path)
+        path = src / "states.npy"
+        packed = load_samples(path)
         n, h = spec.grid.n, spec.grid.n // 2
-        if header.get("layout") != _STATES_LAYOUT or packed.shape != (times.size, 1, n - 1, h):
-            raise FieldError(f"{path}: layout {header.get('layout')}, shape {list(packed.shape)}; "
-                             f"the manifest needs {_STATES_LAYOUT}, {[times.size, 1, n - 1, h]}: "
+        if packed.dtype != np.complex128 or packed.shape != (times.size, 1, n - 1, h):
+            raise FieldError(f"{path}: {packed.dtype} of shape {list(packed.shape)}; the "
+                             f"manifest needs complex128 of shape {[times.size, 1, n - 1, h]}: "
                              f"re-run simulate")
-        if header["dtype"] != "c128":  # real samples would drop the imaginary parts
-            raise FieldError(f"{path}: dtype {header['dtype']}, the vorticity needs c128")
-        if not (finite := np.isfinite(packed).all(axis=(1, 2, 3))).all():
-            raise FieldError(f"{path}: non-finite coefficients in the sample at "
-                             f"t={float(times[np.argmin(finite)])!r}")
         w = np.pad(np.insert(packed[:, 0], h, 0, axis=1), ((0, 0), (0, 0), (0, 1)))  # Nyquist: 0
         try:  # not ``normalized``, whose projection would drop the mean's imaginary part
             return cls(spec=spec, times=times, vorticity=_hermitian_column(w),

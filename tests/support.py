@@ -7,8 +7,9 @@ residual recovery, velocity gradients and the trilinear form, the convex
 sweep and the continuous-dependence study of a selection, v (x) v sampled
 on a fine grid, the Taylor-Green pressure and pressure recovery, and the
 measure-valued momentum residual and convex combination, the reader of a
-stored defect field and the benchmark's workload configs."""
+stored defect field, the benchmark's workload configs and damaged .npy files."""
 
+import io
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -22,7 +23,7 @@ from maxdiss.certificate import margin_series
 from maxdiss.fields import (TWO_PI, Grid, SpectralField, _embed, _mode_sum, from_function,
                             load_samples, normalized, pairing, resample, samples,
                             spectral_tables)
-from maxdiss.mv_euler import DefectField, MVError
+from maxdiss.mv_euler import DEFECT_COMPONENTS, DefectField, MVError
 from maxdiss.relenergy import (cumulative_weight_integral, rel_terms, residual_A, weight_norms,
                                weight_value)
 from maxdiss.selector import SimplexWeights, assemble_family, select
@@ -237,8 +238,10 @@ def load_defect(in_dir):
     manifest = json.loads((src / "manifest.json").read_text())
     if manifest["format"] != "maxdiss-defect":
         raise MVError(f"{src}: format {manifest['format']!r}")
-    density, _ = load_samples(src / "density.fld")
-    return DefectField(grid=Grid(manifest["n"]), times=manifest["times"], density=density,
+    if manifest["components"] != list(DEFECT_COMPONENTS):
+        raise MVError(f"{src}: components {manifest['components']!r}")
+    return DefectField(grid=Grid(manifest["n"]), times=manifest["times"],
+                       density=load_samples(src / "density.npy"),
                        mollifier_kmax=manifest["mollifier_kmax"],
                        clip_magnitude=manifest["clip_magnitude"],
                        provenance=manifest["provenance"])
@@ -303,3 +306,46 @@ def mv_convex_combine(v1, m1, v2, m2, lam):
                     mollifier_kmax=min(m1.mollifier_kmax, m2.mollifier_kmax),
                     clip_magnitude=max(m1.clip_magnitude, m2.clip_magnitude))
     return v, m
+
+
+# -- damaged array files ---------------------------------------------------------
+
+def _npy(a: np.ndarray, allow_pickle: bool = False) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, a, allow_pickle=allow_pickle)
+    return buf.getvalue()
+
+
+def _npz(a: np.ndarray) -> bytes:
+    buf = io.BytesIO()
+    np.savez(buf, a)
+    return buf.getvalue()
+
+
+def _with_nan(a: np.ndarray) -> bytes:
+    a = a.copy()
+    a.flat[a.size // 2] = np.nan
+    return _npy(a)
+
+
+def _oversized(a: np.ndarray) -> bytes:
+    """a's payload under a header that declares (200000, 200000) float64, 298 GiB."""
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        buf, {"descr": "<f8", "fortran_order": False, "shape": (200000, 200000)})
+    return buf.getvalue() + a.tobytes()
+
+
+#: per damage, the bytes of a damaged .npy file of the array a that a reader expects
+NPY_DAMAGE = {
+    "magic": lambda a: b"MAXDISS-FLD".ljust(16, b"\0") + a.tobytes(),  # not a .npy file
+    "header": lambda a: _npy(a).replace(b"'descr'", b"'dexcr'", 1),
+    "payload": lambda a: _npy(a)[:-8],
+    "trailing": lambda a: _npy(a) + bytes(8),  # more payload than the header declares
+    "object": lambda a: _npy(a.astype(object), allow_pickle=True),
+    "npz": _npz,
+    "dtype": lambda a: _npy(np.zeros(a.shape, np.float32)),
+    "shape": lambda a: _npy(a.reshape(a.shape[0], -1)),
+    "non_finite": _with_nan,
+    "oversized": _oversized,
+}

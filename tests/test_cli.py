@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import dist, divergence_linf, stacked
-from support import forcing_coeffs, from_velocity, perfbench_configs, velocity
+from support import NPY_DAMAGE, forcing_coeffs, from_velocity, perfbench_configs, velocity
 
 import maxdiss
 from maxdiss.cli import (
@@ -310,6 +310,39 @@ def test_cli_rejects_unreadable_forcing_file_at_parse(tmp_path, capsys, content)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("damage", sorted(NPY_DAMAGE))
+def test_cli_rejects_damaged_forcing_file_at_parse(tmp_path, capsys, damage):
+    # a forcing file that is no readable .npy array of finite float64 (2, n, n) samples
+    # exits 4 naming it when the config is parsed, before any output
+    path = tmp_path / "forcing.npy"
+    samples = from_function(Grid(16), lambda X, Y: np.sin(Y), lambda X, Y: 0 * X).physical()
+    path.write_bytes(NPY_DAMAGE[damage](samples))
+    cfg = _base_cfg()
+    cfg["system"]["forcing"] = {"kind": "file", "path": str(path)}
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: /system/forcing/path: {path}: ")
+    assert not out.exists()
+
+
+def test_cli_runs_a_forcing_file_written_by_np_save(tmp_path):
+    # a forcing file is any .npy of finite float64 (2, n, n) samples: one that numpy
+    # wrote drives the run that the analytic forcing of the same samples does
+    path = tmp_path / "forcing.npy"
+    np.save(path, from_function(Grid(16), lambda X, Y: np.sin(Y), lambda X, Y: 0 * X).physical())
+    states = []
+    for name, forcing in (("file", {"kind": "file", "path": str(path)}),
+                          ("analytic", {"kind": "analytic", "name": "kolmogorov"})):
+        cfg = _write_cfg(tmp_path, name=f"{name}.json", tests=["zero"],
+                         system={"nu": 0.1, "n": 16, "t_end": 0.25, "dt": 2.5e-3,
+                                 "forcing": forcing})
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / name)]) == EXIT_OK
+        states.append(np.load(tmp_path / name / "sim" / "n_16" / "states.npy"))
+    assert np.abs(states[0] - states[1]).max() <= 1e-15 * np.abs(states[1]).max()
+
+
 def test_config_parses_readable_forcing_file(tmp_path):
     path = tmp_path / "forcing.fld"
     field = from_function(Grid(16), lambda X, Y: np.sin(2 * Y), lambda X, Y: np.zeros_like(X))
@@ -484,7 +517,7 @@ def test_run_scenario_artifacts(completed_run):
     out, code = completed_run
     assert code == 0
     assert {p.name for p in (out / "sim" / "n_16").iterdir()} == {
-        "manifest.json", "energies.csv", "states.fld"}
+        "manifest.json", "energies.csv", "states.npy"}
     cert = json.loads((out / "certificates" / "n_16.json").read_text())
     assert cert["verdict"] == "pass"
     sel = json.loads((out / "selection.json").read_text())
@@ -644,6 +677,25 @@ def test_cli_report_rejects_damaged_input_and_writes_nothing(two_member_run, tmp
     assert not any((out / name).exists() for name in REPORT_OUTPUTS)
 
 
+@pytest.mark.parametrize("members", [[16], ["n_16"]], ids=["int", "one_of_two"])
+def test_cli_report_rejects_members_other_than_the_hashed_sim_directories(
+        two_member_run, tmp_path, capsys, members):
+    # the run manifest is the one file its hashes do not cover: members that are not
+    # the sim/ directories of the hashed files, an int or one of two members, exit 4
+    # naming it, where they gave a TypeError traceback or a one-member energy.csv
+    out = tmp_path / "run"
+    shutil.copytree(two_member_run, out)
+    for name in REPORT_OUTPUTS:
+        (out / name).unlink(missing_ok=True)
+    manifest = out / "manifest.json"
+    manifest.write_text(json.dumps(dict(json.loads(manifest.read_text()), members=members)))
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == EXIT_CONFIG
+    assert (f"config error: {manifest}: members {members!r} are not the member directories "
+            f"['n_12', 'n_16']") in capsys.readouterr().err
+    assert not any((out / name).exists() for name in REPORT_OUTPUTS)
+
+
 def test_report_margins_keep_the_csv_number_formats(completed_run):
     # margins.csv writes t and tol in %.12g and lhs, rhs and margin in %.17g, the
     # formats of the per-member certificate CSV it was built from before
@@ -735,7 +787,7 @@ def test_stage_subcommands_match_run(tmp_path, capsys):
     # simulate, certify and select, each reading the run tree the one before
     # wrote, give the selection and certificates of one `maxdiss run` bit for
     # bit: `maxdiss run` hands the spectra on in memory, the subcommands load
-    # the same spectra from states.fld.  The exact selection needs that: H has
+    # the same spectra from states.npy.  The exact selection needs that: H has
     # eigenvalues 3.1e-7 and 9.4 here, so a rounding change of H moves lambda
     # by about 1e-8.  The subcommands take the members in the config's order,
     # which is not the order of their names.
@@ -755,7 +807,7 @@ def test_stage_subcommands_match_run(tmp_path, capsys):
     a, b = (json.loads((root / "selection.json").read_text()) for root in (run, staged))
     assert b == a and (a["member_ids"], a["rank"], a["unique"]) == (["n_16", "n_12"], 2, True)
     assert all((staged / "selected" / name).read_bytes() == (run / "selected" / name).read_bytes()
-               for name in ("manifest.json", "states.fld"))
+               for name in ("manifest.json", "states.npy"))
 
 
 def test_mv_subcommand_matches_run(tmp_path, capsys):
@@ -770,7 +822,7 @@ def test_mv_subcommand_matches_run(tmp_path, capsys):
                  "--coarse", str(staged / "sim" / "nu_0.01"),
                  "--out", str(staged / "defect")]) == EXIT_OK
     capsys.readouterr()
-    for name in ("density.fld", "manifest.json"):
+    for name in ("density.npy", "manifest.json"):
         assert (staged / "defect" / name).read_bytes() == (run / "defect" / name).read_bytes()
 
 
@@ -1008,38 +1060,57 @@ def test_cli_truncated_states_file(tmp_path, capsys):
     cfg = _write_cfg(tmp_path)
     out = tmp_path / "run"
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_OK
-    states = out / "sim" / "n_16" / "states.fld"
+    states = out / "sim" / "n_16" / "states.npy"
     states.write_bytes(states.read_bytes()[:-8])
     assert main(["certify", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
     assert str(states) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage", sorted(NPY_DAMAGE))
+def test_cli_rejects_damaged_states_file(tmp_path, capsys, damage):
+    # a states.npy that is no readable .npy array of the manifest's dtype and shape, or
+    # holds a non-finite value, exits 4 naming it from certify, select and mv, before
+    # any of them writes; a header that declares more than the file holds is refused
+    # before anything is read
+    cfg = _write_cfg(tmp_path, family={"resolutions": [8, 16], "sample_stride": 10})
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    member, states = out / "sim" / "n_16", out / "sim" / "n_16" / "states.npy"
+    states.write_bytes(NPY_DAMAGE[damage](load_samples(states)))
+    for argv in (["certify", "--config", cfg, "--out", str(out)],
+                 ["select", "--config", cfg, "--out", str(out)],
+                 ["mv", "--fine", str(member), "--coarse", str(out / "sim" / "n_8"),
+                  "--out", str(out / "defect")]):
+        capsys.readouterr()
+        assert main(argv) == EXIT_CONFIG
+        assert f"config error: {states}: " in capsys.readouterr().err
+    assert not any((out / name).exists() for name in ("certificates", "selection.json", "defect"))
 
 
 @pytest.mark.parametrize("damage", ["nan", "inf", "velocity_layout", "real"])
 @pytest.mark.parametrize("command", ["certify", "select", "mv"])
 def test_cli_rejects_bad_states(tmp_path, capsys, command, damage):
     # a stored state with a non-finite coefficient exits 4 naming the file and the
-    # first bad sample time, so it is neither certified, selected nor turned into a
-    # defect; so does the states.fld of older run trees, which holds the velocity,
-    # (T, 2, n - 1, n/2) under the layout half_spectrum_packed, and one of real samples
+    # index of the first one, whose first entry is the sample; so does the states.npy
+    # of the velocity, (T, 2, n - 1, n/2), as older run trees stored it, and one of
+    # real samples
     cfg = _write_cfg(tmp_path, family={"resolutions": [8, 16], "sample_stride": 10})
     out = tmp_path / "run"
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_OK
-    member, states = out / "sim" / "n_16", out / "sim" / "n_16" / "states.fld"
+    member, states = out / "sim" / "n_16", out / "sim" / "n_16" / "states.npy"
     if damage == "velocity_layout":
-        save_samples(states, np.delete(velocity(Trajectory.load(member))[..., :8], 8, axis=-2),
-                     extra={"layout": "half_spectrum_packed"})
-        message = ("layout half_spectrum_packed, shape [11, 2, 15, 8]; the manifest needs "
-                   "vorticity_half_spectrum_packed, [11, 1, 15, 8]: re-run simulate")
+        save_samples(states, np.delete(velocity(Trajectory.load(member))[..., :8], 8, axis=-2))
+        message = ("complex128 of shape [11, 2, 15, 8]; the manifest needs complex128 of "
+                   "shape [11, 1, 15, 8]: re-run simulate")
     elif damage == "real":
-        packed, header = load_samples(states)
-        save_samples(states, packed.real, extra={"layout": header["layout"]})
-        message = "dtype f64, the vorticity needs c128"
+        save_samples(states, load_samples(states).real)
+        message = ("float64 of shape [11, 1, 15, 8]; the manifest needs complex128 of "
+                   "shape [11, 1, 15, 8]: re-run simulate")
     else:
-        packed, header = load_samples(states)
+        packed = load_samples(states)
         packed[5, 0, 3, 2] = packed[3, 0, 1, 1] = float(damage)
-        save_samples(states, packed, extra=header)
-        t = json.loads((member / "manifest.json").read_text())["times"][3]
-        message = f"non-finite coefficients in the sample at t={t!r}"
+        save_samples(states, packed)
+        message = "non-finite value at index [3, 0, 1, 1]"
     capsys.readouterr()
     argv = ([command, "--config", cfg, "--out", str(out)] if command != "mv" else
             ["mv", "--fine", str(member), "--coarse", str(out / "sim" / "n_8"),

@@ -233,7 +233,7 @@ def test_defect_save_load_roundtrip(tmp_path, rng):
                     provenance="roundtrip")
     m.save(tmp_path / "defect")
     assert sorted(p.name for p in (tmp_path / "defect").iterdir()) == [
-        "density.fld", "manifest.json"]
+        "density.npy", "manifest.json"]
     back = load_defect(tmp_path / "defect")
     assert back.grid.n == 8
     assert back.mollifier_kmax == 3

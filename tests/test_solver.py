@@ -629,30 +629,30 @@ def test_trajectory_roundtrip(tmp_path):
     assert np.allclose(back.times, traj.times)
     assert back.spec.nu == spec.nu and back.grid.n == 16
     assert np.array_equal(back.vorticity, traj.vorticity)
-    # states.fld must match the manifest's sample count (the times left still
+    # states.npy must match the manifest's sample count (the times left still
     # end at t_end, which load checks first)
     manifest = tmp_path / "run" / "manifest.json"
     meta = json.loads(manifest.read_text())
     manifest.write_text(json.dumps(dict(meta, times=meta["times"][1:])))
-    with pytest.raises(FieldError, match="states.fld"):
+    with pytest.raises(FieldError, match="states.npy"):
         Trajectory.load(tmp_path / "run")
 
 
 def test_trajectory_stores_packed_half_spectra(tmp_path, rng):
-    # states.fld holds the vorticity spectra less their zero Nyquist row and
+    # states.npy holds the vorticity spectra less their zero Nyquist row and
     # column and loads them back bit for bit; a file of physical samples, the
     # layout of older run trees, is refused
     spec = _spec(nu=0.1, n=16, t_end=0.02, dt=1e-2)
     traj = solve(spec, random_field(spec.grid, rng, kmax=8, components=2, solenoidal=True))
     traj.save(tmp_path / "run")
     assert np.array_equal(Trajectory.load(tmp_path / "run").vorticity, traj.vorticity)
-    path = tmp_path / "run" / "states.fld"
-    packed, header = load_samples(path)
-    assert packed.shape == (traj.times.size, 1, 15, 8) and header["dtype"] == "c128"
+    path = tmp_path / "run" / "states.npy"
+    packed = load_samples(path)
+    assert packed.shape == (traj.times.size, 1, 15, 8) and packed.dtype == np.complex128
     assert path.stat().st_size - 16 * 8 * 15 * traj.times.size < 512  # the header
     save_samples(path, np.fft.irfft2(velocity(traj), s=(16, 16), norm="forward"))
-    with pytest.raises(FieldError,
-                       match="layout None, shape .* needs vorticity_half_spectrum_packed"):
+    with pytest.raises(FieldError, match=r"float64 of shape \[3, 2, 16, 16\]; the manifest "
+                                         r"needs complex128 of shape \[3, 1, 15, 8\]"):
         Trajectory.load(tmp_path / "run")
 
 

@@ -1,6 +1,7 @@
 """Every public function, class and method and every private top-level function and
-class of the package is used inside the package, and the package imports nothing but
-the standard library and numpy."""
+class of the package is used inside the package, the package imports nothing but
+the standard library and numpy, and it reads array files in one place, never with
+pickles."""
 
 import ast
 import sys
@@ -131,3 +132,32 @@ def test_package_imports_only_the_stdlib_and_numpy():
                               and node.level == 0 else [])
                if module.split(".")[0] not in allowed]
     assert not foreign, f"imports of neither the stdlib, numpy nor maxdiss: {foreign}"
+
+
+def _is_numpy_attribute(node, names) -> bool:
+    """Whether ``node`` is np.<...>.name or numpy.<...>.name with name in ``names``."""
+    root = node
+    while isinstance(root, ast.Attribute):
+        root = root.value
+    return (isinstance(node, ast.Attribute) and node.attr in names
+            and isinstance(root, ast.Name) and root.id in ("np", "numpy"))
+
+
+def test_array_files_are_read_only_by_load_samples():
+    # one reader of .npy files, which checks every file before its payload is copied
+    readers, found = {"load", "fromfile", "memmap", "open_memmap"}, []
+    for name, tree in _modules().items():
+        owner = {id(sub): fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                 for sub in ast.walk(fn)}  # the innermost function: ast.walk is breadth-first
+        found += [(name, owner.get(id(sub))) for sub in ast.walk(tree)
+                  if _is_numpy_attribute(sub, readers)]
+    assert found == [("fields.py", "load_samples")], found
+
+
+def test_no_array_file_is_read_or_written_with_pickles():
+    # an object array in a .npy file is a pickle, which runs code when loaded
+    unsafe = [f"{name}:{node.lineno}" for name, tree in _modules().items()
+              for node in ast.walk(tree) if isinstance(node, ast.keyword)
+              and node.arg == "allow_pickle"
+              and not (isinstance(node.value, ast.Constant) and node.value.value is False)]
+    assert not unsafe, f"allow_pickle other than False: {unsafe}"
