@@ -477,6 +477,14 @@ def _unit_taylor_green(n: int) -> np.ndarray:
                          lambda X, Y: -np.cos(X) * np.sin(Y), solenoidal=True).coeffs
 
 
+@functools.lru_cache(maxsize=32)
+def _taylor_green_shape(n: int) -> np.ndarray:
+    """The read-only curl of ``_unit_taylor_green``(n), every Taylor-Green test's U."""
+    U = _curl(_unit_taylor_green(n))
+    U.flags.writeable = False
+    return U
+
+
 def taylor_green(t: float, nu: float, grid: Grid, amplitude: float = 1.0) -> SpectralField:
     """v = A e^{-2 nu t} (sin x cos y, -cos x sin y); exact NSE solution for f=0."""
     return SpectralField(grid, _unit_taylor_green(grid.n) * (amplitude * np.exp(-2.0 * nu * t)),
@@ -493,9 +501,10 @@ class TestTrajectory:
     ``_curl``'s layout, so the test is solenoidal by construction.  A ``separable``
     test v = a(t) U also has its fixed ``shape`` U (n, n//2 + 1), a vorticity too, and
     ``amplitude``, times -> (a, a'): its values are a U, its derivatives a' U, and
-    ``certificate.margin_series`` runs its kernels once, on U.  The tests
-    ``scenarios.build_tests`` names are: ``taylor_green`` (the closed-form
-    decaying vortex, rescaled) and ``zero`` (its amplitude 0).
+    the certifier runs its kernels once per distinct U (``certificate._Projections``).
+    The tests ``scenarios.build_tests`` names are: ``taylor_green`` (the closed-form
+    decaying vortex, rescaled) and ``zero`` (its amplitude 0); on one grid they all
+    hold the one read-only U of ``_taylor_green_shape``.
     """
 
     __test__ = False  # not a pytest test class
@@ -506,6 +515,8 @@ class TestTrajectory:
 
     @classmethod
     def separable(cls, shape: np.ndarray, amplitude, grid: Grid, label: str) -> "TestTrajectory":
+        if np.shape(shape) != (need := (grid.n, grid.n // 2 + 1)):
+            raise SolverError(f"shape: {np.shape(shape)} on grid n={grid.n}, need {need}")
         return cls(lambda times: amplitude(times)[0][:, None, None] * shape,
                    lambda times: amplitude(times)[1][:, None, None] * shape,
                    grid, label, shape, amplitude)
@@ -517,7 +528,7 @@ class TestTrajectory:
             a = amplitude * np.exp(-2.0 * nu * np.asarray(times))
             return a, -2.0 * nu * a
 
-        vt = cls.separable(_curl(_unit_taylor_green(grid.n)), a, grid,
+        vt = cls.separable(_taylor_green_shape(grid.n), a, grid,
                            label or f"taylor_green(nu={nu:g}, a={amplitude:g})")
         vt.derivs = lambda times: -2.0 * nu * vt.values(times)  # a' U, as -2 nu v bit for bit
         return vt

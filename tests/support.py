@@ -1,6 +1,7 @@
 """Helpers that only the tests use, built on the package: trajectories from
 velocity stacks and the velocity of a trajectory, the H1 seminorm and the raw
-forcing on a grid, the velocity form of the certificate's margins, test
+forcing on a grid, the certificate of one trajectory, the velocity form of
+the certificate's margins, test
 trajectories from closed forms, splines and
 perturbations, the phi-weighted form of the relative energy inequality, weak
 residual recovery, velocity gradients and the trilinear form, the convex
@@ -19,7 +20,7 @@ from scipy.integrate import simpson
 from scipy.interpolate import CubicSpline
 
 from maxdiss import certificate
-from maxdiss.certificate import margin_series
+from maxdiss.certificate import ToleranceModel, certify_members, margin_series
 from maxdiss.fields import (TWO_PI, Grid, SpectralField, _embed, _mode_sum, from_function,
                             load_samples, normalized, pairing, resample, samples,
                             spectral_tables)
@@ -37,6 +38,11 @@ def perfbench_configs() -> list:
     namespace = {}
     exec(compile(path.read_text(), str(path), "exec"), namespace)
     return [w["config"] for w in namespace["WORKLOADS"].values()]
+
+
+def certify(u: Trajectory, tests, w, tol_model=ToleranceModel()):
+    """Certify one trajectory against a list of tests, as a family of its own."""
+    return certify_members(assemble_family([u]), tests, w, tol_model)[0]
 
 
 def worst_margin(report) -> float:

@@ -8,13 +8,13 @@ from dataclasses import replace
 import numpy as np
 from scipy.integrate import simpson
 from conftest import dist
-from support import (analytic_test, continuous_dependence_study, from_velocity,
+from support import (analytic_test, certify, continuous_dependence_study, from_velocity,
                      mollified_indicator, mv_convex_combine, mv_equation_residual,
                      phi_form_value, recover_pressure, recover_weak_residual,
                      taylor_green_pressure, trace_leakage_bound, trilinears,
                      velocity, verify_convex_midpoint, worst_margin, zero_defect)
 
-from maxdiss.certificate import ToleranceModel, certify, margin_series
+from maxdiss.certificate import ToleranceModel, margin_series
 from maxdiss.fields import Grid, SpectralField, from_function, pairing, random_field
 from maxdiss.mv_euler import defect_from_pair, trace_energy_gap
 from maxdiss.relenergy import WeightSpec, rel_terms, weight_norms, weight_value

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import convection
-from support import (analytic_test, forcing_coeffs, from_velocity, gradients, h1_squared,
+from support import (analytic_test, certify, forcing_coeffs, from_velocity, gradients, h1_squared,
                      mollified_indicator, perfbench_configs, phi_form_value,
                      recover_weak_residual, spline_test, velocity, velocity_margins,
                      worst_margin)
@@ -17,11 +17,10 @@ from maxdiss.fields import (Grid, SpectralField, _embed, pairing, project, rando
                             resample, samples, spectral_tables)
 from maxdiss.relenergy import WeightSpec, cumulative_weight_integral, rel_terms, residual_A
 from maxdiss import certificate
-from maxdiss.certificate import (CertificateError, ToleranceModel, certify, certify_members,
-                                 margin_series)
+from maxdiss.certificate import CertificateError, ToleranceModel, certify_members, margin_series
 from maxdiss.selector import assemble_family
-from maxdiss.solver import (Forcing, SystemSpec, TestTrajectory, Trajectory, _curl, _velocity,
-                            solve, taylor_green)
+from maxdiss.solver import (Forcing, SolverError, SystemSpec, TestTrajectory, Trajectory, _curl,
+                            _velocity, solve, taylor_green)
 
 STRAIN = WeightSpec()
 
@@ -155,14 +154,18 @@ def test_certify_propagates_programming_errors(tg_reference):
 
 
 def test_certify_error_isolation(tg_reference):
+    # a separable test on a coarser grid errors alone: the separable tests of the
+    # member's grid, sharing its shape, and a sampled test are still evaluated
     traj, _, _ = tg_reference
     grid = traj.grid
     bad = TestTrajectory.zero(Grid(grid.n // 2), label="bad")  # grid mismatch
-    report = certify(traj, [bad, TestTrajectory.zero(grid)], STRAIN)
-    assert "bad" in report.errors
+    tests = [bad, TestTrajectory.zero(grid), TestTrajectory.taylor_green(0.1, grid, label="exact"),
+             spline_test(traj, label="self")]
+    report = certify(traj, tests, STRAIN)
+    assert list(report.errors) == ["bad"] and "grid mismatch" in report.errors["bad"]
     assert not report.verdict  # an errored member fails the verdict
-    assert list(report.series) == ["zero"]
-    assert np.all(report.series["zero"]["margin"] >= -report.series["zero"]["tol"])
+    assert list(report.series) == ["zero", "exact", "self"]
+    assert all(np.all(s["margin"] >= -s["tol"]) for s in report.series.values())
 
 
 def test_certify_rejects_a_repeated_test_id(tg_reference):
@@ -367,9 +370,9 @@ def test_relative_terms_of_a_vorticity_are_those_of_its_velocity(rng):
 @pytest.mark.parametrize("count", [1, 3])
 def test_test_side_terms_run_once_per_test_and_block(monkeypatch, count):
     # members of three viscosities and two grids share each test's weight norms
-    # and residual: a separable test a(t) U (the vortex, zero) takes them once,
-    # from U, whatever the number of blocks; a sampled test once per block;
-    # each member's series is bit for bit its one-member series
+    # and residual: the separable tests a(t) U (the vortices, zero) take them once
+    # per distinct U, whatever the number of blocks or of tests; a sampled test
+    # once per block; each member's series is bit for bit its one-member series
     u, vt, w = _oracle_case("euler")  # 21 samples in blocks of 8 at n = 32
     coarse = SystemSpec(nu=0.01, grid=Grid(16), t_end=u.spec.t_end, dt=u.spec.dt)
     members = [u, Trajectory(replace(u.spec, nu=0.1), u.times, u.vorticity),
@@ -382,15 +385,19 @@ def test_test_side_terms_run_once_per_test_and_block(monkeypatch, count):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(certificate, name, counted)
-    per_test = []
-    for test in (vt, TestTrajectory.zero(vt.grid), sampled):
+    vortices = [vt, TestTrajectory.zero(vt.grid),
+                TestTrajectory.taylor_green(u.spec.nu, vt.grid, label="exact")]
+    per_list = []
+    for tests in ([vortices[0]], [vortices[1]], [sampled], vortices, [*vortices, sampled]):
         calls.update(weight_norms=0, residual_A=0)
-        assert len(certify_members(assemble_family(members), [test], w)) == count
-        per_test.append(dict(calls))
+        assert len(certify_members(assemble_family(members), tests, w)) == count
+        per_list.append(dict(calls))
     blocks = len(certificate._blocks(u.times.size, vt.grid.n))
     assert blocks == 3
-    assert per_test == [{"weight_norms": 1, "residual_A": 1}] * 2 \
-        + [{"weight_norms": blocks, "residual_A": blocks}]
+    # the three vortices share one shape: one call each for all of them
+    assert per_list == [{"weight_norms": 1, "residual_A": 1}] * 2 \
+        + [{"weight_norms": blocks, "residual_A": blocks}, {"weight_norms": 1, "residual_A": 1},
+           {"weight_norms": 1 + blocks, "residual_A": 1 + blocks}]
     for margins, one in zip(margin_series(assemble_family(members), vt, w).margins, alone):
         np.testing.assert_array_equal(margins, one.margins[0])
 
@@ -437,13 +444,102 @@ def test_separable_test_matches_its_sampled_form(A):
 
 
 def test_benchmark_configs_build_separable_tests_only():
-    # the pipeline never falls back to per-block kernels on the workloads
+    # the pipeline never falls back to per-block kernels on the workloads, and the
+    # tests of one list hold one read-only shape, so its kernels run once
     from maxdiss.scenarios import ScenarioConfig, build_tests
 
     for cfg in perfbench_configs():
         config = ScenarioConfig.from_dict(cfg)
         tests = build_tests(config, config.system.grid)
-        assert tests and all(vt.shape is not None for vt in tests)
+        assert tests and all(vt.shape is tests[0].shape for vt in tests)
+        with pytest.raises(ValueError, match="read-only"):
+            tests[0].shape[1, 1] = 1.0
+
+
+def test_separable_test_rejects_a_shape_of_another_grid():
+    # the certifier stacks the shapes of one grid, so each must be that grid's
+    with pytest.raises(SolverError, match=r"shape: \(16, 9\) on grid n=24, need \(24, 13\)"):
+        TestTrajectory.separable(np.zeros((16, 9), complex), lambda t: (t, t), Grid(24), "x")
+
+
+def _mixed_case():
+    """A kolmogorov-forced family on n = 16 and 24 and, on n = 24, three vortices
+    sharing one shape, a separable test of a random shape, a sampled test, and a
+    separable test on n = 16, coarser than the family."""
+    nu, grid, forcing = 0.05, Grid(24), Forcing("analytic", "kolmogorov", {"amplitude": 1.0})
+    members = []
+    for n in (16, 24):
+        spec = SystemSpec(nu=nu, grid=Grid(n), t_end=0.05, dt=2.5e-3, forcing=forcing)
+        pert = random_field(spec.grid, np.random.default_rng(n), kmax=3)
+        members.append(solve(spec, SpectralField(spec.grid, taylor_green(0.0, nu, spec.grid).coeffs
+                                                 + 0.05 * pert.coeffs)))
+    U = _curl(0.05 * random_field(grid, np.random.default_rng(3), kmax=3).coeffs)
+
+    def amplitude(times):
+        a = -1.5 * np.exp(-2.0 * np.asarray(times))
+        return a, -2.0 * a
+
+    tests = [TestTrajectory.taylor_green(nu, grid, label="exact"), TestTrajectory.zero(grid),
+             TestTrajectory.taylor_green(nu, grid, amplitude=1.05, label="amplitude_1.05"),
+             TestTrajectory.separable(U, amplitude, grid, "random"),
+             spline_test(members[1], label="sampled"),
+             TestTrajectory.zero(Grid(16), label="coarse")]
+    return assemble_family(members), tests
+
+
+def test_mixed_tests_match_their_sampled_forms():
+    # one certify_members call over separable tests of two shapes, a sampled test and
+    # a coarse one: each series equals its test's sampled per-block form to roundoff,
+    # its I(t) and horizon those of the test certified alone bit for bit
+    family, tests = _mixed_case()
+    assert len({id(vt.shape) for vt in tests[:3]}) == 1
+    reports = certify_members(family, tests, STRAIN)
+    for report in reports:
+        assert list(report.errors) == ["coarse"]
+        assert list(report.series) == [vt.label for vt in tests[:-1]]
+    for vt in tests[:-1]:
+        alone = margin_series(family, vt, STRAIN)
+        sampled = margin_series(family, TestTrajectory(vt.values, vt.derivs, vt.grid, "s"),
+                                STRAIN)
+        np.testing.assert_allclose(alone.weight_integral, sampled.weight_integral,
+                                   rtol=1e-14, atol=0.0)
+        alone_record = certify_members(family, [vt], STRAIN)[0].tests[vt.label]
+        assert reports[0].tests[vt.label] == alone_record
+        for i, report in enumerate(reports):
+            got = report.series[vt.label]
+            assert np.array_equal(got["tol"], ToleranceModel().tau(family.times, 2.5e-3)
+                                  * np.exp(-alone.weight_integral))
+            for key, expect in (("lhs", sampled.lhs[i]), ("margin", sampled.margins[i])):
+                np.testing.assert_allclose(got[key], expect, rtol=0.0, atol=1e-13,
+                                           err_msg=f"{vt.label} {key}")
+    assert reports[0].tests["random"]["weight_integral"] > 0
+
+
+def test_certify_fft_calls_do_not_grow_with_samples_or_tests(monkeypatch):
+    # the Taylor-Green tests' FFTs are their one shape's kernels: as many with three
+    # tests and twice the samples as with one test
+    grid = Grid(32)
+    spec = SystemSpec(nu=0.1, grid=grid, t_end=0.1, dt=2.5e-3,
+                      forcing=Forcing("analytic", "kolmogorov", {"amplitude": 1.0}))
+    spec.forcing.curl(32)  # built once, before counting
+    w = _curl(taylor_green(0.0, 0.1, grid).coeffs)
+    calls = {}
+    for name in ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2", "irfft2", "fftn",
+                 "ifftn", "rfftn", "irfftn"):
+        def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    counts = []
+    for size, amplitudes in ((11, (1.0,)), (22, (1.0, 0.0, 1.05))):
+        times = np.arange(size) * spec.dt
+        family = assemble_family([Trajectory(spec, times, np.exp(-times)[:, None, None] * w)])
+        tests = [TestTrajectory.taylor_green(0.1, grid, amplitude=a, label=f"a{a:g}")
+                 for a in amplitudes]
+        calls.clear()
+        assert list(certify_members(family, tests, STRAIN)[0].series) == [vt.label for vt in tests]
+        counts.append(dict(calls))
+    assert counts[0] == counts[1] and sum(counts[0].values()) > 0
 
 
 def test_stage_certify_tests_coarse_members_on_the_finest_grid(tmp_path):

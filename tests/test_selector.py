@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 from conftest import dist
-from support import (continuous_dependence_study, from_velocity, velocity,
+from support import (certify, continuous_dependence_study, from_velocity, velocity,
                      verify_convex_midpoint, worst_margin)
 
-from maxdiss.certificate import ToleranceModel, certify
+from maxdiss.certificate import ToleranceModel
 from maxdiss.fields import Grid, SpectralField, _embed, from_function, pairing
 from maxdiss.mv_euler import MVError, defect_from_pair
 from maxdiss.relenergy import WeightSpec

@@ -8,7 +8,7 @@ import pytest
 from conftest import (convection, dist, divergence_linf, rebuilt, reference_advance,
                       reference_curl, reference_rhs, reference_velocity, rotational_rhs,
                       stacked)
-from support import (forcing_coeffs, from_velocity, gradients, perfbench_configs,
+from support import (certify, forcing_coeffs, from_velocity, gradients, perfbench_configs,
                      perturbed_test, recover_pressure, spline_test, taylor_green_pressure,
                      velocity)
 
@@ -457,7 +457,6 @@ def test_analytic_forcing_built_once_per_grid(monkeypatch):
 
 
 def test_taylor_green_built_once_per_grid(monkeypatch):
-    from maxdiss.certificate import certify
     from maxdiss.relenergy import WeightSpec
 
     builds = []

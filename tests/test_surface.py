@@ -13,7 +13,6 @@ SRC = Path(__file__).parents[1] / "src" / "maxdiss"
 #: public names kept without a consumer in the package
 EXEMPT = {
     "save_field",  # writes the forcing-file input format that load_field reads
-    "certify",  # the one-trajectory case of certify_members, the certifier's entry point
 }
 
 
