@@ -17,7 +17,7 @@ that construction holds the (T, 3, n, n) output and one sample's work.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -38,18 +38,20 @@ def psd_clip(density: np.ndarray):
     The nearest PSD matrix in the Frobenius norm clips the eigenvalues (Higham 1988):
     with p = max(lam1, 0), q = min(lam2, 0) it is p/(p - q) (M - qI), as e1 e1^T =
     (M - lam2 I)/(lam1 - lam2), and 0 where p = q = 0; PSD samples come back bit for
-    bit.  Returns (clipped, magnitude), magnitude the largest negative eigenvalue
-    removed, as an absolute number in velocity^2 units.
+    bit.  Returns (clipped, magnitude, least): magnitude the largest negative eigenvalue
+    removed, as an absolute number in velocity^2 units, and least the least eigenvalue
+    of the clipped samples, ``min_eigenvalue(clipped)``, which where nothing is clipped
+    is the least lam2 of the input, taken here once.
     """
     lam1, lam2 = _sym_eigenvalues(density)
     magnitude = float(np.max(-lam2, initial=0.0))
     if magnitude == 0.0:
-        return density.copy(), 0.0
+        return density.copy(), 0.0, float(np.min(lam2))
     p, q = np.maximum(lam1, 0.0), np.minimum(lam2, 0.0)
     out = density.copy()
     out[..., 0::2, :, :] -= q[..., None, :, :]
     out *= np.divide(p, p - q, out=np.zeros_like(p), where=p > q)[..., None, :, :]
-    return out, magnitude
+    return out, magnitude, min_eigenvalue(out)
 
 
 def min_eigenvalue(density: np.ndarray) -> float:
@@ -66,6 +68,9 @@ class DefectField:
     mollifier_kmax: int       # spectral low-pass scale used in construction
     clip_magnitude: float = 0.0  # largest eigenvalue removed by PSD projection
     provenance: str = ""
+    #: min_eigenvalue(), recorded by defect_from_pair only: no caller passes it, and
+    #: dataclasses.replace leaves it None, so it never outlives the density it was taken of
+    least_eigenvalue: float | None = field(default=None, init=False, compare=False)
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float).view()
@@ -83,8 +88,11 @@ class DefectField:
                       axis=(-2, -1)) * h * h
 
     def min_eigenvalue(self) -> float:
-        """The smallest eigenvalue over all samples, taken sample by sample: the
-        float of ``min_eigenvalue`` on the whole series, with one sample's temporaries."""
+        """The smallest eigenvalue over all samples: ``least_eigenvalue`` when
+        defect_from_pair recorded it, else taken sample by sample, the float of
+        ``min_eigenvalue`` on the whole series, with one sample's temporaries."""
+        if self.least_eigenvalue is not None:
+            return self.least_eigenvalue
         return float(np.min([min_eigenvalue(sample) for sample in self.density]))
 
     def save(self, out_dir) -> None:
@@ -203,21 +211,24 @@ def defect_from_pair(fine: Trajectory, coarse: Trajectory,
     energy_density = 2.0 * fine.energies().max() / (2 * np.pi) ** 2
     floor = 1e-12 * max(energy_density, 1.0)
     m = 2 * -(-3 * n // 4)
-    density, clips = np.empty((fine.times.size, 3, n, n)), np.empty(fine.times.size)
+    density = np.empty((fine.times.size, 3, n, n))
+    clips, least = np.empty(fine.times.size), np.empty(fine.times.size)
     trace_sum, ws = 0.0, _SampleWork(n, m)
     for k, out in enumerate(density):
         wf, wc = fine.vorticity[k], _embed(coarse.vorticity[k], nc, n)
-        out[...], clips[k] = psd_clip(_lowpassed_defect(wf, wc, m, mollifier_kmax, ws))
+        out[...], clips[k], least[k] = psd_clip(_lowpassed_defect(wf, wc, m, mollifier_kmax, ws))
         trace_sum += float(np.sum(np.abs(out[0] + out[2])))
     magnitude, trace_scale = float(clips.max()), trace_sum / density[:, 0].size
     if magnitude > max(clip_fail_ratio * trace_scale, floor):
         raise MVError(f"PSD projection too large: clip {magnitude:g} "
                       f"vs trace scale {trace_scale:g}")
-    return DefectField(grid=fine.grid, times=fine.times, density=density,
-                       mollifier_kmax=int(mollifier_kmax),
-                       clip_magnitude=magnitude,
-                       provenance=f"pair n_f={n} n_c={nc} "
-                                  f"kmax={mollifier_kmax}")
+    defect = DefectField(grid=fine.grid, times=fine.times, density=density,
+                         mollifier_kmax=int(mollifier_kmax),
+                         clip_magnitude=magnitude,
+                         provenance=f"pair n_f={n} n_c={nc} "
+                                    f"kmax={mollifier_kmax}")
+    object.__setattr__(defect, "least_eigenvalue", float(np.min(least)))
+    return defect
 
 
 def trace_energy_gap(m: DefectField, fine: Trajectory,

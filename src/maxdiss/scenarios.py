@@ -27,7 +27,8 @@ from .certificate import ToleranceModel, certify_members
 from .fields import Grid, SpectralField, from_function, pairing, random_field
 from .mv_euler import defect_from_pair, trace_energy_gap
 from .relenergy import WeightError, WeightSpec
-from .selector import MAX_MEMBERS, CandidateFamily, SelectorError, assemble_family, select
+from .selector import (MAX_MEMBERS, CandidateFamily, SelectorError, SimplexWeights,
+                       assemble_family, select)
 from .solver import (BlowUpError, SolverError, SystemSpec, TestTrajectory, Trajectory, solve,
                      taylor_green)
 
@@ -261,9 +262,17 @@ def _lanes(specs, count: int) -> list:
     return [sorted(lane) for lane in lanes]
 
 
+def _remove(root: Path, *names) -> None:
+    """Remove the files and directories ``names`` under root, those that exist."""
+    for name in names:
+        shutil.rmtree(root / name, ignore_errors=True)
+        (root / name).unlink(missing_ok=True)
+
+
 def stage_simulate(config: ScenarioConfig) -> CandidateFamily:
     """Solve and save every member in a new sim/, which holds exactly the
-    config's members; returns their family.
+    config's members; returns their family.  The certificates and the selection
+    of the members it replaces are removed, and a selected/ of an older tree.
 
     The members run side by side on one lane per usable CPU, at most one per member
     (``_lanes``).  This process runs lane 0; each other lane runs in a child made by
@@ -273,7 +282,7 @@ def stage_simulate(config: ScenarioConfig) -> CandidateFamily:
     first failing member in config order, as in a serial run.  With one usable CPU
     nothing is forked."""
     out = Path(config.out_dir) / "sim"
-    shutil.rmtree(out, ignore_errors=True)
+    _remove(out.parent, "sim", "certificates", "selection.json", "selected")
     specs = _member_specs(config)
     v0_fine = initial_condition(config, Grid(max(spec.grid.n for _, spec in specs)))
     provenance = [f"{config.scenario}/{mid} seed={config.seed}" for mid, _ in specs]
@@ -342,11 +351,36 @@ def load_members(config: ScenarioConfig) -> CandidateFamily:
         raise ConfigError(f"{sim / mid / 'manifest.json'}: {why}") from exc
 
 
+def _selection(d: dict) -> tuple:
+    """(member ids, weights) of a selection.json, one weight per member."""
+    ids, weights = d["member_ids"], SimplexWeights(d["lambda"])
+    if not (isinstance(ids, list) and len(ids) == weights.lam.size):
+        raise ValueError(f"member_ids {ids!r} are not one per lambda")
+    return ids, weights
+
+
+def load_selected(config: ScenarioConfig) -> Trajectory:
+    """The selected trajectory: the stored members that selection.json names, mixed by its
+    lambda.  That is the mixture of the selection's own family bit for bit, as JSON
+    round-trips every float64 and ``Trajectory.load`` is exact; simulate and certify
+    remove the selection.json of the members and verdicts they replace.  A selection.json
+    that is missing (no member passed, or not selected since) or damaged, or that names a
+    member not under sim/ in config order, is a ConfigError naming it."""
+    path = Path(config.out_dir) / "selection.json"
+    ids, weights = _read_json(path, "selection", _selection)
+    family = load_members(config).subfamily(ids)
+    if list(family.member_ids) != ids:
+        raise ConfigError(f"{path}: member_ids {ids!r} are not simulated members in "
+                          f"config order (found {list(family.member_ids)!r} of them under sim/)")
+    return family.mix(weights)
+
+
 def stage_certify(config: ScenarioConfig, family: CandidateFamily) -> dict:
     """Certify the members against the config's tests on the family's grid, one pass
-    per test, and save the reports in a new certificates/; returns {member id: passed}."""
+    per test, and save the reports in a new certificates/; returns {member id: passed}.
+    A selection of the earlier verdicts is removed."""
     out = Path(config.out_dir) / "certificates"
-    shutil.rmtree(out, ignore_errors=True)
+    _remove(out.parent, "certificates", "selection.json")
     out.mkdir(parents=True)
     reports = certify_members(family, build_tests(config, Grid(family.n)), config.weight,
                               config.tolerance)
@@ -356,13 +390,15 @@ def stage_certify(config: ScenarioConfig, family: CandidateFamily) -> dict:
 
 
 def stage_select(config: ScenarioConfig, family: CandidateFamily, verdicts: dict) -> dict | None:
-    """Select among the members that passed; when none did, removes any
-    earlier selection.json and selected/ and writes nothing."""
+    """Select among the members that passed and write selection.json, whose weights mix
+    the stored members into the selected trajectory (``load_selected``); when none did,
+    removes any earlier selection.json and writes nothing.  The mixture itself is not
+    formed, and a selected/ that stored one in an older tree is removed on every call."""
     out = Path(config.out_dir)
+    _remove(out, "selected")
     passed = [mid for mid in family.member_ids if verdicts[mid]]
     if not passed:
-        (out / "selection.json").unlink(missing_ok=True)
-        shutil.rmtree(out / "selected", ignore_errors=True)
+        _remove(out, "selection.json")
         return None
     fam = family.subfamily(passed)
     try:
@@ -371,7 +407,6 @@ def stage_select(config: ScenarioConfig, family: CandidateFamily, verdicts: dict
         raise ConfigError(f"{out / 'sim'}/{exc}") from exc
     summary = dict(result.to_dict(fam),
                    excluded=[mid for mid in family.member_ids if not verdicts[mid]])
-    result.trajectory.save(out / "selected")
     (out / "selection.json").write_text(json.dumps(summary, indent=2) + "\n")
     return summary
 
@@ -402,7 +437,8 @@ def _hash_tree(root: Path) -> dict:
     return {str(p.relative_to(root)): _sha256(p) for p in sorted(root.rglob("*")) if p.is_file()}
 
 
-#: what runs and reports leave besides sim/ and certificates/, which their stages replace
+#: what runs and reports leave besides sim/ and certificates/, which their stages replace,
+#: and selected/, where older trees stored the selected mixture
 EARLIER_OUTPUTS = ("defect", "selected", "selection.json", "energy.csv", "margins.csv",
                    "report.json", "manifest.json")
 
@@ -412,9 +448,7 @@ def run_scenario(config: ScenarioConfig) -> int:
     3 blow-up.  Any stage failure halts with a stage-tagged diagnostic."""
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for name in EARLIER_OUTPUTS:  # so _hash_tree sees this run's files and no run manifest
-        shutil.rmtree(out / name, ignore_errors=True)
-        (out / name).unlink(missing_ok=True)
+    _remove(out, *EARLIER_OUTPUTS)  # so _hash_tree sees this run's files and no run manifest
     try:
         family = stage_simulate(config)
     except BlowUpError as exc:

@@ -8,7 +8,9 @@ J = 1/4 lambda^T H lambda is a convex quadratic, H the members' Gram matrix
 integrated over time once by the certifier's Simpson rule; with at most
 MAX_MEMBERS members it is minimized exactly, support by support.  The mixed
 trajectory is unique even when the weights are not (singular Gram), so the
-trajectory is the deliverable and the weights a witness.
+deliverable is the mixture of the stored members by the recorded weights, its
+witness: ``select`` returns the weights, and ``CandidateFamily.mix`` forms the
+mixture on demand.
 """
 
 from __future__ import annotations
@@ -132,7 +134,6 @@ class SelectionResult:
     weights: SimplexWeights
     objective: float
     kkt_residual: float
-    trajectory: Trajectory
     iterations: int      # support systems solved
     rank: int            # numerical rank of H
     unique: bool         # no other weights reach the least J
@@ -165,7 +166,8 @@ def select(family: CandidateFamily, data_rtol: float = 1e-8) -> SelectionResult:
     its face from the bordered KKT system [[H_SS, 1], [1^T, 0]] (Boyd &
     Vandenberghe, Convex Optimization 5.5), the least-norm one when H_SS is
     singular.  Of the feasible points tied at the least J, the one with the
-    least norm is selected.
+    least norm is selected.  The result holds these weights, a witness of the
+    deliverable ``family.mix(result.weights)``, which is not formed here.
     """
     m = family.size
     if m > MAX_MEMBERS:
@@ -198,6 +200,5 @@ def select(family: CandidateFamily, data_rtol: float = 1e-8) -> SelectionResult:
     # a J within RTOL fixes lambda to about sqrt(RTOL)
     unique = all(np.abs(lam - weights.lam).max() <= np.sqrt(RTOL) for lam in tied)
     return SelectionResult(weights=weights, objective=objective(family, weights.lam),
-                           kkt_residual=kkt_residual(family, weights),
-                           trajectory=family.mix(weights), iterations=len(supports),
+                           kkt_residual=kkt_residual(family, weights), iterations=len(supports),
                            rank=int(keep.sum()), unique=unique)

@@ -196,10 +196,10 @@ def continuous_dependence_study(family_builder, deltas):
     """Two lists over deltas: max_t R(selected_delta | selected_0), and the L2(0, T)
     distance of the two selections low-passed to n = 8.  ``family_builder(delta)``
     assembles the family of the delta-perturbed data."""
-    base = select(family_builder(0.0)).trajectory
+    base = (fam := family_builder(0.0)).mix(select(fam).weights)
     rel, low = [], []
     for delta in deltas:
-        sel = select(family_builder(delta)).trajectory
+        sel = (fam := family_builder(delta)).mix(select(fam).weights)
         rel.append(float(rel_terms(sel.vorticity - base.vorticity, 0.0)[0].max()))
         d = resample(velocity(sel), 8) - resample(velocity(base), 8)
         low.append(float(np.sqrt(simpson(pairing(d, d), sel.times))))

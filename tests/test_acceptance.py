@@ -127,8 +127,8 @@ def test_acceptance_05_selection_well_posed(tg_ladder, capsys):
         res.objective <= objective(fam, np.eye(3)[i]) + 1e-12
         for i in range(3))
     # the exact solve has no start point: restart it on permuted member orders
-    sols = [select(assemble_family([tg_ladder[i] for i in order])).trajectory
-            for order in ((1, 2, 0), (2, 0, 1))]
+    perms = [assemble_family([tg_ladder[i] for i in order]) for order in ((1, 2, 0), (2, 0, 1))]
+    sols = [perm.mix(select(perm).weights) for perm in perms]
     dist2 = [dist(a, b) ** 2 for a, b in zip(velocity(sols[0]), velocity(sols[1]))]
     gap = float(np.sqrt(simpson(np.array(dist2), x=fam.times)))
     ok = res.kkt_residual <= 1e-6 and vertex_ok and gap <= 1e-8
@@ -291,7 +291,7 @@ def test_acceptance_12_selection_mixes_only_certified_members(tg_impostors, tmp_
                                                               capsys):
     # e^{-t/2} TG fails `exact` under the strain weight; it has less energy
     # than TG, so a selection over both members would return it
-    from maxdiss.scenarios import ScenarioConfig, stage_certify, stage_select
+    from maxdiss.scenarios import ScenarioConfig, load_selected, stage_certify, stage_select
 
     cfg = ScenarioConfig.from_dict({
         "scenario": "taylor_green",
@@ -301,10 +301,11 @@ def test_acceptance_12_selection_mixes_only_certified_members(tg_impostors, tmp_
         out_dir=str(tmp_path))
     family = assemble_family([tg_impostors[mid] for mid in ("tg", "decaying")],
                              member_ids=("tg", "decaying"))
+    for mid, traj in zip(family.member_ids, family.trajs):  # load_selected reads sim/
+        traj.save(tmp_path / "sim" / mid)
     verdicts = stage_certify(cfg, family)
     summary = stage_select(cfg, family, verdicts)
-    gap = np.abs(velocity(Trajectory.load(tmp_path / "selected"))
-                 - velocity(tg_impostors["tg"])).max()
+    gap = np.abs(velocity(load_selected(cfg)) - velocity(tg_impostors["tg"])).max()
     ok = (verdicts == {"tg": True, "decaying": False} and summary["member_ids"] == ["tg"]
           and summary["excluded"] == ["decaying"] and summary["lambda"] == [1.0]
           and gap <= 1e-12)

@@ -30,10 +30,15 @@ from maxdiss.scenarios import (
     ScenarioConfig,
     build_tests,
     initial_condition,
+    load_members,
+    load_selected,
     report,
     run_scenario,
+    stage_certify,
+    stage_select,
     stage_simulate,
 )
+from maxdiss.selector import select
 from maxdiss.solver import BlowUpError, Forcing, SystemSpec, Trajectory, _curl, taylor_green
 
 
@@ -806,8 +811,118 @@ def test_stage_subcommands_match_run(tmp_path, capsys):
         assert b == a
     a, b = (json.loads((root / "selection.json").read_text()) for root in (run, staged))
     assert b == a and (a["member_ids"], a["rank"], a["unique"]) == (["n_16", "n_12"], 2, True)
-    assert all((staged / "selected" / name).read_bytes() == (run / "selected" / name).read_bytes()
-               for name in ("manifest.json", "states.npy"))
+    _assert_same_trajectory(*(load_selected(ScenarioConfig.from_file(cfg, out_dir=str(root)))
+                              for root in (run, staged)))
+
+
+def _assert_same_trajectory(a: Trajectory, b: Trajectory):
+    """a and b bit for bit: vorticity, times, spec and provenance."""
+    assert a.vorticity.dtype == b.vorticity.dtype and a.vorticity.shape == b.vorticity.shape
+    assert a.vorticity.tobytes() == b.vorticity.tobytes()
+    assert a.times.tobytes() == b.times.tobytes()
+    assert a.spec.to_dict() == b.spec.to_dict() and a.provenance == b.provenance
+
+
+@pytest.mark.parametrize("excluded", [None, "n_12"])
+def test_load_selected_is_the_in_process_mixture(tmp_path, excluded):
+    # select records the weights, not their mixture: load_selected mixes the
+    # stored members by selection.json's lambda, bit for bit the mixture of the
+    # in-memory family by the in-memory weights, with or without an excluded member
+    cfg = ScenarioConfig.from_dict(_base_cfg(
+        scenario="perturbed_tg", family={"resolutions": [16, 12, 8], "sample_stride": 5}),
+        out_dir=str(tmp_path / "run"))
+    family = stage_simulate(cfg)
+    verdicts = dict(stage_certify(cfg, family), **({excluded: False} if excluded else {}))
+    assert sum(verdicts.values()) == 3 - bool(excluded)
+    summary = stage_select(cfg, family, verdicts)
+    fam = family.subfamily([mid for mid in family.member_ids if verdicts[mid]])
+    result = select(fam)
+    assert summary["lambda"] == result.weights.lam.tolist()
+    assert summary["excluded"] == ([excluded] if excluded else [])
+    _assert_same_trajectory(load_selected(cfg), fam.mix(result.weights))
+    assert not (tmp_path / "run" / "selected").exists()
+
+
+#: selection.json keys that load_selected cannot take, on the two-member tree
+DAMAGED_SELECTIONS = {"lambda_off_simplex": {"lambda": [0.75, 0.5]},
+                      "lambda_too_short": {"lambda": [1.0]},
+                      "lambda_not_numbers": {"lambda": ["a", "b"]},
+                      "member_ids_a_string": {"member_ids": "n_12"},
+                      "member_not_simulated": {"member_ids": ["n_12", "n_24"]},
+                      "members_out_of_config_order": {"member_ids": ["n_16", "n_12"]}}
+
+
+@pytest.mark.parametrize("how", ["no_member_passed", "truncated", *DAMAGED_SELECTIONS])
+def test_load_selected_rejects_a_missing_or_damaged_selection(two_member_run, tmp_path, how):
+    out = tmp_path / "run"
+    shutil.copytree(two_member_run, out)
+    cfg = ScenarioConfig.from_dict(_base_cfg(family={"resolutions": [12, 16], "sample_stride": 10}),
+                                   out_dir=str(out))
+    path = out / "selection.json"
+    assert json.loads(path.read_text())["member_ids"] == ["n_12", "n_16"]
+    load_selected(cfg)
+    if how == "no_member_passed":  # select then removes the earlier selection.json
+        family = load_members(cfg)
+        assert stage_select(cfg, family, dict.fromkeys(family.member_ids, False)) is None
+    elif how == "truncated":
+        path.write_text(path.read_text()[:40])
+    else:
+        path.write_text(json.dumps(dict(json.loads(path.read_text()), **DAMAGED_SELECTIONS[how])))
+    with pytest.raises(ConfigError, match=re.escape(str(path))):
+        load_selected(cfg)
+
+
+def test_run_and_select_remove_a_stored_mixture_of_an_older_tree(tmp_path, capsys):
+    # older trees stored the selected mixture in selected/; run and select both
+    # remove it, so no run manifest hashes a mixture that selection.json no longer names
+    cfg = _write_cfg(tmp_path, family={"resolutions": [12, 16], "sample_stride": 10})
+    out = tmp_path / "run"
+
+    def plant_old_mixture():
+        shutil.copytree(out / "sim" / "n_12", out / "selected", dirs_exist_ok=True)
+        (out / "selected" / "energies.csv").unlink()
+
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    plant_old_mixture()
+    assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    assert not (out / "selected").exists()
+    hashes = json.loads((out / "manifest.json").read_text())["hashes"]
+    assert "selection.json" in hashes and not [rel for rel in hashes if rel.startswith("selected")]
+    plant_old_mixture()
+    assert main(["select", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    assert not (out / "selected").exists() and (out / "selection.json").is_file()
+    capsys.readouterr()
+
+
+def test_simulate_and_certify_remove_the_selection_of_what_they_replace(tmp_path, capsys):
+    # a selection.json describes the members and verdicts it was chosen from: after
+    # simulate of another seed into the same tree, load_selected refuses to mix the
+    # new members by the old lambda and select refuses the old certificates; after
+    # certify alone the old selection is gone too, until select chooses again
+    family = {"resolutions": [16, 12], "sample_stride": 5}
+    cfg = _write_cfg(tmp_path, scenario="perturbed_tg", family=family)
+    other = _write_cfg(tmp_path, "other.json", scenario="perturbed_tg", family=family, seed=5)
+    out = tmp_path / "run"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    old_lam = json.loads((out / "selection.json").read_text())["lambda"]
+    config = ScenarioConfig.from_file(other, out_dir=str(out))
+    assert main(["simulate", "--config", other, "--out", str(out)]) == EXIT_OK
+    assert not (out / "certificates").exists() and not (out / "selection.json").exists()
+    with pytest.raises(ConfigError, match=re.escape(str(out / "selection.json"))):
+        load_selected(config)
+    capsys.readouterr()
+    assert main(["select", "--config", other, "--out", str(out)]) == EXIT_CONFIG
+    assert str(out / "certificates" / "n_16.json") in capsys.readouterr().err
+    assert main(["certify", "--config", other, "--out", str(out)]) == EXIT_OK
+    assert main(["select", "--config", other, "--out", str(out)]) == EXIT_OK
+    selected, lam = load_selected(config), json.loads((out / "selection.json").read_text())["lambda"]
+    assert main(["certify", "--config", other, "--out", str(out)]) == EXIT_OK
+    with pytest.raises(ConfigError, match=re.escape(str(out / "selection.json"))):
+        load_selected(config)
+    assert main(["select", "--config", other, "--out", str(out)]) == EXIT_OK
+    _assert_same_trajectory(load_selected(config), selected)
+    assert selected.provenance == f"mixture lambda={lam}" and lam != old_lam
+    capsys.readouterr()
 
 
 def test_mv_subcommand_matches_run(tmp_path, capsys):

@@ -10,7 +10,7 @@ from support import (analytic_test, from_velocity, load_defect, mv_convex_combin
                      mv_equation_residual, tensor_samples, trace_leakage_bound, velocity,
                      zero_defect)
 
-from maxdiss import certificate
+from maxdiss import certificate, mv_euler
 from maxdiss.fields import (
     Grid,
     SpectralField,
@@ -79,27 +79,28 @@ def test_psd_clip_identity_on_psd(rng):
     l21 = rng.standard_normal((4, 4))
     l22 = rng.standard_normal((4, 4))
     psd = np.stack([l11 ** 2, l11 * l21, l21 ** 2 + l22 ** 2])
-    clipped, mag = psd_clip(psd)
+    clipped, mag, least = psd_clip(psd)
     assert mag == 0.0
     assert np.abs(clipped - psd).max() == 0.0
+    assert least == min_eigenvalue(psd)
 
 
 def test_psd_clip_removes_negative_eigenvalue():
     density = np.zeros((3, 2, 2))
     density[0] = 1.0    # m11
     density[2] = -0.5   # m22: eigenvalues (1, -0.5)
-    clipped, mag = psd_clip(density)
+    clipped, mag, least = psd_clip(density)
     assert mag == pytest.approx(0.5)
     assert np.abs(clipped[0] - 1.0).max() <= 1e-14
     assert np.abs(clipped[2]).max() <= 1e-14
-    assert min_eigenvalue(clipped) >= -1e-14
+    assert least == min_eigenvalue(clipped) >= -1e-14
 
 
 def test_psd_clip_off_diagonal_case():
     # [[0, 1], [1, 0]] has eigenvalues +-1; projection gives [[.5,.5],[.5,.5]]
     density = np.zeros((3, 1, 1))
     density[1] = 1.0
-    clipped, mag = psd_clip(density)
+    clipped, mag, _ = psd_clip(density)
     assert mag == pytest.approx(1.0)
     assert clipped[0, 0, 0] == pytest.approx(0.5)
     assert clipped[1, 0, 0] == pytest.approx(0.5)
@@ -111,7 +112,7 @@ def test_psd_clip_diagonal_with_negative_entry():
     # wrong axis here, and the clip kept m22's place instead of m11's
     a = 1.0425133694426776
     density = np.array([a, 0.0, -1.4836004852469666]).reshape(3, 1, 1)
-    clipped, mag = psd_clip(density)
+    clipped, mag, _ = psd_clip(density)
     np.testing.assert_allclose(clipped.ravel(), [a, 0.0, 0.0], rtol=1e-15, atol=1e-15)
     assert mag == pytest.approx(1.4836004852469666, rel=1e-15)
 
@@ -128,7 +129,7 @@ def test_psd_clip_matches_eigh_projection(rng):
     density = rng.standard_normal((4, 3, 32, 32))
     density[1, 1] = 0.0      # diagonal samples
     density[2, 1] *= 1e-9    # nearly diagonal samples
-    clipped, mag = psd_clip(density)
+    clipped, mag, _ = psd_clip(density)
     ref, scale = _eigh_clip(density)
     assert (np.abs(clipped - ref).max(axis=-3) <= 1e-12 * scale).all()
     assert mag == pytest.approx(-min_eigenvalue(density), rel=1e-15)
@@ -139,7 +140,7 @@ def test_psd_clip_keeps_psd_samples_bitwise(rng):
     density[1] *= 0.1
     density[0::2] = np.abs(density[0::2]) + 1.0     # diagonally dominant: PSD
     density[:, 0, 0] = [1.0, 0.0, -1.0]             # one indefinite sample
-    clipped, mag = psd_clip(density)
+    clipped, mag, _ = psd_clip(density)
     assert mag == 1.0
     keep = np.ones((8, 8), dtype=bool)
     keep[0, 0] = False
@@ -155,13 +156,48 @@ def test_psd_clip_and_min_eigenvalue_sample_by_sample_match_the_series(rng):
     series[:, 0::2] = np.abs(series[:, 0::2]) + 1.0
     series[1, :, 2, 3] = [1.0, 0.0, -1.0]
     series[3, 1] *= 40.0
-    clipped, mag = psd_clip(series)
+    clipped, mag, least = psd_clip(series)
     per_sample = [psd_clip(sample) for sample in series]
-    assert np.array_equal(np.stack([c for c, _ in per_sample]), clipped)
-    assert [m > 0.0 for _, m in per_sample] == [False, True, False, True, False]
-    assert max(m for _, m in per_sample) == mag
+    assert np.array_equal(np.stack([c for c, _, _ in per_sample]), clipped)
+    assert [m > 0.0 for _, m, _ in per_sample] == [False, True, False, True, False]
+    assert max(m for _, m, _ in per_sample) == mag
+    # the least eigenvalue of the output: the input's where a sample is PSD
+    assert [e for _, _, e in per_sample] == [min_eigenvalue(c) for c, _, _ in per_sample]
+    assert min(e for _, _, e in per_sample) == least == min_eigenvalue(clipped)
+    assert [e == min_eigenvalue(x) for (_, _, e), x in zip(per_sample, series)][0::2] == [True] * 3
     field = DefectField(grid=Grid(8), times=np.arange(5.0), density=series, mollifier_kmax=2)
     assert field.min_eigenvalue() == min_eigenvalue(series) < 0.0
+
+
+@pytest.mark.parametrize("kmax", [None, 2])
+def test_pair_defect_keeps_its_least_eigenvalue_as_it_clips(resolution_pair, monkeypatch, kmax):
+    # defect_from_pair takes each sample's eigenvalues once, for its clip, and keeps the
+    # least one of the output: the clip's own lam2 where nothing is clipped, the clipped
+    # sample's only where a sample is (kmax None clips samples, kmax 2 none); it is the
+    # min_eigenvalue of the field built from the same density without it, bit for bit
+    fine, coarse = resolution_pair
+    calls, eigenvalues = [], mv_euler._sym_eigenvalues
+
+    def counted(m):
+        calls.append(m.shape)
+        return eigenvalues(m)
+
+    monkeypatch.setattr(mv_euler, "_sym_eigenvalues", counted)
+    m = defect_from_pair(fine, coarse, mollifier_kmax=kmax)
+    assert (m.clip_magnitude > 0.0) == (kmax is None)
+    assert (len(calls) > fine.times.size) == (kmax is None) and len(calls) >= fine.times.size
+    calls.clear()
+    assert m.min_eigenvalue() == m.least_eigenvalue and not calls
+    copy = replace(m)  # a field built any other way records none and takes them sample by sample
+    assert copy.least_eigenvalue is None
+    rebuilt = copy.min_eigenvalue()
+    assert len(calls) == fine.times.size
+    with pytest.raises(ValueError, match="least_eigenvalue"):  # and no caller can supply it
+        replace(m, least_eigenvalue=0.0)
+    with pytest.raises(TypeError, match="least_eigenvalue"):
+        DefectField(grid=m.grid, times=m.times, density=m.density, mollifier_kmax=1,
+                    least_eigenvalue=0.0)
+    assert rebuilt == m.min_eigenvalue() and np.signbit(rebuilt) == np.signbit(m.min_eigenvalue())
 
 
 def test_min_eigenvalue_formula():

@@ -13,6 +13,7 @@ SRC = Path(__file__).parents[1] / "src" / "maxdiss"
 #: public names kept without a consumer in the package
 EXEMPT = {
     "save_field",  # writes the forcing-file input format that load_field reads
+    "load_selected",  # rebuilds the selected trajectory, the deliverable, from a run tree
 }
 
 
